@@ -41,7 +41,6 @@ from .surfaces import (
     PhiResult,
     QuasiNefResult,
     ScrollInvariants,
-    SurfaceKind,
     blcn,
     blq,
     chi,

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import dataclass
 
 from . import __version__
 from .criteria import (
@@ -40,7 +41,6 @@ from .errors import DivcalcError, EvidenceError, ModelError
 from .lattice import pair, reflect_nodal
 from .surfaces import (
     chi,
-    config_from_json_dict,
     genus,
     get_config,
     get_surface,
@@ -66,12 +66,10 @@ def _load_surface(args, required=True):
     if cfg_name and surf_name:
         raise ModelError("pass either --surface or --config, not both")
     if cfg_name:
+        name = cfg_name
         if os.path.exists(cfg_name):
-            with open(cfg_name, encoding="utf-8") as fh:
-                doc = json.load(fh)
-            base = os.path.splitext(os.path.basename(cfg_name))[0]
-            return config_from_json_dict(doc).to_surface(base)
-        return get_config(cfg_name).to_surface(cfg_name)
+            name = os.path.splitext(os.path.basename(cfg_name))[0]
+        return get_config(cfg_name).to_surface(name)
     if surf_name:
         return get_surface(surf_name)
     if required:
@@ -97,8 +95,15 @@ def _need(args, *names):
         )
 
 
-# Each handler returns (payload, surface_name, human_lines,
-# no_conclusion, failed).
+@dataclass(frozen=True)
+class _Outcome:
+    """What a subcommand handler hands back to main()."""
+
+    payload: object
+    surface: str | None
+    lines: list[str]
+    no_conclusion: bool = False
+    failed: bool = False
 
 
 def _cmd_pair(args):
@@ -109,19 +114,17 @@ def _cmd_pair(args):
     A, B = (resolve(c, surf) for c in curves)
     val = pair(A, B)
     payload = {"a": render(A), "b": render(B), "value": val}
-    return payload, surf.name, [f"({payload['a']}).({payload['b']}) = {val}"], False, False
+    return _Outcome(payload, surf.name, [f"({payload['a']}).({payload['b']}) = {val}"])
 
 
 def _cmd_self(args):
     surf = _load_surface(args)
     D = _one_curve(args, surf)
     val = pair(D, D)
-    return (
+    return _Outcome(
         {"curve": render(D), "square": val},
         surf.name,
         [f"({render(D)})^2 = {val}"],
-        False,
-        False,
     )
 
 
@@ -129,12 +132,10 @@ def _cmd_genus(args):
     surf = _load_surface(args)
     D = _one_curve(args, surf)
     g = genus(surf, D)
-    return (
+    return _Outcome(
         {"curve": render(D), "genus": g},
         surf.name,
         [f"genus({render(D)}) = {g}"],
-        False,
-        False,
     )
 
 
@@ -142,12 +143,10 @@ def _cmd_chi(args):
     surf = _load_surface(args)
     D = _one_curve(args, surf)
     val = chi(surf, D)
-    return (
+    return _Outcome(
         {"curve": render(D), "chi": val},
         surf.name,
         [f"chi({render(D)}) = {val}"],
-        False,
-        False,
     )
 
 
@@ -163,7 +162,7 @@ def _cmd_phi(args):
     if res.witness is not None:
         lines.append(f"witness: {render(res.witness)}")
     lines += [f"note: {n}" for n in res.notes]
-    return payload, surf.name, lines, False, False
+    return _Outcome(payload, surf.name, lines)
 
 
 def _cmd_reflect(args):
@@ -179,7 +178,7 @@ def _cmd_reflect(args):
         "image": render(img),
         "image_coords": list(img.coords),
     }
-    return payload, surf.name, [f"reflection: {render(img)}"], False, False
+    return _Outcome(payload, surf.name, [f"reflection: {render(img)}"])
 
 
 def _cmd_enumerate(args):
@@ -203,7 +202,7 @@ def _cmd_enumerate(args):
         "rejected: "
         + ", ".join(f"{k}={v}" for k, v in sorted(res.rejected.items()))
     )
-    return res.to_json_dict(), surf.name, lines, False, False
+    return _Outcome(res.to_json_dict(), surf.name, lines)
 
 
 def _cmd_destab(args):
@@ -214,7 +213,7 @@ def _cmd_destab(args):
             f"  a={c.a}, a1={c.a1}: A^2={c.A2}, B^2={c.B2}, "
             f"A.B={c.AB}, lenW={c.lenW}"
         )
-    return res.to_json_dict(), "blq", lines, False, False
+    return _Outcome(res.to_json_dict(), "blq", lines)
 
 
 def _cmd_gonality(args):
@@ -226,7 +225,7 @@ def _cmd_gonality(args):
         "not_2D_special": not args.two_d_special,
         "gonality": val,
     }
-    return payload, None, [f"gonality = {val}"], False, False
+    return _Outcome(payload, None, [f"gonality = {val}"])
 
 
 def _cmd_cliff(args):
@@ -234,24 +233,21 @@ def _cmd_cliff(args):
         _need(args, "d", "h0")
         val = clifford_of_series(args.d, args.h0)
         payload = {"mode": "series", "d": args.d, "h0": args.h0, "cliff": val}
-        return payload, None, [f"Cliff = {val}"], False, False
+        return _Outcome(payload, None, [f"Cliff = {val}"])
     if args.g is not None:
         val = cliff_upper_bound(args.g)
         payload = {"mode": "upper_bound", "g": args.g, "value": val}
-        return payload, None, [f"Cliff(C) <= {val}"], False, False
+        return _Outcome(payload, None, [f"Cliff(C) <= {val}"])
     raise ModelError("cliff needs --d and --h0, or --g")
 
 
-def _verdict_outcome(verdict, surface=None):
+def _verdict_outcome(verdict):
     lines = [f"{verdict.status_label} via {verdict.rule}"]
     lines += [f"qualifier: {q}" for q in verdict.qualifiers]
     lines += [f"note: {n}" for n in verdict.notes]
-    return (
-        verdict.to_json_dict(),
-        surface,
-        lines,
-        verdict.status == "NO_CONCLUSION",
-        False,
+    return _Outcome(
+        verdict.to_json_dict(), None, lines,
+        no_conclusion=verdict.status == "NO_CONCLUSION",
     )
 
 
@@ -339,7 +335,7 @@ def _cmd_scroll(args):
         f"{inv.degY}, hyperplane-section genus {inv.pa_hyperplane}, "
         f"quadric-generation bound {'holds' if inv.n2_holds else 'fails'}",
     ]
-    return inv.to_json_dict(), None, lines, False, False
+    return _Outcome(inv.to_json_dict(), None, lines)
 
 
 def _cmd_b2rule(args):
@@ -348,8 +344,8 @@ def _cmd_b2rule(args):
     lines = [f"{res.status}"]
     lines += [f"qualifier: {q}" for q in res.qualifiers]
     lines += [f"note: {n}" for n in res.notes]
-    return (
-        res.to_json_dict(), None, lines, res.status == "unknown", False,
+    return _Outcome(
+        res.to_json_dict(), None, lines, no_conclusion=res.status == "unknown",
     )
 
 
@@ -367,13 +363,12 @@ def _cmd_verify(args):
             lines += [f"    {t}" for t in r.trace]
     if not args.all:
         payload = payload[0]
-    return payload, None, lines, False, failed
+    return _Outcome(payload, None, lines, failed=failed)
 
 
 def _cmd_surface(args):
     if args.surface or args.config:
-        surf = _load_surface(args)
-        model = surf.model
+        model = _load_surface(args)
         payload = model.to_json_dict()
         lines = [
             f"{model.name}: rank {model.rank}, basis "
@@ -382,11 +377,11 @@ def _cmd_surface(args):
         ]
         for row in model.gram:
             lines.append("  " + " ".join(f"{v:4d}" for v in row))
-        return payload, model.name, lines, False, False
+        return _Outcome(payload, model.name, lines)
     payload = {"surfaces": list_surfaces(), "configs": list_configs()}
     lines = ["surfaces: " + ", ".join(payload["surfaces"]),
              "configs:  " + ", ".join(payload["configs"])]
-    return payload, None, lines, False, False
+    return _Outcome(payload, None, lines)
 
 
 def build_parser() -> _Parser:
@@ -566,7 +561,7 @@ def main(argv=None) -> int:
 
     t0 = time.perf_counter_ns()
     try:
-        payload, surface_name, lines, no_conclusion, failed = args.handler(args)
+        out = args.handler(args)
     except DivcalcError as exc:
         print(f"divcalc: error: {exc}", file=sys.stderr)
         return 1
@@ -578,19 +573,19 @@ def main(argv=None) -> int:
     if args.json:
         report = {
             "command": ["divcalc"] + raw,
-            "surface": surface_name,
-            "result": payload,
+            "surface": out.surface,
+            "result": out.payload,
             "elapsed_ms": elapsed_ms,
             "version": __version__,
         }
         print(json.dumps(report, indent=2))
     else:
-        for line in lines:
+        for line in out.lines:
             print(line)
 
-    if failed:
+    if out.failed:
         return 1
-    if no_conclusion and args.strict:
+    if out.no_conclusion and args.strict:
         return 2
     return 0
 

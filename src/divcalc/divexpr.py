@@ -23,12 +23,6 @@ class DivExpr:
     source: str
     terms: tuple[tuple[int, str], ...]
 
-    def coefficient_map(self):
-        out = {}
-        for c, lab in self.terms:
-            out[lab] = out.get(lab, 0) + c
-        return out
-
 
 def parse_divexpr(s: str) -> DivExpr:
     if not s or not s.strip():
@@ -66,11 +60,10 @@ def parse_divexpr(s: str) -> DivExpr:
     return DivExpr(s, tuple(terms))
 
 
-def resolve(expr: DivExpr | str, surface_or_model) -> DivClass:
+def resolve(expr: DivExpr | str, model: LatticeModel) -> DivClass:
     """Turn an expression into coordinates against a surface's basis."""
     if isinstance(expr, str):
         expr = parse_divexpr(expr)
-    model: LatticeModel = getattr(surface_or_model, "model", surface_or_model)
     coords = [0] * model.rank
     for coeff, label in expr.terms:
         if label == "K":

@@ -25,9 +25,8 @@ from importlib import resources
 
 from .divexpr import render, resolve
 from .errors import FixtureError, ModelError, RangeError
-from .lattice import DivClass, hodge_filter, pair
+from .lattice import DivClass, LatticeModel, hodge_filter, pair
 from .surfaces import (
-    SurfaceKind,
     get_config,
     get_surface,
     mod4_condition,
@@ -107,10 +106,9 @@ def _auto_mod4(model, C: DivClass) -> bool:
     return C.coords == minus2k
 
 
-def _stage_eval(surface, C, k, L, apply_mod4):
+def _stage_eval(model, C, k, L, apply_mod4):
     """Run the staged filters on one candidate. Returns (decomp_or_None,
     trace); the trace stops at the first violated constraint."""
-    model = surface.model
     trace = []
     C2 = pair(C, C)
 
@@ -201,14 +199,13 @@ def _stage_eval(surface, C, k, L, apply_mod4):
     return dec, trace
 
 
-def _candidates(surface: SurfaceKind, k: int, budget: int):
+def _candidates(model: LatticeModel, k: int, budget: int):
     """Sign-valid candidate coordinates within the ample-pairing budget.
 
     Retains every class that could pass the filters; cells outside the
     sign orthant or with obviously negative square are not visited
     (explain_candidate still traces any coordinates on demand).
     """
-    model = surface.model
     if model.kind == "sigma":
         n = model.rank - 1
         a_cost = model.ample_ref[0]
@@ -244,7 +241,7 @@ def _candidates(surface: SurfaceKind, k: int, budget: int):
 
 
 def enumerate_bogreider(
-    surface: SurfaceKind,
+    surface: LatticeModel,
     C: DivClass,
     k: int,
     mod4: bool | None = None,
@@ -254,16 +251,17 @@ def enumerate_bogreider(
 
     mod4 = None lets the fixture-style auto-detection decide (see
     _auto_mod4); fixtures pass their own flag explicitly. budget overrides
-    the ample-pairing envelope (default STRETCH * 2k), which is generous:
-    any survivor satisfies L.C <= 2k, well inside it. Survivors come back
-    sorted by coordinates.
+    the candidate envelope (default STRETCH * 2k). On the sigma models the
+    envelope bounds c a + sum |b_i| for L = aH + sum b_i Gi, with c the H
+    coefficient of the reference ample class (3, or 4 on sigma9). That is
+    not a bound on L.C, so the envelope is not proven to hold every
+    survivor. Survivors come back sorted by coordinates.
     """
-    model = surface.model
     if k < 2:
         raise RangeError(f"pencil degree k must be >= 2, got {k}")
     if pair(C, C) < 0:
         raise ModelError(f"C^2 = {pair(C, C)} < 0 is not a curve class here")
-    apply_mod4 = _auto_mod4(model, C) if mod4 is None else mod4
+    apply_mod4 = _auto_mod4(surface, C) if mod4 is None else mod4
     if budget is None:
         budget = STRETCH * 2 * k
 
@@ -272,7 +270,7 @@ def enumerate_bogreider(
     visited = 0
     for coords in _candidates(surface, k, budget):
         visited += 1
-        L = model.klass(coords)
+        L = surface.klass(coords)
         dec, trace = _stage_eval(surface, C, k, L, apply_mod4)
         if dec is None:
             name = trace[-1][0]
@@ -281,7 +279,7 @@ def enumerate_bogreider(
             survivors.append(dec)
     survivors.sort(key=lambda d: d.L.coords)
     return EnumerationResult(
-        surface=model.name,
+        surface=surface.name,
         curve=render(C),
         k=k,
         mod4_applied=apply_mod4,
@@ -294,29 +292,27 @@ def enumerate_bogreider(
 
 def explain_candidate(surface, C, k, coords, mod4: bool | None = None):
     """Full filter trace for one candidate, visited by the search or not."""
-    model = surface.model
-    apply_mod4 = _auto_mod4(model, C) if mod4 is None else mod4
-    L = model.klass(coords)
+    apply_mod4 = _auto_mod4(surface, C) if mod4 is None else mod4
+    L = surface.klass(coords)
     dec, trace = _stage_eval(surface, C, k, L, apply_mod4)
     return dec, list(trace)
 
 
-def cs_filter(surface, L: DivClass) -> bool:
+def cs_filter(surface: LatticeModel, L: DivClass) -> bool:
     """Sign conditions plus the coordinate-sanity inequality on a plane
     blow-up. Returns False for L^2 < 0 by convention (the caller's other
     filters reject those anyway)."""
-    model = surface.model if isinstance(surface, SurfaceKind) else surface
-    if model.kind != "sigma":
+    if surface.kind != "sigma":
         raise ModelError("cs_filter applies to the sigma models")
     L2 = pair(L, L)
     if L2 < 0:
         return False
-    pairings = [pair(L, model.basis_class(lab)) for lab in model.labels]
+    pairings = [pair(L, surface.basis_class(lab)) for lab in surface.labels]
     if any(v < 0 for v in pairings):
         return False
-    n = model.rank - 1
+    n = surface.rank - 1
     a = pairings[0]
-    LK = pair(L, model.canonical_class)
+    LK = pair(L, surface.canonical_class)
     return (3 * a + LK) ** 2 <= n * (a * a - L2)
 
 
@@ -683,7 +679,7 @@ def _expected_pencil_set(fx: CaseFixture):
         doc = load_golden(fx.golden)
         surf = get_surface(doc["surface"])
         return {
-            (render(surf.model.klass(s["coords"])), s["z"])
+            (render(surf.klass(s["coords"])), s["z"])
             for s in doc["survivors"]
         }
     return set(fx.expected)

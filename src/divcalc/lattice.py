@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -28,7 +28,7 @@ from .errors import (
 I64_MAX = 2**63 - 1
 
 
-def _check_i64(value, what="value"):
+def _check_i64(value, what):
     if abs(value) > I64_MAX:
         raise OverflowGuardError(f"{what} {value} exceeds the 64-bit envelope")
     return value
@@ -38,10 +38,11 @@ def _check_i64(value, what="value"):
 class LatticeModel:
     """An integral lattice: labeled basis, gram matrix, distinguished classes.
 
-    kind tags the geometry family ("sigma", "ruled", "enriques", "config",
-    "generic") and steers surface-specific behavior elsewhere; the lattice
-    operations in this module ignore it. effective_labels lists the basis
-    classes known to be effective divisors, used by positivity tests.
+    kind tags the geometry family ("sigma", "ruled", "blcn", "enriques",
+    "config", "generic") and steers surface-specific behavior elsewhere;
+    the lattice operations in this module ignore it. effective_labels lists
+    the basis classes known to be effective divisors, used by positivity
+    tests.
     """
 
     name: str
@@ -52,7 +53,6 @@ class LatticeModel:
     ample_ref: tuple[int, ...] | None = None
     kind: str = "generic"
     effective_labels: tuple[str, ...] = ()
-    notes: tuple[str, ...] = ()
 
     def __post_init__(self):
         n = len(self.labels)
@@ -81,6 +81,11 @@ class LatticeModel:
     @property
     def rank(self):
         return len(self.labels)
+
+    @property
+    def model(self):
+        """The model itself, as DivClass.model names a class's lattice."""
+        return self
 
     def zero(self):
         return DivClass(self, (0,) * self.rank)
@@ -156,14 +161,12 @@ def load_model(path):
 class DivClass:
     """An integer divisor class in a fixed LatticeModel.
 
-    torsion_twist is a bookkeeping bit for numerically invisible torsion
-    (the two lifts of an Enriques class differing by the canonical torsion
-    element). It never affects any pairing.
+    Every coordinate is checked against the 64-bit envelope on
+    construction, so arithmetic results need no guard of their own.
     """
 
     model: LatticeModel = field(compare=False)
     coords: tuple[int, ...]
-    torsion_twist: bool = False
     _model_name: str = field(default="", compare=True, repr=False)
 
     def __post_init__(self):
@@ -184,14 +187,14 @@ class DivClass:
         self._require_same_model(other)
         return DivClass(
             self.model,
-            tuple(_check_i64(a + b) for a, b in zip(self.coords, other.coords)),
+            tuple(a + b for a, b in zip(self.coords, other.coords)),
         )
 
     def __sub__(self, other):
         self._require_same_model(other)
         return DivClass(
             self.model,
-            tuple(_check_i64(a - b) for a, b in zip(self.coords, other.coords)),
+            tuple(a - b for a, b in zip(self.coords, other.coords)),
         )
 
     def __neg__(self):
@@ -200,7 +203,7 @@ class DivClass:
     def __rmul__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        return DivClass(self.model, tuple(_check_i64(n * a) for a in self.coords))
+        return DivClass(self.model, tuple(n * a for a in self.coords))
 
     __mul__ = __rmul__
 
@@ -233,9 +236,6 @@ class DivClass:
             prim = tuple(-c for c in prim)
             sign = -1
         return DivClass(self.model, prim), sign * g
-
-    def with_twist(self, twist=True):
-        return replace(self, torsion_twist=twist)
 
 
 def pair(a: DivClass, b: DivClass) -> int:
@@ -496,7 +496,8 @@ def vectors_of_norm(Q, N: int, coord_box: int | None = None):
 
 
 def _components(gram):
-    """Connected components of the basis graph (edges at nonzero pairings)."""
+    """Connected components of the basis graph (edges at nonzero pairings),
+    each sorted, in order of their smallest index."""
     n = len(gram)
     seen = [False] * n
     comps = []
@@ -561,7 +562,7 @@ def isotropic_search(model: LatticeModel, target: DivClass, box_bound: int):
 
     # idx, buckets (None until filled), min/max achievable norm, sign, sub
     infos = []
-    for idx in comps_sorted(_components(gram)):
+    for idx in _components(gram):
         sub = _subgram(gram, idx)
         p, ng, z = signature(sub)
         if z == 0 and (p == 0 or ng == 0) and len(idx) > 2:
@@ -623,10 +624,6 @@ def isotropic_search(model: LatticeModel, target: DivClass, box_bound: int):
     combine(0, 0, [0] * n)
     found.sort(key=lambda fv: (fv[1], fv[0].coords))
     return found
-
-
-def comps_sorted(comps):
-    return sorted(comps, key=lambda idx: idx[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Named surface geometries and the numerics that depend on them.
 
-A surface here is a lattice model plus a geometry tag: the Enriques lattice
-(U perp E8(-1)), plane blow-ups sigma1..sigma9 with gram diag(1, -1, ..),
-and two ruled models ("blq" with a -2 section, "blc6" and friends with a
--n section). Isotropic configurations are small sublattices spanned by
-labeled isotropic classes with a supplied pairing table; the structure
-lemmas work entirely inside these.
+A surface here is a LatticeModel whose kind names its family: the
+Enriques lattice (U perp E8(-1)), plane blow-ups sigma1..sigma9 with gram
+diag(1, -1, ..), and two ruled models ("blq" with a -2 section, "blc6"
+and friends with a -n section). Isotropic configurations are small
+sublattices spanned by labeled isotropic classes with a supplied pairing
+table; the structure lemmas work entirely inside these.
 
 On top of the models: adjunction genus, Riemann-Roch chi, the residual
 parity test, the minimal-pencil-degree invariant phi (certified inside a
@@ -51,37 +51,7 @@ _E8 = (
 )
 
 
-@dataclass(frozen=True)
-class SurfaceKind:
-    """A geometry tag wrapped around its lattice model.
-
-    tag is one of Enriques, SigmaN, BlQ, BlCn, Config, Custom; n carries
-    the parameter where one exists (number of blown-up points, or the
-    negative of the section's square on the ruled models).
-    """
-
-    tag: str
-    model: LatticeModel
-    n: int | None = None
-
-    @property
-    def name(self):
-        return self.model.name
-
-    def special_classes(self):
-        out = {lab: self.model.basis_class(lab) for lab in self.model.labels}
-        out["K"] = self.model.canonical_class
-        return out
-
-    def klass(self, coords):
-        return self.model.klass(coords)
-
-
-def _model_of(surface) -> LatticeModel:
-    return surface.model if isinstance(surface, SurfaceKind) else surface
-
-
-def enriques() -> SurfaceKind:
+def enriques() -> LatticeModel:
     """The full rank-10 even unimodular lattice, hyperbolic plane plus
     E8 negated. Canonical class is numerically trivial; no basis class is
     declared effective (positivity tests use caller-supplied classes)."""
@@ -91,7 +61,7 @@ def enriques() -> SurfaceKind:
     for i in range(8):
         for j in range(8):
             gram[2 + i][2 + j] = -_E8[i][j]
-    model = LatticeModel(
+    return LatticeModel(
         name="enriques",
         labels=labels,
         gram=tuple(tuple(r) for r in gram),
@@ -100,10 +70,9 @@ def enriques() -> SurfaceKind:
         ample_ref=(1, 1) + (0,) * 8,
         kind="enriques",
     )
-    return SurfaceKind("Enriques", model)
 
 
-def sigma(n: int) -> SurfaceKind:
+def sigma(n: int) -> LatticeModel:
     """Blow-up of the plane at n points: diag(1, -1^n), K = -3H + sum Gi."""
     if not 1 <= n <= 9:
         raise ModelError("sigma(n) is shipped for n in 1..9")
@@ -115,7 +84,7 @@ def sigma(n: int) -> SurfaceKind:
     # anticanonical is ample through n = 8; at n = 9 its square is 0, so
     # fall back to 4H - sum Gi (square 7, positive on every Gi and H)
     amp = (3,) + (-1,) * n if n <= 8 else (4,) + (-1,) * n
-    model = LatticeModel(
+    return LatticeModel(
         name=f"sigma{n}",
         labels=labels,
         gram=gram,
@@ -125,12 +94,11 @@ def sigma(n: int) -> SurfaceKind:
         kind="sigma",
         effective_labels=labels,
     )
-    return SurfaceKind("SigmaN", model, n=n)
 
 
-def blq() -> SurfaceKind:
+def blq() -> LatticeModel:
     """Ruled model with a section of square -2 (even intersection form)."""
-    model = LatticeModel(
+    return LatticeModel(
         name="blq",
         labels=("C0", "f"),
         gram=((-2, 1), (1, 0)),
@@ -140,10 +108,9 @@ def blq() -> SurfaceKind:
         kind="ruled",
         effective_labels=("C0", "f"),
     )
-    return SurfaceKind("BlQ", model, n=2)
 
 
-def blcn(n: int) -> SurfaceKind:
+def blcn(n: int) -> LatticeModel:
     """Elliptic ruled model with a section of square -n, chi(O) = 0.
 
     K = -2C0 - nf here; the fixture with n = 6 pins this down via its
@@ -151,7 +118,7 @@ def blcn(n: int) -> SurfaceKind:
     """
     if n < 1:
         raise ModelError("blcn(n) needs n >= 1")
-    model = LatticeModel(
+    return LatticeModel(
         name=f"blc{n}",
         labels=("C0", "f"),
         gram=((-n, 1), (1, 0)),
@@ -161,7 +128,6 @@ def blcn(n: int) -> SurfaceKind:
         kind="blcn",
         effective_labels=("C0", "f"),
     )
-    return SurfaceKind("BlCn", model, n=n)
 
 
 _BUILTIN_NAMES = ["enriques", "blq", "blc6"] + [f"sigma{i}" for i in range(1, 10)]
@@ -171,7 +137,7 @@ def list_surfaces():
     return list(_BUILTIN_NAMES)
 
 
-def get_surface(name: str) -> SurfaceKind:
+def get_surface(name: str) -> LatticeModel:
     """Resolve a surface by builtin name, file path, or DIVCALC_SURFACE_PATH."""
     if name == "enriques":
         return enriques()
@@ -184,13 +150,13 @@ def get_surface(name: str) -> SurfaceKind:
     if m:
         return blcn(int(m.group(1)))
     if os.path.exists(name):
-        return SurfaceKind("Custom", load_model(name))
+        return load_model(name)
     for d in os.environ.get("DIVCALC_SURFACE_PATH", "").split(os.pathsep):
         if not d:
             continue
         cand = os.path.join(d, name + ".json")
         if os.path.exists(cand):
-            return SurfaceKind("Custom", load_model(cand))
+            return load_model(cand)
     raise ModelError(
         f"unknown surface {name!r}; builtins are {', '.join(_BUILTIN_NAMES)}"
     )
@@ -225,8 +191,8 @@ class IsotropicConfig:
                 if self.table[i][j] < 0:
                     raise ModelError("pairing table entries must be >= 0")
 
-    def to_surface(self, name="config") -> SurfaceKind:
-        model = LatticeModel(
+    def to_surface(self, name="config") -> LatticeModel:
+        return LatticeModel(
             name=name,
             labels=self.labels,
             gram=self.table,
@@ -236,7 +202,6 @@ class IsotropicConfig:
             kind="config",
             effective_labels=self.labels,
         )
-        return SurfaceKind("Config", model)
 
 
 def config_from_json_dict(doc) -> IsotropicConfig:
@@ -277,7 +242,7 @@ def get_config(name_or_path: str) -> IsotropicConfig:
     if os.path.exists(name_or_path):
         import json
 
-        with open(name_or_path) as fh:
+        with open(name_or_path, encoding="utf-8") as fh:
             return config_from_json_dict(json.load(fh))
     raise ModelError(
         f"unknown config {name_or_path!r}; builtins are {', '.join(list_configs())}"
@@ -288,11 +253,10 @@ def get_config(name_or_path: str) -> IsotropicConfig:
 # genus / chi / parity
 
 
-def genus(surface, C: DivClass) -> int:
+def genus(surface: LatticeModel, C: DivClass) -> int:
     """Adjunction genus g = (C^2 + C.K)/2 + 1. Parity failure means the
     class cannot be a curve class and is an error."""
-    model = _model_of(surface)
-    K = model.canonical_class
+    K = surface.canonical_class
     s = pair(C, C) + pair(C, K)
     if s % 2 != 0:
         raise NonCurveClassError(f"C^2 + C.K = {s} is odd, not a curve class")
@@ -301,14 +265,13 @@ def genus(surface, C: DivClass) -> int:
     return s // 2 + 1
 
 
-def chi(surface, L: DivClass) -> int:
+def chi(surface: LatticeModel, L: DivClass) -> int:
     """Euler characteristic chi(L) = chi(O) + L.(L - K)/2."""
-    model = _model_of(surface)
-    K = model.canonical_class
+    K = surface.canonical_class
     s = pair(L, L) - pair(L, K)
     if s % 2 != 0:
         raise NonCurveClassError(f"L.(L - K) = {s} is odd; chi undefined")
-    return model.chi + s // 2
+    return surface.chi + s // 2
 
 
 def mod4_condition(L: DivClass, M: DivClass) -> bool:
@@ -364,7 +327,10 @@ def _kernel_basis(w):
     return [col(j) for j in kernel_cols]
 
 
-def phi(surface, L: DivClass, mode: str = "sublattice", box: int | None = None) -> PhiResult:
+def phi(
+    surface: LatticeModel, L: DivClass, mode: str = "sublattice",
+    box: int | None = None,
+) -> PhiResult:
     """Minimal |F.L| over nonzero isotropic classes F.
 
     sublattice mode enumerates, for t = 1, 2, ..., the full slice
@@ -379,14 +345,13 @@ def phi(surface, L: DivClass, mode: str = "sublattice", box: int | None = None) 
     boxed mode scans coordinates in [-box, box] and is never certified;
     it raises PhiBoundError when the box cannot witness the invariant.
     """
-    model = _model_of(surface)
     L2 = pair(L, L)
     if L2 <= 0:
         raise RangeError(f"phi needs L^2 > 0, got {L2}")
 
     if mode == "boxed":
-        b = box if box is not None else (2 if model.rank >= 8 else 6)
-        hits = isotropic_search(model, L, b)
+        b = box if box is not None else (2 if surface.rank >= 8 else 6)
+        hits = isotropic_search(surface, L, b)
         hits = [(F, v) for F, v in hits if v > 0] or hits
         if not hits:
             raise PhiBoundError(f"no nonzero isotropic class in box {b}")
@@ -404,10 +369,10 @@ def phi(surface, L: DivClass, mode: str = "sublattice", box: int | None = None) 
     if mode != "sublattice":
         raise ModelError(f"unknown phi mode {mode!r}")
 
-    if determinant(model.gram) == 0:
+    if determinant(surface.gram) == 0:
         raise ModelError("certified phi needs a nondegenerate model")
-    gram = model.gram
-    r = model.rank
+    gram = surface.gram
+    r = surface.rank
     w = [sum(gram[i][j] * L.coords[j] for j in range(r)) for i in range(r)]
     K = _kernel_basis(w)  # r x (r-1) columns
     m = len(K)
@@ -437,7 +402,7 @@ def phi(surface, L: DivClass, mode: str = "sublattice", box: int | None = None) 
             V = [sum(K[a][i] * x[a] for a in range(m)) for i in range(r)]
             num = [v + t * c for v, c in zip(V, L.coords)]
             if all(n % L2 == 0 for n in num):
-                F = model.klass([n // L2 for n in num])
+                F = surface.klass([n // L2 for n in num])
                 assert pair(F, F) == 0 and pair(F, L) == t
                 return PhiResult(t, F, certified=True)
     raise PhiInvariantError(

@@ -131,6 +131,7 @@ class TestSurfaceLoading:
             ["self", "--config", str(p), "--curve", "E+F", "--json"],
         )
         assert rc == 0 and rep["result"]["square"] == 4
+        assert rep["surface"] == "cfg"
 
     def test_surface_path_env(self, capsys, tmp_path, monkeypatch):
         doc = {

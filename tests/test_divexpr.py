@@ -74,7 +74,7 @@ def test_render_parse_round_trip(coords):
 
 
 @given(coeffs=st.lists(st.integers(-20, 20), min_size=1, max_size=6))
-def test_coefficient_map_accumulation(coeffs):
+def test_repeated_label_accumulation(coeffs):
     # same label repeated: the resolved class adds coefficients exactly
     s1 = get_surface("sigma1")
     expr = "".join(

@@ -107,6 +107,34 @@ def test_explain_candidate_survivor_trace():
     ]
 
 
+# The sigma envelope bounds 3a + sum |b_i|, not L.C, so a skewed curve
+# puts a survivor outside it; the search misses it while every stage
+# passes it.
+_ENVELOPE_MISS = ("sigma2", "12H-11G1-3G2", 6, (16, -15, -5))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+def test_search_finds_survivor_outside_envelope():
+    skey, curve, k, coords = _ENVELOPE_MISS
+    surf = get_surface(skey)
+    res = enumerate_bogreider(surf, resolve(curve, surf), k, mod4=False)
+    assert (coords, 0) in {(d.L.coords, d.z) for d in res.survivors}
+
+
+def test_envelope_miss_passes_every_stage():
+    skey, curve, k, coords = _ENVELOPE_MISS
+    surf = get_surface(skey)
+    dec, trace = explain_candidate(
+        surf, resolve(curve, surf), k, coords, mod4=False
+    )
+    assert dec is not None and dec.z == 0
+    assert [n for n, _ in trace] == [
+        "nonzero", "sign", "L2_nonneg", "ML_ge_L2", "ML_le_k",
+        "degD_nonneg", "mod4", "cs2", "hodge",
+    ]
+    assert not any(d.startswith("fail") for _, d in trace)
+
+
 def test_explain_candidate_sign_failure():
     surf = get_surface("sigma2")
     C = resolve("-2K", surf)

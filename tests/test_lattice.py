@@ -105,17 +105,24 @@ class TestDivClassAlgebra:
         # class is positive
         assert prim.coords == (1, 2) and mult == -2
 
-    def test_torsion_twist_flag(self):
-        m = E10
-        d = m.zero().with_twist()
-        assert d.torsion_twist
-        assert not m.zero().torsion_twist
-
     def test_overflow_guard(self):
         m = _model([[1]])
         big = m.klass((2**40,))
         with pytest.raises(OverflowGuardError):
             pair(big, big)
+
+    def test_overflow_guard_on_arithmetic(self):
+        m = _model([[1]])
+        top = m.klass((2**63 - 1,))
+        one = m.klass((1,))
+        with pytest.raises(OverflowGuardError):
+            top + one
+        with pytest.raises(OverflowGuardError):
+            -top - one
+        with pytest.raises(OverflowGuardError):
+            2 * top
+        # the envelope is symmetric, so negation alone never leaves it
+        assert (-top).coords == (-(2**63 - 1),)
 
 
 @given(
