@@ -34,6 +34,7 @@ from .lattice import (
     pair,
     reflect_nodal,
     signature,
+    slice_points,
     vectors_of_norm,
 )
 from .surfaces import (

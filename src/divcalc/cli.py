@@ -187,7 +187,7 @@ def _cmd_enumerate(args):
     if args.k is None:
         raise ModelError("enumerate needs --k <int>")
     mod4 = {"auto": None, "on": True, "off": False}[args.mod4]
-    res = enumerate_bogreider(surf, D, args.k, mod4=mod4, budget=args.box)
+    res = enumerate_bogreider(surf, D, args.k, mod4=mod4)
     lines = [
         f"curve {render(D)}, k = {args.k}, parity filter "
         f"{'on' if res.mod4_applied else 'off'}, "
@@ -198,10 +198,8 @@ def _cmd_enumerate(args):
         lines.append(f"  L = {d.expr}  L^2 = {d.L2}, M.L = {d.ML}, z = {d.z}{extra}")
     if not res.survivors:
         lines.append("  no survivors")
-    lines.append(
-        "rejected: "
-        + ", ".join(f"{k}={v}" for k, v in sorted(res.rejected.items()))
-    )
+    hist = ", ".join(f"{k}={v}" for k, v in sorted(res.rejected.items()))
+    lines.append(f"rejected: {hist or 'none'}")
     return _Outcome(res.to_json_dict(), surf.name, lines)
 
 
@@ -431,8 +429,6 @@ def build_parser() -> _Parser:
 
     def conf_enum(p):
         p.add_argument("--k", type=int, help="pencil degree")
-        p.add_argument("--box", type=int,
-                       help="override the ample-pairing budget")
         p.add_argument("--mod4", choices=["auto", "on", "off"],
                        default="auto", help="residual parity filter")
 

@@ -25,7 +25,7 @@ from importlib import resources
 
 from .divexpr import render, resolve
 from .errors import FixtureError, ModelError, RangeError
-from .lattice import DivClass, LatticeModel, hodge_filter, pair
+from .lattice import DivClass, LatticeModel, hodge_filter, pair, slice_points
 from .surfaces import (
     get_config,
     get_surface,
@@ -33,9 +33,6 @@ from .surfaces import (
     phi,
     quasi_nef_test,
 )
-
-STRETCH = 4  # generosity factor on the ample-pairing envelope
-
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -74,7 +71,6 @@ class EnumerationResult:
     curve: str
     k: int
     mod4_applied: bool
-    budget: int
     survivors: list[Decomposition]
     rejected: dict[str, int]
     visited: int
@@ -88,7 +84,6 @@ class EnumerationResult:
             "curve": self.curve,
             "k": self.k,
             "mod4": self.mod4_applied,
-            "budget": self.budget,
             "survivors": [d.to_json_dict() for d in self.survivors],
             "rejected": dict(sorted(self.rejected.items())),
             "visited": self.visited,
@@ -199,91 +194,50 @@ def _stage_eval(model, C, k, L, apply_mod4):
     return dec, trace
 
 
-def _candidates(model: LatticeModel, k: int, budget: int):
-    """Sign-valid candidate coordinates within the ample-pairing budget.
-
-    Retains every class that could pass the filters; cells outside the
-    sign orthant or with obviously negative square are not visited
-    (explain_candidate still traces any coordinates on demand).
-    """
-    if model.kind == "sigma":
-        n = model.rank - 1
-        a_cost = model.ample_ref[0]
-        a_max = budget // a_cost
-        for a in range(0, a_max + 1):
-            rem0 = budget - a_cost * a
-            stack = [((), rem0)]
-            while stack:
-                xs, rem = stack.pop()
-                if len(xs) == n:
-                    yield (a,) + tuple(-x for x in xs)
-                    continue
-                for x in range(0, min(a, rem) + 1):
-                    stack.append((xs + (x,), rem - x))
-    elif model.kind in ("ruled", "blcn"):
-        for a in range(0, budget + 1):
-            for b in range(0, budget - a + 1):
-                yield (a, b)
-    else:
-        if model.rank > 6:
-            raise ModelError(
-                "decomposition search is not available on rank > 6 models "
-                "outside the shipped surface families"
-            )
-        bound = 2 * k
-        def rec(prefix):
-            if len(prefix) == model.rank:
-                yield prefix
-                return
-            for v in range(-bound, bound + 1):
-                yield from rec(prefix + (v,))
-        yield from rec(())
-
-
 def enumerate_bogreider(
     surface: LatticeModel,
     C: DivClass,
     k: int,
     mod4: bool | None = None,
-    budget: int | None = None,
 ) -> EnumerationResult:
     """All decompositions C = L + M passing the numeric pencil filters.
 
     mod4 = None lets the fixture-style auto-detection decide (see
-    _auto_mod4); fixtures pass their own flag explicitly. budget overrides
-    the candidate envelope (default STRETCH * 2k). On the sigma models the
-    envelope bounds c a + sum |b_i| for L = aH + sum b_i Gi, with c the H
-    coefficient of the reference ample class (3, or 4 on sigma9). That is
-    not a bound on L.C, so the envelope is not proven to hold every
-    survivor. Survivors come back sorted by coordinates.
+    _auto_mod4); fixtures pass their own flag explicitly. Survivors come
+    back sorted by coordinates.
+
+    The search is complete. With s = L.C and q = L^2, so M.L = s - q and
+    deg D = s - k, the stages L2_nonneg, ML_ge_L2, ML_le_k and
+    degD_nonneg read q >= 0, q <= s/2, q >= s - k and s >= k. Together
+    they say exactly k <= s <= 2k and s - k <= q <= floor(s/2) (then
+    q >= 0 and L != 0 hold too), so the classes that can pass them are
+    the union of those slices {L : L.C = s, L^2 = q}, each finite when
+    C^2 > 0 on a hyperbolic lattice (slice_points). Other inputs raise
+    ModelError. Every slice point still runs through all the stages, so
+    visited counts slice points and traces match explain_candidate.
     """
     if k < 2:
         raise RangeError(f"pencil degree k must be >= 2, got {k}")
-    if pair(C, C) < 0:
-        raise ModelError(f"C^2 = {pair(C, C)} < 0 is not a curve class here")
     apply_mod4 = _auto_mod4(surface, C) if mod4 is None else mod4
-    if budget is None:
-        budget = STRETCH * 2 * k
 
     survivors = []
     rejected = {}
     visited = 0
-    for coords in _candidates(surface, k, budget):
-        visited += 1
-        L = surface.klass(coords)
-        dec, trace = _stage_eval(surface, C, k, L, apply_mod4)
-        if dec is None:
-            name = trace[-1][0]
-            rejected[name] = rejected.get(name, 0) + 1
-        else:
-            survivors.append(dec)
+    for s in range(k, 2 * k + 1):
+        for L in slice_points(C, s, s - k, s // 2):
+            visited += 1
+            dec, trace = _stage_eval(surface, C, k, L, apply_mod4)
+            if dec is None:
+                name = trace[-1][0]
+                rejected[name] = rejected.get(name, 0) + 1
+            else:
+                survivors.append(dec)
     survivors.sort(key=lambda d: d.L.coords)
     return EnumerationResult(
         surface=surface.name,
         curve=render(C),
         k=k,
         mod4_applied=apply_mod4,
-        budget=budget,
         survivors=survivors,
         rejected=rejected,
         visited=visited,
@@ -685,7 +639,7 @@ def _expected_pencil_set(fx: CaseFixture):
     return set(fx.expected)
 
 
-def verify_case(case_id: str, budget: int | None = None) -> CaseReport:
+def verify_case(case_id: str) -> CaseReport:
     """Replay one fixture and grade the outcome PASS or FAIL.
 
     On a pencil mismatch the report's trace explains, per differing
@@ -701,7 +655,7 @@ def verify_case(case_id: str, budget: int | None = None) -> CaseReport:
     if fx.kind == "pencil":
         surf = get_surface(fx.surface)
         C = resolve(fx.curve, surf)
-        res = enumerate_bogreider(surf, C, fx.k, mod4=fx.mod4, budget=budget)
+        res = enumerate_bogreider(surf, C, fx.k, mod4=fx.mod4)
         got = res.survivor_keys()
         want = _expected_pencil_set(fx)
         status = "PASS" if got == want else "FAIL"
@@ -783,5 +737,5 @@ def verify_case(case_id: str, budget: int | None = None) -> CaseReport:
     return CaseReport(case_id, status, [], [], list(fx.killed), trace, fx.notes)
 
 
-def verify_all(budget: int | None = None):
-    return [verify_case(cid, budget=budget) for cid in FIXTURES]
+def verify_all():
+    return [verify_case(cid) for cid in FIXTURES]

@@ -407,7 +407,9 @@ def in_positive_cone(D: DivClass) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# definite-lattice norm enumeration (used by isotropic/phi searches)
+# lattice points in definite ellipsoids: the slices {x : x.C = s, x^2 = q}
+# behind the decomposition search and certified phi, and the norm shells
+# behind isotropic_search
 
 
 def _ldl(Q):
@@ -449,46 +451,133 @@ def _frac_isqrt(x: Fraction) -> int:
     return est
 
 
+def _ellipsoid_points(ldl, centre, lo, hi, coord_box=None):
+    """Every integer y with lo <= Q(y - centre) <= hi, unordered.
+
+    ldl is _ldl(Q) for a positive definite Q. Fincke-Pohst branch and
+    bound from the last coordinate down: level i adds
+    D[i] * (y_i - t_i)^2, where t_i depends only on the coordinates above
+    it, so each level scans the integers within sqrt(rest / D[i]) of t_i.
+    Exact throughout. coord_box additionally clips every coordinate to
+    [-coord_box, coord_box].
+    """
+    D, U = ldl
+    n = len(D)
+    out = []
+    y = [0] * n
+    width = Fraction(hi) - lo
+
+    def descend(i, rest):
+        # rest = hi minus the contribution of the levels above i
+        if i < 0:
+            if rest <= width:
+                out.append(tuple(y))
+            return
+        t = centre[i] - sum(
+            U[i][j] * (y[j] - centre[j]) for j in range(i + 1, n)
+        )
+        half = _frac_isqrt(rest / D[i])
+        first = math.ceil(t - half - 1)
+        last = math.floor(t + half + 1)
+        if coord_box is not None:
+            first = max(first, -coord_box)
+            last = min(last, coord_box)
+        for yi in range(first, last + 1):
+            term = D[i] * (yi - t) ** 2
+            if term <= rest:
+                y[i] = yi
+                descend(i - 1, rest - term)
+        y[i] = 0
+
+    if hi >= 0:
+        descend(n - 1, Fraction(hi))
+    return out
+
+
 def vectors_of_norm(Q, N: int, coord_box: int | None = None):
     """All integer x with x^T Q x = N for positive definite integer Q.
 
-    Plain branch-and-bound on the LDL form. Includes both x and -x;
-    excludes nothing else. N = 0 yields only the zero vector, which is
-    returned (callers filter). coord_box additionally clips every
-    coordinate to [-coord_box, coord_box].
+    The exact-norm, centre-0 call of the ellipsoid walk, sorted. Includes
+    both x and -x; N = 0 yields only the zero vector, which is returned
+    (callers filter). coord_box additionally clips every coordinate to
+    [-coord_box, coord_box].
     """
-    n = len(Q)
     ldl = _ldl(Q)
     if ldl is None:
         raise ModelError("vectors_of_norm needs a positive definite form")
+    return sorted(_ellipsoid_points(ldl, (0,) * len(Q), N, N, coord_box))
+
+
+def _kernel_basis(w):
+    """Integral basis of {x : w.x = 0} for a nonzero integer vector w,
+    plus a pivot p with w.p = g = +-gcd(w), as (kernel, p, g).
+
+    Unimodular column operations on the identity reduce w to one nonzero
+    entry g; the columns then form a basis of Z^r in which the other
+    columns span the kernel.
+    """
+    w = list(w)
+    r = len(w)
+    cols = [[int(i == j) for i in range(r)] for j in range(r)]
+    while sum(1 for v in w if v) > 1:
+        p = min((j for j in range(r) if w[j]), key=lambda j: abs(w[j]))
+        for q in range(r):
+            if q != p and w[q]:
+                f = w[q] // w[p]
+                w[q] -= f * w[p]
+                cols[q] = [a - f * b for a, b in zip(cols[q], cols[p])]
+    g, pivot = next((v, col) for v, col in zip(w, cols) if v)
+    return [col for v, col in zip(w, cols) if not v], pivot, g
+
+
+def slice_points(C: DivClass, s: int, qlo: int, qhi: int) -> list[DivClass]:
+    """Every class x with x.C = s and qlo <= x^2 <= qhi, sorted by coordinates.
+
+    Write x = x0 + K y with the columns of K an integral basis of the
+    complement of C and x0 one solution of x0.C = s; there is none, and
+    the slice is empty, when gcd(G C) does not divide s. The part of x
+    orthogonal to C is then K (y - c) for the c with x0 + K c = (s/C^2) C,
+    so x^2 = s^2/C^2 - Q(y - c) with Q = -K^T G K, and the slice is the
+    shell s^2/C^2 - qhi <= Q(y - c) <= s^2/C^2 - qlo, where c solves
+    Q c = K^T G x0. The shell is finite when Q is positive definite, that
+    is when C^2 > 0 on a nondegenerate lattice of signature
+    (1, rank - 1); anything else raises ModelError, since the slice can
+    then be infinite.
+    """
+    gram = C.model.gram
+    c2 = pair(C, C)
+    if c2 <= 0:
+        raise ModelError(f"slice enumeration needs C^2 > 0, got C^2 = {c2}")
+    w = [sum(e * x for e, x in zip(row, C.coords)) for row in gram]
+    K, pivot, g = _kernel_basis(w)
+    GK = [[sum(e * x for e, x in zip(row, col)) for row in gram] for col in K]
+    ldl = _ldl([[-sum(a * b for a, b in zip(u, v)) for v in GK] for u in K])
+    if ldl is None:
+        raise ModelError(
+            "slice enumeration needs a hyperbolic lattice; the complement "
+            f"of {list(C.coords)} is not negative definite here"
+        )
+    if s % g:
+        return []
+    x0 = [s // g * v for v in pivot]
+    b = [sum(a * x for a, x in zip(v, x0)) for v in GK]
+    # c = Q^-1 b through Q = U^T diag(D) U, U unit upper triangular
     D, U = ldl
-    out = []
-    x = [0] * n
-
-    def descend(i, budget):
-        # budget = N - contribution of levels > i, exact Fraction/int
-        if i < 0:
-            if budget == 0:
-                out.append(tuple(x))
-            return
-        s = sum(U[i][j] * x[j] for j in range(i + 1, n))
-        # D[i] * (x_i + s)^2 <= budget
-        half = _frac_isqrt(Fraction(budget) / D[i])
-        lo = math.ceil(-s - half - 1)
-        hi = math.floor(-s + half + 1)
-        if coord_box is not None:
-            lo = max(lo, -coord_box)
-            hi = min(hi, coord_box)
-        for xi in range(lo, hi + 1):
-            term = D[i] * (xi + s) ** 2
-            if term > budget:
-                continue
-            x[i] = xi
-            descend(i - 1, budget - term)
-        x[i] = 0
-
-    descend(n - 1, Fraction(N))
-    return sorted(out)
+    n = len(K)
+    c = []
+    for i in range(n):
+        c.append(b[i] - sum(U[j][i] * c[j] for j in range(i)))
+    for i in reversed(range(n)):
+        c[i] = c[i] / D[i] - sum(U[i][j] * c[j] for j in range(i + 1, n))
+    R = Fraction(s * s, c2)
+    points = []
+    for y in _ellipsoid_points(ldl, c, R - qhi, R - qlo):
+        x = list(x0)
+        for yj, col in zip(y, K):
+            x = [xi + yj * ki for xi, ki in zip(x, col)]
+        points.append(DivClass(C.model, tuple(x)))
+    points.sort(key=lambda x: x.coords)
+    return points
 
 
 # ---------------------------------------------------------------------------

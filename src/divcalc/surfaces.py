@@ -8,9 +8,10 @@ sublattices spanned by labeled isotropic classes with a supplied pairing
 table; the structure lemmas work entirely inside these.
 
 On top of the models: adjunction genus, Riemann-Roch chi, the residual
-parity test, the minimal-pencil-degree invariant phi (certified inside a
-configuration span, box-bounded elsewhere), the quasi-nef grading against
-finite nodal sets, and scroll invariants of tetragonal curves.
+parity test, the minimal-pencil-degree invariant phi (certified by slice
+enumeration on hyperbolic lattices, box-bounded on request), the
+quasi-nef grading against finite nodal sets, and scroll invariants of
+tetragonal curves.
 """
 
 from __future__ import annotations
@@ -31,12 +32,10 @@ from .errors import (
 from .lattice import (
     DivClass,
     LatticeModel,
-    _ldl,
-    determinant,
     isotropic_search,
     load_model,
     pair,
-    vectors_of_norm,
+    slice_points,
 )
 
 _E8 = (
@@ -299,48 +298,21 @@ class PhiResult:
         }
 
 
-def _kernel_basis(w):
-    """Integer basis of {x : w.x = 0} as columns, via unimodular column ops."""
-    r = len(w)
-    w = list(w)
-    basis = [[1 if i == j else 0 for j in range(r)] for i in range(r)]  # columns
-
-    def col(j):
-        return [basis[i][j] for i in range(r)]
-
-    def addcol(dst, src, f):
-        for i in range(r):
-            basis[i][dst] -= f * basis[i][src]
-
-    while True:
-        nz = [j for j in range(r) if w[j] != 0]
-        if len(nz) <= 1:
-            break
-        p = min(nz, key=lambda j: abs(w[j]))
-        for q in nz:
-            if q == p:
-                continue
-            f = w[q] // w[p]
-            w[q] -= f * w[p]
-            addcol(q, p, f)
-    kernel_cols = [j for j in range(r) if w[j] == 0]
-    return [col(j) for j in kernel_cols]
-
-
 def phi(
     surface: LatticeModel, L: DivClass, mode: str = "sublattice",
     box: int | None = None,
 ) -> PhiResult:
     """Minimal |F.L| over nonzero isotropic classes F.
 
-    sublattice mode enumerates, for t = 1, 2, ..., the full slice
-    {F isotropic, F.L = t}: such F correspond to vectors V = L^2 F - t L
-    in the orthogonal complement of L, where the form is negative definite
-    with V^2 = -t^2 L^2, a finite exact enumeration. The first slice with
-    an integral F is the minimum, so the result is certified. The loop is
-    capped at isqrt(L^2); exhausting it violates the invariant
-    phi^2 <= L^2 and raises, which signals a span too sparse to be a
-    genuine isotropic configuration.
+    sublattice mode walks, for t = 1, 2, ..., the slice
+    {F : F.L = t, F^2 = 0} (slice_points). The first non-empty slice is
+    the minimum, since the slices below it are empty, so the result is
+    certified; its witness is the smallest class of that slice by
+    coordinates. The walk needs L^2 > 0 on a lattice of signature
+    (1, rank - 1) and raises ModelError otherwise. It is capped at
+    isqrt(L^2); exhausting it violates the invariant phi^2 <= L^2 and
+    raises, which signals a span too sparse to be a genuine isotropic
+    configuration.
 
     boxed mode scans coordinates in [-box, box] and is never certified;
     it raises PhiBoundError when the box cannot witness the invariant.
@@ -369,42 +341,11 @@ def phi(
     if mode != "sublattice":
         raise ModelError(f"unknown phi mode {mode!r}")
 
-    if determinant(surface.gram) == 0:
-        raise ModelError("certified phi needs a nondegenerate model")
-    gram = surface.gram
-    r = surface.rank
-    w = [sum(gram[i][j] * L.coords[j] for j in range(r)) for i in range(r)]
-    K = _kernel_basis(w)  # r x (r-1) columns
-    m = len(K)
-    P = [
-        [
-            sum(K[a][i] * gram[i][j] * K[b][j] for i in range(r) for j in range(r))
-            for b in range(m)
-        ]
-        for a in range(m)
-    ]
-    negP = [[-v for v in row] for row in P]
-    if m and _ldl(negP) is None:
-        raise ModelError(
-            "certified phi needs signature (1, rank-1); "
-            "the complement of L is not negative definite here"
-        )
-
-    iso_pairings = [
-        abs(w[i]) for i in range(r) if gram[i][i] == 0 and w[i] != 0
-    ]
     cap = math.isqrt(L2)
-    tmax = min(min(iso_pairings), cap) if iso_pairings else cap
-    for t in range(1, tmax + 1):
-        N = t * t * L2
-        for x in vectors_of_norm(negP, N) if m else []:
-            # ambient V = K @ x, then F = (V + tL) / L^2 when integral
-            V = [sum(K[a][i] * x[a] for a in range(m)) for i in range(r)]
-            num = [v + t * c for v, c in zip(V, L.coords)]
-            if all(n % L2 == 0 for n in num):
-                F = surface.klass([n // L2 for n in num])
-                assert pair(F, F) == 0 and pair(F, L) == t
-                return PhiResult(t, F, certified=True)
+    for t in range(1, cap + 1):
+        witnesses = slice_points(L, t, 0, 0)
+        if witnesses:
+            return PhiResult(t, witnesses[0], certified=True)
     raise PhiInvariantError(
         f"no isotropic class in the span pairs to at most isqrt(L^2) = {cap}; "
         "the configuration is too sparse to certify the invariant"

@@ -9,6 +9,7 @@ between these scans and the staged pipelines in the package is meaningful.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -40,6 +41,45 @@ ORACLE_CASES = {
     "g1kondelp-h": ("blq", (4, 8), 4, True),
     "g1kondelp-i": ("blq", (4, 8), 6, True),
 }
+
+
+def _inverse(gram):
+    """Exact inverse of a nonsingular integer matrix, by Gauss-Jordan."""
+    n = len(gram)
+    A = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(gram)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if A[r][c] != 0)
+        A[c], A[p] = A[p], A[c]
+        A[c] = [v / A[c][c] for v in A[c]]
+        for r in range(n):
+            if r != c and A[r][c] != 0:
+                f = A[r][c]
+                A[r] = [a - f * b for a, b in zip(A[r], A[c])]
+    return [row[n:] for row in A]
+
+
+def survivor_box(surface_key, C, k):
+    """A coordinate box that holds every survivor of the (C, k) search.
+
+    A survivor has L^2 >= 0 and 0 <= L.C = L^2 + M.L <= 2k. On a lattice
+    of signature (1, n) with C^2 > 0 the form
+        Q(x) = 2 (x.C)^2 / C^2 - x^2
+    is positive definite, so Q(L) <= 8 k^2 / C^2, and Cauchy-Schwarz in Q
+    gives L_i^2 <= Q(L) (Q^-1)_ii with Q^-1 = 2 C C^T / C^2 - G^-1.
+    """
+    gram = ORACLE_SURFACES[surface_key][0]
+    n = len(C)
+    c2 = sum(C[i] * gram[i][j] * C[j] for i in range(n) for j in range(n))
+    if c2 <= 0:
+        raise ValueError("the box argument needs C^2 > 0")
+    Ginv = _inverse(gram)
+    cap = Fraction(8 * k * k, c2)
+    box = 0
+    for i in range(n):
+        bound = cap * (Fraction(2 * C[i] * C[i], c2) - Ginv[i][i])
+        box = max(box, math.isqrt(bound.numerator // bound.denominator))
+    return box
 
 
 def brute_survivors(surface_key, C, k, box=None, mod4=True):

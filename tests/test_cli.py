@@ -90,6 +90,15 @@ class TestArithmeticCommands:
         assert rc == 0
         assert doc["result"]["certified"] is False
 
+    def test_enumerate_text_output(self, capsys):
+        rc, out = run(
+            capsys,
+            ["enumerate", "--surface", "blq", "--curve", "-2K", "--k", "4"],
+        )
+        assert rc == 0
+        assert "2 candidates visited" in out
+        assert out.splitlines()[-1] == "rejected: none"
+
     def test_reflect_swaps_the_hyperbolic_pair(self, capsys):
         rc, doc = run_json(
             capsys,

@@ -25,6 +25,7 @@ from divcalc.lattice import (
     pair,
     reflect_nodal,
     signature,
+    slice_points,
     vectors_of_norm,
 )
 from divcalc.surfaces import enriques, get_config, get_surface, sigma
@@ -197,6 +198,29 @@ class TestVectorsOfNorm:
         full = set(vectors_of_norm(E8, 4))
         clipped = set(vectors_of_norm(E8, 4, coord_box=1))
         assert clipped == {v for v in full if all(abs(c) <= 1 for c in v)}
+
+
+class TestSlicePoints:
+    def test_matches_a_literal_scan(self):
+        m = _model([[-2, 1], [1, 0]])
+        C = m.klass((4, 8))  # C^2 = 32, G.C = (0, 4)
+        for s, qlo, qhi in [(4, 0, 2), (8, -4, 4), (12, 0, 0)]:
+            want = sorted(
+                (a, b) for a in range(-40, 41) for b in range(-40, 41)
+                if pair(m.klass((a, b)), C) == s
+                and qlo <= pair(m.klass((a, b)), m.klass((a, b))) <= qhi
+            )
+            assert [x.coords for x in slice_points(C, s, qlo, qhi)] == want
+
+    def test_empty_when_gcd_does_not_divide(self):
+        m = _model([[-2, 1], [1, 0]])
+        assert slice_points(m.klass((4, 8)), 6, -100, 100) == []
+
+    def test_rejects_nonpositive_or_definite(self):
+        with pytest.raises(ModelError):  # C^2 = 0
+            slice_points(_model([[0, 1], [1, 0]]).klass((1, 0)), 1, 0, 0)
+        with pytest.raises(ModelError):  # positive definite lattice
+            slice_points(_model([[1, 0], [0, 1]]).klass((1, 1)), 2, 0, 2)
 
 
 class TestIsotropicSearch:

@@ -167,6 +167,35 @@ class TestPhi:
             assert abs(pair(F, L)) == want
             assert res.value**2 <= pair(L, L)
 
+    def test_certified_on_enriques_beyond_one(self):
+        # L = aU1 + bU2 + e and F = xU1 + yU2 + f (e, f in E8(-1)) pair to
+        # F.L = bx + ay + f.e, and F^2 = 2xy + f^2 = 0 forces xy >= 0
+        # since E8(-1) is negative definite (and x = y = 0 forces f = 0,
+        # so F = 0); F and -F give the same |F.L|. Every F.L lies in
+        # gcd(G.L) Z, the gcd of the pairings of L with the basis.
+        cases = [
+            # gcd(G.L) = 2, and U1 pairs to 2
+            ("2U1+2U2", 2),
+            # gcd(G.L) = 3, and U1 pairs to 3
+            ("3U1+3U2", 3),
+            # gcd(G.L) = 1, but F.L = 2(x + y) - f.R1 with
+            # (f.R1)^2 <= 2 (-f^2) = 4xy <= (x + y)^2, so F.L >= x + y
+            # for x, y >= 0; F.L = 1 leaves x + y = 1, xy = 0, f = 0 and
+            # then F.L = 2. U1 pairs to 2.
+            ("2U1+2U2-R1", 2),
+            # F.L = 5x + 3y with x, y of one sign and not both 0, so
+            # |F.L| >= 3, which U2 attains; L^2 = 30
+            ("3U1+5U2", 3),
+        ]
+        e = enriques()
+        for expr, want in cases:
+            L = resolve(expr, e)
+            res = phi(e, L)
+            assert res.certified, expr
+            assert res.value == want, (expr, res.value)
+            F = res.witness
+            assert pair(F, F) == 0 and pair(F, L) == want, expr
+
     def test_rejects_nonpositive_square(self):
         surf = get_config("pencil-pair-1").to_surface("pp1")
         with pytest.raises(RangeError):

@@ -5,8 +5,9 @@ Run from the repo root:
 
     python tools/make_golden.py
 
-Regeneration is deliberate: the oracle scans a box twice the production
-default, so these files freeze the survivor sets the staged pipeline must
+Regeneration is deliberate: the oracle scans the box [-4k, 4k], which is
+checked to contain the Cauchy-Schwarz survivor box of each case, so these
+files freeze the complete survivor sets the staged pipeline must
 reproduce. Only four cases ship as golden files; the rest inline their
 expected sets in the fixture catalog.
 """
@@ -17,7 +18,11 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
 
-from oracle_bruteforce import ORACLE_CASES, brute_survivors  # noqa: E402
+from oracle_bruteforce import (  # noqa: E402
+    ORACLE_CASES,
+    brute_survivors,
+    survivor_box,
+)
 
 GOLDEN_CASES = ["g1kondelp-c", "g1kondelp-e", "g1kondelp-f", "g1kondelp-i"]
 OUT = pathlib.Path(__file__).resolve().parent.parent / "src/divcalc/data/golden"
@@ -27,6 +32,7 @@ def main():
     for cid in GOLDEN_CASES:
         surface, C, k, mod4 = ORACLE_CASES[cid]
         box = 4 * k
+        assert box >= survivor_box(surface, C, k), cid
         surv = brute_survivors(surface, C, k, box=box, mod4=mod4)
         doc = {
             "case": cid,
