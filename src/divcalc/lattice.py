@@ -149,7 +149,7 @@ def model_from_json_dict(d, name=None):
 
 
 def load_model(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -408,8 +408,7 @@ def in_positive_cone(D: DivClass) -> dict:
 
 # ---------------------------------------------------------------------------
 # lattice points in definite ellipsoids: the slices {x : x.C = s, x^2 = q}
-# behind the decomposition search and certified phi, and the norm shells
-# behind isotropic_search
+# behind the decomposition search and certified phi
 
 
 def _ldl(Q):
@@ -584,133 +583,91 @@ def slice_points(C: DivClass, s: int, qlo: int, qhi: int) -> list[DivClass]:
 # isotropic vector search
 
 
-def _components(gram):
-    """Connected components of the basis graph (edges at nonzero pairings),
-    each sorted, in order of their smallest index."""
-    n = len(gram)
-    seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack, comp = [start], []
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in range(n):
-                if not seen[w] and gram[v][w] != 0:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
-
-
-def _subgram(gram, idx):
-    return [[gram[i][j] for j in idx] for i in idx]
-
-
-def _box_vectors_with_norms(gram, box):
-    """Every vector in the box of a small component, bucketed by norm."""
-    import itertools
-
-    n = len(gram)
-    buckets = {}
-    for vec in itertools.product(range(-box, box + 1), repeat=n):
-        q = sum(vec[i] * gram[i][j] * vec[j] for i in range(n) for j in range(n))
-        buckets.setdefault(q, []).append(vec)
-    return buckets
+def _roots_in_box(g, h, N, b):
+    """Every integer v in [-b, b] with g v^2 + 2 h v + N = 0."""
+    if g == 0:
+        if h == 0:
+            return range(-b, b + 1) if N == 0 else ()
+        v, r = divmod(-N, 2 * h)
+        return (v,) if r == 0 and -b <= v <= b else ()
+    disc = h * h - g * N
+    if disc < 0:
+        return ()
+    s = math.isqrt(disc)
+    if s * s != disc:
+        return ()
+    roots = []
+    for num in ((-h - s, -h + s) if s else (-h,)):
+        v, r = divmod(num, g)
+        if r == 0 and -b <= v <= b:
+            roots.append(v)
+    return roots
 
 
 def isotropic_search(model: LatticeModel, target: DivClass, box_bound: int):
     """All nonzero F with coordinates in [-box, box] and F^2 = 0, as
     (F, |F.target|) pairs sorted by value then lexicographic coordinates.
 
-    Small models are scanned directly. Larger ones (the rank-10 model) are
-    split into orthogonal components; a definite component is enumerated by
-    norm, restricted to the norm window the other components can cancel,
-    which reaches exactly the same set as a full box scan.
-    """
-    import itertools
+    A depth-first walk fixes the coordinates in basis order. At depth i it
+    carries the norm N of the fixed prefix x_0..x_{i-1} and the partial
+    forms h_j = sum_{k<i} g_jk x_k of the open coordinates j >= i, so that
+        F^2 = N + 2 sum_{j>=i} h_j x_j + Q_i(x_i, ..., x_{n-1}),
+    with Q_i the form of the suffix subgram. The last coordinate is not
+    scanned: g v^2 + 2 h v + N = 0 is solved exactly (linear when g = 0,
+    every v when g = h = N = 0, otherwise the integer roots of a
+    perfect-square discriminant), keeping the roots inside the box.
 
+    Pruning is sound, so the result is the full box scan: in the box the
+    middle term lies within 2 b sum_{j>=i} |h_j| of 0, and Q_i lies in
+    [qmin_i, qmax_i], where qmax_i is b^2 times the positive diagonal of
+    the suffix plus b^2 times the sum of its off-diagonal |g_jk|, qmin_i
+    likewise with the negative diagonal, and qmin_i = 0 (qmax_i = 0) when
+    the suffix subgram is positive (negative) semidefinite by signature.
+    A node whose interval for F^2 misses 0 has no isotropic completion.
+
+    Raises OverflowGuardError up front when b^2 sum |g_ij|, a bound on
+    |F^2| over the box, leaves the 64-bit envelope.
+    """
     if box_bound < 1:
         raise ModelError("box_bound must be >= 1")
+    b = box_bound
     n = model.rank
     gram = model.gram
+    _check_i64(b * b * sum(abs(v) for row in gram for v in row),
+               "box norm bound")
 
-    if (2 * box_bound + 1) ** n <= 200_000:
-        found = []
-        for vec in itertools.product(range(-box_bound, box_bound + 1), repeat=n):
-            if not any(vec):
-                continue
-            F = DivClass(model, vec)
-            if pair(F, F) == 0:
-                found.append((F, abs(pair(F, target))))
-        found.sort(key=lambda fv: (fv[1], fv[0].coords))
-        return found
-
-    # idx, buckets (None until filled), min/max achievable norm, sign, sub
-    infos = []
-    for idx in _components(gram):
-        sub = _subgram(gram, idx)
-        p, ng, z = signature(sub)
-        if z == 0 and (p == 0 or ng == 0) and len(idx) > 2:
-            sign = 1 if ng == 0 else -1
-            cap = sum(abs(v) for row in sub for v in row) * box_bound * box_bound
-            infos.append([idx, None, min(0, sign * cap), max(0, sign * cap), sign, sub])
-        else:
-            if (2 * box_bound + 1) ** len(idx) > 2_000_000:
-                raise ModelError(
-                    "box too large for an indefinite component of this rank; "
-                    "reduce box_bound"
-                )
-            buckets = _box_vectors_with_norms(sub, box_bound)
-            infos.append(
-                [idx, buckets, min(buckets), max(buckets), None, sub]
-            )
-
-    for info in infos:
-        if info[4] is None:
-            continue
-        others_min = sum(o[2] for o in infos if o is not info)
-        others_max = sum(o[3] for o in infos if o is not info)
-        lo = max(info[2], -others_max)
-        hi = min(info[3], -others_min)
-        sign, sub = info[4], info[5]
-        Q = [[sign * v for v in row] for row in sub]
-        buckets = {}
-        for q in range(lo, hi + 1):
-            if q == 0:
-                buckets[0] = [(0,) * len(sub)]
-                continue
-            if sign * q < 0:
-                continue  # norm sign unreachable for this definiteness
-            vecs = vectors_of_norm(Q, sign * q, coord_box=box_bound)
-            if vecs:
-                buckets[q] = vecs
-        info[1] = buckets
+    qmin, qmax = [0] * n, [0] * n
+    for i in range(n):
+        sub = [row[i:] for row in gram[i:]]
+        diag = [sub[j][j] for j in range(n - i)]
+        off = sum(abs(v) for row in sub for v in row) - sum(map(abs, diag))
+        pos, neg, _ = signature(sub)
+        qmin[i] = 0 if neg == 0 else b * b * (sum(d for d in diag if d < 0) - off)
+        qmax[i] = 0 if pos == 0 else b * b * (sum(d for d in diag if d > 0) + off)
 
     found = []
+    x = [0] * n
 
-    def combine(ci, acc_norm, acc_coords):
-        if ci == len(infos):
-            if acc_norm == 0 and any(acc_coords):
-                F = DivClass(model, tuple(acc_coords))
-                found.append((F, abs(pair(F, target))))
+    def walk(i, N, h):
+        # h[j - i] is h_j for the open coordinates j >= i; x[:i] is the
+        # current prefix (entries from i on are stale until set)
+        if i == n - 1:
+            for v in _roots_in_box(gram[i][i], h[0], N, b):
+                x[i] = v
+                if any(x):
+                    F = DivClass(model, tuple(x))
+                    found.append((F, abs(pair(F, target))))
             return
-        idx, buckets = infos[ci][0], infos[ci][1]
-        if ci == len(infos) - 1:
-            items = [(-acc_norm, buckets.get(-acc_norm, []))]
-        else:
-            items = sorted(buckets.items())
-        for q, vecs in items:
-            for vec in vecs:
-                coords = list(acc_coords)
-                for pos, v in zip(idx, vec):
-                    coords[pos] = v
-                combine(ci + 1, acc_norm + q, coords)
+        spread = 2 * b * sum(map(abs, h))
+        if N + spread + qmax[i] < 0 or N - spread + qmin[i] > 0:
+            return
+        gii, two_h, rest, tail = gram[i][i], 2 * h[0], h[1:], gram[i][i + 1:]
+        for v in range(-b, b + 1):
+            x[i] = v
+            walk(i + 1, N + v * (two_h + gii * v),
+                 [hj + g * v for hj, g in zip(rest, tail)])
 
-    combine(0, 0, [0] * n)
+    walk(0, 0, [0] * n)
     found.sort(key=lambda fv: (fv[1], fv[0].coords))
     return found
 

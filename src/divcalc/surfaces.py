@@ -314,8 +314,12 @@ def phi(
     raises, which signals a span too sparse to be a genuine isotropic
     configuration.
 
-    boxed mode scans coordinates in [-box, box] and is never certified;
-    it raises PhiBoundError when the box cannot witness the invariant.
+    boxed mode takes the least nonzero |F.L| (0, with a note, when every
+    class pairs to zero) over the isotropic classes with coordinates in
+    [-box, box], all of which isotropic_search finds by a pruned walk of
+    the box. It is never certified, since a class outside the box may
+    pair lower; it raises PhiBoundError when the box cannot witness the
+    invariant.
     """
     L2 = pair(L, L)
     if L2 <= 0:

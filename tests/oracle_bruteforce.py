@@ -191,20 +191,25 @@ def brute_gonality(l2, phi, not_2d_special=True):
     return 2 * phi
 
 
-def brute_phi(gram, L, box):
-    """min |F.L| over nonzero isotropic F in the box, or None if none."""
+def brute_isotropic(gram, target, box):
+    """Every nonzero isotropic F in the box [-box, box]^r, as
+    (coords tuple, |F.target|) sorted by value then coordinates."""
     G = np.array(gram, dtype=np.int64)
-    Lv = np.array(L, dtype=np.int64)
-    r = len(Lv)
+    r = len(G)
     rng = np.arange(-box, box + 1, dtype=np.int64)
     F = np.stack(np.meshgrid(*([rng] * r), indexing="ij"), axis=-1).reshape(-1, r)
-    F2 = np.einsum("ij,jk,ik->i", F, G, F)
-    nonzero = np.any(F != 0, axis=1)
-    iso = nonzero & (F2 == 0)
-    if not iso.any():
-        return None
-    vals = np.abs(F[iso] @ (G @ Lv))
-    return int(vals.min())
+    F2 = np.einsum("ij,ij->i", F @ G, F)
+    F = F[np.any(F != 0, axis=1) & (F2 == 0)]
+    vals = np.abs(F @ (G @ np.array(target, dtype=np.int64)))
+    return sorted(
+        ((tuple(int(x) for x in f), int(v)) for f, v in zip(F, vals)),
+        key=lambda fv: (fv[1], fv[0]),
+    )
+
+
+def brute_phi(gram, L, box):
+    """min |F.L| over nonzero isotropic F in the box, or None if none."""
+    return min((v for _, v in brute_isotropic(gram, L, box)), default=None)
 
 
 def brute_scroll(g, b1):

@@ -1,9 +1,15 @@
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import divcalc
 from divcalc.errors import (
     ModelError,
     ModelMismatchError,
@@ -29,6 +35,7 @@ from divcalc.lattice import (
     vectors_of_norm,
 )
 from divcalc.surfaces import enriques, get_config, get_surface, sigma
+from oracle_bruteforce import brute_isotropic
 
 E10 = enriques().model
 
@@ -77,6 +84,27 @@ class TestModelValidation:
         p.write_text(json.dumps(sigma(1).model.to_json_dict()))
         m = load_model(str(p))
         assert m.rank == 2
+
+    def test_load_model_reads_utf8_under_an_ascii_locale(self, tmp_path):
+        doc = dict(sigma(1).model.to_json_dict(), basis=["H", "\u00c9"],
+                   effective=["\u00c9"])
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        # open() defaults to the locale's encoding, which is fixed at
+        # interpreter start, so the ASCII locale needs a fresh interpreter
+        env = dict(
+            os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0",
+            PYTHONPATH=str(Path(divcalc.__file__).parents[1]),
+        )
+        code = (
+            "import sys; from divcalc.lattice import load_model; "
+            "sys.exit(load_model(sys.argv[1]).labels != ('H', '\\u00c9'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-c", code, str(p)],
+            env=env, capture_output=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
 
 
 class TestDivClassAlgebra:
@@ -223,6 +251,19 @@ class TestSlicePoints:
             slice_points(_model([[1, 0], [0, 1]]).klass((1, 1)), 2, 0, 2)
 
 
+def _hits(found):
+    return [(F.coords, v) for F, v in found]
+
+
+def _chained(gram):
+    """The gram in the basis e'_0 = e_0, e'_i = e_i + e_{i-1}."""
+    def idx(i):
+        return [i, i - 1] if i else [i]
+    n = len(gram)
+    return [[sum(gram[a][c] for a in idx(i) for c in idx(j)) for j in range(n)]
+            for i in range(n)]
+
+
 class TestIsotropicSearch:
     def test_hyperbolic_plane_box3(self):
         m = _model([[0, 1], [1, 0]])
@@ -236,9 +277,7 @@ class TestIsotropicSearch:
         values = [v for _, v in found]
         assert values == sorted(values)
 
-    def test_component_split_matches_direct_scan(self):
-        # rank 6, box 4: 9^6 cells, above the direct-scan cutoff, so this
-        # exercises the orthogonal-component path against a literal scan
+    def test_rank6_box4_matches_literal_scan(self):
         gram = [
             [0, 1, 0, 0, 0, 0],
             [1, 0, 0, 0, 0, 0],
@@ -248,23 +287,70 @@ class TestIsotropicSearch:
             [0, 0, 0, 0, 0, -2],
         ]
         m = _model(gram)
-        target = m.klass((2, 3, 1, 0, 0, 1))
-        got = isotropic_search(m, target, 4)
-
-        import itertools
-
-        want = []
-        for vec in itertools.product(range(-4, 5), repeat=6):
-            if any(vec) and pair(m.klass(vec), m.klass(vec)) == 0:
-                want.append((vec, abs(pair(m.klass(vec), target))))
-        want.sort(key=lambda fv: (fv[1], fv[0]))
-        assert [(f.coords, v) for f, v in got] == want
+        target = (2, 3, 1, 0, 0, 1)
+        got = isotropic_search(m, m.klass(target), 4)
+        assert _hits(got) == brute_isotropic(gram, target, 4)
 
     def test_enriques_box1_matches_direct(self):
-        target = E10.klass((1, 1, 0, 0, 0, 0, 0, 0, 0, 0))
-        found = isotropic_search(E10, target, 1)
-        assert all(pair(f, f) == 0 for f, _ in found)
-        assert found[0][1] <= found[-1][1]
+        for target in [(1, 1) + (0,) * 8, (2, 3, 1, 0, 0, -1, 0, 0, 0, 1)]:
+            found = isotropic_search(E10, E10.klass(target), 1)
+            assert _hits(found) == brute_isotropic(E10.gram, target, 1)
+            assert len(found) == 180
+
+    def test_matches_oracle_on_random_grams(self):
+        rng = random.Random(4)
+        kinds = set()
+        for trial in range(100):
+            r = rng.randint(1, 6)
+            box = rng.randint(1, 3)
+            A = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(r)]
+            if trial % 3 == 0:  # definite or semidefinite, either sign
+                sgn = rng.choice((1, -1))
+                gram = [[sgn * sum(a[i] * a[j] for a in A) for j in range(r)]
+                        for i in range(r)]
+            elif trial % 3 == 1:  # degenerate: a form in fewer variables
+                d = [rng.choice((1, -1)) for _ in range(r - 1)]
+                gram = [[sum(dk * a[i] * a[j] for dk, a in zip(d, A))
+                         for j in range(r)] for i in range(r)]
+            else:
+                gram = [[0] * r for _ in range(r)]
+                for i in range(r):
+                    for j in range(i, r):
+                        gram[i][j] = gram[j][i] = rng.randint(-3, 3)
+            pos, neg, null = signature(gram)
+            kinds.add("degenerate" if null else
+                      "indefinite" if pos and neg else "definite")
+            target = tuple(rng.randint(-3, 3) for _ in range(r))
+            m = _model(gram)
+            got = isotropic_search(m, m.klass(target), box)
+            assert _hits(got) == brute_isotropic(gram, target, box), (gram, box)
+        assert kinds == {"definite", "indefinite", "degenerate"}
+
+    def test_one_component_rank10_box1_matches_oracle(self):
+        gram = _chained(E10.gram)
+        target = (1, 2, 0, -1, 0, 0, 1, 0, 0, 0)
+        m = _model(gram)
+        got = isotropic_search(m, m.klass(target), 1)
+        assert len(got) == 1228
+        assert _hits(got) == brute_isotropic(gram, target, 1)
+
+    def test_one_component_rank10_box2_returns(self):
+        # the basis graph of the chained gram is connected, so no split
+        # into orthogonal components helps; a full scan has 5^10 cells.
+        # 74,008 was checked once against a chunked numpy scan.
+        m = _model(_chained(E10.gram))
+        found = isotropic_search(m, m.klass((1,) + (0,) * 9), 2)
+        assert len(found) == 74_008
+        assert all(pair(F, F) == 0 for F, _ in found)
+        assert all(max(map(abs, F.coords)) <= 2 for F, _ in found)
+        keys = [(v, F.coords) for F, v in found]
+        assert keys == sorted(keys)
+
+    def test_overflow_guard_up_front(self):
+        for gram in ([[2**62, 2**62], [2**62, 2**62]], [[0, 2**62], [2**62, 0]]):
+            m = _model(gram)
+            with pytest.raises(OverflowGuardError):
+                isotropic_search(m, m.zero(), 1)
 
     def test_rejects_bad_box(self):
         with pytest.raises(ModelError):
