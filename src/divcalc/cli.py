@@ -9,8 +9,10 @@ report by default and a RunReport JSON document with --json. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -303,7 +305,7 @@ def _cmd_corank(args):
     aux = {}
     for item in args.aux or []:
         key, sep, val = item.partition("=")
-        if not sep or not val.lstrip("-").isdigit():
+        if not sep or not re.fullmatch(r"-?[0-9]+", val):
             raise ModelError(
                 f"--aux expects KEY=INT, got {item!r} "
                 "(e.g. --aux 4K-M=5)"
@@ -382,7 +384,19 @@ def _cmd_surface(args):
     return _Outcome(payload, None, lines)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The divcalc parser, built on the first call and shared afterwards.
+
+    Reuse across main() calls is safe: argparse makes a fresh Namespace
+    for each parse_args, `append` actions copy their default before
+    extending it, and _Parser.error, --help and --version look up
+    sys.stdout and sys.stderr when they print, so redirect_stdout still
+    works. The parser reads no per-call state; the one module value it
+    reads, len(FIXTURES) in the verify help, is fixed once built because
+    the fixture catalogue is constant. Callers must not modify the
+    returned parser, since every later call shares it.
+    """
     parser = _Parser(prog="divcalc", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
@@ -549,9 +563,8 @@ def _fuse_expr_flags(argv):
 
 def main(argv=None) -> int:
     raw = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(_fuse_expr_flags(raw))
+        args = build_parser().parse_args(_fuse_expr_flags(raw))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
 

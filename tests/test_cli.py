@@ -1,3 +1,4 @@
+import argparse
 import json
 from importlib import resources
 
@@ -195,10 +196,14 @@ class TestExitCodes:
         assert rc == 1
 
     def test_bad_aux_syntax(self, capsys):
-        rc = cli.main(["corank", "--g", "3", "--aux", "4K-M"])
-        cap = capsys.readouterr()
-        assert rc == 1
-        assert "KEY=INT" in cap.err
+        # The value must be ASCII -?[0-9]+: a doubled sign, a superscript,
+        # a bare sign and a non-ASCII decimal digit are all refused.
+        for aux in ("4K-M", "4K-M=--5", "4K-M=\u00b2", "4K-M=-",
+                    "4K-M=\u0663"):
+            rc = cli.main(["corank", "--g", "3", "--aux", aux])
+            cap = capsys.readouterr()
+            assert rc == 1, aux
+            assert "KEY=INT" in cap.err, aux
 
 
 class TestGaussianCommand:
@@ -293,3 +298,68 @@ class TestReportEnvelope:
         rc = cli.main(["--version"])
         assert rc == 0
         assert "0.1.0" in capsys.readouterr().out
+
+
+def _report_without_elapsed(capsys, argv):
+    rc, doc = run_json(capsys, argv + ["--json"])
+    del doc["elapsed_ms"]
+    return rc, doc
+
+
+class TestParserReuse:
+    """main() shares one parser across calls; no call may leak into the next."""
+
+    def test_repeated_commands_give_identical_reports(self, capsys):
+        first = [_report_without_elapsed(capsys, a) for a in GOOD_JSON_COMMANDS]
+        second = [_report_without_elapsed(capsys, a) for a in GOOD_JSON_COMMANDS]
+        assert first == second
+        assert all(rc == 0 for rc, _ in first)
+
+    def test_append_list_does_not_grow(self, capsys):
+        rc, doc = run_json(
+            capsys,
+            ["pair", "--surface", "sigma2", "--curve", "H", "--curve", "G1",
+             "--json"],
+        )
+        assert rc == 0 and doc["result"]["value"] == 0
+        rc, doc = run_json(
+            capsys, ["self", "--surface", "sigma2", "--curve", "H", "--json"])
+        assert rc == 0 and doc["result"]["curve"] == "H"
+
+    @pytest.mark.parametrize(
+        "bad", [["frobnicate"], ["gonality", "--l2", "12"]],
+        ids=["unknown", "missing-evidence"])
+    def test_usage_error_leaves_next_call_intact(self, capsys, bad):
+        assert cli.main(bad) == 1
+        capsys.readouterr()
+        rc, doc = run_json(capsys, ["gonality", "--l2", "30", "--phi", "5",
+                                    "--json"])
+        assert rc == 0 and doc["result"]["gonality"] == 9
+
+    def test_version_and_help_repeat(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        texts = []
+        for _ in range(2):
+            for argv in (["--version"], ["enumerate", "--help"]):
+                assert cli.main(argv) == 0
+                texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[2] == "0.1.0\n"
+        assert texts[1] == texts[3]
+        assert texts[1].startswith("usage: divcalc enumerate")
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        """Twenty calls construct one parser's worth of ArgumentParsers:
+        the root, three parent templates and 16 subparsers."""
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        for i in range(20):
+            cli.main(GOOD_JSON_COMMANDS[i % len(GOOD_JSON_COMMANDS)])
+        capsys.readouterr()
+        assert len(built) == 20
