@@ -22,14 +22,21 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources
+from operator import mul
 
 from .divexpr import render, resolve
 from .errors import FixtureError, ModelError, RangeError
-from .lattice import DivClass, LatticeModel, hodge_filter, pair, slice_points
+from .lattice import (
+    DivClass,
+    LatticeModel,
+    _slicer,
+    hodge_compare,
+    hodge_filter,
+    pair,
+)
 from .surfaces import (
     get_config,
     get_surface,
-    mod4_condition,
     phi,
     quasi_nef_test,
 )
@@ -101,11 +108,11 @@ def _auto_mod4(model, C: DivClass) -> bool:
     return C.coords == minus2k
 
 
-def _stage_eval(model, C, k, L, apply_mod4):
-    """Run the staged filters on one candidate. Returns (decomp_or_None,
-    trace); the trace stops at the first violated constraint."""
+def _stage_eval(model, C, C2, k, L, apply_mod4):
+    """Run the staged filters on one candidate, with C2 = C^2 > 0. Returns
+    (decomp_or_None, trace); the trace stops at the first violated
+    constraint. One row vector G L gives every pairing the stages read."""
     trace = []
-    C2 = pair(C, C)
 
     def passed(name, detail="pass"):
         trace.append((name, detail))
@@ -118,10 +125,10 @@ def _stage_eval(model, C, k, L, apply_mod4):
         return failed("nonzero", "zero class")
     passed("nonzero")
 
+    GL = [sum(map(mul, row, L.coords)) for row in model.gram]
     if model.kind == "sigma":
-        pairings = [pair(L, model.basis_class(lab)) for lab in model.labels]
-        if any(v < 0 for v in pairings):
-            return failed("sign", f"basis pairings {pairings} not all >= 0")
+        if any(v < 0 for v in GL):
+            return failed("sign", f"basis pairings {GL} not all >= 0")
     elif model.kind in ("ruled", "blcn"):
         if any(c < 0 for c in L.coords):
             return failed("sign", f"coordinates {list(L.coords)} not all >= 0")
@@ -129,18 +136,19 @@ def _stage_eval(model, C, k, L, apply_mod4):
         negs = [
             lab
             for lab in model.effective_labels
-            if pair(L, model.basis_class(lab)) < 0
+            if GL[model.labels.index(lab)] < 0
         ]
         if negs:
             return failed("sign", f"negative pairing with effective {negs}")
     passed("sign")
 
-    L2 = pair(L, L)
+    L2 = sum(map(mul, GL, L.coords))
     if L2 < 0:
         return failed("L2_nonneg", f"L^2 = {L2}")
     passed("L2_nonneg")
 
-    ML = pair(C, L) - L2
+    LC = sum(map(mul, GL, C.coords))
+    ML = LC - L2
     if ML < L2:
         return failed("ML_ge_L2", f"M.L = {ML} < L^2 = {L2}")
     passed("ML_ge_L2")
@@ -154,9 +162,8 @@ def _stage_eval(model, C, k, L, apply_mod4):
         return failed("degD_nonneg", f"deg D = {deg_D}")
     passed("degD_nonneg")
 
-    M = C - L
     if apply_mod4:
-        if not mod4_condition(L, M):
+        if (3 * L2 + ML) % 4:
             return failed("mod4", f"3 L^2 + M.L = {3 * L2 + ML} not in 4Z")
         passed("mod4")
     else:
@@ -166,21 +173,23 @@ def _stage_eval(model, C, k, L, apply_mod4):
     if model.kind == "sigma":
         n = model.rank - 1
         a = L.coords[0]
-        LK = pair(L, model.canonical_class)
+        LK = sum(map(mul, GL, model.canonical))
         if (3 * a + LK) ** 2 > n * (a * a - L2):
             return failed(
                 "cs2", f"(3a + L.K)^2 = {(3 * a + LK) ** 2} > n(a^2 - L^2)"
             )
         passed("cs2")
 
-    if L2 > 0 and C2 > 0:
-        h = hodge_filter(L, C)
-        if not h.keeps:
-            return failed("hodge", f"{h.outcome}: {h.lhs} vs {h.rhs}")
-        detail = "pass" if h.outcome == "pass" else f"equality: {h.note}"
-        passed("hodge", detail)
-        if h.outcome == "equality_case":
-            notes.append(h.note)
+    if L2 > 0:
+        outcome, note = hodge_compare(L2, C2, LC), ""
+        if outcome == "equality_case":  # settled on the classes themselves
+            h = hodge_filter(L, C)
+            outcome, note = h.outcome, h.note
+        if outcome in ("fail", "fail_by_integrality"):
+            return failed("hodge", f"{outcome}: {LC * LC} vs {L2 * C2}")
+        passed("hodge", f"equality: {note}" if note else "pass")
+        if note:
+            notes.append(note)
     else:
         passed("hodge", "skip: L^2 = 0")
 
@@ -188,10 +197,17 @@ def _stage_eval(model, C, k, L, apply_mod4):
     if z > 0:
         notes.append(f"residual subscheme of length {z}")
     dec = Decomposition(
-        L=L, M=M, z=z, ML=ML, L2=L2, deg_D=deg_D,
+        L=L, M=C - L, z=z, ML=ML, L2=L2, deg_D=deg_D,
         filter_trace=tuple(trace), notes=tuple(notes),
     )
     return dec, trace
+
+
+def _slices(C, k):
+    """The search's refusals, then its per-curve slice walk (_slicer)."""
+    if k < 2:
+        raise RangeError(f"pencil degree k must be >= 2, got {k}")
+    return _slicer(C)
 
 
 def enumerate_bogreider(
@@ -213,20 +229,22 @@ def enumerate_bogreider(
     q >= 0 and L != 0 hold too), so the classes that can pass them are
     the union of those slices {L : L.C = s, L^2 = q}, each finite when
     C^2 > 0 on a hyperbolic lattice (slice_points). Other inputs raise
-    ModelError. Every slice point still runs through all the stages, so
-    visited counts slice points and traces match explain_candidate.
+    ModelError, and k < 2 raises RangeError. The slice walk is set up
+    once per search. Every slice point still runs through all the
+    stages, so visited counts slice points and traces match
+    explain_candidate.
     """
-    if k < 2:
-        raise RangeError(f"pencil degree k must be >= 2, got {k}")
+    points = _slices(C, k)
     apply_mod4 = _auto_mod4(surface, C) if mod4 is None else mod4
+    C2 = pair(C, C)
 
     survivors = []
     rejected = {}
     visited = 0
     for s in range(k, 2 * k + 1):
-        for L in slice_points(C, s, s - k, s // 2):
+        for L in points(s, s - k, s // 2):
             visited += 1
-            dec, trace = _stage_eval(surface, C, k, L, apply_mod4)
+            dec, trace = _stage_eval(surface, C, C2, k, L, apply_mod4)
             if dec is None:
                 name = trace[-1][0]
                 rejected[name] = rejected.get(name, 0) + 1
@@ -245,10 +263,16 @@ def enumerate_bogreider(
 
 
 def explain_candidate(surface, C, k, coords, mod4: bool | None = None):
-    """Full filter trace for one candidate, visited by the search or not."""
+    """Full filter trace for one candidate, visited by the search or not.
+
+    Refuses what enumerate_bogreider refuses (RangeError for k < 2,
+    ModelError when C^2 <= 0 or the slices of C can be infinite), so no
+    trace describes a search that could never run.
+    """
+    _slices(C, k)
     apply_mod4 = _auto_mod4(surface, C) if mod4 is None else mod4
     L = surface.klass(coords)
-    dec, trace = _stage_eval(surface, C, k, L, apply_mod4)
+    dec, trace = _stage_eval(surface, C, pair(C, C), k, L, apply_mod4)
     return dec, list(trace)
 
 

@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .errors import (
     ModelError,
@@ -412,99 +413,98 @@ def in_positive_cone(D: DivClass) -> dict:
 
 
 def _ldl(Q):
-    """LDL data for a positive definite Fraction matrix, or None.
+    """The LDL of a symmetric integer matrix, in integers, or None unless
+    every pivot but the last is positive and the last is nonzero.
 
-    Returns (D, U) with Q(x) = sum_i D[i] * (x_i + sum_{j>i} U[i][j] x_j)^2.
+    Returns (W, e, V, B) with
+    B Q(x) = sum_i W[i] * (e[i] x_i + sum_j V[i][j] x_j)^2, where
+    V[i][j] = 0 for j <= i and B > 0. This is fraction-free (Bareiss)
+    elimination: e[i] is the leading principal minor d_i of order i + 1,
+    the square of row i has weight 1/(d_{i-1} d_i) with d_{-1} = 1, and
+    every division in it is exact.
     """
     n = len(Q)
-    A = [[Fraction(v) for v in row] for row in Q]
-    D = [Fraction(0)] * n
-    U = [[Fraction(0)] * n for _ in range(n)]
+    A = [list(row) for row in Q]
+    e, V, den = [], [], []
+    prev = 1
     for i in range(n):
         d = A[i][i]
-        if d <= 0:
+        if d == 0 or (d < 0 and i < n - 1):
             return None
-        D[i] = d
-        for j in range(i + 1, n):
-            U[i][j] = A[i][j] / d
+        e.append(d)
+        V.append([0] * (i + 1) + A[i][i + 1:])
+        den.append(prev * d)
         for r in range(i + 1, n):
-            for c in range(r, n):
-                A[r][c] -= A[i][r] * A[i][c] / d
-        for r in range(i + 1, n):
-            for c in range(i + 1, r):
-                A[r][c] = A[c][r]
-    return D, U
+            for c in range(i + 1, n):
+                A[r][c] = (d * A[r][c] - A[r][i] * A[i][c]) // prev
+        prev = d
+    B = math.lcm(*den)
+    return [B // x for x in den], e, V, B
 
 
-def _frac_isqrt(x: Fraction) -> int:
-    """floor(sqrt(x)) for a nonnegative Fraction."""
-    if x < 0:
-        return -1
-    # floor(sqrt(p/q)) = isqrt(floor(p*q)) // q  is wrong in general;
-    # bisect from the integer estimate instead.
-    est = math.isqrt(x.numerator // x.denominator) if x >= 1 else 0
-    while (est + 1) * (est + 1) <= x:
-        est += 1
-    while est * est > x:
-        est -= 1
-    return est
+def _walk(W, e, V, tail, lo, hi, box=None):
+    """Every integer z = (y, tail) with lo <= sum_i W[i] u_i^2 <= hi,
+    unordered, where u_i = e[i] y_i + sum_j V[i][j] z_j over the
+    m = len(W) free coordinates y (W, e > 0; V[i][j] = 0 for j <= i).
 
-
-def _ellipsoid_points(ldl, centre, lo, hi, coord_box=None):
-    """Every integer y with lo <= Q(y - centre) <= hi, unordered.
-
-    ldl is _ldl(Q) for a positive definite Q. Fincke-Pohst branch and
-    bound from the last coordinate down: level i adds
-    D[i] * (y_i - t_i)^2, where t_i depends only on the coordinates above
-    it, so each level scans the integers within sqrt(rest / D[i]) of t_i.
-    Exact throughout. coord_box additionally clips every coordinate to
-    [-coord_box, coord_box].
+    The integer Fincke-Pohst walk (Fincke and Pohst, Math. Comp. 44
+    (1985); Cohen, GTM 138, section 2.7). Level i, from the last free
+    coordinate down, has the budget rest that the levels above it left
+    and scans exactly the y_i with |u_i| <= isqrt(rest // W[i]), a range
+    found by floor division. Level 0 also keeps the lower bound, as
+    W[0] u_0^2 >= rest - (hi - lo). box clips every free coordinate to
+    [-box, box].
     """
-    D, U = ldl
-    n = len(D)
+    m = len(W)
+    if m == 0:
+        return [tuple(tail)] if lo <= 0 <= hi else []
+    width = hi - lo
     out = []
-    y = [0] * n
-    width = Fraction(hi) - lo
+    z = [0] * m + list(tail)
+
+    def span(i, b, ulo, uhi):
+        # the y_i with ulo <= e[i] y_i + b <= uhi
+        first, last = -((b - ulo) // e[i]), (uhi - b) // e[i]
+        if box is not None:
+            first, last = max(first, -box), min(last, box)
+        return range(first, last + 1)
 
     def descend(i, rest):
-        # rest = hi minus the contribution of the levels above i
-        if i < 0:
-            if rest <= width:
-                out.append(tuple(y))
+        b = sum(map(mul, V[i], z))
+        top = math.isqrt(rest // W[i])
+        if i == 0:
+            need = rest - width
+            low = math.isqrt((need - 1) // W[0]) + 1 if need > 0 else 0
+            ranges = ((-top, -low), (low, top)) if low else ((-top, top),)
+            for ulo, uhi in ranges:
+                for y0 in span(0, b, ulo, uhi):
+                    z[0] = y0
+                    out.append(tuple(z))
             return
-        t = centre[i] - sum(
-            U[i][j] * (y[j] - centre[j]) for j in range(i + 1, n)
-        )
-        half = _frac_isqrt(rest / D[i])
-        first = math.ceil(t - half - 1)
-        last = math.floor(t + half + 1)
-        if coord_box is not None:
-            first = max(first, -coord_box)
-            last = min(last, coord_box)
-        for yi in range(first, last + 1):
-            term = D[i] * (yi - t) ** 2
-            if term <= rest:
-                y[i] = yi
-                descend(i - 1, rest - term)
-        y[i] = 0
+        ei, Wi = e[i], W[i]
+        for yi in span(i, b, -top, top):
+            u = ei * yi + b
+            z[i] = yi
+            descend(i - 1, rest - Wi * u * u)
 
     if hi >= 0:
-        descend(n - 1, Fraction(hi))
+        descend(m - 1, hi)
     return out
 
 
 def vectors_of_norm(Q, N: int, coord_box: int | None = None):
     """All integer x with x^T Q x = N for positive definite integer Q.
 
-    The exact-norm, centre-0 call of the ellipsoid walk, sorted. Includes
-    both x and -x; N = 0 yields only the zero vector, which is returned
-    (callers filter). coord_box additionally clips every coordinate to
-    [-coord_box, coord_box].
+    The exact-norm call of the integer walk with no fixed coordinate,
+    sorted. Includes both x and -x; N = 0 yields only the zero vector,
+    which is returned (callers filter). coord_box additionally clips
+    every coordinate to [-coord_box, coord_box].
     """
     ldl = _ldl(Q)
-    if ldl is None:
+    if ldl is None or ldl[0][-1] <= 0:
         raise ModelError("vectors_of_norm needs a positive definite form")
-    return sorted(_ellipsoid_points(ldl, (0,) * len(Q), N, N, coord_box))
+    W, e, V, B = ldl
+    return sorted(_walk(W, e, V, (), B * N, B * N, coord_box))
 
 
 def _kernel_basis(w):
@@ -529,54 +529,71 @@ def _kernel_basis(w):
     return [col for v, col in zip(w, cols) if not v], pivot, g
 
 
-def slice_points(C: DivClass, s: int, qlo: int, qhi: int) -> list[DivClass]:
-    """Every class x with x.C = s and qlo <= x^2 <= qhi, sorted by coordinates.
+def _slicer(C: DivClass):
+    """The per-curve set-up of slice_points, done once: returns
+    points(s, qlo, qhi), which is slice_points(C, s, qlo, qhi).
 
-    Write x = x0 + K y with the columns of K an integral basis of the
-    complement of C and x0 one solution of x0.C = s; there is none, and
-    the slice is empty, when gcd(G C) does not divide s. The part of x
-    orthogonal to C is then K (y - c) for the c with x0 + K c = (s/C^2) C,
-    so x^2 = s^2/C^2 - Q(y - c) with Q = -K^T G K, and the slice is the
-    shell s^2/C^2 - qhi <= Q(y - c) <= s^2/C^2 - qlo, where c solves
-    Q c = K^T G x0. The shell is finite when Q is positive definite, that
-    is when C^2 > 0 on a nondegenerate lattice of signature
-    (1, rank - 1); anything else raises ModelError, since the slice can
-    then be infinite.
+    Raises ModelError up front when the slices of C can be infinite.
     """
-    gram = C.model.gram
-    c2 = pair(C, C)
+    model = C.model
+    gram = model.gram
+    w = [sum(map(mul, row, C.coords)) for row in gram]
+    c2 = sum(map(mul, w, C.coords))
     if c2 <= 0:
         raise ModelError(f"slice enumeration needs C^2 > 0, got C^2 = {c2}")
-    w = [sum(e * x for e, x in zip(row, C.coords)) for row in gram]
     K, pivot, g = _kernel_basis(w)
-    GK = [[sum(e * x for e, x in zip(row, col)) for row in gram] for col in K]
-    ldl = _ldl([[-sum(a * b for a, b in zip(u, v)) for v in GK] for u in K])
+    P = K + [pivot]
+    GP = [[sum(map(mul, row, col)) for row in gram] for col in P]
+    ldl = _ldl([[-sum(map(mul, u, v)) for v in GP] for u in P])
     if ldl is None:
         raise ModelError(
             "slice enumeration needs a hyperbolic lattice; the complement "
             f"of {list(C.coords)} is not negative definite here"
         )
-    if s % g:
-        return []
-    x0 = [s // g * v for v in pivot]
-    b = [sum(a * x for a, x in zip(v, x0)) for v in GK]
-    # c = Q^-1 b through Q = U^T diag(D) U, U unit upper triangular
-    D, U = ldl
-    n = len(K)
-    c = []
-    for i in range(n):
-        c.append(b[i] - sum(U[j][i] * c[j] for j in range(i)))
-    for i in reversed(range(n)):
-        c[i] = c[i] / D[i] - sum(U[i][j] * c[j] for j in range(i + 1, n))
-    R = Fraction(s * s, c2)
-    points = []
-    for y in _ellipsoid_points(ldl, c, R - qhi, R - qlo):
-        x = list(x0)
-        for yj, col in zip(y, K):
-            x = [xi + yj * ki for xi, ki in zip(x, col)]
-        points.append(DivClass(C.model, tuple(x)))
-    points.sort(key=lambda x: x.coords)
+    W, e, V, B = ldl
+    Wt = W.pop() * e[-1] ** 2  # the weight of t^2, negative
+    rows = list(zip(*P))
+    even = all(gram[i][i] % 2 == 0 for i in range(model.rank))
+
+    def points(s, qlo, qhi):
+        if even:  # x^2 is even, so only the even values of the window count
+            qlo, qhi = qlo + qlo % 2, qhi - qhi % 2
+        if s % g or qlo > qhi:
+            return []
+        t = s // g
+        shift = Wt * t * t
+        found = sorted(
+            tuple([sum(map(mul, row, z)) for row in rows])
+            for z in _walk(W, e, V, (t,), -B * qhi - shift, -B * qlo - shift)
+        )
+        return [DivClass(model, x) for x in found]
+
     return points
+
+
+def slice_points(C: DivClass, s: int, qlo: int, qhi: int) -> list[DivClass]:
+    """Every class x with x.C = s and qlo <= x^2 <= qhi, sorted by coordinates.
+
+    Write x = K y + t p, where the columns of K are an integral basis of
+    the complement of C and p.C = g = +-gcd(G C), so that P = (K | p) is
+    a basis of Z^r and x.C = g t. The slice is empty unless g divides s,
+    and then t = s/g is fixed. The LDL of M = -P^T G P with t last writes
+    -x^2 = M(y, t) as positive squares over the levels of y, each offset
+    by a multiple of t, plus D_t t^2 = -s^2/C^2: the squares add up to
+    Q(y - c) for Q = -K^T G K and the c with K c + t p = (s/C^2) C. So
+    the slice is the shell s^2/C^2 - qhi <= Q(y - c) <= s^2/C^2 - qlo.
+    It is finite when Q is positive definite, that is when C^2 > 0 on a
+    nondegenerate lattice of signature (1, rank - 1); anything else
+    raises ModelError, since the slice can then be infinite.
+
+    The shell is walked with integers only (_walk, the Fincke-Pohst
+    enumeration; Cohen, GTM 138, section 2.7), on a kernel basis and an
+    LDL with cleared denominators that _slicer sets up once per curve.
+    On an even lattice, where every diagonal gram entry is even and so
+    x^2 is even, the window is first rounded inward to even values, and
+    a window with no even value is empty without a walk.
+    """
+    return _slicer(C)(s, qlo, qhi)
 
 
 # ---------------------------------------------------------------------------

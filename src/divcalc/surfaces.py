@@ -32,10 +32,10 @@ from .errors import (
 from .lattice import (
     DivClass,
     LatticeModel,
+    _slicer,
     isotropic_search,
     load_model,
     pair,
-    slice_points,
 )
 
 _E8 = (
@@ -305,12 +305,12 @@ def phi(
     """Minimal |F.L| over nonzero isotropic classes F.
 
     sublattice mode walks, for t = 1, 2, ..., the slice
-    {F : F.L = t, F^2 = 0} (slice_points). The first non-empty slice is
-    the minimum, since the slices below it are empty, so the result is
-    certified; its witness is the smallest class of that slice by
-    coordinates. The walk needs L^2 > 0 on a lattice of signature
-    (1, rank - 1) and raises ModelError otherwise. It is capped at
-    isqrt(L^2); exhausting it violates the invariant phi^2 <= L^2 and
+    {F : F.L = t, F^2 = 0} (slice_points, set up once per call). The
+    first non-empty slice is the minimum, since the slices below it are
+    empty, so the result is certified; its witness is the smallest class
+    of that slice by coordinates. The walk needs L^2 > 0 on a lattice of
+    signature (1, rank - 1) and raises ModelError otherwise. It is capped
+    at isqrt(L^2); exhausting it violates the invariant phi^2 <= L^2 and
     raises, which signals a span too sparse to be a genuine isotropic
     configuration.
 
@@ -346,8 +346,9 @@ def phi(
         raise ModelError(f"unknown phi mode {mode!r}")
 
     cap = math.isqrt(L2)
+    points = _slicer(L)
     for t in range(1, cap + 1):
-        witnesses = slice_points(L, t, 0, 0)
+        witnesses = points(t, 0, 0)
         if witnesses:
             return PhiResult(t, witnesses[0], certified=True)
     raise PhiInvariantError(

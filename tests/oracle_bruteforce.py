@@ -59,27 +59,62 @@ def _inverse(gram):
     return [row[n:] for row in A]
 
 
-def survivor_box(surface_key, C, k):
-    """A coordinate box that holds every survivor of the (C, k) search.
+def slice_box(gram, C, s, qlo):
+    """A coordinate box that holds every x with |x.C| <= |s| and
+    x^2 >= qlo.
 
-    A survivor has L^2 >= 0 and 0 <= L.C = L^2 + M.L <= 2k. On a lattice
-    of signature (1, n) with C^2 > 0 the form
+    On a lattice of signature (1, n) with C^2 > 0 the form
         Q(x) = 2 (x.C)^2 / C^2 - x^2
-    is positive definite, so Q(L) <= 8 k^2 / C^2, and Cauchy-Schwarz in Q
-    gives L_i^2 <= Q(L) (Q^-1)_ii with Q^-1 = 2 C C^T / C^2 - G^-1.
+    is positive definite, so Q(x) <= 2 s^2 / C^2 - qlo there, and
+    Cauchy-Schwarz in Q gives x_i^2 <= Q(x) (Q^-1)_ii with
+    Q^-1 = 2 C C^T / C^2 - G^-1. When that cap on Q is negative there is
+    no such x, and the box is 0.
     """
-    gram = ORACLE_SURFACES[surface_key][0]
     n = len(C)
     c2 = sum(C[i] * gram[i][j] * C[j] for i in range(n) for j in range(n))
     if c2 <= 0:
         raise ValueError("the box argument needs C^2 > 0")
     Ginv = _inverse(gram)
-    cap = Fraction(8 * k * k, c2)
+    cap = Fraction(2 * s * s, c2) - qlo
     box = 0
     for i in range(n):
         bound = cap * (Fraction(2 * C[i] * C[i], c2) - Ginv[i][i])
-        box = max(box, math.isqrt(bound.numerator // bound.denominator))
+        if bound > 0:
+            box = max(box, math.isqrt(bound.numerator // bound.denominator))
     return box
+
+
+def survivor_box(surface_key, C, k):
+    """A coordinate box that holds every survivor of the (C, k) search.
+
+    A survivor has L^2 >= 0 and 0 <= L.C = L^2 + M.L <= 2k, so it lies
+    in slice_box(gram, C, 2k, 0).
+    """
+    return slice_box(ORACLE_SURFACES[surface_key][0], C, 2 * k, 0)
+
+
+def brute_slice(gram, C, s, qlo, qhi, box):
+    """Every x in the box [-box, box]^r with x.C = s and qlo <= x^2 <= qhi,
+    as coordinate tuples in sorted order, by a literal scan."""
+    G = np.array(gram, dtype=np.int64)
+    r = len(G)
+    w = G @ np.array(C, dtype=np.int64)
+    rng = np.arange(-box, box + 1, dtype=np.int64)
+    if r > 1:
+        rest = np.stack(
+            np.meshgrid(*([rng] * (r - 1)), indexing="ij"), axis=-1
+        ).reshape(-1, r - 1)
+    else:
+        rest = np.zeros((1, 0), dtype=np.int64)
+    found = []
+    for a0 in rng:
+        x = np.concatenate(
+            [np.full((rest.shape[0], 1), a0, dtype=np.int64), rest], axis=1
+        )
+        x2 = np.einsum("ij,ij->i", x @ G, x)
+        keep = (x @ w == s) & (x2 >= qlo) & (x2 <= qhi)
+        found.extend(tuple(int(v) for v in row) for row in x[keep])
+    return sorted(found)
 
 
 def brute_survivors(surface_key, C, k, box=None, mod4=True):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from divcalc import lattice
 from divcalc.divexpr import render, resolve
 from divcalc.enumeration import (
     FIXTURES,
@@ -180,6 +181,32 @@ def test_preconditions():
         enumerate_bogreider(plane, plane.klass((1, 1)), 2)
 
 
+def test_explain_candidate_refuses_what_the_search_refuses():
+    surf = get_surface("sigma1")
+    with pytest.raises(RangeError):
+        explain_candidate(surf, resolve("-2K", surf), 1, (1, 0))
+    with pytest.raises(ModelError):  # C^2 = -1
+        explain_candidate(surf, resolve("G1", surf), 4, (1, 0))
+    blq = get_surface("blq")
+    with pytest.raises(ModelError):  # C^2 = 0
+        explain_candidate(blq, resolve("f", blq), 4, (0, 1))
+
+
+def test_search_sets_up_the_slice_walk_once(monkeypatch):
+    calls = []
+
+    def counting_kernel_basis(w):
+        calls.append(w)
+        return real(w)
+
+    real = lattice._kernel_basis
+    monkeypatch.setattr(lattice, "_kernel_basis", counting_kernel_basis)
+    surf = get_surface("sigma3")
+    res = enumerate_bogreider(surf, resolve("-2K", surf), 6)
+    assert res.visited == 6  # over the k + 1 = 7 slices s = 6..12
+    assert len(calls) == 1
+
+
 def test_enriques_survivors_are_u1_2u2_and_the_e8_roots():
     # C = U1 + 2U2, k = 2. L = xU1 + yU2 + e with e in E8(-1) has
     # L.C = 2x + y and L^2 = 2xy + e^2, which is even, and the stages
@@ -262,6 +289,23 @@ def test_work_counts_are_pinned():
     assert not res.mod4_applied
     assert (res.visited, len(res.survivors)) == (38, 23)
     assert res.rejected == {"sign": 15}
+
+
+# (visited, survivors, rejected) of heavier searches, with the parity
+# filter on by default (C = -2K)
+_HEAVY_WORK_COUNTS = {
+    6: (1252, 1252, {}),
+    8: (7191, 6453, {"sign": 738}),
+}
+
+
+def test_heavier_work_counts_are_pinned():
+    surf = get_surface("sigma6")
+    C = resolve("-2K", surf)
+    for k, want in _HEAVY_WORK_COUNTS.items():
+        res = enumerate_bogreider(surf, C, k)
+        assert res.mod4_applied
+        assert (res.visited, len(res.survivors), res.rejected) == want, k
 
 
 def test_cs_filter():

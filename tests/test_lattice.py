@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divcalc
+from divcalc import lattice
 from divcalc.errors import (
     ModelError,
     ModelMismatchError,
@@ -35,7 +37,7 @@ from divcalc.lattice import (
     vectors_of_norm,
 )
 from divcalc.surfaces import enriques, get_config, get_surface, sigma
-from oracle_bruteforce import brute_isotropic
+from oracle_bruteforce import brute_isotropic, brute_slice, slice_box
 
 E10 = enriques().model
 
@@ -249,6 +251,79 @@ class TestSlicePoints:
             slice_points(_model([[0, 1], [1, 0]]).klass((1, 0)), 1, 0, 0)
         with pytest.raises(ModelError):  # positive definite lattice
             slice_points(_model([[1, 0], [0, 1]]).klass((1, 1)), 2, 0, 2)
+
+    def test_matches_oracle_on_random_hyperbolic_models(self):
+        # negative qlo and s off the gcd of G.C check the floor and
+        # ceiling division of negative numerators in the integer walk
+        rng = random.Random(6)
+        seen = set()
+        for trial in range(300):
+            r, even = rng.randint(2, 5), trial % 2 == 0
+            gram = _hyperbolic_gram(rng, r, even)
+            C = tuple(rng.randint(-3, 3) for _ in range(r))
+            if trial % 3 == 0:
+                C = tuple(2 * c for c in C)
+            m = _model(gram)
+            if pair(m.klass(C), m.klass(C)) <= 0:
+                continue
+            g = math.gcd(*(sum(a * c for a, c in zip(row, C)) for row in gram))
+            for _ in range(3):
+                s = rng.randint(-6, 8)
+                qlo = rng.randint(-10, 2)
+                qhi = qlo + rng.randint(0, 6)
+                box = slice_box(gram, C, s, qlo)
+                if (2 * box + 1) ** r > 2 * 10**5:
+                    continue
+                got = [x.coords for x in slice_points(m.klass(C), s, qlo, qhi)]
+                assert got == brute_slice(gram, C, s, qlo, qhi, box), (
+                    gram, C, s, qlo, qhi)
+                seen |= {f"rank {r}", "even" if even else "odd",
+                         "points" if got else "empty"}
+                if s % g:
+                    seen.add("s off the gcd")
+                if qlo < 0:
+                    seen.add("negative qlo")
+        assert seen == {"rank 2", "rank 3", "rank 4", "rank 5", "even", "odd",
+                        "points", "empty", "s off the gcd", "negative qlo"}
+
+    def test_even_lattice_skips_odd_only_windows(self, monkeypatch):
+        walks = []
+
+        def counting_walk(*args, **kwargs):
+            walks.append(args)
+            return real_walk(*args, **kwargs)
+
+        real_walk = lattice._walk
+        monkeypatch.setattr(lattice, "_walk", counting_walk)
+        C = get_surface("blq").klass((4, 8))  # -2K, even lattice
+        assert slice_points(C, 4, 1, 1) == []
+        assert slice_points(C, 6, -3, -3) == []
+        assert walks == []
+        assert [x.coords for x in slice_points(C, 4, -1, 1)] == [(0, 1), (1, 1)]
+        assert len(walks) == 1
+
+
+def _hyperbolic_gram(rng, r, even):
+    """A seeded gram of signature (1, r - 1), even or odd: a diagonal form,
+    or the hyperbolic plane plus a diagonal one when even, in a random
+    unimodular basis."""
+    if even:
+        diag = [2 * rng.randint(1, 2)] + [-2 * rng.randint(1, 2)
+                                          for _ in range(r - 1)]
+    else:
+        diag = [rng.choice((1, 3))] + [-rng.randint(1, 3) for _ in range(r - 1)]
+    base = [[diag[i] if i == j else 0 for j in range(r)] for i in range(r)]
+    if even and rng.random() < 0.5:
+        base[0][0] = base[1][1] = 0
+        base[0][1] = base[1][0] = 1
+    P = [[int(i == j) for j in range(r)] for i in range(r)]
+    for _ in range(r):
+        i, j = rng.sample(range(r), 2)
+        f = rng.choice((-1, 1))
+        P[i] = [a + f * b for a, b in zip(P[i], P[j])]
+    return [[sum(P[i][a] * base[a][b] * P[j][b]
+                 for a in range(r) for b in range(r)) for j in range(r)]
+            for i in range(r)]
 
 
 def _hits(found):

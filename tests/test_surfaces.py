@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divcalc import lattice
 from divcalc.divexpr import resolve
 from divcalc.errors import (
     ModelError,
@@ -195,6 +196,20 @@ class TestPhi:
             assert res.value == want, (expr, res.value)
             F = res.witness
             assert pair(F, F) == 0 and pair(F, L) == want, expr
+
+    def test_sets_up_the_slice_walk_once(self, monkeypatch):
+        calls = []
+
+        def counting_kernel_basis(w):
+            calls.append(w)
+            return real(w)
+
+        real = lattice._kernel_basis
+        monkeypatch.setattr(lattice, "_kernel_basis", counting_kernel_basis)
+        e = enriques()
+        res = phi(e, resolve("3U1+5U2", e))
+        assert res.value == 3  # three slices t = 1, 2, 3
+        assert len(calls) == 1
 
     def test_rejects_nonpositive_square(self):
         surf = get_config("pencil-pair-1").to_surface("pp1")
