@@ -23,11 +23,9 @@ from .lattice import (
     DivClass,
     HodgeResult,
     LatticeModel,
-    check_lemma10,
     determinant,
     hodge_compare,
     hodge_filter,
-    in_positive_cone,
     isotropic_search,
     load_model,
     model_from_json_dict,

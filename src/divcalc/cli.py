@@ -15,7 +15,6 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
 
 from . import __version__
 from .criteria import (
@@ -40,7 +39,7 @@ from .enumeration import (
     verify_case,
 )
 from .errors import DivcalcError, EvidenceError, ModelError
-from .lattice import pair, reflect_nodal
+from .lattice import _Record, _set, pair, reflect_nodal
 from .surfaces import (
     chi,
     genus,
@@ -97,15 +96,20 @@ def _need(args, *names):
         )
 
 
-@dataclass(frozen=True)
-class _Outcome:
+class _Outcome(_Record):
     """What a subcommand handler hands back to main()."""
 
-    payload: object
-    surface: str | None
-    lines: list[str]
-    no_conclusion: bool = False
-    failed: bool = False
+    __slots__ = ("payload", "surface", "lines", "no_conclusion", "failed")
+
+    def __init__(
+        self, payload: object, surface: str | None, lines: list[str],
+        no_conclusion: bool = False, failed: bool = False,
+    ):
+        _set(self, "payload", payload)
+        _set(self, "surface", surface)
+        _set(self, "lines", lines)
+        _set(self, "no_conclusion", no_conclusion)
+        _set(self, "failed", failed)
 
 
 def _cmd_pair(args):

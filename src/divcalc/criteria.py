@@ -13,9 +13,8 @@ pass (the test suite audits this).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import EvidenceError, RangeError
+from .lattice import _Record, _set
 
 # Degree counts far beyond the canonical range are almost certainly typos;
 # the slack leaves room for the large-degree corollaries (4g - 4 plus a
@@ -29,67 +28,78 @@ NONHYPERELLIPTIC = "C nonhyperelliptic"
 
 
 def _check_count(name, value, minimum=0):
+    """Refuse a value that is not None or an int (bool excluded), or one
+    below minimum unless minimum is None."""
     if value is None:
         return
     if not isinstance(value, int) or isinstance(value, bool):
         raise RangeError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise RangeError(f"{name} must be >= {minimum}, got {value}")
 
 
-@dataclass(frozen=True)
-class GaussianInput:
+class GaussianInput(_Record):
     """Evidence bundle for the Gaussian-map checkers.
 
     g is the curve genus. Optional fields left as None count as missing
     evidence, never as zero. h0_residual is the section count of the
     branch-dependent residual twist (the checker's notes say which twist
     it read it as). aux_h0 carries the low-genus inputs under the keys
-    3K-M, 4K-M, 5A-M, 4A-M, 3K-(g-4)A-M and -M.
+    3K-M, 4K-M, 5A-M, 4A-M, 3K-(g-4)A-M and -M; left as None it is a
+    fresh empty dict.
     """
 
-    g: int
-    L2: int | None = None
-    phi: int | None = None
-    degM: int | None = None
-    h1M: int | None = None
-    h0_2K_minus_M: int | None = None
-    h0_residual: int | None = None
-    cliff: int | None = None
-    cork_mu: int | None = None
-    aux_h0: dict = field(default_factory=dict)
+    __slots__ = ("g", "L2", "phi", "degM", "h1M", "h0_2K_minus_M",
+                 "h0_residual", "cliff", "cork_mu", "aux_h0")
 
-    def __post_init__(self):
-        _check_count("g", self.g, minimum=2)
-        _check_count("degM", self.degM)
-        _check_count("h1M", self.h1M)
-        _check_count("h0_2K_minus_M", self.h0_2K_minus_M)
-        _check_count("h0_residual", self.h0_residual)
-        _check_count("cliff", self.cliff)
-        _check_count("cork_mu", self.cork_mu)
-        if self.L2 is not None and self.L2 % 2 != 0:
-            raise RangeError(f"L2 must be even on these lattices, got {self.L2}")
-        if self.phi is not None:
-            _check_count("phi", self.phi, minimum=1)
-            if self.L2 is not None and self.phi**2 > self.L2:
-                raise RangeError(
-                    f"phi^2 = {self.phi ** 2} exceeds L2 = {self.L2}"
-                )
-        bad = set(self.aux_h0) - AUX_KEYS
+    def __init__(
+        self, g: int, L2: int | None = None, phi: int | None = None,
+        degM: int | None = None, h1M: int | None = None,
+        h0_2K_minus_M: int | None = None, h0_residual: int | None = None,
+        cliff: int | None = None, cork_mu: int | None = None,
+        aux_h0: dict | None = None,
+    ):
+        if aux_h0 is None:
+            aux_h0 = {}
+        _check_count("g", g, minimum=2)
+        _check_count("L2", L2, minimum=None)
+        _check_count("degM", degM)
+        _check_count("h1M", h1M)
+        _check_count("h0_2K_minus_M", h0_2K_minus_M)
+        _check_count("h0_residual", h0_residual)
+        _check_count("cliff", cliff)
+        _check_count("cork_mu", cork_mu)
+        if L2 is not None and L2 % 2 != 0:
+            raise RangeError(f"L2 must be even on these lattices, got {L2}")
+        if phi is not None:
+            _check_count("phi", phi, minimum=1)
+            if L2 is not None and phi**2 > L2:
+                raise RangeError(f"phi^2 = {phi ** 2} exceeds L2 = {L2}")
+        bad = set(aux_h0) - AUX_KEYS
         if bad:
             raise RangeError(
                 f"unknown aux_h0 keys {sorted(bad)}; "
                 f"known: {sorted(AUX_KEYS)}"
             )
-        for key, val in self.aux_h0.items():
+        for key, val in aux_h0.items():
             _check_count(f"aux_h0[{key}]", val)
-        if self.degM is not None:
-            cap = 4 * self.g - 4 + DEG_SANITY_SLACK
-            if self.degM > cap:
+        if degM is not None:
+            cap = 4 * g - 4 + DEG_SANITY_SLACK
+            if degM > cap:
                 raise RangeError(
-                    f"degM = {self.degM} is implausibly large for genus "
-                    f"{self.g} (cap {cap})"
+                    f"degM = {degM} is implausibly large for genus "
+                    f"{g} (cap {cap})"
                 )
+        _set(self, "g", g)
+        _set(self, "L2", L2)
+        _set(self, "phi", phi)
+        _set(self, "degM", degM)
+        _set(self, "h1M", h1M)
+        _set(self, "h0_2K_minus_M", h0_2K_minus_M)
+        _set(self, "h0_residual", h0_residual)
+        _set(self, "cliff", cliff)
+        _set(self, "cork_mu", cork_mu)
+        _set(self, "aux_h0", aux_h0)
 
     def echo(self) -> dict:
         out = {"g": self.g}
@@ -105,20 +115,28 @@ class GaussianInput:
         return out
 
 
-@dataclass
-class GaussianVerdict:
-    status: str  # SURJECTIVE | CORANK_BOUND | NO_CONCLUSION
-    rule: str
-    bound: int | None = None
-    qualifiers: tuple = ()
-    notes: tuple = ()
-    inputs_echo: dict = field(default_factory=dict)
+class GaussianVerdict(_Record):
+    """status is SURJECTIVE, CORANK_BOUND or NO_CONCLUSION; inputs_echo
+    left as None is a fresh empty dict."""
 
-    def __post_init__(self):
-        if self.status == "SURJECTIVE" and not self.rule:
+    __slots__ = ("status", "rule", "bound", "qualifiers", "notes",
+                 "inputs_echo")
+
+    def __init__(
+        self, status: str, rule: str, bound: int | None = None,
+        qualifiers: tuple = (), notes: tuple = (),
+        inputs_echo: dict | None = None,
+    ):
+        if status == "SURJECTIVE" and not rule:
             raise ValueError("a SURJECTIVE verdict must cite its rule")
-        if self.status == "CORANK_BOUND" and self.bound is None:
+        if status == "CORANK_BOUND" and bound is None:
             raise ValueError("a CORANK_BOUND verdict must carry the bound")
+        _set(self, "status", status)
+        _set(self, "rule", rule)
+        _set(self, "bound", bound)
+        _set(self, "qualifiers", qualifiers)
+        _set(self, "notes", notes)
+        _set(self, "inputs_echo", {} if inputs_echo is None else inputs_echo)
 
     @property
     def status_label(self) -> str:
@@ -640,11 +658,13 @@ def tetragonal_corank(
     )
 
 
-@dataclass(frozen=True)
-class B2Rule:
-    status: str  # b2_at_least_1 | unknown
-    qualifiers: tuple = ()
-    notes: tuple = ()
+class B2Rule(_Record):
+    __slots__ = ("status", "qualifiers", "notes")
+
+    def __init__(self, status: str, qualifiers: tuple = (), notes: tuple = ()):
+        _set(self, "status", status)  # b2_at_least_1 | unknown
+        _set(self, "qualifiers", qualifiers)
+        _set(self, "notes", notes)
 
     def to_json_dict(self):
         return {

@@ -10,18 +10,19 @@ coefficient from the label.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import ExprSyntaxError, LabelError
-from .lattice import DivClass, LatticeModel
+from .lattice import DivClass, LatticeModel, _Record, _set
 
 _TERM = re.compile(r"\s*([+-])?\s*(?:(\d+)\s*\*?\s*)?([A-Za-z][A-Za-z0-9]*)")
 
 
-@dataclass(frozen=True)
-class DivExpr:
-    source: str
-    terms: tuple[tuple[int, str], ...]
+class DivExpr(_Record):
+    __slots__ = ("source", "terms")
+
+    def __init__(self, source: str, terms: tuple[tuple[int, str], ...]):
+        _set(self, "source", source)
+        _set(self, "terms", terms)
 
 
 def parse_divexpr(s: str) -> DivExpr:

@@ -20,7 +20,6 @@ verify_case replays any of them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from importlib import resources
 from operator import mul
 
@@ -29,6 +28,8 @@ from .errors import FixtureError, ModelError, RangeError
 from .lattice import (
     DivClass,
     LatticeModel,
+    _Record,
+    _set,
     _slicer,
     hodge_compare,
     hodge_filter,
@@ -41,16 +42,23 @@ from .surfaces import (
     quasi_nef_test,
 )
 
-@dataclass(frozen=True)
-class Decomposition:
-    L: DivClass
-    M: DivClass
-    z: int
-    ML: int
-    L2: int
-    deg_D: int
-    filter_trace: tuple[tuple[str, str], ...]
-    notes: tuple[str, ...] = ()
+
+class Decomposition(_Record):
+    __slots__ = ("L", "M", "z", "ML", "L2", "deg_D", "filter_trace", "notes")
+
+    def __init__(
+        self, L: DivClass, M: DivClass, z: int, ML: int, L2: int,
+        deg_D: int, filter_trace: tuple[tuple[str, str], ...],
+        notes: tuple[str, ...] = (),
+    ):
+        _set(self, "L", L)
+        _set(self, "M", M)
+        _set(self, "z", z)
+        _set(self, "ML", ML)
+        _set(self, "L2", L2)
+        _set(self, "deg_D", deg_D)
+        _set(self, "filter_trace", filter_trace)
+        _set(self, "notes", notes)
 
     @property
     def expr(self):
@@ -72,15 +80,22 @@ class Decomposition:
         }
 
 
-@dataclass
-class EnumerationResult:
-    surface: str
-    curve: str
-    k: int
-    mod4_applied: bool
-    survivors: list[Decomposition]
-    rejected: dict[str, int]
-    visited: int
+class EnumerationResult(_Record):
+    __slots__ = ("surface", "curve", "k", "mod4_applied", "survivors",
+                 "rejected", "visited")
+
+    def __init__(
+        self, surface: str, curve: str, k: int, mod4_applied: bool,
+        survivors: list[Decomposition], rejected: dict[str, int],
+        visited: int,
+    ):
+        _set(self, "surface", surface)
+        _set(self, "curve", curve)
+        _set(self, "k", k)
+        _set(self, "mod4_applied", mod4_applied)
+        _set(self, "survivors", survivors)
+        _set(self, "rejected", rejected)
+        _set(self, "visited", visited)
 
     def survivor_keys(self):
         return {d.key() for d in self.survivors}
@@ -298,14 +313,16 @@ def cs_filter(surface: LatticeModel, L: DivClass) -> bool:
 # destabilizing splittings on the ruled quadric model
 
 
-@dataclass(frozen=True)
-class DestabCandidate:
-    a: int
-    a1: int
-    A2: int
-    B2: int
-    AB: int
-    lenW: int
+class DestabCandidate(_Record):
+    __slots__ = ("a", "a1", "A2", "B2", "AB", "lenW")
+
+    def __init__(self, a: int, a1: int, A2: int, B2: int, AB: int, lenW: int):
+        _set(self, "a", a)
+        _set(self, "a1", a1)
+        _set(self, "A2", A2)
+        _set(self, "B2", B2)
+        _set(self, "AB", AB)
+        _set(self, "lenW", lenW)
 
     def to_json_dict(self):
         return {
@@ -318,10 +335,15 @@ class DestabCandidate:
         }
 
 
-@dataclass
-class DestabResult:
-    survivors: list[DestabCandidate]
-    grid: list[tuple[int, int, str]]  # (a, a1, "pass" | first violation)
+class DestabResult(_Record):
+    __slots__ = ("survivors", "grid")
+
+    def __init__(
+        self, survivors: list[DestabCandidate],
+        grid: list[tuple[int, int, str]],
+    ):
+        _set(self, "survivors", survivors)
+        _set(self, "grid", grid)  # (a, a1, "pass" | first violation)
 
     def survivor_cells(self):
         return {(c.a, c.a1) for c in self.survivors}
@@ -373,8 +395,7 @@ def enumerate_destab() -> DestabResult:
 # fixture catalog
 
 
-@dataclass(frozen=True)
-class CaseFixture:
+class CaseFixture(_Record):
     """One frozen case: either a pencil search, the destabilization grid,
     or a batch of pairing identities on a configuration span.
 
@@ -385,17 +406,27 @@ class CaseFixture:
     reasons are recorded verbatim as annotations.
     """
 
-    case_id: str
-    kind: str  # pencil | destab | identities
-    surface: str | None = None
-    curve: str | None = None
-    k: int | None = None
-    mod4: bool | None = None
-    expected: tuple | None = None
-    golden: str | None = None
-    killed: tuple = ()
-    identities: tuple = ()
-    notes: tuple = ()
+    __slots__ = ("case_id", "kind", "surface", "curve", "k", "mod4",
+                 "expected", "golden", "killed", "identities", "notes")
+
+    def __init__(
+        self, case_id: str, kind: str, surface: str | None = None,
+        curve: str | None = None, k: int | None = None,
+        mod4: bool | None = None, expected: tuple | None = None,
+        golden: str | None = None, killed: tuple = (),
+        identities: tuple = (), notes: tuple = (),
+    ):
+        _set(self, "case_id", case_id)
+        _set(self, "kind", kind)  # pencil | destab | identities
+        _set(self, "surface", surface)
+        _set(self, "curve", curve)
+        _set(self, "k", k)
+        _set(self, "mod4", mod4)
+        _set(self, "expected", expected)
+        _set(self, "golden", golden)
+        _set(self, "killed", killed)
+        _set(self, "identities", identities)
+        _set(self, "notes", notes)
 
 
 _KILL_H0_3 = "the restricted system has three sections (h0 = 3), not a pencil"
@@ -630,15 +661,21 @@ def fixture_catalog_json() -> str:
     return json.dumps(out, indent=2, default=list)
 
 
-@dataclass
-class CaseReport:
-    case_id: str
-    status: str  # PASS | FAIL
-    survivors: list
-    expected: list
-    killed: list
-    trace: list
-    notes: tuple = ()
+class CaseReport(_Record):
+    __slots__ = ("case_id", "status", "survivors", "expected", "killed",
+                 "trace", "notes")
+
+    def __init__(
+        self, case_id: str, status: str, survivors: list, expected: list,
+        killed: list, trace: list, notes: tuple = (),
+    ):
+        _set(self, "case_id", case_id)
+        _set(self, "status", status)  # PASS | FAIL
+        _set(self, "survivors", survivors)
+        _set(self, "expected", expected)
+        _set(self, "killed", killed)
+        _set(self, "trace", trace)
+        _set(self, "notes", notes)
 
     def to_json_dict(self):
         return {

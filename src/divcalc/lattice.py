@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
@@ -35,8 +34,44 @@ def _check_i64(value, what):
     return value
 
 
-@dataclass(frozen=True)
-class LatticeModel:
+_set = object.__setattr__  # how a record's __init__ fills its slots
+
+
+class _Record:
+    """Base of divcalc's value types. The fields are the __slots__, set
+    once in __init__ through _set and read-only afterwards; equality, hash
+    and repr go over them in slot order, as for a frozen dataclass."""
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, whose positional
+        # parameters are the slots in order; the default path would assign
+        return type(self), self._values()
+
+
+class LatticeModel(_Record):
     """An integral lattice: labeled basis, gram matrix, distinguished classes.
 
     kind tags the geometry family ("sigma", "ruled", "blcn", "enriques",
@@ -46,38 +81,45 @@ class LatticeModel:
     tests.
     """
 
-    name: str
-    labels: tuple[str, ...]
-    gram: tuple[tuple[int, ...], ...]
-    canonical: tuple[int, ...]
-    chi: int
-    ample_ref: tuple[int, ...] | None = None
-    kind: str = "generic"
-    effective_labels: tuple[str, ...] = ()
+    __slots__ = ("name", "labels", "gram", "canonical", "chi", "ample_ref",
+                 "kind", "effective_labels")
 
-    def __post_init__(self):
-        n = len(self.labels)
+    def __init__(
+        self, name: str, labels: tuple[str, ...],
+        gram: tuple[tuple[int, ...], ...], canonical: tuple[int, ...],
+        chi: int, ample_ref: tuple[int, ...] | None = None,
+        kind: str = "generic", effective_labels: tuple[str, ...] = (),
+    ):
+        n = len(labels)
         if n == 0:
             raise ModelError("model needs at least one basis label")
-        if len(set(self.labels)) != n:
+        if len(set(labels)) != n:
             raise ModelError("duplicate basis labels")
-        if len(self.gram) != n or any(len(row) != n for row in self.gram):
+        if len(gram) != n or any(len(row) != n for row in gram):
             raise ModelError(f"gram must be {n}x{n}")
         for i in range(n):
             for j in range(n):
-                v = self.gram[i][j]
+                v = gram[i][j]
                 if not isinstance(v, int) or isinstance(v, bool):
                     raise ModelError("gram entries must be integers")
                 _check_i64(v, "gram entry")
-                if self.gram[i][j] != self.gram[j][i]:
+                if v != gram[j][i]:
                     raise ModelError("gram must be symmetric")
-        if len(self.canonical) != n:
+        if len(canonical) != n:
             raise ModelError("canonical class has wrong length")
-        if self.ample_ref is not None and len(self.ample_ref) != n:
+        if ample_ref is not None and len(ample_ref) != n:
             raise ModelError("ample_ref has wrong length")
-        unknown = set(self.effective_labels) - set(self.labels)
+        unknown = set(effective_labels) - set(labels)
         if unknown:
             raise ModelError(f"effective_labels not in basis: {sorted(unknown)}")
+        _set(self, "name", name)
+        _set(self, "labels", labels)
+        _set(self, "gram", gram)
+        _set(self, "canonical", canonical)
+        _set(self, "chi", chi)
+        _set(self, "ample_ref", ample_ref)
+        _set(self, "kind", kind)
+        _set(self, "effective_labels", effective_labels)
 
     @property
     def rank(self):
@@ -158,24 +200,32 @@ def load_model(path):
     return model_from_json_dict(doc)
 
 
-@dataclass(frozen=True)
-class DivClass:
+class DivClass(_Record):
     """An integer divisor class in a fixed LatticeModel.
 
     Every coordinate is checked against the 64-bit envelope on
-    construction, so arithmetic results need no guard of their own.
+    construction, so arithmetic results need no guard of their own. Two
+    classes are equal when their coordinates and model names are, so
+    classes of separately built copies of one model compare equal.
     """
 
-    model: LatticeModel = field(compare=False)
-    coords: tuple[int, ...]
-    _model_name: str = field(default="", compare=True, repr=False)
+    __slots__ = ("model", "coords")
 
-    def __post_init__(self):
-        if len(self.coords) != self.model.rank:
+    def __init__(self, model: LatticeModel, coords: tuple[int, ...]):
+        if len(coords) != model.rank:
             raise ModelError("coordinate length does not match model rank")
-        for c in self.coords:
+        for c in coords:
             _check_i64(c, "coordinate")
-        object.__setattr__(self, "_model_name", self.model.name)
+        _set(self, "model", model)
+        _set(self, "coords", coords)
+
+    def __eq__(self, other):
+        if other.__class__ is not DivClass:
+            return NotImplemented
+        return self.coords == other.coords and self.model.name == other.model.name
+
+    def __hash__(self):
+        return hash((self.coords, self.model.name))
 
     def _require_same_model(self, other):
         if self.model is not other.model and self.model.name != other.model.name:
@@ -336,13 +386,21 @@ def is_nondegenerate(model: LatticeModel) -> bool:
 # Hodge-index filter
 
 
-@dataclass(frozen=True)
-class HodgeResult:
-    outcome: str  # pass | equality_case | fail | fail_by_integrality
-    lhs: int  # (L.C)^2
-    rhs: int  # L^2 C^2
-    lam: Fraction | None = None
-    note: str = ""
+class HodgeResult(_Record):
+    """outcome is pass, equality_case, fail or fail_by_integrality; lhs is
+    (L.C)^2 and rhs is L^2 C^2."""
+
+    __slots__ = ("outcome", "lhs", "rhs", "lam", "note")
+
+    def __init__(
+        self, outcome: str, lhs: int, rhs: int,
+        lam: Fraction | None = None, note: str = "",
+    ):
+        _set(self, "outcome", outcome)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "lam", lam)
+        _set(self, "note", note)
 
     @property
     def keeps(self):
@@ -388,23 +446,6 @@ def hodge_filter(L: DivClass, C: DivClass) -> HodgeResult:
         "fail_by_integrality", lhs, rhs, lam,
         note=f"equality holds but C = {lam} L has no integral solution",
     )
-
-
-def in_positive_cone(D: DivClass) -> dict:
-    """Necessary-condition proxy for lying in the closed positive cone.
-
-    Checks D^2 >= 0 and D.ample_ref >= 0. This is not sufficient (the
-    actual cone needs all curve pairings), so the result carries a note.
-    """
-    amp = D.model.ample_class
-    ap = pair(D, amp) if amp is not None else None
-    ok = pair(D, D) >= 0 and (ap is None or ap >= 0)
-    return {
-        "ok": ok,
-        "square": pair(D, D),
-        "ample_pairing": ap,
-        "note": "necessary conditions only",
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -687,45 +728,3 @@ def isotropic_search(model: LatticeModel, target: DivClass, box_bound: int):
     walk(0, 0, [0] * n)
     found.sort(key=lambda fv: (fv[1], fv[0].coords))
     return found
-
-
-# ---------------------------------------------------------------------------
-# orthogonality criterion for pairs of (caller-asserted) effective classes
-
-
-@dataclass(frozen=True)
-class Lemma10Result:
-    outcome: str  # positive | proportional_isotropic | violation
-    product: int
-    common_f: DivClass | None = None
-    multipliers: tuple[int, int] | None = None
-    note: str = ""
-
-
-def check_lemma10(A: DivClass, B: DivClass) -> Lemma10Result:
-    """Grade A.B for two classes the caller asserts are effective and of
-    nonnegative square.
-
-    positive when A.B > 0. When A.B = 0 the only consistent configuration
-    is A and B being positive integer multiples of one primitive isotropic
-    class; that witness is extracted by gcd. Anything else (A.B < 0, or a
-    zero pairing with no witness) grades as violation, which signals the
-    effectiveness assertion was wrong or the lattice is degenerate.
-    """
-    ab = pair(A, B)
-    if ab > 0:
-        return Lemma10Result("positive", ab)
-    if ab < 0:
-        return Lemma10Result("violation", ab, note="negative pairing")
-    pa, ma = A.primitive_part()
-    pb, mb = B.primitive_part()
-    if ma == 0 or mb == 0:
-        return Lemma10Result("violation", 0, note="zero class supplied")
-    if pa.coords == pb.coords and ma > 0 and mb > 0 and pair(pa, pa) == 0:
-        return Lemma10Result(
-            "proportional_isotropic", 0, common_f=pa, multipliers=(ma, mb)
-        )
-    return Lemma10Result(
-        "violation", 0,
-        note="zero pairing without a common primitive isotropic class",
-    )

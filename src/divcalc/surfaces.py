@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import os
 import re
-from dataclasses import dataclass
 
 from .errors import (
     ModelError,
@@ -32,6 +31,8 @@ from .errors import (
 from .lattice import (
     DivClass,
     LatticeModel,
+    _Record,
+    _set,
     _slicer,
     isotropic_search,
     load_model,
@@ -165,8 +166,7 @@ def get_surface(name: str) -> LatticeModel:
 # isotropic configurations
 
 
-@dataclass(frozen=True)
-class IsotropicConfig:
+class IsotropicConfig(_Record):
     """Labeled isotropic classes with a symmetric pairing table.
 
     The diagonal is zero by construction; off-diagonal pairings must be
@@ -174,21 +174,24 @@ class IsotropicConfig:
     decomposition pieces).
     """
 
-    labels: tuple[str, ...]
-    table: tuple[tuple[int, ...], ...]
+    __slots__ = ("labels", "table")
 
-    def __post_init__(self):
-        n = len(self.labels)
-        if len(self.table) != n or any(len(r) != n for r in self.table):
+    def __init__(
+        self, labels: tuple[str, ...], table: tuple[tuple[int, ...], ...]
+    ):
+        n = len(labels)
+        if len(table) != n or any(len(r) != n for r in table):
             raise ModelError("pairing table size does not match labels")
         for i in range(n):
-            if self.table[i][i] != 0:
+            if table[i][i] != 0:
                 raise ModelError("pairing table must have zero diagonal")
             for j in range(n):
-                if self.table[i][j] != self.table[j][i]:
+                if table[i][j] != table[j][i]:
                     raise ModelError("pairing table must be symmetric")
-                if self.table[i][j] < 0:
+                if table[i][j] < 0:
                     raise ModelError("pairing table entries must be >= 0")
+        _set(self, "labels", labels)
+        _set(self, "table", table)
 
     def to_surface(self, name="config") -> LatticeModel:
         return LatticeModel(
@@ -282,12 +285,17 @@ def mod4_condition(L: DivClass, M: DivClass) -> bool:
 # phi invariant
 
 
-@dataclass(frozen=True)
-class PhiResult:
-    value: int
-    witness: DivClass
-    certified: bool
-    notes: tuple[str, ...] = ()
+class PhiResult(_Record):
+    __slots__ = ("value", "witness", "certified", "notes")
+
+    def __init__(
+        self, value: int, witness: DivClass, certified: bool,
+        notes: tuple[str, ...] = (),
+    ):
+        _set(self, "value", value)
+        _set(self, "witness", witness)
+        _set(self, "certified", certified)
+        _set(self, "notes", notes)
 
     def to_json_dict(self):
         return {
@@ -361,12 +369,17 @@ def phi(
 # quasi-nef grading
 
 
-@dataclass(frozen=True)
-class QuasiNefResult:
-    status: str  # nef | quasi_nef | violated
-    min_pairing: int | None
-    witness: DivClass | None
-    notes: tuple[str, ...] = ()
+class QuasiNefResult(_Record):
+    __slots__ = ("status", "min_pairing", "witness", "notes")
+
+    def __init__(
+        self, status: str, min_pairing: int | None,
+        witness: DivClass | None, notes: tuple[str, ...] = (),
+    ):
+        _set(self, "status", status)  # nef | quasi_nef | violated
+        _set(self, "min_pairing", min_pairing)
+        _set(self, "witness", witness)
+        _set(self, "notes", notes)
 
     def to_json_dict(self):
         return {
@@ -429,15 +442,21 @@ def quasi_nef_test(L: DivClass, nodal_set) -> QuasiNefResult:
 # scroll invariants
 
 
-@dataclass(frozen=True)
-class ScrollInvariants:
-    g: int
-    b1: int
-    b2: int
-    degV: int
-    degY: int
-    pa_hyperplane: int
-    n2_holds: bool
+class ScrollInvariants(_Record):
+    __slots__ = ("g", "b1", "b2", "degV", "degY", "pa_hyperplane",
+                 "n2_holds")
+
+    def __init__(
+        self, g: int, b1: int, b2: int, degV: int, degY: int,
+        pa_hyperplane: int, n2_holds: bool,
+    ):
+        _set(self, "g", g)
+        _set(self, "b1", b1)
+        _set(self, "b2", b2)
+        _set(self, "degV", degV)
+        _set(self, "degY", degY)
+        _set(self, "pa_hyperplane", pa_hyperplane)
+        _set(self, "n2_holds", n2_holds)
 
     def to_json_dict(self):
         return {

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from divcalc.criteria import (
     GaussianInput,
+    GaussianVerdict,
     b2_rule_enriques,
     check_bel,
     check_cliff_criterion,
@@ -160,6 +161,17 @@ class TestInputValidation:
     def test_phi_square_bound(self):
         with pytest.raises(RangeError):
             _inp(phi=4, L2=12)
+
+    @pytest.mark.parametrize("l2", [4.0, True, "4"])
+    def test_l2_must_be_an_integer(self, l2):
+        with pytest.raises(RangeError, match="L2 must be an integer"):
+            GaussianInput(g=3, L2=l2, phi=2, h0_residual=0)
+
+    def test_dict_defaults_are_fresh(self):
+        a, b = GaussianInput(g=3), GaussianInput(g=3)
+        assert a.aux_h0 == {} and a.aux_h0 is not b.aux_h0
+        v, w = (GaussianVerdict("NO_CONCLUSION", "main") for _ in range(2))
+        assert v.inputs_echo == {} and v.inputs_echo is not w.inputs_echo
 
     def test_echo_round_trip(self):
         inp = _inp(h0_residual=1)

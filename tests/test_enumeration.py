@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 
@@ -8,6 +7,7 @@ from divcalc import lattice
 from divcalc.divexpr import render, resolve
 from divcalc.enumeration import (
     FIXTURES,
+    CaseFixture,
     cs_filter,
     enumerate_bogreider,
     enumerate_destab,
@@ -376,8 +376,19 @@ class TestFixtureCatalog:
         # force a divergence by expecting one survivor the search cannot
         # produce
         fx = FIXTURES["g1kondelp-b"]
-        monkeypatch.setitem(FIXTURES, "g1kondelp-b", dataclasses.replace(
-            fx, expected=fx.expected + (("H", 0),)))
+        monkeypatch.setitem(FIXTURES, "g1kondelp-b", CaseFixture(
+            case_id=fx.case_id,
+            kind=fx.kind,
+            surface=fx.surface,
+            curve=fx.curve,
+            k=fx.k,
+            mod4=fx.mod4,
+            expected=fx.expected + (("H", 0),),
+            golden=fx.golden,
+            killed=fx.killed,
+            identities=fx.identities,
+            notes=fx.notes,
+        ))
         rep = verify_case("g1kondelp-b")
         assert rep.status == "FAIL"
         assert any("missing" in t for t in rep.trace)

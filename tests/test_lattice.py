@@ -1,6 +1,8 @@
+import copy
 import json
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -12,6 +14,8 @@ from hypothesis import strategies as st
 
 import divcalc
 from divcalc import lattice
+from divcalc.criteria import GaussianInput, check_main_theorem
+from divcalc.enumeration import enumerate_bogreider
 from divcalc.errors import (
     ModelError,
     ModelMismatchError,
@@ -21,11 +25,9 @@ from divcalc.errors import (
 from divcalc.lattice import (
     DivClass,
     LatticeModel,
-    check_lemma10,
     determinant,
     hodge_compare,
     hodge_filter,
-    in_positive_cone,
     is_nondegenerate,
     isotropic_search,
     load_model,
@@ -154,6 +156,71 @@ class TestDivClassAlgebra:
             2 * top
         # the envelope is symmetric, so negation alone never leaves it
         assert (-top).coords == (-(2**63 - 1),)
+
+
+class TestRecords:
+    """The value types are slotted, read-only records, not dataclasses."""
+
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(divcalc.__file__).parents[1]))
+        code = (
+            "import sys; before = set(sys.modules)\n"
+            "import divcalc, divcalc.cli\n"
+            "new = set(sys.modules) - before\n"
+            "print(sorted(new & {'dataclasses', 'inspect'}))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_no_dataclass_left(self):
+        import divcalc.cli
+
+        mods = [m for name, m in sys.modules.items()
+                if name == "divcalc" or name.startswith("divcalc.")]
+        assert divcalc.cli in mods
+        classes = [v for m in mods for v in vars(m).values()
+                   if isinstance(v, type) and v.__module__.startswith("divcalc")]
+        assert DivClass in classes and lattice._Record in classes
+        assert [c for c in classes if hasattr(c, "__dataclass_fields__")] == []
+
+    def test_divclass_compares_on_coords_and_model_name(self):
+        a, b = sigma(2), sigma(2)
+        assert a is not b
+        x, y = a.klass((1, -1, 0)), b.klass((1, -1, 0))
+        assert x == y and hash(x) == hash(y)
+        assert x != a.klass((1, 0, -1))
+        other = model_from_json_dict(a.to_json_dict(), name="other")
+        z = other.klass((1, -1, 0))
+        assert x != z and z != x
+        assert len({x, y, z}) == 2
+
+    def test_records_are_read_only(self):
+        m = sigma(1)
+        D = m.klass((1, 0))
+        res = enumerate_bogreider(m, m.klass((3, -1)), 2)
+        for obj, name in ((D, "coords"), (m, "name"), (res, "visited"),
+                          (hodge_filter(D, 2 * D), "outcome")):
+            before = getattr(obj, name)
+            with pytest.raises(AttributeError):
+                setattr(obj, name, before)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+            with pytest.raises(AttributeError):
+                obj.extra = 1
+            assert getattr(obj, name) is before
+
+    def test_copy_and_pickle_rebuild_equal_records(self):
+        m = sigma(2)
+        verdict = check_main_theorem(
+            GaussianInput(g=7, L2=12, phi=2, degM=8, h1M=0, h0_residual=1))
+        cfg = get_config("pencil-pair-1")
+        for obj in (m, m.klass((1, -1, 0)), verdict, cfg):
+            for twin in (copy.copy(obj), copy.deepcopy(obj),
+                         pickle.loads(pickle.dumps(obj))):
+                assert type(twin) is type(obj) and twin == obj
 
 
 @given(
@@ -482,37 +549,6 @@ class TestHodge:
         L = m.klass((1, 0, 0, 0))
         r = hodge_filter(L, 4 * L)
         assert r.outcome == "equality_case" and r.lam == 4
-
-
-class TestLemma10:
-    def test_positive(self):
-        cfg = get_config("pencil-pair-1").to_surface("pp1")
-        A = cfg.model.klass((1, 0))
-        B = cfg.model.klass((0, 1))
-        r = check_lemma10(A, B)
-        assert r.outcome == "positive" and r.product == 1
-
-    def test_proportional_isotropic(self):
-        cfg = get_config("pencil-pair-1").to_surface("pp1")
-        F = cfg.model.klass((1, 0))
-        r = check_lemma10(2 * F, 3 * F)
-        assert r.outcome == "proportional_isotropic"
-        assert r.common_f.coords == (1, 0)
-        assert r.multipliers == (2, 3)
-
-    def test_violation(self):
-        m = sigma(1).model
-        A = m.klass((0, 1))
-        r = check_lemma10(A, A)
-        assert r.outcome == "violation"
-
-
-def test_in_positive_cone_keys():
-    m = sigma(1).model
-    r = in_positive_cone(m.klass((1, 0)))
-    assert r["ok"] and r["square"] == 1 and r["ample_pairing"] == 3
-    r2 = in_positive_cone(m.klass((0, 1)))
-    assert not r2["ok"]
 
 
 class TestReflection:
