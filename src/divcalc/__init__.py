@@ -24,7 +24,6 @@ from .lattice import (
     HodgeResult,
     LatticeModel,
     determinant,
-    hodge_compare,
     hodge_filter,
     isotropic_search,
     load_model,
@@ -65,7 +64,6 @@ from .enumeration import (
     DestabResult,
     EnumerationResult,
     FIXTURES,
-    cs_filter,
     enumerate_bogreider,
     enumerate_destab,
     explain_candidate,

@@ -4,10 +4,12 @@ The central search: given a curve class C and a subscheme length k, find
 every splitting C = L + M whose numeric invariants could carry a complete
 base-point free pencil of degree k on a general curve in |C|. The filters
 are the decomposition constraints (pairing bounds, residual degree, sign
-conditions, the mod-4 residual parity where it applies, the index-theorem
-comparison with exact equality resolution). Survivors the source analysis
-goes on to kill by geometry are kept and flagged, never silently dropped;
-the lattice can only prove what the lattice sees.
+conditions, the mod-4 residual parity where it applies). The Hodge index
+inequality (L.C)^2 >= L^2 C^2 is no filter: it holds for every candidate
+on the hyperbolic lattices the search accepts, and a survivor that meets
+it with equality, C a multiple of L, carries a note. Survivors the source
+analysis goes on to kill by geometry are kept and flagged, never silently
+dropped; the lattice can only prove what the lattice sees.
 
 A second, fixed-size search grades the sixteen candidate destabilizing
 splittings of a rank-2 bundle on the ruled quadric model.
@@ -20,19 +22,19 @@ verify_case replays any of them.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from importlib import resources
 from operator import mul
 
 from .divexpr import render, resolve
-from .errors import FixtureError, ModelError, RangeError
+from .errors import FixtureError, RangeError
 from .lattice import (
     DivClass,
     LatticeModel,
     _Record,
+    _require_model,
     _set,
     _slicer,
-    hodge_compare,
-    hodge_filter,
     pair,
 )
 from .surfaces import (
@@ -184,30 +186,13 @@ def _stage_eval(model, C, C2, k, L, apply_mod4):
     else:
         passed("mod4", "skip: parity flag off")
 
+    # No Hodge stage: on the signature-(1, r - 1) lattices that _slicer
+    # accepts, L^2 > 0 and C^2 > 0 give (L.C)^2 >= L^2 C^2, with equality
+    # only for C = (L.C / L^2) L. L^2 > 0 holds there, as L.C >= k >= 2.
     notes = []
-    if model.kind == "sigma":
-        n = model.rank - 1
-        a = L.coords[0]
-        LK = sum(map(mul, GL, model.canonical))
-        if (3 * a + LK) ** 2 > n * (a * a - L2):
-            return failed(
-                "cs2", f"(3a + L.K)^2 = {(3 * a + LK) ** 2} > n(a^2 - L^2)"
-            )
-        passed("cs2")
-
-    if L2 > 0:
-        outcome, note = hodge_compare(L2, C2, LC), ""
-        if outcome == "equality_case":  # settled on the classes themselves
-            h = hodge_filter(L, C)
-            outcome, note = h.outcome, h.note
-        if outcome in ("fail", "fail_by_integrality"):
-            return failed("hodge", f"{outcome}: {LC * LC} vs {L2 * C2}")
-        passed("hodge", f"equality: {note}" if note else "pass")
-        if note:
-            notes.append(note)
-    else:
-        passed("hodge", "skip: L^2 = 0")
-
+    if L2 * C2 == LC * LC:
+        lam = Fraction(LC, L2)
+        notes.append(f"equality with integral proportionality C = {lam} L")
     z = k - ML
     if z > 0:
         notes.append(f"residual subscheme of length {z}")
@@ -218,8 +203,9 @@ def _stage_eval(model, C, C2, k, L, apply_mod4):
     return dec, trace
 
 
-def _slices(C, k):
+def _slices(surface, C, k):
     """The search's refusals, then its per-curve slice walk (_slicer)."""
+    _require_model(surface, C)
     if k < 2:
         raise RangeError(f"pencil degree k must be >= 2, got {k}")
     return _slicer(C)
@@ -244,12 +230,12 @@ def enumerate_bogreider(
     q >= 0 and L != 0 hold too), so the classes that can pass them are
     the union of those slices {L : L.C = s, L^2 = q}, each finite when
     C^2 > 0 on a hyperbolic lattice (slice_points). Other inputs raise
-    ModelError, and k < 2 raises RangeError. The slice walk is set up
-    once per search. Every slice point still runs through all the
-    stages, so visited counts slice points and traces match
-    explain_candidate.
+    ModelError, k < 2 raises RangeError, and a C from another model
+    raises ModelMismatchError. The slice walk is set up once per search.
+    Every slice point still runs through all the stages, so visited
+    counts slice points and traces match explain_candidate.
     """
-    points = _slices(C, k)
+    points = _slices(surface, C, k)
     apply_mod4 = _auto_mod4(surface, C) if mod4 is None else mod4
     C2 = pair(C, C)
 
@@ -281,32 +267,15 @@ def explain_candidate(surface, C, k, coords, mod4: bool | None = None):
     """Full filter trace for one candidate, visited by the search or not.
 
     Refuses what enumerate_bogreider refuses (RangeError for k < 2,
-    ModelError when C^2 <= 0 or the slices of C can be infinite), so no
-    trace describes a search that could never run.
+    ModelError when C^2 <= 0 or the slices of C can be infinite,
+    ModelMismatchError for a C from another model), so no trace describes
+    a search that could never run.
     """
-    _slices(C, k)
+    _slices(surface, C, k)
     apply_mod4 = _auto_mod4(surface, C) if mod4 is None else mod4
     L = surface.klass(coords)
     dec, trace = _stage_eval(surface, C, pair(C, C), k, L, apply_mod4)
     return dec, list(trace)
-
-
-def cs_filter(surface: LatticeModel, L: DivClass) -> bool:
-    """Sign conditions plus the coordinate-sanity inequality on a plane
-    blow-up. Returns False for L^2 < 0 by convention (the caller's other
-    filters reject those anyway)."""
-    if surface.kind != "sigma":
-        raise ModelError("cs_filter applies to the sigma models")
-    L2 = pair(L, L)
-    if L2 < 0:
-        return False
-    pairings = [pair(L, surface.basis_class(lab)) for lab in surface.labels]
-    if any(v < 0 for v in pairings):
-        return False
-    n = surface.rank - 1
-    a = pairings[0]
-    LK = pair(L, surface.canonical_class)
-    return (3 * a + LK) ** 2 <= n * (a * a - L2)
 
 
 # ---------------------------------------------------------------------------

@@ -227,22 +227,15 @@ class DivClass(_Record):
     def __hash__(self):
         return hash((self.coords, self.model.name))
 
-    def _require_same_model(self, other):
-        if self.model is not other.model and self.model.name != other.model.name:
-            raise ModelMismatchError(
-                f"classes live in different models "
-                f"({self.model.name} vs {other.model.name})"
-            )
-
     def __add__(self, other):
-        self._require_same_model(other)
+        _require_model(self.model, other)
         return DivClass(
             self.model,
             tuple(a + b for a, b in zip(self.coords, other.coords)),
         )
 
     def __sub__(self, other):
-        self._require_same_model(other)
+        _require_model(self.model, other)
         return DivClass(
             self.model,
             tuple(a - b for a, b in zip(self.coords, other.coords)),
@@ -289,9 +282,18 @@ class DivClass(_Record):
         return DivClass(self.model, prim), sign * g
 
 
+def _require_model(model: LatticeModel, D: DivClass):
+    """Raise ModelMismatchError unless D lives in model: the same object,
+    or a model of the same name."""
+    if model is not D.model and model.name != D.model.name:
+        raise ModelMismatchError(
+            f"classes live in different models ({model.name} vs {D.model.name})"
+        )
+
+
 def pair(a: DivClass, b: DivClass) -> int:
     """Intersection pairing a . b, exact."""
-    a._require_same_model(b)
+    _require_model(a.model, b)
     gram = a.model.gram
     total = 0
     for i, ai in enumerate(a.coords):
@@ -407,35 +409,22 @@ class HodgeResult(_Record):
         return self.outcome in ("pass", "equality_case")
 
 
-def hodge_compare(l2: int, c2: int, lc: int) -> str:
-    """Sign-only comparison (L.C)^2 vs L^2 C^2 on abstract invariants.
-
-    Callers with actual classes should use hodge_filter, which also settles
-    the equality case by integral proportionality.
-    """
-    if l2 <= 0 or c2 <= 0:
-        raise ModelError("hodge comparison needs L^2 > 0 and C^2 > 0")
-    lhs, rhs = lc * lc, l2 * c2
-    if lhs > rhs:
-        return "pass"
-    if lhs < rhs:
-        return "fail"
-    return "equality_case"
-
-
 def hodge_filter(L: DivClass, C: DivClass) -> HodgeResult:
     """Test (L.C)^2 >= L^2 C^2 and settle equality by exact proportionality.
 
-    Equality forces C = lambda L with lambda = (L.C)/L^2 over Q on any
-    nondegenerate signature-(1,k) lattice; when that lambda does not carry
-    C integrally onto a multiple of L the outcome is fail_by_integrality.
-    Preconditions L^2 > 0 and C^2 > 0 are the caller's branch.
+    The Hodge index theorem (Hartshorne, Algebraic Geometry, Thm V.1.9)
+    on two classes with L^2 > 0 and C^2 > 0, else ModelError. On a
+    nondegenerate signature-(1, k) lattice it always keeps, and equality
+    forces C = lambda L with lambda = (L.C)/L^2, so the fail and
+    fail_by_integrality outcomes need other forms. The decomposition
+    search does not call it.
     """
     l2, c2, lc = pair(L, L), pair(C, C), pair(L, C)
-    verdict = hodge_compare(l2, c2, lc)
+    if l2 <= 0 or c2 <= 0:
+        raise ModelError("hodge comparison needs L^2 > 0 and C^2 > 0")
     lhs, rhs = lc * lc, l2 * c2
-    if verdict != "equality_case":
-        return HodgeResult(verdict, lhs, rhs)
+    if lhs != rhs:
+        return HodgeResult("pass" if lhs > rhs else "fail", lhs, rhs)
     lam = Fraction(lc, l2)
     if all(lam * a == c for a, c in zip(L.coords, C.coords)):
         return HodgeResult(

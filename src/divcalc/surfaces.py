@@ -32,6 +32,7 @@ from .lattice import (
     DivClass,
     LatticeModel,
     _Record,
+    _require_model,
     _set,
     _slicer,
     isotropic_search,
@@ -328,7 +329,10 @@ def phi(
     the box. It is never certified, since a class outside the box may
     pair lower; it raises PhiBoundError when the box cannot witness the
     invariant.
+
+    An L from another model raises ModelMismatchError.
     """
+    _require_model(surface, L)
     L2 = pair(L, L)
     if L2 <= 0:
         raise RangeError(f"phi needs L^2 > 0, got {L2}")

@@ -117,13 +117,18 @@ def brute_slice(gram, C, s, qlo, qhi, box):
     return sorted(found)
 
 
-def brute_survivors(surface_key, C, k, box=None, mod4=True):
+def brute_survivors(surface, C, k, box=None, mod4=True):
     """Scan the full box [-box, box]^r and keep coordinate vectors L passing
     every predicate of the decomposition test, evaluated literally in one go.
 
+    surface is a key of ORACLE_SURFACES, or a raw gram (list of rows) of a
+    lattice with no effective classes, which has no sign predicate.
     Returns a set of (coords tuple, z) with z = k - M.L the residual length.
     """
-    gram, _K, signmode = ORACLE_SURFACES[surface_key]
+    if isinstance(surface, str):
+        gram, _K, signmode = ORACLE_SURFACES[surface]
+    else:
+        gram, signmode = surface, None
     G = np.array(gram, dtype=np.int64)
     Cv = np.array(C, dtype=np.int64)
     r = len(Cv)
@@ -158,7 +163,7 @@ def brute_survivors(surface_key, C, k, box=None, mod4=True):
         keep &= degD >= 0
         if signmode == "basis":
             keep &= np.all(LG >= 0, axis=1)
-        else:
+        elif signmode == "orthant":
             keep &= np.all(L >= 0, axis=1)
         if signmode == "basis":
             # coordinate-sanity bound: (sum b_i)^2 <= n * sum b_i^2

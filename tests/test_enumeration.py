@@ -8,7 +8,6 @@ from divcalc.divexpr import render, resolve
 from divcalc.enumeration import (
     FIXTURES,
     CaseFixture,
-    cs_filter,
     enumerate_bogreider,
     enumerate_destab,
     explain_candidate,
@@ -17,16 +16,23 @@ from divcalc.enumeration import (
     verify_all,
     verify_case,
 )
-from divcalc.errors import FixtureError, ModelError, RangeError
-from divcalc.lattice import LatticeModel, pair
+from divcalc.errors import (
+    FixtureError,
+    ModelError,
+    ModelMismatchError,
+    RangeError,
+)
+from divcalc.lattice import LatticeModel, model_from_json_dict, pair
 from divcalc.surfaces import enriques, get_surface
 
 from oracle_bruteforce import (
     ORACLE_CASES,
     ORACLE_SURFACES,
     brute_survivors,
+    slice_box,
     survivor_box,
 )
+from test_lattice import _hyperbolic_gram, _model
 
 
 def _pencil_fixture_ids():
@@ -84,7 +90,7 @@ def test_survivor_ordering_and_payload():
     for d in res.survivors:
         assert d.z == 6 - d.ML
         assert d.deg_D == d.L2 + d.ML - 6
-        assert d.filter_trace[-1][0] in ("hodge",)
+        assert d.filter_trace[-1][0] == "mod4"
         doc = d.to_json_dict()
         assert doc["L"] == render(d.L)
 
@@ -112,7 +118,7 @@ def test_explain_candidate_survivor_trace():
     names = [n for n, _ in trace]
     assert names == [
         "nonzero", "sign", "L2_nonneg", "ML_ge_L2", "ML_le_k",
-        "degD_nonneg", "mod4", "hodge",
+        "degD_nonneg", "mod4",
     ]
 
 
@@ -137,7 +143,7 @@ def test_envelope_miss_passes_every_stage():
     assert dec is not None and dec.z == 0
     assert [n for n, _ in trace] == [
         "nonzero", "sign", "L2_nonneg", "ML_ge_L2", "ML_le_k",
-        "degD_nonneg", "mod4", "cs2", "hodge",
+        "degD_nonneg", "mod4",
     ]
     assert not any(d.startswith("fail") for _, d in trace)
 
@@ -190,6 +196,78 @@ def test_explain_candidate_refuses_what_the_search_refuses():
     blq = get_surface("blq")
     with pytest.raises(ModelError):  # C^2 = 0
         explain_candidate(blq, resolve("f", blq), 4, (0, 1))
+
+
+def test_search_refuses_a_curve_from_another_model():
+    s2, s3 = get_surface("sigma2"), get_surface("sigma3")
+    with pytest.raises(ModelMismatchError):
+        enumerate_bogreider(s3, resolve("-2K", s2), 4)
+    blq = get_surface("blq")
+    with pytest.raises(ModelMismatchError):
+        enumerate_bogreider(s2, resolve("-2K", blq), 4)
+
+
+def test_explain_candidate_refuses_a_curve_from_another_model():
+    s2, s3 = get_surface("sigma2"), get_surface("sigma3")
+    with pytest.raises(ModelMismatchError):
+        explain_candidate(s3, resolve("-2K", s2), 4, (1, 1, 0, 0))
+
+
+def test_sigma_model_with_h_not_first_keeps_its_survivors():
+    # sigma3 with its basis listed as (G1, H, G2, G3): the search reads
+    # pairings, never a coordinate position, so it finds the survivors
+    # of sigma3 with their coordinates permuted the same way
+    surf = get_surface("sigma3")
+    perm = (1, 0, 2, 3)
+    doc = surf.to_json_dict()
+    moved = model_from_json_dict({
+        "name": "sigma3-G1-first",
+        "kind": "sigma",
+        "basis": [doc["basis"][i] for i in perm],
+        "gram": [[doc["gram"][i][j] for j in perm] for i in perm],
+        "canonical": [doc["canonical"][i] for i in perm],
+        "ample_ref": [doc["ample_ref"][i] for i in perm],
+        "chi": doc["chi"],
+    })
+    assert moved.labels[:2] == ("G1", "H")
+    for k in (4, 5, 6, 8):
+        want = enumerate_bogreider(surf, resolve("-2K", surf), k)
+        got = enumerate_bogreider(moved, resolve("-2K", moved), k)
+        assert got.mod4_applied and got.survivors
+        assert {(tuple(d.L.coords[i] for i in perm), d.z)
+                for d in want.survivors} == {
+            (d.L.coords, d.z) for d in got.survivors}, k
+
+
+def test_survivors_match_oracle_on_random_hyperbolic_models():
+    # no effective classes, so no sign stage: the oracle's literal
+    # index-theorem predicate is the one that could still reject here
+    rng = random.Random(4)
+    seen = set()
+    for trial in range(400):
+        r, even = rng.randint(3, 4), trial % 2 == 0
+        gram = _hyperbolic_gram(rng, r, even)
+        C = tuple(rng.randint(-3, 3) for _ in range(r))
+        if trial % 3 == 0:
+            C = tuple(2 * c for c in C)
+        m = _model(gram)  # kind generic, no effective classes
+        if pair(m.klass(C), m.klass(C)) <= 0:
+            continue
+        k, mod4 = rng.randint(2, 5), trial % 4 < 2
+        box = slice_box(gram, C, 2 * k, 0)
+        if (2 * box + 1) ** r > 2 * 10**5:
+            continue
+        res = enumerate_bogreider(m, m.klass(C), k, mod4=mod4)
+        got = {(d.L.coords, d.z) for d in res.survivors}
+        assert got == brute_survivors(gram, C, k, box=box, mod4=mod4), (
+            gram, C, k, mod4)
+        seen |= {f"rank {r}", "even" if even else "odd",
+                 "survivors" if got else "none"}
+        if any(n.startswith("equality") for d in res.survivors
+               for n in d.notes):
+            seen.add("equality")
+    assert seen == {"rank 3", "rank 4", "even", "odd", "survivors", "none",
+                    "equality"}
 
 
 def test_search_sets_up_the_slice_walk_once(monkeypatch):
@@ -306,15 +384,6 @@ def test_heavier_work_counts_are_pinned():
         res = enumerate_bogreider(surf, C, k)
         assert res.mod4_applied
         assert (res.visited, len(res.survivors), res.rejected) == want, k
-
-
-def test_cs_filter():
-    s2 = get_surface("sigma2")
-    assert cs_filter(s2, resolve("H", s2))
-    assert not cs_filter(s2, resolve("G1", s2))  # negative square
-    assert not cs_filter(s2, resolve("H-2G1", s2))
-    with pytest.raises(ModelError):
-        cs_filter(get_surface("blq"), get_surface("blq").model.klass((1, 0)))
 
 
 class TestDestab:

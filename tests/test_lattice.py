@@ -26,7 +26,6 @@ from divcalc.lattice import (
     DivClass,
     LatticeModel,
     determinant,
-    hodge_compare,
     hodge_filter,
     is_nondegenerate,
     isotropic_search,
@@ -500,12 +499,12 @@ class TestIsotropicSearch:
 
 
 class TestHodge:
-    def test_compare_outcomes(self):
-        assert hodge_compare(2, 2, 3) == "pass"
-        assert hodge_compare(2, 2, 2) == "equality_case"
-        assert hodge_compare(4, 4, 3) == "fail"
-        with pytest.raises(ModelError):
-            hodge_compare(0, 2, 1)
+    def test_filter_needs_positive_squares(self):
+        m = sigma(1).model
+        with pytest.raises(ModelError):  # L^2 = 0
+            hodge_filter(m.klass((1, -1)), m.klass((6, -2)))
+        with pytest.raises(ModelError):  # C^2 = -1
+            hodge_filter(m.klass((1, 0)), m.klass((0, 1)))
 
     def test_filter_pass_and_equality(self):
         m = sigma(1).model

@@ -1,0 +1,54 @@
+"""What the benchmark harness in perfbench/ reads of divcalc.
+
+perfbench/tracing.py rebinds divcalc functions by name and the worker
+runs one boxed phi op, so a rename or removal there would only show up
+in a traced benchmark run. These tests load the tracer from its file,
+unchanged, and check every name and call it depends on.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import divcalc
+from divcalc.enumeration import explain_candidate
+from divcalc.surfaces import enriques, phi
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_every_traced_name_resolves():
+    tracing = _tracing()
+    for short, funcs in tracing.TRACED.items():
+        mod = importlib.import_module(f"divcalc.{short}")
+        for fname in funcs:
+            assert callable(getattr(mod, fname, None)), f"{short}.{fname}"
+
+
+def test_worker_entry_points_resolve():
+    for name in ("enriques", "enumerate_bogreider", "get_surface", "phi",
+                 "resolve", "verify_all"):
+        assert callable(getattr(divcalc, name, None)), name
+    assert callable(importlib.import_module("divcalc.cli").main)
+
+
+def test_traced_stages_cover_the_search():
+    tracing = _tracing()
+    surf = divcalc.get_surface("blq")
+    C = divcalc.resolve("-2K", surf)
+    _, trace = explain_candidate(surf, C, 4, (0, 1), mod4=True)
+    assert {name for name, _ in trace} <= set(tracing.STAGES)
+
+
+def test_worker_phi_op_runs():
+    surf = enriques()
+    L = surf.model.klass((1, 2, 0, 0, 0, 0, 0, 0, 0, 0))
+    res = phi(surf, L, mode="boxed", box=1)
+    assert not res.certified and res.value == 1

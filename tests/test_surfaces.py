@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from divcalc import lattice
 from divcalc.divexpr import resolve
 from divcalc.errors import (
     ModelError,
+    ModelMismatchError,
     NodalClassError,
     NonCurveClassError,
     PhiBoundError,
@@ -225,6 +227,54 @@ class TestPhi:
         L = surf.model.klass((1, 1, 1))
         with pytest.raises(PhiInvariantError):
             phi(surf, L)
+
+    def test_refuses_a_class_from_another_model(self):
+        s2, s3 = sigma(2), sigma(3)
+        with pytest.raises(ModelMismatchError):
+            phi(s3, resolve("-K", s2))
+        with pytest.raises(ModelMismatchError):
+            phi(s3, resolve("-K", s2), mode="boxed", box=1)
+
+    def test_certified_never_above_boxed_on_shipped_models(self):
+        # Boxed phi is the least |F.L| over the isotropic F in a box, so
+        # it can only be at or above the certified minimum, and equal to
+        # it when the certified witness lies in the box. A span too sparse
+        # to certify has no witness in any box either.
+        rng = random.Random(11)
+        models = [get_surface(n) for n in list_surfaces()]
+        models += [get_config(n).to_surface(n) for n in list_configs()]
+        assert len(models) == 15
+        seen = set()
+        for m in models:
+            box = 1 if m.rank >= 8 else 2
+            count = 0
+            while count < 12:
+                wide = m.rank if m.rank <= 3 else 1  # coordinates in [-8, 8]
+                L = m.klass([rng.randint(-8, 8) if i < wide
+                             else rng.randint(-2, 2) for i in range(m.rank)])
+                if not 0 < pair(L, L) <= 60:
+                    continue
+                count += 1
+                try:
+                    cert = phi(m, L)
+                except PhiInvariantError:
+                    with pytest.raises(PhiBoundError):
+                        phi(m, L, mode="boxed", box=box)
+                    seen.add("neither certifies")
+                    continue
+                in_box = max(map(abs, cert.witness.coords)) <= box
+                try:
+                    boxed = phi(m, L, mode="boxed", box=box)
+                except PhiBoundError:
+                    assert not in_box, (m.name, L.coords)
+                    seen.add("box too small")
+                    continue
+                assert cert.value <= boxed.value, (m.name, L.coords)
+                if in_box:
+                    assert cert.value == boxed.value, (m.name, L.coords)
+                seen.add("witness in box" if in_box else "witness outside")
+        assert seen == {"neither certifies", "box too small", "witness in box",
+                        "witness outside"}
 
     def test_boxed_mode_is_uncertified(self):
         e = enriques()
