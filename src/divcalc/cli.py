@@ -400,11 +400,16 @@ def build_parser() -> _Parser:
     reads, len(FIXTURES) in the verify help, is fixed once built because
     the fixture catalogue is constant. Callers must not modify the
     returned parser, since every later call shares it.
+
+    The parser's _commands maps each subcommand name to its subparser
+    (argparse's own table), so main() can hand a command's arguments
+    straight to the subparser.
     """
     parser = _Parser(prog="divcalc", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
     sub.required = True
+    parser._commands = sub.choices
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
@@ -565,10 +570,31 @@ def _fuse_expr_flags(argv):
     return out
 
 
+def _parse_args(argv):
+    """build_parser().parse_args(argv), with the root parser skipped when
+    argv starts with a subcommand.
+
+    The root parser would hand everything after the subcommand to the
+    subparser and refuse what that leaves over, which is what this does
+    without first classifying every string against the root's own options.
+    That classification can only fail on a string starting with "--=",
+    ambiguous between --help and --version, so such argv take the root path.
+    """
+    parser = build_parser()
+    sub = parser._commands.get(argv[0]) if argv else None
+    if sub is None or any(a.startswith("--=") for a in argv[1:]):
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(
+        argv[1:], argparse.Namespace(subcommand=argv[0]))
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    return args
+
+
 def main(argv=None) -> int:
     raw = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(_fuse_expr_flags(raw))
+        args = _parse_args(_fuse_expr_flags(raw))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
 

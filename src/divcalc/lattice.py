@@ -176,18 +176,21 @@ def model_from_json_dict(d, name=None):
         gram = tuple(tuple(int(v) for v in row) for row in d["gram"])
         canonical = tuple(int(v) for v in d["canonical"])
         chi = int(d["chi"])
+        amp = d.get("ample_ref")
+        ample_ref = tuple(int(v) for v in amp) if amp else None
+        kind = str(d.get("kind", "generic"))
+        effective = tuple(str(x) for x in d.get("effective", ()))
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"bad lattice definition: {exc}") from exc
-    amp = d.get("ample_ref")
     return LatticeModel(
         name=name or d.get("name", "unnamed"),
         labels=labels,
         gram=gram,
         canonical=canonical,
         chi=chi,
-        ample_ref=tuple(int(v) for v in amp) if amp else None,
-        kind=str(d.get("kind", "generic")),
-        effective_labels=tuple(d.get("effective", ())),
+        ample_ref=ample_ref,
+        kind=kind,
+        effective_labels=effective,
     )
 
 
@@ -284,11 +287,20 @@ class DivClass(_Record):
 
 def _require_model(model: LatticeModel, D: DivClass):
     """Raise ModelMismatchError unless D lives in model: the same object,
-    or a model of the same name."""
-    if model is not D.model and model.name != D.model.name:
-        raise ModelMismatchError(
-            f"classes live in different models ({model.name} vs {D.model.name})"
+    or a model with the same name, basis labels and gram, such as a
+    separately built copy. A user model that reuses a builtin's name with
+    another basis is a different model."""
+    other = D.model
+    if model is not other and (
+        model.name != other.name
+        or model.labels != other.labels
+        or model.gram != other.gram
+    ):
+        detail = (
+            f"{model.name} vs {other.name}" if model.name != other.name
+            else f"two models named {model.name} with different bases or grams"
         )
+        raise ModelMismatchError(f"classes live in different models ({detail})")
 
 
 def pair(a: DivClass, b: DivClass) -> int:

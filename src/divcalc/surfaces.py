@@ -16,6 +16,7 @@ tetragonal curves.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import re
@@ -138,15 +139,29 @@ def list_surfaces():
     return list(_BUILTIN_NAMES)
 
 
-def get_surface(name: str) -> LatticeModel:
-    """Resolve a surface by builtin name, file path, or DIVCALC_SURFACE_PATH."""
+@functools.cache
+def _builtin(name: str) -> LatticeModel:
+    """The model of one of _BUILTIN_NAMES, built on the first call."""
     if name == "enriques":
         return enriques()
     if name == "blq":
         return blq()
-    m = re.fullmatch(r"sigma([1-9])", name)
-    if m:
-        return sigma(int(m.group(1)))
+    if name == "blc6":
+        return blcn(6)
+    return sigma(int(name[len("sigma"):]))
+
+
+def get_surface(name: str) -> LatticeModel:
+    """Resolve a surface by builtin name, file path, or DIVCALC_SURFACE_PATH.
+
+    Each builtin name is built once per process and the same read-only
+    model is returned afterwards. Every other name (blcN beyond blc6, a
+    file path, a DIVCALC_SURFACE_PATH entry) is built, or read from disk,
+    on every call, as are the models of enriques(), sigma(n), blq() and
+    blcn(n).
+    """
+    if name in _BUILTIN_NAMES:
+        return _builtin(name)
     m = re.fullmatch(r"blc(\d+)", name)
     if m:
         return blcn(int(m.group(1)))
@@ -210,16 +225,15 @@ class IsotropicConfig(_Record):
 def config_from_json_dict(doc) -> IsotropicConfig:
     try:
         labels = tuple(str(x) for x in doc["labels"])
-        pairs = doc["pairs"]
-    except (KeyError, TypeError) as exc:
+        n = len(labels)
+        table = [[0] * n for _ in range(n)]
+        for entry in doc["pairs"]:
+            i, j, v = (int(x) for x in entry)
+            if not (0 <= i < n and 0 <= j < n) or i == j:
+                raise ModelError(f"bad pair entry {entry}")
+            table[i][j] = table[j][i] = v
+    except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"bad config definition: {exc}") from exc
-    n = len(labels)
-    table = [[0] * n for _ in range(n)]
-    for entry in pairs:
-        i, j, v = (int(x) for x in entry)
-        if not (0 <= i < n and 0 <= j < n) or i == j:
-            raise ModelError(f"bad pair entry {entry}")
-        table[i][j] = table[j][i] = v
     return IsotropicConfig(labels, tuple(tuple(r) for r in table))
 
 

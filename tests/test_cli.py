@@ -1,6 +1,7 @@
 import argparse
 import json
 from importlib import resources
+from unittest import mock
 
 import pytest
 from jsonschema import validate
@@ -142,6 +143,25 @@ class TestSurfaceLoading:
         )
         assert rc == 0 and rep["result"]["square"] == 4
         assert rep["surface"] == "cfg"
+
+    @pytest.mark.parametrize("argv, doc", [
+        (["phi", "--config", "{path}", "--curve", "E+F"],
+         {"labels": ["E", "F"], "pairs": [[0, 1]]}),
+        (["phi", "--config", "{path}", "--curve", "E+F"],
+         {"labels": ["E", "F"], "pairs": [[0, 1, "x"]]}),
+        (["surface", "--surface", "{path}"],
+         {"name": "toy", "basis": ["A", "B"], "gram": [[0, 1], [1, 0]],
+          "canonical": [0, 0], "chi": 1, "ample_ref": ["a", 1]}),
+    ], ids=["short-pair", "non-integer-pair", "non-integer-ample-ref"])
+    def test_malformed_file_is_a_usage_error(
+            self, capsys, tmp_path, argv, doc):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        rc = cli.main([a.format(path=p) for a in argv])
+        cap = capsys.readouterr()
+        assert rc == 1
+        assert cap.err.startswith("divcalc: error: bad ")
+        assert cap.out == ""
 
     def test_surface_path_env(self, capsys, tmp_path, monkeypatch):
         doc = {
@@ -363,3 +383,78 @@ class TestParserReuse:
             cli.main(GOOD_JSON_COMMANDS[i % len(GOOD_JSON_COMMANDS)])
         capsys.readouterr()
         assert len(built) == 20
+
+
+def _stable(out):
+    """stdout with the one varying field, a --json report's elapsed_ms,
+    taken out."""
+    try:
+        doc = json.loads(out)
+    except ValueError:
+        return out
+    doc.pop("elapsed_ms", None)
+    return doc
+
+
+def _main_through(parse, argv, capsys):
+    """main(argv) with its argument parsing done by parse: the namespaces
+    parse returned, stdout, stderr and the exit code."""
+    seen = []
+
+    def spy(args):
+        seen.append(parse(args))
+        return seen[-1]
+
+    with mock.patch.object(cli, "_parse_args", spy):
+        rc = cli.main(argv)
+    cap = capsys.readouterr()
+    return seen, _stable(cap.out), cap.err, rc
+
+
+DISPATCH_CASES = (
+    GOOD_JSON_COMMANDS
+    + [a + ["--json"] for a in GOOD_JSON_COMMANDS]
+    + [
+        ["gonality", "--l2", "30", "--phi", "5", "--bogus"],
+        ["gonality", "--version"],
+        ["frobnicate"],
+        ["--version"],
+        ["-h"],
+        ["pair", "-h"],
+        ["scroll", "--g", "abc", "--b1", "2"],
+        [],
+        ["--json", "pair"],
+        ["pair", "--=x"],
+        ["pair", "--", "--json"],
+        ["gonality", "--l2", "12"],
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "argv", DISPATCH_CASES, ids=lambda a: " ".join(a) or "empty")
+def test_direct_dispatch_matches_the_root_parser(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    direct = _main_through(cli._parse_args, argv, capsys)
+    plain = _main_through(
+        lambda args: cli.build_parser().parse_args(args), argv, capsys)
+    assert direct == plain
+
+
+def test_root_parser_is_skipped_for_subcommands(capsys):
+    """Twenty mixed calls parse with the root parser only for argv that do
+    not start with a subcommand."""
+    argvs = GOOD_JSON_COMMANDS + [
+        ["gonality", "--l2", "30", "--phi", "5", "--bogus"],
+        ["scroll", "--g", "abc"],
+        ["--version"],
+        ["frobnicate"],
+    ]
+    assert len(argvs) == 20
+    parser = cli.build_parser()
+    with mock.patch.object(parser, "parse_known_args",
+                           wraps=parser.parse_known_args) as root:
+        for argv in argvs:
+            cli.main(argv)
+    capsys.readouterr()
+    assert root.call_count == 2

@@ -23,7 +23,7 @@ from divcalc.errors import (
     RangeError,
 )
 from divcalc.lattice import LatticeModel, model_from_json_dict, pair
-from divcalc.surfaces import enriques, get_surface
+from divcalc.surfaces import enriques, get_surface, phi, sigma
 
 from oracle_bruteforce import (
     ORACLE_CASES,
@@ -237,6 +237,47 @@ def test_sigma_model_with_h_not_first_keeps_its_survivors():
         assert {(tuple(d.L.coords[i] for i in perm), d.z)
                 for d in want.survivors} == {
             (d.L.coords, d.z) for d in got.survivors}, k
+
+
+def test_a_model_reusing_a_builtin_name_is_a_different_model():
+    # a user model named "sigma3" with the basis (G1, H, G2, G3) used to
+    # accept the builtin's -2K: the search then found 0 survivors with
+    # {"sign": 3} and phi returned 2 for -K
+    surf = get_surface("sigma3")
+    perm = (1, 0, 2, 3)
+    doc = surf.to_json_dict()
+    doc.update(
+        basis=[doc["basis"][i] for i in perm],
+        gram=[[doc["gram"][i][j] for j in perm] for i in perm],
+        canonical=[doc["canonical"][i] for i in perm],
+        ample_ref=[doc["ample_ref"][i] for i in perm],
+    )
+    impostor = model_from_json_dict(doc)
+    assert impostor.name == "sigma3"
+    C = resolve("-2K", surf)
+    with pytest.raises(ModelMismatchError, match="two models named sigma3"):
+        pair(impostor.klass((1, 0, 0, 0)), C)
+    with pytest.raises(ModelMismatchError):
+        enumerate_bogreider(impostor, C, 4)
+    with pytest.raises(ModelMismatchError):
+        explain_candidate(impostor, C, 4, (0, 1, -1, 0))
+    with pytest.raises(ModelMismatchError):
+        phi(impostor, resolve("-K", surf))
+
+
+def test_separately_built_copies_of_a_builtin_work_together():
+    shared, fresh = get_surface("sigma3"), sigma(3)
+    loaded = model_from_json_dict(shared.to_json_dict())
+    assert fresh is not shared and loaded is not shared
+    want = enumerate_bogreider(shared, resolve("-2K", shared), 4)
+    for other in (fresh, loaded):
+        C = resolve("-2K", other)
+        assert pair(C, resolve("H", shared)) == 6
+        got = enumerate_bogreider(shared, C, 4)
+        assert got.to_json_dict() == want.to_json_dict()
+        dec, _ = explain_candidate(shared, C, 4, (1, -1, 0, 0))
+        assert dec is not None
+        assert phi(shared, resolve("-K", other)).value == 2
 
 
 def test_survivors_match_oracle_on_random_hyperbolic_models():

@@ -82,6 +82,15 @@ class TestModelValidation:
         assert again.labels == m.labels
         assert again.canonical == m.canonical
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("ample_ref", ["a", 1]), ("ample_ref", 3), ("effective", 3),
+         ("gram", [[1, 0], [0, "x"]]), ("chi", None)])
+    def test_json_rejects_malformed_fields(self, field, value):
+        doc = dict(sigma(1).model.to_json_dict(), **{field: value})
+        with pytest.raises(ModelError, match="bad lattice definition"):
+            model_from_json_dict(doc)
+
     def test_load_model_from_file(self, tmp_path):
         p = tmp_path / "m.json"
         p.write_text(json.dumps(sigma(1).model.to_json_dict()))

@@ -83,6 +83,37 @@ class TestBuiltinModels:
         surf = get_surface(str(p))
         assert surf.model.rank == 3
 
+    def test_builtins_are_built_once_and_shared(self, monkeypatch):
+        built = []
+        init = lattice.LatticeModel.__init__
+
+        def counting_init(self, name, *args, **kwargs):
+            built.append(name)
+            init(self, name, *args, **kwargs)
+
+        monkeypatch.setattr(lattice.LatticeModel, "__init__", counting_init)
+        names = list_surfaces()
+        first = [get_surface(nm) for nm in names]
+        for _ in range(3):
+            assert all(get_surface(nm) is m for nm, m in zip(names, first))
+        assert all(built.count(nm) <= 1 for nm in names)
+        assert set(built) <= set(names)
+        # other names and the public constructors build on every call
+        built.clear()
+        assert get_surface("blc7") is not get_surface("blc7")
+        assert enriques() is not enriques() and sigma(3) is not sigma(3)
+        assert blq() is not blq() and blcn(6) is not blcn(6)
+        assert len(built) == 10
+
+    def test_rewritten_model_file_is_read_again(self, tmp_path):
+        p = tmp_path / "custom.json"
+        doc = sigma(2).model.to_json_dict()
+        p.write_text(json.dumps(doc))
+        assert get_surface(str(p)).gram[0][0] == 1
+        doc["gram"][0][0] = 3
+        p.write_text(json.dumps(doc))
+        assert get_surface(str(p)).gram[0][0] == 3
+
     def test_surface_search_path_env(self, tmp_path, monkeypatch):
         p = tmp_path / "mine.json"
         p.write_text(json.dumps(blq().model.to_json_dict()))
@@ -107,6 +138,13 @@ class TestConfigs:
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(ModelError):
             IsotropicConfig(labels=("E", "E1"), table=((1, 1), (1, 0)))
+
+    @pytest.mark.parametrize(
+        "pairs", [[[0, 1]], [[0, 1, "x"]], [[0, 1, 2, 3]], [5], 5],
+        ids=["short", "non-integer", "long", "not-a-list", "pairs-not-a-list"])
+    def test_rejects_malformed_pair_entries(self, pairs):
+        with pytest.raises(ModelError, match="bad config definition"):
+            config_from_json_dict({"labels": ["E", "E1"], "pairs": pairs})
 
     def test_rejects_negative_pairing(self):
         with pytest.raises(ModelError):
