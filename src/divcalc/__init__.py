@@ -35,7 +35,6 @@ from .lattice import (
     vectors_of_norm,
 )
 from .surfaces import (
-    IsotropicConfig,
     PhiResult,
     QuasiNefResult,
     ScrollInvariants,

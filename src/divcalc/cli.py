@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import re
 import sys
 import time
@@ -67,10 +66,7 @@ def _load_surface(args, required=True):
     if cfg_name and surf_name:
         raise ModelError("pass either --surface or --config, not both")
     if cfg_name:
-        name = cfg_name
-        if os.path.exists(cfg_name):
-            name = os.path.splitext(os.path.basename(cfg_name))[0]
-        return get_config(cfg_name).to_surface(name)
+        return get_config(cfg_name)
     if surf_name:
         return get_surface(surf_name)
     if required:
@@ -604,7 +600,7 @@ def main(argv=None) -> int:
     except DivcalcError as exc:
         print(f"divcalc: error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"divcalc: error: {exc}", file=sys.stderr)
         return 1
     elapsed_ms = (time.perf_counter_ns() - t0) // 1_000_000

@@ -731,9 +731,8 @@ def verify_case(case_id: str) -> CaseReport:
 
     # identities
     all_ok = True
-    results = []
     for config_name, checks in fx.identities:
-        surf = get_config(config_name).to_surface(config_name)
+        surf = get_config(config_name)
         for chk in checks:
             tag = chk[0]
             if tag == "square":
@@ -762,7 +761,6 @@ def verify_case(case_id: str) -> CaseReport:
             ok = got == want
             all_ok = all_ok and ok
             trace.append(line + ("" if ok else "  <= MISMATCH"))
-            results.append([line, ok])
     status = "PASS" if all_ok else "FAIL"
     return CaseReport(case_id, status, [], [], list(fx.killed), trace, fx.notes)
 

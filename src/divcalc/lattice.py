@@ -148,12 +148,6 @@ class LatticeModel(_Record):
     def canonical_class(self):
         return DivClass(self, self.canonical)
 
-    @property
-    def ample_class(self):
-        if self.ample_ref is None:
-            return None
-        return DivClass(self, self.ample_ref)
-
     def to_json_dict(self):
         d = {
             "name": self.name,
@@ -170,14 +164,22 @@ class LatticeModel(_Record):
         return d
 
 
+def _json_int(v):
+    """v when it is a JSON integer; a float, string or bool raises
+    TypeError, so no file value is rounded or converted into one."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise TypeError(f"expected an integer, got {v!r}")
+
+
 def model_from_json_dict(d, name=None):
     try:
         labels = tuple(str(x) for x in d["basis"])
-        gram = tuple(tuple(int(v) for v in row) for row in d["gram"])
-        canonical = tuple(int(v) for v in d["canonical"])
-        chi = int(d["chi"])
+        gram = tuple(tuple(_json_int(v) for v in row) for row in d["gram"])
+        canonical = tuple(_json_int(v) for v in d["canonical"])
+        chi = _json_int(d["chi"])
         amp = d.get("ample_ref")
-        ample_ref = tuple(int(v) for v in amp) if amp else None
+        ample_ref = tuple(_json_int(v) for v in amp) if amp else None
         kind = str(d.get("kind", "generic"))
         effective = tuple(str(x) for x in d.get("effective", ()))
     except (KeyError, TypeError, ValueError) as exc:
@@ -194,13 +196,18 @@ def model_from_json_dict(d, name=None):
     )
 
 
-def load_model(path):
+def _read_json(path):
+    """The document of a UTF-8 JSON file; ModelError naming the path
+    when the file does not decode or parse."""
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ModelError(f"{path}: not valid JSON ({exc})") from exc
-    return model_from_json_dict(doc)
+
+
+def load_model(path):
+    return model_from_json_dict(_read_json(path))
 
 
 class DivClass(_Record):
@@ -208,8 +215,10 @@ class DivClass(_Record):
 
     Every coordinate is checked against the 64-bit envelope on
     construction, so arithmetic results need no guard of their own. Two
-    classes are equal when their coordinates and model names are, so
-    classes of separately built copies of one model compare equal.
+    classes are equal when their coordinates are and their models are one
+    model by _same_model, the rule under which classes combine, so classes
+    of separately built copies of one model compare equal. The hash goes
+    over the coordinates and the model name, which equal classes share.
     """
 
     __slots__ = ("model", "coords")
@@ -225,7 +234,7 @@ class DivClass(_Record):
     def __eq__(self, other):
         if other.__class__ is not DivClass:
             return NotImplemented
-        return self.coords == other.coords and self.model.name == other.model.name
+        return self.coords == other.coords and _same_model(self.model, other.model)
 
     def __hash__(self):
         return hash((self.coords, self.model.name))
@@ -285,17 +294,20 @@ class DivClass(_Record):
         return DivClass(self.model, prim), sign * g
 
 
+def _same_model(a: LatticeModel, b: LatticeModel) -> bool:
+    """Whether a and b are one model: the same object, or models with the
+    same name, basis labels and gram, such as separately built copies. A
+    user model that reuses a builtin's name with another basis is a
+    different model."""
+    return a is b or (
+        a.name == b.name and a.labels == b.labels and a.gram == b.gram
+    )
+
+
 def _require_model(model: LatticeModel, D: DivClass):
-    """Raise ModelMismatchError unless D lives in model: the same object,
-    or a model with the same name, basis labels and gram, such as a
-    separately built copy. A user model that reuses a builtin's name with
-    another basis is a different model."""
+    """Raise ModelMismatchError unless D lives in model by _same_model."""
     other = D.model
-    if model is not other and (
-        model.name != other.name
-        or model.labels != other.labels
-        or model.gram != other.gram
-    ):
+    if not _same_model(model, other):
         detail = (
             f"{model.name} vs {other.name}" if model.name != other.name
             else f"two models named {model.name} with different bases or grams"

@@ -3,9 +3,10 @@
 A surface here is a LatticeModel whose kind names its family: the
 Enriques lattice (U perp E8(-1)), plane blow-ups sigma1..sigma9 with gram
 diag(1, -1, ..), and two ruled models ("blq" with a -2 section, "blc6"
-and friends with a -n section). Isotropic configurations are small
-sublattices spanned by labeled isotropic classes with a supplied pairing
-table; the structure lemmas work entirely inside these.
+and friends with a -n section). An isotropic configuration is a model of
+kind "config": a small sublattice spanned by labeled isotropic classes
+with a supplied nonnegative pairing table, zero canonical class and
+chi(O) = 1; the structure lemmas work entirely inside these.
 
 On top of the models: adjunction genus, Riemann-Roch chi, the residual
 parity test, the minimal-pencil-degree invariant phi (certified by slice
@@ -32,6 +33,8 @@ from .errors import (
 from .lattice import (
     DivClass,
     LatticeModel,
+    _json_int,
+    _read_json,
     _Record,
     _require_model,
     _set,
@@ -182,70 +185,46 @@ def get_surface(name: str) -> LatticeModel:
 # isotropic configurations
 
 
-class IsotropicConfig(_Record):
-    """Labeled isotropic classes with a symmetric pairing table.
-
-    The diagonal is zero by construction; off-diagonal pairings must be
-    nonnegative (these classes play the role of effective isotropic
-    decomposition pieces).
-    """
-
-    __slots__ = ("labels", "table")
-
-    def __init__(
-        self, labels: tuple[str, ...], table: tuple[tuple[int, ...], ...]
-    ):
-        n = len(labels)
-        if len(table) != n or any(len(r) != n for r in table):
-            raise ModelError("pairing table size does not match labels")
-        for i in range(n):
-            if table[i][i] != 0:
-                raise ModelError("pairing table must have zero diagonal")
-            for j in range(n):
-                if table[i][j] != table[j][i]:
-                    raise ModelError("pairing table must be symmetric")
-                if table[i][j] < 0:
-                    raise ModelError("pairing table entries must be >= 0")
-        _set(self, "labels", labels)
-        _set(self, "table", table)
-
-    def to_surface(self, name="config") -> LatticeModel:
-        return LatticeModel(
-            name=name,
-            labels=self.labels,
-            gram=self.table,
-            canonical=(0,) * len(self.labels),
-            chi=1,
-            ample_ref=None,
-            kind="config",
-            effective_labels=self.labels,
-        )
-
-
-def config_from_json_dict(doc) -> IsotropicConfig:
+def config_from_json_dict(doc, name="config") -> LatticeModel:
+    """The model of a configuration document: "labels", and "pairs"
+    entries [i, j, value] with i != j giving the pairing of classes i and
+    j, value >= 0 (the classes play the role of effective isotropic
+    decomposition pieces). Every other pairing, the diagonal included,
+    is 0."""
     try:
         labels = tuple(str(x) for x in doc["labels"])
         n = len(labels)
-        table = [[0] * n for _ in range(n)]
+        gram = [[0] * n for _ in range(n)]
         for entry in doc["pairs"]:
-            i, j, v = (int(x) for x in entry)
-            if not (0 <= i < n and 0 <= j < n) or i == j:
+            i, j, v = (_json_int(x) for x in entry)
+            if not (0 <= i < n and 0 <= j < n) or i == j or v < 0:
                 raise ModelError(f"bad pair entry {entry}")
-            table[i][j] = table[j][i] = v
+            gram[i][j] = gram[j][i] = v
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"bad config definition: {exc}") from exc
-    return IsotropicConfig(labels, tuple(tuple(r) for r in table))
+    return LatticeModel(
+        name=name,
+        labels=labels,
+        gram=tuple(tuple(r) for r in gram),
+        canonical=(0,) * n,
+        chi=1,
+        ample_ref=None,
+        kind="config",
+        effective_labels=labels,
+    )
 
 
 _BUILTIN_CONFIGS = {
-    # two isotropic classes meeting once: spans the L^2 = 12 decompositions
-    "pencil-pair-1": IsotropicConfig(("E", "E1"), ((0, 1), (1, 0))),
-    # two isotropic classes meeting twice: L^2 = 12 variant and L^2 = 16
-    "pencil-pair-2": IsotropicConfig(("E", "E1"), ((0, 2), (2, 0))),
-    # three isotropic classes, pairwise product 1: the L^2 = 14 span
-    "pencil-triple-1": IsotropicConfig(
-        ("E", "E1", "E2"), ((0, 1, 1), (1, 0, 1), (1, 1, 0))
-    ),
+    name: config_from_json_dict({"labels": labels, "pairs": pairs}, name)
+    for name, labels, pairs in [
+        # two isotropic classes meeting once: spans the L^2 = 12 decompositions
+        ("pencil-pair-1", ("E", "E1"), [(0, 1, 1)]),
+        # two isotropic classes meeting twice: L^2 = 12 variant and L^2 = 16
+        ("pencil-pair-2", ("E", "E1"), [(0, 1, 2)]),
+        # three isotropic classes, pairwise product 1: the L^2 = 14 span
+        ("pencil-triple-1", ("E", "E1", "E2"),
+         [(0, 1, 1), (0, 2, 1), (1, 2, 1)]),
+    ]
 }
 
 
@@ -253,14 +232,14 @@ def list_configs():
     return sorted(_BUILTIN_CONFIGS)
 
 
-def get_config(name_or_path: str) -> IsotropicConfig:
+def get_config(name_or_path: str) -> LatticeModel:
+    """A builtin configuration's model, built once and shared, or the
+    model of the configuration file at a path, named after its stem."""
     if name_or_path in _BUILTIN_CONFIGS:
         return _BUILTIN_CONFIGS[name_or_path]
     if os.path.exists(name_or_path):
-        import json
-
-        with open(name_or_path, encoding="utf-8") as fh:
-            return config_from_json_dict(json.load(fh))
+        stem = os.path.splitext(os.path.basename(name_or_path))[0]
+        return config_from_json_dict(_read_json(name_or_path), stem)
     raise ModelError(
         f"unknown config {name_or_path!r}; builtins are {', '.join(list_configs())}"
     )

@@ -111,7 +111,7 @@ def test_acceptance_4_decomposition_identities():
         groups.extend(FIXTURES[cid].identities)
     squares = set()
     for config_name, checks in groups:
-        surf = get_config(config_name).to_surface(config_name)
+        surf = get_config(config_name)
         by_tag = {}
         for chk in checks:
             by_tag.setdefault(chk[0], []).append(chk)
@@ -150,18 +150,18 @@ def test_acceptance_6_phi_certificates():
     checked = 0
     while checked < 100:
         if rng.random() < 0.5:
-            cfg = config_from_json_dict({
+            doc = {
                 "labels": ["E", "E1"],
                 "pairs": [[0, 1, rng.choice([1, 2])]],
-            })
+            }
             coords = (rng.randint(1, 9), rng.randint(1, 9))
         else:
-            cfg = config_from_json_dict({
+            doc = {
                 "labels": ["E", "E1", "E2"],
                 "pairs": [[0, 1, 1], [0, 2, 1], [1, 2, 1]],
-            })
+            }
             coords = tuple(rng.randint(0, 9) for _ in range(3))
-        surf = cfg.to_surface(f"rand-{checked}")
+        surf = config_from_json_dict(doc, f"rand-{checked}")
         L = surf.model.klass(coords)
         if L.square <= 0:
             continue

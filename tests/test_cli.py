@@ -144,23 +144,35 @@ class TestSurfaceLoading:
         assert rc == 0 and rep["result"]["square"] == 4
         assert rep["surface"] == "cfg"
 
-    @pytest.mark.parametrize("argv, doc", [
+    # A file that does not decode or parse is named in the message, a
+    # config file as well as a model file: both go through one reader.
+    @pytest.mark.parametrize("argv, content, err", [
         (["phi", "--config", "{path}", "--curve", "E+F"],
-         {"labels": ["E", "F"], "pairs": [[0, 1]]}),
+         {"labels": ["E", "F"], "pairs": [[0, 1]]}, "bad "),
         (["phi", "--config", "{path}", "--curve", "E+F"],
-         {"labels": ["E", "F"], "pairs": [[0, 1, "x"]]}),
+         {"labels": ["E", "F"], "pairs": [[0, 1, "x"]]}, "bad "),
         (["surface", "--surface", "{path}"],
          {"name": "toy", "basis": ["A", "B"], "gram": [[0, 1], [1, 0]],
-          "canonical": [0, 0], "chi": 1, "ample_ref": ["a", 1]}),
-    ], ids=["short-pair", "non-integer-pair", "non-integer-ample-ref"])
+          "canonical": [0, 0], "chi": 1, "ample_ref": ["a", 1]}, "bad "),
+        (["phi", "--config", "{path}", "--curve", "E"], b"\xff{}",
+         "{path}: not valid JSON ("),
+        (["surface", "--surface", "{path}"], b"\xff{}",
+         "{path}: not valid JSON ("),
+        (["phi", "--config", "{path}", "--curve", "E"], b"{labels",
+         "{path}: not valid JSON ("),
+    ], ids=["short-pair", "non-integer-pair", "non-integer-ample-ref",
+            "undecodable-config", "undecodable-model", "non-json-config"])
     def test_malformed_file_is_a_usage_error(
-            self, capsys, tmp_path, argv, doc):
+            self, capsys, tmp_path, argv, content, err):
         p = tmp_path / "bad.json"
-        p.write_text(json.dumps(doc))
+        if isinstance(content, bytes):
+            p.write_bytes(content)
+        else:
+            p.write_text(json.dumps(content))
         rc = cli.main([a.format(path=p) for a in argv])
         cap = capsys.readouterr()
         assert rc == 1
-        assert cap.err.startswith("divcalc: error: bad ")
+        assert cap.err.startswith("divcalc: error: " + err.format(path=p))
         assert cap.out == ""
 
     def test_surface_path_env(self, capsys, tmp_path, monkeypatch):

@@ -59,8 +59,7 @@ def test_unknown_label_reports_alternatives():
 
 
 def test_render_conventions():
-    cfg = get_config("pencil-triple-1").to_surface("pt1")
-    m = cfg.model
+    m = get_config("pencil-triple-1")
     assert render(m.klass((3, 1, 1))) == "3E+E1+E2"
     assert render(m.klass((0, -1, 2))) == "-E1+2E2"
     assert render(m.klass((1, 0, 0))) == "E"

@@ -254,9 +254,12 @@ def test_a_model_reusing_a_builtin_name_is_a_different_model():
     )
     impostor = model_from_json_dict(doc)
     assert impostor.name == "sigma3"
+    # same coordinates, but G1 of one model and H of the other
+    H, G1 = resolve("H", surf), impostor.klass((1, 0, 0, 0))
+    assert H != G1 and G1 != H and len({H, G1}) == 2
     C = resolve("-2K", surf)
     with pytest.raises(ModelMismatchError, match="two models named sigma3"):
-        pair(impostor.klass((1, 0, 0, 0)), C)
+        pair(G1, C)
     with pytest.raises(ModelMismatchError):
         enumerate_bogreider(impostor, C, 4)
     with pytest.raises(ModelMismatchError):
@@ -269,9 +272,11 @@ def test_separately_built_copies_of_a_builtin_work_together():
     shared, fresh = get_surface("sigma3"), sigma(3)
     loaded = model_from_json_dict(shared.to_json_dict())
     assert fresh is not shared and loaded is not shared
-    want = enumerate_bogreider(shared, resolve("-2K", shared), 4)
+    K2 = resolve("-2K", shared)
+    want = enumerate_bogreider(shared, K2, 4)
     for other in (fresh, loaded):
         C = resolve("-2K", other)
+        assert C == K2 and hash(C) == hash(K2)
         assert pair(C, resolve("H", shared)) == 6
         got = enumerate_bogreider(shared, C, 4)
         assert got.to_json_dict() == want.to_json_dict()

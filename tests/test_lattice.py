@@ -85,7 +85,9 @@ class TestModelValidation:
     @pytest.mark.parametrize(
         "field, value",
         [("ample_ref", ["a", 1]), ("ample_ref", 3), ("effective", 3),
-         ("gram", [[1, 0], [0, "x"]]), ("chi", None)])
+         ("gram", [[1, 0], [0, "x"]]), ("chi", None),
+         ("gram", [[1.5, 0], [0, -1]]), ("canonical", [True, 0]),
+         ("chi", "1"), ("ample_ref", [3, 1.5])])
     def test_json_rejects_malformed_fields(self, field, value):
         doc = dict(sigma(1).model.to_json_dict(), **{field: value})
         with pytest.raises(ModelError, match="bad lattice definition"):
@@ -540,8 +542,7 @@ class TestHodge:
         }
         from divcalc.surfaces import config_from_json_dict
 
-        surf = config_from_json_dict(cfg_doc).to_surface("degenerate")
-        m = surf.model
+        m = config_from_json_dict(cfg_doc, "degenerate")
         assert not is_nondegenerate(m)
         L = m.klass((1, 1, 0))
         C = m.klass((1, 2, -1))

@@ -8,11 +8,13 @@ unchanged, and check every name and call it depends on.
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import divcalc
+from divcalc import cli
 from divcalc.enumeration import explain_candidate
-from divcalc.surfaces import enriques, phi
+from divcalc.surfaces import enriques, get_config, list_configs, phi
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -45,6 +47,17 @@ def test_traced_stages_cover_the_search():
     C = divcalc.resolve("-2K", surf)
     _, trace = explain_candidate(surf, C, 4, (0, 1), mod4=True)
     assert {name for name, _ in trace} <= set(tracing.STAGES)
+
+
+def test_queries_phi_route_runs_on_every_builtin_config(capsys):
+    # the queries workload sends "phi --json --config <name> --curve ..."
+    # for the builtin configurations
+    for name in list_configs():
+        curve = "+".join(get_config(name).labels)
+        rc = cli.main(["phi", "--json", "--config", name, "--curve", curve])
+        assert rc == 0, name
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["surface"] == name and doc["result"]["certified"]
 
 
 def test_worker_phi_op_runs():

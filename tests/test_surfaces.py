@@ -18,7 +18,6 @@ from divcalc.errors import (
 )
 from divcalc.lattice import determinant, pair, signature
 from divcalc.surfaces import (
-    IsotropicConfig,
     blcn,
     blq,
     chi,
@@ -129,19 +128,22 @@ class TestConfigs:
         }
 
     def test_from_json(self):
-        cfg = config_from_json_dict(
-            {"labels": ["E", "E1"], "pairs": [[0, 1, 2]]}
+        m = config_from_json_dict(
+            {"labels": ["E", "E1"], "pairs": [[0, 1, 2]]}, "two"
         )
-        m = cfg.to_surface("two").model
-        assert m.gram == ((0, 2), (2, 0))
+        assert m.name == "two" and m.gram == ((0, 2), (2, 0))
 
     def test_rejects_nonzero_diagonal(self):
-        with pytest.raises(ModelError):
-            IsotropicConfig(labels=("E", "E1"), table=((1, 1), (1, 0)))
+        with pytest.raises(ModelError, match="bad pair entry"):
+            config_from_json_dict(
+                {"labels": ["E", "E1"], "pairs": [[0, 0, 1]]}
+            )
 
     @pytest.mark.parametrize(
-        "pairs", [[[0, 1]], [[0, 1, "x"]], [[0, 1, 2, 3]], [5], 5],
-        ids=["short", "non-integer", "long", "not-a-list", "pairs-not-a-list"])
+        "pairs", [[[0, 1]], [[0, 1, "x"]], [[0, 1, 2, 3]], [5], 5,
+                  [[0, 1, 1.5]], [[0, 1, "1"]], [[0, 1, True]]],
+        ids=["short", "non-integer", "long", "not-a-list", "pairs-not-a-list",
+             "float", "numeric-string", "bool"])
     def test_rejects_malformed_pair_entries(self, pairs):
         with pytest.raises(ModelError, match="bad config definition"):
             config_from_json_dict({"labels": ["E", "E1"], "pairs": pairs})
@@ -151,6 +153,32 @@ class TestConfigs:
             config_from_json_dict(
                 {"labels": ["E", "E1"], "pairs": [[0, 1, -1]]}
             )
+
+    @pytest.mark.parametrize("name, labels, gram", [
+        ("pencil-pair-1", ("E", "E1"), ((0, 1), (1, 0))),
+        ("pencil-pair-2", ("E", "E1"), ((0, 2), (2, 0))),
+        ("pencil-triple-1", ("E", "E1", "E2"),
+         ((0, 1, 1), (1, 0, 1), (1, 1, 0))),
+    ])
+    def test_builtin_models(self, name, labels, gram):
+        m = get_config(name)
+        assert (m.name, m.labels, m.gram) == (name, labels, gram)
+        assert m.canonical == (0,) * len(labels) and m.chi == 1
+        assert m.ample_ref is None and m.kind == "config"
+        assert m.effective_labels == labels
+        assert get_config(name) is m
+
+    def test_file_reusing_a_builtin_name_is_a_different_model(self, tmp_path):
+        # a file loads under its stem's name, here the builtin's
+        p = tmp_path / "pencil-pair-1.json"
+        p.write_text(json.dumps({"labels": ["E", "E1"], "pairs": [[0, 1, 2]]}))
+        impostor, builtin = get_config(str(p)), get_config("pencil-pair-1")
+        assert impostor.name == "pencil-pair-1" and impostor.kind == "config"
+        assert impostor.gram == ((0, 2), (2, 0))
+        E = impostor.basis_class("E")
+        assert E != builtin.basis_class("E")
+        with pytest.raises(ModelMismatchError, match="different bases or grams"):
+            pair(E, builtin.basis_class("E1"))
 
 
 class TestNumericalInvariants:
@@ -198,7 +226,7 @@ class TestPhi:
             ("pencil-pair-2", "E+E1", 2),
         ]
         for cfg_name, expr, want in cases:
-            surf = get_config(cfg_name).to_surface(cfg_name)
+            surf = get_config(cfg_name)
             L = resolve(expr, surf)
             res = phi(surf, L)
             assert res.certified, (cfg_name, expr)
@@ -252,16 +280,15 @@ class TestPhi:
         assert len(calls) == 1
 
     def test_rejects_nonpositive_square(self):
-        surf = get_config("pencil-pair-1").to_surface("pp1")
+        surf = get_config("pencil-pair-1")
         with pytest.raises(RangeError):
             phi(surf, surf.model.klass((1, 0)))
 
     def test_sparse_span_refuses_to_certify(self):
-        cfg = config_from_json_dict({
+        surf = config_from_json_dict({
             "labels": ["E", "E1", "E2"],
             "pairs": [[0, 1, 2], [0, 2, 2], [1, 2, 2]],
-        })
-        surf = cfg.to_surface("sparse")
+        }, "sparse")
         L = surf.model.klass((1, 1, 1))
         with pytest.raises(PhiInvariantError):
             phi(surf, L)
@@ -280,7 +307,7 @@ class TestPhi:
         # to certify has no witness in any box either.
         rng = random.Random(11)
         models = [get_surface(n) for n in list_surfaces()]
-        models += [get_config(n).to_surface(n) for n in list_configs()]
+        models += [get_config(n) for n in list_configs()]
         assert len(models) == 15
         seen = set()
         for m in models:
@@ -322,10 +349,9 @@ class TestPhi:
         assert res.value == 1  # U2 pairs to 1
 
     def test_boxed_mode_reports_insufficient_box(self):
-        cfg = config_from_json_dict(
-            {"labels": ["E", "E1"], "pairs": [[0, 1, 5]]}
+        surf = config_from_json_dict(
+            {"labels": ["E", "E1"], "pairs": [[0, 1, 5]]}, "wide"
         )
-        surf = cfg.to_surface("wide")
         L = surf.model.klass((1, 1))  # square 10, every box-1 pairing is 5
         with pytest.raises(PhiBoundError):
             phi(surf, L, mode="boxed", box=1)
@@ -333,7 +359,7 @@ class TestPhi:
 
 class TestQuasiNef:
     def _surf(self):
-        return get_config("pencil-triple-1").to_surface("pt1")
+        return get_config("pencil-triple-1")
 
     def test_quasi_nef_at_minus_one(self):
         surf = self._surf()
