@@ -172,16 +172,25 @@ def _json_int(v):
     raise TypeError(f"expected an integer, got {v!r}")
 
 
+def _json_str(v):
+    """v when it is a JSON string; anything else raises TypeError, so no
+    number or null becomes a label by str()."""
+    if isinstance(v, str):
+        return v
+    raise TypeError(f"expected a string, got {v!r}")
+
+
 def model_from_json_dict(d, name=None):
     try:
-        labels = tuple(str(x) for x in d["basis"])
+        labels = tuple(_json_str(x) for x in d["basis"])
         gram = tuple(tuple(_json_int(v) for v in row) for row in d["gram"])
         canonical = tuple(_json_int(v) for v in d["canonical"])
         chi = _json_int(d["chi"])
         amp = d.get("ample_ref")
-        ample_ref = tuple(_json_int(v) for v in amp) if amp else None
-        kind = str(d.get("kind", "generic"))
-        effective = tuple(str(x) for x in d.get("effective", ()))
+        # only an absent key or null means no ample class
+        ample_ref = None if amp is None else tuple(_json_int(v) for v in amp)
+        kind = _json_str(d.get("kind", "generic"))
+        effective = tuple(_json_str(x) for x in d.get("effective", ()))
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"bad lattice definition: {exc}") from exc
     return LatticeModel(
@@ -342,45 +351,52 @@ def reflect_nodal(L: DivClass, delta: DivClass) -> DivClass:
 
 
 # ---------------------------------------------------------------------------
-# signature / determinant (exact, over Fractions)
+# signature (exact, in integers) and determinant (exact, over Fractions)
 
 
 def signature(gram) -> tuple[int, int, int]:
     """(positive, negative, zero) inertia of a symmetric integer matrix.
 
-    Congruence diagonalization over Q. A zero diagonal pivot with a live
-    off-diagonal partner is repaired with the hyperbolic basis change
-    e_i -> e_i +- e_j before eliminating.
+    Congruence diagonalization in integers, fraction-free (Bareiss) as in
+    _ldl. Once the pivots of an index set S are eliminated, the open block
+    holds d_S times the Schur complement of S, where d_S is the principal
+    minor of S and the last pivot taken. Its entries are minors of the
+    matrix, so every division by the previous pivot is exact (Sylvester's
+    determinant identity) and the entries stay small. A pivot p counts
+    as positive when p / d_S, the leading entry of the complement, is.
+    A zero pivot with a live partner j is first repaired with the
+    unimodular basis change e_i -> e_i +- e_j, which leaves S alone, so
+    the block stays d_S times the new complement; a zero pivot whose row
+    is zero adds one to the null count.
     """
     n = len(gram)
-    M = [[Fraction(v) for v in row] for row in gram]
+    M = [list(row) for row in gram]
     pos = neg = null = 0
+    prev = 1
     for i in range(n):
-        if M[i][i] == 0:
-            j = next((j for j in range(i + 1, n) if M[i][j] != 0), None)
+        Mi = M[i]
+        if Mi[i] == 0:
+            j = next((j for j in range(i + 1, n) if Mi[j] != 0), None)
             if j is None:
                 null += 1
                 continue
             # e_i += e_j gives diagonal 2*M[i][j] + M[j][j]; if that is
             # still zero, e_i -= e_j cannot be (both zero forces M[i][j]=0)
-            s = 1 if 2 * M[i][j] + M[j][j] != 0 else -1
-            for c in range(n):
-                M[i][c] += s * M[j][c]
-            for r in range(n):
+            s = 1 if 2 * Mi[j] + M[j][j] != 0 else -1
+            for c in range(i, n):
+                Mi[c] += s * M[j][c]
+            for r in range(i, n):
                 M[r][i] += s * M[r][j]
-        p = M[i][i]
-        if p > 0:
+        p = Mi[i]
+        if (p > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
         for r in range(i + 1, n):
-            if M[r][i] == 0:
-                continue
-            f = M[r][i] / p
-            for c in range(n):
-                M[r][c] -= f * M[i][c]
-            for c in range(n):
-                M[c][r] -= f * M[c][i]
+            Mr, a = M[r], M[r][i]
+            for c in range(i + 1, n):
+                Mr[c] = (p * Mr[c] - a * Mi[c]) // prev
+        prev = p
     return pos, neg, null
 
 
@@ -686,7 +702,9 @@ def isotropic_search(model: LatticeModel, target: DivClass, box_bound: int):
     with Q_i the form of the suffix subgram. The last coordinate is not
     scanned: g v^2 + 2 h v + N = 0 is solved exactly (linear when g = 0,
     every v when g = h = N = 0, otherwise the integer roots of a
-    perfect-square discriminant), keeping the roots inside the box.
+    perfect-square discriminant), keeping the roots inside the box. The
+    level before it solves that equation for each of its values in place
+    of a further call.
 
     Pruning is sound, so the result is the full box scan: in the box the
     middle term lies within 2 b sum_{j>=i} |h_j| of 0, and Q_i lies in
@@ -696,8 +714,12 @@ def isotropic_search(model: LatticeModel, target: DivClass, box_bound: int):
     the suffix subgram is positive (negative) semidefinite by signature.
     A node whose interval for F^2 misses 0 has no isotropic completion.
 
-    Raises OverflowGuardError up front when b^2 sum |g_ij|, a bound on
-    |F^2| over the box, leaves the 64-bit envelope.
+    The walk collects coordinate tuples. Each hit is valued by one row
+    vector G target, as pair would value it, and only the sorted hits
+    become DivClasses. A target of another model raises
+    ModelMismatchError. OverflowGuardError is raised up front when
+    b^2 sum |g_ij|, a bound on |F^2| over the box, leaves the 64-bit
+    envelope, and for a value |F.target| that leaves it.
     """
     if box_bound < 1:
         raise ModelError("box_bound must be >= 1")
@@ -706,6 +728,8 @@ def isotropic_search(model: LatticeModel, target: DivClass, box_bound: int):
     gram = model.gram
     _check_i64(b * b * sum(abs(v) for row in gram for v in row),
                "box norm bound")
+    _require_model(model, target)
+    w = [sum(map(mul, row, target.coords)) for row in gram]
 
     qmin, qmax = [0] * n, [0] * n
     for i in range(n):
@@ -716,28 +740,39 @@ def isotropic_search(model: LatticeModel, target: DivClass, box_bound: int):
         qmin[i] = 0 if neg == 0 else b * b * (sum(d for d in diag if d < 0) - off)
         qmax[i] = 0 if pos == 0 else b * b * (sum(d for d in diag if d > 0) + off)
 
+    last = n - 1
+    glast = gram[last][last]
     found = []
     x = [0] * n
 
     def walk(i, N, h):
         # h[j - i] is h_j for the open coordinates j >= i; x[:i] is the
         # current prefix (entries from i on are stale until set)
-        if i == n - 1:
-            for v in _roots_in_box(gram[i][i], h[0], N, b):
-                x[i] = v
-                if any(x):
-                    F = DivClass(model, tuple(x))
-                    found.append((F, abs(pair(F, target))))
-            return
         spread = 2 * b * sum(map(abs, h))
         if N + spread + qmax[i] < 0 or N - spread + qmin[i] > 0:
             return
-        gii, two_h, rest, tail = gram[i][i], 2 * h[0], h[1:], gram[i][i + 1:]
+        gii, two_h = gram[i][i], 2 * h[0]
+        if i == last - 1:
+            hlast, gil = h[1], gram[i][last]
+            for v in range(-b, b + 1):
+                x[i] = v
+                for u in _roots_in_box(glast, hlast + gil * v,
+                                       N + v * (two_h + gii * v), b):
+                    x[last] = u
+                    found.append(tuple(x))
+            return
+        rest, tail = h[1:], gram[i][i + 1:]
         for v in range(-b, b + 1):
             x[i] = v
             walk(i + 1, N + v * (two_h + gii * v),
                  [hj + g * v for hj, g in zip(rest, tail)])
 
-    walk(0, 0, [0] * n)
-    found.sort(key=lambda fv: (fv[1], fv[0].coords))
-    return found
+    if n == 1:
+        found = [(v,) for v in _roots_in_box(glast, 0, 0, b)]
+    else:
+        walk(0, 0, [0] * n)
+    valued = sorted(
+        (abs(_check_i64(sum(map(mul, w, F)), "pairing")), F)
+        for F in found if any(F)
+    )
+    return [(DivClass(model, F), v) for v, F in valued]

@@ -34,6 +34,7 @@ from .lattice import (
     DivClass,
     LatticeModel,
     _json_int,
+    _json_str,
     _read_json,
     _Record,
     _require_model,
@@ -192,7 +193,7 @@ def config_from_json_dict(doc, name="config") -> LatticeModel:
     decomposition pieces). Every other pairing, the diagonal included,
     is 0."""
     try:
-        labels = tuple(str(x) for x in doc["labels"])
+        labels = tuple(_json_str(x) for x in doc["labels"])
         n = len(labels)
         gram = [[0] * n for _ in range(n)]
         for entry in doc["pairs"]:

@@ -252,6 +252,21 @@ def brute_phi(gram, L, box):
     return min((v for _, v in brute_isotropic(gram, L, box)), default=None)
 
 
+def brute_inertia(gram):
+    """(positive, negative, zero) inertia of a symmetric integer matrix,
+    from floating-point eigenvalues: numpy's matrix_rank gives the rank r,
+    and the signs of the r eigenvalues of largest magnitude split it."""
+    A = np.array(gram, dtype=float)
+    n = len(A)
+    if n == 0:
+        return 0, 0, 0
+    r = int(np.linalg.matrix_rank(A))
+    eig = np.linalg.eigvalsh(A)
+    top = eig[np.argsort(-np.abs(eig))[:r]]
+    pos = int(np.sum(top > 0))
+    return pos, r - pos, n - r
+
+
 def brute_scroll(g, b1):
     """Scroll invariants for a tetragonal curve of genus g with splitting
     type (b1, b2): direct formulas."""

@@ -151,6 +151,8 @@ class TestSurfaceLoading:
          {"labels": ["E", "F"], "pairs": [[0, 1]]}, "bad "),
         (["phi", "--config", "{path}", "--curve", "E+F"],
          {"labels": ["E", "F"], "pairs": [[0, 1, "x"]]}, "bad "),
+        (["phi", "--config", "{path}", "--curve", "E"],
+         {"labels": [1, None], "pairs": [[0, 1, 1]]}, "bad "),
         (["surface", "--surface", "{path}"],
          {"name": "toy", "basis": ["A", "B"], "gram": [[0, 1], [1, 0]],
           "canonical": [0, 0], "chi": 1, "ample_ref": ["a", 1]}, "bad "),
@@ -160,7 +162,8 @@ class TestSurfaceLoading:
          "{path}: not valid JSON ("),
         (["phi", "--config", "{path}", "--curve", "E"], b"{labels",
          "{path}: not valid JSON ("),
-    ], ids=["short-pair", "non-integer-pair", "non-integer-ample-ref",
+    ], ids=["short-pair", "non-integer-pair", "non-string-labels",
+            "non-integer-ample-ref",
             "undecodable-config", "undecodable-model", "non-json-config"])
     def test_malformed_file_is_a_usage_error(
             self, capsys, tmp_path, argv, content, err):

@@ -6,6 +6,7 @@ import pickle
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -37,8 +38,20 @@ from divcalc.lattice import (
     slice_points,
     vectors_of_norm,
 )
-from divcalc.surfaces import enriques, get_config, get_surface, sigma
-from oracle_bruteforce import brute_isotropic, brute_slice, slice_box
+from divcalc.surfaces import (
+    enriques,
+    get_config,
+    get_surface,
+    list_configs,
+    list_surfaces,
+    sigma,
+)
+from oracle_bruteforce import (
+    brute_inertia,
+    brute_isotropic,
+    brute_slice,
+    slice_box,
+)
 
 E10 = enriques().model
 
@@ -87,11 +100,22 @@ class TestModelValidation:
         [("ample_ref", ["a", 1]), ("ample_ref", 3), ("effective", 3),
          ("gram", [[1, 0], [0, "x"]]), ("chi", None),
          ("gram", [[1.5, 0], [0, -1]]), ("canonical", [True, 0]),
-         ("chi", "1"), ("ample_ref", [3, 1.5])])
+         ("chi", "1"), ("ample_ref", [3, 1.5]), ("ample_ref", 0),
+         ("ample_ref", False), ("basis", [1, None]), ("basis", ["H", 1]),
+         ("effective", [1]), ("kind", 3), ("kind", None)])
     def test_json_rejects_malformed_fields(self, field, value):
         doc = dict(sigma(1).model.to_json_dict(), **{field: value})
         with pytest.raises(ModelError, match="bad lattice definition"):
             model_from_json_dict(doc)
+
+    def test_json_empty_ample_ref_is_refused(self):
+        # only an absent key or null means "no ample class"
+        doc = sigma(1).model.to_json_dict()
+        assert model_from_json_dict(dict(doc, ample_ref=None)).ample_ref is None
+        del doc["ample_ref"]
+        assert model_from_json_dict(doc).ample_ref is None
+        with pytest.raises(ModelError, match="ample_ref has wrong length"):
+            model_from_json_dict(dict(doc, ample_ref=[]))
 
     def test_load_model_from_file(self, tmp_path):
         p = tmp_path / "m.json"
@@ -255,6 +279,87 @@ def test_signature_and_determinant():
     assert determinant(E10.gram) == -1
     assert signature([[2, 2], [2, 2]]) == (1, 0, 1)
     assert determinant([[2, 2], [2, 2]]) == 0
+
+
+def _symmetric(rng, n, kind):
+    """A seeded symmetric n x n integer matrix with entries in [-3, 3].
+
+    "random" draws every entry. "zero-diagonal" has a zero diagonal and
+    a live first row, so the first pivot needs the repair. "definite" is
+    strictly diagonally dominant, |diagonal| >= 2 against one off-diagonal
+    +-1 per row, and of either sign. "degenerate" repeats one basis vector
+    as the last.
+    """
+    M = [[0] * n for _ in range(n)]
+    if kind == "definite":
+        sgn = rng.choice((1, -1))
+        order = rng.sample(range(n), n)
+        for i, j in zip(order[::2], order[1::2]):
+            M[i][j] = M[j][i] = sgn * rng.choice((-1, 0, 1))
+        for i in range(n):
+            M[i][i] = sgn * rng.randint(2, 3)
+        return M
+    m = n - 1 if kind == "degenerate" and n > 1 else n
+    for i in range(m):
+        for j in range(i, m):
+            M[i][j] = M[j][i] = rng.randint(-3, 3)
+    if kind == "zero-diagonal":
+        for i in range(n):
+            M[i][i] = 0
+        if n > 1:
+            M[0][n - 1] = M[n - 1][0] = rng.choice((-3, -2, -1, 1, 2, 3))
+    elif kind == "degenerate":
+        if n == 1:
+            return [[0]]
+        k = rng.randrange(m)
+        for i in range(m):
+            M[i][m] = M[m][i] = M[i][k]
+        M[m][m] = M[k][k]
+    return M
+
+
+class TestSignature:
+    # a hyperbolic plane where e_i + e_j is isotropic too, so the repair
+    # takes e_i - e_j; a zero pivot that appears only after elimination;
+    # the zero matrix; a zero row between two live ones
+    FIXED = ([[0, 1], [1, -2]], [[1, 1, 0], [1, 1, 1], [0, 1, 0]],
+             [[0, 0], [0, 0]], [[0, 0, 1], [0, 0, 0], [1, 0, 0]])
+
+    def test_matches_eigenvalue_oracle(self):
+        rng = random.Random(12)
+        cases = [list(map(list, g)) for g in self.FIXED]
+        for n in range(1, 11):
+            for kind in ("random", "zero-diagonal", "definite", "degenerate"):
+                cases += [_symmetric(rng, n, kind) for _ in range(8)]
+        models = [get_surface(n) for n in list_surfaces()]
+        models += [get_config(n) for n in list_configs()]
+        cases += [[list(row[i:]) for row in m.gram[i:]]
+                  for m in models for i in range(m.rank)]
+        seen = set()
+        for gram in cases:
+            got = signature(gram)
+            assert got == brute_inertia(gram), gram
+            n = len(gram)
+            pos, neg, null = got
+            seen.add("degenerate" if null else "positive definite"
+                     if pos == n else "negative definite" if neg == n
+                     else "indefinite")
+            if n > 1 and gram[0][0] == 0 and any(gram[0]):
+                seen.add("repair")
+        assert seen == {"degenerate", "positive definite", "negative definite",
+                        "indefinite", "repair"}
+
+    def test_rank12_is_exact_and_fast(self):
+        # the fraction-free elimination keeps every entry a minor of the
+        # matrix, so rank 12 costs about what rank 10 does: well under a
+        # millisecond a call, where this bound allows 100 ms
+        rng = random.Random(13)
+        grams = [_symmetric(rng, 12, kind) for kind in
+                 ("random", "zero-diagonal", "definite", "degenerate")]
+        start = time.perf_counter()
+        got = [signature(g) for g in grams]
+        assert time.perf_counter() - start < 0.4
+        assert got == [brute_inertia(g) for g in grams]
 
 
 def test_sigma_model_determinants():
@@ -444,10 +549,20 @@ class TestIsotropicSearch:
         assert _hits(got) == brute_isotropic(gram, target, 4)
 
     def test_enriques_box1_matches_direct(self):
-        for target in [(1, 1) + (0,) * 8, (2, 3, 1, 0, 0, -1, 0, 0, 0, 1)]:
+        # the walk never reads the target, which only values and orders
+        # the hits: the same 180 classes for any target, zero included
+        rng = random.Random(21)
+        targets = [(1, 1) + (0,) * 8, (2, 3, 1, 0, 0, -1, 0, 0, 0, 1),
+                   (0,) * 10]
+        targets += [tuple(rng.randint(-4, 4) for _ in range(10))
+                    for _ in range(4)]
+        classes = set()
+        for target in targets:
             found = isotropic_search(E10, E10.klass(target), 1)
             assert _hits(found) == brute_isotropic(E10.gram, target, 1)
             assert len(found) == 180
+            classes.add(frozenset(F.coords for F, _ in found))
+        assert len(classes) == 1
 
     def test_matches_oracle_on_random_grams(self):
         rng = random.Random(4)

@@ -65,3 +65,5 @@ def test_worker_phi_op_runs():
     L = surf.model.klass((1, 2, 0, 0, 0, 0, 0, 0, 0, 0))
     res = phi(surf, L, mode="boxed", box=1)
     assert not res.certified and res.value == 1
+    # the least of the 180 box-1 hits by (value, coordinates) is -U2
+    assert res.witness == surf.klass((0, -1) + (0,) * 8)

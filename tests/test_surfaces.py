@@ -16,7 +16,7 @@ from divcalc.errors import (
     PhiInvariantError,
     RangeError,
 )
-from divcalc.lattice import determinant, pair, signature
+from divcalc.lattice import LatticeModel, determinant, pair, signature
 from divcalc.surfaces import (
     blcn,
     blq,
@@ -34,6 +34,7 @@ from divcalc.surfaces import (
     scroll_invariants,
     sigma,
 )
+from oracle_bruteforce import brute_isotropic, brute_phi
 
 
 class TestBuiltinModels:
@@ -132,6 +133,11 @@ class TestConfigs:
             {"labels": ["E", "E1"], "pairs": [[0, 1, 2]]}, "two"
         )
         assert m.name == "two" and m.gram == ((0, 2), (2, 0))
+
+    @pytest.mark.parametrize("labels", [[1, None], ["E", 1], [["E"], "F"]])
+    def test_rejects_non_string_labels(self, labels):
+        with pytest.raises(ModelError, match="bad config definition"):
+            config_from_json_dict({"labels": labels, "pairs": [[0, 1, 1]]})
 
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(ModelError, match="bad pair entry"):
@@ -340,6 +346,38 @@ class TestPhi:
                 seen.add("witness in box" if in_box else "witness outside")
         assert seen == {"neither certifies", "box too small", "witness in box",
                         "witness outside"}
+
+    def test_boxed_matches_oracle_value_and_witness(self):
+        # Boxed phi is brute_phi's value, and its witness is the first hit
+        # of the oracle's (value, coordinates) order with a positive value;
+        # with no such hit, or one above isqrt(L^2), it raises. On these
+        # lattices L^2 > 0 leaves no isotropic class orthogonal to L.
+        line = LatticeModel("line", ("A",), ((2,),), (0,), 1)
+        rng = random.Random(22)
+        seen = set()
+        for m, box, draws in ((enriques(), 1, 6), (sigma(3), 2, 10),
+                              (blq(), 2, 10), (line, 2, 4)):
+            count = 0
+            while count < draws:
+                L = m.klass([rng.randint(-3, 3) for _ in range(m.rank)])
+                L2 = pair(L, L)
+                if not 0 < L2 <= 60:
+                    continue
+                count += 1
+                hits = brute_isotropic(m.gram, L.coords, box)
+                positive = [(F, v) for F, v in hits if v > 0]
+                if not positive or positive[0][1] ** 2 > L2:
+                    with pytest.raises(PhiBoundError):
+                        phi(m, L, mode="boxed", box=box)
+                    seen.add((m.name, "bound"))
+                    continue
+                res = phi(m, L, mode="boxed", box=box)
+                assert res.value == brute_phi(m.gram, L.coords, box), L
+                assert res.witness.coords == positive[0][0], L
+                assert not res.certified and res.notes == ()
+                seen.add((m.name, "value"))
+        assert seen >= {("enriques", "value"), ("sigma3", "value"),
+                        ("blq", "value"), ("line", "bound")}
 
     def test_boxed_mode_is_uncertified(self):
         e = enriques()
