@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import __version__
 from .criteria import (
@@ -587,6 +587,43 @@ def _parse_args(argv):
     return args
 
 
+def _dump_report(obj) -> str:
+    """json.dumps(obj, indent=2), byte for byte, for dicts with str keys,
+    lists, tuples, str, int, bool and None; any other type of value or key
+    raises TypeError. The stdlib indents only in pure-Python generators;
+    this fills one list and joins it once, escaping strings in C."""
+    parts = []
+    put = parts.append
+
+    def emit(o, pad):  # pad: a newline and the indent of o's own line
+        t = type(o)
+        if t is str:
+            put(_encode_str(o))
+        elif t is int:
+            put(int.__repr__(o))
+        elif t is dict:
+            inner, sep = pad + "  ", "{"
+            for k, v in o.items():  # a key that is not a str raises here
+                put(sep + inner + _encode_str(k) + ": ")
+                emit(v, inner)
+                sep = ","
+            put(pad + "}" if o else "{}")
+        elif t is list or t is tuple:
+            inner, sep = pad + "  ", "["
+            for v in o:
+                put(sep + inner)
+                emit(v, inner)
+                sep = ","
+            put(pad + "]" if o else "[]")
+        elif o is None or t is bool:
+            put("null" if o is None else "true" if o else "false")
+        else:
+            raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+    emit(obj, "\n")
+    return "".join(parts)
+
+
 def main(argv=None) -> int:
     raw = list(sys.argv[1:]) if argv is None else list(argv)
     try:
@@ -613,7 +650,7 @@ def main(argv=None) -> int:
             "elapsed_ms": elapsed_ms,
             "version": __version__,
         }
-        print(json.dumps(report, indent=2))
+        print(_dump_report(report))
     else:
         for line in out.lines:
             print(line)

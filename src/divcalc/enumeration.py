@@ -613,23 +613,6 @@ def load_golden(name: str) -> dict:
     return json.loads(path.read_text())
 
 
-def fixture_catalog_json() -> str:
-    out = {}
-    for cid, fx in FIXTURES.items():
-        out[cid] = {
-            "kind": fx.kind,
-            "surface": fx.surface,
-            "curve": fx.curve,
-            "k": fx.k,
-            "mod4": fx.mod4,
-            "expected": list(fx.expected) if fx.expected else None,
-            "golden": fx.golden,
-            "killed": [list(x) for x in fx.killed],
-            "notes": list(fx.notes),
-        }
-    return json.dumps(out, indent=2, default=list)
-
-
 class CaseReport(_Record):
     __slots__ = ("case_id", "status", "survivors", "expected", "killed",
                  "trace", "notes")

@@ -180,9 +180,17 @@ def _json_str(v):
     raise TypeError(f"expected a string, got {v!r}")
 
 
+def _json_strs(v):
+    """The strings of a JSON list as a tuple; "HG" is not two labels."""
+    if isinstance(v, list):
+        return tuple(_json_str(x) for x in v)
+    raise TypeError(f"expected a list of strings, got {v!r}")
+
+
 def model_from_json_dict(d, name=None):
     try:
-        labels = tuple(_json_str(x) for x in d["basis"])
+        name = name or _json_str(d.get("name", "unnamed"))
+        labels = _json_strs(d["basis"])
         gram = tuple(tuple(_json_int(v) for v in row) for row in d["gram"])
         canonical = tuple(_json_int(v) for v in d["canonical"])
         chi = _json_int(d["chi"])
@@ -190,11 +198,11 @@ def model_from_json_dict(d, name=None):
         # only an absent key or null means no ample class
         ample_ref = None if amp is None else tuple(_json_int(v) for v in amp)
         kind = _json_str(d.get("kind", "generic"))
-        effective = tuple(_json_str(x) for x in d.get("effective", ()))
+        effective = _json_strs(d.get("effective", []))
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"bad lattice definition: {exc}") from exc
     return LatticeModel(
-        name=name or d.get("name", "unnamed"),
+        name=name,
         labels=labels,
         gram=gram,
         canonical=canonical,

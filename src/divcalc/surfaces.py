@@ -34,7 +34,7 @@ from .lattice import (
     DivClass,
     LatticeModel,
     _json_int,
-    _json_str,
+    _json_strs,
     _read_json,
     _Record,
     _require_model,
@@ -193,7 +193,7 @@ def config_from_json_dict(doc, name="config") -> LatticeModel:
     decomposition pieces). Every other pairing, the diagonal included,
     is 0."""
     try:
-        labels = tuple(_json_str(x) for x in doc["labels"])
+        labels = _json_strs(doc["labels"])
         n = len(labels)
         gram = [[0] * n for _ in range(n)]
         for entry in doc["pairs"]:
@@ -219,11 +219,11 @@ _BUILTIN_CONFIGS = {
     name: config_from_json_dict({"labels": labels, "pairs": pairs}, name)
     for name, labels, pairs in [
         # two isotropic classes meeting once: spans the L^2 = 12 decompositions
-        ("pencil-pair-1", ("E", "E1"), [(0, 1, 1)]),
+        ("pencil-pair-1", ["E", "E1"], [(0, 1, 1)]),
         # two isotropic classes meeting twice: L^2 = 12 variant and L^2 = 16
-        ("pencil-pair-2", ("E", "E1"), [(0, 1, 2)]),
+        ("pencil-pair-2", ["E", "E1"], [(0, 1, 2)]),
         # three isotropic classes, pairwise product 1: the L^2 = 14 span
-        ("pencil-triple-1", ("E", "E1", "E2"),
+        ("pencil-triple-1", ["E", "E1", "E2"],
          [(0, 1, 1), (0, 2, 1), (1, 2, 1)]),
     ]
 }

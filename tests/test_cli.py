@@ -1,9 +1,12 @@
 import argparse
 import json
+from fractions import Fraction
 from importlib import resources
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import validate
 
 from divcalc import cli
@@ -162,9 +165,22 @@ class TestSurfaceLoading:
          "{path}: not valid JSON ("),
         (["phi", "--config", "{path}", "--curve", "E"], b"{labels",
          "{path}: not valid JSON ("),
+        (["phi", "--config", "{path}", "--curve", "E"],
+         {"labels": "EF", "pairs": [[0, 1, 1]]}, "bad "),
+        (["surface", "--surface", "{path}"],
+         {"name": "toy", "basis": "AB", "gram": [[0, 1], [1, 0]],
+          "canonical": [0, 0], "chi": 1}, "bad "),
+        (["surface", "--surface", "{path}"],
+         {"name": "toy", "basis": ["A", "B"], "gram": [[0, 1], [1, 0]],
+          "canonical": [0, 0], "chi": 1, "effective": "A"}, "bad "),
+        (["surface", "--surface", "{path}"],
+         {"name": 5, "basis": ["A", "B"], "gram": [[0, 1], [1, 0]],
+          "canonical": [0, 0], "chi": 1}, "bad "),
     ], ids=["short-pair", "non-integer-pair", "non-string-labels",
             "non-integer-ample-ref",
-            "undecodable-config", "undecodable-model", "non-json-config"])
+            "undecodable-config", "undecodable-model", "non-json-config",
+            "string-labels", "string-basis", "string-effective",
+            "non-string-name"])
     def test_malformed_file_is_a_usage_error(
             self, capsys, tmp_path, argv, content, err):
         p = tmp_path / "bad.json"
@@ -473,3 +489,67 @@ def test_root_parser_is_skipped_for_subcommands(capsys):
             cli.main(argv)
     capsys.readouterr()
     assert root.call_count == 2
+
+
+# JSON values of the RunReport types, with the strings JSON must escape
+# (quotes, backslashes, control characters, non-ASCII, a lone surrogate)
+# and integers beyond the 64-bit range.
+_TEXT = st.text(st.sampled_from(
+    ["a", "Z", "0", " ", '"', "\\", "/", "\n", "\t", "\x00", "\x1f",
+     "\x7f", "\u00e9", "\u2028", "\U0001f600", "\ud800"]))
+_VALUES = st.recursive(
+    st.none() | st.booleans() | _TEXT
+    | st.integers(min_value=-2**70, max_value=2**70),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=20)
+
+
+class TestReportWriter:
+    """_dump_report writes what json.dumps(report, indent=2) would, byte for
+    byte, without the stdlib's pure-Python indenting encoder."""
+
+    @pytest.mark.parametrize(
+        "argv", GOOD_JSON_COMMANDS + [["verify", "--all"]],
+        ids=lambda a: " ".join(a))
+    def test_reports_match_json_dumps(self, capsys, monkeypatch, argv):
+        seen = []
+        dump = cli._dump_report
+
+        def spy(obj):
+            seen.append(obj)
+            return dump(obj)
+
+        monkeypatch.setattr(cli, "_dump_report", spy)
+        rc, out = run(capsys, argv + ["--json"])
+        assert rc == 0 and len(seen) == 1
+        assert out == json.dumps(seen[0], indent=2) + "\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(_VALUES)
+    def test_arbitrary_values_match_json_dumps(self, obj):
+        assert cli._dump_report(obj) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize("obj", [
+        1.0, Fraction(1, 2), {1, 2}, {1: "a"}, {"a": [0, 0.5]},
+        [{"b": Fraction(3)}], {"a": {(1,): 2}}],
+        ids=["float", "fraction", "set", "int-key", "nested-float",
+             "nested-fraction", "tuple-key"])
+    def test_refuses_other_types(self, obj):
+        with pytest.raises(TypeError):
+            cli._dump_report(obj)
+
+    def test_reports_skip_the_pure_python_encoder(self, capsys, monkeypatch):
+        """No --json report goes through json's indenting encoder, which
+        is several times slower than the writer."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("pure-Python JSON encoder used")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        with pytest.raises(AssertionError):
+            json.dumps({"a": 1}, indent=2)
+        for argv in GOOD_JSON_COMMANDS:
+            rc, _ = run(capsys, argv + ["--json"])
+            assert rc == 0, argv

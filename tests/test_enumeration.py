@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -11,7 +10,6 @@ from divcalc.enumeration import (
     enumerate_bogreider,
     enumerate_destab,
     explain_candidate,
-    fixture_catalog_json,
     load_golden,
     verify_all,
     verify_case,
@@ -459,11 +457,6 @@ class TestFixtureCatalog:
     def test_unknown_case_rejected(self):
         with pytest.raises(FixtureError):
             verify_case("nope")
-
-    def test_catalog_json_parses(self):
-        doc = json.loads(fixture_catalog_json())
-        assert set(doc) == set(FIXTURES)
-        assert doc["g1kondelp-j"]["kind"] == "destab"
 
     def test_golden_files_well_formed(self):
         for cid in ("g1kondelp-c", "g1kondelp-e", "g1kondelp-f",

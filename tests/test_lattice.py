@@ -102,7 +102,11 @@ class TestModelValidation:
          ("gram", [[1.5, 0], [0, -1]]), ("canonical", [True, 0]),
          ("chi", "1"), ("ample_ref", [3, 1.5]), ("ample_ref", 0),
          ("ample_ref", False), ("basis", [1, None]), ("basis", ["H", 1]),
-         ("effective", [1]), ("kind", 3), ("kind", None)])
+         ("effective", [1]), ("kind", 3), ("kind", None),
+         # label lists must be JSON lists ("HG" is not two labels) and
+         # the name a string
+         ("basis", "HG"), ("basis", {"H": 0, "G": 1}), ("effective", "G"),
+         ("name", 5), ("name", None), ("name", ["sigma1"])])
     def test_json_rejects_malformed_fields(self, field, value):
         doc = dict(sigma(1).model.to_json_dict(), **{field: value})
         with pytest.raises(ModelError, match="bad lattice definition"):

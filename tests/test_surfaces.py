@@ -134,7 +134,10 @@ class TestConfigs:
         )
         assert m.name == "two" and m.gram == ((0, 2), (2, 0))
 
-    @pytest.mark.parametrize("labels", [[1, None], ["E", 1], [["E"], "F"]])
+    # a labels value that is not a list, such as "EF", is refused too,
+    # not split into one label per character
+    @pytest.mark.parametrize("labels", [[1, None], ["E", 1], [["E"], "F"],
+                                        "EF", {"E": 0, "F": 1}, ("E", "F")])
     def test_rejects_non_string_labels(self, labels):
         with pytest.raises(ModelError, match="bad config definition"):
             config_from_json_dict({"labels": labels, "pairs": [[0, 1, 1]]})
