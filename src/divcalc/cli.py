@@ -38,7 +38,7 @@ from .enumeration import (
     verify_case,
 )
 from .errors import DivcalcError, EvidenceError, ModelError
-from .lattice import _Record, _set, pair, reflect_nodal
+from .lattice import _Record, pair, reflect_nodal
 from .surfaces import (
     chi,
     genus,
@@ -93,19 +93,11 @@ def _need(args, *names):
 
 
 class _Outcome(_Record):
-    """What a subcommand handler hands back to main()."""
+    """What a subcommand handler hands back to main(): the JSON payload,
+    the surface name or None, and the text lines."""
 
     __slots__ = ("payload", "surface", "lines", "no_conclusion", "failed")
-
-    def __init__(
-        self, payload: object, surface: str | None, lines: list[str],
-        no_conclusion: bool = False, failed: bool = False,
-    ):
-        _set(self, "payload", payload)
-        _set(self, "surface", surface)
-        _set(self, "lines", lines)
-        _set(self, "no_conclusion", no_conclusion)
-        _set(self, "failed", failed)
+    _defaults = {"no_conclusion": False, "failed": False}
 
 
 def _cmd_pair(args):

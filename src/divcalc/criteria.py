@@ -14,7 +14,7 @@ pass (the test suite audits this).
 from __future__ import annotations
 
 from .errors import EvidenceError, RangeError
-from .lattice import _Record, _set
+from .lattice import _Record
 
 # Degree counts far beyond the canonical range are almost certainly typos;
 # the slack leaves room for the large-degree corollaries (4g - 4 plus a
@@ -90,16 +90,8 @@ class GaussianInput(_Record):
                     f"degM = {degM} is implausibly large for genus "
                     f"{g} (cap {cap})"
                 )
-        _set(self, "g", g)
-        _set(self, "L2", L2)
-        _set(self, "phi", phi)
-        _set(self, "degM", degM)
-        _set(self, "h1M", h1M)
-        _set(self, "h0_2K_minus_M", h0_2K_minus_M)
-        _set(self, "h0_residual", h0_residual)
-        _set(self, "cliff", cliff)
-        _set(self, "cork_mu", cork_mu)
-        _set(self, "aux_h0", aux_h0)
+        _Record.__init__(self, g, L2, phi, degM, h1M, h0_2K_minus_M,
+                         h0_residual, cliff, cork_mu, aux_h0)
 
     def echo(self) -> dict:
         out = {"g": self.g}
@@ -131,12 +123,8 @@ class GaussianVerdict(_Record):
             raise ValueError("a SURJECTIVE verdict must cite its rule")
         if status == "CORANK_BOUND" and bound is None:
             raise ValueError("a CORANK_BOUND verdict must carry the bound")
-        _set(self, "status", status)
-        _set(self, "rule", rule)
-        _set(self, "bound", bound)
-        _set(self, "qualifiers", qualifiers)
-        _set(self, "notes", notes)
-        _set(self, "inputs_echo", {} if inputs_echo is None else inputs_echo)
+        _Record.__init__(self, status, rule, bound, qualifiers, notes,
+                         {} if inputs_echo is None else inputs_echo)
 
     @property
     def status_label(self) -> str:
@@ -659,12 +647,10 @@ def tetragonal_corank(
 
 
 class B2Rule(_Record):
-    __slots__ = ("status", "qualifiers", "notes")
+    """status is b2_at_least_1 or unknown."""
 
-    def __init__(self, status: str, qualifiers: tuple = (), notes: tuple = ()):
-        _set(self, "status", status)  # b2_at_least_1 | unknown
-        _set(self, "qualifiers", qualifiers)
-        _set(self, "notes", notes)
+    __slots__ = ("status", "qualifiers", "notes")
+    _defaults = {"qualifiers": (), "notes": ()}
 
     def to_json_dict(self):
         return {

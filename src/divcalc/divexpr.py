@@ -12,17 +12,16 @@ from __future__ import annotations
 import re
 
 from .errors import ExprSyntaxError, LabelError
-from .lattice import DivClass, LatticeModel, _Record, _set
+from .lattice import DivClass, LatticeModel, _Record
 
 _TERM = re.compile(r"\s*([+-])?\s*(?:(\d+)\s*\*?\s*)?([A-Za-z][A-Za-z0-9]*)")
 
 
 class DivExpr(_Record):
-    __slots__ = ("source", "terms")
+    """A parsed expression: the source text and its (coefficient, label)
+    terms."""
 
-    def __init__(self, source: str, terms: tuple[tuple[int, str], ...]):
-        _set(self, "source", source)
-        _set(self, "terms", terms)
+    __slots__ = ("source", "terms")
 
 
 def parse_divexpr(s: str) -> DivExpr:

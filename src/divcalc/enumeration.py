@@ -33,7 +33,6 @@ from .lattice import (
     LatticeModel,
     _Record,
     _require_model,
-    _set,
     _slicer,
     pair,
 )
@@ -46,21 +45,13 @@ from .surfaces import (
 
 
 class Decomposition(_Record):
-    __slots__ = ("L", "M", "z", "ML", "L2", "deg_D", "filter_trace", "notes")
+    """A survivor C = L + M of the search: the class L, the residual
+    length z = k - M.L, ML = M.L, L2 = L^2, deg_D = L^2 + M.L - k, the
+    (stage, detail) filter trace and string notes. The residual class M
+    is C - L and is not stored."""
 
-    def __init__(
-        self, L: DivClass, M: DivClass, z: int, ML: int, L2: int,
-        deg_D: int, filter_trace: tuple[tuple[str, str], ...],
-        notes: tuple[str, ...] = (),
-    ):
-        _set(self, "L", L)
-        _set(self, "M", M)
-        _set(self, "z", z)
-        _set(self, "ML", ML)
-        _set(self, "L2", L2)
-        _set(self, "deg_D", deg_D)
-        _set(self, "filter_trace", filter_trace)
-        _set(self, "notes", notes)
+    __slots__ = ("L", "z", "ML", "L2", "deg_D", "filter_trace", "notes")
+    _defaults = {"notes": ()}
 
     @property
     def expr(self):
@@ -83,21 +74,12 @@ class Decomposition(_Record):
 
 
 class EnumerationResult(_Record):
+    """One search: surface name, rendered curve, k, the mod4 flag used,
+    the survivor Decompositions, rejections per stage name and the
+    number of slice points visited."""
+
     __slots__ = ("surface", "curve", "k", "mod4_applied", "survivors",
                  "rejected", "visited")
-
-    def __init__(
-        self, surface: str, curve: str, k: int, mod4_applied: bool,
-        survivors: list[Decomposition], rejected: dict[str, int],
-        visited: int,
-    ):
-        _set(self, "surface", surface)
-        _set(self, "curve", curve)
-        _set(self, "k", k)
-        _set(self, "mod4_applied", mod4_applied)
-        _set(self, "survivors", survivors)
-        _set(self, "rejected", rejected)
-        _set(self, "visited", visited)
 
     def survivor_keys(self):
         return {d.key() for d in self.survivors}
@@ -196,10 +178,7 @@ def _stage_eval(model, C, C2, k, L, apply_mod4):
     z = k - ML
     if z > 0:
         notes.append(f"residual subscheme of length {z}")
-    dec = Decomposition(
-        L=L, M=C - L, z=z, ML=ML, L2=L2, deg_D=deg_D,
-        filter_trace=tuple(trace), notes=tuple(notes),
-    )
+    dec = Decomposition(L, z, ML, L2, deg_D, tuple(trace), tuple(notes))
     return dec, trace
 
 
@@ -252,15 +231,8 @@ def enumerate_bogreider(
             else:
                 survivors.append(dec)
     survivors.sort(key=lambda d: d.L.coords)
-    return EnumerationResult(
-        surface=surface.name,
-        curve=render(C),
-        k=k,
-        mod4_applied=apply_mod4,
-        survivors=survivors,
-        rejected=rejected,
-        visited=visited,
-    )
+    return EnumerationResult(surface.name, render(C), k, apply_mod4,
+                             survivors, rejected, visited)
 
 
 def explain_candidate(surface, C, k, coords, mod4: bool | None = None):
@@ -283,36 +255,18 @@ def explain_candidate(surface, C, k, coords, mod4: bool | None = None):
 
 
 class DestabCandidate(_Record):
+    """A destabilizing A = a C0 + a1 f with its integer invariants."""
+
     __slots__ = ("a", "a1", "A2", "B2", "AB", "lenW")
 
-    def __init__(self, a: int, a1: int, A2: int, B2: int, AB: int, lenW: int):
-        _set(self, "a", a)
-        _set(self, "a1", a1)
-        _set(self, "A2", A2)
-        _set(self, "B2", B2)
-        _set(self, "AB", AB)
-        _set(self, "lenW", lenW)
-
-    def to_json_dict(self):
-        return {
-            "a": self.a,
-            "a1": self.a1,
-            "A2": self.A2,
-            "B2": self.B2,
-            "AB": self.AB,
-            "lenW": self.lenW,
-        }
+    to_json_dict = _Record._field_dict
 
 
 class DestabResult(_Record):
-    __slots__ = ("survivors", "grid")
+    """The surviving DestabCandidates and the grid of
+    (a, a1, "pass" | first violation) cells."""
 
-    def __init__(
-        self, survivors: list[DestabCandidate],
-        grid: list[tuple[int, int, str]],
-    ):
-        _set(self, "survivors", survivors)
-        _set(self, "grid", grid)  # (a, a1, "pass" | first violation)
+    __slots__ = ("survivors", "grid")
 
     def survivor_cells(self):
         return {(c.a, c.a1) for c in self.survivors}
@@ -366,7 +320,8 @@ def enumerate_destab() -> DestabResult:
 
 class CaseFixture(_Record):
     """One frozen case: either a pencil search, the destabilization grid,
-    or a batch of pairing identities on a configuration span.
+    or a batch of pairing identities on a configuration span (kind
+    pencil, destab or identities).
 
     expected holds (rendered L, z) pairs for pencil cases and
     ((a, a1), lenW) pairs for the destab case; golden names a shipped
@@ -377,25 +332,9 @@ class CaseFixture(_Record):
 
     __slots__ = ("case_id", "kind", "surface", "curve", "k", "mod4",
                  "expected", "golden", "killed", "identities", "notes")
-
-    def __init__(
-        self, case_id: str, kind: str, surface: str | None = None,
-        curve: str | None = None, k: int | None = None,
-        mod4: bool | None = None, expected: tuple | None = None,
-        golden: str | None = None, killed: tuple = (),
-        identities: tuple = (), notes: tuple = (),
-    ):
-        _set(self, "case_id", case_id)
-        _set(self, "kind", kind)  # pencil | destab | identities
-        _set(self, "surface", surface)
-        _set(self, "curve", curve)
-        _set(self, "k", k)
-        _set(self, "mod4", mod4)
-        _set(self, "expected", expected)
-        _set(self, "golden", golden)
-        _set(self, "killed", killed)
-        _set(self, "identities", identities)
-        _set(self, "notes", notes)
+    _defaults = {"surface": None, "curve": None, "k": None, "mod4": None,
+                 "expected": None, "golden": None, "killed": (),
+                 "identities": (), "notes": ()}
 
 
 _KILL_H0_3 = "the restricted system has three sections (h0 = 3), not a pencil"
@@ -614,20 +553,11 @@ def load_golden(name: str) -> dict:
 
 
 class CaseReport(_Record):
+    """The grade of one fixture replay: status is PASS or FAIL."""
+
     __slots__ = ("case_id", "status", "survivors", "expected", "killed",
                  "trace", "notes")
-
-    def __init__(
-        self, case_id: str, status: str, survivors: list, expected: list,
-        killed: list, trace: list, notes: tuple = (),
-    ):
-        _set(self, "case_id", case_id)
-        _set(self, "status", status)  # PASS | FAIL
-        _set(self, "survivors", survivors)
-        _set(self, "expected", expected)
-        _set(self, "killed", killed)
-        _set(self, "trace", trace)
-        _set(self, "notes", notes)
+    _defaults = {"notes": ()}
 
     def to_json_dict(self):
         return {

@@ -34,18 +34,58 @@ def _check_i64(value, what):
     return value
 
 
-_set = object.__setattr__  # how a record's __init__ fills its slots
+_set = object.__setattr__  # fills a slot past the read-only __setattr__
 
 
 class _Record:
     """Base of divcalc's value types. The fields are the __slots__, set
-    once in __init__ through _set and read-only afterwards; equality, hash
-    and repr go over them in slot order, as for a frozen dataclass."""
+    once by the constructor and read-only afterwards; equality, hash and
+    repr go over them in slot order, as for a frozen dataclass.
+
+    The constructor takes the fields in slot order, positionally or by
+    keyword; a field left out takes its value from the class's _defaults,
+    declared once per class for trailing fields. A missing field, an
+    unknown keyword, a field given twice or too many positionals raise
+    TypeError. A type that validates its fields defines its own __init__
+    with the same parameters.
+    """
 
     __slots__ = ()
+    _defaults = {}
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        if kwargs or len(args) != len(fields):
+            args = self._all_fields(args, kwargs)
+        for f, v in zip(fields, args):
+            _set(self, f, v)
+
+    def _all_fields(self, args, kwargs):
+        """Every field value in slot order, from the positionals, then
+        the keywords, then the declared defaults."""
+        name, fields = type(self).__name__, self.__slots__
+        if len(args) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} fields, "
+                            f"got {len(args)}")
+        rest = []
+        for f in fields[len(args):]:
+            if f in kwargs:
+                rest.append(kwargs.pop(f))
+            elif f in self._defaults:
+                rest.append(self._defaults[f])
+            else:
+                raise TypeError(f"{name} needs field {f!r}")
+        for f in kwargs:
+            what = "given twice" if f in fields else "unknown"
+            raise TypeError(f"{name} field {f!r} {what}")
+        return args + tuple(rest)
 
     def _values(self):
         return tuple(getattr(self, f) for f in self.__slots__)
+
+    def _field_dict(self):
+        """The fields by name, in slot order."""
+        return {f: getattr(self, f) for f in self.__slots__}
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is read-only")
@@ -90,6 +130,14 @@ class LatticeModel(_Record):
         chi: int, ample_ref: tuple[int, ...] | None = None,
         kind: str = "generic", effective_labels: tuple[str, ...] = (),
     ):
+        if not isinstance(name, str):
+            raise ModelError(f"model name must be a string, got {name!r}")
+        for what, labs in (("labels", labels),
+                           ("effective_labels", effective_labels)):
+            if not (isinstance(labs, tuple)
+                    and all(isinstance(x, str) for x in labs)):
+                raise ModelError(f"{what} must be a tuple of strings, "
+                                 f"got {labs!r}")
         n = len(labels)
         if n == 0:
             raise ModelError("model needs at least one basis label")
@@ -112,14 +160,8 @@ class LatticeModel(_Record):
         unknown = set(effective_labels) - set(labels)
         if unknown:
             raise ModelError(f"effective_labels not in basis: {sorted(unknown)}")
-        _set(self, "name", name)
-        _set(self, "labels", labels)
-        _set(self, "gram", gram)
-        _set(self, "canonical", canonical)
-        _set(self, "chi", chi)
-        _set(self, "ample_ref", ample_ref)
-        _set(self, "kind", kind)
-        _set(self, "effective_labels", effective_labels)
+        _Record.__init__(self, name, labels, gram, canonical, chi, ample_ref,
+                         kind, effective_labels)
 
     @property
     def rank(self):
@@ -428,29 +470,17 @@ def determinant(gram) -> int:
     return int(det)
 
 
-def is_nondegenerate(model: LatticeModel) -> bool:
-    return determinant(model.gram) != 0
-
-
 # ---------------------------------------------------------------------------
 # Hodge-index filter
 
 
 class HodgeResult(_Record):
     """outcome is pass, equality_case, fail or fail_by_integrality; lhs is
-    (L.C)^2 and rhs is L^2 C^2."""
+    (L.C)^2 and rhs is L^2 C^2; lam is the Fraction (L.C)/L^2 when they
+    are equal, else None."""
 
     __slots__ = ("outcome", "lhs", "rhs", "lam", "note")
-
-    def __init__(
-        self, outcome: str, lhs: int, rhs: int,
-        lam: Fraction | None = None, note: str = "",
-    ):
-        _set(self, "outcome", outcome)
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
-        _set(self, "lam", lam)
-        _set(self, "note", note)
+    _defaults = {"lam": None, "note": ""}
 
     @property
     def keeps(self):

@@ -38,7 +38,6 @@ from .lattice import (
     _read_json,
     _Record,
     _require_model,
-    _set,
     _slicer,
     isotropic_search,
     load_model,
@@ -281,16 +280,11 @@ def mod4_condition(L: DivClass, M: DivClass) -> bool:
 
 
 class PhiResult(_Record):
-    __slots__ = ("value", "witness", "certified", "notes")
+    """phi: the value |F.L|, the isotropic witness class F, whether the
+    value is certified minimal, and string notes."""
 
-    def __init__(
-        self, value: int, witness: DivClass, certified: bool,
-        notes: tuple[str, ...] = (),
-    ):
-        _set(self, "value", value)
-        _set(self, "witness", witness)
-        _set(self, "certified", certified)
-        _set(self, "notes", notes)
+    __slots__ = ("value", "witness", "certified", "notes")
+    _defaults = {"notes": ()}
 
     def to_json_dict(self):
         return {
@@ -368,16 +362,12 @@ def phi(
 
 
 class QuasiNefResult(_Record):
-    __slots__ = ("status", "min_pairing", "witness", "notes")
+    """status is nef, quasi_nef or violated; min_pairing and witness are
+    the lowest pairing with the test pool and the class that gives it
+    (None when nothing was tested, witness None for nef)."""
 
-    def __init__(
-        self, status: str, min_pairing: int | None,
-        witness: DivClass | None, notes: tuple[str, ...] = (),
-    ):
-        _set(self, "status", status)  # nef | quasi_nef | violated
-        _set(self, "min_pairing", min_pairing)
-        _set(self, "witness", witness)
-        _set(self, "notes", notes)
+    __slots__ = ("status", "min_pairing", "witness", "notes")
+    _defaults = {"notes": ()}
 
     def to_json_dict(self):
         return {
@@ -444,28 +434,7 @@ class ScrollInvariants(_Record):
     __slots__ = ("g", "b1", "b2", "degV", "degY", "pa_hyperplane",
                  "n2_holds")
 
-    def __init__(
-        self, g: int, b1: int, b2: int, degV: int, degY: int,
-        pa_hyperplane: int, n2_holds: bool,
-    ):
-        _set(self, "g", g)
-        _set(self, "b1", b1)
-        _set(self, "b2", b2)
-        _set(self, "degV", degV)
-        _set(self, "degY", degY)
-        _set(self, "pa_hyperplane", pa_hyperplane)
-        _set(self, "n2_holds", n2_holds)
-
-    def to_json_dict(self):
-        return {
-            "g": self.g,
-            "b1": self.b1,
-            "b2": self.b2,
-            "degV": self.degV,
-            "degY": self.degY,
-            "pa_hyperplane": self.pa_hyperplane,
-            "n2_holds": self.n2_holds,
-        }
+    to_json_dict = _Record._field_dict
 
 
 def scroll_invariants(g: int, b1: int) -> ScrollInvariants:

@@ -20,7 +20,7 @@ from divcalc.errors import (
     ModelMismatchError,
     RangeError,
 )
-from divcalc.lattice import LatticeModel, model_from_json_dict, pair
+from divcalc.lattice import DivClass, LatticeModel, model_from_json_dict, pair
 from divcalc.surfaces import enriques, get_surface, phi, sigma
 
 from oracle_bruteforce import (
@@ -428,6 +428,27 @@ def test_heavier_work_counts_are_pinned():
         res = enumerate_bogreider(surf, C, k)
         assert res.mod4_applied
         assert (res.visited, len(res.survivors), res.rejected) == want, k
+
+
+def test_search_builds_one_class_per_slice_point(monkeypatch):
+    # the walk builds each slice point once; a survivor builds no class
+    # of its own (Decomposition stores L, not the residual C - L)
+    built = []
+
+    def counting_init(self, model, coords):
+        built.append(coords)
+        real(self, model, coords)
+
+    real = DivClass.__init__
+    monkeypatch.setattr(DivClass, "__init__", counting_init)
+    surf = get_surface("sigma6")
+    assert built == []
+    C = resolve("-2K", surf)
+    assert built == [C.coords]
+    del built[:]
+    res = enumerate_bogreider(surf, C, 8)
+    assert (res.visited, len(res.survivors)) == (7191, 6453)
+    assert len(built) == res.visited
 
 
 class TestDestab:

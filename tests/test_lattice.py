@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divcalc
+import divcalc.cli  # noqa: F401 (defines the _Outcome record)
 from divcalc import lattice
-from divcalc.criteria import GaussianInput, check_main_theorem
+from divcalc.criteria import GaussianInput, GaussianVerdict, check_main_theorem
 from divcalc.enumeration import enumerate_bogreider
 from divcalc.errors import (
     ModelError,
@@ -28,7 +29,6 @@ from divcalc.lattice import (
     LatticeModel,
     determinant,
     hodge_filter,
-    is_nondegenerate,
     isotropic_search,
     load_model,
     model_from_json_dict,
@@ -111,6 +111,22 @@ class TestModelValidation:
         doc = dict(sigma(1).model.to_json_dict(), **{field: value})
         with pytest.raises(ModelError, match="bad lattice definition"):
             model_from_json_dict(doc)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("name", 5), ("name", None), ("name", b"t"), ("labels", "HG"),
+         ("labels", ["H", "G"]), ("labels", ("H", 1)),
+         ("effective_labels", "G"), ("effective_labels", ["G"]),
+         ("effective_labels", (None,))])
+    def test_constructor_refuses_non_string_names_and_labels(self, field,
+                                                             value):
+        # "HG" is not the labels ("H", "G"): basis_class would match by
+        # substring and the file writer would split it
+        fields = dict(name="t", labels=("H", "G"), gram=((1, 0), (0, -1)),
+                      canonical=(0, 0), chi=1)
+        fields[field] = value
+        with pytest.raises(ModelError, match=field):
+            LatticeModel(**fields)
 
     def test_json_empty_ample_ref_is_refused(self):
         # only an absent key or null means "no ample class"
@@ -196,6 +212,51 @@ class TestDivClassAlgebra:
         assert (-top).coords == (-(2**63 - 1),)
 
 
+def _record_types():
+    found, todo = [], [lattice._Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("divcalc"):
+                found.append(sub)
+    return sorted(found, key=lambda c: c.__name__)
+
+
+RECORD_TYPES = _record_types()
+VALIDATING_TYPES = (LatticeModel, DivClass, GaussianInput, GaussianVerdict)
+PLAIN_TYPES = [c for c in RECORD_TYPES if c not in VALIDATING_TYPES]
+PLAIN_NAMES = {"HodgeResult", "PhiResult", "QuasiNefResult",
+               "ScrollInvariants", "Decomposition", "EnumerationResult",
+               "DestabCandidate", "DestabResult", "CaseFixture",
+               "CaseReport", "B2Rule", "DivExpr", "_Outcome"}
+
+# every declared default of the plain records, trailing fields in order
+RECORD_DEFAULTS = {
+    "HodgeResult": {"lam": None, "note": ""},
+    "PhiResult": {"notes": ()},
+    "QuasiNefResult": {"notes": ()},
+    "Decomposition": {"notes": ()},
+    "CaseFixture": {"surface": None, "curve": None, "k": None,
+                    "mod4": None, "expected": None, "golden": None,
+                    "killed": (), "identities": (), "notes": ()},
+    "CaseReport": {"notes": ()},
+    "B2Rule": {"qualifiers": (), "notes": ()},
+    "_Outcome": {"no_conclusion": False, "failed": False},
+}
+
+
+def _record_sample(cls):
+    """Field values, in slot order, that cls accepts."""
+    m = sigma(2)
+    return {
+        LatticeModel: m._values(),
+        DivClass: (m, (1, -1, 0)),
+        GaussianInput: (7, 12, 2, 8, 0, None, 1, None, None, {"4K-M": 3}),
+        GaussianVerdict: ("SURJECTIVE", "rule", None, ("q",), ("n",),
+                          {"g": 7}),
+    }.get(cls) or tuple(f"{f} value" for f in cls.__slots__)
+
+
 class TestRecords:
     """The value types are slotted, read-only records, not dataclasses."""
 
@@ -259,6 +320,49 @@ class TestRecords:
             for twin in (copy.copy(obj), copy.deepcopy(obj),
                          pickle.loads(pickle.dumps(obj))):
                 assert type(twin) is type(obj) and twin == obj
+
+    @pytest.mark.parametrize("cls", RECORD_TYPES,
+                             ids=lambda c: c.__name__)
+    def test_constructor_contract(self, cls):
+        fields = cls.__slots__
+        vals = _record_sample(cls)
+        rec = cls(*vals)
+        assert rec == cls(**dict(zip(fields, vals)))
+        assert rec._values() == vals
+        with pytest.raises(TypeError):  # missing the first field
+            cls(**dict(zip(fields[1:], vals[1:])))
+        with pytest.raises(TypeError):
+            cls(*vals, no_such_field=1)
+        with pytest.raises(TypeError):  # the first field twice
+            cls(*vals, **{fields[0]: vals[0]})
+        with pytest.raises(TypeError):
+            cls(*vals, "one too many")
+        for twin in (copy.copy(rec), copy.deepcopy(rec),
+                     pickle.loads(pickle.dumps(rec))):
+            assert type(twin) is cls and twin == rec
+
+    @pytest.mark.parametrize("cls", PLAIN_TYPES, ids=lambda c: c.__name__)
+    def test_declared_defaults(self, cls):
+        defaults = RECORD_DEFAULTS.get(cls.__name__, {})
+        assert cls._defaults == defaults
+        n = len(cls.__slots__) - len(defaults)
+        assert cls.__slots__[n:] == tuple(defaults)  # trailing, in order
+        rec = cls(*_record_sample(cls)[:n])
+        assert rec._values()[n:] == tuple(defaults.values())
+
+    def test_defaults_pinned_by_example(self):
+        from divcalc.cli import _Outcome
+        from divcalc.enumeration import CaseFixture
+
+        out = _Outcome({}, None, [])
+        assert out.failed is False and out.no_conclusion is False
+        assert CaseFixture("x", "pencil").killed == ()
+
+    def test_only_validating_types_define_init(self):
+        assert {c.__name__ for c in PLAIN_TYPES} == PLAIN_NAMES
+        assert set(RECORD_DEFAULTS) <= PLAIN_NAMES
+        own = {c for c in RECORD_TYPES if "__init__" in vars(c)}
+        assert own == set(VALIDATING_TYPES)
 
 
 @given(
@@ -662,7 +766,7 @@ class TestHodge:
         from divcalc.surfaces import config_from_json_dict
 
         m = config_from_json_dict(cfg_doc, "degenerate")
-        assert not is_nondegenerate(m)
+        assert determinant(m.gram) == 0
         L = m.klass((1, 1, 0))
         C = m.klass((1, 2, -1))
         r = hodge_filter(L, C)
