@@ -107,79 +107,73 @@ def _auto_mod4(model, C: DivClass) -> bool:
     return C.coords == minus2k
 
 
-def _stage_eval(model, C, C2, k, L, apply_mod4):
-    """Run the staged filters on one candidate, with C2 = C^2 > 0. Returns
-    (decomp_or_None, trace); the trace stops at the first violated
-    constraint. One row vector G L gives every pairing the stages read."""
-    trace = []
+# a trace passes a prefix of the stages, then fails one or passes all
+_STAGES = ("nonzero", "sign", "L2_nonneg", "ML_ge_L2", "ML_le_k",
+           "degD_nonneg", "mod4")
+_PASSES = tuple((name, "pass") for name in _STAGES)
+_SURVIVOR_TRACE = {True: _PASSES,
+                   False: _PASSES[:-1] + (("mod4", "skip: parity flag off"),)}
 
-    def passed(name, detail="pass"):
-        trace.append((name, detail))
 
-    def failed(name, detail):
-        trace.append((name, f"fail: {detail}"))
-        return None, trace
-
-    if L.is_zero():
-        return failed("nonzero", "zero class")
-    passed("nonzero")
-
-    GL = [sum(map(mul, row, L.coords)) for row in model.gram]
-    if model.kind == "sigma":
-        if any(v < 0 for v in GL):
-            return failed("sign", f"basis pairings {GL} not all >= 0")
-    elif model.kind in ("ruled", "blcn"):
-        if any(c < 0 for c in L.coords):
-            return failed("sign", f"coordinates {list(L.coords)} not all >= 0")
+def _stage_kernel(model, k, apply_mod4):
+    """The staged filters as stages(x, s), on the class L with coordinates
+    x and s = L.C: (stage, detail) for the first violated constraint,
+    else (None, (L^2, M.L, deg D)). The search passes s from its slice
+    and explain_candidate pairs L with C; every stage is evaluated, also
+    those the slice windows imply, so both see the same trace."""
+    gram, kind, n = model.gram, model.kind, model.rank
+    # the sign stage keeps L when S L >= 0: S is the gram on sigma
+    # models, the identity on ruled and blcN models, and the gram rows
+    # of the effective labels otherwise
+    if kind == "sigma":
+        S = gram
+    elif kind in ("ruled", "blcn"):
+        S = [[int(i == j) for j in range(n)] for i in range(n)]
     else:
-        negs = [
-            lab
-            for lab in model.effective_labels
-            if GL[model.labels.index(lab)] < 0
-        ]
-        if negs:
-            return failed("sign", f"negative pairing with effective {negs}")
-    passed("sign")
+        S = [gram[model.labels.index(lab)] for lab in model.effective_labels]
 
-    L2 = sum(map(mul, GL, L.coords))
-    if L2 < 0:
-        return failed("L2_nonneg", f"L^2 = {L2}")
-    passed("L2_nonneg")
+    def stages(x, s):
+        if not any(x):
+            return "nonzero", "zero class"
+        GL = [sum(map(mul, row, x)) for row in gram]
+        SL = GL if S is gram else [sum(map(mul, row, x)) for row in S]
+        if SL and min(SL) < 0:
+            if kind == "sigma":
+                return "sign", f"basis pairings {SL} not all >= 0"
+            if kind in ("ruled", "blcn"):
+                return "sign", f"coordinates {SL} not all >= 0"
+            negs = [lab for lab, v in zip(model.effective_labels, SL) if v < 0]
+            return "sign", f"negative pairing with effective {negs}"
+        L2 = sum(map(mul, GL, x))
+        ML = s - L2
+        if L2 < 0:
+            return "L2_nonneg", f"L^2 = {L2}"
+        if ML < L2:
+            return "ML_ge_L2", f"M.L = {ML} < L^2 = {L2}"
+        if ML > k:
+            return "ML_le_k", f"M.L = {ML} > k = {k}"
+        if s < k:
+            return "degD_nonneg", f"deg D = {s - k}"
+        if apply_mod4 and (3 * L2 + ML) % 4:
+            return "mod4", f"3 L^2 + M.L = {3 * L2 + ML} not in 4Z"
+        return None, (L2, ML, s - k)
 
-    LC = sum(map(mul, GL, C.coords))
-    ML = LC - L2
-    if ML < L2:
-        return failed("ML_ge_L2", f"M.L = {ML} < L^2 = {L2}")
-    passed("ML_ge_L2")
+    return stages
 
-    if ML > k:
-        return failed("ML_le_k", f"M.L = {ML} > k = {k}")
-    passed("ML_le_k")
 
-    deg_D = L2 + ML - k
-    if deg_D < 0:
-        return failed("degD_nonneg", f"deg D = {deg_D}")
-    passed("degD_nonneg")
-
-    if apply_mod4:
-        if (3 * L2 + ML) % 4:
-            return failed("mod4", f"3 L^2 + M.L = {3 * L2 + ML} not in 4Z")
-        passed("mod4")
-    else:
-        passed("mod4", "skip: parity flag off")
-
+def _decomposition(L, s, C2, k, values, trace):
+    """The survivor L with L.C = s, given C^2 and its stage values."""
+    L2, ML, deg_D = values
     # No Hodge stage: on the signature-(1, r - 1) lattices that _slicer
     # accepts, L^2 > 0 and C^2 > 0 give (L.C)^2 >= L^2 C^2, with equality
     # only for C = (L.C / L^2) L. L^2 > 0 holds there, as L.C >= k >= 2.
-    notes = []
-    if L2 * C2 == LC * LC:
-        lam = Fraction(LC, L2)
-        notes.append(f"equality with integral proportionality C = {lam} L")
-    z = k - ML
-    if z > 0:
-        notes.append(f"residual subscheme of length {z}")
-    dec = Decomposition(L, z, ML, L2, deg_D, tuple(trace), tuple(notes))
-    return dec, trace
+    notes = ()
+    if L2 * C2 == s * s:
+        notes = (f"equality with integral proportionality C = "
+                 f"{Fraction(s, L2)} L",)
+    if ML < k:
+        notes += (f"residual subscheme of length {k - ML}",)
+    return Decomposition(L, k - ML, ML, L2, deg_D, trace, notes)
 
 
 def _slices(surface, C, k):
@@ -211,26 +205,31 @@ def enumerate_bogreider(
     C^2 > 0 on a hyperbolic lattice (slice_points). Other inputs raise
     ModelError, k < 2 raises RangeError, and a C from another model
     raises ModelMismatchError. The slice walk is set up once per search.
-    Every slice point still runs through all the stages, so visited
-    counts slice points and traces match explain_candidate.
+    Every slice point runs through all the stages of _stage_kernel, as
+    in explain_candidate, so visited counts slice points and traces
+    match explain_candidate. Only a survivor is built as a DivClass.
     """
     points = _slices(surface, C, k)
     apply_mod4 = _auto_mod4(surface, C) if mod4 is None else mod4
-    C2 = pair(C, C)
+    stages = _stage_kernel(surface, k, apply_mod4)
+    trace = _SURVIVOR_TRACE[apply_mod4]
+    model, C2 = C.model, pair(C, C)
 
-    survivors = []
+    kept = []
     rejected = {}
     visited = 0
     for s in range(k, 2 * k + 1):
-        for L in points(s, s - k, s // 2):
-            visited += 1
-            dec, trace = _stage_eval(surface, C, C2, k, L, apply_mod4)
-            if dec is None:
-                name = trace[-1][0]
-                rejected[name] = rejected.get(name, 0) + 1
+        found = points(s, s - k, s // 2)
+        visited += len(found)
+        for x in found:
+            stage, got = stages(x, s)
+            if stage is None:
+                kept.append((x, s, got))
             else:
-                survivors.append(dec)
-    survivors.sort(key=lambda d: d.L.coords)
+                rejected[stage] = rejected.get(stage, 0) + 1
+    kept.sort()  # by coordinates, which no two survivors share
+    survivors = [_decomposition(DivClass(model, x), s, C2, k, got, trace)
+                 for x, s, got in kept]
     return EnumerationResult(surface.name, render(C), k, apply_mod4,
                              survivors, rejected, visited)
 
@@ -246,8 +245,12 @@ def explain_candidate(surface, C, k, coords, mod4: bool | None = None):
     _slices(surface, C, k)
     apply_mod4 = _auto_mod4(surface, C) if mod4 is None else mod4
     L = surface.klass(coords)
-    dec, trace = _stage_eval(surface, C, pair(C, C), k, L, apply_mod4)
-    return dec, list(trace)
+    s = pair(L, C)
+    stage, got = _stage_kernel(surface, k, apply_mod4)(L.coords, s)
+    if stage is not None:
+        return None, [*_PASSES[:_STAGES.index(stage)], (stage, f"fail: {got}")]
+    trace = _SURVIVOR_TRACE[apply_mod4]
+    return _decomposition(L, s, pair(C, C), k, got, trace), list(trace)
 
 
 # ---------------------------------------------------------------------------

@@ -44,10 +44,10 @@ class _Record:
 
     The constructor takes the fields in slot order, positionally or by
     keyword; a field left out takes its value from the class's _defaults,
-    declared once per class for trailing fields. A missing field, an
-    unknown keyword, a field given twice or too many positionals raise
-    TypeError. A type that validates its fields defines its own __init__
-    with the same parameters.
+    declared once per class for trailing fields, in slot order. A missing
+    field, an unknown keyword, a field given twice or too many
+    positionals raise TypeError. A type that validates its fields
+    defines its own __init__ with the same parameters.
     """
 
     __slots__ = ()
@@ -55,8 +55,13 @@ class _Record:
 
     def __init__(self, *args, **kwargs):
         fields = self.__slots__
-        if kwargs or len(args) != len(fields):
-            args = self._all_fields(args, kwargs)
+        missing = len(fields) - len(args)
+        if kwargs or missing:
+            tail = tuple(self._defaults.values())  # trailing, in slot order
+            if kwargs or not 0 < missing <= len(tail):
+                args = self._all_fields(args, kwargs)
+            else:
+                args += tail[-missing:]
         for f, v in zip(fields, args):
             _set(self, f, v)
 
@@ -283,10 +288,11 @@ class DivClass(_Record):
     __slots__ = ("model", "coords")
 
     def __init__(self, model: LatticeModel, coords: tuple[int, ...]):
-        if len(coords) != model.rank:
+        if len(coords) != len(model.labels):
             raise ModelError("coordinate length does not match model rank")
-        for c in coords:
-            _check_i64(c, "coordinate")
+        if max(coords) > I64_MAX or min(coords) < -I64_MAX:
+            for c in coords:
+                _check_i64(c, "coordinate")
         _set(self, "model", model)
         _set(self, "coords", coords)
 
@@ -615,31 +621,41 @@ def vectors_of_norm(Q, N: int, coord_box: int | None = None):
     return sorted(_walk(W, e, V, (), B * N, B * N, coord_box))
 
 
-def _kernel_basis(w):
+def _kernel_basis(w, gram):
     """Integral basis of {x : w.x = 0} for a nonzero integer vector w,
-    plus a pivot p with w.p = g = +-gcd(w), as (kernel, p, g).
+    plus a pivot p with w.p = g = +-gcd(w), and the gram in the basis
+    P = (kernel | p), as (kernel, p, g, P^T G P).
 
     Unimodular column operations on the identity reduce w to one nonzero
     entry g; the columns then form a basis of Z^r in which the other
-    columns span the kernel.
+    columns span the kernel. Each operation is also applied to the gram
+    as a congruence, so P^T G P needs no matrix product.
     """
     w = list(w)
     r = len(w)
     cols = [[int(i == j) for i in range(r)] for j in range(r)]
-    while sum(1 for v in w if v) > 1:
-        p = min((j for j in range(r) if w[j]), key=lambda j: abs(w[j]))
-        for q in range(r):
-            if q != p and w[q]:
+    M = [list(row) for row in gram]
+    live = [j for j in range(r) if w[j]]
+    while len(live) > 1:
+        p = min(live, key=lambda j: abs(w[j]))
+        for q in live:
+            if q != p:  # column q -= f column p, on w, the basis and M
                 f = w[q] // w[p]
                 w[q] -= f * w[p]
                 cols[q] = [a - f * b for a, b in zip(cols[q], cols[p])]
-    g, pivot = next((v, col) for v, col in zip(w, cols) if v)
-    return [col for v, col in zip(w, cols) if not v], pivot, g
+                M[q] = [a - f * b for a, b in zip(M[q], M[p])]
+                for row in M:
+                    row[q] -= f * row[p]
+        live = [j for j in live if w[j]]
+    order = [j for j in range(r) if not w[j]] + live
+    return ([cols[j] for j in order[:-1]], cols[live[0]], w[live[0]],
+            [[M[i][j] for j in order] for i in order])
 
 
 def _slicer(C: DivClass):
     """The per-curve set-up of slice_points, done once: returns
-    points(s, qlo, qhi), which is slice_points(C, s, qlo, qhi).
+    points(s, qlo, qhi), the coordinates of slice_points(C, s, qlo, qhi)
+    as tuples checked against the 64-bit envelope.
 
     Raises ModelError up front when the slices of C can be infinite.
     """
@@ -649,10 +665,8 @@ def _slicer(C: DivClass):
     c2 = sum(map(mul, w, C.coords))
     if c2 <= 0:
         raise ModelError(f"slice enumeration needs C^2 > 0, got C^2 = {c2}")
-    K, pivot, g = _kernel_basis(w)
-    P = K + [pivot]
-    GP = [[sum(map(mul, row, col)) for row in gram] for col in P]
-    ldl = _ldl([[-sum(map(mul, u, v)) for v in GP] for u in P])
+    K, pivot, g, M = _kernel_basis(w, gram)
+    ldl = _ldl([[-v for v in row] for row in M])
     if ldl is None:
         raise ModelError(
             "slice enumeration needs a hyperbolic lattice; the complement "
@@ -660,7 +674,7 @@ def _slicer(C: DivClass):
         )
     W, e, V, B = ldl
     Wt = W.pop() * e[-1] ** 2  # the weight of t^2, negative
-    rows = list(zip(*P))
+    rows = list(zip(*K, pivot))
     even = all(gram[i][i] % 2 == 0 for i in range(model.rank))
 
     def points(s, qlo, qhi):
@@ -674,7 +688,11 @@ def _slicer(C: DivClass):
             tuple([sum(map(mul, row, z)) for row in rows])
             for z in _walk(W, e, V, (t,), -B * qhi - shift, -B * qlo - shift)
         )
-        return [DivClass(model, x) for x in found]
+        if found and (min(map(min, found)) < -I64_MAX
+                      or max(map(max, found)) > I64_MAX):
+            for x in found:
+                DivClass(model, x)  # raises, naming the coordinate
+        return found
 
     return points
 
@@ -696,12 +714,13 @@ def slice_points(C: DivClass, s: int, qlo: int, qhi: int) -> list[DivClass]:
 
     The shell is walked with integers only (_walk, the Fincke-Pohst
     enumeration; Cohen, GTM 138, section 2.7), on a kernel basis and an
-    LDL with cleared denominators that _slicer sets up once per curve.
+    LDL with cleared denominators that _slicer sets up once per curve,
+    the kernel reduction giving M by congruence (_kernel_basis).
     On an even lattice, where every diagonal gram entry is even and so
     x^2 is even, the window is first rounded inward to even values, and
     a window with no even value is empty without a walk.
     """
-    return _slicer(C)(s, qlo, qhi)
+    return [DivClass(C.model, x) for x in _slicer(C)(s, qlo, qhi)]
 
 
 # ---------------------------------------------------------------------------

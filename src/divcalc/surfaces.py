@@ -305,11 +305,11 @@ def phi(
     {F : F.L = t, F^2 = 0} (slice_points, set up once per call). The
     first non-empty slice is the minimum, since the slices below it are
     empty, so the result is certified; its witness is the smallest class
-    of that slice by coordinates. The walk needs L^2 > 0 on a lattice of
-    signature (1, rank - 1) and raises ModelError otherwise. It is capped
-    at isqrt(L^2); exhausting it violates the invariant phi^2 <= L^2 and
-    raises, which signals a span too sparse to be a genuine isotropic
-    configuration.
+    of that slice by coordinates, the only class it builds. The walk
+    needs L^2 > 0 on a lattice of signature (1, rank - 1) and raises
+    ModelError otherwise. It is capped at isqrt(L^2); exhausting it
+    violates the invariant phi^2 <= L^2 and raises, which signals a span
+    too sparse to be a genuine isotropic configuration.
 
     boxed mode takes the least nonzero |F.L| (0, with a note, when every
     class pairs to zero) over the isotropic classes with coordinates in
@@ -350,7 +350,7 @@ def phi(
     for t in range(1, cap + 1):
         witnesses = points(t, 0, 0)
         if witnesses:
-            return PhiResult(t, witnesses[0], certified=True)
+            return PhiResult(t, DivClass(L.model, witnesses[0]), True)
     raise PhiInvariantError(
         f"no isotropic class in the span pairs to at most isqrt(L^2) = {cap}; "
         "the configuration is too sparse to certify the invariant"

@@ -1,0 +1,40 @@
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+
+from bench_pairs import quartiles, summarize  # noqa: E402
+
+
+def test_summary_of_a_clear_gain():
+    pairs = [(100 + i, 2.0 + 0.01 * i, 1.7 + 0.01 * i) for i in range(10)]
+    s = summarize(pairs)
+    assert [seed for seed, _ in s["ratios"]] == list(range(100, 110))
+    assert s["ratios"][0][1] == pytest.approx(1.7 / 2.0)
+    assert s["parent"][1] == pytest.approx(2.045)
+    assert s["change"][1] == pytest.approx(1.745)
+    assert s["parent"][0] < s["parent"][1] < s["parent"][2]
+    assert (s["wins"], s["pairs"], s["better"]) == (10, 10, True)
+
+
+def test_eight_wins_in_ten_are_not_enough():
+    pairs = [(i, 2.0, 1.0) for i in range(8)] + [(8, 2.0, 3.0), (9, 2.0, 3.0)]
+    s = summarize(pairs)
+    assert (s["wins"], s["better"]) == (8, False)
+
+
+def test_a_gain_inside_the_parents_spread_is_not_enough():
+    # every pair won, by 0.01, but the parent's quartiles lie 0.5 apart
+    parent = [1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 2.4, 2.6, 2.8]
+    s = summarize([(i, p, p - 0.01) for i, p in enumerate(parent)])
+    assert s["wins"] == 10 and not s["better"]
+    assert s["parent"][2] - s["parent"][0] > 0.5
+
+
+def test_quartiles_and_refusals():
+    assert quartiles([3.0]) == (3.0, 3.0, 3.0)
+    assert quartiles([1.0, 2.0, 3.0, 4.0, 5.0])[1] == 3.0
+    with pytest.raises(ValueError):
+        summarize([])

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -20,8 +21,14 @@ from divcalc.errors import (
     ModelMismatchError,
     RangeError,
 )
-from divcalc.lattice import DivClass, LatticeModel, model_from_json_dict, pair
-from divcalc.surfaces import enriques, get_surface, phi, sigma
+from divcalc.lattice import (
+    DivClass,
+    LatticeModel,
+    model_from_json_dict,
+    pair,
+    slice_points,
+)
+from divcalc.surfaces import enriques, get_config, get_surface, phi, sigma
 
 from oracle_bruteforce import (
     ORACLE_CASES,
@@ -317,9 +324,9 @@ def test_survivors_match_oracle_on_random_hyperbolic_models():
 def test_search_sets_up_the_slice_walk_once(monkeypatch):
     calls = []
 
-    def counting_kernel_basis(w):
+    def counting_kernel_basis(w, gram):
         calls.append(w)
-        return real(w)
+        return real(w, gram)
 
     real = lattice._kernel_basis
     monkeypatch.setattr(lattice, "_kernel_basis", counting_kernel_basis)
@@ -431,8 +438,10 @@ def test_heavier_work_counts_are_pinned():
 
 
 def test_search_builds_one_class_per_slice_point(monkeypatch):
-    # the walk builds each slice point once; a survivor builds no class
-    # of its own (Decomposition stores L, not the residual C - L)
+    # at most one: the walk yields coordinate tuples and the stages read
+    # them, so only a survivor's L becomes a class (Decomposition stores
+    # L, not the residual C - L) and the 738 points the sign stage
+    # rejects build none
     built = []
 
     def counting_init(self, model, coords):
@@ -448,7 +457,50 @@ def test_search_builds_one_class_per_slice_point(monkeypatch):
     del built[:]
     res = enumerate_bogreider(surf, C, 8)
     assert (res.visited, len(res.survivors)) == (7191, 6453)
-    assert len(built) == res.visited
+    assert len(built) == len(res.survivors) == 6453
+
+
+# seeded searches that between them reject by sign and by parity on every
+# kind of model whose sign stage differs: gram rows (sigma), coordinates
+# (ruled, blcN), effective rows (config) and none at all (enriques)
+_KERNEL_SEARCHES = [
+    ("sigma3", (3, -2, 1, 0), 4, False),
+    ("sigma3", (7, 5, -1, -1), 6, True),
+    ("blq", (3, 6), 5, True),
+    ("blq", (-1, -2), 5, True),
+    ("blc6", (1, 4), 6, True),
+    ("blc6", (1, 5), 4, False),
+    ("pencil-triple-1", (2, -1, 4), 5, True),
+    ("pencil-triple-1", (-2, -2, -1), 3, False),
+    ("enriques", (2, 3, 0, 0, 1, 0, -1, -1, 0, 1), 3, True),
+]
+
+
+def test_search_and_explain_share_one_stage_kernel():
+    kinds, buckets = set(), set()
+    for name, coords, k, mod4 in _KERNEL_SEARCHES:
+        m = (get_config if name.startswith("pencil") else get_surface)(name)
+        C = m.klass(coords)
+        res = enumerate_bogreider(m, C, k, mod4=mod4)
+        kept = {d.L.coords: d for d in res.survivors}
+        matched, seen = 0, Counter()
+        for s in range(k, 2 * k + 1):
+            for L in slice_points(C, s, s - k, s // 2):
+                dec, trace = explain_candidate(m, C, k, L.coords, mod4=mod4)
+                if L.coords in kept:
+                    assert dec == kept[L.coords]
+                    assert list(kept[L.coords].filter_trace) == trace
+                    matched += 1
+                else:
+                    assert dec is None
+                    seen[trace[-1][0]] += 1
+        assert matched == len(res.survivors)
+        assert seen == Counter(res.rejected), name
+        assert sum(res.rejected.values()) == res.visited - len(res.survivors)
+        kinds.add(m.kind)
+        buckets |= set(res.rejected)
+    assert kinds == {"sigma", "ruled", "blcn", "config", "enriques"}
+    assert buckets == {"sign", "mod4"}
 
 
 class TestDestab:

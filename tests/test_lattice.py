@@ -9,6 +9,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -591,6 +592,60 @@ class TestSlicePoints:
         assert walks == []
         assert [x.coords for x in slice_points(C, 4, -1, 1)] == [(0, 1), (1, 1)]
         assert len(walks) == 1
+
+    def test_kernel_basis_is_a_congruence(self):
+        # _kernel_basis reduces G.C to one entry by column operations and
+        # applies each to the gram as a congruence; the result must be a
+        # basis (K | p) with K spanning the complement of C, p.C = +-gcd,
+        # and the gram in it equal to the dense product P^T G P
+        rng = random.Random(14)
+        cases = []
+        for m in [get_surface(n) for n in list_surfaces()] + [
+                get_config(n) for n in list_configs()]:
+            for _ in range(4):
+                C = tuple(rng.randint(-3, 4) for _ in range(m.rank))
+                cases.append((m.gram, C))
+            cases.append((m.gram, tuple(2 * c for c in C)))
+        for trial in range(200):
+            r = 1 + trial % 10
+            if r == 1:
+                gram = [[rng.choice((1, 2, 4))]]
+            else:
+                gram = _hyperbolic_gram(rng, r, trial % 3 == 0)
+            C = tuple(rng.randint(-3, 3) for _ in range(r))
+            cases.append((gram, C if trial % 4 else tuple(3 * c for c in C)))
+        def dot(u, v):
+            return sum(a * b for a, b in zip(u, v))
+
+        ranks, big_gcd = set(), 0
+        for gram, C in cases:
+            r = len(gram)
+            w = [dot(row, C) for row in gram]
+            if not any(w):
+                continue
+            K, p, g, M = lattice._kernel_basis(w, gram)
+            P = K + [p]
+            assert len(P) == r and all(dot(w, col) == 0 for col in K)
+            assert dot(w, p) == g and abs(g) == math.gcd(*w)
+            assert round(abs(np.linalg.det(np.array(P, dtype=float)))) == 1
+            dense = [[dot(u, [dot(row, v) for row in gram]) for v in P]
+                     for u in P]
+            assert M == dense, (gram, C)
+            ranks.add(r)
+            big_gcd += abs(g) > 1
+        assert ranks == set(range(1, 11)) and big_gcd > 20
+
+    def test_points_refuse_out_of_envelope_coordinates(self):
+        # the walk hands back coordinate tuples, which it checks as
+        # DivClass would have; x = 2^64 is the one point of the slice
+        C = _model([[1]]).klass((1,))
+        with pytest.raises(OverflowGuardError):
+            lattice._slicer(C)(2**64, 2**128, 2**128)
+        with pytest.raises(OverflowGuardError):
+            slice_points(C, 2**64, 2**128, 2**128)
+        assert [x.coords for x in slice_points(C, 2**40, 0, 2**80)] == [
+            (2**40,)]
+
 
 
 def _hyperbolic_gram(rng, r, even):

@@ -16,7 +16,13 @@ from divcalc.errors import (
     PhiInvariantError,
     RangeError,
 )
-from divcalc.lattice import LatticeModel, determinant, pair, signature
+from divcalc.lattice import (
+    DivClass,
+    LatticeModel,
+    determinant,
+    pair,
+    signature,
+)
 from divcalc.surfaces import (
     blcn,
     blq,
@@ -277,9 +283,9 @@ class TestPhi:
     def test_sets_up_the_slice_walk_once(self, monkeypatch):
         calls = []
 
-        def counting_kernel_basis(w):
+        def counting_kernel_basis(w, gram):
             calls.append(w)
-            return real(w)
+            return real(w, gram)
 
         real = lattice._kernel_basis
         monkeypatch.setattr(lattice, "_kernel_basis", counting_kernel_basis)
@@ -287,6 +293,28 @@ class TestPhi:
         res = phi(e, resolve("3U1+5U2", e))
         assert res.value == 3  # three slices t = 1, 2, 3
         assert len(calls) == 1
+
+    def test_certified_phi_builds_only_its_witness(self, monkeypatch):
+        # the slice walk yields coordinate tuples; the first non-empty
+        # slice's smallest point is the one class phi builds, also when
+        # that slice holds three isotropic classes, as for 2U1+2U2+R1
+        built = []
+
+        def counting_init(self, model, coords):
+            built.append(coords)
+            real(self, model, coords)
+
+        real = DivClass.__init__
+        e = enriques()
+        cases = [(resolve(expr, e), want)
+                 for expr, want in (("3U1+5U2", 3), ("2U1+2U2+R1", 2))]
+        assert len(lattice.slice_points(cases[1][0], 2, 0, 0)) == 3
+        monkeypatch.setattr(DivClass, "__init__", counting_init)
+        for L, want in cases:
+            del built[:]
+            res = phi(e, L)
+            assert res.value == want and res.certified
+            assert built == [res.witness.coords]
 
     def test_rejects_nonpositive_square(self):
         surf = get_config("pencil-pair-1")

@@ -1,0 +1,133 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of a change against its parent.
+
+Run from the root of a checkout:
+
+    python3 tools/bench_pairs.py --workload enumerate --ref HEAD~1 \\
+        --pairs 10 --first-seed 1001
+
+The parent is the tree of --ref, exported with `git archive` into a
+temporary directory that is removed afterwards; the change is this
+checkout as it stands on disk. Each pair runs perfbench/run.py once in
+each tree with the same seed (first-seed, first-seed + 1, ...),
+alternating which tree goes first, so a drift in the host's speed
+falls on both sides. For each end-to-end metric (wall_s, setup_s and
+peak_rss_mb) the tool prints the ratio change / parent per seed, the
+median and quartiles of each side, the number of pairs the change won
+and whether the change is better by the rule of nine wins in ten and a
+median gain larger than the parent's interquartile range. It changes
+nothing under perfbench/.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def quartiles(values):
+    """(first quartile, median, third quartile) of at least one value."""
+    if len(values) == 1:
+        return (values[0],) * 3
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return q1, q2, q3
+
+
+def summarize(pairs):
+    """The summary of (seed, parent, change) values of a lower-is-better
+    metric: the per-seed ratios change / parent, the quartiles of each
+    side, the pairs the change won, and whether it is better by the
+    rule of wins in at least nine of ten pairs and a median gain larger
+    than the spread between the parent's quartiles."""
+    if not pairs:
+        raise ValueError("no pairs to summarize")
+    parent = [p for _, p, _ in pairs]
+    change = [c for _, _, c in pairs]
+    pq, cq = quartiles(parent), quartiles(change)
+    wins = sum(c < p for _, p, c in pairs)
+    return {
+        "ratios": [(seed, c / p) for seed, p, c in pairs],
+        "parent": pq,
+        "change": cq,
+        "wins": wins,
+        "pairs": len(pairs),
+        "better": (10 * wins >= 9 * len(pairs)
+                   and pq[1] - cq[1] > pq[2] - pq[0]),
+    }
+
+
+METRICS = ("wall_s", "setup_s", "peak_rss_mb")  # lower is better for each
+
+
+def _run(tree, workload, seed, seconds):
+    """The end-to-end metrics of one perfbench run in tree."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
+                         check=True).stdout
+    doc = json.loads(out.strip().splitlines()[-1])
+    if not doc["correct"]:
+        raise RuntimeError(f"{tree}: seed {seed} gave outputs that fail "
+                           "their checks")
+    if doc["failed"]:
+        print(f"{tree}: seed {seed}: {doc['failed']} of {doc['attempted']} "
+              "operations failed")
+    return {m: doc["metrics"][m]["value"] for m in METRICS}
+
+
+def _export(ref, dest):
+    archive = subprocess.run(["git", "archive", "--format=tar", ref],
+                             cwd=ROOT, capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
+
+
+def main(argv=None):
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        run_seconds = json.load(fh)["run_seconds"]
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--ref", default="HEAD~1",
+                    help="git ref of the parent tree (default HEAD~1)")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=int, default=run_seconds,
+                    help=f"run length (default {run_seconds}, as in "
+                    "BENCHMARK.json)")
+    ap.add_argument("--first-seed", type=int, default=1001)
+    args = ap.parse_args(argv)
+
+    runs = []
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as parent:
+        _export(args.ref, parent)
+        for i in range(args.pairs):
+            seed = args.first_seed + i
+            sides = [("parent", parent), ("change", ROOT)]
+            got = {side: _run(tree, args.workload, seed, args.seconds)
+                   for side, tree in (sides if i % 2 == 0 else sides[::-1])}
+            runs.append((seed, got["parent"], got["change"]))
+            print(f"seed {seed}: " + "  ".join(
+                f"{m} {got['parent'][m]:.6g} -> {got['change'][m]:.6g}"
+                for m in METRICS), flush=True)
+    for m in METRICS:
+        s = summarize([(seed, p[m], c[m]) for seed, p, c in runs])
+        print(f"{m}: ratio change / parent per seed "
+              + " ".join(f"{r:.3f}" for _, r in s["ratios"]))
+        for side in ("parent", "change"):
+            q1, med, q3 = s[side]
+            print(f"  {side:<7} median {med:.6g}  "
+                  f"quartiles {q1:.6g} .. {q3:.6g}")
+        ratio = s["change"][1] / s["parent"][1]
+        print(f"  medians change / parent {ratio:.4f}; change better in "
+              f"{s['wins']}/{s['pairs']} pairs; "
+              f"{'better' if s['better'] else 'not shown better'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
