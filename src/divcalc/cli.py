@@ -60,7 +60,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _load_surface(args, required=True):
+def _load_surface(args):
     cfg_name = getattr(args, "config", None)
     surf_name = getattr(args, "surface", None)
     if cfg_name and surf_name:
@@ -69,9 +69,7 @@ def _load_surface(args, required=True):
         return get_config(cfg_name)
     if surf_name:
         return get_surface(surf_name)
-    if required:
-        raise ModelError("this subcommand needs --surface or --config")
-    return None
+    raise ModelError("this subcommand needs --surface or --config")
 
 
 def _one_curve(args, surf):

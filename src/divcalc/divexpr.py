@@ -79,18 +79,11 @@ def resolve(expr: DivExpr | str, model: LatticeModel) -> DivClass:
     return model.klass(coords)
 
 
-def render(klass_or_coords, model: LatticeModel | None = None) -> str:
-    """Inverse of resolve for plain coordinates: coefficients against the
-    basis labels, zero terms skipped, the zero class printed as "0"."""
-    if isinstance(klass_or_coords, DivClass):
-        coords = klass_or_coords.coords
-        model = klass_or_coords.model
-    else:
-        coords = tuple(klass_or_coords)
-        if model is None:
-            raise LabelError("render needs a model for raw coordinates")
+def render(klass: DivClass) -> str:
+    """Inverse of resolve: coefficients against the basis labels, zero
+    terms skipped, the zero class printed as "0"."""
     parts = []
-    for c, lab in zip(coords, model.labels):
+    for c, lab in zip(klass.coords, klass.model.labels):
         if c == 0:
             continue
         sign = "-" if c < 0 else ("+" if parts else "")

@@ -21,9 +21,7 @@ verify_case replays any of them.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
-from importlib import resources
 from operator import mul
 
 from .divexpr import render, resolve
@@ -287,7 +285,8 @@ def enumerate_destab() -> DestabResult:
 
     A destabilizing A must satisfy, with B = c1 - A and lenW = 4 - A.B:
     A^2 + B^2 >= 16, A^2 > B^2, A^2 >= 10, a(a1 - a) >= 5, and B > 0
-    (numeric proxy: B nonzero with no negative coordinate).
+    (numeric proxy: B nonzero with no negative coordinate). The bundle is
+    fixed here, so the grid takes no surface, curve or c2 as input.
     """
     survivors = []
     grid = []
@@ -326,18 +325,19 @@ class CaseFixture(_Record):
     or a batch of pairing identities on a configuration span (kind
     pencil, destab or identities).
 
-    expected holds (rendered L, z) pairs for pencil cases and
-    ((a, a1), lenW) pairs for the destab case; golden names a shipped
-    survivor file instead. killed lists survivors the source analysis
+    surface, curve, k and mod4 are the search inputs of a pencil case.
+    expected holds the complete survivor set of a pencil case as (L, z)
+    pairs, L written as the search renders it, and ((a, a1), lenW) pairs
+    for the destab case. killed lists survivors the source analysis
     eliminates by geometric arguments the lattice cannot express; their
     reasons are recorded verbatim as annotations.
     """
 
     __slots__ = ("case_id", "kind", "surface", "curve", "k", "mod4",
-                 "expected", "golden", "killed", "identities", "notes")
+                 "expected", "killed", "identities", "notes")
     _defaults = {"surface": None, "curve": None, "k": None, "mod4": None,
-                 "expected": None, "golden": None, "killed": (),
-                 "identities": (), "notes": ()}
+                 "expected": None, "killed": (), "identities": (),
+                 "notes": ()}
 
 
 _KILL_H0_3 = "the restricted system has three sections (h0 = 3), not a pencil"
@@ -370,7 +370,7 @@ FIXTURES = {
         curve="-2K",
         k=6,
         mod4=True,
-        golden="g1kondelp-c.json",
+        expected=(("H", 1), ("2H-G1-G2", 0)),
         killed=(("H", 1, _KILL_H0_3),),
     ),
     "g1kondelp-d": CaseFixture(
@@ -389,7 +389,7 @@ FIXTURES = {
         curve="-2K",
         k=5,
         mod4=True,
-        golden="g1kondelp-e.json",
+        expected=(("H", 0), ("2H-G1-G2-G3", 0)),
     ),
     "g1kondelp-f": CaseFixture(
         case_id="g1kondelp-f",
@@ -398,7 +398,8 @@ FIXTURES = {
         curve="-2K",
         k=6,
         mod4=True,
-        golden="g1kondelp-f.json",
+        expected=(("H", 1), ("2H-G1-G2", 0), ("2H-G1-G3", 0),
+                  ("2H-G2-G3", 0), ("2H-G1-G2-G3", 1), ("3H-G1-G2-G3", 0)),
         killed=(
             ("H", 1, _KILL_H0_3),
             ("2H-G1-G2-G3", 1, _KILL_H0_3),
@@ -442,7 +443,7 @@ FIXTURES = {
         curve="-2K",
         k=6,
         mod4=True,
-        golden="g1kondelp-i.json",
+        expected=(("C0+2f", 0),),
         notes=(
             "the survivor meets the index bound with equality "
             "(C is four times the class)",
@@ -451,9 +452,6 @@ FIXTURES = {
     "g1kondelp-j": CaseFixture(
         case_id="g1kondelp-j",
         kind="destab",
-        surface="blq",
-        curve="4C0+7f",
-        k=4,  # second Chern number of the bundle
         expected=(((3, 6), 1), ((3, 7), 3), ((4, 6), 0)),
         killed=(
             (
@@ -550,11 +548,6 @@ FIXTURES = {
 }
 
 
-def load_golden(name: str) -> dict:
-    path = resources.files("divcalc") / "data" / "golden" / name
-    return json.loads(path.read_text())
-
-
 class CaseReport(_Record):
     """The grade of one fixture replay: status is PASS or FAIL."""
 
@@ -572,17 +565,6 @@ class CaseReport(_Record):
             "trace": self.trace,
             "notes": list(self.notes),
         }
-
-
-def _expected_pencil_set(fx: CaseFixture):
-    if fx.golden:
-        doc = load_golden(fx.golden)
-        surf = get_surface(doc["surface"])
-        return {
-            (render(surf.klass(s["coords"])), s["z"])
-            for s in doc["survivors"]
-        }
-    return set(fx.expected)
 
 
 def verify_case(case_id: str) -> CaseReport:
@@ -603,7 +585,7 @@ def verify_case(case_id: str) -> CaseReport:
         C = resolve(fx.curve, surf)
         res = enumerate_bogreider(surf, C, fx.k, mod4=fx.mod4)
         got = res.survivor_keys()
-        want = _expected_pencil_set(fx)
+        want = set(fx.expected)
         status = "PASS" if got == want else "FAIL"
         for expr, z in sorted(want - got):
             _, t = explain_candidate(
@@ -624,26 +606,20 @@ def verify_case(case_id: str) -> CaseReport:
 
     if fx.kind == "destab":
         res = enumerate_destab()
-        got = res.survivor_cells()
-        want = {cell for cell, _w in fx.expected}
+        got = sorted([c.a, c.a1, c.lenW] for c in res.survivors)
+        want = sorted([a, a1, w] for (a, a1), w in fx.expected)
         ok = got == want
         for c in res.survivors:
             id1 = c.AB + c.lenW == 4
             id2 = (c.A2 + c.B2 - 2 * c.AB) == 8 + 4 * c.lenW
-            lw = dict(fx.expected).get((c.a, c.a1))
-            ok = ok and id1 and id2 and lw == c.lenW
+            ok = ok and id1 and id2
             trace.append(
                 f"({c.a},{c.a1}): A2={c.A2} B2={c.B2} A.B={c.AB} "
                 f"lenW={c.lenW} identities={'ok' if id1 and id2 else 'BAD'}"
             )
         status = "PASS" if ok else "FAIL"
-        return CaseReport(
-            case_id, status,
-            sorted([list(cell) + [c.lenW] for cell, c in
-                    zip(sorted(got), sorted(res.survivors, key=lambda x: (x.a, x.a1)))]),
-            sorted([list(cell) + [w] for cell, w in fx.expected]),
-            list(fx.killed), trace, fx.notes,
-        )
+        return CaseReport(case_id, status, got, want, list(fx.killed), trace,
+                          fx.notes)
 
     # identities
     all_ok = True

@@ -407,11 +407,12 @@ def reflect_nodal(L: DivClass, delta: DivClass) -> DivClass:
 
 
 # ---------------------------------------------------------------------------
-# signature (exact, in integers) and determinant (exact, over Fractions)
+# signature and determinant (exact, in integers)
 
 
-def signature(gram) -> tuple[int, int, int]:
-    """(positive, negative, zero) inertia of a symmetric integer matrix.
+def _inertia_pass(gram):
+    """(positive, negative, zero) inertia of a symmetric integer matrix,
+    and the last pivot taken.
 
     Congruence diagonalization in integers, fraction-free (Bareiss) as in
     _ldl. Once the pivots of an index set S are eliminated, the open block
@@ -423,7 +424,8 @@ def signature(gram) -> tuple[int, int, int]:
     A zero pivot with a live partner j is first repaired with the
     unimodular basis change e_i -> e_i +- e_j, which leaves S alone, so
     the block stays d_S times the new complement; a zero pivot whose row
-    is zero adds one to the null count.
+    is zero adds one to the null count. The repairs leave the determinant
+    alone, so with no null the last pivot is the determinant.
     """
     n = len(gram)
     M = [list(row) for row in gram]
@@ -453,27 +455,18 @@ def signature(gram) -> tuple[int, int, int]:
             for c in range(i + 1, n):
                 Mr[c] = (p * Mr[c] - a * Mi[c]) // prev
         prev = p
-    return pos, neg, null
+    return (pos, neg, null), prev
+
+
+def signature(gram) -> tuple[int, int, int]:
+    """(positive, negative, zero) inertia of a symmetric integer matrix."""
+    return _inertia_pass(gram)[0]
 
 
 def determinant(gram) -> int:
-    n = len(gram)
-    M = [[Fraction(v) for v in row] for row in gram]
-    det = Fraction(1)
-    for i in range(n):
-        piv = next((r for r in range(i, n) if M[r][i] != 0), None)
-        if piv is None:
-            return 0
-        if piv != i:
-            M[i], M[piv] = M[piv], M[i]
-            det = -det
-        det *= M[i][i]
-        for r in range(i + 1, n):
-            f = M[r][i] / M[i][i]
-            for c in range(i, n):
-                M[r][c] -= f * M[i][c]
-    assert det.denominator == 1
-    return int(det)
+    """Determinant of a symmetric integer matrix."""
+    (_, _, null), last = _inertia_pass(gram)
+    return 0 if null else last
 
 
 # ---------------------------------------------------------------------------

@@ -315,7 +315,7 @@ class TestVerifyCommand:
         broken = CaseFixture(
             case_id=fx.case_id, kind=fx.kind, surface=fx.surface,
             curve=fx.curve, k=fx.k, mod4=fx.mod4,
-            expected=(("H-G1", 0),), golden=fx.golden, killed=fx.killed,
+            expected=(("H-G1", 0),), killed=fx.killed,
             identities=fx.identities, notes=fx.notes,
         )
         monkeypatch.setitem(FIXTURES, "g1kondelp-a", broken)

@@ -48,6 +48,7 @@ from divcalc.surfaces import (
     sigma,
 )
 from oracle_bruteforce import (
+    brute_determinant,
     brute_inertia,
     brute_isotropic,
     brute_slice,
@@ -238,8 +239,8 @@ RECORD_DEFAULTS = {
     "QuasiNefResult": {"notes": ()},
     "Decomposition": {"notes": ()},
     "CaseFixture": {"surface": None, "curve": None, "k": None,
-                    "mod4": None, "expected": None, "golden": None,
-                    "killed": (), "identities": (), "notes": ()},
+                    "mod4": None, "expected": None, "killed": (),
+                    "identities": (), "notes": ()},
     "CaseReport": {"notes": ()},
     "B2Rule": {"qualifiers": (), "notes": ()},
     "_Outcome": {"no_conclusion": False, "failed": False},
@@ -448,6 +449,7 @@ class TestSignature:
         for gram in cases:
             got = signature(gram)
             assert got == brute_inertia(gram), gram
+            assert determinant(gram) == brute_determinant(gram), gram
             n = len(gram)
             pos, neg, null = got
             seen.add("degenerate" if null else "positive definite"
