@@ -150,10 +150,8 @@ def _cmd_phi(args):
     payload = {"curve": render(D)}
     payload.update(res.to_json_dict())
     rel = "=" if res.certified else "<="
-    lines = [f"phi({render(D)}) {rel} {res.value}"]
-    if res.witness is not None:
-        lines.append(f"witness: {render(res.witness)}")
-    lines += [f"note: {n}" for n in res.notes]
+    lines = [f"phi({render(D)}) {rel} {res.value}",
+             f"witness: {render(res.witness)}"]
     return _Outcome(payload, surf.name, lines)
 
 
@@ -430,8 +428,9 @@ def build_parser() -> _Parser:
     add("phi", _cmd_phi, [common, surf_p, curve_p],
         "pencil invariant (min |F.L| over isotropic F)",
         lambda p: p.add_argument("--box", type=int,
-                                 help="coordinate box: searches instead of "
-                                      "certifying"))
+                                 help="coordinate box: the least |F.L| over "
+                                      "the isotropic F in the box, "
+                                      "uncertified"))
     add("reflect", _cmd_reflect, [common, surf_p, curve_p],
         "reflect a class in a nodal (-2) class",
         lambda p: p.add_argument("--nodal", help="nodal class expression"))

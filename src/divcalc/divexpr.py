@@ -4,17 +4,20 @@ A tiny signed linear-combination grammar over identifiers. "K" always
 resolves to the surface's canonical class; every other identifier must be
 a basis label of the chosen model. The literal "0" is the zero class.
 Whitespace is ignored everywhere, an optional "*" may separate the
-coefficient from the label.
+coefficient from the label. A coefficient with more digits than the
+64-bit envelope allows raises OverflowGuardError before it is read.
 """
 
 from __future__ import annotations
 
 import re
 
-from .errors import ExprSyntaxError, LabelError
-from .lattice import DivClass, LatticeModel, _Record
+from .errors import ExprSyntaxError, LabelError, OverflowGuardError
+from .lattice import I64_MAX, _LABEL, DivClass, LatticeModel, _Record
 
-_TERM = re.compile(r"\s*([+-])?\s*(?:(\d+)\s*\*?\s*)?([A-Za-z][A-Za-z0-9]*)")
+_TERM = re.compile(r"\s*([+-])?\s*(?:(\d+)\s*\*?\s*)?"
+                   f"({_LABEL.pattern})")
+_MAX_DIGITS = len(str(I64_MAX))
 
 
 class DivExpr(_Record):
@@ -49,6 +52,13 @@ def parse_divexpr(s: str) -> DivExpr:
                 f"missing +/- before term at position {m.start(3)}",
                 position=m.start(3),
             )
+        if num is not None:
+            num = num.lstrip("0") or "0"
+            if len(num) > _MAX_DIGITS:  # refused before int() reads it
+                raise OverflowGuardError(
+                    f"coefficient of {len(num)} digits at position "
+                    f"{m.start(2)} exceeds the 64-bit envelope"
+                )
         coeff = int(num) if num is not None else 1
         if sign == "-":
             coeff = -coeff

@@ -269,9 +269,6 @@ class DestabResult(_Record):
 
     __slots__ = ("survivors", "grid")
 
-    def survivor_cells(self):
-        return {(c.a, c.a1) for c in self.survivors}
-
     def to_json_dict(self):
         return {
             "survivors": [c.to_json_dict() for c in self.survivors],

@@ -42,10 +42,11 @@ class NonCurveClassError(DivcalcError):
 
 
 class PhiBoundError(DivcalcError):
-    """Boxed isotropic search ended without certifying the phi invariant.
+    """Boxed phi found no isotropic class with coordinates in its box
+    that pairs to at most isqrt(L^2) with L.
 
-    The box was too small (or held no isotropic class at all); a larger
-    box may succeed. Distinct from PhiInvariantError, which is final.
+    The box was too small; a larger box may succeed. Distinct from
+    PhiInvariantError, which is final.
     """
 
 

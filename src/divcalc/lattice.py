@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 from operator import mul
 
@@ -35,6 +36,10 @@ def _check_i64(value, what):
 
 
 _set = object.__setattr__  # fills a slot past the read-only __setattr__
+
+# a basis label is an identifier of divisor expressions (divexpr's token)
+_LABEL = re.compile(r"[A-Za-z][A-Za-z0-9]*")
+_KINDS = ("sigma", "ruled", "blcn", "enriques", "config", "generic")
 
 
 class _Record:
@@ -119,11 +124,12 @@ class _Record:
 class LatticeModel(_Record):
     """An integral lattice: labeled basis, gram matrix, distinguished classes.
 
-    kind tags the geometry family ("sigma", "ruled", "blcn", "enriques",
-    "config", "generic") and steers surface-specific behavior elsewhere;
-    the lattice operations in this module ignore it. effective_labels lists
-    the basis classes known to be effective divisors, used by positivity
-    tests.
+    Every label is an identifier [A-Za-z][A-Za-z0-9]*, so a divisor
+    expression can name it. kind tags the geometry family ("sigma",
+    "ruled", "blcn", "enriques", "config", "generic") and steers
+    surface-specific behavior elsewhere; the lattice operations in this
+    module ignore it. effective_labels lists the basis classes known to
+    be effective divisors, used by positivity tests.
     """
 
     __slots__ = ("name", "labels", "gram", "canonical", "chi", "ample_ref",
@@ -148,6 +154,13 @@ class LatticeModel(_Record):
             raise ModelError("model needs at least one basis label")
         if len(set(labels)) != n:
             raise ModelError("duplicate basis labels")
+        for lab in labels:
+            if not _LABEL.fullmatch(lab):
+                raise ModelError(f"basis label {lab!r} is not an identifier "
+                                 f"{_LABEL.pattern}")
+        if kind not in _KINDS:
+            raise ModelError(f"unknown model kind {kind!r}; kinds are "
+                             f"{', '.join(_KINDS)}")
         if len(gram) != n or any(len(row) != n for row in gram):
             raise ModelError(f"gram must be {n}x{n}")
         for i in range(n):

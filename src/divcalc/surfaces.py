@@ -39,7 +39,6 @@ from .lattice import (
     _Record,
     _require_model,
     _slicer,
-    isotropic_search,
     load_model,
     pair,
 )
@@ -301,22 +300,26 @@ def phi(
 ) -> PhiResult:
     """Minimal |F.L| over nonzero isotropic classes F.
 
-    sublattice mode walks, for t = 1, 2, ..., the slice
-    {F : F.L = t, F^2 = 0} (slice_points, set up once per call). The
-    first non-empty slice is the minimum, since the slices below it are
-    empty, so the result is certified; its witness is the smallest class
-    of that slice by coordinates, the only class it builds. The walk
+    Both modes walk, for t = 1, 2, ..., isqrt(L^2), the slice
+    {F : F.L = t, F^2 = 0} (slice_points, set up once per call). The walk
     needs L^2 > 0 on a lattice of signature (1, rank - 1) and raises
-    ModelError otherwise. It is capped at isqrt(L^2); exhausting it
-    violates the invariant phi^2 <= L^2 and raises, which signals a span
-    too sparse to be a genuine isotropic configuration.
+    ModelError otherwise. On such a lattice no nonzero isotropic class
+    pairs to 0 with L.
 
-    boxed mode takes the least nonzero |F.L| (0, with a note, when every
-    class pairs to zero) over the isotropic classes with coordinates in
-    [-box, box], all of which isotropic_search finds by a pruned walk of
-    the box. It is never certified, since a class outside the box may
-    pair lower; it raises PhiBoundError when the box cannot witness the
-    invariant.
+    sublattice mode returns the first non-empty slice. The slices below
+    it are empty, so the result is certified; its witness is the
+    smallest class of that slice by coordinates, the only class it
+    builds. Exhausting the walk violates phi^2 <= L^2 and raises
+    PhiInvariantError, which signals a span too sparse to be a genuine
+    isotropic configuration.
+
+    boxed mode keeps, of each slice and its negative, the classes with
+    coordinates in [-box, box] (box 2 at rank >= 8, else 6, by default)
+    and returns the first t that keeps one, witnessed by the smallest
+    such class by coordinates. That is the least |F.L| over the
+    isotropic F in the box, never certified, since a class outside the
+    box may pair lower. When no t up to isqrt(L^2) keeps a class it
+    raises PhiBoundError.
 
     An L from another model raises ModelMismatchError.
     """
@@ -324,33 +327,28 @@ def phi(
     L2 = pair(L, L)
     if L2 <= 0:
         raise RangeError(f"phi needs L^2 > 0, got {L2}")
-
-    if mode == "boxed":
+    boxed = mode == "boxed"
+    if boxed:
         b = box if box is not None else (2 if surface.rank >= 8 else 6)
-        hits = isotropic_search(surface, L, b)
-        hits = [(F, v) for F, v in hits if v > 0] or hits
-        if not hits:
-            raise PhiBoundError(f"no nonzero isotropic class in box {b}")
-        F, val = hits[0]
-        if val * val > L2:
-            raise PhiBoundError(
-                f"box {b} only reaches |F.L| = {val} with {val}^2 > L^2 = {L2}; "
-                "enlarge the box"
-            )
-        notes = ()
-        if val == 0:
-            notes = ("witness pairs to zero with L; degenerate configuration",)
-        return PhiResult(val, F, certified=False, notes=notes)
-
-    if mode != "sublattice":
+        if b < 1:
+            raise ModelError("box_bound must be >= 1")
+    elif mode != "sublattice":
         raise ModelError(f"unknown phi mode {mode!r}")
 
     cap = math.isqrt(L2)
     points = _slicer(L)
     for t in range(1, cap + 1):
         witnesses = points(t, 0, 0)
+        if boxed:
+            inside = [F for F in witnesses if max(map(abs, F)) <= b]
+            witnesses = sorted(inside + [tuple(-x for x in F) for F in inside])
         if witnesses:
-            return PhiResult(t, DivClass(L.model, witnesses[0]), True)
+            return PhiResult(t, DivClass(L.model, witnesses[0]), not boxed)
+    if boxed:
+        raise PhiBoundError(
+            f"no isotropic class in box {b} pairs to at most "
+            f"isqrt(L^2) = {cap} with L; a larger box may hold one"
+        )
     raise PhiInvariantError(
         f"no isotropic class in the span pairs to at most isqrt(L^2) = {cap}; "
         "the configuration is too sparse to certify the invariant"

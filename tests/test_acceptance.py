@@ -72,7 +72,7 @@ def test_acceptance_1_fixture_survivor_sets():
 
 def test_acceptance_2_destab_grid():
     res = enumerate_destab()
-    assert res.survivor_cells() == {(3, 6), (3, 7), (4, 6)}
+    assert {(c.a, c.a1) for c in res.survivors} == {(3, 6), (3, 7), (4, 6)}
     for c in res.survivors:
         assert c.AB + c.lenW == 4
         assert (c.A2 + c.B2 - 2 * c.AB) == 8 + 4 * c.lenW

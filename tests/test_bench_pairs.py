@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
-from bench_pairs import quartiles, summarize  # noqa: E402
+from bench_pairs import parse_args, quartiles, summarize, table  # noqa: E402
 
 
 def test_summary_of_a_clear_gain():
@@ -38,3 +38,30 @@ def test_quartiles_and_refusals():
     assert quartiles([1.0, 2.0, 3.0, 4.0, 5.0])[1] == 3.0
     with pytest.raises(ValueError):
         summarize([])
+
+
+BENCH = {"run_seconds": 20,
+         "workloads": [{"name": n} for n in ("fixtures", "enumerate",
+                                             "phi_enriques", "queries")]}
+
+
+def test_workload_repeats_and_defaults_to_every_benchmark_workload():
+    assert parse_args([], BENCH).workload == [
+        "fixtures", "enumerate", "phi_enriques", "queries"]
+    args = parse_args(["--workload", "queries", "--workload", "fixtures",
+                       "--workload", "queries"], BENCH)
+    assert args.workload == ["queries", "fixtures"]
+    assert (args.seconds, args.pairs, args.ref) == (20, 10, "HEAD~1")
+    with pytest.raises(SystemExit):
+        parse_args(["--workload", "nonsense"], BENCH)
+
+
+def test_table_has_one_row_per_workload_and_metric():
+    gain = summarize([(i, 2.0 + 0.01 * i, 1.0) for i in range(10)])
+    even = summarize([(i, 1.0, 1.0) for i in range(10)])
+    rows = table({("phi_enriques", "wall_s"): gain,
+                  ("queries", "wall_s"): even}).splitlines()
+    assert len(rows) == 3 and rows[0].split()[:2] == ["workload", "metric"]
+    assert rows[1].split()[:2] == ["phi_enriques", "wall_s"]
+    assert rows[1].endswith("better") and "10/10" in rows[1]
+    assert rows[2].endswith("not shown better") and "0/10" in rows[2]

@@ -241,6 +241,14 @@ class TestExitCodes:
                              "--strict"])
         assert rc == 0
 
+    def test_oversize_coefficient(self, capsys):
+        rc = cli.main(["self", "--surface", "sigma3",
+                       "--curve", "5" * 5000 + "H"])
+        cap = capsys.readouterr()
+        assert rc == 1
+        assert cap.err.startswith("divcalc: error: ")
+        assert "64-bit envelope" in cap.err
+
     def test_unknown_subcommand(self, capsys):
         rc = cli.main(["frobnicate"])
         capsys.readouterr()

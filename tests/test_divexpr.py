@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from divcalc.divexpr import parse_divexpr, render, resolve
-from divcalc.errors import ExprSyntaxError, LabelError
+from divcalc.errors import ExprSyntaxError, LabelError, OverflowGuardError
 from divcalc.surfaces import get_config, get_surface
 
 
@@ -80,3 +80,13 @@ def test_repeated_label_accumulation(coeffs):
         ("+" if c >= 0 and i > 0 else "") + f"{c}H" for i, c in enumerate(coeffs)
     )
     assert resolve(expr, s1).coords == (sum(coeffs), 0)
+
+
+def test_oversize_coefficient_is_refused_before_conversion():
+    # 5,000 digits would make int() raise ValueError past its digit limit
+    for text in ("5" * 5000 + "H", "H-" + "1" + "0" * 19 + "G1"):
+        with pytest.raises(OverflowGuardError, match="64-bit envelope"):
+            parse_divexpr(text)
+    # leading zeros do not count, and 19 digits are read
+    assert parse_divexpr("0" * 30 + "7H").terms == ((7, "H"),)
+    assert parse_divexpr("9" * 19 + "H").terms == ((int("9" * 19), "H"),)

@@ -525,7 +525,8 @@ def test_search_and_explain_share_one_stage_kernel():
 class TestDestab:
     def test_survivor_grid(self):
         res = enumerate_destab()
-        assert res.survivor_cells() == {(3, 6), (3, 7), (4, 6)}
+        cells = {(c.a, c.a1) for c in res.survivors}
+        assert cells == {(3, 6), (3, 7), (4, 6)}
         assert len(res.grid) == 16
 
     def test_identities_on_survivors(self):

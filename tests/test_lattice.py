@@ -130,6 +130,32 @@ class TestModelValidation:
         with pytest.raises(ModelError, match=field):
             LatticeModel(**fields)
 
+    @pytest.mark.parametrize("label", ["", "-", "2H", "H+G", "H G", "G_1",
+                                       "\u00c9"])
+    def test_labels_must_be_expression_identifiers(self, label):
+        # a label divexpr cannot name would make the model unusable from
+        # the command line, or ("H+G") read as another class
+        doc = dict(sigma(1).model.to_json_dict(), basis=["H", label])
+        with pytest.raises(ModelError, match="not an identifier"):
+            model_from_json_dict(doc)
+        with pytest.raises(ModelError, match="not an identifier"):
+            _model([[1, 0], [0, -1]], labels=["H", label])
+
+    @pytest.mark.parametrize("kind", ["nonsense", "Sigma", ""])
+    def test_kind_must_be_a_known_family(self, kind):
+        doc = dict(sigma(1).model.to_json_dict(), kind=kind)
+        with pytest.raises(ModelError, match="unknown model kind"):
+            model_from_json_dict(doc)
+        with pytest.raises(ModelError, match="unknown model kind"):
+            _model([[1, 0], [0, -1]], kind=kind)
+
+    def test_builtin_labels_and_kinds_are_accepted(self):
+        models = [get_surface(n) for n in list_surfaces()]
+        models += [get_config(n) for n in list_configs()]
+        for m in models:
+            again = model_from_json_dict(m.to_json_dict())
+            assert (again.labels, again.kind) == (m.labels, m.kind)
+
     def test_json_empty_ample_ref_is_refused(self):
         # only an absent key or null means "no ample class"
         doc = sigma(1).model.to_json_dict()
@@ -146,8 +172,8 @@ class TestModelValidation:
         assert m.rank == 2
 
     def test_load_model_reads_utf8_under_an_ascii_locale(self, tmp_path):
-        doc = dict(sigma(1).model.to_json_dict(), basis=["H", "\u00c9"],
-                   effective=["\u00c9"])
+        # labels are ASCII identifiers, so the non-ASCII text is the name
+        doc = dict(sigma(1).model.to_json_dict(), name="\u00c9tale")
         p = tmp_path / "m.json"
         p.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
         # open() defaults to the locale's encoding, which is fixed at
@@ -158,7 +184,7 @@ class TestModelValidation:
         )
         code = (
             "import sys; from divcalc.lattice import load_model; "
-            "sys.exit(load_model(sys.argv[1]).labels != ('H', '\\u00c9'))"
+            "sys.exit(load_model(sys.argv[1]).name != '\\u00c9tale')"
         )
         proc = subprocess.run(
             [sys.executable, "-X", "utf8=0", "-c", code, str(p)],

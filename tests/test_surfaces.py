@@ -387,7 +387,7 @@ class TestPhi:
         rng = random.Random(22)
         seen = set()
         for m, box, draws in ((enriques(), 1, 6), (sigma(3), 2, 10),
-                              (blq(), 2, 10), (line, 2, 4)):
+                              (sigma(3), 4, 6), (blq(), 2, 10), (line, 2, 4)):
             count = 0
             while count < draws:
                 L = m.klass([rng.randint(-3, 3) for _ in range(m.rank)])
@@ -422,8 +422,54 @@ class TestPhi:
             {"labels": ["E", "E1"], "pairs": [[0, 1, 5]]}, "wide"
         )
         L = surf.model.klass((1, 1))  # square 10, every box-1 pairing is 5
-        with pytest.raises(PhiBoundError):
+        with pytest.raises(PhiBoundError, match=r"box 1 .* isqrt\(L\^2\) = 3"):
             phi(surf, L, mode="boxed", box=1)
+
+    def test_boxed_mode_walks_the_slices_not_the_box(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("boxed phi scanned the box")
+
+        monkeypatch.setattr(lattice, "isotropic_search", refuse)
+        monkeypatch.setattr("divcalc.surfaces.isotropic_search", refuse,
+                            raising=False)
+        e = enriques()
+        rng = random.Random(33)
+        count = 0
+        while count < 4:
+            L = e.klass([rng.randint(1, 4), rng.randint(1, 4)]
+                        + [rng.randint(-1, 1) for _ in range(8)])
+            if pair(L, L) <= 0:
+                continue
+            count += 1
+            cert = phi(e, L)
+            res = phi(e, L, mode="boxed", box=3)
+            assert res.value == cert.value and not res.certified
+            assert max(map(abs, res.witness.coords)) <= 3
+            assert pair(res.witness, res.witness) == 0
+            assert abs(pair(res.witness, L)) == res.value
+
+    def test_boxed_mode_refusals(self):
+        e = enriques()
+        L = resolve("U1+2U2", e)
+        for box in (0, -1):
+            with pytest.raises(ModelError, match="box_bound must be >= 1"):
+                phi(e, L, mode="boxed", box=box)
+        # signature (2, 1): the complement of L is indefinite, so the slices
+        # can be infinite; both modes refuse, where a box scan would answer
+        m = LatticeModel("split", ("A", "B", "C"),
+                         ((1, 0, 0), (0, 1, 0), (0, 0, -1)), (0, 0, 0), 1)
+        for mode, box in (("sublattice", None), ("boxed", 1), ("boxed", None)):
+            with pytest.raises(ModelError, match="hyperbolic"):
+                phi(m, m.klass((1, 0, 0)), mode=mode, box=box)
+
+    def test_boxed_mode_takes_a_huge_box(self):
+        # the box only filters slice points, so no bound on |F^2| over the
+        # box is needed and a box past the 64-bit envelope is no error
+        e = enriques()
+        L = resolve("U1+4U2-R5-R8", e)
+        for box in (1, 3, 10**30):
+            res = phi(e, L, mode="boxed", box=box)
+            assert (res.value, res.witness) == (1, resolve("-U2", e))
 
 
 class TestQuasiNef:

@@ -6,17 +6,20 @@ Run from the root of a checkout:
     python3 tools/bench_pairs.py --workload enumerate --ref HEAD~1 \\
         --pairs 10 --first-seed 1001
 
-The parent is the tree of --ref, exported with `git archive` into a
-temporary directory that is removed afterwards; the change is this
-checkout as it stands on disk. Each pair runs perfbench/run.py once in
-each tree with the same seed (first-seed, first-seed + 1, ...),
-alternating which tree goes first, so a drift in the host's speed
-falls on both sides. For each end-to-end metric (wall_s, setup_s and
-peak_rss_mb) the tool prints the ratio change / parent per seed, the
-median and quartiles of each side, the number of pairs the change won
-and whether the change is better by the rule of nine wins in ten and a
-median gain larger than the parent's interquartile range. It changes
-nothing under perfbench/.
+--workload may be given more than once; without it every workload of
+BENCHMARK.json is run. The parent is the tree of --ref, exported with
+`git archive` into a temporary directory that is removed afterwards;
+the change is this checkout as it stands on disk. Each pair runs
+perfbench/run.py once in each tree with the same seed (first-seed,
+first-seed + 1, ...), alternating which tree goes first, so a drift in
+the host's speed falls on both sides; every workload runs at one seed
+before the next seed starts. For each workload and end-to-end metric
+(wall_s, setup_s and peak_rss_mb) the tool prints the ratio
+change / parent per seed, the median and quartiles of each side, the
+number of pairs the change won and whether the change is better by the
+rule of nine wins in ten and a median gain larger than the parent's
+interquartile range, and it ends with one table of all of them. It
+changes nothing under perfbench/.
 """
 
 from __future__ import annotations
@@ -88,44 +91,69 @@ def _export(ref, dest):
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
 
 
-def main(argv=None):
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        run_seconds = json.load(fh)["run_seconds"]
+def parse_args(argv, bench):
+    """The options, with --workload defaulting to every workload of the
+    BENCHMARK.json document bench."""
+    names = [w["name"] for w in bench["workloads"]]
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", action="append", choices=names,
+                    help="workload to run; repeat for several (default: "
+                    "every workload of BENCHMARK.json)")
     ap.add_argument("--ref", default="HEAD~1",
                     help="git ref of the parent tree (default HEAD~1)")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=int, default=run_seconds,
-                    help=f"run length (default {run_seconds}, as in "
-                    "BENCHMARK.json)")
+    ap.add_argument("--seconds", type=int, default=bench["run_seconds"],
+                    help=f"run length (default {bench['run_seconds']}, as "
+                    "in BENCHMARK.json)")
     ap.add_argument("--first-seed", type=int, default=1001)
     args = ap.parse_args(argv)
+    args.workload = list(dict.fromkeys(args.workload or names))
+    return args
 
-    runs = []
+
+def table(summaries):
+    """One line per (workload, metric) summary: the parent's and the
+    change's medians, their ratio, the wins and the verdict."""
+    rows = [f"{'workload':<14} {'metric':<12} {'parent':>10} "
+            f"{'change':>10} {'ratio':>7} {'wins':>6}  verdict"]
+    for (workload, m), s in summaries.items():
+        p, c = s["parent"][1], s["change"][1]
+        rows.append(f"{workload:<14} {m:<12} {p:>10.4g} {c:>10.4g} "
+                    f"{c / p:>7.4f} {s['wins']:>3}/{s['pairs']:<2}  "
+                    f"{'better' if s['better'] else 'not shown better'}")
+    return "\n".join(rows)
+
+
+def main(argv=None):
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        args = parse_args(argv, json.load(fh))
+
+    runs = {w: [] for w in args.workload}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as parent:
         _export(args.ref, parent)
         for i in range(args.pairs):
             seed = args.first_seed + i
             sides = [("parent", parent), ("change", ROOT)]
-            got = {side: _run(tree, args.workload, seed, args.seconds)
-                   for side, tree in (sides if i % 2 == 0 else sides[::-1])}
-            runs.append((seed, got["parent"], got["change"]))
-            print(f"seed {seed}: " + "  ".join(
-                f"{m} {got['parent'][m]:.6g} -> {got['change'][m]:.6g}"
-                for m in METRICS), flush=True)
-    for m in METRICS:
-        s = summarize([(seed, p[m], c[m]) for seed, p, c in runs])
-        print(f"{m}: ratio change / parent per seed "
-              + " ".join(f"{r:.3f}" for _, r in s["ratios"]))
-        for side in ("parent", "change"):
-            q1, med, q3 = s[side]
-            print(f"  {side:<7} median {med:.6g}  "
-                  f"quartiles {q1:.6g} .. {q3:.6g}")
-        ratio = s["change"][1] / s["parent"][1]
-        print(f"  medians change / parent {ratio:.4f}; change better in "
-              f"{s['wins']}/{s['pairs']} pairs; "
-              f"{'better' if s['better'] else 'not shown better'}")
+            for w in args.workload:
+                got = {side: _run(tree, w, seed, args.seconds)
+                       for side, tree in (sides if i % 2 == 0
+                                          else sides[::-1])}
+                runs[w].append((seed, got["parent"], got["change"]))
+                print(f"{w} seed {seed}: " + "  ".join(
+                    f"{m} {got['parent'][m]:.6g} -> {got['change'][m]:.6g}"
+                    for m in METRICS), flush=True)
+    summaries = {}
+    for w in args.workload:
+        for m in METRICS:
+            s = summarize([(seed, p[m], c[m]) for seed, p, c in runs[w]])
+            summaries[w, m] = s
+            print(f"{w} {m}: ratio change / parent per seed "
+                  + " ".join(f"{r:.3f}" for _, r in s["ratios"]))
+            for side in ("parent", "change"):
+                q1, med, q3 = s[side]
+                print(f"  {side:<7} median {med:.6g}  "
+                      f"quartiles {q1:.6g} .. {q3:.6g}")
+    print(table(summaries))
     return 0
 
 
