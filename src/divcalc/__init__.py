@@ -66,6 +66,7 @@ from .enumeration import (
     enumerate_bogreider,
     enumerate_destab,
     explain_candidate,
+    explainer,
     verify_all,
     verify_case,
 )

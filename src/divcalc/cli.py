@@ -52,12 +52,23 @@ from .surfaces import (
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; the contract here is 1."""
+    """argparse exits 2 on usage errors; the contract here is 1.
+
+    A value given as --opt=-- is the string "--". argparse (3.11) drops
+    it as an end-of-options marker and stores an empty list, which no
+    handler expects."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+    def _get_values(self, action, arg_strings):
+        if action.nargs is None and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
 
 
 def _load_surface(args):
@@ -387,7 +398,12 @@ def build_parser() -> _Parser:
 
     The parser's _commands maps each subcommand name to its subparser
     (argparse's own table), so main() can hand a command's arguments
-    straight to the subparser.
+    straight to the subparser, or read them from the table _option_table
+    builds from it on the command's first call: its store_true options
+    and its store and append options of one value, each value converted
+    by the option's type and checked against its choices. This parser
+    stays the one declaration of the command line and the only code that
+    writes help, usage and error messages.
     """
     parser = _Parser(prog="divcalc", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -555,18 +571,96 @@ def _fuse_expr_flags(argv):
     return out
 
 
-def _parse_args(argv):
-    """build_parser().parse_args(argv), with the root parser skipped when
-    argv starts with a subcommand.
+@functools.cache
+def _option_table(sub):
+    """The options of subparser sub that _read_options reads, as option
+    string -> (action, kind, type function) with kind "flag" for a
+    store_true (or other store_const) action and "store" or "append" for
+    one of one value, and sub's defaults as parse_known_args sets them.
+    Its other actions (--help) stay out, so argparse reads their strings.
+    build_parser declares no positional, required option, exclusive
+    group or argument file, which argparse would act on unnamed; the
+    differential test of _parse_args fails if one is added."""
+    options, defaults = {}, {}
+    for a in sub._actions:
+        if argparse.SUPPRESS not in (a.dest, a.default):
+            defaults.setdefault(a.dest, a.default)
+        if isinstance(a, argparse._StoreConstAction):
+            kind = "flag"
+        elif a.nargs is None and type(a) is argparse._StoreAction:
+            kind = "store"
+        elif a.nargs is None and type(a) is argparse._AppendAction:
+            kind = "append"
+        else:
+            continue
+        conv = sub._registry_get("type", a.type, a.type)
+        options.update(dict.fromkeys(a.option_strings, (a, kind, conv)))
+    for dest, value in sub._defaults.items():
+        defaults.setdefault(dest, value)
+    return options, defaults
 
-    The root parser would hand everything after the subcommand to the
-    subparser and refuse what that leaves over, which is what this does
-    without first classifying every string against the root's own options.
-    That classification can only fail on a string starting with "--=",
-    ambiguous between --help and --version, so such argv take the root path.
+
+def _read_options(sub, name, args):
+    """sub.parse_known_args(args, Namespace(subcommand=name))[0] when args
+    are all exact option strings of _option_table(sub), a store or append
+    option with its value as the next string or after "="; None for any
+    other args, which argparse must read, refuse or explain: an unknown
+    or abbreviated option, -h, --, a positional, a value on a flag, a
+    missing value, a separate value starting with "-", a value its type
+    refuses and a value outside the choices."""
+    options, defaults = _option_table(sub)
+    vals = {**defaults, "subcommand": name}
+    i, n = 0, len(args)
+    while i < n:
+        hit = options.get(args[i])
+        if hit is None:
+            opt, eq, value = args[i].partition("=")
+            hit = options.get(opt) if eq else None
+            if hit is None or hit[1] == "flag":
+                return None
+        elif hit[1] != "flag":
+            i += 1
+            if i == n or args[i].startswith("-"):
+                return None
+            value = args[i]
+        action, kind, conv = hit
+        if kind == "flag":
+            vals[action.dest] = action.const
+        else:
+            try:
+                value = conv(value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            if kind == "append":
+                value = [*(vals[action.dest] or ()), value]
+            vals[action.dest] = value
+        i += 1
+    return argparse.Namespace(**vals)
+
+
+def _parse_args(argv):
+    """build_parser().parse_args(argv), read from the subcommand's option
+    table when argv starts with a subcommand and its arguments are all
+    options that table holds (_read_options). Any other argv goes
+    to argparse, which gives the same namespace or writes the same
+    usage, help or error message with the same exit code.
+
+    There the root parser is skipped too when argv starts with a
+    subcommand. The root parser would hand everything after the
+    subcommand to the subparser and refuse what that leaves over, which
+    is what this does without first classifying every string against the
+    root's own options. That classification can only fail on a string
+    starting with "--=", ambiguous between --help and --version, so such
+    argv take the root path.
     """
     parser = build_parser()
     sub = parser._commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args = _read_options(sub, argv[0], argv[1:])
+        if args is not None:
+            return args
     if sub is None or any(a.startswith("--=") for a in argv[1:]):
         return parser.parse_args(argv)
     args, extras = sub.parse_known_args(

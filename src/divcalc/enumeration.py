@@ -117,7 +117,7 @@ def _stage_kernel(model, k, apply_mod4):
     """The staged filters as stages(x, s), on the class L with coordinates
     x and s = L.C: (stage, detail) for the first violated constraint,
     else (None, (L^2, M.L, deg D)). The search passes s from its slice
-    and explain_candidate pairs L with C; every stage is evaluated, also
+    and explainer pairs L with C; every stage is evaluated, also
     those the slice windows imply, so both see the same trace."""
     gram, kind, n = model.gram, model.kind, model.rank
     # the sign stage keeps L when S L >= 0: S is the gram on sigma
@@ -204,8 +204,8 @@ def enumerate_bogreider(
     ModelError, k < 2 raises RangeError, and a C from another model
     raises ModelMismatchError. The slice walk is set up once per search.
     Every slice point runs through all the stages of _stage_kernel, as
-    in explain_candidate, so visited counts slice points and traces
-    match explain_candidate. Only a survivor is built as a DivClass.
+    in explainer, so visited counts slice points and traces
+    match explainer's. Only a survivor is built as a DivClass.
     """
     points = _slices(surface, C, k)
     apply_mod4 = _auto_mod4(surface, C) if mod4 is None else mod4
@@ -232,23 +232,39 @@ def enumerate_bogreider(
                              survivors, rejected, visited)
 
 
-def explain_candidate(surface, C, k, coords, mod4: bool | None = None):
-    """Full filter trace for one candidate, visited by the search or not.
+def explainer(surface, C, k, mod4: bool | None = None):
+    """explain(coords), the full filter trace of one candidate of the
+    search for C at k, visited by it or not: (Decomposition, trace) for a
+    survivor, else (None, trace ending in the failed stage).
 
-    Refuses what enumerate_bogreider refuses (RangeError for k < 2,
-    ModelError when C^2 <= 0 or the slices of C can be infinite,
+    Refuses up front what enumerate_bogreider refuses (RangeError for
+    k < 2, ModelError when C^2 <= 0 or the slices of C can be infinite,
     ModelMismatchError for a C from another model), so no trace describes
-    a search that could never run.
+    a search that could never run. The refusals and the stage kernel are
+    set up once, so explaining many candidates costs what the search
+    spends on each.
     """
     _slices(surface, C, k)
     apply_mod4 = _auto_mod4(surface, C) if mod4 is None else mod4
-    L = surface.klass(coords)
-    s = pair(L, C)
-    stage, got = _stage_kernel(surface, k, apply_mod4)(L.coords, s)
-    if stage is not None:
-        return None, [*_PASSES[:_STAGES.index(stage)], (stage, f"fail: {got}")]
+    stages = _stage_kernel(surface, k, apply_mod4)
     trace = _SURVIVOR_TRACE[apply_mod4]
-    return _decomposition(L, s, pair(C, C), k, got, trace), list(trace)
+    C2 = pair(C, C)
+
+    def explain(coords):
+        L = surface.klass(coords)
+        s = pair(L, C)
+        stage, got = stages(L.coords, s)
+        if stage is not None:
+            return None, [*_PASSES[:_STAGES.index(stage)],
+                          (stage, f"fail: {got}")]
+        return _decomposition(L, s, C2, k, got, trace), list(trace)
+
+    return explain
+
+
+def explain_candidate(surface, C, k, coords, mod4: bool | None = None):
+    """explainer(surface, C, k, mod4)(coords): one candidate's trace."""
+    return explainer(surface, C, k, mod4)(coords)
 
 
 # ---------------------------------------------------------------------------
@@ -584,10 +600,11 @@ def verify_case(case_id: str) -> CaseReport:
         got = res.survivor_keys()
         want = set(fx.expected)
         status = "PASS" if got == want else "FAIL"
-        for expr, z in sorted(want - got):
-            _, t = explain_candidate(
-                surf, C, fx.k, resolve(expr, surf).coords, mod4=fx.mod4
-            )
+        missing = sorted(want - got)
+        if missing:
+            explain = explainer(surf, C, fx.k, mod4=fx.mod4)
+        for expr, z in missing:
+            _, t = explain(resolve(expr, surf).coords)
             trace.append(f"missing ({expr}, z={z}): {t}")
         for expr, z in sorted(got - want):
             trace.append(f"unexpected survivor ({expr}, z={z})")

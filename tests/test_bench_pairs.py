@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 
@@ -5,7 +6,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
-from bench_pairs import parse_args, quartiles, summarize, table  # noqa: E402
+from bench_pairs import (  # noqa: E402
+    document, parse_args, quartiles, summarize, table)
 
 
 def test_summary_of_a_clear_gain():
@@ -52,6 +54,8 @@ def test_workload_repeats_and_defaults_to_every_benchmark_workload():
                        "--workload", "queries"], BENCH)
     assert args.workload == ["queries", "fixtures"]
     assert (args.seconds, args.pairs, args.ref) == (20, 10, "HEAD~1")
+    assert args.out is None
+    assert parse_args(["--out", "BENCH.json"], BENCH).out == "BENCH.json"
     with pytest.raises(SystemExit):
         parse_args(["--workload", "nonsense"], BENCH)
 
@@ -65,3 +69,22 @@ def test_table_has_one_row_per_workload_and_metric():
     assert rows[1].split()[:2] == ["phi_enriques", "wall_s"]
     assert rows[1].endswith("better") and "10/10" in rows[1]
     assert rows[2].endswith("not shown better") and "0/10" in rows[2]
+
+
+def test_document_records_every_summary_and_the_host():
+    gain = summarize([(7 + i, 2.0 + 0.01 * i, 1.0) for i in range(10)])
+    even = summarize([(7 + i, 1.0, 1.0) for i in range(10)])
+    doc = document({("queries", "wall_s"): gain, ("queries", "setup_s"): even},
+                   {"parent": "abc", "change": "def-dirty"}, "3.11.7", 4)
+    assert json.loads(json.dumps(doc)) == doc
+    assert doc["revisions"] == {"parent": "abc", "change": "def-dirty"}
+    assert (doc["python"], doc["cores"]) == ("3.11.7", 4)
+    first, second = doc["results"]
+    assert (first["workload"], first["metric"]) == ("queries", "wall_s")
+    assert second["metric"] == "setup_s" and not second["better"]
+    assert first["parent"] == dict(zip(("q1", "median", "q3"),
+                                       gain["parent"]))
+    assert first["change"] == {"q1": 1.0, "median": 1.0, "q3": 1.0}
+    assert [r["seed"] for r in first["ratios"]] == list(range(7, 17))
+    assert first["ratios"][0]["ratio"] == pytest.approx(0.5)
+    assert (first["wins"], first["pairs"], first["better"]) == (10, 10, True)

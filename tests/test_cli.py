@@ -1,5 +1,8 @@
 import argparse
+import contextlib
+import io
 import json
+from collections import Counter
 from fractions import Fraction
 from importlib import resources
 from unittest import mock
@@ -249,6 +252,28 @@ class TestExitCodes:
         assert cap.err.startswith("divcalc: error: ")
         assert "64-bit envelope" in cap.err
 
+    @pytest.mark.parametrize("argv, err", [
+        (["chi", "--surface", "sigma3", "--curve", "--"],
+         "divcalc: error: cannot parse divisor expression"),
+        (["pair", "--surface", "sigma3", "--curve", "H", "--curve=--"],
+         "divcalc: error: cannot parse divisor expression"),
+        (["corank", "--g", "3", "--aux=--"],
+         "divcalc: error: --aux expects KEY=INT, got '--'"),
+        (["gonality", "--l2=--", "--phi", "5"],
+         "argument --l2: invalid int value: '--'"),
+        (["enumerate", "--surface", "blq", "--curve", "-2K", "--k=--"],
+         "argument --k: invalid int value: '--'"),
+        (["verify", "--case=--"], "divcalc: error: unknown case '--'"),
+    ], ids=["curve", "curve-eq", "aux", "int", "k", "case"])
+    def test_double_dash_value_is_a_string(self, capsys, argv, err):
+        """--opt=-- gives the option the string "--", as does --curve --,
+        which main() joins into --curve=--; argparse alone stores an empty
+        list there, which no handler expects."""
+        rc = cli.main(argv)
+        cap = capsys.readouterr()
+        assert rc == 1
+        assert err in cap.err
+
     def test_unknown_subcommand(self, capsys):
         rc = cli.main(["frobnicate"])
         capsys.readouterr()
@@ -481,22 +506,185 @@ def test_direct_dispatch_matches_the_root_parser(capsys, monkeypatch, argv):
 
 
 def test_root_parser_is_skipped_for_subcommands(capsys):
-    """Twenty mixed calls parse with the root parser only for argv that do
-    not start with a subcommand."""
-    argvs = GOOD_JSON_COMMANDS + [
+    """Mixed calls parse with the root parser only for argv that do not
+    start with a subcommand, and with a subparser only for the malformed
+    argv: every sample command, with and without --json, is read from its
+    subcommand's option table."""
+    malformed = [
         ["gonality", "--l2", "30", "--phi", "5", "--bogus"],
         ["scroll", "--g", "abc"],
         ["--version"],
         ["frobnicate"],
     ]
-    assert len(argvs) == 20
+    argvs = (GOOD_JSON_COMMANDS + [a + ["--json"] for a in GOOD_JSON_COMMANDS]
+             + malformed)
+    assert len(argvs) == 36
     parser = cli.build_parser()
-    with mock.patch.object(parser, "parse_known_args",
-                           wraps=parser.parse_known_args) as root:
-        for argv in argvs:
+    subs = list(parser._commands.values())
+    with contextlib.ExitStack() as stack:
+        root = stack.enter_context(mock.patch.object(
+            parser, "parse_known_args", wraps=parser.parse_known_args))
+        spies = [stack.enter_context(mock.patch.object(
+            sub, "parse_known_args", wraps=sub.parse_known_args))
+            for sub in subs]
+        for argv in argvs[:-len(malformed)]:
+            cli.main(argv)
+        assert sum(s.call_count for s in spies) == 0
+        for argv in malformed:
             cli.main(argv)
     capsys.readouterr()
     assert root.call_count == 2
+    assert sum(s.call_count for s in spies) == 2
+
+
+def _parse_outcome(parse, argv):
+    """parse(argv)'s namespace, or None when it exits, with what it wrote
+    to stdout and stderr and its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args, code = parse(argv), None
+        except SystemExit as exc:
+            args, code = None, exc.code
+    return args, out.getvalue(), err.getvalue(), code
+
+
+# values for the drawn options: integers in and beyond every range, ints
+# that int() refuses or reads in another notation, choices and near
+# misses, divisor expressions and strings with spaces or non-ASCII
+_INT_VALUES = ["0", "7", "-3", "12", str(2**70), "-" + str(2**70)]
+_STR_VALUES = ["H", "-2K", "U1+U2", "E+2E1", "4K-M=8", "sigma3",
+               "pencil-pair-1", "g1kondelp-b", "a b", "\u00e9", ""]
+_ARG_VALUES = st.sampled_from(
+    _INT_VALUES + _STR_VALUES + [
+        "1_000", "0x10", " 5", "1.5", "abc", "\u0663", "auto", "On",
+        "main", "bogus", "--", "-", "="])
+_MALFORMED = st.sampled_from([
+    ["--"], ["-h"], ["--json=x"], ["--json="], ["--=x"], ["--bogus"],
+    ["stray"], ["-"]])
+
+
+@st.composite
+def _drawn_argv(draw):
+    """A subcommand and its own option strings, each with a value of its
+    type or choices, in the exact or the "=" form, repeats included; half
+    the draws mix in what argparse must read: a value of the wrong type
+    or outside the choices, an abbreviation, a missing or stray value,
+    --json=x, --, -h."""
+    parser = cli.build_parser()
+    name = draw(st.sampled_from(sorted(parser._commands)))
+    table = parser._commands[name]._option_string_actions
+    opts = sorted(o for o, a in table.items()
+                  if not isinstance(a, argparse._HelpAction))
+
+    def well_formed(o):
+        action = table[o]
+        if action.nargs == 0:
+            return [o]
+        v = draw(st.sampled_from(
+            action.choices or (_INT_VALUES if action.type is int
+                               else _STR_VALUES)))
+        return draw(st.sampled_from([[o, v], [f"{o}={v}"]]))
+
+    def near_miss():
+        # a value of the wrong type, or outside the choices when the
+        # subcommand has an option with choices
+        o = draw(st.sampled_from([o for o in opts if table[o].choices]
+                                 or [o for o in opts if table[o].type]
+                                 or sorted(table)))
+        v = draw(st.sampled_from(["On", "bogus", "auto ", "", "1_000",
+                                  "0x10", " 5", "1.5", "abc", "\u0663"]))
+        return draw(st.sampled_from([[o, v], [f"{o}={v}"]]))
+
+    opt = st.sampled_from(sorted(table))
+    malformed = [
+        near_miss,
+        lambda: draw(_MALFORMED),
+        lambda: draw(st.builds(lambda o, v: [o, v], opt, _ARG_VALUES)),
+        lambda: draw(st.builds(lambda o, v: [f"{o}={v}"], opt, _ARG_VALUES)),
+        lambda: [draw(opt)],
+        lambda: [draw(opt)[:-1]],
+        lambda: [draw(_ARG_VALUES)],
+    ]
+    pieces = [well_formed(o) for o in draw(st.lists(
+        st.sampled_from(opts), max_size=6))] if opts else []
+    if draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 2))):
+            bad = malformed[draw(st.sampled_from([0, 0, 1, 2, 3, 4, 5, 6]))]()
+            pieces.insert(draw(st.integers(0, len(pieces))), bad)
+    return [name] + [tok for piece in pieces for tok in piece]
+
+
+def test_option_tables_parse_as_argparse_does():
+    """_parse_args and the root parser give the same namespace, stdout,
+    stderr and exit code on argv drawn from each subparser's options, as
+    main() hands them over; the draws reach both the option table and
+    argparse's own reading."""
+    fast = Counter()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_drawn_argv())
+    def check(argv):
+        argv = cli._fuse_expr_flags(argv)
+        sub = cli.build_parser()._commands[argv[0]]
+        fast[cli._read_options(sub, argv[0], argv[1:]) is not None] += 1
+        assert (_parse_outcome(cli._parse_args, argv)
+                == _parse_outcome(cli.build_parser().parse_args, argv))
+
+    check()
+    assert fast[True] >= 40 and fast[False] >= 40, fast
+
+
+# values a mutated sample command carries: numeric extremes, long and
+# non-ASCII strings, and strings of the wrong type for the option
+_MUTANTS = st.sampled_from([
+    "0", "-1", "2", str(2**63), str(-2**63 - 1), "9" * 30, "-" + "9" * 30,
+    "5" * 5000 + "H", "H" * 3000, "x" * 300, "H+" * 500 + "H",
+    "\u00e9", "\u221e", "\u0663", "\u2167", "H\u0301", "\U0001f600",
+    "\x00", "\ud800", "1.5", "1e9", "abc", "", " ", "[]", "{}", "null",
+    "-", "--", "=", "-H", "2H-", "H/2", "(H)", "U1+U2", "sigma99",
+    "blc" + "9" * 30, "enriques", "pencil-pair-1", "main", "on",
+])
+# options whose values can grow a search without bound while no work
+# budget refuses it; a mutation leaves their values as they are
+_GROWS = {"enumerate": {"--k", "--curve"}, "phi": {"--box", "--curve"}}
+
+
+@st.composite
+def _mutated_command(draw):
+    """A sample command with some values replaced, some strings dropped
+    and some options of its subcommand appended, with mutated values in
+    the separate or the "=" form."""
+    argv = list(draw(st.sampled_from(GOOD_JSON_COMMANDS)))
+    grows = _GROWS.get(argv[0], set())
+    for i in draw(st.lists(st.integers(2, len(argv) - 1), max_size=3)
+                  if len(argv) > 2 else st.just([])):
+        if not argv[i].startswith("--") and argv[i - 1] not in grows:
+            argv[i] = draw(_MUTANTS)
+    if len(argv) > 1 and draw(st.booleans()):
+        del argv[draw(st.integers(1, len(argv) - 1))]
+    table = cli.build_parser()._commands[argv[0]]._option_string_actions
+    opts = sorted(o for o in table if o not in grows
+                  and not isinstance(table[o], argparse._HelpAction))
+    for o in draw(st.lists(st.sampled_from(opts), max_size=2)):
+        v = draw(_MUTANTS)
+        argv += draw(st.sampled_from(
+            [[o], [f"{o}={v}"]] if table[o].nargs == 0
+            else [[o, v], [f"{o}={v}"]]))
+    return argv + draw(st.sampled_from([[], ["--json"]]))
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(_mutated_command())
+def test_mutated_commands_exit_cleanly(argv):
+    """Every mutated sample command exits 0, 1 or 2 with no exception,
+    and every exit 1 says why on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    assert rc in (0, 1, 2)
+    if rc == 1:
+        assert "error:" in err.getvalue()
 
 
 # JSON values of the RunReport types, with the strings JSON must escape

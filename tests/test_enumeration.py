@@ -14,6 +14,7 @@ from divcalc.enumeration import (
     enumerate_bogreider,
     enumerate_destab,
     explain_candidate,
+    explainer,
     verify_all,
     verify_case,
 )
@@ -355,6 +356,28 @@ def test_search_sets_up_the_slice_walk_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_explaining_a_whole_search_sets_up_the_slice_walk_once(monkeypatch):
+    # the Enriques search of _KERNEL_SEARCHES, every slice point explained
+    e = enriques()
+    C = e.klass((2, 3, 0, 0, 1, 0, -1, -1, 0, 1))
+    points = [L.coords for s in range(3, 7)
+              for L in slice_points(C, s, s - 3, s // 2)]
+    assert len(points) == 227
+    calls = []
+
+    def counting_kernel_basis(w, gram):
+        calls.append(w)
+        return real(w, gram)
+
+    real = lattice._kernel_basis
+    monkeypatch.setattr(lattice, "_kernel_basis", counting_kernel_basis)
+    explain = explainer(e, C, 3, mod4=True)
+    traces = [explain(x) for x in points]
+    assert len(calls) == 1
+    assert traces == [explain_candidate(e, C, 3, x, mod4=True) for x in points]
+    assert len(calls) == 1 + len(points)  # explain_candidate: one per call
+
+
 def test_enriques_survivors_are_u1_2u2_and_the_e8_roots():
     # C = U1 + 2U2, k = 2. L = xU1 + yU2 + e with e in E8(-1) has
     # L.C = 2x + y and L^2 = 2xy + e^2, which is even, and the stages
@@ -503,9 +526,10 @@ def test_search_and_explain_share_one_stage_kernel():
         res = enumerate_bogreider(m, C, k, mod4=mod4)
         kept = {d.L.coords: d for d in res.survivors}
         matched, seen = 0, Counter()
+        explain = explainer(m, C, k, mod4=mod4)
         for s in range(k, 2 * k + 1):
             for L in slice_points(C, s, s - k, s // 2):
-                dec, trace = explain_candidate(m, C, k, L.coords, mod4=mod4)
+                dec, trace = explain(L.coords)
                 if L.coords in kept:
                     assert dec == kept[L.coords]
                     assert list(kept[L.coords].filter_trace) == trace
@@ -581,3 +605,29 @@ class TestFixtureCatalog:
         rep = verify_case("g1kondelp-b")
         assert rep.status == "FAIL"
         assert any("missing" in t for t in rep.trace)
+
+    def test_report_sets_up_one_explainer_per_mismatching_case(
+            self, monkeypatch):
+        # the search sets up its slice walk once; a mismatch adds one
+        # explainer for all its missing survivors, a match adds none
+        calls = []
+
+        def counting_kernel_basis(w, gram):
+            calls.append(w)
+            return real(w, gram)
+
+        real = lattice._kernel_basis
+        monkeypatch.setattr(lattice, "_kernel_basis", counting_kernel_basis)
+        assert verify_case("g1kondelp-b").status == "PASS"
+        assert len(calls) == 1
+        fx = FIXTURES["g1kondelp-b"]
+        monkeypatch.setitem(FIXTURES, "g1kondelp-b", CaseFixture(
+            case_id=fx.case_id, kind=fx.kind, surface=fx.surface,
+            curve=fx.curve, k=fx.k, mod4=fx.mod4,
+            expected=fx.expected + (("H", 0), ("G1", 0), ("2H", 0)),
+            killed=fx.killed, identities=fx.identities, notes=fx.notes,
+        ))
+        rep = verify_case("g1kondelp-b")
+        assert rep.status == "FAIL"
+        assert sum(t.startswith("missing") for t in rep.trace) == 3
+        assert len(calls) == 1 + 2

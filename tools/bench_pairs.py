@@ -18,8 +18,11 @@ before the next seed starts. For each workload and end-to-end metric
 change / parent per seed, the median and quartiles of each side, the
 number of pairs the change won and whether the change is better by the
 rule of nine wins in ten and a median gain larger than the parent's
-interquartile range, and it ends with one table of all of them. It
-changes nothing under perfbench/.
+interquartile range, and it ends with one table of all of them. With
+--out FILE it also writes that table as a JSON document (document()):
+per workload and metric, both sides' quartiles, the per-seed ratios,
+the wins and the verdict, with the two git revisions, the Python
+version and the core count. It changes nothing under perfbench/.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -106,6 +110,8 @@ def parse_args(argv, bench):
                     help=f"run length (default {bench['run_seconds']}, as "
                     "in BENCHMARK.json)")
     ap.add_argument("--first-seed", type=int, default=1001)
+    ap.add_argument("--out", metavar="FILE",
+                    help="also write the final table as JSON to FILE")
     args = ap.parse_args(argv)
     args.workload = list(dict.fromkeys(args.workload or names))
     return args
@@ -122,6 +128,39 @@ def table(summaries):
                     f"{c / p:>7.4f} {s['wins']:>3}/{s['pairs']:<2}  "
                     f"{'better' if s['better'] else 'not shown better'}")
     return "\n".join(rows)
+
+
+def document(summaries, revisions, python, cores):
+    """The JSON document of a finished run: one entry per (workload,
+    metric) summary, in run order, with the parent's and the change's
+    (first quartile, median, third quartile), the ratio change / parent
+    per seed, the wins out of the pairs and the verdict; and the
+    revisions {"parent": ..., "change": ...}, the Python version and the
+    core count of the host."""
+    def sides(q):
+        return dict(zip(("q1", "median", "q3"), q))
+
+    return {
+        "revisions": dict(revisions),
+        "python": python,
+        "cores": cores,
+        "results": [
+            {"workload": workload, "metric": m,
+             "parent": sides(s["parent"]), "change": sides(s["change"]),
+             "ratios": [{"seed": seed, "ratio": r}
+                        for seed, r in s["ratios"]],
+             "wins": s["wins"], "pairs": s["pairs"], "better": s["better"]}
+            for (workload, m), s in summaries.items()],
+    }
+
+
+def _revision(ref=None):
+    """The commit of ref, or of this checkout with "-dirty" appended when
+    its tracked files differ from that commit."""
+    cmd = (["git", "rev-parse", ref] if ref else
+           ["git", "describe", "--always", "--dirty", "--abbrev=40"])
+    return subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True,
+                          check=True).stdout.strip()
 
 
 def main(argv=None):
@@ -154,6 +193,13 @@ def main(argv=None):
                 print(f"  {side:<7} median {med:.6g}  "
                       f"quartiles {q1:.6g} .. {q3:.6g}")
     print(table(summaries))
+    if args.out:
+        doc = document(summaries,
+                       {"parent": _revision(args.ref), "change": _revision()},
+                       platform.python_version(), os.cpu_count())
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
     return 0
 
 
