@@ -309,7 +309,11 @@ def _cmd_corank(args):
                 f"--aux expects KEY=INT, got {item!r} "
                 "(e.g. --aux 4K-M=5)"
             )
-        aux[key] = int(val)
+        try:
+            aux[key] = int(val)
+        except ValueError:  # more digits than int() reads
+            raise ModelError(
+                f"--aux value of {len(val)} digits is too long") from None
     inp = GaussianInput(
         g=args.g,
         h1M=args.h1_m,
@@ -396,14 +400,13 @@ def build_parser() -> _Parser:
     the fixture catalogue is constant. Callers must not modify the
     returned parser, since every later call shares it.
 
-    The parser's _commands maps each subcommand name to its subparser
-    (argparse's own table), so main() can hand a command's arguments
-    straight to the subparser, or read them from the table _option_table
-    builds from it on the command's first call: its store_true options
-    and its store and append options of one value, each value converted
-    by the option's type and checked against its choices. This parser
-    stays the one declaration of the command line and the only code that
-    writes help, usage and error messages.
+    The parser's _commands maps each subcommand name to its subparser, so
+    _parse_args can read well-formed arguments of a command from the
+    subparser's own option map (_option_string_actions): its flags and its
+    options of one value, each value converted by the option's type and
+    checked against its choices. Every other argv goes to this parser,
+    which stays the one declaration of the command line and the only code
+    that writes help, usage and error messages.
     """
     parser = _Parser(prog="divcalc", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -572,68 +575,50 @@ def _fuse_expr_flags(argv):
 
 
 @functools.cache
-def _option_table(sub):
-    """The options of subparser sub that _read_options reads, as option
-    string -> (action, kind, type function) with kind "flag" for a
-    store_true (or other store_const) action and "store" or "append" for
-    one of one value, and sub's defaults as parse_known_args sets them.
-    Its other actions (--help) stay out, so argparse reads their strings.
-    build_parser declares no positional, required option, exclusive
-    group or argument file, which argparse would act on unnamed; the
-    differential test of _parse_args fails if one is added."""
-    options, defaults = {}, {}
-    for a in sub._actions:
-        if argparse.SUPPRESS not in (a.dest, a.default):
-            defaults.setdefault(a.dest, a.default)
-        if isinstance(a, argparse._StoreConstAction):
-            kind = "flag"
-        elif a.nargs is None and type(a) is argparse._StoreAction:
-            kind = "store"
-        elif a.nargs is None and type(a) is argparse._AppendAction:
-            kind = "append"
-        else:
-            continue
-        conv = sub._registry_get("type", a.type, a.type)
-        options.update(dict.fromkeys(a.option_strings, (a, kind, conv)))
-    for dest, value in sub._defaults.items():
-        defaults.setdefault(dest, value)
-    return options, defaults
+def _defaults(sub, name):
+    """What sub.parse_known_args sets with no arguments, as a dict: the
+    subcommand, every option's default and the handler."""
+    args, _ = sub.parse_known_args([], argparse.Namespace(subcommand=name))
+    return vars(args)
 
 
 def _read_options(sub, name, args):
-    """sub.parse_known_args(args, Namespace(subcommand=name))[0] when args
-    are all exact option strings of _option_table(sub), a store or append
-    option with its value as the next string or after "="; None for any
-    other args, which argparse must read, refuse or explain: an unknown
-    or abbreviated option, -h, --, a positional, a value on a flag, a
-    missing value, a separate value starting with "-", a value its type
-    refuses and a value outside the choices."""
-    options, defaults = _option_table(sub)
-    vals = {**defaults, "subcommand": name}
+    """sub.parse_known_args(_fuse_expr_flags(args),
+    Namespace(subcommand=name))[0] when args are all exact option strings
+    of sub, each flag (nargs 0) alone and each other option with its value
+    after "=" or as the next string; None for any other args, which
+    argparse must read, refuse or explain: an unknown or abbreviated
+    option, -h, --, a positional, a value on a flag, a missing value, a
+    separate value starting with "-" after an option other than --curve
+    or --nodal, a value its type refuses and a value outside the choices.
+    build_parser declares no other kind of option, positional or group;
+    the differential test of _parse_args fails if one is added."""
+    vals = dict(_defaults(sub, name))
+    options = sub._option_string_actions
     i, n = 0, len(args)
     while i < n:
-        hit = options.get(args[i])
-        if hit is None:
-            opt, eq, value = args[i].partition("=")
-            hit = options.get(opt) if eq else None
-            if hit is None or hit[1] == "flag":
-                return None
-        elif hit[1] != "flag":
-            i += 1
-            if i == n or args[i].startswith("-"):
-                return None
-            value = args[i]
-        action, kind, conv = hit
-        if kind == "flag":
+        opt, eq, value = args[i].partition("=")
+        action = options.get(opt)
+        # --help sets no default, so its dest is not in vals
+        if action is None or action.dest not in vals or (
+                eq and action.nargs == 0):
+            return None
+        if action.nargs == 0:
             vals[action.dest] = action.const
         else:
+            if not eq:
+                i += 1
+                if i == n or (args[i].startswith("-")
+                              and opt not in _EXPR_FLAGS):
+                    return None
+                value = args[i]
             try:
-                value = conv(value)
+                value = (action.type or str)(value)
             except (TypeError, ValueError, argparse.ArgumentTypeError):
                 return None
             if action.choices is not None and value not in action.choices:
                 return None
-            if kind == "append":
+            if isinstance(action, argparse._AppendAction):
                 value = [*(vals[action.dest] or ()), value]
             vals[action.dest] = value
         i += 1
@@ -641,33 +626,18 @@ def _read_options(sub, name, args):
 
 
 def _parse_args(argv):
-    """build_parser().parse_args(argv), read from the subcommand's option
-    table when argv starts with a subcommand and its arguments are all
-    options that table holds (_read_options). Any other argv goes
-    to argparse, which gives the same namespace or writes the same
-    usage, help or error message with the same exit code.
-
-    There the root parser is skipped too when argv starts with a
-    subcommand. The root parser would hand everything after the
-    subcommand to the subparser and refuse what that leaves over, which
-    is what this does without first classifying every string against the
-    root's own options. That classification can only fail on a string
-    starting with "--=", ambiguous between --help and --version, so such
-    argv take the root path.
-    """
+    """build_parser().parse_args(_fuse_expr_flags(argv)), read by
+    _read_options when argv starts with a subcommand and its arguments
+    are all options of that subcommand. Any other argv goes to the root
+    parser, which gives the same namespace or writes the same usage, help
+    or error message with the same exit code."""
     parser = build_parser()
     sub = parser._commands.get(argv[0]) if argv else None
     if sub is not None:
         args = _read_options(sub, argv[0], argv[1:])
         if args is not None:
             return args
-    if sub is None or any(a.startswith("--=") for a in argv[1:]):
-        return parser.parse_args(argv)
-    args, extras = sub.parse_known_args(
-        argv[1:], argparse.Namespace(subcommand=argv[0]))
-    if extras:
-        parser.error("unrecognized arguments: " + " ".join(extras))
-    return args
+    return parser.parse_args(_fuse_expr_flags(argv))
 
 
 def _dump_report(obj) -> str:
@@ -710,7 +680,7 @@ def _dump_report(obj) -> str:
 def main(argv=None) -> int:
     raw = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        args = _parse_args(_fuse_expr_flags(raw))
+        args = _parse_args(raw)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
 

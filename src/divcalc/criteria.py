@@ -448,7 +448,7 @@ def corank_low_genus(
             notes = [f"cork >= h0(3K - (g-4)A - M) = {h3}"]
             if h2k is not None and h2k <= 1:
                 notes.append(f"equality holds: h0(2K - M) = {h2k} <= 1")
-            else:
+            elif h2k is None:
                 notes.append("equality condition h0(2K - M) <= 1 untested")
             return GaussianVerdict(
                 "CORANK_BOUND", "low-(e)", bound=h3,

@@ -13,11 +13,10 @@ from __future__ import annotations
 import re
 
 from .errors import ExprSyntaxError, LabelError, OverflowGuardError
-from .lattice import I64_MAX, _LABEL, DivClass, LatticeModel, _Record
+from .lattice import _LABEL, _MAX_DIGITS, DivClass, LatticeModel, _Record
 
 _TERM = re.compile(r"\s*([+-])?\s*(?:(\d+)\s*\*?\s*)?"
                    f"({_LABEL.pattern})")
-_MAX_DIGITS = len(str(I64_MAX))
 
 
 class DivExpr(_Record):

@@ -27,6 +27,7 @@ from .errors import (
 )
 
 I64_MAX = 2**63 - 1
+_MAX_DIGITS = len(str(I64_MAX))  # a longer decimal lies outside the envelope
 
 
 def _check_i64(value, what):
@@ -562,7 +563,7 @@ def _ldl(Q):
     return [B // x for x in den], e, V, B
 
 
-def _walk(W, e, V, tail, lo, hi, box=None):
+def _walk(W, e, V, tail, lo, hi):
     """Every integer z = (y, tail) with lo <= sum_i W[i] u_i^2 <= hi,
     unordered, where u_i = e[i] y_i + sum_j V[i][j] z_j over the
     m = len(W) free coordinates y (W, e > 0; V[i][j] = 0 for j <= i).
@@ -572,8 +573,7 @@ def _walk(W, e, V, tail, lo, hi, box=None):
     coordinate down, has the budget rest that the levels above it left
     and scans exactly the y_i with |u_i| <= isqrt(rest // W[i]), a range
     found by floor division. Level 0 also keeps the lower bound, as
-    W[0] u_0^2 >= rest - (hi - lo). box clips every free coordinate to
-    [-box, box].
+    W[0] u_0^2 >= rest - (hi - lo).
     """
     m = len(W)
     if m == 0:
@@ -584,10 +584,7 @@ def _walk(W, e, V, tail, lo, hi, box=None):
 
     def span(i, b, ulo, uhi):
         # the y_i with ulo <= e[i] y_i + b <= uhi
-        first, last = -((b - ulo) // e[i]), (uhi - b) // e[i]
-        if box is not None:
-            first, last = max(first, -box), min(last, box)
-        return range(first, last + 1)
+        return range(-((b - ulo) // e[i]), (uhi - b) // e[i] + 1)
 
     def descend(i, rest):
         b = sum(map(mul, V[i], z))
@@ -612,19 +609,18 @@ def _walk(W, e, V, tail, lo, hi, box=None):
     return out
 
 
-def vectors_of_norm(Q, N: int, coord_box: int | None = None):
+def vectors_of_norm(Q, N: int):
     """All integer x with x^T Q x = N for positive definite integer Q.
 
     The exact-norm call of the integer walk with no fixed coordinate,
     sorted. Includes both x and -x; N = 0 yields only the zero vector,
-    which is returned (callers filter). coord_box additionally clips
-    every coordinate to [-coord_box, coord_box].
+    which is returned (callers filter).
     """
     ldl = _ldl(Q)
     if ldl is None or ldl[0][-1] <= 0:
         raise ModelError("vectors_of_norm needs a positive definite form")
     W, e, V, B = ldl
-    return sorted(_walk(W, e, V, (), B * N, B * N, coord_box))
+    return sorted(_walk(W, e, V, (), B * N, B * N))
 
 
 def _kernel_basis(w, gram):

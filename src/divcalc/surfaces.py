@@ -26,11 +26,13 @@ from .errors import (
     ModelError,
     NodalClassError,
     NonCurveClassError,
+    OverflowGuardError,
     PhiBoundError,
     PhiInvariantError,
     RangeError,
 )
 from .lattice import (
+    _MAX_DIGITS,
     DivClass,
     LatticeModel,
     _json_int,
@@ -160,13 +162,19 @@ def get_surface(name: str) -> LatticeModel:
     model is returned afterwards. Every other name (blcN beyond blc6, a
     file path, a DIVCALC_SURFACE_PATH entry) is built, or read from disk,
     on every call, as are the models of enriques(), sigma(n), blq() and
-    blcn(n).
+    blcn(n). An index of more digits than the 64-bit envelope allows
+    raises OverflowGuardError before it is read.
     """
     if name in _BUILTIN_NAMES:
         return _builtin(name)
-    m = re.fullmatch(r"blc(\d+)", name)
+    m = re.fullmatch(r"blc([0-9]+)", name)
     if m:
-        return blcn(int(m.group(1)))
+        digits = m.group(1).lstrip("0")
+        if len(digits) > _MAX_DIGITS:
+            raise OverflowGuardError(
+                f"blcN index of {len(digits)} digits exceeds the 64-bit "
+                "envelope")
+        return blcn(int(digits or "0"))
     if os.path.exists(name):
         return load_model(name)
     for d in os.environ.get("DIVCALC_SURFACE_PATH", "").split(os.pathsep):

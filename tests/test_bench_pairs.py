@@ -7,12 +7,12 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 from bench_pairs import (  # noqa: E402
-    document, parse_args, quartiles, summarize, table)
+    document, failed_shares, parse_args, quartiles, summarize, table)
 
 
 def test_summary_of_a_clear_gain():
     pairs = [(100 + i, 2.0 + 0.01 * i, 1.7 + 0.01 * i) for i in range(10)]
-    s = summarize(pairs)
+    s = summarize(pairs, 0.25)
     assert [seed for seed, _ in s["ratios"]] == list(range(100, 110))
     assert s["ratios"][0][1] == pytest.approx(1.7 / 2.0)
     assert s["parent"][1] == pytest.approx(2.045)
@@ -23,14 +23,14 @@ def test_summary_of_a_clear_gain():
 
 def test_eight_wins_in_ten_are_not_enough():
     pairs = [(i, 2.0, 1.0) for i in range(8)] + [(8, 2.0, 3.0), (9, 2.0, 3.0)]
-    s = summarize(pairs)
+    s = summarize(pairs, 0.25)
     assert (s["wins"], s["better"]) == (8, False)
 
 
 def test_a_gain_inside_the_parents_spread_is_not_enough():
     # every pair won, by 0.01, but the parent's quartiles lie 0.5 apart
     parent = [1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 2.4, 2.6, 2.8]
-    s = summarize([(i, p, p - 0.01) for i, p in enumerate(parent)])
+    s = summarize([(i, p, p - 0.01) for i, p in enumerate(parent)], 0.25)
     assert s["wins"] == 10 and not s["better"]
     assert s["parent"][2] - s["parent"][0] > 0.5
 
@@ -39,7 +39,7 @@ def test_quartiles_and_refusals():
     assert quartiles([3.0]) == (3.0, 3.0, 3.0)
     assert quartiles([1.0, 2.0, 3.0, 4.0, 5.0])[1] == 3.0
     with pytest.raises(ValueError):
-        summarize([])
+        summarize([], 0.25)
 
 
 BENCH = {"run_seconds": 20,
@@ -60,20 +60,50 @@ def test_workload_repeats_and_defaults_to_every_benchmark_workload():
         parse_args(["--workload", "nonsense"], BENCH)
 
 
+def _result(failed, attempted):
+    return {"failed": failed, "attempted": attempted}
+
+
+def test_worse_means_beyond_the_bound():
+    # medians 1.0 -> 1.2 are worse beyond a bound of 0.1, not of 0.25
+    pairs = [(i, 1.0, 1.2) for i in range(10)]
+    assert summarize(pairs, 0.1)["worse"]
+    assert not summarize(pairs, 0.25)["worse"]
+    assert summarize(pairs, 0.25)["bound"] == 0.25
+    assert not summarize([(i, 1.0, 0.5) for i in range(10)], 0.0)["worse"]
+
+
+def test_failed_shares_pool_each_sides_runs():
+    runs = [(1, _result(0, 100), _result(3, 100)),
+            (2, _result(1, 300), _result(0, 300))]
+    assert failed_shares(runs) == {"parent": 1 / 400, "change": 3 / 400}
+    assert failed_shares([(1, _result(0, 0), _result(0, 5))]) == {
+        "parent": 0.0, "change": 0.0}
+
+
 def test_table_has_one_row_per_workload_and_metric():
-    gain = summarize([(i, 2.0 + 0.01 * i, 1.0) for i in range(10)])
-    even = summarize([(i, 1.0, 1.0) for i in range(10)])
+    gain = summarize([(i, 2.0 + 0.01 * i, 1.0) for i in range(10)], 0.25)
+    even = summarize([(i, 1.0, 1.0) for i in range(10)], 0.25)
+    worse = summarize([(i, 1.0, 1.5) for i in range(10)], 0.24)
+    gain["failed"] = even["failed"] = {"parent": 0.0, "change": 0.0}
+    worse["failed"] = {"parent": 0.0, "change": 0.125}
     rows = table({("phi_enriques", "wall_s"): gain,
-                  ("queries", "wall_s"): even}).splitlines()
-    assert len(rows) == 3 and rows[0].split()[:2] == ["workload", "metric"]
+                  ("queries", "wall_s"): even,
+                  ("queries", "setup_s"): worse}).splitlines()
+    assert len(rows) == 4 and rows[0].split()[:2] == ["workload", "metric"]
+    assert rows[0].split()[6:10] == ["bound", "worse", "failed_p", "failed_c"]
     assert rows[1].split()[:2] == ["phi_enriques", "wall_s"]
     assert rows[1].endswith("better") and "10/10" in rows[1]
+    assert rows[1].split()[6:10] == ["0.25", "no", "0.00%", "0.00%"]
     assert rows[2].endswith("not shown better") and "0/10" in rows[2]
+    assert rows[3].split()[6:10] == ["0.24", "yes", "0.00%", "12.50%"]
 
 
 def test_document_records_every_summary_and_the_host():
-    gain = summarize([(7 + i, 2.0 + 0.01 * i, 1.0) for i in range(10)])
-    even = summarize([(7 + i, 1.0, 1.0) for i in range(10)])
+    gain = summarize([(7 + i, 2.0 + 0.01 * i, 1.0) for i in range(10)], 0.25)
+    even = summarize([(7 + i, 1.0, 1.0) for i in range(10)], 0.25)
+    gain["failed"] = {"parent": 0.0, "change": 0.0}
+    even["failed"] = {"parent": 0.01, "change": 0.02}
     doc = document({("queries", "wall_s"): gain, ("queries", "setup_s"): even},
                    {"parent": "abc", "change": "def-dirty"}, "3.11.7", 4)
     assert json.loads(json.dumps(doc)) == doc
@@ -88,3 +118,5 @@ def test_document_records_every_summary_and_the_host():
     assert [r["seed"] for r in first["ratios"]] == list(range(7, 17))
     assert first["ratios"][0]["ratio"] == pytest.approx(0.5)
     assert (first["wins"], first["pairs"], first["better"]) == (10, 10, True)
+    assert (first["bound"], first["worse"]) == (0.25, False)
+    assert second["failed"] == {"parent": 0.01, "change": 0.02}

@@ -128,6 +128,17 @@ class TestSurfaceLoading:
         rc, _ = run(capsys, ["self", "--surface", "sigma99", "--curve", "H"])
         assert rc == 1
 
+    @pytest.mark.parametrize("name, err", [
+        ("blc\u0663", "unknown surface 'blc\u0663'"),
+        ("blc" + "9" * 30, "30 digits exceeds the 64-bit envelope"),
+        ("blc" + "9" * 5000, "5000 digits exceeds the 64-bit envelope"),
+    ], ids=["non-ascii", "30-digits", "5000-digits"])
+    def test_blc_index_is_ascii_inside_the_envelope(self, capsys, name, err):
+        rc = cli.main(["surface", "--surface", name])
+        cap = capsys.readouterr()
+        assert rc == 1
+        assert cap.err.startswith("divcalc: error: ") and err in cap.err
+
     def test_surface_and_config_conflict(self, capsys):
         rc, _ = run(
             capsys,
@@ -278,6 +289,14 @@ class TestExitCodes:
         rc = cli.main(["frobnicate"])
         capsys.readouterr()
         assert rc == 1
+
+    def test_oversize_aux_value(self, capsys):
+        rc = cli.main(["corank", "--g", "3", "--h1-m", "0", "--cork-mu", "0",
+                       "--aux", "4K-M=" + "9" * 5000])
+        cap = capsys.readouterr()
+        assert rc == 1
+        assert cap.err == ("divcalc: error: --aux value of 5000 digits is "
+                           "too long\n")
 
     def test_bad_aux_syntax(self, capsys):
         # The value must be ASCII -?[0-9]+: a doubled sign, a superscript,
@@ -501,24 +520,25 @@ def test_direct_dispatch_matches_the_root_parser(capsys, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
     direct = _main_through(cli._parse_args, argv, capsys)
     plain = _main_through(
-        lambda args: cli.build_parser().parse_args(args), argv, capsys)
+        lambda args: cli.build_parser().parse_args(cli._fuse_expr_flags(args)),
+        argv, capsys)
     assert direct == plain
 
 
-def test_root_parser_is_skipped_for_subcommands(capsys):
-    """Mixed calls parse with the root parser only for argv that do not
-    start with a subcommand, and with a subparser only for the malformed
-    argv: every sample command, with and without --json, is read from its
-    subcommand's option table."""
+def test_only_malformed_argv_reach_argparse(capsys):
+    """Every sample command, with and without --json, is read from its
+    subcommand's option map; the root parser reads only the malformed
+    argv, and hands those that start with a subcommand to its subparser."""
     malformed = [
         ["gonality", "--l2", "30", "--phi", "5", "--bogus"],
         ["scroll", "--g", "abc"],
         ["--version"],
         ["frobnicate"],
     ]
-    argvs = (GOOD_JSON_COMMANDS + [a + ["--json"] for a in GOOD_JSON_COMMANDS]
-             + malformed)
-    assert len(argvs) == 36
+    samples = GOOD_JSON_COMMANDS + [a + ["--json"] for a in GOOD_JSON_COMMANDS]
+    assert len(samples) + len(malformed) == 36
+    for argv in samples:  # each subcommand's defaults are read once, here
+        cli.main(argv)
     parser = cli.build_parser()
     subs = list(parser._commands.values())
     with contextlib.ExitStack() as stack:
@@ -527,13 +547,14 @@ def test_root_parser_is_skipped_for_subcommands(capsys):
         spies = [stack.enter_context(mock.patch.object(
             sub, "parse_known_args", wraps=sub.parse_known_args))
             for sub in subs]
-        for argv in argvs[:-len(malformed)]:
+        for argv in samples:
             cli.main(argv)
+        assert root.call_count == 0
         assert sum(s.call_count for s in spies) == 0
         for argv in malformed:
             cli.main(argv)
     capsys.readouterr()
-    assert root.call_count == 2
+    assert root.call_count == 4
     assert sum(s.call_count for s in spies) == 2
 
 
@@ -555,6 +576,8 @@ def _parse_outcome(parse, argv):
 _INT_VALUES = ["0", "7", "-3", "12", str(2**70), "-" + str(2**70)]
 _STR_VALUES = ["H", "-2K", "U1+U2", "E+2E1", "4K-M=8", "sigma3",
                "pencil-pair-1", "g1kondelp-b", "a b", "\u00e9", ""]
+# --curve and --nodal take the next string even when it starts with "-"
+_EXPR_VALUES = ["H", "U1+U2", "-2K", "-H+E", "--", "-h", "--json", "--=x"]
 _ARG_VALUES = st.sampled_from(
     _INT_VALUES + _STR_VALUES + [
         "1_000", "0x10", " 5", "1.5", "abc", "\u0663", "auto", "On",
@@ -583,6 +606,7 @@ def _drawn_argv(draw):
             return [o]
         v = draw(st.sampled_from(
             action.choices or (_INT_VALUES if action.type is int
+                               else _EXPR_VALUES if o in cli._EXPR_FLAGS
                                else _STR_VALUES)))
         return draw(st.sampled_from([[o, v], [f"{o}={v}"]]))
 
@@ -616,20 +640,20 @@ def _drawn_argv(draw):
 
 
 def test_option_tables_parse_as_argparse_does():
-    """_parse_args and the root parser give the same namespace, stdout,
-    stderr and exit code on argv drawn from each subparser's options, as
-    main() hands them over; the draws reach both the option table and
-    argparse's own reading."""
+    """_parse_args on raw argv drawn from each subparser's options gives
+    the same namespace, stdout, stderr and exit code as the root parser
+    on the argv with --curve and --nodal values fused; the draws reach
+    both the option map and the root parser."""
     fast = Counter()
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(_drawn_argv())
     def check(argv):
-        argv = cli._fuse_expr_flags(argv)
         sub = cli.build_parser()._commands[argv[0]]
         fast[cli._read_options(sub, argv[0], argv[1:]) is not None] += 1
         assert (_parse_outcome(cli._parse_args, argv)
-                == _parse_outcome(cli.build_parser().parse_args, argv))
+                == _parse_outcome(cli.build_parser().parse_args,
+                                  cli._fuse_expr_flags(argv)))
 
     check()
     assert fast[True] >= 40 and fast[False] >= 40, fast

@@ -275,6 +275,22 @@ class TestCorankLowGenus:
             corank_low_genus(
                 GaussianInput(g=4, L2=6, phi=2, degM=5), trigonal=True)
 
+    def test_trigonal_equality_note_reads_the_supplied_count(self):
+        # the bound holds with or without h0(2K - M); the equality
+        # condition is untested only when that count was not supplied
+        notes = {}
+        for h2k in (None, 1, 3):
+            inp = GaussianInput(g=7, L2=12, phi=2, degM=9, h1M=0,
+                                cork_mu=0, h0_2K_minus_M=h2k,
+                                aux_h0={"3K-(g-4)A-M": 2})
+            v = corank_low_genus(inp, trigonal=True)
+            assert (v.status, v.rule, v.bound) == ("CORANK_BOUND",
+                                                   "low-(e)", 2)
+            notes[h2k] = v.notes
+        assert notes[None][1] == "equality condition h0(2K - M) <= 1 untested"
+        assert notes[1][1] == "equality holds: h0(2K - M) = 1 <= 1"
+        assert notes[3] == ("cork >= h0(3K - (g-4)A - M) = 2",)
+
     def test_conflicting_flags(self):
         with pytest.raises(RangeError):
             corank_low_genus(_inp(), trigonal=True, nontrigonal=True)

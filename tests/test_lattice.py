@@ -543,11 +543,6 @@ class TestVectorsOfNorm:
         with pytest.raises(ModelError):
             vectors_of_norm([[0, 1], [1, 0]], 2)
 
-    def test_coord_box_clips(self):
-        full = set(vectors_of_norm(E8, 4))
-        clipped = set(vectors_of_norm(E8, 4, coord_box=1))
-        assert clipped == {v for v in full if all(abs(c) <= 1 for c in v)}
-
 
 class TestSlicePoints:
     def test_matches_a_literal_scan(self):

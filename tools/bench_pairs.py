@@ -16,13 +16,16 @@ the host's speed falls on both sides; every workload runs at one seed
 before the next seed starts. For each workload and end-to-end metric
 (wall_s, setup_s and peak_rss_mb) the tool prints the ratio
 change / parent per seed, the median and quartiles of each side, the
-number of pairs the change won and whether the change is better by the
+number of pairs the change won, whether the change is better by the
 rule of nine wins in ten and a median gain larger than the parent's
-interquartile range, and it ends with one table of all of them. With
---out FILE it also writes that table as a JSON document (document()):
-per workload and metric, both sides' quartiles, the per-seed ratios,
-the wins and the verdict, with the two git revisions, the Python
-version and the core count. It changes nothing under perfbench/.
+interquartile range, whether the change's median is worse than the
+parent's by more than the metric's bound in BENCHMARK.json, and each
+side's share of failed operations on the workload; it ends with one
+table of all of them. With --out FILE it also writes that table as a
+JSON document (document()): per workload and metric, both sides'
+quartiles, the per-seed ratios, the wins, the verdict, the bound check
+and the failed shares, with the two git revisions, the Python version
+and the core count. It changes nothing under perfbench/.
 """
 
 from __future__ import annotations
@@ -47,12 +50,13 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def summarize(pairs):
+def summarize(pairs, bound):
     """The summary of (seed, parent, change) values of a lower-is-better
     metric: the per-seed ratios change / parent, the quartiles of each
-    side, the pairs the change won, and whether it is better by the
-    rule of wins in at least nine of ten pairs and a median gain larger
-    than the spread between the parent's quartiles."""
+    side, the pairs the change won, whether it is better by the rule of
+    wins in at least nine of ten pairs and a median gain larger than the
+    spread between the parent's quartiles, and whether its median is
+    worse than the parent's by more than the share bound."""
     if not pairs:
         raise ValueError("no pairs to summarize")
     parent = [p for _, p, _ in pairs]
@@ -67,14 +71,27 @@ def summarize(pairs):
         "pairs": len(pairs),
         "better": (10 * wins >= 9 * len(pairs)
                    and pq[1] - cq[1] > pq[2] - pq[0]),
+        "bound": bound,
+        "worse": cq[1] > pq[1] * (1 + bound),
     }
+
+
+def failed_shares(runs):
+    """{"parent": share, "change": share} of failed operations over the
+    (seed, parent, change) runs of one workload, each side a result with
+    "failed" and "attempted" counts; a side that attempted none has
+    share 0."""
+    return {side: sum(r[i]["failed"] for r in runs)
+            / max(sum(r[i]["attempted"] for r in runs), 1)
+            for i, side in ((1, "parent"), (2, "change"))}
 
 
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")  # lower is better for each
 
 
 def _run(tree, workload, seed, seconds):
-    """The end-to-end metrics of one perfbench run in tree."""
+    """The end-to-end metrics of one perfbench run in tree, with its
+    failed and attempted operation counts."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
@@ -86,7 +103,8 @@ def _run(tree, workload, seed, seconds):
     if doc["failed"]:
         print(f"{tree}: seed {seed}: {doc['failed']} of {doc['attempted']} "
               "operations failed")
-    return {m: doc["metrics"][m]["value"] for m in METRICS}
+    got = {m: doc["metrics"][m]["value"] for m in METRICS}
+    return {**got, "failed": doc["failed"], "attempted": doc["attempted"]}
 
 
 def _export(ref, dest):
@@ -118,14 +136,21 @@ def parse_args(argv, bench):
 
 
 def table(summaries):
-    """One line per (workload, metric) summary: the parent's and the
-    change's medians, their ratio, the wins and the verdict."""
+    """One line per (workload, metric) summary, a summarize() result
+    with the workload's failed_shares() under "failed": the parent's and
+    the change's medians, their ratio, the wins, the bound and whether
+    the change is worse beyond it, each side's failed share and the
+    verdict."""
     rows = [f"{'workload':<14} {'metric':<12} {'parent':>10} "
-            f"{'change':>10} {'ratio':>7} {'wins':>6}  verdict"]
+            f"{'change':>10} {'ratio':>7} {'wins':>6} {'bound':>6} "
+            f"{'worse':>5} {'failed_p':>8} {'failed_c':>8}  verdict"]
     for (workload, m), s in summaries.items():
         p, c = s["parent"][1], s["change"][1]
+        f = s["failed"]
         rows.append(f"{workload:<14} {m:<12} {p:>10.4g} {c:>10.4g} "
-                    f"{c / p:>7.4f} {s['wins']:>3}/{s['pairs']:<2}  "
+                    f"{c / p:>7.4f} {s['wins']:>3}/{s['pairs']:<2} "
+                    f"{s['bound']:>6.3g} {'yes' if s['worse'] else 'no':>5} "
+                    f"{f['parent']:>8.2%} {f['change']:>8.2%}  "
                     f"{'better' if s['better'] else 'not shown better'}")
     return "\n".join(rows)
 
@@ -134,9 +159,10 @@ def document(summaries, revisions, python, cores):
     """The JSON document of a finished run: one entry per (workload,
     metric) summary, in run order, with the parent's and the change's
     (first quartile, median, third quartile), the ratio change / parent
-    per seed, the wins out of the pairs and the verdict; and the
-    revisions {"parent": ..., "change": ...}, the Python version and the
-    core count of the host."""
+    per seed, the wins out of the pairs, the verdict, the bound and
+    whether the change is worse beyond it, and each side's failed share;
+    and the revisions {"parent": ..., "change": ...}, the Python version
+    and the core count of the host."""
     def sides(q):
         return dict(zip(("q1", "median", "q3"), q))
 
@@ -149,7 +175,9 @@ def document(summaries, revisions, python, cores):
              "parent": sides(s["parent"]), "change": sides(s["change"]),
              "ratios": [{"seed": seed, "ratio": r}
                         for seed, r in s["ratios"]],
-             "wins": s["wins"], "pairs": s["pairs"], "better": s["better"]}
+             "wins": s["wins"], "pairs": s["pairs"], "better": s["better"],
+             "bound": s["bound"], "worse": s["worse"],
+             "failed": dict(s["failed"])}
             for (workload, m), s in summaries.items()],
     }
 
@@ -165,7 +193,9 @@ def _revision(ref=None):
 
 def main(argv=None):
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        args = parse_args(argv, json.load(fh))
+        bench = json.load(fh)
+    args = parse_args(argv, bench)
+    bounds = {e["name"]: e["bound"] for e in bench["end_to_end"]}
 
     runs = {w: [] for w in args.workload}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as parent:
@@ -183,15 +213,19 @@ def main(argv=None):
                     for m in METRICS), flush=True)
     summaries = {}
     for w in args.workload:
+        shares = failed_shares(runs[w])
         for m in METRICS:
-            s = summarize([(seed, p[m], c[m]) for seed, p, c in runs[w]])
+            s = summarize([(seed, p[m], c[m]) for seed, p, c in runs[w]],
+                          bounds[m])
+            s["failed"] = shares
             summaries[w, m] = s
             print(f"{w} {m}: ratio change / parent per seed "
                   + " ".join(f"{r:.3f}" for _, r in s["ratios"]))
             for side in ("parent", "change"):
                 q1, med, q3 = s[side]
                 print(f"  {side:<7} median {med:.6g}  "
-                      f"quartiles {q1:.6g} .. {q3:.6g}")
+                      f"quartiles {q1:.6g} .. {q3:.6g}  "
+                      f"failed {shares[side]:.2%}")
     print(table(summaries))
     if args.out:
         doc = document(summaries,
