@@ -120,37 +120,22 @@ def _cmd_pair(args):
     return _Outcome(payload, surf.name, [f"({payload['a']}).({payload['b']}) = {val}"])
 
 
-def _cmd_self(args):
-    surf = _load_surface(args)
-    D = _one_curve(args, surf)
-    val = pair(D, D)
-    return _Outcome(
-        {"curve": render(D), "square": val},
-        surf.name,
-        [f"({render(D)})^2 = {val}"],
-    )
+def _class_value(key, value, text):
+    """The handler of a subcommand that prints value(surface, D) of its
+    one --curve class D: JSON {"curve": D, key: value} and the line
+    text.format(D, value)."""
+    def handler(args):
+        surf = _load_surface(args)
+        D = _one_curve(args, surf)
+        curve, val = render(D), value(surf, D)
+        return _Outcome({"curve": curve, key: val}, surf.name,
+                        [text.format(curve, val)])
+    return handler
 
 
-def _cmd_genus(args):
-    surf = _load_surface(args)
-    D = _one_curve(args, surf)
-    g = genus(surf, D)
-    return _Outcome(
-        {"curve": render(D), "genus": g},
-        surf.name,
-        [f"genus({render(D)}) = {g}"],
-    )
-
-
-def _cmd_chi(args):
-    surf = _load_surface(args)
-    D = _one_curve(args, surf)
-    val = chi(surf, D)
-    return _Outcome(
-        {"curve": render(D), "chi": val},
-        surf.name,
-        [f"chi({render(D)}) = {val}"],
-    )
+_cmd_self = _class_value("square", lambda surf, D: pair(D, D), "({})^2 = {}")
+_cmd_genus = _class_value("genus", genus, "genus({}) = {}")
+_cmd_chi = _class_value("chi", chi, "chi({}) = {}")
 
 
 def _cmd_phi(args):

@@ -7,8 +7,8 @@ when the evidence on hand decides no rule either way, the verdict is
 NO_CONCLUSION and the notes say which inequality fell short.
 
 The checkers never guess: a SURJECTIVE verdict always names its rule, and
-re-evaluating that rule's literal inequalities on the echoed inputs must
-pass (the test suite audits this).
+re-evaluating that rule's literal inequalities, or a CORANK_BOUND's
+formula, on the echoed inputs must pass (the test suite audits this).
 """
 
 from __future__ import annotations
@@ -36,6 +36,20 @@ def _check_count(name, value, minimum=0):
         raise RangeError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise RangeError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _check_class(L2, phi, least):
+    """Refuse a curve class square L2 that is odd or below least, and a
+    pencil invariant phi, unless None, below 1 or with phi^2 > L2."""
+    if L2 % 2 != 0:
+        raise RangeError(f"L2 must be even on these lattices, got {L2}")
+    if L2 < least:
+        raise RangeError(f"L2 must be >= {least}, got {L2}")
+    if phi is not None:
+        if phi < 1:
+            raise RangeError(f"phi must be >= 1, got {phi}")
+        if phi * phi > L2:
+            raise RangeError(f"phi^2 = {phi * phi} exceeds L2 = {L2}")
 
 
 class GaussianInput(_Record):
@@ -69,12 +83,9 @@ class GaussianInput(_Record):
         _check_count("h0_residual", h0_residual)
         _check_count("cliff", cliff)
         _check_count("cork_mu", cork_mu)
-        if L2 is not None and L2 % 2 != 0:
-            raise RangeError(f"L2 must be even on these lattices, got {L2}")
-        if phi is not None:
-            _check_count("phi", phi, minimum=1)
-            if L2 is not None and phi**2 > L2:
-                raise RangeError(f"phi^2 = {phi ** 2} exceeds L2 = {L2}")
+        _check_count("phi", phi, minimum=1)
+        if L2 is not None:
+            _check_class(L2, phi, 2)
         bad = set(aux_h0) - AUX_KEYS
         if bad:
             raise RangeError(
@@ -157,15 +168,7 @@ def gonality(L2: int, phi: int, not_2D_special: bool = True) -> int:
     square-10 class of pencil invariant 3) that the two numbers alone
     cannot detect; it defaults to the generic (excluded) situation.
     """
-    if L2 <= 0:
-        raise RangeError(f"L2 must be positive, got {L2}")
-    if phi < 1:
-        raise RangeError(f"phi must be >= 1, got {phi}")
-    if phi * phi > L2:
-        raise RangeError(
-            f"phi^2 = {phi * phi} > L2 = {L2} contradicts the pencil "
-            "invariant bound"
-        )
+    _check_class(L2, phi, 2)
     if L2 == phi * phi and phi >= 2 and phi % 2 == 0:
         return 2 * phi - 2
     if L2 == phi * phi + phi - 2 and phi >= 3 and not_2D_special:
@@ -221,8 +224,7 @@ def check_main_theorem(inp: GaussianInput) -> GaussianVerdict:
             "the criterion needs the curve class square", missing=("L2",)
         )
     L2 = inp.L2
-    if L2 < 4 or L2 % 2 != 0:
-        raise RangeError(f"L2 must be even and >= 4, got {L2}")
+    _check_class(L2, inp.phi, 4)
 
     res = inp.h0_residual
     half_plus_2 = L2 // 2 + 2
@@ -373,6 +375,30 @@ def _need_aux(inp: GaussianInput, key: str) -> int:
     return inp.aux_h0[key]
 
 
+def _check_curve_type(g, plane_quintic, trigonal, nontrigonal=False):
+    """Refuse the trigonal flag with either other curve-type flag, and a
+    plane quintic of genus other than 6."""
+    if trigonal and (plane_quintic or nontrigonal):
+        other = "plane quintic" if plane_quintic else "nontrigonal"
+        raise RangeError(f"conflicting curve-type flags: trigonal and {other}")
+    if plane_quintic and g != 6:
+        raise RangeError(f"a smooth plane quintic has genus 6, got {g}")
+
+
+def _cork_bound(rule, x, hx, y, hy, echo, qualifiers=()):
+    """CORANK_BOUND(hx) under rule: cork >= h0(x) = hx, with equality
+    when h0(y) = hy <= 1, a condition left untested when hy is None."""
+    notes = [f"cork >= h0({x}) = {hx}"]
+    if hy is None:
+        notes.append(f"equality condition h0({y}) <= 1 untested")
+    elif hy <= 1:
+        notes.append(f"equality holds: h0({y}) = {hy} <= 1")
+    return GaussianVerdict(
+        "CORANK_BOUND", rule, bound=hx,
+        qualifiers=qualifiers, notes=tuple(notes), inputs_echo=echo,
+    )
+
+
 def corank_low_genus(
     inp: GaussianInput,
     plane_quintic: bool = False,
@@ -390,72 +416,33 @@ def corank_low_genus(
     bounds additionally need h1(M) = 0 and a surjective multiplication
     map (cork_mu = 0).
     """
-    if plane_quintic and trigonal:
-        raise RangeError("a plane quintic is not trigonal; pick one flag")
-    if trigonal and nontrigonal:
-        raise RangeError("trigonal and nontrigonal flags conflict")
     g = inp.g
+    _check_curve_type(g, plane_quintic, trigonal, nontrigonal)
     echo = inp.echo()
     quals = (NONHYPERELLIPTIC,)
 
-    if plane_quintic:
-        if g != 6:
-            raise RangeError(f"a smooth plane quintic has genus 6, got {g}")
-        h5 = _need_aux(inp, "5A-M")
-        if h5 == 0:
+    if plane_quintic or trigonal:
+        if plane_quintic:
+            rule, x, y = "low-(d)", "5A - M", "4A - M"
+            hx, hy = _need_aux(inp, "5A-M"), inp.aux_h0.get("4A-M")
+            surjective = hx == 0
+            why = "h0(5A - M) = 0 forces surjectivity"
+        else:
+            if g < 5:
+                raise RangeError(f"the trigonal branch needs g >= 5, got {g}")
+            rule, x, y = "low-(e)", "3K - (g-4)A - M", "2K - M"
+            hx, hy = _need_aux(inp, "3K-(g-4)A-M"), inp.h0_2K_minus_M
+            surjective = hx == 0 and hy is not None and hy <= 1
+            why = f"h0(2K - M) = {hy} <= 1 and h0(3K - (g-4)A - M) = 0"
+        if surjective:
             return GaussianVerdict(
-                "SURJECTIVE", "low-(d)",
-                qualifiers=quals,
-                notes=("h0(5A - M) = 0 forces surjectivity",),
+                "SURJECTIVE", rule, qualifiers=quals, notes=(why,),
                 inputs_echo=echo,
             )
         if inp.h1M == 0 and inp.cork_mu == 0:
-            notes = [f"cork >= h0(5A - M) = {h5}"]
-            h4 = inp.aux_h0.get("4A-M")
-            if h4 is not None and h4 <= 1:
-                notes.append(f"equality holds: h0(4A - M) = {h4} <= 1")
-            elif h4 is None:
-                notes.append("equality condition h0(4A - M) <= 1 untested")
-            return GaussianVerdict(
-                "CORANK_BOUND", "low-(d)", bound=h5,
-                qualifiers=quals, notes=tuple(notes), inputs_echo=echo,
-            )
+            return _cork_bound(rule, x, hx, y, hy, echo, quals)
         return GaussianVerdict(
-            "NO_CONCLUSION", "low-(d)",
-            notes=(
-                "the bound needs h1(M) = 0 and cork mu = 0 "
-                f"(have h1M = {inp.h1M}, cork_mu = {inp.cork_mu})",
-            ),
-            inputs_echo=echo,
-        )
-
-    if trigonal:
-        if g < 5:
-            raise RangeError(f"the trigonal branch needs g >= 5, got {g}")
-        h3 = _need_aux(inp, "3K-(g-4)A-M")
-        h2k = inp.h0_2K_minus_M
-        if h2k is not None and h2k <= 1 and h3 == 0:
-            return GaussianVerdict(
-                "SURJECTIVE", "low-(e)",
-                qualifiers=quals,
-                notes=(
-                    f"h0(2K - M) = {h2k} <= 1 and "
-                    "h0(3K - (g-4)A - M) = 0",
-                ),
-                inputs_echo=echo,
-            )
-        if inp.h1M == 0 and inp.cork_mu == 0:
-            notes = [f"cork >= h0(3K - (g-4)A - M) = {h3}"]
-            if h2k is not None and h2k <= 1:
-                notes.append(f"equality holds: h0(2K - M) = {h2k} <= 1")
-            elif h2k is None:
-                notes.append("equality condition h0(2K - M) <= 1 untested")
-            return GaussianVerdict(
-                "CORANK_BOUND", "low-(e)", bound=h3,
-                qualifiers=quals, notes=tuple(notes), inputs_echo=echo,
-            )
-        return GaussianVerdict(
-            "NO_CONCLUSION", "low-(e)",
+            "NO_CONCLUSION", rule,
             notes=(
                 "the bound needs h1(M) = 0 and cork mu = 0 "
                 f"(have h1M = {inp.h1M}, cork_mu = {inp.cork_mu})",
@@ -464,8 +451,8 @@ def corank_low_genus(
         )
 
     if g in (3, 4) or (g == 5 and nontrigonal):
-        missing = [n for n, v in (("h1M", inp.h1M), ("cork_mu", inp.cork_mu))
-                   if v is None]
+        need = ("h1M", "cork_mu") + (("h0_2K_minus_M",) if g > 3 else ())
+        missing = [n for n in need if getattr(inp, n) is None]
         if missing:
             raise EvidenceError(
                 f"genus-{g} branch needs {', '.join(missing)}",
@@ -476,11 +463,6 @@ def corank_low_genus(
             rule = "low-(a)"
             formula = "h0(4K - M) - cork mu - 3 h1(M)"
         elif g == 4:
-            if inp.h0_2K_minus_M is None:
-                raise EvidenceError(
-                    "genus-4 branch needs h0_2K_minus_M",
-                    missing=("h0_2K_minus_M",),
-                )
             raw = (
                 inp.h0_2K_minus_M + _need_aux(inp, "3K-M")
                 - inp.cork_mu - 4 * inp.h1M
@@ -488,11 +470,6 @@ def corank_low_genus(
             rule = "low-(b)"
             formula = "h0(2K - M) + h0(3K - M) - cork mu - 4 h1(M)"
         else:
-            if inp.h0_2K_minus_M is None:
-                raise EvidenceError(
-                    "genus-5 branch needs h0_2K_minus_M",
-                    missing=("h0_2K_minus_M",),
-                )
             raw = 3 * inp.h0_2K_minus_M - inp.cork_mu - 5 * inp.h1M
             rule = "low-(c)"
             formula = "3 h0(2K - M) - cork mu - 5 h1(M)"
@@ -520,6 +497,25 @@ def corank_low_genus(
     )
 
 
+def _degree_rule(rule, echo, thresh, below, excluded, qualifiers=()):
+    """SURJECTIVE under rule when degM > thresh, or degM = thresh and M is
+    not the excluded bundle. below names thresh in the note of a smaller
+    degM; excluded names the bundle and its boundary, or is None when no
+    bundle is excluded at equality."""
+    degM = echo["degM"]
+    if degM < thresh:
+        note = f"degM = {degM} < {below}"
+    elif degM == thresh and excluded and echo["M_eq_special"]:
+        note = f"M = {excluded} is excluded"
+    else:
+        return GaussianVerdict(
+            "SURJECTIVE", rule, qualifiers=qualifiers, inputs_echo=echo
+        )
+    return GaussianVerdict(
+        "NO_CONCLUSION", rule, notes=(note,), inputs_echo=echo
+    )
+
+
 def check_degree_corollaries(
     g: int,
     degM: int,
@@ -535,8 +531,7 @@ def check_degree_corollaries(
     curves of genus >= 5 need degM >= 4g - 4 (excluding M = 2K at
     equality). M_eq_special says M equals the branch's excluded bundle.
     """
-    if plane_quintic and trigonal:
-        raise RangeError("conflicting curve-type flags")
+    _check_curve_type(g, plane_quintic, trigonal)
     if g < 5:
         raise RangeError(f"these corollaries need g >= 5, got {g}")
     _check_count("degM", degM)
@@ -546,56 +541,22 @@ def check_degree_corollaries(
         "trigonal": trigonal, "M_eq_special": M_eq_special,
     }
     if plane_quintic:
-        if g != 6:
-            raise RangeError(f"a smooth plane quintic has genus 6, got {g}")
-        if degM > 25 or (degM == 25 and not M_eq_special):
-            return GaussianVerdict(
-                "SURJECTIVE", "degree-quintic", inputs_echo=echo
-            )
-        note = (
-            "M = 5A at the degree-25 boundary is excluded"
-            if degM == 25
-            else f"degM = {degM} < 25"
-        )
-        return GaussianVerdict(
-            "NO_CONCLUSION", "degree-quintic", notes=(note,), inputs_echo=echo
-        )
-
+        return _degree_rule("degree-quintic", echo, 25, "25",
+                            "5A at the degree-25 boundary")
     if trigonal:
+        # for g <= 12 the threshold is the 3g + 6 arm
         thresh = max(4 * g - 6, 3 * g + 6)
-        if degM < thresh:
-            return GaussianVerdict(
-                "NO_CONCLUSION", "degree-trigonal",
-                notes=(f"degM = {degM} < max(4g-6, 3g+6) = {thresh}",),
-                inputs_echo=echo,
-            )
-        if g <= 12 and degM == 3 * g + 6 and M_eq_special:
-            return GaussianVerdict(
-                "NO_CONCLUSION", "degree-trigonal",
-                notes=(
-                    "M = 3K - (g-4)A at the 3g + 6 boundary with g <= 12 "
-                    "is excluded",
-                ),
-                inputs_echo=echo,
-            )
-        return GaussianVerdict(
-            "SURJECTIVE", "degree-trigonal", inputs_echo=echo
+        return _degree_rule(
+            "degree-trigonal", echo, thresh,
+            f"max(4g-6, 3g+6) = {thresh}",
+            "3K - (g-4)A at the 3g + 6 boundary with g <= 12"
+            if g <= 12 else None,
         )
-
     thresh = 4 * g - 4
-    if degM > thresh or (degM == thresh and not M_eq_special):
-        return GaussianVerdict(
-            "SURJECTIVE", "degree-general",
-            qualifiers=("C nontrigonal and not a plane quintic",),
-            inputs_echo=echo,
-        )
-    note = (
-        "M = 2K at the 4g - 4 boundary is excluded"
-        if degM == thresh
-        else f"degM = {degM} < 4g - 4 = {thresh}"
-    )
-    return GaussianVerdict(
-        "NO_CONCLUSION", "degree-general", notes=(note,), inputs_echo=echo
+    return _degree_rule(
+        "degree-general", echo, thresh, f"4g - 4 = {thresh}",
+        "2K at the 4g - 4 boundary",
+        qualifiers=("C nontrigonal and not a plane quintic",),
     )
 
 
@@ -626,16 +587,9 @@ def tetragonal_corank(
             "SURJECTIVE", "tetragonal-(i)", inputs_echo=echo
         )
     if h1M_zero and mu_surjective:
-        notes = [f"cork >= h0(2K - M - b2 A) = {h0_2K_minus_M_minus_b2A}"]
-        if h0_2K_minus_M <= 1:
-            notes.append(
-                f"equality holds: h0(2K - M) = {h0_2K_minus_M} <= 1"
-            )
-        return GaussianVerdict(
-            "CORANK_BOUND", "tetragonal-(ii)",
-            bound=h0_2K_minus_M_minus_b2A,
-            notes=tuple(notes), inputs_echo=echo,
-        )
+        return _cork_bound("tetragonal-(ii)", "2K - M - b2 A",
+                           h0_2K_minus_M_minus_b2A, "2K - M",
+                           h0_2K_minus_M, echo)
     return GaussianVerdict(
         "NO_CONCLUSION", "tetragonal",
         notes=(
@@ -664,10 +618,7 @@ def b2_rule_enriques(L2: int, phi: int) -> B2Rule:
     """Second scrollar invariant of tetragonal curves on an Enriques
     surface: square >= 12 with pencil invariant 2 forces b2 >= 1 for a
     general curve in the system."""
-    if L2 < 4 or L2 % 2 != 0:
-        raise RangeError(f"L2 must be even and >= 4, got {L2}")
-    if phi < 1:
-        raise RangeError(f"phi must be >= 1, got {phi}")
+    _check_class(L2, phi, 4)
     if L2 >= 12 and phi == 2:
         return B2Rule("b2_at_least_1", qualifiers=("general member",))
     return B2Rule(

@@ -4,8 +4,9 @@ A tiny signed linear-combination grammar over identifiers. "K" always
 resolves to the surface's canonical class; every other identifier must be
 a basis label of the chosen model. The literal "0" is the zero class.
 Whitespace is ignored everywhere, an optional "*" may separate the
-coefficient from the label. A coefficient with more digits than the
-64-bit envelope allows raises OverflowGuardError before it is read.
+coefficient from the label. A coefficient is written in ASCII digits;
+one of more digits than the 64-bit envelope allows raises
+OverflowGuardError before it is read.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import re
 from .errors import ExprSyntaxError, LabelError, OverflowGuardError
 from .lattice import _LABEL, _MAX_DIGITS, DivClass, LatticeModel, _Record
 
-_TERM = re.compile(r"\s*([+-])?\s*(?:(\d+)\s*\*?\s*)?"
+_TERM = re.compile(r"\s*([+-])?\s*(?:([0-9]+)\s*\*?\s*)?"
                    f"({_LABEL.pattern})")
 
 

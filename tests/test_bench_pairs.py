@@ -1,4 +1,6 @@
 import json
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -7,7 +9,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 from bench_pairs import (  # noqa: E402
-    document, failed_shares, parse_args, quartiles, summarize, table)
+    copy_working_tree, document, failed_shares, parse_args, quartiles,
+    summarize, table, working_files)
 
 
 def test_summary_of_a_clear_gain():
@@ -120,3 +123,29 @@ def test_document_records_every_summary_and_the_host():
     assert (first["wins"], first["pairs"], first["better"]) == (10, 10, True)
     assert (first["bound"], first["worse"]) == (0.25, False)
     assert second["failed"] == {"parent": 0.01, "change": 0.02}
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_working_files_are_the_unignored_files_on_disk(tmp_path):
+    src = tmp_path / "src"
+    (src / "pkg").mkdir(parents=True)
+    for name, text in [(".gitignore", "*.log\nbuild/\n"), ("a.py", "a"),
+                       ("pkg/b.py", "b"), ("gone.py", "g"), ("new.py", "n"),
+                       ("x.log", "x"), ("pkg/y.log", "y")]:
+        (src / name).write_text(text)
+    (src / "build").mkdir()
+    (src / "build" / "out.bin").write_text("o")
+    subprocess.run(["git", "init", "-q"], cwd=src, check=True)
+    subprocess.run(["git", "add", ".gitignore", "a.py", "pkg/b.py",
+                    "gone.py"], cwd=src, check=True)
+    (src / "gone.py").unlink()
+    (src / "a.py").write_text("edited after add")
+    assert sorted(working_files(src)) == [
+        ".gitignore", "a.py", "new.py", "pkg/b.py"]
+
+    dest = tmp_path / "change"
+    copy_working_tree(src, dest)
+    copied = sorted(p.relative_to(dest).as_posix()
+                    for p in dest.rglob("*") if p.is_file())
+    assert copied == [".gitignore", "a.py", "new.py", "pkg/b.py"]
+    assert (dest / "a.py").read_text() == "edited after add"

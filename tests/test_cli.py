@@ -237,6 +237,26 @@ class TestExitCodes:
         assert rc == 1
         assert "phi" in cap.err
 
+    @pytest.mark.parametrize("argv, err", [
+        (["gonality", "--l2", "7", "--phi", "2"],
+         "L2 must be even on these lattices, got 7"),
+        (["b2rule", "--l2", "4", "--phi", "3"],
+         "phi^2 = 9 exceeds L2 = 4"),
+    ], ids=["gonality-odd-l2", "b2rule-phi-square"])
+    def test_class_refusals(self, capsys, argv, err):
+        rc = cli.main(argv)
+        cap = capsys.readouterr()
+        assert rc == 1 and cap.out == ""
+        assert cap.err == f"divcalc: error: {err}\n"
+
+    @pytest.mark.parametrize("expr", ["\u0663H", "\uff13H-G1", "H+\u0662G1"])
+    def test_coefficients_are_ascii_digits(self, capsys, expr):
+        rc = cli.main(["self", "--surface", "sigma3", "--curve", expr])
+        cap = capsys.readouterr()
+        assert rc == 1 and cap.out == ""
+        assert cap.err.startswith(
+            "divcalc: error: cannot parse divisor expression at position ")
+
     def test_strict_no_conclusion(self, capsys):
         argv = ["gaussian", "--rule", "main", "--l2", "10", "--phi", "2",
                 "--deg-m", "8", "--h0-residual", "1"]
@@ -698,8 +718,29 @@ def _mutated_command(draw):
     return argv + draw(st.sampled_from([[], ["--json"]]))
 
 
+# an option's value shape, kept by a mutant whose digits grow to 5,000
+_SHAPES = {"--aux": "4K-M={}", "--surface": "blc{}"}
+
+
+@st.composite
+def _long_value_command(draw):
+    """A sample command that takes an option of _SHAPES, with that
+    option's value replaced by one of its shape with 5,000 digits, in the
+    separate or the "=" form."""
+    opt = draw(st.sampled_from(sorted(_SHAPES)))
+    argv = list(draw(st.sampled_from([
+        a for a in GOOD_JSON_COMMANDS
+        if opt in cli.build_parser()._commands[a[0]]._option_string_actions
+    ])))
+    if opt in argv:
+        i = argv.index(opt)
+        del argv[i:i + 2]
+    v = _SHAPES[opt].format("9" * 5000)
+    return argv + draw(st.sampled_from([[opt, v], [f"{opt}={v}"]]))
+
+
 @settings(max_examples=250, deadline=None, derandomize=True)
-@given(_mutated_command())
+@given(_mutated_command() | _long_value_command())
 def test_mutated_commands_exit_cleanly(argv):
     """Every mutated sample command exits 0, 1 or 2 with no exception,
     and every exit 1 says why on stderr."""

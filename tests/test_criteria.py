@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -368,13 +370,88 @@ class TestB2Rule:
             b2_rule_enriques(2, 0)
 
 
+class TestClassRefusals:
+    """Every entry point that reads (L2, phi) refuses an odd L2, an L2
+    below its least value, phi < 1 and phi^2 > L2."""
+
+    @pytest.mark.parametrize("call, least", [
+        (lambda l2, phi: gonality(l2, phi), 2),
+        (lambda l2, phi: b2_rule_enriques(l2, phi), 4),
+        (lambda l2, phi: GaussianInput(g=3, L2=l2, phi=phi), 2),
+        (lambda l2, phi: check_main_theorem(
+            GaussianInput(g=3, L2=l2, phi=phi, h0_residual=0)), 4),
+    ], ids=["gonality", "b2rule", "input", "main"])
+    def test_one_message_per_condition(self, call, least):
+        for l2, phi, msg in [
+            (least + 1, 1,
+             f"L2 must be even on these lattices, got {least + 1}"),
+            (least - 2, None, f"L2 must be >= {least}, got {least - 2}"),
+            (16, 0, "phi must be >= 1, got 0"),
+            (16, -1, "phi must be >= 1, got -1"),
+            (16, 5, "phi^2 = 25 exceeds L2 = 16"),
+        ]:
+            with pytest.raises(RangeError) as exc:
+                call(l2, phi)
+            assert str(exc.value) == msg
+
+    def test_phi_below_one_without_l2(self):
+        with pytest.raises(RangeError, match="phi must be >= 1, got -1"):
+            GaussianInput(g=3, phi=-1)
+
+
+_AUX = [{"4K-M": 8, "-M": 0}, {"4K-M": 1}, {"3K-M": 3, "-M": 1},
+        {"5A-M": 0}, {"5A-M": 2, "4A-M": 1}, {"5A-M": 2},
+        {"3K-(g-4)A-M": 0}, {"3K-(g-4)A-M": 2, "-M": 0}]
+_FLAGS = [{}, {"nontrigonal": True}, {"trigonal": True},
+          {"plane_quintic": True}]
+
+
+def _low_genus_verdicts():
+    for g, h1m, cork, h2k, aux, flags in itertools.product(
+            range(3, 9), range(3), range(3), (None, *range(4)), _AUX,
+            _FLAGS):
+        inp = GaussianInput(g=g, h1M=h1m, cork_mu=cork, h0_2K_minus_M=h2k,
+                            aux_h0=dict(aux))
+        try:
+            yield corank_low_genus(inp, **flags)
+        except (EvidenceError, RangeError):
+            pass
+
+
+def _grid_verdicts():
+    """Every verdict of each checker over a fixed grid of inputs that it
+    accepts."""
+    yield from (check_main_theorem(_inp(g=l2 // 2 + 1, L2=l2, degM=degm,
+                                        h1M=h1m, cliff=cl, h0_residual=res))
+                for l2, degm, h1m, cl, res in itertools.product(
+                    range(4, 18, 2), (5, 6, 10), range(2), range(2, 6),
+                    range(4)))
+    yield from (check_cliff_criterion(cl, h)
+                for cl, h in itertools.product(range(2, 6), range(4)))
+    yield from (check_bel(g, d, h1m, h, cl)
+                for g, d, h1m, h, cl in itertools.product(
+                    range(4, 9), range(13), range(2), range(4), range(6)))
+    yield from _low_genus_verdicts()
+    yield from (check_degree_corollaries(g, d, pq, tri, sp)
+                for g, d, pq, tri, sp in itertools.product(
+                    range(5, 15), range(10, 61), *[(False, True)] * 3)
+                if not (pq and (tri or g != 6)))
+    yield from (tetragonal_corank(a, b, z, m)
+                for a, b, z, m in itertools.product(
+                    range(4), range(4), *[(False, True)] * 2))
+
+
 class TestVerdictSelfAudit:
-    """Re-check each cited rule's inequalities on the echoed inputs."""
+    """Re-check each cited rule's inequalities, and each corank bound's
+    formula, on the echoed inputs."""
 
     def _audit(self, verdict):
         e = verdict.inputs_echo
+        aux = e.get("aux_h0", {})
         rule = verdict.rule
-        if rule == "main-(i)":
+        if verdict.status == "CORANK_BOUND":
+            self._audit_bound(verdict, e, aux)
+        elif rule == "main-(i)":
             assert e["L2"] == 4 and e["h0_residual"] == 0
         elif rule == "main-(ii)":
             assert e["L2"] == 6 and e["h0_residual"] == 0
@@ -386,8 +463,62 @@ class TestVerdictSelfAudit:
             assert e["h1M"] == 0
             assert e["degM"] >= e["L2"] // 2 + 2 >= 6
             assert e["h0_residual"] <= e["cliff"] - 2
+        elif rule == "cliff-(i)":
+            assert e["cliff"] == 2 and e["h0_2K_minus_M"] == 0
+        elif rule == "cliff-(ii)":
+            assert e["cliff"] >= 3 and e["h0_2K_minus_M"] <= 1
+        elif rule == "bel2":
+            assert e["h1M"] == 0 and e["degM"] >= e["g"] + 1
+            assert e["h0_2K_minus_M"] <= e["cliff"] - 2
+        elif rule == "low-(d)":
+            assert e["g"] == 6 and aux["5A-M"] == 0
+        elif rule == "low-(e)":
+            assert e["g"] >= 5 and e["h0_2K_minus_M"] <= 1
+            assert aux["3K-(g-4)A-M"] == 0
+        elif rule == "degree-quintic":
+            assert e["plane_quintic"] and e["g"] == 6
+            assert e["degM"] > 25 or (e["degM"] == 25
+                                      and not e["M_eq_special"])
+        elif rule == "degree-trigonal":
+            g, d = e["g"], e["degM"]
+            assert e["trigonal"] and g >= 5
+            assert d >= max(4 * g - 6, 3 * g + 6)
+            assert not (g <= 12 and d == 3 * g + 6 and e["M_eq_special"])
+        elif rule == "degree-general":
+            g, d = e["g"], e["degM"]
+            assert not e["plane_quintic"] and not e["trigonal"] and g >= 5
+            assert d > 4 * g - 4 or (d == 4 * g - 4
+                                     and not e["M_eq_special"])
+        elif rule == "tetragonal-(i)":
+            assert e["h0_2K_minus_M"] <= 1
+            assert e["h0_2K_minus_M_minus_b2A"] == 0
         else:
             pytest.fail(f"unexpected rule {rule}")
+
+    def _audit_bound(self, verdict, e, aux):
+        rule, bound = verdict.rule, verdict.bound
+        if rule == "low-(a)":
+            assert e["g"] == 3
+            assert bound == max(aux["4K-M"] - e["cork_mu"] - 3 * e["h1M"], 0)
+        elif rule == "low-(b)":
+            assert e["g"] == 4
+            assert bound == max(e["h0_2K_minus_M"] + aux["3K-M"]
+                                - e["cork_mu"] - 4 * e["h1M"], 0)
+        elif rule == "low-(c)":
+            assert e["g"] == 5
+            assert bound == max(3 * e["h0_2K_minus_M"] - e["cork_mu"]
+                                - 5 * e["h1M"], 0)
+        elif rule == "low-(d)":
+            assert e["g"] == 6 and e["h1M"] == 0 and e["cork_mu"] == 0
+            assert bound == aux["5A-M"]
+        elif rule == "low-(e)":
+            assert e["g"] >= 5 and e["h1M"] == 0 and e["cork_mu"] == 0
+            assert bound == aux["3K-(g-4)A-M"]
+        elif rule == "tetragonal-(ii)":
+            assert e["h1M_zero"] and e["mu_surjective"]
+            assert bound == e["h0_2K_minus_M_minus_b2A"]
+        else:
+            pytest.fail(f"unexpected corank rule {rule}")
 
     def test_each_surjective_verdict_is_backed(self):
         cases = [
@@ -402,3 +533,18 @@ class TestVerdictSelfAudit:
             v = check_main_theorem(inp)
             assert v.status == "SURJECTIVE"
             self._audit(v)
+
+    def test_every_rule_is_backed_on_a_grid(self):
+        seen = set()
+        for v in _grid_verdicts():
+            if v.status != "NO_CONCLUSION":
+                self._audit(v)
+                seen.add((v.status, v.rule))
+        surjective = {"main-(i)", "main-(ii)", "main-(iii)", "main-(iv)",
+                      "main-(v)", "cliff-(i)", "cliff-(ii)", "bel2",
+                      "low-(d)", "low-(e)", "degree-quintic",
+                      "degree-trigonal", "degree-general", "tetragonal-(i)"}
+        bounds = {"low-(a)", "low-(b)", "low-(c)", "low-(d)", "low-(e)",
+                  "tetragonal-(ii)"}
+        assert seen == ({("SURJECTIVE", r) for r in surjective}
+                        | {("CORANK_BOUND", r) for r in bounds})

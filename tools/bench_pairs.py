@@ -7,9 +7,11 @@ Run from the root of a checkout:
         --pairs 10 --first-seed 1001
 
 --workload may be given more than once; without it every workload of
-BENCHMARK.json is run. The parent is the tree of --ref, exported with
-`git archive` into a temporary directory that is removed afterwards;
-the change is this checkout as it stands on disk. Each pair runs
+BENCHMARK.json is run. Both trees run from one temporary directory
+that is removed afterwards: the parent is the tree of --ref, exported
+with `git archive`, and the change is a copy of this checkout's tracked
+and unignored files as they stand on disk (working_files()), so the two
+sides differ only in their files. Each pair runs
 perfbench/run.py once in each tree with the same seed (first-seed,
 first-seed + 1, ...), alternating which tree goes first, so a drift in
 the host's speed falls on both sides; every workload runs at one seed
@@ -34,6 +36,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -108,9 +111,30 @@ def _run(tree, workload, seed, seconds):
 
 
 def _export(ref, dest):
+    os.makedirs(dest)
     archive = subprocess.run(["git", "archive", "--format=tar", ref],
                              cwd=ROOT, capture_output=True, check=True).stdout
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
+
+
+def working_files(root):
+    """The paths, relative to the checkout root, of its tracked files and
+    of its untracked files that .gitignore does not exclude, each one
+    that is a file on disk."""
+    out = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others",
+         "--exclude-standard"],
+        cwd=root, capture_output=True, check=True).stdout
+    names = dict.fromkeys(os.fsdecode(n) for n in out.split(b"\0") if n)
+    return [n for n in names if os.path.isfile(os.path.join(root, n))]
+
+
+def copy_working_tree(root, dest):
+    """Copy working_files(root) into dest, as they stand on disk."""
+    for name in working_files(root):
+        target = os.path.join(dest, name)
+        os.makedirs(os.path.dirname(target), exist_ok=True)
+        shutil.copy2(os.path.join(root, name), target)
 
 
 def parse_args(argv, bench):
@@ -198,11 +222,13 @@ def main(argv=None):
     bounds = {e["name"]: e["bound"] for e in bench["end_to_end"]}
 
     runs = {w: [] for w in args.workload}
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as parent:
-        _export(args.ref, parent)
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        sides = [("parent", os.path.join(tmp, "parent")),
+                 ("change", os.path.join(tmp, "change"))]
+        _export(args.ref, sides[0][1])
+        copy_working_tree(ROOT, sides[1][1])
         for i in range(args.pairs):
             seed = args.first_seed + i
-            sides = [("parent", parent), ("change", ROOT)]
             for w in args.workload:
                 got = {side: _run(tree, w, seed, args.seconds)
                        for side, tree in (sides if i % 2 == 0
