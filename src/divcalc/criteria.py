@@ -39,8 +39,11 @@ def _check_count(name, value, minimum=0):
 
 
 def _check_class(L2, phi, least):
-    """Refuse a curve class square L2 that is odd or below least, and a
-    pencil invariant phi, unless None, below 1 or with phi^2 > L2."""
+    """Refuse a curve class square L2 that is not an int, odd or below
+    least, and a pencil invariant phi, unless None, that is not an int,
+    below 1 or with phi^2 > L2 (bool is not an int here)."""
+    _check_count("L2", L2, minimum=None)
+    _check_count("phi", phi, minimum=None)
     if L2 % 2 != 0:
         raise RangeError(f"L2 must be even on these lattices, got {L2}")
     if L2 < least:
@@ -76,7 +79,6 @@ class GaussianInput(_Record):
         if aux_h0 is None:
             aux_h0 = {}
         _check_count("g", g, minimum=2)
-        _check_count("L2", L2, minimum=None)
         _check_count("degM", degM)
         _check_count("h1M", h1M)
         _check_count("h0_2K_minus_M", h0_2K_minus_M)
@@ -217,7 +219,9 @@ def check_main_theorem(inp: GaussianInput) -> GaussianVerdict:
     Branches (i)-(iv) read (L2, h0_residual); branch (v) reads
     (h1M, degM, L2, cliff, h0_residual). Evidence left None makes a
     branch unevaluable, never satisfied; if no branch is evaluable the
-    checker refuses with the list of missing fields.
+    checker refuses with the list of missing fields. A genus g other
+    than L2 / 2 + 1, the one adjunction gives on an Enriques surface
+    (2g - 2 = L2), raises RangeError.
     """
     if inp.L2 is None:
         raise EvidenceError(
@@ -225,6 +229,10 @@ def check_main_theorem(inp: GaussianInput) -> GaussianVerdict:
         )
     L2 = inp.L2
     _check_class(L2, inp.phi, 4)
+    if inp.g != L2 // 2 + 1:
+        raise RangeError(f"g = {inp.g} does not match L2 = {L2}: on an "
+                         f"Enriques surface 2g - 2 = L2 gives g = "
+                         f"{L2 // 2 + 1}")
 
     res = inp.h0_residual
     half_plus_2 = L2 // 2 + 2

@@ -542,22 +542,26 @@ def _ldl(Q):
     V[i][j] = 0 for j <= i and B > 0. This is fraction-free (Bareiss)
     elimination: e[i] is the leading principal minor d_i of order i + 1,
     the square of row i has weight 1/(d_{i-1} d_i) with d_{-1} = 1, and
-    every division in it is exact.
+    every division in it is exact. Every open block stays symmetric, so
+    only the upper triangle of Q is read and updated: entry (r, c) with
+    c >= r takes its multiplier from (i, r), the mirror of (r, i).
     """
     n = len(Q)
     A = [list(row) for row in Q]
     e, V, den = [], [], []
     prev = 1
     for i in range(n):
-        d = A[i][i]
+        Ai = A[i]
+        d = Ai[i]
         if d == 0 or (d < 0 and i < n - 1):
             return None
         e.append(d)
-        V.append([0] * (i + 1) + A[i][i + 1:])
+        V.append([0] * (i + 1) + Ai[i + 1:])
         den.append(prev * d)
         for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                A[r][c] = (d * A[r][c] - A[r][i] * A[i][c]) // prev
+            Ar, a = A[r], Ai[r]
+            for c in range(r, n):
+                Ar[c] = (d * Ar[c] - a * Ai[c]) // prev
         prev = d
     B = math.lcm(*den)
     return [B // x for x in den], e, V, B
@@ -614,8 +618,11 @@ def vectors_of_norm(Q, N: int):
 
     The exact-norm call of the integer walk with no fixed coordinate,
     sorted. Includes both x and -x; N = 0 yields only the zero vector,
-    which is returned (callers filter).
+    which is returned (callers filter). A Q that is not square and
+    symmetric raises ModelError, since _ldl reads its upper triangle only.
     """
+    if list(zip(*Q)) != list(map(tuple, Q)):
+        raise ModelError("vectors_of_norm needs a symmetric form")
     ldl = _ldl(Q)
     if ldl is None or ldl[0][-1] <= 0:
         raise ModelError("vectors_of_norm needs a positive definite form")
@@ -631,7 +638,13 @@ def _kernel_basis(w, gram):
     Unimodular column operations on the identity reduce w to one nonzero
     entry g; the columns then form a basis of Z^r in which the other
     columns span the kernel. Each operation is also applied to the gram
-    as a congruence, so P^T G P needs no matrix product.
+    as a congruence, so P^T G P needs no matrix product. The congruence
+    is sparse: column q -= f column p changes a basis entry only where
+    column p is nonzero, and on the gram, row q -= f row p changes row q
+    only where row p is nonzero; the column operation that follows
+    changes column q at those rows and at q, and since the result is
+    symmetric again, it is row q mirrored. No factor f is 0, since p has
+    the least |w| of the live entries.
     """
     w = list(w)
     r = len(w)
@@ -640,14 +653,21 @@ def _kernel_basis(w, gram):
     live = [j for j in range(r) if w[j]]
     while len(live) > 1:
         p = min(live, key=lambda j: abs(w[j]))
+        wp, Mp = w[p], M[p]
+        basis = [(i, a) for i, a in enumerate(cols[p]) if a]
         for q in live:
             if q != p:  # column q -= f column p, on w, the basis and M
-                f = w[q] // w[p]
-                w[q] -= f * w[p]
-                cols[q] = [a - f * b for a, b in zip(cols[q], cols[p])]
-                M[q] = [a - f * b for a, b in zip(M[q], M[p])]
-                for row in M:
-                    row[q] -= f * row[p]
+                f = w[q] // wp
+                w[q] -= f * wp
+                cq, Mq = cols[q], M[q]
+                for i, a in basis:
+                    cq[i] -= f * a
+                rows = [j for j, a in enumerate(Mp) if a]
+                for j in rows:
+                    Mq[j] -= f * Mp[j]
+                Mq[q] -= f * Mq[p]
+                for i in rows:
+                    M[i][q] = Mq[i]
         live = [j for j in live if w[j]]
     order = [j for j in range(r) if not w[j]] + live
     return ([cols[j] for j in order[:-1]], cols[live[0]], w[live[0]],

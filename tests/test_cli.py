@@ -340,6 +340,18 @@ class TestGaussianCommand:
         assert doc["result"]["rule"] == "main-(iv)"
         assert doc["result"]["inputs_echo"]["g"] == 7
 
+    def test_main_refuses_a_genus_that_l2_does_not_give(self, capsys):
+        rc = cli.main(["gaussian", "--rule", "main", "--l2", "12", "--g", "3",
+                       "--h0-residual", "1"])
+        cap = capsys.readouterr()
+        assert rc == 1 and cap.out == ""
+        assert cap.err == ("divcalc: error: g = 3 does not match L2 = 12: on "
+                           "an Enriques surface 2g - 2 = L2 gives g = 7\n")
+        rc, doc = run_json(capsys, ["gaussian", "--rule", "main", "--l2", "12",
+                                    "--g", "7", "--h0-residual", "1",
+                                    "--json"])
+        assert rc == 0 and doc["result"]["rule"] == "main-(iv)"
+
     def test_tetragonal_rule(self, capsys):
         rc, doc = run_json(
             capsys,

@@ -116,13 +116,13 @@ class TestMainTheorem:
         assert any("also satisfied" in n and "(v)" in n for n in v.notes)
 
     def test_no_conclusion_lists_near_misses(self):
-        v = check_main_theorem(_inp(L2=10, degM=8, h0_residual=1))
+        v = check_main_theorem(_inp(g=6, L2=10, degM=8, h0_residual=1))
         assert v.status == "NO_CONCLUSION"
         assert v.notes
 
     def test_evidence_error_when_nothing_evaluable(self):
         with pytest.raises(EvidenceError) as exc:
-            check_main_theorem(_inp(L2=10))
+            check_main_theorem(_inp(g=6, L2=10))
         assert "h0_residual" in str(exc.value)
 
     @pytest.mark.parametrize("l2", [4, 6, 8, 10, 12, 14, 16])
@@ -140,7 +140,8 @@ class TestMainTheorem:
 
     def test_chaining_with_b2_and_tetragonal(self):
         for l2 in (12, 14, 16):
-            main = check_main_theorem(_inp(L2=l2, degM=8, h0_residual=1))
+            main = check_main_theorem(_inp(g=l2 // 2 + 1, L2=l2, degM=8,
+                                           h0_residual=1))
             assert main.status == "SURJECTIVE"
             assert b2_rule_enriques(l2, 2).status == "b2_at_least_1"
             tet = tetragonal_corank(1, 0)
@@ -393,6 +394,26 @@ class TestClassRefusals:
             with pytest.raises(RangeError) as exc:
                 call(l2, phi)
             assert str(exc.value) == msg
+
+    @pytest.mark.parametrize("l2, phi, msg", [
+        (12.0, 2, "L2 must be an integer, got 12.0"),
+        (12, 2.0, "phi must be an integer, got 2.0"),
+        (True, 1, "L2 must be an integer, got True"),
+        (16, True, "phi must be an integer, got True"),
+    ], ids=["float-l2", "float-phi", "bool-l2", "bool-phi"])
+    def test_refuses_a_non_integer(self, l2, phi, msg):
+        for call in (gonality, b2_rule_enriques):
+            with pytest.raises(RangeError) as exc:
+                call(l2, phi)
+            assert str(exc.value) == msg
+
+    def test_main_refuses_a_genus_that_l2_does_not_give(self):
+        for g, l2 in [(3, 12), (8, 12), (6, 12), (7, 10)]:
+            with pytest.raises(RangeError) as exc:
+                check_main_theorem(_inp(g=g, L2=l2, h0_residual=1))
+            assert str(exc.value) == (
+                f"g = {g} does not match L2 = {l2}: on an Enriques surface "
+                f"2g - 2 = L2 gives g = {l2 // 2 + 1}")
 
     def test_phi_below_one_without_l2(self):
         with pytest.raises(RangeError, match="phi must be >= 1, got -1"):

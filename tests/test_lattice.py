@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -543,6 +544,14 @@ class TestVectorsOfNorm:
         with pytest.raises(ModelError):
             vectors_of_norm([[0, 1], [1, 0]], 2)
 
+    @pytest.mark.parametrize("Q", [[[2, 1], [0, 2]], [[2, 0], [1, 2]],
+                                   [[2, 1]], [[2, 1, 0], [1, 2, 0]]])
+    def test_rejects_a_form_that_is_not_symmetric(self, Q):
+        # _ldl reads the upper triangle only, so a lower triangle that
+        # disagrees with it would be ignored rather than refused
+        with pytest.raises(ModelError, match="symmetric"):
+            vectors_of_norm(Q, 2)
+
 
 class TestSlicePoints:
     def test_matches_a_literal_scan(self):
@@ -637,6 +646,13 @@ class TestSlicePoints:
                 gram = _hyperbolic_gram(rng, r, trial % 3 == 0)
             C = tuple(rng.randint(-3, 3) for _ in range(r))
             cases.append((gram, C if trial % 4 else tuple(3 * c for c in C)))
+        # the sparse congruence must not lean on a signature: any
+        # symmetric gram, with zero rows and zero diagonals
+        for trial in range(120):
+            r = 1 + trial % 10
+            gram = _symmetric(rng, r, ("random", "zero-diagonal",
+                                       "degenerate")[trial % 3])
+            cases.append((gram, tuple(rng.randint(-3, 3) for _ in range(r))))
         def dot(u, v):
             return sum(a * b for a, b in zip(u, v))
 
@@ -658,6 +674,54 @@ class TestSlicePoints:
             big_gcd += abs(g) > 1
         assert ranks == set(range(1, 11)) and big_gcd > 20
 
+    def test_ldl_is_a_weighted_sum_of_squares(self):
+        # B Q(x) = sum_i W[i] (e[i] x_i + sum_{j>i} V[i][j] x_j)^2 with
+        # e the leading principal minors, checked on seeded x; None exactly
+        # when a minor other than the last is not positive or the last is
+        # zero; and a lower triangle of None changes nothing, since only
+        # the upper triangle is read
+        rng = random.Random(15)
+        cases = []
+        for m in [get_surface(n) for n in list_surfaces()] + [
+                get_config(n) for n in list_configs()]:
+            cases.append(m.gram)
+            for _ in range(3):
+                C = tuple(rng.randint(-3, 4) for _ in range(m.rank))
+                w = [sum(a * c for a, c in zip(row, C)) for row in m.gram]
+                if any(w):  # _slicer's form: minus the gram in (K | p)
+                    M = lattice._kernel_basis(w, m.gram)[3]
+                    cases.append([[-v for v in row] for row in M])
+        for n in range(1, 11):
+            for kind in ("random", "zero-diagonal", "definite", "degenerate"):
+                cases += [_symmetric(rng, n, kind) for _ in range(6)]
+        seen = set()
+        for Q in cases:
+            n = len(Q)
+            got = lattice._ldl(Q)
+            upper = [[v if j >= i else None for j, v in enumerate(row)]
+                     for i, row in enumerate(Q)]
+            assert lattice._ldl(upper) == got, Q
+            minors = [_exact_det([row[:k] for row in Q[:k]])
+                      for k in range(1, n + 1)]
+            if min(minors[:-1], default=1) <= 0 or minors[-1] == 0:
+                assert got is None, Q
+                seen.add("zero pivot" if 0 in minors else "negative pivot")
+                continue
+            W, e, V, B = got
+            assert e == minors and B > 0
+            assert all(V[i][j] == 0 for i in range(n) for j in range(i + 1))
+            for _ in range(4):
+                x = [rng.randint(-5, 5) for _ in range(n)]
+                q = sum(x[i] * Q[i][j] * x[j]
+                        for i in range(n) for j in range(n))
+                assert B * q == sum(
+                    W[i] * (e[i] * x[i]
+                            + sum(V[i][j] * x[j] for j in range(n))) ** 2
+                    for i in range(n)), Q
+            seen.add("definite" if minors[-1] > 0 else "last pivot negative")
+        assert seen == {"zero pivot", "negative pivot", "definite",
+                        "last pivot negative"}
+
     def test_points_refuse_out_of_envelope_coordinates(self):
         # the walk hands back coordinate tuples, which it checks as
         # DivClass would have; x = 2^64 is the one point of the slice
@@ -669,6 +733,24 @@ class TestSlicePoints:
         assert [x.coords for x in slice_points(C, 2**40, 0, 2**80)] == [
             (2**40,)]
 
+
+
+def _exact_det(A):
+    """Determinant of a square integer matrix by Gaussian elimination
+    over Fraction, with row swaps."""
+    A = [[Fraction(v) for v in row] for row in A]
+    n, det = len(A), Fraction(1)
+    for i in range(n):
+        k = next((k for k in range(i, n) if A[k][i]), None)
+        if k is None:
+            return 0
+        if k != i:
+            A[i], A[k], det = A[k], A[i], -det
+        det *= A[i][i]
+        for r in range(i + 1, n):
+            f = A[r][i] / A[i][i]
+            A[r] = [a - f * b for a, b in zip(A[r], A[i])]
+    return int(det)
 
 
 def _hyperbolic_gram(rng, r, even):
