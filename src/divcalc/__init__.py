@@ -35,11 +35,15 @@ from .lattice import (
     vectors_of_norm,
 )
 from .surfaces import (
+    E10_ROOTS,
+    E10_WEIGHTS,
+    PhiCertificate,
     PhiResult,
     QuasiNefResult,
     ScrollInvariants,
     blcn,
     blq,
+    check_phi_certificate,
     chi,
     config_from_json_dict,
     enriques,
@@ -51,6 +55,7 @@ from .surfaces import (
     mod4_condition,
     phi,
     quasi_nef_test,
+    reduce_to_chamber,
     scroll_invariants,
     sigma,
 )

@@ -148,6 +148,14 @@ def _cmd_phi(args):
     rel = "=" if res.certified else "<="
     lines = [f"phi({render(D)}) {rel} {res.value}",
              f"witness: {render(res.witness)}"]
+    cert = res.certificate
+    if cert:
+        steps = [f"t({surf.labels[s[1]]}; {' '.join(map(str, s[2]))})"
+                 if s[0] == "t" else f"s({s[1]})" if s[0] == "s" else "neg"
+                 for s in cert.word]
+        lines.append(f"certificate: w = {' '.join(steps) or 'id'}; "
+                     f"L'.alpha = {' '.join(map(str, cert.pairings))}; "
+                     f"phi = L'.{surf.labels[0]} = {cert.phi}")
     return _Outcome(payload, surf.name, lines)
 
 

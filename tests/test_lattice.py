@@ -254,7 +254,7 @@ def _record_types():
 RECORD_TYPES = _record_types()
 VALIDATING_TYPES = (LatticeModel, DivClass, GaussianInput, GaussianVerdict)
 PLAIN_TYPES = [c for c in RECORD_TYPES if c not in VALIDATING_TYPES]
-PLAIN_NAMES = {"HodgeResult", "PhiResult", "QuasiNefResult",
+PLAIN_NAMES = {"HodgeResult", "PhiCertificate", "PhiResult", "QuasiNefResult",
                "ScrollInvariants", "Decomposition", "EnumerationResult",
                "DestabCandidate", "DestabResult", "CaseFixture",
                "CaseReport", "B2Rule", "DivExpr", "_Outcome"}
@@ -262,7 +262,7 @@ PLAIN_NAMES = {"HodgeResult", "PhiResult", "QuasiNefResult",
 # every declared default of the plain records, trailing fields in order
 RECORD_DEFAULTS = {
     "HodgeResult": {"lam": None, "note": ""},
-    "PhiResult": {"notes": ()},
+    "PhiResult": {"certificate": None},
     "QuasiNefResult": {"notes": ()},
     "Decomposition": {"notes": ()},
     "CaseFixture": {"surface": None, "curve": None, "k": None,

@@ -289,15 +289,15 @@ class TestPhi:
 
         real = lattice._kernel_basis
         monkeypatch.setattr(lattice, "_kernel_basis", counting_kernel_basis)
-        e = enriques()
-        res = phi(e, resolve("3U1+5U2", e))
+        s3 = sigma(3)
+        res = phi(s3, resolve("3H", s3))
         assert res.value == 3  # three slices t = 1, 2, 3
         assert len(calls) == 1
 
     def test_certified_phi_builds_only_its_witness(self, monkeypatch):
         # the slice walk yields coordinate tuples; the first non-empty
         # slice's smallest point is the one class phi builds, also when
-        # that slice holds three isotropic classes, as for 2U1+2U2+R1
+        # that slice holds three isotropic classes, as for 3H-G1-G2-G3
         built = []
 
         def counting_init(self, model, coords):
@@ -305,14 +305,14 @@ class TestPhi:
             real(self, model, coords)
 
         real = DivClass.__init__
-        e = enriques()
-        cases = [(resolve(expr, e), want)
-                 for expr, want in (("3U1+5U2", 3), ("2U1+2U2+R1", 2))]
+        s3 = sigma(3)
+        cases = [(resolve(expr, s3), want)
+                 for expr, want in (("3H", 3), ("3H-G1-G2-G3", 2))]
         assert len(lattice.slice_points(cases[1][0], 2, 0, 0)) == 3
         monkeypatch.setattr(DivClass, "__init__", counting_init)
         for L, want in cases:
             del built[:]
-            res = phi(e, L)
+            res = phi(s3, L)
             assert res.value == want and res.certified
             assert built == [res.witness.coords]
 
@@ -405,7 +405,7 @@ class TestPhi:
                 res = phi(m, L, mode="boxed", box=box)
                 assert res.value == brute_phi(m.gram, L.coords, box), L
                 assert res.witness.coords == positive[0][0], L
-                assert not res.certified and res.notes == ()
+                assert not res.certified and res.certificate is None
                 seen.add((m.name, "value"))
         assert seen >= {("enriques", "value"), ("sigma3", "value"),
                         ("blq", "value"), ("line", "bound")}
