@@ -614,12 +614,7 @@ class B2Rule(_Record):
     __slots__ = ("status", "qualifiers", "notes")
     _defaults = {"qualifiers": (), "notes": ()}
 
-    def to_json_dict(self):
-        return {
-            "status": self.status,
-            "qualifiers": list(self.qualifiers),
-            "notes": list(self.notes),
-        }
+    to_json_dict = _Record._field_dict
 
 
 def b2_rule_enriques(L2: int, phi: int) -> B2Rule:

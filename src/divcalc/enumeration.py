@@ -285,11 +285,7 @@ class DestabResult(_Record):
 
     __slots__ = ("survivors", "grid")
 
-    def to_json_dict(self):
-        return {
-            "survivors": [c.to_json_dict() for c in self.survivors],
-            "grid": [list(g) for g in self.grid],
-        }
+    to_json_dict = _Record._field_dict
 
 
 def enumerate_destab() -> DestabResult:

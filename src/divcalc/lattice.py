@@ -17,7 +17,7 @@ import json
 import math
 import re
 from fractions import Fraction
-from operator import mul
+from operator import index, mul
 
 from .errors import (
     ModelError,
@@ -95,8 +95,9 @@ class _Record:
         return tuple(getattr(self, f) for f in self.__slots__)
 
     def _field_dict(self):
-        """The fields by name, in slot order."""
-        return {f: getattr(self, f) for f in self.__slots__}
+        """The fields by name, in slot order, as JSON values (_json_value);
+        the to_json_dict of a record whose JSON is just its fields."""
+        return {f: _json_value(getattr(self, f)) for f in self.__slots__}
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is read-only")
@@ -122,6 +123,16 @@ class _Record:
         return type(self), self._values()
 
 
+def _json_value(v):
+    """v as JSON: a DivClass as its coordinate list, another record as its
+    to_json_dict(), a tuple or list as the list of its items' values."""
+    if isinstance(v, (tuple, list)):
+        return [_json_value(x) for x in v]
+    if isinstance(v, DivClass):
+        return list(v.coords)
+    return v.to_json_dict() if isinstance(v, _Record) else v
+
+
 class LatticeModel(_Record):
     """An integral lattice: labeled basis, gram matrix, distinguished classes.
 
@@ -130,7 +141,10 @@ class LatticeModel(_Record):
     "ruled", "blcn", "enriques", "config", "generic") and steers
     surface-specific behavior elsewhere; the lattice operations in this
     module ignore it. effective_labels lists the basis classes known to
-    be effective divisors, used by positivity tests.
+    be effective divisors, used by positivity tests. The gram rows,
+    canonical and ample_ref are stored as tuples, so a model built from
+    lists is the model built from tuples; their entries and chi must be
+    ints (not bools) inside the 64-bit envelope.
     """
 
     __slots__ = ("name", "labels", "gram", "canonical", "chi", "ample_ref",
@@ -164,18 +178,19 @@ class LatticeModel(_Record):
                              f"{', '.join(_KINDS)}")
         if len(gram) != n or any(len(row) != n for row in gram):
             raise ModelError(f"gram must be {n}x{n}")
-        for i in range(n):
-            for j in range(n):
-                v = gram[i][j]
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise ModelError("gram entries must be integers")
-                _check_i64(v, "gram entry")
-                if v != gram[j][i]:
-                    raise ModelError("gram must be symmetric")
+        gram = tuple(tuple(_model_int(v, "gram entry") for v in row)
+                     for row in gram)
+        if list(zip(*gram)) != list(gram):
+            raise ModelError("gram must be symmetric")
+        canonical = tuple(_model_int(v, "canonical entry") for v in canonical)
         if len(canonical) != n:
             raise ModelError("canonical class has wrong length")
-        if ample_ref is not None and len(ample_ref) != n:
-            raise ModelError("ample_ref has wrong length")
+        if ample_ref is not None:
+            ample_ref = tuple(_model_int(v, "ample_ref entry")
+                              for v in ample_ref)
+            if len(ample_ref) != n:
+                raise ModelError("ample_ref has wrong length")
+        chi = _model_int(chi, "chi")
         unknown = set(effective_labels) - set(labels)
         if unknown:
             raise ModelError(f"effective_labels not in basis: {sorted(unknown)}")
@@ -202,8 +217,14 @@ class LatticeModel(_Record):
         return DivClass(self, coords)
 
     def klass(self, coords):
-        """Build a DivClass from raw coordinates."""
-        return DivClass(self, tuple(int(c) for c in coords))
+        """Build a DivClass from integer coordinates: ints, or values with
+        __index__ such as numpy integers. Others raise ModelError."""
+        try:
+            coords = tuple(map(index, coords))
+        except TypeError as exc:
+            raise ModelError(f"class coordinates must be integers: {exc}"
+                             ) from exc
+        return DivClass(self, coords)
 
     @property
     def canonical_class(self):
@@ -223,6 +244,13 @@ class LatticeModel(_Record):
         if self.effective_labels:
             d["effective"] = list(self.effective_labels)
         return d
+
+
+def _model_int(v, what):
+    """v when it is an int, not a bool, inside the 64-bit envelope."""
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ModelError(f"{what} must be an integer, got {v!r}")
+    return _check_i64(v, what)
 
 
 def _json_int(v):
@@ -260,7 +288,7 @@ def model_from_json_dict(d, name=None):
         ample_ref = None if amp is None else tuple(_json_int(v) for v in amp)
         kind = _json_str(d.get("kind", "generic"))
         effective = _json_strs(d.get("effective", []))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"bad lattice definition: {exc}") from exc
     return LatticeModel(
         name=name,
@@ -421,66 +449,71 @@ def reflect_nodal(L: DivClass, delta: DivClass) -> DivClass:
 
 
 # ---------------------------------------------------------------------------
-# signature and determinant (exact, in integers)
+# fraction-free symmetric elimination: signature, determinant, LDL
 
 
-def _inertia_pass(gram):
-    """(positive, negative, zero) inertia of a symmetric integer matrix,
-    and the last pivot taken.
-
-    Congruence diagonalization in integers, fraction-free (Bareiss) as in
-    _ldl. Once the pivots of an index set S are eliminated, the open block
-    holds d_S times the Schur complement of S, where d_S is the principal
-    minor of S and the last pivot taken. Its entries are minors of the
-    matrix, so every division by the previous pivot is exact (Sylvester's
-    determinant identity) and the entries stay small. A pivot p counts
-    as positive when p / d_S, the leading entry of the complement, is.
-    A zero pivot with a live partner j is first repaired with the
-    unimodular basis change e_i -> e_i +- e_j, which leaves S alone, so
-    the block stays d_S times the new complement; a zero pivot whose row
-    is zero adds one to the null count. The repairs leave the determinant
-    alone, so with no null the last pivot is the determinant.
+def _eliminate(Q):
+    """Fraction-free congruence elimination (Bareiss, Math. Comp. 22,
+    1968) of a symmetric integer matrix on its upper triangle: (r, c),
+    c >= r, takes its multiplier from (i, r). Returns (e, V, den, ok):
+    the pivots; per pivot of row i, [0] * (i + 1) + row i's tail; each
+    pivot times the one before (1 first); and, for _ldl, whether e are
+    the leading principal minors, none skipped or repaired, all positive
+    but the last. The open block is the last pivot d_S times the Schur
+    complement of the pivots S taken: its entries are minors, each
+    division is exact (Sylvester's identity), and the sign of a pivot
+    over the one before adds to the inertia. A zero row is null and is
+    skipped; a zero pivot with a live a_ij is repaired by the unimodular
+    e_i -> e_i + s e_j: row i += s row j, reading (j, c) for c >= j and
+    (c, j) for c < j; the pivot 2 s a_ij + a_jj is nonzero for s = 1 or
+    -1. With no row skipped, the last pivot is the determinant.
     """
-    n = len(gram)
-    M = [list(row) for row in gram]
-    pos = neg = null = 0
-    prev = 1
+    n = len(Q)
+    A = [list(row) for row in Q]
+    e, V, den = [], [], []
+    prev, ok = 1, True
     for i in range(n):
-        Mi = M[i]
-        if Mi[i] == 0:
-            j = next((j for j in range(i + 1, n) if Mi[j] != 0), None)
+        Ai = A[i]
+        d = Ai[i]
+        ok = ok and (d > 0 or d < 0 and i == n - 1)
+        if d == 0:
+            j = next((j for j in range(i + 1, n) if Ai[j]), None)
             if j is None:
-                null += 1
                 continue
-            # e_i += e_j gives diagonal 2*M[i][j] + M[j][j]; if that is
-            # still zero, e_i -= e_j cannot be (both zero forces M[i][j]=0)
-            s = 1 if 2 * Mi[j] + M[j][j] != 0 else -1
-            for c in range(i, n):
-                Mi[c] += s * M[j][c]
-            for r in range(i, n):
-                M[r][i] += s * M[r][j]
-        p = Mi[i]
-        if (p > 0) == (prev > 0):
-            pos += 1
-        else:
-            neg += 1
-        for r in range(i + 1, n):
-            Mr, a = M[r], M[r][i]
+            Aj = A[j]
+            s = 1 if 2 * Ai[j] + Aj[j] else -1
+            d = 2 * s * Ai[j] + Aj[j]
             for c in range(i + 1, n):
-                Mr[c] = (p * Mr[c] - a * Mi[c]) // prev
-        prev = p
-    return (pos, neg, null), prev
+                Ai[c] += s * (Aj[c] if c >= j else A[c][j])
+        e.append(d)
+        V.append([0] * (i + 1) + Ai[i + 1:])
+        den.append(prev * d)
+        for r in range(i + 1, n):
+            Ar, a = A[r], Ai[r]
+            for c in range(r, n):
+                Ar[c] = (d * Ar[c] - a * Ai[c]) // prev
+        prev = d
+    return e, V, den, ok
+
+
+def _symmetric(Q, what):
+    """Q, or ModelError unless Q is square and symmetric."""
+    if list(zip(*Q)) != list(map(tuple, Q)):
+        raise ModelError(f"{what} needs a symmetric form")
+    return Q
 
 
 def signature(gram) -> tuple[int, int, int]:
     """(positive, negative, zero) inertia of a symmetric integer matrix."""
-    return _inertia_pass(gram)[0]
+    e = _eliminate(_symmetric(gram, "signature"))[0]
+    pos = sum((p > 0) == (q > 0) for p, q in zip([1] + e, e))
+    return pos, len(e) - pos, len(gram) - len(e)
 
 
 def determinant(gram) -> int:
     """Determinant of a symmetric integer matrix."""
-    (_, _, null), last = _inertia_pass(gram)
-    return 0 if null else last
+    e = _eliminate(_symmetric(gram, "determinant"))[0]
+    return 0 if len(e) < len(gram) else e[-1] if e else 1
 
 
 # ---------------------------------------------------------------------------
@@ -534,35 +567,12 @@ def hodge_filter(L: DivClass, C: DivClass) -> HodgeResult:
 
 
 def _ldl(Q):
-    """The LDL of a symmetric integer matrix, in integers, or None unless
-    every pivot but the last is positive and the last is nonzero.
-
-    Returns (W, e, V, B) with
-    B Q(x) = sum_i W[i] * (e[i] x_i + sum_j V[i][j] x_j)^2, where
-    V[i][j] = 0 for j <= i and B > 0. This is fraction-free (Bareiss)
-    elimination: e[i] is the leading principal minor d_i of order i + 1,
-    the square of row i has weight 1/(d_{i-1} d_i) with d_{-1} = 1, and
-    every division in it is exact. Every open block stays symmetric, so
-    only the upper triangle of Q is read and updated: entry (r, c) with
-    c >= r takes its multiplier from (i, r), the mirror of (r, i).
-    """
-    n = len(Q)
-    A = [list(row) for row in Q]
-    e, V, den = [], [], []
-    prev = 1
-    for i in range(n):
-        Ai = A[i]
-        d = Ai[i]
-        if d == 0 or (d < 0 and i < n - 1):
-            return None
-        e.append(d)
-        V.append([0] * (i + 1) + Ai[i + 1:])
-        den.append(prev * d)
-        for r in range(i + 1, n):
-            Ar, a = A[r], Ai[r]
-            for c in range(r, n):
-                Ar[c] = (d * Ar[c] - a * Ai[c]) // prev
-        prev = d
+    """(W, e, V, B) with B Q(x) = sum_i W[i] (e[i] x_i + V[i].x)^2, B > 0
+    and W[i] = B / (d_{i-1} d_i), d_i = e[i], d_{-1} = 1, from _eliminate;
+    None unless its ok holds (no row skipped or repaired, e[:-1] > 0)."""
+    e, V, den, ok = _eliminate(Q)
+    if not ok:
+        return None
     B = math.lcm(*den)
     return [B // x for x in den], e, V, B
 
@@ -619,11 +629,9 @@ def vectors_of_norm(Q, N: int):
     The exact-norm call of the integer walk with no fixed coordinate,
     sorted. Includes both x and -x; N = 0 yields only the zero vector,
     which is returned (callers filter). A Q that is not square and
-    symmetric raises ModelError, since _ldl reads its upper triangle only.
+    symmetric raises ModelError.
     """
-    if list(zip(*Q)) != list(map(tuple, Q)):
-        raise ModelError("vectors_of_norm needs a symmetric form")
-    ldl = _ldl(Q)
+    ldl = _ldl(_symmetric(Q, "vectors_of_norm"))
     if ldl is None or ldl[0][-1] <= 0:
         raise ModelError("vectors_of_norm needs a positive definite form")
     W, e, V, B = ldl

@@ -251,7 +251,7 @@ def config_from_json_dict(doc, name="config") -> LatticeModel:
     return LatticeModel(
         name=name,
         labels=labels,
-        gram=tuple(tuple(r) for r in gram),
+        gram=gram,
         canonical=(0,) * n,
         chi=1,
         ample_ref=None,
@@ -333,13 +333,7 @@ class PhiCertificate(_Record):
 
     __slots__ = ("word", "pairings", "phi")
 
-    def to_json_dict(self):
-        return {
-            "word": [[list(a) if isinstance(a, tuple) else a for a in step]
-                     for step in self.word],
-            "pairings": list(self.pairings),
-            "phi": self.phi,
-        }
+    to_json_dict = _Record._field_dict
 
 
 class PhiResult(_Record):
@@ -350,14 +344,7 @@ class PhiResult(_Record):
     __slots__ = ("value", "witness", "certified", "certificate")
     _defaults = {"certificate": None}
 
-    def to_json_dict(self):
-        return {
-            "value": self.value,
-            "witness": list(self.witness.coords),
-            "certified": self.certified,
-            "certificate": (self.certificate.to_json_dict()
-                            if self.certificate else None),
-        }
+    to_json_dict = _Record._field_dict
 
 
 # What the chamber reduction reads of the E10 data, built once: the
@@ -653,13 +640,7 @@ class QuasiNefResult(_Record):
     __slots__ = ("status", "min_pairing", "witness", "notes")
     _defaults = {"notes": ()}
 
-    def to_json_dict(self):
-        return {
-            "status": self.status,
-            "min_pairing": self.min_pairing,
-            "witness": list(self.witness.coords) if self.witness else None,
-            "notes": list(self.notes),
-        }
+    to_json_dict = _Record._field_dict
 
 
 def quasi_nef_test(L: DivClass, nodal_set) -> QuasiNefResult:

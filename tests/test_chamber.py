@@ -297,6 +297,21 @@ class TestChamberPhi:
         assert walked.value == res.value and walked.certified
         assert not check_phi_certificate(M, walked)
 
+    def test_a_model_built_from_lists_is_the_tuple_model(self):
+        # the model stores its rows as tuples, so a copy of the E10 gram
+        # built from lists is the builtin model and takes the chamber path
+        fields = dict(zip(E.__slots__, E._values()))
+        fields.update(gram=[list(row) for row in GRAM],
+                      canonical=list(E.canonical),
+                      ample_ref=list(E.ample_ref))
+        copy = LatticeModel(**fields)
+        assert copy == E and hash(copy) == hash(E)
+        assert copy.gram == GRAM and isinstance(copy.ample_ref, tuple)
+        L = copy.klass((1, 4, 1, 0, 0, 0, 1, 0, 0, 0))
+        res = phi(copy, L)
+        assert res.certificate is not None and check_phi_certificate(L, res)
+        assert res == phi(E, E.klass(L.coords))
+
 
 class TestCheckPhiCertificate:
     def _case(self):

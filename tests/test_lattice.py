@@ -41,6 +41,9 @@ from divcalc.lattice import (
     vectors_of_norm,
 )
 from divcalc.surfaces import (
+    PhiCertificate,
+    PhiResult,
+    config_from_json_dict,
     enriques,
     get_config,
     get_surface,
@@ -193,8 +196,166 @@ class TestModelValidation:
         )
         assert proc.returncode == 0, proc.stderr.decode(errors="replace")
 
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [("canonical", (-3.0, 1.5), ModelError),
+         ("canonical", (True, 0), ModelError),
+         ("canonical", (0, "1"), ModelError),
+         ("ample_ref", (1, 2.0), ModelError),
+         ("ample_ref", (False, 1), ModelError), ("chi", 1.0, ModelError),
+         ("chi", True, ModelError), ("chi", None, ModelError),
+         ("gram", ((1.0, 0), (0, -1)), ModelError),
+         ("canonical", (2**63, 0), OverflowGuardError),
+         ("ample_ref", (0, -(2**63)), OverflowGuardError),
+         ("chi", 2**63, OverflowGuardError)])
+    def test_constructor_refuses_entries_that_are_not_64_bit_ints(
+            self, field, value, error):
+        fields = dict(name="t", labels=("H", "G"), gram=((1, 0), (0, -1)),
+                      canonical=(0, 0), chi=1)
+        fields[field] = value
+        with pytest.raises(error, match=field):
+            LatticeModel(**fields)
+
+    def test_rows_given_as_lists_are_stored_as_tuples(self):
+        m = sigma(2)
+        twin = LatticeModel(m.name, m.labels, [list(r) for r in m.gram],
+                            list(m.canonical), m.chi, list(m.ample_ref),
+                            m.kind, m.effective_labels)
+        assert twin == m and hash(twin) == hash(m)
+        assert all(type(r) is tuple for r in twin.gram)
+        assert {type(twin.canonical), type(twin.ample_ref)} == {tuple}
+
+
+# JSON values of another type or size than a document field wants
+_LEAF = st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=2),
+                  st.sampled_from([2**63, -(2**63), 10**30]))
+_NAMES = ("H", "G", "E1", "U2")
+_KIND_NAMES = ("generic", "sigma", "ruled", "blcn", "enriques", "config")
+
+
+def _mutate(draw, doc):
+    """doc with up to two edits, or a leaf in its place: a key dropped or
+    set to a leaf, or an item of a list (or of one of its rows) set to a
+    leaf, dropped or repeated, so that rows get the wrong length."""
+    if draw(st.integers(0, 15)) == 0:
+        return draw(_LEAF | st.lists(_LEAF, max_size=2))
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(sorted(doc)))
+        target = doc[key]
+        edit = draw(st.sampled_from(("drop", "leaf", "item")))
+        if edit == "drop":
+            del doc[key]
+            continue
+        if edit == "leaf" or not isinstance(target, list) or not target:
+            doc[key] = draw(_LEAF)
+            continue
+        if isinstance(target[0], list) and draw(st.booleans()):
+            target = draw(st.sampled_from(target))
+            if not target:
+                continue
+        k = draw(st.integers(0, len(target) - 1))
+        how = draw(st.sampled_from(("leaf", "drop", "repeat")))
+        if how == "leaf":
+            target[k] = draw(_LEAF)
+        elif how == "drop":
+            del target[k]
+        else:
+            target.append(target[k])
+    return doc
+
+
+@st.composite
+def _model_docs(draw):
+    n = draw(st.integers(1, 3))
+    labels = draw(st.lists(st.sampled_from(_NAMES), min_size=n, max_size=n,
+                           unique=True))
+    small = st.integers(-3, 3)
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = draw(small)
+    doc = {
+        "name": draw(st.text(max_size=3)),
+        "basis": labels,
+        "gram": gram,
+        "canonical": draw(st.lists(small, min_size=n, max_size=n)),
+        "ample_ref": draw(st.none() | st.lists(small, min_size=n,
+                                               max_size=n)),
+        "chi": draw(small),
+        "kind": draw(st.sampled_from(_KIND_NAMES)),
+        "effective": draw(st.lists(st.sampled_from(labels), unique=True)),
+    }
+    return _mutate(draw, doc)
+
+
+@st.composite
+def _config_docs(draw):
+    n = draw(st.integers(1, 3))
+    labels = draw(st.lists(st.sampled_from(_NAMES), min_size=n, max_size=n,
+                           unique=True))
+    entry = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                      st.integers(0, 3)).map(list)
+    return _mutate(draw, {"labels": labels,
+                          "pairs": draw(st.lists(entry, max_size=3))})
+
+
+def _beyond_envelope(doc):
+    if isinstance(doc, dict):
+        return any(map(_beyond_envelope, doc.values()))
+    if isinstance(doc, list):
+        return any(map(_beyond_envelope, doc))
+    return isinstance(doc, int) and abs(doc) > lattice.I64_MAX
+
+
+class TestModelDocuments:
+    """A model or config document drawn near the schema loads or raises
+    ModelError, or OverflowGuardError when it holds an integer beyond the
+    64-bit envelope, and never another exception; a model that loads
+    round-trips through its JSON."""
+
+    @staticmethod
+    def _load_or_refuse(load, doc):
+        try:
+            m = load(copy.deepcopy(doc))
+        except OverflowGuardError:
+            assert _beyond_envelope(doc), doc
+            return
+        except ModelError:
+            return
+        assert model_from_json_dict(m.to_json_dict()) == m
+        assert model_from_json_dict(
+            json.loads(json.dumps(m.to_json_dict()))) == m
+
+    @settings(max_examples=300, deadline=None)
+    @given(_model_docs())
+    def test_model_documents(self, doc):
+        self._load_or_refuse(model_from_json_dict, doc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_config_docs())
+    def test_config_documents(self, doc):
+        self._load_or_refuse(config_from_json_dict, doc)
+
+    def test_a_document_that_is_not_an_object_is_refused(self):
+        for doc in (None, [], "gram", 3):
+            with pytest.raises(ModelError, match="bad lattice definition"):
+                model_from_json_dict(doc)
+            with pytest.raises(ModelError, match="bad config definition"):
+                config_from_json_dict(doc)
+
 
 class TestDivClassAlgebra:
+    def test_klass_takes_integers_only(self):
+        # no coordinate is truncated or parsed: 1.9 was read as 1
+        m = sigma(2)
+        for coords in [(1.9, 2, 0), (1, "2", 0), (Fraction(1), 0, 0),
+                       (None, 0, 0)]:
+            with pytest.raises(ModelError, match="integers"):
+                m.klass(coords)
+        D = m.klass(np.array([1, -2, 3]))  # numpy integers have __index__
+        assert D == m.klass((1, -2, 3))
+        assert all(type(c) is int for c in D.coords)
+
     def test_add_sub_neg_scale(self):
         m = sigma(2).model
         a = m.klass((1, 2, 3))
@@ -387,6 +548,21 @@ class TestRecords:
         assert out.failed is False and out.no_conclusion is False
         assert CaseFixture("x", "pencil").killed == ()
 
+    def test_records_whose_json_is_their_fields_share_one_rule(self):
+        rule = {c.__name__ for c in RECORD_TYPES
+                if vars(c).get("to_json_dict") is lattice._Record._field_dict}
+        assert rule == {"PhiCertificate", "PhiResult", "QuasiNefResult",
+                        "ScrollInvariants", "B2Rule", "DestabCandidate",
+                        "DestabResult"}
+        m = sigma(2)
+        cert = PhiCertificate((("t", 1, (2, 3)), ("s", 0)), (0, 1), 1)
+        res = PhiResult(1, m.klass((1, 0, -1)), True, cert)
+        got = res.to_json_dict()
+        assert got == {"value": 1, "witness": [1, 0, -1], "certified": True,
+                       "certificate": {"word": [["t", 1, [2, 3]], ["s", 0]],
+                                       "pairings": [0, 1], "phi": 1}}
+        assert list(got) == list(PhiResult.__slots__)
+
     def test_only_validating_types_define_init(self):
         assert {c.__name__ for c in PLAIN_TYPES} == PLAIN_NAMES
         assert set(RECORD_DEFAULTS) <= PLAIN_NAMES
@@ -416,6 +592,16 @@ def test_signature_and_determinant():
     assert determinant(E10.gram) == -1
     assert signature([[2, 2], [2, 2]]) == (1, 0, 1)
     assert determinant([[2, 2], [2, 2]]) == 0
+
+
+@pytest.mark.parametrize("gram", [[[1, 2]], [[1, 2], [3, 4]], [[1, 2], [2]],
+                                  [[1, 0, 0], [0, 1, 0]], [[]]])
+def test_signature_and_determinant_refuse_a_form_that_is_not_symmetric(gram):
+    # the elimination reads the upper triangle only, so [[1, 2], [3, 4]]
+    # would otherwise take the determinant of [[1, 2], [2, 4]], 0
+    for f in (signature, determinant):
+        with pytest.raises(ModelError, match="symmetric"):
+            f(gram)
 
 
 def _symmetric(rng, n, kind):
