@@ -22,6 +22,7 @@ verify_case replays any of them.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache, partial
 from operator import mul
 
 from .divexpr import render, resolve
@@ -174,12 +175,40 @@ def _decomposition(L, s, C2, k, values, trace):
     return Decomposition(L, k - ML, ML, L2, deg_D, trace, notes)
 
 
-def _slices(surface, C, k):
-    """The search's refusals, then its per-curve slice walk (_slicer)."""
+def _refuse(surface, C, k):
+    """The refusals of a search of C at k that come before its slice walk
+    (_slicer, which refuses what it cannot walk)."""
     _require_model(surface, C)
     if k < 2:
         raise RangeError(f"pencil degree k must be >= 2, got {k}")
-    return _slicer(C)
+
+
+def _search(surface, C, k, mod4, points):
+    """enumerate_bogreider(surface, C, k, mod4) on points, the slice walk
+    _slicer(C) of a search that _refuse let through; one walk serves
+    every k of C."""
+    apply_mod4 = _auto_mod4(surface, C) if mod4 is None else mod4
+    stages = _stage_kernel(surface, k, apply_mod4)
+    trace = _SURVIVOR_TRACE[apply_mod4]
+    model, C2 = C.model, pair(C, C)
+
+    kept = []
+    rejected = {}
+    visited = 0
+    for s in range(k, 2 * k + 1):
+        found = points(s, s - k, s // 2)
+        visited += len(found)
+        for x in found:
+            stage, got = stages(x, s)
+            if stage is None:
+                kept.append((x, s, got))
+            else:
+                rejected[stage] = rejected.get(stage, 0) + 1
+    kept.sort()  # by coordinates, which no two survivors share
+    survivors = [_decomposition(DivClass(model, x), s, C2, k, got, trace)
+                 for x, s, got in kept]
+    return EnumerationResult(surface.name, render(C), k, apply_mod4,
+                             survivors, rejected, visited)
 
 
 def enumerate_bogreider(
@@ -207,29 +236,8 @@ def enumerate_bogreider(
     in explainer, so visited counts slice points and traces
     match explainer's. Only a survivor is built as a DivClass.
     """
-    points = _slices(surface, C, k)
-    apply_mod4 = _auto_mod4(surface, C) if mod4 is None else mod4
-    stages = _stage_kernel(surface, k, apply_mod4)
-    trace = _SURVIVOR_TRACE[apply_mod4]
-    model, C2 = C.model, pair(C, C)
-
-    kept = []
-    rejected = {}
-    visited = 0
-    for s in range(k, 2 * k + 1):
-        found = points(s, s - k, s // 2)
-        visited += len(found)
-        for x in found:
-            stage, got = stages(x, s)
-            if stage is None:
-                kept.append((x, s, got))
-            else:
-                rejected[stage] = rejected.get(stage, 0) + 1
-    kept.sort()  # by coordinates, which no two survivors share
-    survivors = [_decomposition(DivClass(model, x), s, C2, k, got, trace)
-                 for x, s, got in kept]
-    return EnumerationResult(surface.name, render(C), k, apply_mod4,
-                             survivors, rejected, visited)
+    _refuse(surface, C, k)
+    return _search(surface, C, k, mod4, _slicer(C))
 
 
 def explainer(surface, C, k, mod4: bool | None = None):
@@ -244,7 +252,8 @@ def explainer(surface, C, k, mod4: bool | None = None):
     set up once, so explaining many candidates costs what the search
     spends on each.
     """
-    _slices(surface, C, k)
+    _refuse(surface, C, k)
+    _slicer(C)
     apply_mod4 = _auto_mod4(surface, C) if mod4 is None else mod4
     stages = _stage_kernel(surface, k, apply_mod4)
     trace = _SURVIVOR_TRACE[apply_mod4]
@@ -586,13 +595,34 @@ def verify_case(case_id: str) -> CaseReport:
         raise FixtureError(
             f"unknown case {case_id!r}; shipped: {', '.join(sorted(FIXTURES))}"
         )
+    return _replay(case_id, {})
+
+
+def verify_all():
+    """verify_case of every fixture, in catalog order. One replay sets up
+    each distinct pencil curve (its model, class and slice walk) once for
+    all the fixtures on it, and each identity group resolves each
+    distinct expression once."""
+    walks = {}
+    return [_replay(case_id, walks) for case_id in FIXTURES]
+
+
+def _replay(case_id, walks):
+    """verify_case(case_id), taking the (surface, C, slice walk) of a
+    pencil curve from walks, keyed by (surface, curve) names, and adding
+    it there when it is new."""
     fx = FIXTURES[case_id]
     trace = []
 
     if fx.kind == "pencil":
-        surf = get_surface(fx.surface)
-        C = resolve(fx.curve, surf)
-        res = enumerate_bogreider(surf, C, fx.k, mod4=fx.mod4)
+        key = fx.surface, fx.curve
+        if key not in walks:
+            surf = get_surface(fx.surface)
+            C = resolve(fx.curve, surf)
+            walks[key] = surf, C, _slicer(C)
+        surf, C, points = walks[key]
+        _refuse(surf, C, fx.k)
+        res = _search(surf, C, fx.k, fx.mod4, points)
         got = res.survivor_keys()
         want = set(fx.expected)
         status = "PASS" if got == want else "FAIL"
@@ -635,24 +665,25 @@ def verify_case(case_id: str) -> CaseReport:
     all_ok = True
     for config_name, checks in fx.identities:
         surf = get_config(config_name)
+        klass = cache(partial(resolve, model=surf))  # one parse per expression
         for chk in checks:
             tag = chk[0]
             if tag == "square":
                 _, expr, want = chk
-                got = pair(resolve(expr, surf), resolve(expr, surf))
+                got = pair(klass(expr), klass(expr))
                 line = f"[{config_name}] ({expr})^2 = {got}, expected {want}"
             elif tag == "pair":
                 _, ea, eb, want = chk
-                got = pair(resolve(ea, surf), resolve(eb, surf))
+                got = pair(klass(ea), klass(eb))
                 line = f"[{config_name}] ({ea}).({eb}) = {got}, expected {want}"
             elif tag == "phi":
                 _, expr, want = chk
-                got = phi(surf, resolve(expr, surf)).value
+                got = phi(surf, klass(expr)).value
                 line = f"[{config_name}] phi({expr}) = {got}, expected {want}"
             elif tag == "qnef":
                 _, expr, nodal, want = chk
                 got = quasi_nef_test(
-                    resolve(expr, surf), [resolve(nd, surf) for nd in nodal]
+                    klass(expr), [klass(nd) for nd in nodal]
                 ).status
                 line = (
                     f"[{config_name}] quasi-nef({expr} vs {list(nodal)}) = "
@@ -665,7 +696,3 @@ def verify_case(case_id: str) -> CaseReport:
             trace.append(line + ("" if ok else "  <= MISMATCH"))
     status = "PASS" if all_ok else "FAIL"
     return CaseReport(case_id, status, [], [], list(fx.killed), trace, fx.notes)
-
-
-def verify_all():
-    return [verify_case(cid) for cid in FIXTURES]

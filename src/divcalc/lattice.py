@@ -143,8 +143,9 @@ class LatticeModel(_Record):
     module ignore it. effective_labels lists the basis classes known to
     be effective divisors, used by positivity tests. The gram rows,
     canonical and ample_ref are stored as tuples, so a model built from
-    lists is the model built from tuples; their entries and chi must be
-    ints (not bools) inside the 64-bit envelope.
+    lists is the model built from tuples; a gram, row, canonical or
+    ample_ref that is no sequence raises ModelError naming it, and their
+    entries and chi must be ints (not bools) inside the 64-bit envelope.
     """
 
     __slots__ = ("name", "labels", "gram", "canonical", "chi", "ample_ref",
@@ -176,18 +177,21 @@ class LatticeModel(_Record):
         if kind not in _KINDS:
             raise ModelError(f"unknown model kind {kind!r}; kinds are "
                              f"{', '.join(_KINDS)}")
+        gram = tuple(_model_seq(row, "gram row")
+                     for row in _model_seq(gram, "gram"))
         if len(gram) != n or any(len(row) != n for row in gram):
             raise ModelError(f"gram must be {n}x{n}")
         gram = tuple(tuple(_model_int(v, "gram entry") for v in row)
                      for row in gram)
         if list(zip(*gram)) != list(gram):
             raise ModelError("gram must be symmetric")
-        canonical = tuple(_model_int(v, "canonical entry") for v in canonical)
+        canonical = tuple(_model_int(v, "canonical entry")
+                          for v in _model_seq(canonical, "canonical"))
         if len(canonical) != n:
             raise ModelError("canonical class has wrong length")
         if ample_ref is not None:
             ample_ref = tuple(_model_int(v, "ample_ref entry")
-                              for v in ample_ref)
+                              for v in _model_seq(ample_ref, "ample_ref"))
             if len(ample_ref) != n:
                 raise ModelError("ample_ref has wrong length")
         chi = _model_int(chi, "chi")
@@ -253,6 +257,15 @@ def _model_int(v, what):
     return _check_i64(v, what)
 
 
+def _model_seq(v, what):
+    """The items of v as a tuple; ModelError naming the field when v is
+    not iterable."""
+    try:
+        return tuple(v)
+    except TypeError:
+        raise ModelError(f"{what} must be a sequence, got {v!r}") from None
+
+
 def _json_int(v):
     """v when it is a JSON integer; a float, string or bool raises
     TypeError, so no file value is rounded or converted into one."""
@@ -316,15 +329,20 @@ def load_model(path):
     return model_from_json_dict(_read_json(path))
 
 
+_INT_ONLY = frozenset((int,))  # the type of a coordinate; bool is not int
+
+
 class DivClass(_Record):
     """An integer divisor class in a fixed LatticeModel.
 
-    Every coordinate is checked against the 64-bit envelope on
-    construction, so arithmetic results need no guard of their own. Two
-    classes are equal when their coordinates are and their models are one
-    model by _same_model, the rule under which classes combine, so classes
-    of separately built copies of one model compare equal. The hash goes
-    over the coordinates and the model name, which equal classes share.
+    Every coordinate must be an int (a bool, a float or a numpy integer
+    raises ModelError; klass converts values with __index__) and is
+    checked against the 64-bit envelope on construction, so arithmetic
+    results need no guard of their own. Two classes are equal when their
+    coordinates are and their models are one model by _same_model, the
+    rule under which classes combine, so classes of separately built
+    copies of one model compare equal. The hash goes over the coordinates
+    and the model name, which equal classes share.
     """
 
     __slots__ = ("model", "coords")
@@ -332,6 +350,8 @@ class DivClass(_Record):
     def __init__(self, model: LatticeModel, coords: tuple[int, ...]):
         if len(coords) != len(model.labels):
             raise ModelError("coordinate length does not match model rank")
+        if not _INT_ONLY.issuperset(map(type, coords)):
+            raise ModelError(f"class coordinates must be ints, got {coords!r}")
         if max(coords) > I64_MAX or min(coords) < -I64_MAX:
             for c in coords:
                 _check_i64(c, "coordinate")
@@ -425,13 +445,9 @@ def _require_model(model: LatticeModel, D: DivClass):
 def pair(a: DivClass, b: DivClass) -> int:
     """Intersection pairing a . b, exact."""
     _require_model(a.model, b)
-    gram = a.model.gram
-    total = 0
-    for i, ai in enumerate(a.coords):
-        if ai == 0:
-            continue
-        row = gram[i]
-        total += ai * sum(row[j] * bj for j, bj in enumerate(b.coords) if bj)
+    y = b.coords
+    total = sum(map(mul, a.coords, [sum(map(mul, row, y))
+                                    for row in a.model.gram]))
     return _check_i64(total, "pairing")
 
 

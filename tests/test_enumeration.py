@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from divcalc import lattice
+from divcalc import enumeration, lattice
 from divcalc.divexpr import render, resolve
 from divcalc.enumeration import (
     FIXTURES,
@@ -63,6 +63,49 @@ def test_verify_all_opens_no_file(monkeypatch):
             m.setattr(mod, "open", refuse)
         reports = verify_all()
     assert [r.status for r in reports] == ["PASS"] * len(FIXTURES)
+
+
+def test_verify_all_is_verify_case_of_every_fixture():
+    reports = verify_all()
+    assert [r.case_id for r in reports] == list(FIXTURES)
+    for rep, cid in zip(reports, FIXTURES):
+        alone = verify_case(cid)
+        assert rep == alone, cid
+        assert rep.to_json_dict() == alone.to_json_dict(), cid
+
+
+def _counting(calls, name, real):
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+    return counting
+
+
+def _count_calls(monkeypatch, names):
+    """Counter of calls to the named enumeration functions, each rebound
+    to a counting wrapper."""
+    calls = Counter()
+    for name in names:
+        monkeypatch.setattr(enumeration, name,
+                            _counting(calls, name, getattr(enumeration, name)))
+    return calls
+
+
+def test_replay_sets_up_each_curve_and_expression_once(monkeypatch):
+    # the 9 pencil fixtures lie on 5 curves, and the identity groups hold
+    # 13 distinct expressions; a set-up per case made 9 slice walks and
+    # 37 parses
+    calls = _count_calls(monkeypatch, ("_slicer", "resolve"))
+    verify_all()
+    assert calls == {"_slicer": 5, "resolve": 18}
+    for cid in _pencil_fixture_ids():
+        calls.clear()
+        assert verify_case(cid).status == "PASS"
+        assert calls == {"_slicer": 1, "resolve": 1}, cid
+    for cid, distinct in {"lemmag7": 6, "lemmag8": 5, "lemmag9": 2}.items():
+        calls.clear()
+        assert verify_case(cid).status == "PASS"
+        assert calls == {"resolve": distinct}, cid
 
 
 @pytest.mark.parametrize("cid", list(ORACLE_CASES))
@@ -210,6 +253,12 @@ def test_preconditions():
     )
     with pytest.raises(ModelError):  # not hyperbolic
         enumerate_bogreider(plane, plane.klass((1, 1)), 2)
+    # where refusals meet, another model comes first, then k < 2, then
+    # the walk's own
+    with pytest.raises(ModelMismatchError):
+        enumerate_bogreider(get_surface("sigma2"), neg, 1)
+    with pytest.raises(RangeError):
+        enumerate_bogreider(surf, neg, 1)
 
 
 def test_explain_candidate_refuses_what_the_search_refuses():

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -216,6 +217,19 @@ class TestModelValidation:
         with pytest.raises(error, match=field):
             LatticeModel(**fields)
 
+    @pytest.mark.parametrize("field, value, what",
+                             [("gram", 5, "gram"), ("gram", (1,), "gram row"),
+                              ("canonical", 5, "canonical"),
+                              ("ample_ref", 5, "ample_ref")])
+    def test_constructor_refuses_a_field_that_is_not_a_sequence(
+            self, field, value, what):
+        # these were a bare TypeError, "'int' object is not iterable"
+        fields = dict(name="t", labels=("H",), gram=((1,),), canonical=(0,),
+                      chi=1, ample_ref=(1,))
+        fields[field] = value
+        with pytest.raises(ModelError, match=f"^{what} must be a sequence"):
+            LatticeModel(**fields)
+
     def test_rows_given_as_lists_are_stored_as_tuples(self):
         m = sigma(2)
         twin = LatticeModel(m.name, m.labels, [list(r) for r in m.gram],
@@ -355,6 +369,16 @@ class TestDivClassAlgebra:
         D = m.klass(np.array([1, -2, 3]))  # numpy integers have __index__
         assert D == m.klass((1, -2, 3))
         assert all(type(c) is int for c in D.coords)
+
+    @pytest.mark.parametrize("coords", [
+        (1.5, 0), (1, 0.0), (True, 0), (0, False), (Fraction(1), 0),
+        (np.int64(1), 0), ("1", 0), (None, 0)])
+    def test_divclass_takes_int_coordinates_only(self, coords):
+        # pair(DivClass(sigma1, (1.5, 0)), same) was the float 2.25; klass
+        # is the door for values with __index__
+        m = sigma(1).model
+        with pytest.raises(ModelError, match="must be ints"):
+            DivClass(m, coords)
 
     def test_add_sub_neg_scale(self):
         m = sigma(2).model
@@ -582,6 +606,52 @@ def test_pairing_bilinear_symmetric(a, b, c, n):
     assert pair(A, B) == pair(B, A)
     assert pair(A + C, B) == pair(A, B) + pair(C, B)
     assert pair(n * A, B) == n * pair(A, B)
+
+
+def _double_sum(gram, a, b):
+    n = len(gram)
+    return sum(a[i] * gram[i][j] * b[j] for i in range(n) for j in range(n))
+
+
+def test_pairing_is_the_double_sum_inside_the_envelope():
+    # sum_ij a_i g_ij b_j on E10, the three configs and seeded symmetric
+    # grams of rank 1-10, for zero, sparse and dense classes whose
+    # coordinates reach 2^36, so some totals leave the envelope
+    rng = random.Random(2300)
+    models = [E10] + [get_config(n).model for n in list_configs()]
+    for n in range(1, 11):
+        for _ in range(4):
+            g = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    g[i][j] = g[j][i] = rng.choice([0, 0, rng.randint(-9, 9)])
+            models.append(_model(g))
+    outcomes = Counter()
+    for m in models:
+        n = m.rank
+        for _ in range(30):
+            pair_of = []
+            for _ in range(2):
+                shape = rng.choice(["zero", "sparse", "dense"])
+                scale = rng.choice([1, 100, 2**20, 2**31, 2**36])
+                x = [0] * n
+                if shape != "zero":
+                    places = (rng.sample(range(n), min(n, 2))
+                              if shape == "sparse" else range(n))
+                    for i in places:
+                        x[i] = rng.randint(-scale, scale)
+                pair_of.append(DivClass(m, tuple(x)))
+            a, b = pair_of
+            want = _double_sum(m.gram, a.coords, b.coords)
+            if abs(want) > lattice.I64_MAX:
+                outcomes["guarded"] += 1
+                with pytest.raises(OverflowGuardError):
+                    pair(a, b)
+            else:
+                outcomes["exact"] += 1
+                got = pair(a, b)
+                assert type(got) is int and got == want
+    assert outcomes["guarded"] > 50 and outcomes["exact"] > 1000, outcomes
 
 
 def test_signature_and_determinant():
