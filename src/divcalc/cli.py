@@ -680,10 +680,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter_ns()
     try:
         out = args.handler(args)
-    except DivcalcError as exc:
-        print(f"divcalc: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DivcalcError, OSError) as exc:
         print(f"divcalc: error: {exc}", file=sys.stderr)
         return 1
     elapsed_ms = (time.perf_counter_ns() - t0) // 1_000_000

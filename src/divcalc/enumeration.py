@@ -121,15 +121,22 @@ def _stage_kernel(model, k, apply_mod4):
     and explainer pairs L with C; every stage is evaluated, also
     those the slice windows imply, so both see the same trace."""
     gram, kind, n = model.gram, model.kind, model.rank
-    # the sign stage keeps L when S L >= 0: S is the gram on sigma
-    # models, the identity on ruled and blcN models, and the gram rows
-    # of the effective labels otherwise
+    # the sign stage keeps L when S L >= 0; the model kind picks S and the
+    # wording of a failure together, once per kernel: the gram on sigma
+    # models, the identity on ruled and blcN models, and the gram rows of
+    # the effective labels otherwise
     if kind == "sigma":
-        S = gram
+        S, sign = gram, "basis pairings {} not all >= 0".format
     elif kind in ("ruled", "blcn"):
         S = [[int(i == j) for j in range(n)] for i in range(n)]
+        sign = "coordinates {} not all >= 0".format
     else:
-        S = [gram[model.labels.index(lab)] for lab in model.effective_labels]
+        labels = model.effective_labels
+        S = [gram[model.labels.index(lab)] for lab in labels]
+
+        def sign(SL):
+            negs = [lab for lab, v in zip(labels, SL) if v < 0]
+            return f"negative pairing with effective {negs}"
 
     def stages(x, s):
         if not any(x):
@@ -137,12 +144,7 @@ def _stage_kernel(model, k, apply_mod4):
         GL = [sum(map(mul, row, x)) for row in gram]
         SL = GL if S is gram else [sum(map(mul, row, x)) for row in S]
         if SL and min(SL) < 0:
-            if kind == "sigma":
-                return "sign", f"basis pairings {SL} not all >= 0"
-            if kind in ("ruled", "blcn"):
-                return "sign", f"coordinates {SL} not all >= 0"
-            negs = [lab for lab, v in zip(model.effective_labels, SL) if v < 0]
-            return "sign", f"negative pairing with effective {negs}"
+            return "sign", sign(SL)
         L2 = sum(map(mul, GL, x))
         ML = s - L2
         if L2 < 0:
@@ -175,23 +177,25 @@ def _decomposition(L, s, C2, k, values, trace):
     return Decomposition(L, k - ML, ML, L2, deg_D, trace, notes)
 
 
-def _refuse(surface, C, k):
-    """The refusals of a search of C at k that come before its slice walk
-    (_slicer, which refuses what it cannot walk)."""
+def _setup(surface, C, k, mod4, walks):
+    """What a search of C at k and its explainer share: the slice walk,
+    the stage kernel, a survivor's trace, C^2 and the mod4 flag used.
+    Refuses a C of another model, then k < 2, then (in _slicer) a C it
+    cannot walk. The walk comes from walks, keyed by C, and is added
+    there when it is new; one walk serves every k of C."""
     _require_model(surface, C)
     if k < 2:
         raise RangeError(f"pencil degree k must be >= 2, got {k}")
-
-
-def _search(surface, C, k, mod4, points):
-    """enumerate_bogreider(surface, C, k, mod4) on points, the slice walk
-    _slicer(C) of a search that _refuse let through; one walk serves
-    every k of C."""
+    if C not in walks:
+        walks[C] = _slicer(C)
     apply_mod4 = _auto_mod4(surface, C) if mod4 is None else mod4
-    stages = _stage_kernel(surface, k, apply_mod4)
-    trace = _SURVIVOR_TRACE[apply_mod4]
-    model, C2 = C.model, pair(C, C)
+    return (walks[C], _stage_kernel(surface, k, apply_mod4),
+            _SURVIVOR_TRACE[apply_mod4], pair(C, C), apply_mod4)
 
+
+def _search(surface, C, k, mod4, walks):
+    """enumerate_bogreider(surface, C, k, mod4), set up by _setup."""
+    points, stages, trace, C2, apply_mod4 = _setup(surface, C, k, mod4, walks)
     kept = []
     rejected = {}
     visited = 0
@@ -205,7 +209,7 @@ def _search(surface, C, k, mod4, points):
             else:
                 rejected[stage] = rejected.get(stage, 0) + 1
     kept.sort()  # by coordinates, which no two survivors share
-    survivors = [_decomposition(DivClass(model, x), s, C2, k, got, trace)
+    survivors = [_decomposition(DivClass(C.model, x), s, C2, k, got, trace)
                  for x, s, got in kept]
     return EnumerationResult(surface.name, render(C), k, apply_mod4,
                              survivors, rejected, visited)
@@ -236,8 +240,7 @@ def enumerate_bogreider(
     in explainer, so visited counts slice points and traces
     match explainer's. Only a survivor is built as a DivClass.
     """
-    _refuse(surface, C, k)
-    return _search(surface, C, k, mod4, _slicer(C))
+    return _search(surface, C, k, mod4, {})
 
 
 def explainer(surface, C, k, mod4: bool | None = None):
@@ -248,16 +251,16 @@ def explainer(surface, C, k, mod4: bool | None = None):
     Refuses up front what enumerate_bogreider refuses (RangeError for
     k < 2, ModelError when C^2 <= 0 or the slices of C can be infinite,
     ModelMismatchError for a C from another model), so no trace describes
-    a search that could never run. The refusals and the stage kernel are
-    set up once, so explaining many candidates costs what the search
-    spends on each.
+    a search that could never run. It shares the search's set-up
+    (_setup), done once, so explaining many candidates costs what the
+    search spends on each.
     """
-    _refuse(surface, C, k)
-    _slicer(C)
-    apply_mod4 = _auto_mod4(surface, C) if mod4 is None else mod4
-    stages = _stage_kernel(surface, k, apply_mod4)
-    trace = _SURVIVOR_TRACE[apply_mod4]
-    C2 = pair(C, C)
+    return _explainer(surface, C, k, mod4, {})
+
+
+def _explainer(surface, C, k, mod4, walks):
+    """explainer(surface, C, k, mod4), set up by _setup."""
+    _, stages, trace, C2, _ = _setup(surface, C, k, mod4, walks)
 
     def explain(coords):
         L = surface.klass(coords)
@@ -595,7 +598,7 @@ def verify_case(case_id: str) -> CaseReport:
         raise FixtureError(
             f"unknown case {case_id!r}; shipped: {', '.join(sorted(FIXTURES))}"
         )
-    return _replay(case_id, {})
+    return _replay(case_id, {}, {})
 
 
 def verify_all():
@@ -603,32 +606,31 @@ def verify_all():
     each distinct pencil curve (its model, class and slice walk) once for
     all the fixtures on it, and each identity group resolves each
     distinct expression once."""
-    walks = {}
-    return [_replay(case_id, walks) for case_id in FIXTURES]
+    curves, walks = {}, {}
+    return [_replay(case_id, curves, walks) for case_id in FIXTURES]
 
 
-def _replay(case_id, walks):
-    """verify_case(case_id), taking the (surface, C, slice walk) of a
-    pencil curve from walks, keyed by (surface, curve) names, and adding
-    it there when it is new."""
+def _replay(case_id, curves, walks):
+    """verify_case(case_id), taking the class C of a pencil curve from
+    curves, keyed by (surface, curve) names, and its slice walk from
+    walks, keyed by C, and adding them there when they are new. The
+    search and, on a mismatch, its explainer share that walk."""
     fx = FIXTURES[case_id]
     trace = []
 
     if fx.kind == "pencil":
         key = fx.surface, fx.curve
-        if key not in walks:
-            surf = get_surface(fx.surface)
-            C = resolve(fx.curve, surf)
-            walks[key] = surf, C, _slicer(C)
-        surf, C, points = walks[key]
-        _refuse(surf, C, fx.k)
-        res = _search(surf, C, fx.k, fx.mod4, points)
+        if key not in curves:
+            curves[key] = resolve(fx.curve, get_surface(fx.surface))
+        C = curves[key]
+        surf = C.model
+        res = _search(surf, C, fx.k, fx.mod4, walks)
         got = res.survivor_keys()
         want = set(fx.expected)
         status = "PASS" if got == want else "FAIL"
         missing = sorted(want - got)
         if missing:
-            explain = explainer(surf, C, fx.k, mod4=fx.mod4)
+            explain = _explainer(surf, C, fx.k, fx.mod4, walks)
         for expr, z in missing:
             _, t = explain(resolve(expr, surf).coords)
             trace.append(f"missing ({expr}, z={z}): {t}")

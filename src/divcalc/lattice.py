@@ -803,11 +803,10 @@ def isotropic_search(model: LatticeModel, target: DivClass, box_bound: int):
     forms h_j = sum_{k<i} g_jk x_k of the open coordinates j >= i, so that
         F^2 = N + 2 sum_{j>=i} h_j x_j + Q_i(x_i, ..., x_{n-1}),
     with Q_i the form of the suffix subgram. The last coordinate is not
-    scanned: g v^2 + 2 h v + N = 0 is solved exactly (linear when g = 0,
-    every v when g = h = N = 0, otherwise the integer roots of a
-    perfect-square discriminant), keeping the roots inside the box. The
-    level before it solves that equation for each of its values in place
-    of a further call.
+    scanned: at its own level g v^2 + 2 h v + N = 0 is solved exactly
+    (linear when g = 0, every v when g = h = N = 0, otherwise the integer
+    roots of a perfect-square discriminant), keeping the roots inside the
+    box.
 
     Pruning is sound, so the result is the full box scan: in the box the
     middle term lies within 2 b sum_{j>=i} |h_j| of 0, and Q_i lies in
@@ -844,36 +843,28 @@ def isotropic_search(model: LatticeModel, target: DivClass, box_bound: int):
         qmax[i] = 0 if pos == 0 else b * b * (sum(d for d in diag if d > 0) + off)
 
     last = n - 1
-    glast = gram[last][last]
     found = []
     x = [0] * n
 
     def walk(i, N, h):
         # h[j - i] is h_j for the open coordinates j >= i; x[:i] is the
         # current prefix (entries from i on are stale until set)
+        gii = gram[i][i]
+        if i == last:
+            for v in _roots_in_box(gii, h[0], N, b):
+                x[i] = v
+                found.append(tuple(x))
+            return
         spread = 2 * b * sum(map(abs, h))
         if N + spread + qmax[i] < 0 or N - spread + qmin[i] > 0:
             return
-        gii, two_h = gram[i][i], 2 * h[0]
-        if i == last - 1:
-            hlast, gil = h[1], gram[i][last]
-            for v in range(-b, b + 1):
-                x[i] = v
-                for u in _roots_in_box(glast, hlast + gil * v,
-                                       N + v * (two_h + gii * v), b):
-                    x[last] = u
-                    found.append(tuple(x))
-            return
-        rest, tail = h[1:], gram[i][i + 1:]
+        two_h, rest, tail = 2 * h[0], h[1:], gram[i][i + 1:]
         for v in range(-b, b + 1):
             x[i] = v
             walk(i + 1, N + v * (two_h + gii * v),
                  [hj + g * v for hj, g in zip(rest, tail)])
 
-    if n == 1:
-        found = [(v,) for v in _roots_in_box(glast, 0, 0, b)]
-    else:
-        walk(0, 0, [0] * n)
+    walk(0, 0, [0] * n)
     valued = sorted(
         (abs(_check_i64(sum(map(mul, w, F)), "pairing")), F)
         for F in found if any(F)

@@ -272,6 +272,32 @@ def test_explain_candidate_refuses_what_the_search_refuses():
         explain_candidate(blq, resolve("f", blq), 4, (0, 1))
 
 
+def _raised(call, *args):
+    """The type of the refusal call(*args) raises, or None."""
+    try:
+        call(*args)
+    except (ModelError, ModelMismatchError, RangeError) as exc:
+        return type(exc)
+    return None
+
+
+def test_explain_candidate_refuses_in_the_search_order():
+    # where refusals meet (another model, k < 2, C^2 <= 0) both raise the
+    # same type, and both accept the same inputs
+    s1, s2, blq = (get_surface(n) for n in ("sigma1", "sigma2", "blq"))
+    curves = [resolve("-2K", s1), resolve("G1", s1), resolve("-2K", s2),
+              resolve("f", blq), resolve("-2K", blq)]
+    seen = set()
+    for surf in (s1, s2, blq):
+        for C in curves:
+            for k in (0, 1, 2, 4):
+                got = _raised(enumerate_bogreider, surf, C, k)
+                assert got == _raised(explain_candidate, surf, C, k,
+                                      (0,) * surf.rank), (surf.name, C, k)
+                seen.add(got)
+    assert seen == {None, ModelMismatchError, RangeError, ModelError}
+
+
 def test_search_refuses_a_curve_from_another_model():
     s2, s3 = get_surface("sigma2"), get_surface("sigma3")
     with pytest.raises(ModelMismatchError):
@@ -658,7 +684,8 @@ class TestFixtureCatalog:
     def test_report_sets_up_one_explainer_per_mismatching_case(
             self, monkeypatch):
         # the search sets up its slice walk once; a mismatch adds one
-        # explainer for all its missing survivors, a match adds none
+        # explainer for all its missing survivors, on the same walk, and
+        # a match adds none
         calls = []
 
         def counting_kernel_basis(w, gram):
@@ -679,4 +706,4 @@ class TestFixtureCatalog:
         rep = verify_case("g1kondelp-b")
         assert rep.status == "FAIL"
         assert sum(t.startswith("missing") for t in rep.trace) == 3
-        assert len(calls) == 1 + 2
+        assert len(calls) == 1 + 1

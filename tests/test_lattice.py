@@ -1089,6 +1089,12 @@ class TestIsotropicSearch:
         assert len(classes) == 1
 
     def test_matches_oracle_on_random_grams(self):
+        # rank 1 first: the walk's first level is then its last
+        for gram in ([[0]], [[2]], [[-2]]):
+            m = _model(gram)
+            for box in (1, 2, 3):
+                got = isotropic_search(m, m.klass((1,)), box)
+                assert _hits(got) == brute_isotropic(gram, (1,), box)
         rng = random.Random(4)
         kinds = set()
         for trial in range(100):
