@@ -102,8 +102,13 @@ def _need(args, *names):
 
 
 class _Outcome(_Record):
-    """What a subcommand handler hands back to main(): the JSON payload,
-    the surface name or None, and the text lines."""
+    """What a subcommand handler hands back to main(): payload, a function
+    of no arguments giving the JSON payload; the surface name or None;
+    lines, a function of no arguments giving the text lines; and the
+    flags that set the exit code. main() calls only the one of payload
+    and lines that it prints, inside the handler's try and timing, so a
+    handler does its computation itself and leaves to these two
+    functions only the work of one rendering."""
 
     __slots__ = ("payload", "surface", "lines", "no_conclusion", "failed")
     _defaults = {"no_conclusion": False, "failed": False}
@@ -116,8 +121,8 @@ def _cmd_pair(args):
         raise ModelError("pair needs exactly two --curve expressions")
     A, B = (resolve(c, surf) for c in curves)
     val = pair(A, B)
-    payload = {"a": render(A), "b": render(B), "value": val}
-    return _Outcome(payload, surf.name, [f"({payload['a']}).({payload['b']}) = {val}"])
+    return _Outcome(lambda: {"a": render(A), "b": render(B), "value": val},
+                    surf.name, lambda: [f"({render(A)}).({render(B)}) = {val}"])
 
 
 def _class_value(key, value, text):
@@ -127,9 +132,9 @@ def _class_value(key, value, text):
     def handler(args):
         surf = _load_surface(args)
         D = _one_curve(args, surf)
-        curve, val = render(D), value(surf, D)
-        return _Outcome({"curve": curve, key: val}, surf.name,
-                        [text.format(curve, val)])
+        val = value(surf, D)
+        return _Outcome(lambda: {"curve": render(D), key: val}, surf.name,
+                        lambda: [text.format(render(D), val)])
     return handler
 
 
@@ -143,19 +148,24 @@ def _cmd_phi(args):
     D = _one_curve(args, surf)
     mode = "boxed" if args.box is not None else "sublattice"
     res = phi(surf, D, mode=mode, box=args.box)
-    payload = {"curve": render(D)}
-    payload.update(res.to_json_dict())
-    rel = "=" if res.certified else "<="
-    lines = [f"phi({render(D)}) {rel} {res.value}",
-             f"witness: {render(res.witness)}"]
-    cert = res.certificate
-    if cert:
-        steps = [f"t({surf.labels[s[1]]}; {' '.join(map(str, s[2]))})"
-                 if s[0] == "t" else f"s({s[1]})" if s[0] == "s" else "neg"
-                 for s in cert.word]
-        lines.append(f"certificate: w = {' '.join(steps) or 'id'}; "
-                     f"L'.alpha = {' '.join(map(str, cert.pairings))}; "
-                     f"phi = L'.{surf.labels[0]} = {cert.phi}")
+
+    def payload():
+        return {"curve": render(D), **res.to_json_dict()}
+
+    def lines():
+        rel = "=" if res.certified else "<="
+        out = [f"phi({render(D)}) {rel} {res.value}",
+               f"witness: {render(res.witness)}"]
+        cert = res.certificate
+        if cert:
+            steps = [f"t({surf.labels[s[1]]}; {' '.join(map(str, s[2]))})"
+                     if s[0] == "t" else f"s({s[1]})" if s[0] == "s"
+                     else "neg" for s in cert.word]
+            out.append(f"certificate: w = {' '.join(steps) or 'id'}; "
+                       f"L'.alpha = {' '.join(map(str, cert.pairings))}; "
+                       f"phi = L'.{surf.labels[0]} = {cert.phi}")
+        return out
+
     return _Outcome(payload, surf.name, lines)
 
 
@@ -166,13 +176,14 @@ def _cmd_reflect(args):
         raise ModelError("reflect needs --nodal <divexpr>")
     delta = resolve(args.nodal, surf)
     img = reflect_nodal(D, delta)
-    payload = {
-        "curve": render(D),
-        "nodal": render(delta),
-        "image": render(img),
-        "image_coords": list(img.coords),
-    }
-    return _Outcome(payload, surf.name, [f"reflection: {render(img)}"])
+    return _Outcome(
+        lambda: {
+            "curve": render(D),
+            "nodal": render(delta),
+            "image": render(img),
+            "image_coords": list(img.coords),
+        },
+        surf.name, lambda: [f"reflection: {render(img)}"])
 
 
 def _cmd_enumerate(args):
@@ -182,63 +193,71 @@ def _cmd_enumerate(args):
         raise ModelError("enumerate needs --k <int>")
     mod4 = {"auto": None, "on": True, "off": False}[args.mod4]
     res = enumerate_bogreider(surf, D, args.k, mod4=mod4)
-    lines = [
-        f"curve {render(D)}, k = {args.k}, parity filter "
-        f"{'on' if res.mod4_applied else 'off'}, "
-        f"{res.visited} candidates visited",
-    ]
-    for d in res.survivors:
-        extra = f" ({'; '.join(d.notes)})" if d.notes else ""
-        lines.append(f"  L = {d.expr}  L^2 = {d.L2}, M.L = {d.ML}, z = {d.z}{extra}")
-    if not res.survivors:
-        lines.append("  no survivors")
-    hist = ", ".join(f"{k}={v}" for k, v in sorted(res.rejected.items()))
-    lines.append(f"rejected: {hist or 'none'}")
-    return _Outcome(res.to_json_dict(), surf.name, lines)
+
+    def lines():
+        out = [
+            f"curve {render(D)}, k = {args.k}, parity filter "
+            f"{'on' if res.mod4_applied else 'off'}, "
+            f"{res.visited} candidates visited",
+        ]
+        for d in res.survivors:
+            extra = f" ({'; '.join(d.notes)})" if d.notes else ""
+            out.append(f"  L = {d.expr}  L^2 = {d.L2}, M.L = {d.ML}, "
+                       f"z = {d.z}{extra}")
+        if not res.survivors:
+            out.append("  no survivors")
+        hist = ", ".join(f"{k}={v}" for k, v in sorted(res.rejected.items()))
+        out.append(f"rejected: {hist or 'none'}")
+        return out
+
+    return _Outcome(res.to_json_dict, surf.name, lines)
 
 
 def _cmd_destab(args):
     res = enumerate_destab()
-    lines = ["candidate splittings passing all numeric constraints:"]
-    for c in res.survivors:
-        lines.append(
-            f"  a={c.a}, a1={c.a1}: A^2={c.A2}, B^2={c.B2}, "
-            f"A.B={c.AB}, lenW={c.lenW}"
-        )
-    return _Outcome(res.to_json_dict(), "blq", lines)
+    return _Outcome(res.to_json_dict, "blq", lambda: [
+        "candidate splittings passing all numeric constraints:",
+        *(f"  a={c.a}, a1={c.a1}: A^2={c.A2}, B^2={c.B2}, "
+          f"A.B={c.AB}, lenW={c.lenW}" for c in res.survivors)])
 
 
 def _cmd_gonality(args):
     _need(args, "l2", "phi")
     val = gonality(args.l2, args.phi, not args.two_d_special)
-    payload = {
-        "L2": args.l2,
-        "phi": args.phi,
-        "not_2D_special": not args.two_d_special,
-        "gonality": val,
-    }
-    return _Outcome(payload, None, [f"gonality = {val}"])
+    return _Outcome(
+        lambda: {
+            "L2": args.l2,
+            "phi": args.phi,
+            "not_2D_special": not args.two_d_special,
+            "gonality": val,
+        },
+        None, lambda: [f"gonality = {val}"])
 
 
 def _cmd_cliff(args):
     if args.d is not None or args.h0 is not None:
+        if args.g is not None:
+            raise ModelError("pass either --d and --h0, or --g, not both")
         _need(args, "d", "h0")
         val = clifford_of_series(args.d, args.h0)
-        payload = {"mode": "series", "d": args.d, "h0": args.h0, "cliff": val}
-        return _Outcome(payload, None, [f"Cliff = {val}"])
+        return _Outcome(
+            lambda: {"mode": "series", "d": args.d, "h0": args.h0,
+                     "cliff": val},
+            None, lambda: [f"Cliff = {val}"])
     if args.g is not None:
         val = cliff_upper_bound(args.g)
-        payload = {"mode": "upper_bound", "g": args.g, "value": val}
-        return _Outcome(payload, None, [f"Cliff(C) <= {val}"])
+        return _Outcome(
+            lambda: {"mode": "upper_bound", "g": args.g, "value": val},
+            None, lambda: [f"Cliff(C) <= {val}"])
     raise ModelError("cliff needs --d and --h0, or --g")
 
 
 def _verdict_outcome(verdict):
-    lines = [f"{verdict.status_label} via {verdict.rule}"]
-    lines += [f"qualifier: {q}" for q in verdict.qualifiers]
-    lines += [f"note: {n}" for n in verdict.notes]
     return _Outcome(
-        verdict.to_json_dict(), None, lines,
+        verdict.to_json_dict, None, lambda: [
+            f"{verdict.status_label} via {verdict.rule}",
+            *(f"qualifier: {q}" for q in verdict.qualifiers),
+            *(f"note: {n}" for n in verdict.notes)],
         no_conclusion=verdict.status == "NO_CONCLUSION",
     )
 
@@ -302,6 +321,8 @@ def _cmd_corank(args):
                 f"--aux expects KEY=INT, got {item!r} "
                 "(e.g. --aux 4K-M=5)"
             )
+        if key in aux:
+            raise ModelError(f"--aux key {key!r} given twice")
         try:
             aux[key] = int(val)
         except ValueError:  # more digits than int() reads
@@ -326,22 +347,22 @@ def _cmd_corank(args):
 def _cmd_scroll(args):
     _need(args, "g", "b1")
     inv = scroll_invariants(args.g, args.b1)
-    lines = [
+    return _Outcome(inv.to_json_dict, None, lambda: [
         f"b2 = {inv.b2}, bundle degree {inv.degV}, scroll degree "
         f"{inv.degY}, hyperplane-section genus {inv.pa_hyperplane}, "
         f"quadric-generation bound {'holds' if inv.n2_holds else 'fails'}",
-    ]
-    return _Outcome(inv.to_json_dict(), None, lines)
+    ])
 
 
 def _cmd_b2rule(args):
     _need(args, "l2", "phi")
     res = b2_rule_enriques(args.l2, args.phi)
-    lines = [f"{res.status}"]
-    lines += [f"qualifier: {q}" for q in res.qualifiers]
-    lines += [f"note: {n}" for n in res.notes]
     return _Outcome(
-        res.to_json_dict(), None, lines, no_conclusion=res.status == "unknown",
+        res.to_json_dict, None, lambda: [
+            f"{res.status}",
+            *(f"qualifier: {q}" for q in res.qualifiers),
+            *(f"note: {n}" for n in res.notes)],
+        no_conclusion=res.status == "unknown",
     )
 
 
@@ -349,35 +370,36 @@ def _cmd_verify(args):
     if args.all == bool(args.case):
         raise ModelError("verify needs exactly one of --case <id> or --all")
     reports = verify_all() if args.all else [verify_case(args.case)]
-    payload = [r.to_json_dict() for r in reports]
-    lines = []
-    failed = False
-    for r in reports:
-        lines.append(f"{r.status}  {r.case_id}")
-        if r.status != "PASS":
-            failed = True
-            lines += [f"    {t}" for t in r.trace]
-    if not args.all:
-        payload = payload[0]
-    return _Outcome(payload, None, lines, failed=failed)
+
+    def payload():
+        dicts = [r.to_json_dict() for r in reports]
+        return dicts if args.all else dicts[0]
+
+    def lines():
+        out = []
+        for r in reports:
+            out.append(f"{r.status}  {r.case_id}")
+            if r.status != "PASS":
+                out += [f"    {t}" for t in r.trace]
+        return out
+
+    return _Outcome(payload, None, lines,
+                    failed=any(r.status != "PASS" for r in reports))
 
 
 def _cmd_surface(args):
     if args.surface or args.config:
         model = _load_surface(args)
-        payload = model.to_json_dict()
-        lines = [
+        return _Outcome(model.to_json_dict, model.name, lambda: [
             f"{model.name}: rank {model.rank}, basis "
             + ", ".join(model.labels),
             f"canonical {render(model.canonical_class)}, chi(O) = {model.chi}",
-        ]
-        for row in model.gram:
-            lines.append("  " + " ".join(f"{v:4d}" for v in row))
-        return _Outcome(payload, model.name, lines)
-    payload = {"surfaces": list_surfaces(), "configs": list_configs()}
-    lines = ["surfaces: " + ", ".join(payload["surfaces"]),
-             "configs:  " + ", ".join(payload["configs"])]
-    return _Outcome(payload, None, lines)
+            *("  " + " ".join(f"{v:4d}" for v in row) for row in model.gram)])
+    surfaces, configs = list_surfaces(), list_configs()
+    return _Outcome(
+        lambda: {"surfaces": surfaces, "configs": configs}, None,
+        lambda: ["surfaces: " + ", ".join(surfaces),
+                 "configs:  " + ", ".join(configs)])
 
 
 @functools.cache
@@ -586,7 +608,9 @@ def _read_options(sub, name, args):
     or --nodal, a value its type refuses and a value outside the choices.
     build_parser declares no other kind of option, positional or group;
     the differential test of _parse_args fails if one is added."""
-    vals = dict(_defaults(sub, name))
+    ns = argparse.Namespace()
+    vals = vars(ns)  # the namespace's own attribute dict, filled in place
+    vals.update(_defaults(sub, name))
     options = sub._option_string_actions
     i, n = 0, len(args)
     while i < n:
@@ -615,7 +639,7 @@ def _read_options(sub, name, args):
                 value = [*(vals[action.dest] or ()), value]
             vals[action.dest] = value
         i += 1
-    return argparse.Namespace(**vals)
+    return ns
 
 
 def _parse_args(argv):
@@ -633,11 +657,15 @@ def _parse_args(argv):
     return parser.parse_args(_fuse_expr_flags(argv))
 
 
-def _dump_report(obj) -> str:
+def _dump_report(obj, pad="\n") -> str:
     """json.dumps(obj, indent=2), byte for byte, for dicts with str keys,
     lists, tuples, str, int, bool and None; any other type of value or key
-    raises TypeError. The stdlib indents only in pure-Python generators;
-    this fills one list and joins it once, escaping strings in C."""
+    raises TypeError. pad is a newline and the indent of the line obj
+    starts on: every line after the first is indented by it, as when obj
+    is a value nested inside a larger document (_report_text writes the
+    RunReport's payload at pad "\n  "). The stdlib indents only in
+    pure-Python generators; this fills one list and joins it once,
+    escaping strings in C."""
     parts = []
     put = parts.append
 
@@ -666,12 +694,37 @@ def _dump_report(obj) -> str:
         else:
             raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
-    emit(obj, "\n")
+    emit(obj, pad)
     return "".join(parts)
+
+
+_VERSION = _encode_str(__version__)
+_RESULT_PAD = "\n  "  # the indent of the RunReport's "result" line
+
+
+def _report_text(raw, surface, payload, elapsed_ms) -> str:
+    """json.dumps(report, indent=2), byte for byte, of the RunReport
+    {"command": ["divcalc", *raw], "surface": surface, "result": payload,
+    "elapsed_ms": elapsed_ms, "version": __version__}, for str items of
+    raw, a str or None surface and an int elapsed_ms. The fixed envelope
+    is written here, one escape per string; only the payload goes through
+    _dump_report, at the indent of the "result" line."""
+    command = "".join([',\n    ' + _encode_str(a) for a in raw])
+    surface = "null" if surface is None else _encode_str(surface)
+    return (f'{{\n  "command": [\n    "divcalc"{command}\n  ],\n'
+            f'  "surface": {surface},\n'
+            f'  "result": {_dump_report(payload, _RESULT_PAD)},\n'
+            f'  "elapsed_ms": {elapsed_ms},\n'
+            f'  "version": {_VERSION}\n}}')
 
 
 def main(argv=None) -> int:
     raw = list(sys.argv[1:]) if argv is None else list(argv)
+    for i, item in enumerate(raw):
+        if not isinstance(item, str):
+            print(f"divcalc: error: argument {i + 1} is of type "
+                  f"{type(item).__name__}, not str", file=sys.stderr)
+            return 1
     try:
         args = _parse_args(raw)
     except SystemExit as exc:
@@ -680,22 +733,16 @@ def main(argv=None) -> int:
     t0 = time.perf_counter_ns()
     try:
         out = args.handler(args)
+        shown = out.payload() if args.json else out.lines()
     except (DivcalcError, OSError) as exc:
         print(f"divcalc: error: {exc}", file=sys.stderr)
         return 1
     elapsed_ms = (time.perf_counter_ns() - t0) // 1_000_000
 
     if args.json:
-        report = {
-            "command": ["divcalc"] + raw,
-            "surface": out.surface,
-            "result": out.payload,
-            "elapsed_ms": elapsed_ms,
-            "version": __version__,
-        }
-        print(_dump_report(report))
+        print(_report_text(raw, out.surface, shown, elapsed_ms))
     else:
-        for line in out.lines:
+        for line in shown:
             print(line)
 
     if out.failed:

@@ -328,6 +328,29 @@ class TestExitCodes:
             assert rc == 1, aux
             assert "KEY=INT" in cap.err, aux
 
+    @pytest.mark.parametrize("argv, err", [
+        (["gonality", "--l2", 12, "--phi", "2"],
+         "argument 3 is of type int, not str"),
+        ([b"gonality"], "argument 1 is of type bytes, not str"),
+        (["--version", None], "argument 2 is of type NoneType, not str"),
+        (["corank", "--g", "3", "--h1-m", "0", "--cork-mu", "0",
+          "--h0-2k-minus-m", "0", "--aux", "4K-M=5", "--aux", "4K-M=0"],
+         "--aux key '4K-M' given twice"),
+        (["cliff", "--d", "4", "--h0", "2", "--g", "7"],
+         "pass either --d and --h0, or --g, not both"),
+        (["cliff", "--h0", "2", "--g", "7", "--json"],
+         "pass either --d and --h0, or --g, not both"),
+    ], ids=["int-item", "bytes-item", "none-item", "aux-key-twice",
+            "cliff-mixed", "cliff-h0-and-g"])
+    def test_input_refusals(self, capsys, argv, err):
+        """A non-str argv item, a repeated --aux key (the last value would
+        win and change the verdict) and cliff's two modes at once (--g
+        would be ignored) exit 1 with one error line and no output."""
+        rc = cli.main(argv)
+        cap = capsys.readouterr()
+        assert rc == 1 and cap.out == ""
+        assert cap.err == f"divcalc: error: {err}\n"
+
 
 class TestGaussianCommand:
     def test_main_derives_genus_from_l2(self, capsys):
@@ -780,29 +803,77 @@ _VALUES = st.recursive(
 
 
 class TestReportWriter:
-    """_dump_report writes what json.dumps(report, indent=2) would, byte for
-    byte, without the stdlib's pure-Python indenting encoder."""
+    """_report_text and _dump_report write what json.dumps(report, indent=2)
+    would, byte for byte, without the stdlib's pure-Python indenting
+    encoder."""
 
     @pytest.mark.parametrize(
         "argv", GOOD_JSON_COMMANDS + [["verify", "--all"]],
         ids=lambda a: " ".join(a))
     def test_reports_match_json_dumps(self, capsys, monkeypatch, argv):
         seen = []
-        dump = cli._dump_report
+        text = cli._report_text
 
-        def spy(obj):
-            seen.append(obj)
-            return dump(obj)
+        def spy(raw, surface, payload, elapsed_ms):
+            seen.append({"command": ["divcalc", *raw], "surface": surface,
+                         "result": payload, "elapsed_ms": elapsed_ms,
+                         "version": cli.__version__})
+            return text(raw, surface, payload, elapsed_ms)
 
-        monkeypatch.setattr(cli, "_dump_report", spy)
+        monkeypatch.setattr(cli, "_report_text", spy)
         rc, out = run(capsys, argv + ["--json"])
         assert rc == 0 and len(seen) == 1
+        assert seen[0]["command"] == ["divcalc", *argv, "--json"]
         assert out == json.dumps(seen[0], indent=2) + "\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_TEXT, max_size=6), st.none() | _TEXT, _VALUES,
+           st.integers(min_value=0, max_value=2**40))
+    def test_arbitrary_reports_match_json_dumps(
+            self, raw, surface, payload, elapsed_ms):
+        report = {"command": ["divcalc", *raw], "surface": surface,
+                  "result": payload, "elapsed_ms": elapsed_ms,
+                  "version": cli.__version__}
+        assert (cli._report_text(raw, surface, payload, elapsed_ms)
+                == json.dumps(report, indent=2))
 
     @settings(max_examples=200, deadline=None)
     @given(_VALUES)
     def test_arbitrary_values_match_json_dumps(self, obj):
         assert cli._dump_report(obj) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize(
+        "argv", GOOD_JSON_COMMANDS + [["verify", "--all"]],
+        ids=lambda a: " ".join(a))
+    @pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+    def test_each_call_renders_only_what_it_prints(
+            self, capsys, monkeypatch, argv, as_json):
+        """A --json call never builds the text lines and a text call never
+        builds the payload; a --json call writes the payload with one
+        _dump_report call."""
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        outcome = cli._Outcome
+
+        def counting_outcome(payload, surface, lines, **flags):
+            return outcome(counted("payload", payload), surface,
+                           counted("lines", lines), **flags)
+
+        monkeypatch.setattr(cli, "_Outcome", counting_outcome)
+        monkeypatch.setattr(cli, "_dump_report",
+                            counted("_dump_report", cli._dump_report))
+        rc, out = run(capsys, argv + ["--json"] if as_json else argv)
+        assert rc == 0 and out
+        if as_json:
+            assert calls == Counter(payload=1, _dump_report=1)
+        else:
+            assert calls == Counter(lines=1)
 
     @pytest.mark.parametrize("obj", [
         1.0, Fraction(1, 2), {1, 2}, {1: "a"}, {"a": [0, 0.5]},
