@@ -262,53 +262,50 @@ def _verdict_outcome(verdict):
     )
 
 
+# per --rule: the options it requires, the other options it reads, and
+# its verdict on the parsed arguments. _cmd_gaussian refuses any option
+# of the command that the chosen rule does not read.
+_GAUSSIAN_RULES = {
+    "main": (
+        ("l2",), ("g", "phi", "deg_m", "h1_m", "h0_residual", "cliff"),
+        lambda a: check_main_theorem(GaussianInput(
+            g=a.l2 // 2 + 1 if a.g is None else a.g, L2=a.l2, phi=a.phi,
+            degM=a.deg_m, h1M=a.h1_m, h0_residual=a.h0_residual,
+            cliff=a.cliff))),
+    "cliff": (
+        ("cliff", "h0_2k_minus_m"), (),
+        lambda a: check_cliff_criterion(a.cliff, a.h0_2k_minus_m)),
+    "bel": (
+        ("g", "deg_m", "h1_m", "h0_2k_minus_m", "cliff"), (),
+        lambda a: check_bel(a.g, a.deg_m, a.h1_m, a.h0_2k_minus_m, a.cliff)),
+    "degree": (
+        ("g", "deg_m"), ("plane_quintic", "trigonal", "m_eq_special"),
+        lambda a: check_degree_corollaries(
+            a.g, a.deg_m, plane_quintic=a.plane_quintic,
+            trigonal=a.trigonal, M_eq_special=a.m_eq_special)),
+    "tetragonal": (
+        ("h0_2k_minus_m", "h0_2k_minus_m_b2a"), ("h1_m", "mu_surjective"),
+        lambda a: tetragonal_corank(
+            a.h0_2k_minus_m, a.h0_2k_minus_m_b2a, h1M_zero=(a.h1_m == 0),
+            mu_surjective=a.mu_surjective)),
+}
+_GAUSSIAN_OPTIONS = tuple(dict.fromkeys(
+    n for required, reads, _ in _GAUSSIAN_RULES.values()
+    for n in required + reads))
+
+
 def _cmd_gaussian(args):
-    rule = args.rule
-    if rule == "main":
-        _need(args, "l2")
-        g = args.g if args.g is not None else args.l2 // 2 + 1
-        inp = GaussianInput(
-            g=g,
-            L2=args.l2,
-            phi=args.phi,
-            degM=args.deg_m,
-            h1M=args.h1_m,
-            h0_residual=args.h0_residual,
-            cliff=args.cliff,
-        )
-        return _verdict_outcome(check_main_theorem(inp))
-    if rule == "cliff":
-        _need(args, "cliff", "h0_2k_minus_m")
-        return _verdict_outcome(
-            check_cliff_criterion(args.cliff, args.h0_2k_minus_m)
-        )
-    if rule == "bel":
-        _need(args, "g", "deg_m", "h1_m", "h0_2k_minus_m", "cliff")
-        return _verdict_outcome(
-            check_bel(args.g, args.deg_m, args.h1_m,
-                      args.h0_2k_minus_m, args.cliff)
-        )
-    if rule == "degree":
-        _need(args, "g", "deg_m")
-        return _verdict_outcome(
-            check_degree_corollaries(
-                args.g, args.deg_m,
-                plane_quintic=args.plane_quintic,
-                trigonal=args.trigonal,
-                M_eq_special=args.m_eq_special,
-            )
-        )
-    if rule == "tetragonal":
-        _need(args, "h0_2k_minus_m", "h0_2k_minus_m_b2a")
-        return _verdict_outcome(
-            tetragonal_corank(
-                args.h0_2k_minus_m,
-                args.h0_2k_minus_m_b2a,
-                h1M_zero=(args.h1_m == 0),
-                mu_surjective=args.mu_surjective,
-            )
-        )
-    raise ModelError(f"unknown rule {rule!r}")
+    required, optional, verdict = _GAUSSIAN_RULES[args.rule]
+    reads = required + optional
+    # a flag is given when True, a valued option (0 too) when not None
+    unread = ["--" + n.replace("_", "-") for n in _GAUSSIAN_OPTIONS
+              if n not in reads
+              and (v := getattr(args, n)) is not None and v is not False]
+    if unread:
+        raise ModelError(f"--rule {args.rule} does not read "
+                         + ", ".join(unread))
+    _need(args, *required)
+    return _verdict_outcome(verdict(args))
 
 
 def _cmd_corank(args):

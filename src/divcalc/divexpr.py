@@ -92,8 +92,13 @@ def resolve(expr: DivExpr | str, model: LatticeModel) -> DivClass:
 def render(klass: DivClass) -> str:
     """Inverse of resolve: coefficients against the basis labels, zero
     terms skipped, the zero class printed as "0"."""
+    return render_coords(klass.coords, klass.model.labels)
+
+
+def render_coords(coords, labels) -> str:
+    """render of the class with these coordinates, building no DivClass."""
     parts = []
-    for c, lab in zip(klass.coords, klass.model.labels):
+    for c, lab in zip(coords, labels):
         if c == 0:
             continue
         sign = "-" if c < 0 else ("+" if parts else "")

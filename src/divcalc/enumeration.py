@@ -22,10 +22,10 @@ verify_case replays any of them.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from operator import mul
 
-from .divexpr import render, resolve
+from .divexpr import render, render_coords, resolve
 from .errors import FixtureError, RangeError
 from .lattice import (
     DivClass,
@@ -98,9 +98,10 @@ class EnumerationResult(_Record):
 def _auto_mod4(model, C: DivClass) -> bool:
     """The residual parity constraint is tied to curves that are twice the
     anticanonical class linearly; numerically we can only see the class,
-    so the default keys on coordinates and disables itself on the chi = 0
-    ruled family. Explicit flags override this guess."""
-    if model.kind == "blcn":
+    so the default keys on coordinates and disables itself on models with
+    chi = 0, such as the elliptic ruled blcN. Explicit flags override
+    this guess."""
+    if model.chi == 0:
         return False
     minus2k = tuple(-2 * v for v in model.canonical)
     return C.coords == minus2k
@@ -114,35 +115,39 @@ _SURVIVOR_TRACE = {True: _PASSES,
                    False: _PASSES[:-1] + (("mod4", "skip: parity flag off"),)}
 
 
+@lru_cache(maxsize=32)
+def _sign_stage(model):
+    """The sign stage of model, built once: the rows S = (G t for t in
+    model.sign_tests), so S x lists the L.t, or None when S is the gram
+    (the kernel has G x already); and the failure detail of S x."""
+    gram = model.gram
+    S = tuple(tuple(sum(map(mul, row, t)) for row in gram)
+              for t in model.sign_tests)
+    names = [render_coords(t, model.labels) for t in model.sign_tests]
+
+    def sign(SL):
+        negs = [name for name, v in zip(names, SL) if v < 0]
+        return f"negative pairing with {negs}"
+
+    return (None if S == gram else S), sign
+
+
 def _stage_kernel(model, k, apply_mod4):
     """The staged filters as stages(x, s), on the class L with coordinates
     x and s = L.C: (stage, detail) for the first violated constraint,
-    else (None, (L^2, M.L, deg D)). The search passes s from its slice
-    and explainer pairs L with C; every stage is evaluated, also
-    those the slice windows imply, so both see the same trace."""
-    gram, kind, n = model.gram, model.kind, model.rank
-    # the sign stage keeps L when S L >= 0; the model kind picks S and the
-    # wording of a failure together, once per kernel: the gram on sigma
-    # models, the identity on ruled and blcN models, and the gram rows of
-    # the effective labels otherwise
-    if kind == "sigma":
-        S, sign = gram, "basis pairings {} not all >= 0".format
-    elif kind in ("ruled", "blcn"):
-        S = [[int(i == j) for j in range(n)] for i in range(n)]
-        sign = "coordinates {} not all >= 0".format
-    else:
-        labels = model.effective_labels
-        S = [gram[model.labels.index(lab)] for lab in labels]
-
-        def sign(SL):
-            negs = [lab for lab, v in zip(labels, SL) if v < 0]
-            return f"negative pairing with effective {negs}"
+    else (None, (L^2, M.L, deg D)). The sign stage keeps L when L.t >= 0
+    for every t of model.sign_tests (_sign_stage). The search passes s
+    from its slice and explainer pairs L with C; every stage is
+    evaluated, also those the slice windows imply, so both see the same
+    trace."""
+    gram = model.gram
+    S, sign = _sign_stage(model)
 
     def stages(x, s):
         if not any(x):
             return "nonzero", "zero class"
         GL = [sum(map(mul, row, x)) for row in gram]
-        SL = GL if S is gram else [sum(map(mul, row, x)) for row in S]
+        SL = GL if S is None else [sum(map(mul, row, x)) for row in S]
         if SL and min(SL) < 0:
             return "sign", sign(SL)
         L2 = sum(map(mul, GL, x))

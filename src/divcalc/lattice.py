@@ -40,7 +40,6 @@ _set = object.__setattr__  # fills a slot past the read-only __setattr__
 
 # a basis label is an identifier of divisor expressions (divexpr's token)
 _LABEL = re.compile(r"[A-Za-z][A-Za-z0-9]*")
-_KINDS = ("sigma", "ruled", "blcn", "enriques", "config", "generic")
 
 
 class _Record:
@@ -137,25 +136,25 @@ class LatticeModel(_Record):
     """An integral lattice: labeled basis, gram matrix, distinguished classes.
 
     Every label is an identifier [A-Za-z][A-Za-z0-9]*, so a divisor
-    expression can name it. kind tags the geometry family ("sigma",
-    "ruled", "blcn", "enriques", "config", "generic") and steers
-    surface-specific behavior elsewhere; the lattice operations in this
-    module ignore it. effective_labels lists the basis classes known to
-    be effective divisors, used by positivity tests. The gram rows,
-    canonical and ample_ref are stored as tuples, so a model built from
-    lists is the model built from tuples; a gram, row, canonical or
-    ample_ref that is no sequence raises ModelError naming it, and their
+    expression can name it. effective_labels lists the basis classes
+    known to be effective divisors. sign_tests holds the coordinates of
+    the classes t a decomposition piece L must meet with L.t >= 0; left
+    out (None), they are the basis vectors of effective_labels. The gram
+    rows, canonical, ample_ref and sign_tests rows are stored as tuples,
+    so a model built from lists is the model built from tuples; any of
+    them that is no sequence raises ModelError naming it, and their
     entries and chi must be ints (not bools) inside the 64-bit envelope.
     """
 
     __slots__ = ("name", "labels", "gram", "canonical", "chi", "ample_ref",
-                 "kind", "effective_labels")
+                 "effective_labels", "sign_tests")
 
     def __init__(
         self, name: str, labels: tuple[str, ...],
         gram: tuple[tuple[int, ...], ...], canonical: tuple[int, ...],
         chi: int, ample_ref: tuple[int, ...] | None = None,
-        kind: str = "generic", effective_labels: tuple[str, ...] = (),
+        effective_labels: tuple[str, ...] = (),
+        sign_tests: tuple[tuple[int, ...], ...] | None = None,
     ):
         if not isinstance(name, str):
             raise ModelError(f"model name must be a string, got {name!r}")
@@ -174,15 +173,7 @@ class LatticeModel(_Record):
             if not _LABEL.fullmatch(lab):
                 raise ModelError(f"basis label {lab!r} is not an identifier "
                                  f"{_LABEL.pattern}")
-        if kind not in _KINDS:
-            raise ModelError(f"unknown model kind {kind!r}; kinds are "
-                             f"{', '.join(_KINDS)}")
-        gram = tuple(_model_seq(row, "gram row")
-                     for row in _model_seq(gram, "gram"))
-        if len(gram) != n or any(len(row) != n for row in gram):
-            raise ModelError(f"gram must be {n}x{n}")
-        gram = tuple(tuple(_model_int(v, "gram entry") for v in row)
-                     for row in gram)
+        gram = _model_rows(gram, "gram", n, n)
         if list(zip(*gram)) != list(gram):
             raise ModelError("gram must be symmetric")
         canonical = tuple(_model_int(v, "canonical entry")
@@ -198,8 +189,17 @@ class LatticeModel(_Record):
         unknown = set(effective_labels) - set(labels)
         if unknown:
             raise ModelError(f"effective_labels not in basis: {sorted(unknown)}")
+        if sign_tests is None:
+            sign_tests = _unit_vectors(labels, effective_labels)
+        else:
+            sign_tests = _model_rows(sign_tests, "sign_tests", n)
         _Record.__init__(self, name, labels, gram, canonical, chi, ample_ref,
-                         kind, effective_labels)
+                         effective_labels, sign_tests)
+
+    def __hash__(self):
+        # equal models share these, whose strings cache their own hashes,
+        # so a model is a cheap cache key (enumeration._sign_stage)
+        return hash((self.name, self.labels))
 
     @property
     def rank(self):
@@ -243,11 +243,16 @@ class LatticeModel(_Record):
             "ample_ref": list(self.ample_ref) if self.ample_ref else None,
             "chi": self.chi,
         }
-        if self.kind != "generic":
-            d["kind"] = self.kind
         if self.effective_labels:
             d["effective"] = list(self.effective_labels)
+        if self.sign_tests != _unit_vectors(self.labels, self.effective_labels):
+            d["sign_tests"] = [list(t) for t in self.sign_tests]
         return d
+
+
+def _unit_vectors(labels, chosen):
+    """The basis vectors of the labels in chosen, in that order."""
+    return tuple(tuple(int(lab == c) for lab in labels) for c in chosen)
 
 
 def _model_int(v, what):
@@ -255,6 +260,16 @@ def _model_int(v, what):
     if not isinstance(v, int) or isinstance(v, bool):
         raise ModelError(f"{what} must be an integer, got {v!r}")
     return _check_i64(v, what)
+
+
+def _model_rows(rows, what, n, count=None):
+    """rows as a tuple of int tuples, count of them (any number when
+    None) of length n each; ModelError naming what otherwise."""
+    rows = tuple(_model_seq(r, f"{what} row") for r in _model_seq(rows, what))
+    count = len(rows) if count is None else count
+    if len(rows) != count or any(len(r) != n for r in rows):
+        raise ModelError(f"{what} must be {count}x{n}")
+    return tuple(tuple(_model_int(v, f"{what} entry") for v in r) for r in rows)
 
 
 def _model_seq(v, what):
@@ -282,6 +297,13 @@ def _json_str(v):
     raise TypeError(f"expected a string, got {v!r}")
 
 
+def _json_rows(v):
+    """The rows of a JSON list of integer lists, as tuples."""
+    if isinstance(v, list) and all(isinstance(r, list) for r in v):
+        return tuple(tuple(map(_json_int, r)) for r in v)
+    raise TypeError(f"expected a list of integer lists, got {v!r}")
+
+
 def _json_strs(v):
     """The strings of a JSON list as a tuple; "HG" is not two labels."""
     if isinstance(v, list):
@@ -293,14 +315,18 @@ def model_from_json_dict(d, name=None):
     try:
         name = name or _json_str(d.get("name", "unnamed"))
         labels = _json_strs(d["basis"])
-        gram = tuple(tuple(_json_int(v) for v in row) for row in d["gram"])
+        gram = _json_rows(d["gram"])
         canonical = tuple(_json_int(v) for v in d["canonical"])
         chi = _json_int(d["chi"])
         amp = d.get("ample_ref")
         # only an absent key or null means no ample class
         ample_ref = None if amp is None else tuple(_json_int(v) for v in amp)
-        kind = _json_str(d.get("kind", "generic"))
+        if "kind" in d:  # it chose the sign test, so it is not ignored
+            raise ModelError("bad lattice definition: 'kind' is no longer "
+                             "read; state the sign test as 'sign_tests'")
         effective = _json_strs(d.get("effective", []))
+        tests = d.get("sign_tests")
+        tests = None if tests is None else _json_rows(tests)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"bad lattice definition: {exc}") from exc
     return LatticeModel(
@@ -310,8 +336,8 @@ def model_from_json_dict(d, name=None):
         canonical=canonical,
         chi=chi,
         ample_ref=ample_ref,
-        kind=kind,
         effective_labels=effective,
+        sign_tests=tests,
     )
 
 

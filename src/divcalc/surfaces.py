@@ -1,12 +1,14 @@
 """Named surface geometries and the numerics that depend on them.
 
-A surface here is a LatticeModel whose kind names its family: the
-Enriques lattice (U perp E8(-1)), plane blow-ups sigma1..sigma9 with gram
-diag(1, -1, ..), and two ruled models ("blq" with a -2 section, "blc6"
-and friends with a -n section). An isotropic configuration is a model of
-kind "config": a small sublattice spanned by labeled isotropic classes
-with a supplied nonnegative pairing table, zero canonical class and
-chi(O) = 1; the structure lemmas work entirely inside these.
+A surface here is a LatticeModel: the Enriques lattice (U perp E8(-1)),
+plane blow-ups sigma1..sigma9 with gram diag(1, -1, ..), and two ruled
+models ("blq" with a -2 section, "blc6" and friends with a -n section).
+Each states its sign test as model data (LatticeModel.sign_tests): none
+on Enriques, the basis on sigma_n, and f, C0 + nf on the ruled models.
+An isotropic configuration is a model too: a small sublattice spanned by
+labeled isotropic classes with a supplied nonnegative pairing table, zero
+canonical class and chi(O) = 1, every class effective; the structure
+lemmas work entirely inside these.
 
 On top of the models: adjunction genus, Riemann-Roch chi, the residual
 parity test, the minimal-pencil-degree invariant phi, the quasi-nef
@@ -113,7 +115,6 @@ def enriques() -> LatticeModel:
         canonical=(0,) * 10,
         chi=1,
         ample_ref=(1, 1) + (0,) * 8,
-        kind="enriques",
     )
 
 
@@ -136,13 +137,13 @@ def sigma(n: int) -> LatticeModel:
         canonical=(-3,) + (1,) * n,
         chi=1,
         ample_ref=amp,
-        kind="sigma",
         effective_labels=labels,
     )
 
 
 def blq() -> LatticeModel:
-    """Ruled model with a section of square -2 (even intersection form)."""
+    """Ruled model with a section of square -2 (even intersection form).
+    Its sign test keeps L = aC0 + bf with a = L.f, b = L.(C0 + 2f) >= 0."""
     return LatticeModel(
         name="blq",
         labels=("C0", "f"),
@@ -150,8 +151,8 @@ def blq() -> LatticeModel:
         canonical=(-2, -4),
         chi=1,
         ample_ref=(1, 3),
-        kind="ruled",
         effective_labels=("C0", "f"),
+        sign_tests=((0, 1), (1, 2)),
     )
 
 
@@ -170,8 +171,8 @@ def blcn(n: int) -> LatticeModel:
         canonical=(-2, -n),
         chi=0,
         ample_ref=(1, n + 1),
-        kind="blcn",
         effective_labels=("C0", "f"),
+        sign_tests=((0, 1), (1, n)),
     )
 
 
@@ -255,7 +256,6 @@ def config_from_json_dict(doc, name="config") -> LatticeModel:
         canonical=(0,) * n,
         chi=1,
         ample_ref=None,
-        kind="config",
         effective_labels=labels,
     )
 

@@ -132,7 +132,7 @@ def test_acceptance_5_oracle_equivalence():
     for cid, (skey, C, k, mod4) in ORACLE_CASES.items():
         surf = get_surface(skey)
         budget = 8 * k
-        bound = budget // 3 if surf.model.kind == "sigma" else budget
+        bound = budget // 3 if skey.startswith("sigma") else budget
         res = enumerate_bogreider(surf, surf.model.klass(C), k, mod4=mod4)
         got = {(d.L.coords, d.z) for d in res.survivors}
         want = brute_survivors(skey, C, k, box=2 * bound, mod4=mod4)

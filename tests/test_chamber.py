@@ -283,10 +283,10 @@ class TestChamberPhi:
         res = phi(copy, L)
         assert calls == [] and res.witness.model is copy
         assert check_phi_certificate(L, res)
-        # kind "enriques" with another hyperbolic gram, here E10 with U1
-        # and U2 moved last, keeps the walk
+        # the Enriques labels with another hyperbolic gram, here E10 with
+        # U1 and U2 moved last, keep the walk: the gram alone picks it
         order = list(range(2, 10)) + [0, 1]
-        doc = {"name": "moved", "kind": "enriques",
+        doc = {"name": "moved",
                "basis": [E.labels[i] for i in order],
                "gram": [[GRAM[i][j] for j in order] for i in order],
                "canonical": [0] * 10, "chi": 1}

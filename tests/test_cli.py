@@ -215,7 +215,6 @@ class TestSurfaceLoading:
             "gram": [[0, 1], [1, 0]],
             "canonical": [0, 0],
             "chi": 1,
-            "kind": "generic",
         }
         (tmp_path / "toy.json").write_text(json.dumps(doc))
         monkeypatch.setenv("DIVCALC_SURFACE_PATH", str(tmp_path))
@@ -398,6 +397,41 @@ class TestGaussianCommand:
         cap = capsys.readouterr()
         assert rc == 1
         assert "h0_residual" in cap.err
+
+    @pytest.mark.parametrize("argv, unread", [
+        # these two printed SURJECTIVE with exit 0, the genus or class
+        # never reaching the verdict
+        (["cliff", "--cliff", "2", "--h0-2k-minus-m", "0", "--l2", "12",
+          "--phi", "2"], "--l2, --phi"),
+        (["tetragonal", "--h0-2k-minus-m", "0", "--h0-2k-minus-m-b2a", "0",
+          "--g", "99"], "--g"),
+        # a value of 0 is given, and so is a flag
+        (["tetragonal", "--h0-2k-minus-m", "0", "--h0-2k-minus-m-b2a", "0",
+          "--g", "0", "--trigonal"], "--g, --trigonal"),
+        (["main", "--l2", "12", "--h0-residual", "1", "--mu-surjective"],
+         "--mu-surjective"),
+        (["bel", "--g", "7", "--deg-m", "8", "--h1-m", "0",
+          "--h0-2k-minus-m", "0", "--cliff", "2", "--l2", "12"], "--l2"),
+        (["degree", "--g", "6", "--deg-m", "20", "--h1-m", "0",
+          "--h0-2k-minus-m-b2a", "1"], "--h1-m, --h0-2k-minus-m-b2a"),
+    ])
+    def test_options_the_rule_does_not_read_are_refused(self, capsys, argv,
+                                                         unread):
+        for json_flag in ([], ["--json"]):
+            rc = cli.main(["gaussian", "--rule", *argv, *json_flag])
+            cap = capsys.readouterr()
+            assert rc == 1 and cap.out == ""
+            assert cap.err == (f"divcalc: error: --rule {argv[0]} does not "
+                               f"read {unread}\n")
+
+    def test_every_gaussian_option_is_read_by_some_rule(self):
+        # so the refusal covers every option the command declares
+        sub = cli.build_parser()._commands["gaussian"]
+        dests = {a.dest for a in sub._actions} - {"help", "json", "strict",
+                                                  "rule"}
+        assert dests == set(cli._GAUSSIAN_OPTIONS)
+        assert set(cli._GAUSSIAN_RULES) == set(
+            sub._option_string_actions["--rule"].choices)
 
 
 class TestVerifyCommand:

@@ -322,8 +322,8 @@ def test_sigma_model_with_h_not_first_keeps_its_survivors():
     doc = surf.to_json_dict()
     moved = model_from_json_dict({
         "name": "sigma3-G1-first",
-        "kind": "sigma",
         "basis": [doc["basis"][i] for i in perm],
+        "effective": [doc["effective"][i] for i in perm],
         "gram": [[doc["gram"][i][j] for j in perm] for i in perm],
         "canonical": [doc["canonical"][i] for i in perm],
         "ample_ref": [doc["ample_ref"][i] for i in perm],
@@ -577,9 +577,11 @@ def test_search_builds_one_class_per_slice_point(monkeypatch):
     assert len(built) == len(res.survivors) == 6453
 
 
-# seeded searches that between them reject by sign and by parity on every
-# kind of model whose sign stage differs: gram rows (sigma), coordinates
-# (ruled, blcN), effective rows (config) and none at all (enriques)
+# seeded searches that between them reject by sign and by parity on models
+# whose sign rows S = (G t for t in sign_tests) take every shape: the gram
+# itself (sigma, config), rows of test classes that are no basis vectors
+# (blq, blcN), rows of a proper subset of the basis (_SIGMA3_EXCEPTIONAL)
+# and no rows at all (enriques)
 _KERNEL_SEARCHES = [
     ("sigma3", (3, -2, 1, 0), 4, False),
     ("sigma3", (7, 5, -1, -1), 6, True),
@@ -592,33 +594,98 @@ _KERNEL_SEARCHES = [
     ("enriques", (2, 3, 0, 0, 1, 0, -1, -1, 0, 1), 3, True),
 ]
 
+# sigma3 whose sign test reads the exceptional classes G1..G3 but not H
+_SIGMA3_EXCEPTIONAL = model_from_json_dict(dict(
+    sigma(3).to_json_dict(), name="sigma3-exceptional",
+    effective=["G1", "G2", "G3"]))
 
-def test_search_and_explain_share_one_stage_kernel():
-    kinds, buckets = set(), set()
+
+def _kernel_searches():
+    """(model, C, k, mod4) of _KERNEL_SEARCHES and of the sigma3 searches
+    there on _SIGMA3_EXCEPTIONAL."""
     for name, coords, k, mod4 in _KERNEL_SEARCHES:
         m = (get_config if name.startswith("pencil") else get_surface)(name)
-        C = m.klass(coords)
-        res = enumerate_bogreider(m, C, k, mod4=mod4)
+        yield m, m.klass(coords), k, mod4
+        if name == "sigma3":
+            m = _SIGMA3_EXCEPTIONAL
+            yield m, m.klass(coords), k, mod4
+
+
+def _sign_shape(m):
+    rows = tuple(tuple(pair(m.basis_class(lab), m.klass(t))
+                       for lab in m.labels) for t in m.sign_tests)
+    if not rows:
+        return "no rows"
+    if rows == m.gram:
+        return "gram"
+    if set(rows) <= set(m.gram):
+        return "subset of the gram"
+    return "other test classes"
+
+
+def _explained(m, C, k, mod4):
+    """(search result, {coords: (Decomposition or None, trace)}) with
+    every slice point of the search explained."""
+    res = enumerate_bogreider(m, C, k, mod4=mod4)
+    explain = explainer(m, C, k, mod4=mod4)
+    return res, {L.coords: explain(L.coords) for s in range(k, 2 * k + 1)
+                 for L in slice_points(C, s, s - k, s // 2)}
+
+
+def test_search_and_explain_share_one_stage_kernel():
+    shapes, buckets = set(), set()
+    for m, C, k, mod4 in _kernel_searches():
+        res, explained = _explained(m, C, k, mod4)
         kept = {d.L.coords: d for d in res.survivors}
-        matched, seen = 0, Counter()
-        explain = explainer(m, C, k, mod4=mod4)
-        for s in range(k, 2 * k + 1):
-            for L in slice_points(C, s, s - k, s // 2):
-                dec, trace = explain(L.coords)
-                if L.coords in kept:
-                    assert dec == kept[L.coords]
-                    assert list(kept[L.coords].filter_trace) == trace
-                    matched += 1
-                else:
-                    assert dec is None
-                    seen[trace[-1][0]] += 1
-        assert matched == len(res.survivors)
-        assert seen == Counter(res.rejected), name
+        seen = Counter()
+        for x, (dec, trace) in explained.items():
+            if x in kept:
+                assert dec == kept[x]
+                assert list(kept[x].filter_trace) == trace
+                continue
+            assert dec is None
+            seen[trace[-1][0]] += 1
+            if trace[-1][0] == "sign":
+                # one wording on every model: the test classes t with
+                # L.t < 0, each rendered against the basis
+                L = m.klass(x)
+                negs = [render(m.klass(t)) for t in m.sign_tests
+                        if pair(L, m.klass(t)) < 0]
+                assert negs and trace[-1] == (
+                    "sign", f"fail: negative pairing with {negs}")
+        assert set(kept) <= set(explained)
+        assert seen == Counter(res.rejected), m.name
         assert sum(res.rejected.values()) == res.visited - len(res.survivors)
-        kinds.add(m.kind)
+        shapes.add(_sign_shape(m))
         buckets |= set(res.rejected)
-    assert kinds == {"sigma", "ruled", "blcn", "config", "enriques"}
+    assert shapes == {"gram", "other test classes", "subset of the gram",
+                      "no rows"}
     assert buckets == {"sign", "mod4"}
+
+
+def test_a_json_model_with_blq_sign_tests_is_blq():
+    # blq's gram with its sign test stated in the document, under another
+    # name: the same survivors, rejections and traces as the builtin on the
+    # blq searches of _KERNEL_SEARCHES, and on two that keep survivors
+    blq = get_surface("blq")
+    doc = {"name": "ruled-q", "basis": ["C0", "f"], "gram": [[-2, 1], [1, 0]],
+           "canonical": [-2, -4], "chi": 1, "sign_tests": [[0, 1], [1, 2]]}
+    twin = model_from_json_dict(doc)
+    assert twin.sign_tests == blq.sign_tests and not twin.effective_labels
+    searches = [(coords, k, mod4) for name, coords, k, mod4
+                in _KERNEL_SEARCHES if name == "blq"]
+    seen = Counter()
+    for coords, k, mod4 in searches + [((4, 8), 4, None), ((3, 7), 6, False)]:
+        want, want_traces = _explained(blq, blq.klass(coords), k, mod4)
+        got, got_traces = _explained(twin, twin.klass(coords), k, mod4)
+        assert got.to_json_dict() == dict(want.to_json_dict(),
+                                          surface="ruled-q")
+        assert [(d and d.to_json_dict(), t) for d, t in got_traces.values()
+                ] == [(d and d.to_json_dict(), t)
+                      for d, t in want_traces.values()]
+        seen.update(got.rejected)
+        seen["survivors"] += len(got.survivors)
+    assert set(seen) == {"sign", "mod4", "survivors"}
 
 
 class TestDestab:

@@ -109,7 +109,9 @@ class TestModelValidation:
          ("gram", [[1.5, 0], [0, -1]]), ("canonical", [True, 0]),
          ("chi", "1"), ("ample_ref", [3, 1.5]), ("ample_ref", 0),
          ("ample_ref", False), ("basis", [1, None]), ("basis", ["H", 1]),
-         ("effective", [1]), ("kind", 3), ("kind", None),
+         ("effective", [1]), ("sign_tests", 3), ("sign_tests", "HG"),
+         ("sign_tests", [1, 0]), ("sign_tests", [[1, "x"]]),
+         ("sign_tests", [[1.0, 0]]), ("sign_tests", [[True, 0]]),
          # label lists must be JSON lists ("HG" is not two labels) and
          # the name a string
          ("basis", "HG"), ("basis", {"H": 0, "G": 1}), ("effective", "G"),
@@ -146,12 +148,15 @@ class TestModelValidation:
         with pytest.raises(ModelError, match="not an identifier"):
             _model([[1, 0], [0, -1]], labels=["H", label])
 
-    @pytest.mark.parametrize("kind", ["nonsense", "Sigma", ""])
-    def test_kind_must_be_a_known_family(self, kind):
+    @pytest.mark.parametrize("kind", ["sigma", "ruled", "generic",
+                                      "nonsense", None])
+    def test_a_document_with_kind_is_refused(self, kind):
+        # "kind" used to pick the sign test; read as nothing, a "ruled"
+        # file would silently get the default test of its effective labels
         doc = dict(sigma(1).model.to_json_dict(), kind=kind)
-        with pytest.raises(ModelError, match="unknown model kind"):
+        with pytest.raises(ModelError, match="'kind'.*'sign_tests'"):
             model_from_json_dict(doc)
-        with pytest.raises(ModelError, match="unknown model kind"):
+        with pytest.raises(TypeError, match="kind"):
             _model([[1, 0], [0, -1]], kind=kind)
 
     def test_builtin_labels_and_kinds_are_accepted(self):
@@ -159,7 +164,34 @@ class TestModelValidation:
         models += [get_config(n) for n in list_configs()]
         for m in models:
             again = model_from_json_dict(m.to_json_dict())
-            assert (again.labels, again.kind) == (m.labels, m.kind)
+            assert again == m and again.sign_tests == m.sign_tests
+
+    def test_sign_tests_default_to_the_effective_basis_vectors(self):
+        # and the JSON writes them only when they differ from the default
+        m = _model([[1, 0, 0], [0, -1, 0], [0, 0, -1]],
+                   effective_labels=("B2", "B0"))
+        assert m.sign_tests == ((0, 0, 1), (1, 0, 0))
+        assert "sign_tests" not in m.to_json_dict()
+        for tests in [(), ((0, 0, 1),), ((1, 0, 0), (0, 0, 1)),
+                      ((1, 1, 0), (0, 0, 1))]:
+            other = _model(m.gram, effective_labels=("B2", "B0"),
+                           sign_tests=tests)
+            assert other.to_json_dict()["sign_tests"] == [
+                list(t) for t in tests]
+            assert model_from_json_dict(other.to_json_dict()) == other
+        # the default, stated as lists, is the same model
+        assert _model(m.gram, effective_labels=("B2", "B0"),
+                      sign_tests=[[0, 0, 1], [1, 0, 0]]) == m
+        assert get_surface("blq").to_json_dict()["sign_tests"] == [
+            [0, 1], [1, 2]]
+        assert "sign_tests" not in get_surface("sigma3").to_json_dict()
+        assert "sign_tests" not in get_surface("enriques").to_json_dict()
+
+    @pytest.mark.parametrize("tests", [[[1]], [[1, 0, 0]], [[0, 1], [1]]])
+    def test_a_sign_test_of_another_length_is_refused(self, tests):
+        doc = dict(sigma(1).model.to_json_dict(), sign_tests=tests)
+        with pytest.raises(ModelError, match=r"sign_tests must be \dx2"):
+            model_from_json_dict(doc)
 
     def test_json_empty_ample_ref_is_refused(self):
         # only an absent key or null means "no ample class"
@@ -206,7 +238,10 @@ class TestModelValidation:
          ("ample_ref", (False, 1), ModelError), ("chi", 1.0, ModelError),
          ("chi", True, ModelError), ("chi", None, ModelError),
          ("gram", ((1.0, 0), (0, -1)), ModelError),
+         ("sign_tests", ((1, 0.5),), ModelError),
+         ("sign_tests", ((0, False),), ModelError),
          ("canonical", (2**63, 0), OverflowGuardError),
+         ("sign_tests", ((2**63, 0),), OverflowGuardError),
          ("ample_ref", (0, -(2**63)), OverflowGuardError),
          ("chi", 2**63, OverflowGuardError)])
     def test_constructor_refuses_entries_that_are_not_64_bit_ints(
@@ -220,7 +255,9 @@ class TestModelValidation:
     @pytest.mark.parametrize("field, value, what",
                              [("gram", 5, "gram"), ("gram", (1,), "gram row"),
                               ("canonical", 5, "canonical"),
-                              ("ample_ref", 5, "ample_ref")])
+                              ("ample_ref", 5, "ample_ref"),
+                              ("sign_tests", 5, "sign_tests"),
+                              ("sign_tests", (5,), "sign_tests row")])
     def test_constructor_refuses_a_field_that_is_not_a_sequence(
             self, field, value, what):
         # these were a bare TypeError, "'int' object is not iterable"
@@ -234,17 +271,18 @@ class TestModelValidation:
         m = sigma(2)
         twin = LatticeModel(m.name, m.labels, [list(r) for r in m.gram],
                             list(m.canonical), m.chi, list(m.ample_ref),
-                            m.kind, m.effective_labels)
+                            m.effective_labels,
+                            [list(t) for t in m.sign_tests])
         assert twin == m and hash(twin) == hash(m)
         assert all(type(r) is tuple for r in twin.gram)
         assert {type(twin.canonical), type(twin.ample_ref)} == {tuple}
+        assert all(type(t) is tuple for t in twin.sign_tests)
 
 
 # JSON values of another type or size than a document field wants
 _LEAF = st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=2),
                   st.sampled_from([2**63, -(2**63), 10**30]))
 _NAMES = ("H", "G", "E1", "U2")
-_KIND_NAMES = ("generic", "sigma", "ruled", "blcn", "enriques", "config")
 
 
 def _mutate(draw, doc):
@@ -296,8 +334,9 @@ def _model_docs(draw):
         "ample_ref": draw(st.none() | st.lists(small, min_size=n,
                                                max_size=n)),
         "chi": draw(small),
-        "kind": draw(st.sampled_from(_KIND_NAMES)),
         "effective": draw(st.lists(st.sampled_from(labels), unique=True)),
+        "sign_tests": draw(st.none() | st.lists(
+            st.lists(small, min_size=n, max_size=n), max_size=3)),
     }
     return _mutate(draw, doc)
 
@@ -772,7 +811,6 @@ def test_relabeling_leaves_pairings_alone():
         canonical=m.canonical,
         chi=m.chi,
         ample_ref=m.ample_ref,
-        kind=m.kind,
         effective_labels=("X", "Y", "Z"),
     )
     for coords in [(1, 2, 3), (0, -1, 4)]:

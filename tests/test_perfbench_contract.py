@@ -13,8 +13,11 @@ from pathlib import Path
 
 import divcalc
 from divcalc import cli
-from divcalc.enumeration import explain_candidate
+from divcalc.enumeration import explain_candidate, explainer
+from divcalc.lattice import slice_points
 from divcalc.surfaces import enriques, get_config, list_configs, phi
+
+from test_enumeration import _KERNEL_SEARCHES, _kernel_searches
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -42,11 +45,24 @@ def test_worker_entry_points_resolve():
 
 
 def test_traced_stages_cover_the_search():
+    # the stage names of a survivor and of a rejected candidate, on the
+    # blq -2K search and on every model of the stage-kernel searches
     tracing = _tracing()
     surf = divcalc.get_surface("blq")
     C = divcalc.resolve("-2K", surf)
     _, trace = explain_candidate(surf, C, 4, (0, 1), mod4=True)
     assert {name for name, _ in trace} <= set(tracing.STAGES)
+    models = set()
+    for m, C, k, mod4 in _kernel_searches():
+        explain = explainer(m, C, k, mod4=mod4)
+        for s in range(k, 2 * k + 1):
+            for L in slice_points(C, s, s - k, s // 2):
+                dec, trace = explain(L.coords)
+                assert {name for name, _ in trace} <= set(tracing.STAGES)
+                if dec is None:
+                    models.add(m.name)
+    assert models == {name for name, *_ in _KERNEL_SEARCHES} | {
+        "sigma3-exceptional"}
 
 
 def test_queries_phi_route_runs_on_every_builtin_config(capsys):

@@ -73,7 +73,9 @@ class TestBuiltinModels:
         c6 = blcn(6).model
         assert pair(c6.canonical_class, c6.canonical_class) == 0
         assert c6.chi == 0
-        assert c6.kind == "blcn"
+        # L = aC0 + bf has L.f = a and L.(C0 + nf) = b
+        assert q.sign_tests == ((0, 1), (1, 2))
+        assert c6.sign_tests == ((0, 1), (1, 6))
 
     def test_list_and_get(self):
         names = list_surfaces()
@@ -179,8 +181,10 @@ class TestConfigs:
         m = get_config(name)
         assert (m.name, m.labels, m.gram) == (name, labels, gram)
         assert m.canonical == (0,) * len(labels) and m.chi == 1
-        assert m.ample_ref is None and m.kind == "config"
-        assert m.effective_labels == labels
+        assert m.ample_ref is None and m.effective_labels == labels
+        assert m.sign_tests == tuple(
+            tuple(int(i == j) for j in range(len(labels)))
+            for i in range(len(labels)))
         assert get_config(name) is m
 
     def test_file_reusing_a_builtin_name_is_a_different_model(self, tmp_path):
@@ -188,7 +192,8 @@ class TestConfigs:
         p = tmp_path / "pencil-pair-1.json"
         p.write_text(json.dumps({"labels": ["E", "E1"], "pairs": [[0, 1, 2]]}))
         impostor, builtin = get_config(str(p)), get_config("pencil-pair-1")
-        assert impostor.name == "pencil-pair-1" and impostor.kind == "config"
+        assert impostor.name == "pencil-pair-1"
+        assert impostor.effective_labels == impostor.labels
         assert impostor.gram == ((0, 2), (2, 0))
         E = impostor.basis_class("E")
         assert E != builtin.basis_class("E")
