@@ -38,6 +38,13 @@ def _check_count(name, value, minimum=0):
         raise RangeError(f"{name} must be >= {minimum}, got {value}")
 
 
+def _check_flags(**flags):
+    """Refuse a flag that is not exactly a bool."""
+    for name, value in flags.items():
+        if not isinstance(value, bool):
+            raise RangeError(f"{name} must be a bool, got {value!r}")
+
+
 def _check_class(L2, phi, least):
     """Refuse a curve class square L2 that is not an int, odd or below
     least, and a pencil invariant phi, unless None, that is not an int,
@@ -170,6 +177,7 @@ def gonality(L2: int, phi: int, not_2D_special: bool = True) -> int:
     square-10 class of pencil invariant 3) that the two numbers alone
     cannot detect; it defaults to the generic (excluded) situation.
     """
+    _check_flags(not_2D_special=not_2D_special)
     _check_class(L2, phi, 2)
     if L2 == phi * phi and phi >= 2 and phi % 2 == 0:
         return 2 * phi - 2
@@ -185,17 +193,14 @@ def gonality(L2: int, phi: int, not_2D_special: bool = True) -> int:
 def clifford_of_series(d: int, h0: int) -> int:
     """Clifford contribution deg A - 2(h0(A) - 1) of a series of degree d
     with h0 sections."""
-    if h0 < 1:
-        raise RangeError(f"h0 must be >= 1, got {h0}")
-    if d < 0:
-        raise RangeError(f"degree must be >= 0, got {d}")
+    _check_count("h0", h0, 1)
+    _check_count("degree", d)
     return d - 2 * (h0 - 1)
 
 
 def cliff_upper_bound(g: int) -> int:
     """The general upper bound floor((g - 1) / 2) on the Clifford index."""
-    if g < 4:
-        raise RangeError(f"g must be >= 4, got {g}")
+    _check_count("g", g, 4)
     return (g - 1) // 2
 
 
@@ -325,10 +330,7 @@ def check_main_theorem(inp: GaussianInput) -> GaussianVerdict:
 def check_cliff_criterion(cliff: int, h0_2K_minus_M: int) -> GaussianVerdict:
     """Surjectivity from the Clifford index alone: index exactly 2 with
     h0(2K - M) = 0, or index >= 3 with h0(2K - M) <= 1."""
-    if cliff < 2:
-        raise RangeError(
-            f"the criterion assumes Clifford index >= 2, got {cliff}"
-        )
+    _check_count("cliff", cliff, 2)
     _check_count("h0_2K_minus_M", h0_2K_minus_M)
     echo = {"cliff": cliff, "h0_2K_minus_M": h0_2K_minus_M}
     if cliff == 2 and h0_2K_minus_M == 0:
@@ -350,8 +352,7 @@ def check_bel(
 ) -> GaussianVerdict:
     """Surjectivity for degM >= g + 1: needs h1(M) = 0 and
     h0(2K - M) <= cliff - 2 (so in particular cliff >= 2)."""
-    if g < 4:
-        raise RangeError(f"g must be >= 4, got {g}")
+    _check_count("g", g, 4)
     for name, v in (("degM", degM), ("h1M", h1M),
                     ("h0_2K_minus_M", h0_2K_minus_M), ("cliff", cliff)):
         _check_count(name, v)
@@ -384,8 +385,11 @@ def _need_aux(inp: GaussianInput, key: str) -> int:
 
 
 def _check_curve_type(g, plane_quintic, trigonal, nontrigonal=False):
-    """Refuse the trigonal flag with either other curve-type flag, and a
-    plane quintic of genus other than 6."""
+    """Refuse a curve-type flag that is not a bool, the trigonal flag
+    with either other curve-type flag, and a plane quintic of genus
+    other than 6."""
+    _check_flags(plane_quintic=plane_quintic, trigonal=trigonal,
+                 nontrigonal=nontrigonal)
     if trigonal and (plane_quintic or nontrigonal):
         other = "plane quintic" if plane_quintic else "nontrigonal"
         raise RangeError(f"conflicting curve-type flags: trigonal and {other}")
@@ -540,8 +544,8 @@ def check_degree_corollaries(
     equality). M_eq_special says M equals the branch's excluded bundle.
     """
     _check_curve_type(g, plane_quintic, trigonal)
-    if g < 5:
-        raise RangeError(f"these corollaries need g >= 5, got {g}")
+    _check_flags(M_eq_special=M_eq_special)
+    _check_count("g", g, 5)
     _check_count("degM", degM)
 
     echo = {
@@ -582,6 +586,7 @@ def tetragonal_corank(
     scrollar invariant, h0(2K - M) <= 1 and h0(2K - M - b2 A) = 0 force
     surjectivity; with h1(M) = 0 and mu surjective the corank is at least
     h0(2K - M - b2 A), with equality when additionally h0(2K - M) <= 1."""
+    _check_flags(h1M_zero=h1M_zero, mu_surjective=mu_surjective)
     _check_count("h0_2K_minus_M", h0_2K_minus_M)
     _check_count("h0_2K_minus_M_minus_b2A", h0_2K_minus_M_minus_b2A)
     echo = {

@@ -21,29 +21,27 @@ _TERM = re.compile(r"\s*([+-])?\s*(?:([0-9]+)\s*\*?\s*)?"
 
 
 class DivExpr(_Record):
-    """A parsed expression: the source text and its (coefficient, label)
-    terms."""
+    """A parsed expression: its (coefficient, label) terms."""
 
-    __slots__ = ("source", "terms")
+    __slots__ = ("terms",)
 
 
 def parse_divexpr(s: str) -> DivExpr:
     if not s or not s.strip():
         raise ExprSyntaxError("empty divisor expression")
-    text = s
-    if text.strip() == "0":
-        return DivExpr(s, ())
+    if s.strip() == "0":
+        return DivExpr(())
     pos = 0
     terms = []
     first = True
-    while pos < len(text):
-        m = _TERM.match(text, pos)
+    while pos < len(s):
+        m = _TERM.match(s, pos)
         if not m:
-            if text[pos:].strip() == "":
+            if s[pos:].strip() == "":
                 break
             raise ExprSyntaxError(
                 f"cannot parse divisor expression at position {pos}: "
-                f"{text[pos:]!r}",
+                f"{s[pos:]!r}",
                 position=pos,
             )
         sign, num, label = m.groups()
@@ -67,7 +65,7 @@ def parse_divexpr(s: str) -> DivExpr:
         first = False
     if not terms:
         raise ExprSyntaxError("no terms in divisor expression")
-    return DivExpr(s, tuple(terms))
+    return DivExpr(tuple(terms))
 
 
 def resolve(expr: DivExpr | str, model: LatticeModel) -> DivClass:

@@ -368,8 +368,8 @@ class CaseFixture(_Record):
 
 _KILL_H0_3 = "the restricted system has three sections (h0 = 3), not a pencil"
 
-FIXTURES = {
-    "g1kondelp-a": CaseFixture(
+FIXTURES = {fx.case_id: fx for fx in (
+    CaseFixture(
         case_id="g1kondelp-a",
         kind="pencil",
         surface="sigma1",
@@ -380,7 +380,7 @@ FIXTURES = {
         killed=(("H", 1, _KILL_H0_3),),
         notes=("net classification is empty: the lone numeric survivor dies",),
     ),
-    "g1kondelp-b": CaseFixture(
+    CaseFixture(
         case_id="g1kondelp-b",
         kind="pencil",
         surface="sigma2",
@@ -389,7 +389,7 @@ FIXTURES = {
         mod4=True,
         expected=(("H-G1", 0), ("H-G2", 0)),
     ),
-    "g1kondelp-c": CaseFixture(
+    CaseFixture(
         case_id="g1kondelp-c",
         kind="pencil",
         surface="sigma2",
@@ -399,7 +399,7 @@ FIXTURES = {
         expected=(("H", 1), ("2H-G1-G2", 0)),
         killed=(("H", 1, _KILL_H0_3),),
     ),
-    "g1kondelp-d": CaseFixture(
+    CaseFixture(
         case_id="g1kondelp-d",
         kind="pencil",
         surface="sigma3",
@@ -408,7 +408,7 @@ FIXTURES = {
         mod4=True,
         expected=(("H-G1", 0), ("H-G2", 0), ("H-G3", 0)),
     ),
-    "g1kondelp-e": CaseFixture(
+    CaseFixture(
         case_id="g1kondelp-e",
         kind="pencil",
         surface="sigma3",
@@ -417,7 +417,7 @@ FIXTURES = {
         mod4=True,
         expected=(("H", 0), ("2H-G1-G2-G3", 0)),
     ),
-    "g1kondelp-f": CaseFixture(
+    CaseFixture(
         case_id="g1kondelp-f",
         kind="pencil",
         surface="sigma3",
@@ -436,7 +436,7 @@ FIXTURES = {
             "another complete base-point free pencil of the same degree",
         ),
     ),
-    "g1kondelp-g": CaseFixture(
+    CaseFixture(
         case_id="g1kondelp-g",
         kind="pencil",
         surface="blc6",
@@ -449,7 +449,7 @@ FIXTURES = {
             "the curve class here is -2K - 2C0, not -2K",
         ),
     ),
-    "g1kondelp-h": CaseFixture(
+    CaseFixture(
         case_id="g1kondelp-h",
         kind="pencil",
         surface="blq",
@@ -462,7 +462,7 @@ FIXTURES = {
             "since C0.C = 0",
         ),
     ),
-    "g1kondelp-i": CaseFixture(
+    CaseFixture(
         case_id="g1kondelp-i",
         kind="pencil",
         surface="blq",
@@ -475,7 +475,7 @@ FIXTURES = {
             "(C is four times the class)",
         ),
     ),
-    "g1kondelp-j": CaseFixture(
+    CaseFixture(
         case_id="g1kondelp-j",
         kind="destab",
         expected=(((3, 6), 1), ((3, 7), 3), ((4, 6), 0)),
@@ -503,7 +503,7 @@ FIXTURES = {
         notes=("all three numeric survivors die geometrically: no "
                "destabilizing splitting exists",),
     ),
-    "lemmag7": CaseFixture(
+    CaseFixture(
         case_id="lemmag7",
         kind="identities",
         identities=(
@@ -531,7 +531,7 @@ FIXTURES = {
             "invariant of the complement L - 2E",
         ),
     ),
-    "lemmag8": CaseFixture(
+    CaseFixture(
         case_id="lemmag8",
         kind="identities",
         identities=(
@@ -552,7 +552,7 @@ FIXTURES = {
             "(E, E1, E2) grades 2E + E2 as quasi-nef, not nef",
         ),
     ),
-    "lemmag9": CaseFixture(
+    CaseFixture(
         case_id="lemmag9",
         kind="identities",
         identities=(
@@ -571,7 +571,7 @@ FIXTURES = {
             "pairing 1 with E; recorded as an annotation only",
         ),
     ),
-}
+)}
 
 
 class CaseReport(_Record):

@@ -1,10 +1,10 @@
 """Exact arithmetic on integral lattices with labeled bases.
 
 The lattice is the whole data model here: a symmetric integer gram matrix,
-a labeled basis, a canonical class and a reference ample class. Divisor
-classes are integer coordinate vectors against that basis. Everything is
-immutable and every operation is a pure function, so concurrent use needs
-no locking.
+a labeled basis, a canonical class, chi and the sign tests of the
+decomposition search. Divisor classes are integer coordinate vectors
+against that basis. Everything is immutable and every operation is a pure
+function, so concurrent use needs no locking.
 
 All arithmetic is exact. Results are guarded against leaving the signed
 64-bit envelope; desk-scale inputs never get close, but the guard turns a
@@ -140,20 +140,19 @@ class LatticeModel(_Record):
     known to be effective divisors. sign_tests holds the coordinates of
     the classes t a decomposition piece L must meet with L.t >= 0; left
     out (None), they are the basis vectors of effective_labels. The gram
-    rows, canonical, ample_ref and sign_tests rows are stored as tuples,
-    so a model built from lists is the model built from tuples; any of
-    them that is no sequence raises ModelError naming it, and their
-    entries and chi must be ints (not bools) inside the 64-bit envelope.
+    rows, canonical and sign_tests rows are stored as tuples, so a model
+    built from lists is the model built from tuples; any of them that is
+    no sequence raises ModelError naming it, and their entries and chi
+    must be ints (not bools) inside the 64-bit envelope.
     """
 
-    __slots__ = ("name", "labels", "gram", "canonical", "chi", "ample_ref",
+    __slots__ = ("name", "labels", "gram", "canonical", "chi",
                  "effective_labels", "sign_tests")
 
     def __init__(
         self, name: str, labels: tuple[str, ...],
         gram: tuple[tuple[int, ...], ...], canonical: tuple[int, ...],
-        chi: int, ample_ref: tuple[int, ...] | None = None,
-        effective_labels: tuple[str, ...] = (),
+        chi: int, effective_labels: tuple[str, ...] = (),
         sign_tests: tuple[tuple[int, ...], ...] | None = None,
     ):
         if not isinstance(name, str):
@@ -180,11 +179,6 @@ class LatticeModel(_Record):
                           for v in _model_seq(canonical, "canonical"))
         if len(canonical) != n:
             raise ModelError("canonical class has wrong length")
-        if ample_ref is not None:
-            ample_ref = tuple(_model_int(v, "ample_ref entry")
-                              for v in _model_seq(ample_ref, "ample_ref"))
-            if len(ample_ref) != n:
-                raise ModelError("ample_ref has wrong length")
         chi = _model_int(chi, "chi")
         unknown = set(effective_labels) - set(labels)
         if unknown:
@@ -193,7 +187,7 @@ class LatticeModel(_Record):
             sign_tests = _unit_vectors(labels, effective_labels)
         else:
             sign_tests = _model_rows(sign_tests, "sign_tests", n)
-        _Record.__init__(self, name, labels, gram, canonical, chi, ample_ref,
+        _Record.__init__(self, name, labels, gram, canonical, chi,
                          effective_labels, sign_tests)
 
     def __hash__(self):
@@ -240,7 +234,6 @@ class LatticeModel(_Record):
             "basis": list(self.labels),
             "gram": [list(r) for r in self.gram],
             "canonical": list(self.canonical),
-            "ample_ref": list(self.ample_ref) if self.ample_ref else None,
             "chi": self.chi,
         }
         if self.effective_labels:
@@ -312,15 +305,14 @@ def _json_strs(v):
 
 
 def model_from_json_dict(d, name=None):
+    """The model of a lattice document. Keys it does not read, such as
+    the reference ample class that earlier versions wrote, are ignored."""
     try:
         name = name or _json_str(d.get("name", "unnamed"))
         labels = _json_strs(d["basis"])
         gram = _json_rows(d["gram"])
         canonical = tuple(_json_int(v) for v in d["canonical"])
         chi = _json_int(d["chi"])
-        amp = d.get("ample_ref")
-        # only an absent key or null means no ample class
-        ample_ref = None if amp is None else tuple(_json_int(v) for v in amp)
         if "kind" in d:  # it chose the sign test, so it is not ignored
             raise ModelError("bad lattice definition: 'kind' is no longer "
                              "read; state the sign test as 'sign_tests'")
@@ -335,7 +327,6 @@ def model_from_json_dict(d, name=None):
         gram=gram,
         canonical=canonical,
         chi=chi,
-        ample_ref=ample_ref,
         effective_labels=effective,
         sign_tests=tests,
     )

@@ -29,6 +29,7 @@ import os
 import re
 from operator import mul
 
+from .criteria import _check_count
 from .errors import (
     ModelError,
     NodalClassError,
@@ -114,7 +115,6 @@ def enriques() -> LatticeModel:
         gram=_E10_GRAM,
         canonical=(0,) * 10,
         chi=1,
-        ample_ref=(1, 1) + (0,) * 8,
     )
 
 
@@ -127,16 +127,12 @@ def sigma(n: int) -> LatticeModel:
         tuple((1 if i == 0 else -1) if i == j else 0 for j in range(n + 1))
         for i in range(n + 1)
     )
-    # anticanonical is ample through n = 8; at n = 9 its square is 0, so
-    # fall back to 4H - sum Gi (square 7, positive on every Gi and H)
-    amp = (3,) + (-1,) * n if n <= 8 else (4,) + (-1,) * n
     return LatticeModel(
         name=f"sigma{n}",
         labels=labels,
         gram=gram,
         canonical=(-3,) + (1,) * n,
         chi=1,
-        ample_ref=amp,
         effective_labels=labels,
     )
 
@@ -150,7 +146,6 @@ def blq() -> LatticeModel:
         gram=((-2, 1), (1, 0)),
         canonical=(-2, -4),
         chi=1,
-        ample_ref=(1, 3),
         effective_labels=("C0", "f"),
         sign_tests=((0, 1), (1, 2)),
     )
@@ -170,7 +165,6 @@ def blcn(n: int) -> LatticeModel:
         gram=((-n, 1), (1, 0)),
         canonical=(-2, -n),
         chi=0,
-        ample_ref=(1, n + 1),
         effective_labels=("C0", "f"),
         sign_tests=((0, 1), (1, n)),
     )
@@ -255,7 +249,6 @@ def config_from_json_dict(doc, name="config") -> LatticeModel:
         gram=gram,
         canonical=(0,) * n,
         chi=1,
-        ample_ref=None,
         effective_labels=labels,
     )
 
@@ -709,8 +702,8 @@ def scroll_invariants(g: int, b1: int) -> ScrollInvariants:
     degY >= 2 pa + 3 (the quadratic-normality threshold) simplifies to
     b1 >= 1, which is asserted as an equivalence in tests.
     """
-    if g < 6:
-        raise RangeError("scroll invariants need g >= 6")
+    _check_count("g", g, 6)
+    _check_count("b1", b1, None)
     b2 = g - 5 - b1
     if not (b1 >= b2 >= 0):
         raise RangeError(

@@ -302,11 +302,10 @@ class TestChamberPhi:
         # built from lists is the builtin model and takes the chamber path
         fields = dict(zip(E.__slots__, E._values()))
         fields.update(gram=[list(row) for row in GRAM],
-                      canonical=list(E.canonical),
-                      ample_ref=list(E.ample_ref))
+                      canonical=list(E.canonical))
         copy = LatticeModel(**fields)
         assert copy == E and hash(copy) == hash(E)
-        assert copy.gram == GRAM and isinstance(copy.ample_ref, tuple)
+        assert copy.gram == GRAM and isinstance(copy.canonical, tuple)
         L = copy.klass((1, 4, 1, 0, 0, 0, 1, 0, 0, 0))
         res = phi(copy, L)
         assert res.certificate is not None and check_phi_certificate(L, res)

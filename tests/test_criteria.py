@@ -19,6 +19,7 @@ from divcalc.criteria import (
     tetragonal_corank,
 )
 from divcalc.errors import EvidenceError, RangeError
+from divcalc.surfaces import scroll_invariants
 
 from oracle_bruteforce import brute_gonality, brute_main_criterion
 
@@ -418,6 +419,64 @@ class TestClassRefusals:
     def test_phi_below_one_without_l2(self):
         with pytest.raises(RangeError, match="phi must be >= 1, got -1"):
             GaussianInput(g=3, phi=-1)
+
+
+class TestCountAndFlagRefusals:
+    """Counts must be ints (bool excluded) and flags bools; a float count
+    used to come back as a float result or echo, a string as a bare
+    TypeError."""
+
+    @pytest.mark.parametrize("call, msg", [
+        (lambda: cliff_upper_bound(9.0), "g must be an integer, got 9.0"),
+        (lambda: cliff_upper_bound(3), "g must be >= 4, got 3"),
+        (lambda: clifford_of_series(5.0, 2),
+         "degree must be an integer, got 5.0"),
+        (lambda: clifford_of_series(5, True),
+         "h0 must be an integer, got True"),
+        (lambda: scroll_invariants(7.0, 1), "g must be an integer, got 7.0"),
+        (lambda: scroll_invariants(7, 1.0), "b1 must be an integer, got 1.0"),
+        (lambda: scroll_invariants(5, 0), "g must be >= 6, got 5"),
+        (lambda: check_bel(7.0, 9, 0, 0, 3), "g must be an integer, got 7.0"),
+        (lambda: check_bel("7", 9, 0, 0, 3), "g must be an integer, got '7'"),
+        (lambda: check_cliff_criterion(2.0, 0),
+         "cliff must be an integer, got 2.0"),
+        (lambda: check_cliff_criterion(1, 0), "cliff must be >= 2, got 1"),
+        (lambda: check_degree_corollaries(6.0, 20),
+         "g must be an integer, got 6.0"),
+        (lambda: check_degree_corollaries(4, 20), "g must be >= 5, got 4"),
+        (lambda: check_degree_corollaries(6, 20, M_eq_special=1),
+         "M_eq_special must be a bool, got 1"),
+        (lambda: tetragonal_corank(0, 0, h1M_zero="no", mu_surjective=True),
+         "h1M_zero must be a bool, got 'no'"),
+        (lambda: tetragonal_corank(0, 0, h1M_zero=True, mu_surjective=1),
+         "mu_surjective must be a bool, got 1"),
+        (lambda: gonality(12, 2, "x"), "not_2D_special must be a bool, "
+         "got 'x'"),
+        (lambda: corank_low_genus(_inp(g=6, L2=None), trigonal=None),
+         "trigonal must be a bool, got None"),
+    ], ids=["cliff-bound-float", "cliff-bound-low", "series-float-degree",
+            "series-bool-h0", "scroll-float-g", "scroll-float-b1",
+            "scroll-low-g", "bel-float-g", "bel-string-g", "cliff-float",
+            "cliff-low", "degree-float-g", "degree-low-g",
+            "degree-int-flag", "tetragonal-string-flag",
+            "tetragonal-int-flag", "gonality-string-flag",
+            "low-genus-none-flag"])
+    def test_refuses_a_count_or_flag_of_another_type(self, call, msg):
+        with pytest.raises(RangeError) as exc:
+            call()
+        assert str(exc.value) == msg
+
+    def test_int_refusals_keep_their_order(self):
+        # the curve type is refused before the genus, the genus before
+        # the degree
+        with pytest.raises(RangeError, match="plane quintic has genus 6"):
+            check_degree_corollaries(4, -1, plane_quintic=True)
+        with pytest.raises(RangeError, match="g must be >= 5"):
+            check_degree_corollaries(4, -1)
+        with pytest.raises(RangeError, match="cliff must be >= 2"):
+            check_cliff_criterion(1, -1)
+        with pytest.raises(RangeError, match="h0 must be >= 1"):
+            clifford_of_series(-1, 0)
 
 
 _AUX = [{"4K-M": 8, "-M": 0}, {"4K-M": 1}, {"3K-M": 3, "-M": 1},

@@ -10,6 +10,9 @@ from divcalc.surfaces import get_config, get_surface
 def test_basic_parse():
     e = parse_divexpr("6H-2G1-2G2")
     assert e.terms == ((6, "H"), (-2, "G1"), (-2, "G2"))
+    # the expression is its terms: spellings of the same terms are equal
+    assert e == parse_divexpr(" 6 H - 2*G1 -2G2 ")
+    assert parse_divexpr(" 0 ").terms == ()
 
 
 def test_canonical_resolution():

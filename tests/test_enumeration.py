@@ -326,7 +326,6 @@ def test_sigma_model_with_h_not_first_keeps_its_survivors():
         "effective": [doc["effective"][i] for i in perm],
         "gram": [[doc["gram"][i][j] for j in perm] for i in perm],
         "canonical": [doc["canonical"][i] for i in perm],
-        "ample_ref": [doc["ample_ref"][i] for i in perm],
         "chi": doc["chi"],
     })
     assert moved.labels[:2] == ("G1", "H")
@@ -350,7 +349,6 @@ def test_a_model_reusing_a_builtin_name_is_a_different_model():
         basis=[doc["basis"][i] for i in perm],
         gram=[[doc["gram"][i][j] for j in perm] for i in perm],
         canonical=[doc["canonical"][i] for i in perm],
-        ample_ref=[doc["ample_ref"][i] for i in perm],
     )
     impostor = model_from_json_dict(doc)
     assert impostor.name == "sigma3"

@@ -181,7 +181,7 @@ class TestConfigs:
         m = get_config(name)
         assert (m.name, m.labels, m.gram) == (name, labels, gram)
         assert m.canonical == (0,) * len(labels) and m.chi == 1
-        assert m.ample_ref is None and m.effective_labels == labels
+        assert m.effective_labels == labels
         assert m.sign_tests == tuple(
             tuple(int(i == j) for j in range(len(labels)))
             for i in range(len(labels)))
