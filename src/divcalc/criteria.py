@@ -113,17 +113,18 @@ class GaussianInput(_Record):
         _Record.__init__(self, g, L2, phi, degM, h1M, h0_2K_minus_M,
                          h0_residual, cliff, cork_mu, aux_h0)
 
-    def echo(self) -> dict:
+    def echo(self, fields, aux=()) -> dict:
+        """The inputs a rule read, for its verdict's inputs_echo: g, then
+        each field of fields that is set, in slot order, then the
+        aux_h0 entries under the keys of aux that are set, sorted."""
         out = {"g": self.g}
-        for name in (
-            "L2", "phi", "degM", "h1M", "h0_2K_minus_M",
-            "h0_residual", "cliff", "cork_mu",
-        ):
+        for name in self.__slots__[1:-1]:
             val = getattr(self, name)
-            if val is not None:
+            if name in fields and val is not None:
                 out[name] = val
-        if self.aux_h0:
-            out["aux_h0"] = dict(sorted(self.aux_h0.items()))
+        read = sorted((k, v) for k, v in self.aux_h0.items() if k in aux)
+        if read:
+            out["aux_h0"] = dict(read)
         return out
 
 
@@ -226,7 +227,9 @@ def check_main_theorem(inp: GaussianInput) -> GaussianVerdict:
     branch unevaluable, never satisfied; if no branch is evaluable the
     checker refuses with the list of missing fields. A genus g other
     than L2 / 2 + 1, the one adjunction gives on an Enriques surface
-    (2g - 2 = L2), raises RangeError.
+    (2g - 2 = L2), raises RangeError. The verdict echoes the fields the
+    branches read (g, L2, phi, degM, h1M, h0_residual, cliff), never
+    cork_mu, h0_2K_minus_M or aux_h0.
     """
     if inp.L2 is None:
         raise EvidenceError(
@@ -287,7 +290,7 @@ def check_main_theorem(inp: GaussianInput) -> GaussianVerdict:
         )
 
     satisfied = [bid for bid, ev, sat, _ in branches if ev and sat]
-    echo = inp.echo()
+    echo = inp.echo(("L2", "phi", "degM", "h1M", "h0_residual", "cliff"))
     if satisfied:
         first = satisfied[0]
         notes = [f"residual twist read as h0({_BRANCH_TWISTS[first]})"]
@@ -426,11 +429,11 @@ def corank_low_genus(
     aux_h0["-M"] is supplied as 0. The quintic and trigonal branches turn
     a vanishing residual count into outright surjectivity; their corank
     bounds additionally need h1(M) = 0 and a surjective multiplication
-    map (cork_mu = 0).
+    map (cork_mu = 0). A verdict echoes g and the fields and aux_h0 keys
+    its branch reads, so no option another branch would read.
     """
     g = inp.g
     _check_curve_type(g, plane_quintic, trigonal, nontrigonal)
-    echo = inp.echo()
     quals = (NONHYPERELLIPTIC,)
 
     if plane_quintic or trigonal:
@@ -439,6 +442,7 @@ def corank_low_genus(
             hx, hy = _need_aux(inp, "5A-M"), inp.aux_h0.get("4A-M")
             surjective = hx == 0
             why = "h0(5A - M) = 0 forces surjectivity"
+            echo = inp.echo(("h1M", "cork_mu"), ("5A-M", "4A-M"))
         else:
             if g < 5:
                 raise RangeError(f"the trigonal branch needs g >= 5, got {g}")
@@ -446,6 +450,8 @@ def corank_low_genus(
             hx, hy = _need_aux(inp, "3K-(g-4)A-M"), inp.h0_2K_minus_M
             surjective = hx == 0 and hy is not None and hy <= 1
             why = f"h0(2K - M) = {hy} <= 1 and h0(3K - (g-4)A - M) = 0"
+            echo = inp.echo(("h1M", "h0_2K_minus_M", "cork_mu"),
+                            ("3K-(g-4)A-M",))
         if surjective:
             return GaussianVerdict(
                 "SURJECTIVE", rule, qualifiers=quals, notes=(why,),
@@ -474,6 +480,7 @@ def corank_low_genus(
             raw = _need_aux(inp, "4K-M") - inp.cork_mu - 3 * inp.h1M
             rule = "low-(a)"
             formula = "h0(4K - M) - cork mu - 3 h1(M)"
+            aux = ("4K-M",)
         elif g == 4:
             raw = (
                 inp.h0_2K_minus_M + _need_aux(inp, "3K-M")
@@ -481,10 +488,12 @@ def corank_low_genus(
             )
             rule = "low-(b)"
             formula = "h0(2K - M) + h0(3K - M) - cork mu - 4 h1(M)"
+            aux = ("3K-M",)
         else:
             raw = 3 * inp.h0_2K_minus_M - inp.cork_mu - 5 * inp.h1M
             rule = "low-(c)"
             formula = "3 h0(2K - M) - cork mu - 5 h1(M)"
+            aux = ()
         bound = max(raw, 0)
         notes = [f"{formula} = {raw}"]
         if raw < 0:
@@ -495,8 +504,8 @@ def corank_low_genus(
         elif hm is None:
             notes.append("equality condition h0(-M) = 0 untested")
         return GaussianVerdict(
-            "CORANK_BOUND", rule, bound=bound,
-            qualifiers=quals, notes=tuple(notes), inputs_echo=echo,
+            "CORANK_BOUND", rule, bound=bound, qualifiers=quals,
+            notes=tuple(notes), inputs_echo=inp.echo(need, aux + ("-M",)),
         )
 
     if g == 5:

@@ -117,40 +117,50 @@ _SURVIVOR_TRACE = {True: _PASSES,
 
 @lru_cache(maxsize=32)
 def _sign_stage(model):
-    """The sign stage of model, built once: the rows S = (G t for t in
-    model.sign_tests), so S x lists the L.t, or None when S is the gram
-    (the kernel has G x already); and the failure detail of S x."""
+    """The sign stage of model, built once: negative(x), which is None
+    when the class L with coordinates x has L.t >= 0 for every t of
+    model.sign_tests and else the list of the L.t, read as S x for the
+    rows S = (G t for t in sign_tests); and the failure detail of that
+    list, which names the t with L.t < 0."""
     gram = model.gram
     S = tuple(tuple(sum(map(mul, row, t)) for row in gram)
               for t in model.sign_tests)
     names = [render_coords(t, model.labels) for t in model.sign_tests]
 
+    def negative(x):
+        SL = [sum(map(mul, row, x)) for row in S]
+        return SL if SL and min(SL) < 0 else None
+
     def sign(SL):
         negs = [name for name, v in zip(names, SL) if v < 0]
         return f"negative pairing with {negs}"
 
-    return (None if S == gram else S), sign
+    return negative, sign
+
+
+def _residual_parity(L2, s):
+    """3 L^2 + M.L for the class L with L^2 = L2 and L.C = s, so that
+    M.L = s - L2; the mod4 stage keeps L when it lies in 4Z."""
+    return 2 * L2 + s
 
 
 def _stage_kernel(model, k, apply_mod4):
     """The staged filters as stages(x, s), on the class L with coordinates
     x and s = L.C: (stage, detail) for the first violated constraint,
-    else (None, (L^2, M.L, deg D)). The sign stage keeps L when L.t >= 0
-    for every t of model.sign_tests (_sign_stage). The search passes s
-    from its slice and explainer pairs L with C; every stage is
-    evaluated, also those the slice windows imply, so both see the same
-    trace."""
+    else (None, (L^2, M.L, deg D)). The explainer runs all seven stages,
+    also the five that the search's windows decide, with the search's
+    sign and mod4 tests (_sign_stage, _residual_parity), so on a slice
+    point its trace is the search's."""
     gram = model.gram
-    S, sign = _sign_stage(model)
+    negative, sign = _sign_stage(model)
 
     def stages(x, s):
         if not any(x):
             return "nonzero", "zero class"
-        GL = [sum(map(mul, row, x)) for row in gram]
-        SL = GL if S is None else [sum(map(mul, row, x)) for row in S]
-        if SL and min(SL) < 0:
+        SL = negative(x)
+        if SL:
             return "sign", sign(SL)
-        L2 = sum(map(mul, GL, x))
+        L2 = sum(map(mul, [sum(map(mul, row, x)) for row in gram], x))
         ML = s - L2
         if L2 < 0:
             return "L2_nonneg", f"L^2 = {L2}"
@@ -160,8 +170,8 @@ def _stage_kernel(model, k, apply_mod4):
             return "ML_le_k", f"M.L = {ML} > k = {k}"
         if s < k:
             return "degD_nonneg", f"deg D = {s - k}"
-        if apply_mod4 and (3 * L2 + ML) % 4:
-            return "mod4", f"3 L^2 + M.L = {3 * L2 + ML} not in 4Z"
+        if apply_mod4 and _residual_parity(L2, s) % 4:
+            return "mod4", f"3 L^2 + M.L = {_residual_parity(L2, s)} not in 4Z"
         return None, (L2, ML, s - k)
 
     return stages
@@ -184,9 +194,9 @@ def _decomposition(L, s, C2, k, values, trace):
 
 def _setup(surface, C, k, mod4, walks):
     """What a search of C at k and its explainer share: the slice walk,
-    the stage kernel, a survivor's trace, C^2 and the mod4 flag used.
-    Refuses a C of another model, then k < 2, then (in _slicer) a C it
-    cannot walk. The walk comes from walks, keyed by C, and is added
+    C^2 (from the walk's set-up), the mod4 flag used and a survivor's
+    trace. Refuses a C of another model, then k < 2, then (in _slicer) a
+    C it cannot walk. The walk comes from walks, keyed by C, and is added
     there when it is new; one walk serves every k of C."""
     _require_model(surface, C)
     if k < 2:
@@ -194,25 +204,26 @@ def _setup(surface, C, k, mod4, walks):
     if C not in walks:
         walks[C] = _slicer(C)
     apply_mod4 = _auto_mod4(surface, C) if mod4 is None else mod4
-    return (walks[C], _stage_kernel(surface, k, apply_mod4),
-            _SURVIVOR_TRACE[apply_mod4], pair(C, C), apply_mod4)
+    return (*walks[C], apply_mod4, _SURVIVOR_TRACE[apply_mod4])
 
 
 def _search(surface, C, k, mod4, walks):
     """enumerate_bogreider(surface, C, k, mod4), set up by _setup."""
-    points, stages, trace, C2, apply_mod4 = _setup(surface, C, k, mod4, walks)
+    points, C2, apply_mod4, trace = _setup(surface, C, k, mod4, walks)
+    negative, _ = _sign_stage(surface)
     kept = []
     rejected = {}
     visited = 0
     for s in range(k, 2 * k + 1):
         found = points(s, s - k, s // 2)
         visited += len(found)
-        for x in found:
-            stage, got = stages(x, s)
-            if stage is None:
-                kept.append((x, s, got))
+        for x, q in found:  # q = x^2, from the walk
+            if negative(x):
+                rejected["sign"] = rejected.get("sign", 0) + 1
+            elif apply_mod4 and _residual_parity(q, s) % 4:
+                rejected["mod4"] = rejected.get("mod4", 0) + 1
             else:
-                rejected[stage] = rejected.get(stage, 0) + 1
+                kept.append((x, s, (q, s - q, s - k)))
     kept.sort()  # by coordinates, which no two survivors share
     survivors = [_decomposition(DivClass(C.model, x), s, C2, k, got, trace)
                  for x, s, got in kept]
@@ -241,9 +252,14 @@ def enumerate_bogreider(
     C^2 > 0 on a hyperbolic lattice (slice_points). Other inputs raise
     ModelError, k < 2 raises RangeError, and a C from another model
     raises ModelMismatchError. The slice walk is set up once per search.
-    Every slice point runs through all the stages of _stage_kernel, as
-    in explainer, so visited counts slice points and traces
-    match explainer's. Only a survivor is built as a DivClass.
+    The windows decide five of the seven stages for every slice point:
+    nonzero, L2_nonneg, ML_ge_L2, ML_le_k and degD_nonneg all pass there.
+    So a slice point is tested only for sign (S x >= 0, _sign_stage) and
+    for mod4 on (L^2, L.C) (_residual_parity), with L^2 read from the
+    walk, and a survivor's values are (L^2, s - L^2, s - k). The
+    explainer runs all seven stages and shares those two tests, so
+    visited counts slice points and traces match explainer's. Only a
+    survivor is built as a DivClass.
     """
     return _search(surface, C, k, mod4, {})
 
@@ -265,7 +281,8 @@ def explainer(surface, C, k, mod4: bool | None = None):
 
 def _explainer(surface, C, k, mod4, walks):
     """explainer(surface, C, k, mod4), set up by _setup."""
-    _, stages, trace, C2, _ = _setup(surface, C, k, mod4, walks)
+    _, C2, apply_mod4, trace = _setup(surface, C, k, mod4, walks)
+    stages = _stage_kernel(surface, k, apply_mod4)
 
     def explain(coords):
         L = surface.klass(coords)

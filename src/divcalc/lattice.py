@@ -610,50 +610,58 @@ def _ldl(Q):
     return [B // x for x in den], e, V, B
 
 
-def _walk(W, e, V, tail, lo, hi):
-    """Every integer z = (y, tail) with lo <= sum_i W[i] u_i^2 <= hi,
-    unordered, where u_i = e[i] y_i + sum_j V[i][j] z_j over the
-    m = len(W) free coordinates y (W, e > 0; V[i][j] = 0 for j <= i).
+def _walker(W, e, V, rows):
+    """The integer Fincke-Pohst walk of one form, set up once:
+    walk(tail, lo, hi) lists, unordered, the pairs (x, left) of every
+    integer z = (y, tail) with lo <= sum_i W[i] u_i^2 <= hi, where
+    u_i = e[i] y_i + sum_j V[i][j] z_j over the m = len(W) free
+    coordinates y (W, e > 0; V[i][j] = 0 for j <= i), x = P z are its
+    coordinates, for the matrix P with these rows, and
+    left = hi - sum_i W[i] u_i^2 is the budget its levels did not use.
 
-    The integer Fincke-Pohst walk (Fincke and Pohst, Math. Comp. 44
-    (1985); Cohen, GTM 138, section 2.7). Level i, from the last free
-    coordinate down, has the budget rest that the levels above it left
-    and scans exactly the y_i with |u_i| <= isqrt(rest // W[i]), a range
-    found by floor division. Level 0 also keeps the lower bound, as
-    W[0] u_0^2 >= rest - (hi - lo).
+    Fincke and Pohst, Math. Comp. 44 (1985); Cohen, GTM 138, section
+    2.7. Level i, from the last free coordinate down, has the budget
+    rest that the levels above it left and scans exactly the y_i with
+    |u_i| <= isqrt(rest // W[i]), a range found by floor division.
+    Level 0 also keeps the lower bound, as W[0] u_0^2 >= rest - (hi - lo),
+    and computes each point's coordinates there, so no z tuple is built.
     """
     m = len(W)
-    if m == 0:
-        return [tuple(tail)] if lo <= 0 <= hi else []
-    width = hi - lo
-    out = []
-    z = [0] * m + list(tail)
 
-    def span(i, b, ulo, uhi):
-        # the y_i with ulo <= e[i] y_i + b <= uhi
-        return range(-((b - ulo) // e[i]), (uhi - b) // e[i] + 1)
+    def walk(tail, lo, hi):
+        if hi < 0:
+            return []
+        z = [0] * m + list(tail)
+        if m == 0:
+            x = tuple([sum(map(mul, row, z)) for row in rows])
+            return [(x, hi)] if lo <= 0 else []
+        out = []
+        width = hi - lo
+        e0, W0 = e[0], W[0]
 
-    def descend(i, rest):
-        b = sum(map(mul, V[i], z))
-        top = math.isqrt(rest // W[i])
-        if i == 0:
+        def descend(i, rest):
+            b = sum(map(mul, V[i], z))
+            top = math.isqrt(rest // W[i])
+            if i:
+                ei, Wi = e[i], W[i]
+                for yi in range(-((b + top) // ei), (top - b) // ei + 1):
+                    u = ei * yi + b
+                    z[i] = yi
+                    descend(i - 1, rest - Wi * u * u)
+                return
             need = rest - width
-            low = math.isqrt((need - 1) // W[0]) + 1 if need > 0 else 0
-            ranges = ((-top, -low), (low, top)) if low else ((-top, top),)
-            for ulo, uhi in ranges:
-                for y0 in span(0, b, ulo, uhi):
+            low = math.isqrt((need - 1) // W0) + 1 if need > 0 else 0
+            for ulo, uhi in ((-top, -low), (low, top)) if low else ((-top, top),):
+                for y0 in range(-((b - ulo) // e0), (uhi - b) // e0 + 1):
                     z[0] = y0
-                    out.append(tuple(z))
-            return
-        ei, Wi = e[i], W[i]
-        for yi in span(i, b, -top, top):
-            u = ei * yi + b
-            z[i] = yi
-            descend(i - 1, rest - Wi * u * u)
+                    u = e0 * y0 + b
+                    out.append((tuple([sum(map(mul, row, z)) for row in rows]),
+                                rest - W0 * u * u))
 
-    if hi >= 0:
         descend(m - 1, hi)
-    return out
+        return out
+
+    return walk
 
 
 def vectors_of_norm(Q, N: int):
@@ -668,7 +676,9 @@ def vectors_of_norm(Q, N: int):
     if ldl is None or ldl[0][-1] <= 0:
         raise ModelError("vectors_of_norm needs a positive definite form")
     W, e, V, B = ldl
-    return sorted(_walk(W, e, V, (), B * N, B * N))
+    n = len(W)
+    identity = [[int(i == j) for i in range(n)] for j in range(n)]
+    return sorted(x for x, _ in _walker(W, e, V, identity)((), B * N, B * N))
 
 
 def _kernel_basis(w, gram):
@@ -689,7 +699,9 @@ def _kernel_basis(w, gram):
     """
     w = list(w)
     r = len(w)
-    cols = [[int(i == j) for i in range(r)] for j in range(r)]
+    cols = [[0] * r for _ in range(r)]
+    for j, col in enumerate(cols):
+        col[j] = 1
     M = [list(row) for row in gram]
     live = [j for j in range(r) if w[j]]
     while len(live) > 1:
@@ -716,9 +728,13 @@ def _kernel_basis(w, gram):
 
 
 def _slicer(C: DivClass):
-    """The per-curve set-up of slice_points, done once: returns
-    points(s, qlo, qhi), the coordinates of slice_points(C, s, qlo, qhi)
-    as tuples checked against the 64-bit envelope.
+    """The per-curve set-up of slice_points, done once: (points, C^2),
+    where points(s, qlo, qhi) lists, unordered, the pairs (x, x^2) of
+    the coordinates x of slice_points(C, s, qlo, qhi), checked against
+    the 64-bit envelope once per window. x^2 costs no product: the walk
+    (_walker, built here once) returns each point with the budget left
+    that its levels did not use, and B x^2 = left - hi - shift =
+    left + B qlo for the walked upper bound hi = -B qlo - shift.
 
     Raises ModelError up front when the slices of C can be infinite.
     """
@@ -737,8 +753,8 @@ def _slicer(C: DivClass):
         )
     W, e, V, B = ldl
     Wt = W.pop() * e[-1] ** 2  # the weight of t^2, negative
-    rows = list(zip(*K, pivot))
-    even = all(gram[i][i] % 2 == 0 for i in range(model.rank))
+    walk = _walker(W, e, V, list(zip(*K, pivot)))
+    even = not any([row[i] % 2 for i, row in enumerate(gram)])
 
     def points(s, qlo, qhi):
         if even:  # x^2 is even, so only the even values of the window count
@@ -747,17 +763,16 @@ def _slicer(C: DivClass):
             return []
         t = s // g
         shift = Wt * t * t
-        found = sorted(
-            tuple([sum(map(mul, row, z)) for row in rows])
-            for z in _walk(W, e, V, (t,), -B * qhi - shift, -B * qlo - shift)
-        )
-        if found and (min(map(min, found)) < -I64_MAX
-                      or max(map(max, found)) > I64_MAX):
-            for x in found:
+        found = walk((t,), -B * qhi - shift, -B * qlo - shift)
+        if not found:
+            return found
+        coords = [v for x, _ in found for v in x]
+        if min(coords) < -I64_MAX or max(coords) > I64_MAX:
+            for x, _ in found:
                 DivClass(model, x)  # raises, naming the coordinate
-        return found
+        return [(x, qlo + left // B) for x, left in found]
 
-    return points
+    return points, c2
 
 
 def slice_points(C: DivClass, s: int, qlo: int, qhi: int) -> list[DivClass]:
@@ -775,15 +790,18 @@ def slice_points(C: DivClass, s: int, qlo: int, qhi: int) -> list[DivClass]:
     nondegenerate lattice of signature (1, rank - 1); anything else
     raises ModelError, since the slice can then be infinite.
 
-    The shell is walked with integers only (_walk, the Fincke-Pohst
+    The shell is walked with integers only (_walker, the Fincke-Pohst
     enumeration; Cohen, GTM 138, section 2.7), on a kernel basis and an
     LDL with cleared denominators that _slicer sets up once per curve,
-    the kernel reduction giving M by congruence (_kernel_basis).
+    the kernel reduction giving M by congruence (_kernel_basis). The walk
+    builds each point's coordinates at its last level and hands them out
+    unordered; slice_points sorts them.
     On an even lattice, where every diagonal gram entry is even and so
     x^2 is even, the window is first rounded inward to even values, and
     a window with no even value is empty without a walk.
     """
-    return [DivClass(C.model, x) for x in _slicer(C)(s, qlo, qhi)]
+    points, _ = _slicer(C)
+    return [DivClass(C.model, x) for x, _ in sorted(points(s, qlo, qhi))]
 
 
 # ---------------------------------------------------------------------------

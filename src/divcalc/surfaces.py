@@ -602,14 +602,14 @@ def phi(
         raise ModelError(f"unknown phi mode {mode!r}")
 
     cap = math.isqrt(L2)
-    points = _slicer(L)
+    points, _ = _slicer(L)
     for t in range(1, cap + 1):
-        witnesses = points(t, 0, 0)
+        witnesses = [F for F, _ in points(t, 0, 0)]
         if boxed:
             inside = [F for F in witnesses if max(map(abs, F)) <= b]
-            witnesses = sorted(inside + [tuple(-x for x in F) for F in inside])
+            witnesses = inside + [tuple(-x for x in F) for F in inside]
         if witnesses:
-            return PhiResult(t, DivClass(L.model, witnesses[0]), not boxed)
+            return PhiResult(t, DivClass(L.model, min(witnesses)), not boxed)
     if boxed:
         raise PhiBoundError(
             f"no isotropic class in box {b} pairs to at most "

@@ -89,11 +89,11 @@ def phi_enriques_shaped(rng, n):
 
 def walk_phi(L):
     """The slice walk's phi and witness, through lattice._slicer."""
-    points = lattice._slicer(L)
+    points, _ = lattice._slicer(L)
     for t in range(1, math.isqrt(pair(L, L)) + 1):
         found = points(t, 0, 0)
         if found:
-            return t, found[0]
+            return t, min(found)[0]
     raise AssertionError(f"no witness for {L.coords}")
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divcalc.criteria import (
+    AUX_KEYS,
     GaussianInput,
     GaussianVerdict,
     b2_rule_enriques,
@@ -179,9 +180,8 @@ class TestInputValidation:
 
     def test_echo_round_trip(self):
         inp = _inp(h0_residual=1)
-        echo = inp.echo()
-        assert echo["L2"] == 12 and echo["h0_residual"] == 1
-        assert "cliff" not in echo or echo["cliff"] is None
+        echo = inp.echo(("L2", "h0_residual", "cliff"))
+        assert echo == {"g": 7, "L2": 12, "h0_residual": 1}
 
     @settings(max_examples=120)
     @given(
@@ -628,3 +628,54 @@ class TestVerdictSelfAudit:
                   "tetragonal-(ii)"}
         assert seen == ({("SURJECTIVE", r) for r in surjective}
                         | {("CORANK_BOUND", r) for r in bounds})
+
+
+# the GaussianInput fields and aux_h0 keys each rule of corank_low_genus
+# reads; g is read by every rule
+_LOW_GENUS_READS = {
+    "low-(a)": ({"h1M", "cork_mu"}, {"4K-M", "-M"}),
+    "low-(b)": ({"h1M", "cork_mu", "h0_2K_minus_M"}, {"3K-M", "-M"}),
+    "low-(c)": ({"h1M", "cork_mu", "h0_2K_minus_M"}, {"-M"}),
+    "low-(d)": ({"h1M", "cork_mu"}, {"5A-M", "4A-M"}),
+    "low-(e)": ({"h1M", "cork_mu", "h0_2K_minus_M"}, {"3K-(g-4)A-M"}),
+}
+
+
+class TestInputsEcho:
+    """A verdict echoes exactly the inputs its rule read."""
+
+    def test_unread_inputs_are_not_echoed(self):
+        v = check_main_theorem(GaussianInput(
+            g=7, L2=12, h0_residual=0, cork_mu=5, aux_h0={"4K-M": 3}))
+        assert v.rule == "main-(iii)"
+        assert v.inputs_echo == {"g": 7, "L2": 12, "h0_residual": 0}
+        v = corank_low_genus(GaussianInput(
+            g=3, h1M=0, cork_mu=0, h0_2K_minus_M=99,
+            aux_h0={"4K-M": 8, "5A-M": 7}))
+        assert v.rule == "low-(a)" and v.bound == 8
+        assert v.inputs_echo == {"g": 3, "h1M": 0, "cork_mu": 0,
+                                 "aux_h0": {"4K-M": 8}}
+
+    def test_every_rule_echoes_what_it_read_of_a_full_input(self):
+        # every field and aux_h0 key set, so an unread one would show
+        def full(g):
+            return GaussianInput(
+                g=g, L2=2 * g - 2, phi=2, degM=8, h1M=0, h0_2K_minus_M=1,
+                h0_residual=0, cliff=3, cork_mu=0,
+                aux_h0=dict.fromkeys(AUX_KEYS, 1))
+
+        echo = check_main_theorem(full(7)).inputs_echo
+        assert echo == {"g": 7, "L2": 12, "phi": 2, "degM": 8, "h1M": 0,
+                        "h0_residual": 0, "cliff": 3}
+        rules = set()
+        for g, flags in itertools.product(range(3, 9), _FLAGS):
+            try:
+                v = corank_low_genus(full(g), **flags)
+            except (EvidenceError, RangeError):
+                continue
+            fields, aux = _LOW_GENUS_READS[v.rule]
+            echo = dict(v.inputs_echo)
+            assert set(echo.pop("aux_h0")) == aux, v.rule
+            assert set(echo) == fields | {"g"}, v.rule
+            rules.add(v.rule)
+        assert rules == set(_LOW_GENUS_READS)

@@ -1,5 +1,6 @@
 import builtins
 import io
+import math
 import os
 import random
 from collections import Counter
@@ -31,7 +32,15 @@ from divcalc.lattice import (
     pair,
     slice_points,
 )
-from divcalc.surfaces import enriques, get_config, get_surface, phi, sigma
+from divcalc.surfaces import (
+    enriques,
+    get_config,
+    get_surface,
+    list_configs,
+    list_surfaces,
+    phi,
+    sigma,
+)
 
 from oracle_bruteforce import (
     ORACLE_CASES,
@@ -598,15 +607,58 @@ _SIGMA3_EXCEPTIONAL = model_from_json_dict(dict(
     effective=["G1", "G2", "G3"]))
 
 
-def _kernel_searches():
-    """(model, C, k, mod4) of _KERNEL_SEARCHES and of the sigma3 searches
-    there on _SIGMA3_EXCEPTIONAL."""
+def _seeded_searches(count=200):
+    """count (model, C, k, mod4) drawn with a fixed seed, cycling through
+    the 12 built-in surfaces and the 3 configurations: C has its first
+    two coordinates in [0, 8] and the others in [-1, 1], k is 2..5 and
+    mod4 on, off or automatic. C^2 >= 2k keeps every slice shell small,
+    its squared radius s^2/C^2 - (s - k) at most k, so that all of them
+    are searched and explained in about a second."""
+    rng = random.Random(2800)
+    models = [get_surface(n) for n in list_surfaces()] + [
+        get_config(n) for n in list_configs()]
+    out = []
+    while len(out) < count:
+        m = models[len(out) % len(models)]
+        coords = [rng.randint(0, 8) for _ in range(2)] + [
+            rng.randint(-1, 1) for _ in range(m.rank - 2)]
+        C, k = m.klass(tuple(coords)), rng.randint(2, 5)
+        if pair(C, C) >= 2 * k:
+            out.append((m, C, k, rng.choice((True, False, None))))
+    return out
+
+
+def _kernel_searches(seeded=True):
+    """(model, C, k, mod4) of _KERNEL_SEARCHES, of the sigma3 searches
+    there on _SIGMA3_EXCEPTIONAL and, if seeded, of _seeded_searches()."""
     for name, coords, k, mod4 in _KERNEL_SEARCHES:
         m = (get_config if name.startswith("pencil") else get_surface)(name)
         yield m, m.klass(coords), k, mod4
         if name == "sigma3":
             m = _SIGMA3_EXCEPTIONAL
             yield m, m.klass(coords), k, mod4
+    if seeded:
+        yield from _seeded_searches()
+
+
+def test_seeded_searches_cover_new_shapes():
+    # odd lattices whose window reaches past the shell's centre, so the
+    # walk's lower bound is negative; pivots p with p.C = g > 1; configs
+    # with the parity filter on; survivors and both rejecting stages
+    seen = Counter()
+    for m, C, k, mod4 in _seeded_searches():
+        c2 = pair(C, C)
+        odd = any(m.gram[i][i] % 2 for i in range(m.rank))
+        if odd and any(s // 2 * c2 > s * s for s in range(k, 2 * k + 1)):
+            seen["odd, past the centre"] += 1
+        if math.gcd(*(pair(C, m.basis_class(lab)) for lab in m.labels)) > 1:
+            seen["g > 1"] += 1
+        res = enumerate_bogreider(m, C, k, mod4)
+        if res.mod4_applied and m.name.startswith("pencil"):
+            seen["config, parity on"] += 1
+        seen.update(res.rejected)
+        seen["survivors"] += len(res.survivors)
+    assert len(seen) == 6 and min(seen.values()) >= 10, seen
 
 
 def _sign_shape(m):

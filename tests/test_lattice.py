@@ -900,12 +900,17 @@ class TestSlicePoints:
     def test_even_lattice_skips_odd_only_windows(self, monkeypatch):
         walks = []
 
-        def counting_walk(*args, **kwargs):
-            walks.append(args)
-            return real_walk(*args, **kwargs)
+        def counting_walker(*form):
+            walk = real_walker(*form)
 
-        real_walk = lattice._walk
-        monkeypatch.setattr(lattice, "_walk", counting_walk)
+            def counting_walk(*window):
+                walks.append(window)
+                return walk(*window)
+
+            return counting_walk
+
+        real_walker = lattice._walker
+        monkeypatch.setattr(lattice, "_walker", counting_walker)
         C = get_surface("blq").klass((4, 8))  # -2K, even lattice
         assert slice_points(C, 4, 1, 1) == []
         assert slice_points(C, 6, -3, -3) == []
@@ -1011,11 +1016,12 @@ class TestSlicePoints:
                         "last pivot negative"}
 
     def test_points_refuse_out_of_envelope_coordinates(self):
-        # the walk hands back coordinate tuples, which it checks as
-        # DivClass would have; x = 2^64 is the one point of the slice
+        # the walk hands back (coordinates, x^2) pairs, whose coordinates
+        # it checks as DivClass would have; x = 2^64 is the one point of
+        # the slice
         C = _model([[1]]).klass((1,))
         with pytest.raises(OverflowGuardError):
-            lattice._slicer(C)(2**64, 2**128, 2**128)
+            lattice._slicer(C)[0](2**64, 2**128, 2**128)
         with pytest.raises(OverflowGuardError):
             slice_points(C, 2**64, 2**128, 2**128)
         assert [x.coords for x in slice_points(C, 2**40, 0, 2**80)] == [

@@ -53,7 +53,7 @@ def test_traced_stages_cover_the_search():
     _, trace = explain_candidate(surf, C, 4, (0, 1), mod4=True)
     assert {name for name, _ in trace} <= set(tracing.STAGES)
     models = set()
-    for m, C, k, mod4 in _kernel_searches():
+    for m, C, k, mod4 in _kernel_searches(seeded=False):
         explain = explainer(m, C, k, mod4=mod4)
         for s in range(k, 2 * k + 1):
             for L in slice_points(C, s, s - k, s // 2):
