@@ -43,6 +43,12 @@ from .surfaces import (
 )
 
 
+def _key(coords, labels, z):
+    """The (L, z) key of a survivor that fixtures list: the class with
+    these coordinates, rendered against the basis labels, and z."""
+    return render_coords(coords, labels), z
+
+
 class Decomposition(_Record):
     """A survivor C = L + M of the search: the class L, the residual
     length z = k - M.L, ML = M.L, L2 = L^2, deg_D = L^2 + M.L - k, the
@@ -57,7 +63,7 @@ class Decomposition(_Record):
         return render(self.L)
 
     def key(self):
-        return (self.expr, self.z)
+        return _key(self.L.coords, self.L.model.labels, self.z)
 
     def to_json_dict(self):
         return {
@@ -207,8 +213,15 @@ def _setup(surface, C, k, mod4, walks):
     return (*walks[C], apply_mod4, _SURVIVOR_TRACE[apply_mod4])
 
 
-def _search(surface, C, k, mod4, walks):
-    """enumerate_bogreider(surface, C, k, mod4), set up by _setup."""
+def _scan(surface, C, k, mod4, walks):
+    """The windows of the search for C at k, set up by _setup, with the
+    sign and mod4 tests: (kept, rejected, visited, C^2, apply_mod4,
+    trace), where kept lists, unsorted, (x, s, (L^2, M.L, deg D)) for
+    the coordinates x of each survivor L and s = L.C, rejected counts
+    the rejections per stage and visited the slice points walked. It
+    builds no class and renders nothing: enumerate_bogreider builds the
+    search's records from kept, and _replay grades the survivors' keys
+    from the walk's coordinates."""
     points, C2, apply_mod4, trace = _setup(surface, C, k, mod4, walks)
     negative, _ = _sign_stage(surface)
     kept = []
@@ -224,11 +237,7 @@ def _search(surface, C, k, mod4, walks):
                 rejected["mod4"] = rejected.get("mod4", 0) + 1
             else:
                 kept.append((x, s, (q, s - q, s - k)))
-    kept.sort()  # by coordinates, which no two survivors share
-    survivors = [_decomposition(DivClass(C.model, x), s, C2, k, got, trace)
-                 for x, s, got in kept]
-    return EnumerationResult(surface.name, render(C), k, apply_mod4,
-                             survivors, rejected, visited)
+    return kept, rejected, visited, C2, apply_mod4, trace
 
 
 def enumerate_bogreider(
@@ -261,7 +270,13 @@ def enumerate_bogreider(
     visited counts slice points and traces match explainer's. Only a
     survivor is built as a DivClass.
     """
-    return _search(surface, C, k, mod4, {})
+    kept, rejected, visited, C2, apply_mod4, trace = _scan(
+        surface, C, k, mod4, {})
+    kept.sort()  # by coordinates, which no two survivors share
+    survivors = [_decomposition(DivClass(C.model, x), s, C2, k, got, trace)
+                 for x, s, got in kept]
+    return EnumerationResult(surface.name, render(C), k, apply_mod4,
+                             survivors, rejected, visited)
 
 
 def explainer(surface, C, k, mod4: bool | None = None):
@@ -627,7 +642,9 @@ def verify_all():
     """verify_case of every fixture, in catalog order. One replay sets up
     each distinct pencil curve (its model, class and slice walk) once for
     all the fixtures on it, and each identity group resolves each
-    distinct expression once."""
+    distinct expression once. A pencil case is graded from the
+    coordinates its scan keeps: no search record is built and no curve
+    is rendered."""
     curves, walks = {}, {}
     return [_replay(case_id, curves, walks) for case_id in FIXTURES]
 
@@ -636,7 +653,10 @@ def _replay(case_id, curves, walks):
     """verify_case(case_id), taking the class C of a pencil curve from
     curves, keyed by (surface, curve) names, and its slice walk from
     walks, keyed by C, and adding them there when they are new. The
-    search and, on a mismatch, its explainer share that walk."""
+    scan (_scan) and, on a mismatch, its explainer share that walk. The
+    survivors are graded by their keys (L, z), rendered from the
+    coordinates the scan keeps, with z = k - M.L; the count of rejected
+    candidates is the scan's."""
     fx = FIXTURES[case_id]
     trace = []
 
@@ -646,8 +666,8 @@ def _replay(case_id, curves, walks):
             curves[key] = resolve(fx.curve, get_surface(fx.surface))
         C = curves[key]
         surf = C.model
-        res = _search(surf, C, fx.k, fx.mod4, walks)
-        got = res.survivor_keys()
+        kept, rejected, *_ = _scan(surf, C, fx.k, fx.mod4, walks)
+        got = {_key(x, surf.labels, fx.k - ML) for x, _, (_, ML, _) in kept}
         want = set(fx.expected)
         status = "PASS" if got == want else "FAIL"
         missing = sorted(want - got)
@@ -661,7 +681,7 @@ def _replay(case_id, curves, walks):
         if status == "PASS":
             trace.append(
                 f"{len(got)} survivor(s) match; "
-                f"{sum(res.rejected.values())} candidates rejected"
+                f"{sum(rejected.values())} candidates rejected"
             )
         return CaseReport(
             case_id, status, sorted(got), sorted(want), list(fx.killed),

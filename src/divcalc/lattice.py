@@ -727,7 +727,14 @@ def _kernel_basis(w, gram):
             [[M[i][j] for j in order] for i in order])
 
 
-def _slicer(C: DivClass):
+def _gram_image(C: DivClass):
+    """(G C, C^2) for the gram G of C's model: the products of pair(C, C),
+    with no envelope check."""
+    w = [sum(map(mul, row, C.coords)) for row in C.model.gram]
+    return w, sum(map(mul, w, C.coords))
+
+
+def _slicer(C: DivClass, image=None):
     """The per-curve set-up of slice_points, done once: (points, C^2),
     where points(s, qlo, qhi) lists, unordered, the pairs (x, x^2) of
     the coordinates x of slice_points(C, s, qlo, qhi), checked against
@@ -735,13 +742,13 @@ def _slicer(C: DivClass):
     (_walker, built here once) returns each point with the budget left
     that its levels did not use, and B x^2 = left - hi - shift =
     left + B qlo for the walked upper bound hi = -B qlo - shift.
+    image is _gram_image(C) when the caller has it already.
 
     Raises ModelError up front when the slices of C can be infinite.
     """
     model = C.model
     gram = model.gram
-    w = [sum(map(mul, row, C.coords)) for row in gram]
-    c2 = sum(map(mul, w, C.coords))
+    w, c2 = image or _gram_image(C)
     if c2 <= 0:
         raise ModelError(f"slice enumeration needs C^2 > 0, got C^2 = {c2}")
     K, pivot, g, M = _kernel_basis(w, gram)

@@ -43,6 +43,8 @@ from .lattice import (
     _MAX_DIGITS,
     DivClass,
     LatticeModel,
+    _check_i64,
+    _gram_image,
     _json_int,
     _json_strs,
     _read_json,
@@ -588,7 +590,8 @@ def phi(
     An L from another model raises ModelMismatchError.
     """
     _require_model(surface, L)
-    L2 = pair(L, L)
+    image = _gram_image(L)  # G L and L^2, reused by the walk's set-up
+    L2 = _check_i64(image[1], "pairing")
     if L2 <= 0:
         raise RangeError(f"phi needs L^2 > 0, got {L2}")
     if mode == "sublattice" and surface.gram == _E10_GRAM:
@@ -602,7 +605,7 @@ def phi(
         raise ModelError(f"unknown phi mode {mode!r}")
 
     cap = math.isqrt(L2)
-    points, _ = _slicer(L)
+    points, _ = _slicer(L, image)
     for t in range(1, cap + 1):
         witnesses = [F for F, _ in points(t, 0, 0)]
         if boxed:

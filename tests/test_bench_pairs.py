@@ -9,7 +9,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 from bench_pairs import (  # noqa: E402
-    copy_working_tree, document, failed_shares, parse_args, quartiles,
+    _run, copy_working_tree, document, failed_shares, parse_args, quartiles,
     summarize, table, working_files)
 
 
@@ -149,3 +149,19 @@ def test_working_files_are_the_unignored_files_on_disk(tmp_path):
                     for p in dest.rglob("*") if p.is_file())
     assert copied == [".gitignore", "a.py", "new.py", "pkg/b.py"]
     assert (dest / "a.py").read_text() == "edited after add"
+
+
+def test_a_failing_run_shows_its_stderr(tmp_path):
+    # a tree whose perfbench run exits 1: the error names the tree and the
+    # seed and ends with what the run wrote to stderr
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import sys\n"
+        "print('partial output')\n"
+        "sys.stderr.write('Traceback: the worker died\\n')\n"
+        "sys.exit(1)\n")
+    with pytest.raises(RuntimeError) as err:
+        _run(str(tmp_path), "fixtures", 2907, 1)
+    msg = str(err.value)
+    assert msg.startswith(f"{tmp_path}: fixtures at seed 2907 exited 1")
+    assert msg.endswith("stderr:\nTraceback: the worker died\n")

@@ -100,21 +100,121 @@ def _count_calls(monkeypatch, names):
     return calls
 
 
+_REPLAY_COUNTED = ("_slicer", "resolve", "render", "_decomposition",
+                   "EnumerationResult")
+
+
+def _replay_calls(calls, **want):
+    """want, with 0 for every name of _REPLAY_COUNTED it leaves out,
+    against the calls counted."""
+    return {n: calls[n] for n in _REPLAY_COUNTED} == dict.fromkeys(
+        _REPLAY_COUNTED, 0) | want
+
+
 def test_replay_sets_up_each_curve_and_expression_once(monkeypatch):
     # the 9 pencil fixtures lie on 5 curves, and the identity groups hold
     # 13 distinct expressions; a set-up per case made 9 slice walks and
-    # 37 parses
-    calls = _count_calls(monkeypatch, ("_slicer", "resolve"))
+    # 37 parses. The replay grades keys from the scan's coordinates, so
+    # it builds no search record and renders no curve (a replay through
+    # the public search rendered 29 times and built 20 survivor records
+    # and 9 results)
+    calls = _count_calls(monkeypatch, _REPLAY_COUNTED)
     verify_all()
-    assert calls == {"_slicer": 5, "resolve": 18}
+    assert _replay_calls(calls, _slicer=5, resolve=18), calls
     for cid in _pencil_fixture_ids():
         calls.clear()
         assert verify_case(cid).status == "PASS"
-        assert calls == {"_slicer": 1, "resolve": 1}, cid
+        assert _replay_calls(calls, _slicer=1, resolve=1), (cid, calls)
     for cid, distinct in {"lemmag7": 6, "lemmag8": 5, "lemmag9": 2}.items():
         calls.clear()
         assert verify_case(cid).status == "PASS"
-        assert calls == {"resolve": distinct}, cid
+        assert _replay_calls(calls, resolve=distinct), (cid, calls)
+
+
+def _seeded_pencil_fixtures(count=40):
+    """count (fixture, search result) pairs drawn with a fixed seed over
+    the 12 built-in surfaces: C has its first two coordinates in [0, 8]
+    and the others in [-1, 1], C^2 >= 2k as in _seeded_searches, k is
+    2..5 and mod4 on, off or automatic. Each fixture expects the
+    survivors of enumerate_bogreider(surface, C, k, mod4), keyed by
+    render(L) and z, and the result is that search's."""
+    rng = random.Random(2901)
+    names = list_surfaces()
+    out = []
+    while len(out) < count:
+        name = names[len(out) % len(names)]
+        m = get_surface(name)
+        coords = [rng.randint(0, 8) for _ in range(2)] + [
+            rng.randint(-1, 1) for _ in range(m.rank - 2)]
+        C, k = m.klass(tuple(coords)), rng.randint(2, 5)
+        if pair(C, C) < 2 * k:
+            continue
+        mod4 = rng.choice((True, False, None))
+        res = enumerate_bogreider(m, C, k, mod4)
+        expected = tuple(sorted((render(d.L), d.z) for d in res.survivors))
+        out.append((CaseFixture(
+            case_id=f"seeded-{len(out)}", kind="pencil", surface=name,
+            curve=render(C), k=k, mod4=mod4, expected=expected), res))
+    return out
+
+
+def _rejected_key(fx, res):
+    """The (L, z) key of the first slice point of fx's search that the
+    search rejects."""
+    m = get_surface(fx.surface)
+    C, k = resolve(fx.curve, m), fx.k
+    kept = {d.L for d in res.survivors}
+    return next((render(L), k - s + pair(L, L))
+                for s in range(k, 2 * k + 1)
+                for L in slice_points(C, s, s - k, s // 2) if L not in kept)
+
+
+def test_replay_grades_as_the_search_on_seeded_fixtures(monkeypatch):
+    # the replay grades keys from the scan's coordinates and never builds
+    # the search's records; on every seeded case it reports the search's
+    # survivor keys and rejection count, and on one case that expects a
+    # rejected candidate in place of its first survivor, the missing and
+    # unexpected lines of that search and its explainer
+    cases = _seeded_pencil_fixtures()
+    bad = next(i for i, (_, res) in enumerate(cases)
+               if res.survivors and res.rejected)
+    fx, res = cases[bad]
+    cases[bad] = CaseFixture(
+        case_id=fx.case_id, kind="pencil", surface=fx.surface,
+        curve=fx.curve, k=fx.k, mod4=fx.mod4,
+        expected=(_rejected_key(fx, res),) + fx.expected[1:]), res
+    for fx, _ in cases:
+        monkeypatch.setitem(FIXTURES, fx.case_id, fx)
+    replayed = {r.case_id: r for r in verify_all()}
+    seen = Counter()
+    for i, (fx, res) in enumerate(cases):
+        rep = verify_case(fx.case_id)
+        assert replayed[fx.case_id] == rep
+        got = sorted((render(d.L), d.z) for d in res.survivors)
+        assert rep.survivors == got, fx
+        if i == bad:
+            m = get_surface(fx.surface)
+            explain = explainer(m, resolve(fx.curve, m), fx.k, fx.mod4)
+            want = set(fx.expected)
+            traces = {key: explain(resolve(key[0], m).coords)[1]
+                      for key in sorted(want - set(got))}
+            # one missing key, a candidate that fails a stage
+            [trace] = traces.values()
+            assert trace[-1][1].startswith("fail:")
+            assert rep.status == "FAIL"
+            assert rep.trace == [
+                f"missing ({expr}, z={z}): {t}"
+                for (expr, z), t in traces.items()] + [
+                f"unexpected survivor ({expr}, z={z})"
+                for expr, z in sorted(set(got) - want)]
+            continue
+        assert rep.status == "PASS", fx
+        assert rep.trace == [f"{len(got)} survivor(s) match; "
+                             f"{sum(res.rejected.values())} candidates "
+                             "rejected"], fx
+        seen.update(res.rejected)
+        seen["z > 0"] += sum(d.z > 0 for d in res.survivors)
+    assert set(seen) == {"sign", "mod4", "z > 0"}, seen
 
 
 @pytest.mark.parametrize("cid", list(ORACLE_CASES))

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divcalc import lattice
+from divcalc import lattice, surfaces
 from divcalc.divexpr import resolve
 from divcalc.errors import (
     ModelError,
     ModelMismatchError,
     NodalClassError,
     NonCurveClassError,
+    OverflowGuardError,
     PhiBoundError,
     PhiInvariantError,
     RangeError,
@@ -298,6 +299,40 @@ class TestPhi:
         res = phi(s3, resolve("3H", s3))
         assert res.value == 3  # three slices t = 1, 2, 3
         assert len(calls) == 1
+
+    def test_walked_phi_forms_g_l_and_l2_once(self, monkeypatch):
+        # the walk's set-up takes G L and L^2 from phi's own product, so
+        # phi multiplies exactly what _slicer(L) and its windows do and
+        # pairs nothing
+        surf = get_config("pencil-pair-1")
+        L = resolve("3E+2E1", surf)
+        products, pairs = [], []
+
+        def counting_mul(a, b):
+            products.append(a)
+            return a * b
+
+        def counting_pair(a, b):
+            pairs.append(a)
+            return pair(a, b)
+
+        monkeypatch.setattr(lattice, "mul", counting_mul)
+        monkeypatch.setattr(surfaces, "pair", counting_pair)
+        res = phi(surf, L)
+        in_phi = len(products)
+        del products[:]
+        points, L2 = lattice._slicer(L)
+        for t in range(1, res.value + 1):
+            points(t, 0, 0)
+        assert (res.value, L2) == (2, 12)
+        assert in_phi == len(products) > 0
+        assert pairs == []
+        # L^2 <= 0 is refused ahead of an unknown mode, and an L^2 beyond
+        # the 64-bit envelope ahead of everything else
+        with pytest.raises(RangeError, match="phi needs L\\^2 > 0"):
+            phi(surf, surf.klass((1, 0)), mode="nonsense")
+        with pytest.raises(OverflowGuardError):
+            phi(surf, surf.klass((3 * 10**9, 3 * 10**9)), mode="nonsense")
 
     def test_certified_phi_builds_only_its_witness(self, monkeypatch):
         # the slice walk yields coordinate tuples; the first non-empty

@@ -94,12 +94,16 @@ METRICS = ("wall_s", "setup_s", "peak_rss_mb")  # lower is better for each
 
 def _run(tree, workload, seed, seconds):
     """The end-to-end metrics of one perfbench run in tree, with its
-    failed and attempted operation counts."""
+    failed and attempted operation counts. A run that exits nonzero
+    raises RuntimeError naming the tree and the seed and ending with the
+    run's stderr."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
-                         check=True).stdout
-    doc = json.loads(out.strip().splitlines()[-1])
+    run = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if run.returncode:
+        raise RuntimeError(f"{tree}: {workload} at seed {seed} exited "
+                           f"{run.returncode}; its stderr:\n{run.stderr}")
+    doc = json.loads(run.stdout.strip().splitlines()[-1])
     if not doc["correct"]:
         raise RuntimeError(f"{tree}: seed {seed} gave outputs that fail "
                            "their checks")
