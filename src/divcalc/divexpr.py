@@ -27,10 +27,15 @@ class DivExpr(_Record):
 
 
 def parse_divexpr(s: str) -> DivExpr:
+    return DivExpr(_terms(s))
+
+
+def _terms(s):
+    """The (coefficient, label) terms of the expression s, as a tuple."""
     if not s or not s.strip():
         raise ExprSyntaxError("empty divisor expression")
     if s.strip() == "0":
-        return DivExpr(())
+        return ()
     pos = 0
     terms = []
     first = True
@@ -65,26 +70,32 @@ def parse_divexpr(s: str) -> DivExpr:
         first = False
     if not terms:
         raise ExprSyntaxError("no terms in divisor expression")
-    return DivExpr(tuple(terms))
+    return tuple(terms)
 
 
 def resolve(expr: DivExpr | str, model: LatticeModel) -> DivClass:
-    """Turn an expression into coordinates against a surface's basis."""
-    if isinstance(expr, str):
-        expr = parse_divexpr(expr)
-    coords = [0] * model.rank
-    for coeff, label in expr.terms:
+    """Turn an expression into coordinates against a surface's basis.
+
+    A string is read term by term (_terms), with no DivExpr built; each
+    label is found by one search of the basis labels, and the result is
+    built once, as DivClass checks it (int coordinates inside the 64-bit
+    envelope)."""
+    terms = _terms(expr) if isinstance(expr, str) else expr.terms
+    labels = model.labels
+    coords = [0] * len(labels)
+    for coeff, label in terms:
         if label == "K":
             for i, v in enumerate(model.canonical):
                 coords[i] += coeff * v
             continue
-        if label not in model.labels:
+        try:
+            coords[labels.index(label)] += coeff
+        except ValueError:
             raise LabelError(
                 f"unknown label {label!r} on {model.name} "
-                f"(has {', '.join(model.labels)} and K)"
-            )
-        coords[model.labels.index(label)] += coeff
-    return model.klass(coords)
+                f"(has {', '.join(labels)} and K)"
+            ) from None
+    return DivClass(model, tuple(coords))
 
 
 def render(klass: DivClass) -> str:

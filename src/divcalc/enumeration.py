@@ -22,7 +22,7 @@ verify_case replays any of them.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import lru_cache
 from operator import mul
 
 from .divexpr import render, render_coords, resolve
@@ -85,9 +85,6 @@ class EnumerationResult(_Record):
 
     __slots__ = ("surface", "curve", "k", "mod4_applied", "survivors",
                  "rejected", "visited")
-
-    def survivor_keys(self):
-        return {d.key() for d in self.survivors}
 
     def to_json_dict(self):
         return {
@@ -709,7 +706,13 @@ def _replay(case_id, curves, walks):
     all_ok = True
     for config_name, checks in fx.identities:
         surf = get_config(config_name)
-        klass = cache(partial(resolve, model=surf))  # one parse per expression
+        classes = {}  # one parse per expression of the group
+
+        def klass(expr):
+            if expr not in classes:
+                classes[expr] = resolve(expr, surf)
+            return classes[expr]
+
         for chk in checks:
             tag = chk[0]
             if tag == "square":

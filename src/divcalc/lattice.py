@@ -485,24 +485,30 @@ def reflect_nodal(L: DivClass, delta: DivClass) -> DivClass:
 # fraction-free symmetric elimination: signature, determinant, LDL
 
 
-def _eliminate(Q):
+def _eliminate(A):
     """Fraction-free congruence elimination (Bareiss, Math. Comp. 22,
-    1968) of a symmetric integer matrix on its upper triangle: (r, c),
+    1968) of a symmetric integer matrix A on its upper triangle: (r, c),
     c >= r, takes its multiplier from (i, r). Returns (e, V, den, ok):
-    the pivots; per pivot of row i, [0] * (i + 1) + row i's tail; each
-    pivot times the one before (1 first); and, for _ldl, whether e are
-    the leading principal minors, none skipped or repaired, all positive
-    but the last. The open block is the last pivot d_S times the Schur
-    complement of the pivots S taken: its entries are minors, each
-    division is exact (Sylvester's identity), and the sign of a pivot
-    over the one before adds to the inertia. A zero row is null and is
-    skipped; a zero pivot with a live a_ij is repaired by the unimodular
-    e_i -> e_i + s e_j: row i += s row j, reading (j, c) for c >= j and
-    (c, j) for c < j; the pivot 2 s a_ij + a_jj is nonzero for s = 1 or
-    -1. With no row skipped, the last pivot is the determinant.
+    the pivots; per pivot of row i, row i with its first i + 1 entries
+    zeroed; each pivot times the one before (1 first); and, for _ldl,
+    whether e are the leading principal minors, none skipped or
+    repaired, all positive but the last. The open block is the last
+    pivot d_S times the Schur complement of the pivots S taken: its
+    entries are minors, each division is exact (Sylvester's identity),
+    and the sign of a pivot over the one before adds to the inertia. A
+    zero row is null and is skipped; a zero pivot with a live a_ij is
+    repaired by the unimodular e_i -> e_i + s e_j: row i += s row j,
+    reading (j, c) for c >= j and (c, j) for c < j; the pivot
+    2 s a_ij + a_jj is nonzero for s = 1 or -1. With no row skipped, the
+    last pivot is the determinant.
+
+    A is a list of lists that the caller owns and hands over: the
+    elimination works on it in place, and the rows of V are A's rows.
+    Step i reads only rows i and later, at or right of their diagonal,
+    so no entry of the lower triangle is read, and zeroing row i's head
+    after its step disturbs nothing still to come.
     """
-    n = len(Q)
-    A = [list(row) for row in Q]
+    n = len(A)
     e, V, den = [], [], []
     prev, ok = 1, True
     for i in range(n):
@@ -519,21 +525,23 @@ def _eliminate(Q):
             for c in range(i + 1, n):
                 Ai[c] += s * (Aj[c] if c >= j else A[c][j])
         e.append(d)
-        V.append([0] * (i + 1) + Ai[i + 1:])
         den.append(prev * d)
         for r in range(i + 1, n):
             Ar, a = A[r], Ai[r]
             for c in range(r, n):
                 Ar[c] = (d * Ar[c] - a * Ai[c]) // prev
         prev = d
+        Ai[:i + 1] = [0] * (i + 1)
+        V.append(Ai)
     return e, V, den, ok
 
 
 def _symmetric(Q, what):
-    """Q, or ModelError unless Q is square and symmetric."""
+    """A copy of Q as a list of lists, for _eliminate to work on in
+    place, or ModelError unless Q is square and symmetric."""
     if list(zip(*Q)) != list(map(tuple, Q)):
         raise ModelError(f"{what} needs a symmetric form")
-    return Q
+    return [list(row) for row in Q]
 
 
 def signature(gram) -> tuple[int, int, int]:
@@ -602,7 +610,9 @@ def hodge_filter(L: DivClass, C: DivClass) -> HodgeResult:
 def _ldl(Q):
     """(W, e, V, B) with B Q(x) = sum_i W[i] (e[i] x_i + V[i].x)^2, B > 0
     and W[i] = B / (d_{i-1} d_i), d_i = e[i], d_{-1} = 1, from _eliminate;
-    None unless its ok holds (no row skipped or repaired, e[:-1] > 0)."""
+    None unless its ok holds (no row skipped or repaired, e[:-1] > 0).
+    Q is a list of lists that the caller hands over: _eliminate works on
+    it in place, and its rows become V."""
     e, V, den, ok = _eliminate(Q)
     if not ok:
         return None
@@ -682,39 +692,43 @@ def vectors_of_norm(Q, N: int):
 
 
 def _kernel_basis(w, gram):
-    """Integral basis of {x : w.x = 0} for a nonzero integer vector w,
-    plus a pivot p with w.p = g = +-gcd(w), and the gram in the basis
-    P = (kernel | p), as (kernel, p, g, P^T G P).
+    """A basis P = (kernel | p) of Z^r whose first r - 1 columns span
+    {x : w.x = 0} for a nonzero integer vector w and whose last column p
+    has w.p = g = +-gcd(w), with minus the gram in it, as
+    (rows of P, g, -P^T G P); the two matrices are lists of lists that
+    the caller owns.
 
     Unimodular column operations on the identity reduce w to one nonzero
     entry g; the columns then form a basis of Z^r in which the other
-    columns span the kernel. Each operation is also applied to the gram
-    as a congruence, so P^T G P needs no matrix product. The congruence
-    is sparse: column q -= f column p changes a basis entry only where
-    column p is nonzero, and on the gram, row q -= f row p changes row q
+    columns span the kernel. Each operation is also applied to -G as a
+    congruence, so -P^T G P needs no matrix product. The congruence
+    is sparse: column q -= f column p changes an entry of P only where
+    column p is nonzero, and on the form, row q -= f row p changes row q
     only where row p is nonzero; the column operation that follows
     changes column q at those rows and at q, and since the result is
     symmetric again, it is row q mirrored. No factor f is 0, since p has
-    the least |w| of the live entries.
+    the least |w| of the live entries. The pivot column is then moved
+    last, in P and on both sides of the form, the kernel columns keeping
+    their order.
     """
     w = list(w)
     r = len(w)
-    cols = [[0] * r for _ in range(r)]
-    for j, col in enumerate(cols):
-        col[j] = 1
-    M = [list(row) for row in gram]
+    P = [[0] * r for _ in range(r)]
+    for i, row in enumerate(P):
+        row[i] = 1
+    M = [[-v for v in row] for row in gram]
     live = [j for j in range(r) if w[j]]
     while len(live) > 1:
         p = min(live, key=lambda j: abs(w[j]))
         wp, Mp = w[p], M[p]
-        basis = [(i, a) for i, a in enumerate(cols[p]) if a]
+        basis = [(row, row[p]) for row in P if row[p]]
         for q in live:
-            if q != p:  # column q -= f column p, on w, the basis and M
+            if q != p:  # column q -= f column p, on w, P and M
                 f = w[q] // wp
                 w[q] -= f * wp
-                cq, Mq = cols[q], M[q]
-                for i, a in basis:
-                    cq[i] -= f * a
+                Mq = M[q]
+                for row, a in basis:
+                    row[q] -= f * a
                 rows = [j for j, a in enumerate(Mp) if a]
                 for j in rows:
                     Mq[j] -= f * Mp[j]
@@ -722,9 +736,11 @@ def _kernel_basis(w, gram):
                 for i in rows:
                     M[i][q] = Mq[i]
         live = [j for j in live if w[j]]
-    order = [j for j in range(r) if not w[j]] + live
-    return ([cols[j] for j in order[:-1]], cols[live[0]], w[live[0]],
-            [[M[i][j] for j in order] for i in order])
+    p = live[0]
+    M.append(M.pop(p))
+    for row in P + M:
+        row.append(row.pop(p))
+    return P, w[p], M
 
 
 def _gram_image(C: DivClass):
@@ -751,8 +767,8 @@ def _slicer(C: DivClass, image=None):
     w, c2 = image or _gram_image(C)
     if c2 <= 0:
         raise ModelError(f"slice enumeration needs C^2 > 0, got C^2 = {c2}")
-    K, pivot, g, M = _kernel_basis(w, gram)
-    ldl = _ldl([[-v for v in row] for row in M])
+    P, g, M = _kernel_basis(w, gram)
+    ldl = _ldl(M)
     if ldl is None:
         raise ModelError(
             "slice enumeration needs a hyperbolic lattice; the complement "
@@ -760,7 +776,7 @@ def _slicer(C: DivClass, image=None):
         )
     W, e, V, B = ldl
     Wt = W.pop() * e[-1] ** 2  # the weight of t^2, negative
-    walk = _walker(W, e, V, list(zip(*K, pivot)))
+    walk = _walker(W, e, V, P)
     even = not any([row[i] % 2 for i, row in enumerate(gram)])
 
     def points(s, qlo, qhi):

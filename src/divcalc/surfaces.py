@@ -347,7 +347,8 @@ class PhiResult(_Record):
 # T_2,3,7 diagram (alpha_j . alpha_k = 1, every other off-diagonal pairing
 # is 0); the columns of the weights, so that x = sum_j (x.alpha_j) omega_j
 # is a product with them; the row G h of the height class h, the sum of
-# the weights; and the rows of the E8(-1) block past U1, U2.
+# the weights, and its E8(-1) part; and the rows of the E8(-1) block past
+# U1, U2.
 _E10_ROOT_ROWS = tuple(tuple(sum(map(mul, g, a)) for g in _E10_GRAM)
                        for a in E10_ROOTS)
 _E10_NEIGHBOURS = tuple(
@@ -356,18 +357,29 @@ _E10_NEIGHBOURS = tuple(
 _E10_WEIGHT_COLUMNS = tuple(zip(*E10_WEIGHTS))
 _E10_HEIGHT_ROW = tuple(sum(map(mul, g, map(sum, _E10_WEIGHT_COLUMNS)))
                         for g in _E10_GRAM)
+_E8_HEIGHT_ROW = _E10_HEIGHT_ROW[2:]
 _E8_ROWS = tuple(g[2:] for g in _E10_GRAM[2:])
 
 
-def _transvection(x, e, v):
+def _shift(r, xe, v):
+    """x.v + (v^2 / 2)(x.e) for a class x with E8(-1) part r and
+    x.e = xe: the multiple of e that the transvection along e and v takes
+    off x."""
+    Nv = [sum(map(mul, row, v)) for row in _E8_ROWS]
+    return sum(map(mul, r, Nv)) + sum(map(mul, v, Nv)) // 2 * xe
+
+
+def _transvection(x, e, v, shift=None):
     """The Eichler transvection E(x) = x + (x.e) v - (x.v) e
     - (v^2 / 2)(x.e) e of the E10 coordinates x, along e = U1 (e = 0) or
     U2 (e = 1), with v in the E8(-1) block given by its 8 coordinates. It
-    is an isometry fixing e, and E along -v undoes it."""
+    is an isometry fixing e, and E along -v undoes it. shift is
+    _shift(x[2:], x.e, v) when the caller has it."""
     xe, r = x[1 - e], x[2:]
-    Nv = [sum(map(mul, row, v)) for row in _E8_ROWS]
+    if shift is None:
+        shift = _shift(r, xe, v)
     y = x[:2] + [ri + xe * vi for ri, vi in zip(r, v)]
-    y[e] -= sum(map(mul, r, Nv)) + sum(map(mul, v, Nv)) // 2 * xe
+    y[e] -= shift
     return y
 
 
@@ -377,17 +389,25 @@ def _cusp_step(x):
     -round(r / (x.e)) coordinatewise for r the E8(-1) part of x, so E
     sends r to r + (x.e) v, with coordinates in [-x.e / 2, x.e / 2).
     x.e > 0: x lies in the open positive cone on the side of h, and U1,
-    U2 are isotropic classes on its boundary there."""
-    top, best = sum(map(mul, _E10_HEIGHT_ROW, x)), None
+    U2 are isotropic classes on its boundary there.
+
+    The two are compared by their height change, read off E's formula:
+    h.(E x - x) = (x.e)(h.v) - (x.v + (v^2 / 2)(x.e))(h.e), with U1
+    winning a tie. Only the image of the one taken is built."""
+    r, best, drop = x[2:], None, 0
     for e in (0, 1):
         xe = x[1 - e]
-        v = tuple(-((2 * ri + xe) // (2 * xe)) for ri in x[2:])
+        v = tuple(-((2 * ri + xe) // (2 * xe)) for ri in r)
         if any(v):
-            y = _transvection(x, e, v)
-            height = sum(map(mul, _E10_HEIGHT_ROW, y))
-            if height < top:
-                best, top = (e, v, y), height
-    return best
+            shift = _shift(r, xe, v)
+            change = (xe * sum(map(mul, _E8_HEIGHT_ROW, v))
+                      - shift * _E10_HEIGHT_ROW[e])
+            if change < drop:
+                best, drop = (e, v, shift), change
+    if best is None:
+        return None
+    e, v, shift = best
+    return e, v, _transvection(x, e, v, shift)
 
 
 def _reduce(x):
@@ -457,18 +477,21 @@ def reduce_to_chamber(L: DivClass):
 
 def _chamber_witness(word):
     """w^-1 U1 for the chamber word w: the steps undone in reverse order,
-    reflections and the sign on the pairings d_j = F.alpha_j (from U1's
-    (1, 0, ..., 0)) and transvections on the coordinates F, each kept
-    until a step needs the other."""
-    d, F = [1] + [0] * 9, None
+    reflections and the sign on the pairings d_j = F.alpha_j and
+    transvections on the coordinates F, each kept until a step needs the
+    other. U1 starts with both: its pairings and its coordinates are
+    each (1, 0, ..., 0), so a word whose last step is a transvection
+    needs no product with the weight columns to begin."""
+    d, F = [1] + [0] * 9, [1] + [0] * 9
     for step in reversed(word):
         if step[0] == "t":
             if F is None:
                 F = [sum(map(mul, d, col)) for col in _E10_WEIGHT_COLUMNS]
-            F = _transvection(F, step[1], tuple(-a for a in step[2]))
+            F, d = _transvection(F, step[1], tuple(-a for a in step[2])), None
             continue
-        if F is not None:
-            d, F = [sum(map(mul, row, F)) for row in _E10_ROOT_ROWS], None
+        if d is None:
+            d = [sum(map(mul, row, F)) for row in _E10_ROOT_ROWS]
+        F = None
         if step[0] == "s":
             j = step[1]
             dj = d[j]

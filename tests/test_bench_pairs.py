@@ -165,3 +165,30 @@ def test_a_failing_run_shows_its_stderr(tmp_path):
     msg = str(err.value)
     assert msg.startswith(f"{tmp_path}: fixtures at seed 2907 exited 1")
     assert msg.endswith("stderr:\nTraceback: the worker died\n")
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_the_change_is_labelled_by_its_content(tmp_path):
+    # two different trees on one parent commit get two labels, and one
+    # tree copied twice gets one label
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "a.py").write_text("a")
+    (src / "b.py").write_text("b")
+    subprocess.run(["git", "init", "-q"], cwd=src, check=True)
+    subprocess.run(["git", "add", "a.py", "b.py"], cwd=src, check=True)
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                    "commit", "-qm", "parent"], cwd=src, check=True)
+
+    (src / "a.py").write_text("first change")
+    first = copy_working_tree(src, tmp_path / "c1")
+    again = copy_working_tree(src, tmp_path / "c2")
+    (src / "a.py").write_text("second change")
+    second = copy_working_tree(src, tmp_path / "c3")
+    (src / "a.py").write_text("a")
+    (src / "b.py").rename(src / "ab.py")  # the parent's bytes, one moved
+    moved = copy_working_tree(src, tmp_path / "c4")
+
+    assert first.startswith("sha256:") and len(first) == len("sha256:") + 64
+    assert first == again
+    assert len({first, second, moved}) == 3

@@ -5,6 +5,7 @@ check_phi_certificate replays."""
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -161,6 +162,78 @@ class TestReduceToChamber:
                 taken += 1
                 assert height(step[2]) < height(L.coords), L.coords
         assert taken
+
+    def test_cusp_step_builds_only_the_image_it_takes(self, monkeypatch):
+        # the two transvections are compared by their height change, so a
+        # step builds at most one image, and it takes the step that
+        # building both images and comparing their heights would take
+        images, steps, both = [], 0, 0
+
+        def counting_transvection(x, e, v, *rest):
+            images.append(e)
+            return real_transvection(x, e, v, *rest)
+
+        def checked_cusp_step(x):
+            nonlocal steps, both
+            want, top, live = None, height(x), 0
+            for e in (0, 1):
+                xe = x[1 - e]
+                v = tuple(-((2 * ri + xe) // (2 * xe)) for ri in x[2:])
+                if any(v):
+                    live += 1
+                    y = act(x, ("t", e, v))
+                    if height(y) < top:
+                        want, top = (e, v, y), height(y)
+            images.clear()
+            got = real_cusp_step(x)
+            assert len(images) <= 1 and got == want, x
+            steps += 1
+            both += live == 2
+            return got
+
+        real_transvection = surfaces._transvection
+        real_cusp_step = surfaces._cusp_step
+        monkeypatch.setattr(surfaces, "_transvection", counting_transvection)
+        monkeypatch.setattr(surfaces, "_cusp_step", checked_cusp_step)
+        classes = sample(random.Random(1221), 200, 40)
+        classes += [cusp(m) for m in (3, 10**4)] + [-cusp(7)]
+        for L in classes:
+            reduce_to_chamber(L)
+        assert steps > len(classes) and both > 20
+
+    def test_witness_starts_from_u1_coordinates(self, monkeypatch):
+        # w^-1 U1 undoes the word's last step first; when that is a
+        # transvection it acts on U1's coordinates (1, 0, ..., 0), with
+        # no product with the weight columns. A product is made only
+        # where a transvection is undone right after a reflection or the
+        # sign, or at the end after one
+        words = [reduce_to_chamber(L)[1] for L in
+                 [cusp(m) for m in (10, 10**4, 10**9)]
+                 + sample(random.Random(1231), 200, 40)]
+        products = []
+
+        class CountingColumns(tuple):
+            def __iter__(self):
+                products.append(1)
+                return super().__iter__()
+
+        monkeypatch.setattr(surfaces, "_E10_WEIGHT_COLUMNS",
+                            CountingColumns(surfaces._E10_WEIGHT_COLUMNS))
+        ends = Counter()
+        for word in words:
+            F = [1] + [0] * 9
+            for step in reversed(word):
+                F = act(F, step if step[0] != "t" else
+                        ("t", step[1], tuple(-a for a in step[2])))
+            kinds = [step[0] for step in reversed(word)]
+            needed = sum(a != "t" and b == "t" for a, b in zip(kinds,
+                                                             kinds[1:]))
+            needed += bool(kinds) and kinds[-1] != "t"
+            products.clear()
+            assert surfaces._chamber_witness(word) == tuple(F), word
+            assert len(products) == needed, word
+            ends[kinds[0] if kinds else None] += 1
+        assert ends["t"] >= 3 and ends["s"] > 20
 
     def test_replays_into_the_chamber(self):
         rng = random.Random(1201)

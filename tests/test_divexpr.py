@@ -93,3 +93,34 @@ def test_oversize_coefficient_is_refused_before_conversion():
     # leading zeros do not count, and 19 digits are read
     assert parse_divexpr("0" * 30 + "7H").terms == ((7, "H"),)
     assert parse_divexpr("9" * 19 + "H").terms == ((int("9" * 19), "H"),)
+
+
+def test_resolving_a_string_builds_no_expression_record(monkeypatch):
+    # resolve reads a string's terms with the parser's own term reader;
+    # only parse_divexpr wraps them in a DivExpr. The class is the one
+    # the parsed expression resolves to, refusals included
+    import divcalc.divexpr as divexpr
+
+    built = []
+
+    def counting_div_expr(*args):
+        built.append(args)
+        return real(*args)
+
+    real = divexpr.DivExpr
+    monkeypatch.setattr(divexpr, "DivExpr", counting_div_expr)
+    s3, cfg = get_surface("sigma3"), get_config("pencil-triple-1")
+    for expr, model in [("-2K", s3), ("6H-2G1-2G2+K", s3), ("0", s3),
+                        ("3E+2E1-E2", cfg), ("E+E+E1", cfg)]:
+        got = resolve(expr, model)
+        assert built == []
+        assert got == resolve(parse_divexpr(expr), model)
+        assert len(built) == 1
+        built.clear()
+    for bad in ("E+X", "E-3K2"):
+        with pytest.raises(LabelError, match="unknown label") as exc:
+            resolve(bad, cfg)
+        assert exc.value.__suppress_context__ or exc.value.__context__ is None
+    with pytest.raises(OverflowGuardError, match="coordinate"):
+        resolve("9223372036854775807E+E", cfg)
+    assert built == []

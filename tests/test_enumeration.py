@@ -131,6 +131,26 @@ def test_replay_sets_up_each_curve_and_expression_once(monkeypatch):
         assert _replay_calls(calls, resolve=distinct), (cid, calls)
 
 
+def test_replay_memoizes_expressions_without_cache_wrappers(monkeypatch):
+    # each identity group memoizes its expressions in a dict; building a
+    # functools.cache wrapper per group (one update_wrapper call each, 4
+    # in verify_all) cost more than the parses it saved
+    import functools
+
+    wrapped = []
+
+    def counting_update_wrapper(*args, **kwargs):
+        wrapped.append(args)
+        return real(*args, **kwargs)
+
+    real = functools.update_wrapper
+    monkeypatch.setattr(functools, "update_wrapper", counting_update_wrapper)
+    calls = _count_calls(monkeypatch, _REPLAY_COUNTED)
+    assert all(r.status == "PASS" for r in verify_all())
+    assert wrapped == []
+    assert _replay_calls(calls, _slicer=5, resolve=18), calls
+
+
 def _seeded_pencil_fixtures(count=40):
     """count (fixture, search result) pairs drawn with a fixed seed over
     the 12 built-in surfaces: C has its first two coordinates in [0, 8]
@@ -246,7 +266,7 @@ def test_inline_expected_sets():
         surf = get_surface(fx.surface)
         C = resolve(fx.curve, surf)
         res = enumerate_bogreider(surf, C, fx.k, mod4=fx.mod4)
-        assert res.survivor_keys() == expect, cid
+        assert {d.key() for d in res.survivors} == expect, cid
 
 
 def test_case_a_killed_means_net_empty():
@@ -255,7 +275,8 @@ def test_case_a_killed_means_net_empty():
     surf = get_surface(fx.surface)
     C = resolve(fx.curve, surf)
     res = enumerate_bogreider(surf, C, fx.k, mod4=fx.mod4)
-    assert res.survivor_keys() == killed  # everything numeric dies later
+    # everything numeric dies later
+    assert {d.key() for d in res.survivors} == killed
 
 
 def test_survivor_ordering_and_payload():

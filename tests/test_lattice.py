@@ -300,8 +300,8 @@ def _mutate(draw, doc):
             continue
         if isinstance(target[0], list) and draw(st.booleans()):
             target = draw(st.sampled_from(target))
-            if not target:
-                continue
+            if not isinstance(target, list) or not target:
+                continue  # an earlier edit made this row a leaf
         k = draw(st.integers(0, len(target) - 1))
         how = draw(st.sampled_from(("leaf", "drop", "repeat")))
         if how == "leaf":
@@ -920,9 +920,10 @@ class TestSlicePoints:
 
     def test_kernel_basis_is_a_congruence(self):
         # _kernel_basis reduces G.C to one entry by column operations and
-        # applies each to the gram as a congruence; the result must be a
-        # basis (K | p) with K spanning the complement of C, p.C = +-gcd,
-        # and the gram in it equal to the dense product P^T G P
+        # applies each to minus the gram as a congruence; the result must
+        # be the rows of a basis (K | p) with K spanning the complement of
+        # C, p.C = +-gcd, and the form in it equal to the dense product
+        # -P^T G P
         rng = random.Random(14)
         cases = []
         for m in [get_surface(n) for n in list_surfaces()] + [
@@ -955,12 +956,13 @@ class TestSlicePoints:
             w = [dot(row, C) for row in gram]
             if not any(w):
                 continue
-            K, p, g, M = lattice._kernel_basis(w, gram)
-            P = K + [p]
+            rows, g, M = lattice._kernel_basis(w, gram)
+            P = [list(col) for col in zip(*rows)]
+            K, p = P[:-1], P[-1]
             assert len(P) == r and all(dot(w, col) == 0 for col in K)
             assert dot(w, p) == g and abs(g) == math.gcd(*w)
             assert round(abs(np.linalg.det(np.array(P, dtype=float)))) == 1
-            dense = [[dot(u, [dot(row, v) for row in gram]) for v in P]
+            dense = [[-dot(u, [dot(row, v) for row in gram]) for v in P]
                      for u in P]
             assert M == dense, (gram, C)
             ranks.add(r)
@@ -972,7 +974,8 @@ class TestSlicePoints:
         # e the leading principal minors, checked on seeded x; None exactly
         # when a minor other than the last is not positive or the last is
         # zero; and a lower triangle of None changes nothing, since only
-        # the upper triangle is read
+        # the upper triangle is read. _ldl works in place on the matrix it
+        # is handed, so each call gets its own copy
         rng = random.Random(15)
         cases = []
         for m in [get_surface(n) for n in list_surfaces()] + [
@@ -982,15 +985,14 @@ class TestSlicePoints:
                 C = tuple(rng.randint(-3, 4) for _ in range(m.rank))
                 w = [sum(a * c for a, c in zip(row, C)) for row in m.gram]
                 if any(w):  # _slicer's form: minus the gram in (K | p)
-                    M = lattice._kernel_basis(w, m.gram)[3]
-                    cases.append([[-v for v in row] for row in M])
+                    cases.append(lattice._kernel_basis(w, m.gram)[2])
         for n in range(1, 11):
             for kind in ("random", "zero-diagonal", "definite", "degenerate"):
                 cases += [_symmetric(rng, n, kind) for _ in range(6)]
         seen = set()
         for Q in cases:
             n = len(Q)
-            got = lattice._ldl(Q)
+            got = lattice._ldl([list(row) for row in Q])
             upper = [[v if j >= i else None for j, v in enumerate(row)]
                      for i, row in enumerate(Q)]
             assert lattice._ldl(upper) == got, Q
@@ -1014,6 +1016,33 @@ class TestSlicePoints:
             seen.add("definite" if minors[-1] > 0 else "last pivot negative")
         assert seen == {"zero pivot", "negative pivot", "definite",
                         "last pivot negative"}
+
+    def test_eliminating_in_place_leaves_callers_matrices_alone(self):
+        # _eliminate works in place on the matrix it is handed: signature,
+        # determinant and vectors_of_norm hand it copies of the caller's
+        # list of lists, and _kernel_basis builds its form from the gram
+        # without writing to it
+        rng = random.Random(16)
+        for n in range(1, 7):
+            for kind in ("random", "zero-diagonal", "definite", "degenerate"):
+                Q = _symmetric(rng, n, kind)
+                before = copy.deepcopy(Q)
+                signature(Q)
+                determinant(Q)
+                assert Q == before, kind
+        Q = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+        assert vectors_of_norm(Q, 2)
+        assert Q == [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+        for gram, C in [([[1, 0, 0], [0, -1, 0], [0, 0, -1]], (3, 1, 1)),
+                        ([[0, 2, 1], [2, 0, 0], [1, 0, -2]], (2, 3, 1))]:
+            before = copy.deepcopy(gram)
+            m = _model(gram)
+            w = [sum(a * c for a, c in zip(row, C)) for row in gram]
+            assert (lattice._kernel_basis(w, gram)
+                    == lattice._kernel_basis(w, m.gram))
+            points = slice_points(m.klass(C), 4, -6, 2)
+            assert points and slice_points(m.klass(C), 4, -6, 2) == points
+            assert gram == before and m.gram == tuple(map(tuple, before))
 
     def test_points_refuse_out_of_envelope_coordinates(self):
         # the walk hands back (coordinates, x^2) pairs, whose coordinates

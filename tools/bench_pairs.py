@@ -26,13 +26,17 @@ side's share of failed operations on the workload; it ends with one
 table of all of them. With --out FILE it also writes that table as a
 JSON document (document()): per workload and metric, both sides'
 quartiles, the per-seed ratios, the wins, the verdict, the bound check
-and the failed shares, with the two git revisions, the Python version
-and the core count. It changes nothing under perfbench/.
+and the failed shares, with the two sides' labels, the Python version
+and the core count. The parent is labelled by its commit and the
+change by the content of the files copied for it (copy_working_tree),
+so two different changes on one parent get two labels. It changes
+nothing under perfbench/.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -134,11 +138,20 @@ def working_files(root):
 
 
 def copy_working_tree(root, dest):
-    """Copy working_files(root) into dest, as they stand on disk."""
-    for name in working_files(root):
+    """Copy working_files(root) into dest, as they stand on disk, and
+    return the label of the copy: "sha256:" and the SHA-256 digest over
+    the copied files in sorted order of their relative paths, each as
+    its path, its size and its bytes."""
+    digest = hashlib.sha256()
+    for name in sorted(working_files(root)):
         target = os.path.join(dest, name)
         os.makedirs(os.path.dirname(target), exist_ok=True)
         shutil.copy2(os.path.join(root, name), target)
+        with open(target, "rb") as fh:
+            data = fh.read()
+        digest.update(b"%s\0%d\0" % (os.fsencode(name), len(data)))
+        digest.update(data)
+    return "sha256:" + digest.hexdigest()
 
 
 def parse_args(argv, bench):
@@ -210,12 +223,10 @@ def document(summaries, revisions, python, cores):
     }
 
 
-def _revision(ref=None):
-    """The commit of ref, or of this checkout with "-dirty" appended when
-    its tracked files differ from that commit."""
-    cmd = (["git", "rev-parse", ref] if ref else
-           ["git", "describe", "--always", "--dirty", "--abbrev=40"])
-    return subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True,
+def _revision(ref):
+    """The commit of ref."""
+    return subprocess.run(["git", "rev-parse", ref], cwd=ROOT,
+                          capture_output=True, text=True,
                           check=True).stdout.strip()
 
 
@@ -230,7 +241,7 @@ def main(argv=None):
         sides = [("parent", os.path.join(tmp, "parent")),
                  ("change", os.path.join(tmp, "change"))]
         _export(args.ref, sides[0][1])
-        copy_working_tree(ROOT, sides[1][1])
+        change = copy_working_tree(ROOT, sides[1][1])
         for i in range(args.pairs):
             seed = args.first_seed + i
             for w in args.workload:
@@ -259,7 +270,7 @@ def main(argv=None):
     print(table(summaries))
     if args.out:
         doc = document(summaries,
-                       {"parent": _revision(args.ref), "change": _revision()},
+                       {"parent": _revision(args.ref), "change": change},
                        platform.python_version(), os.cpu_count())
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
