@@ -180,9 +180,9 @@ def _stage_kernel(model, k, apply_mod4):
     return stages
 
 
-def _decomposition(L, s, C2, k, values, trace):
-    """The survivor L with L.C = s, given C^2 and its stage values."""
-    L2, ML, deg_D = values
+def _decomposition(L, s, L2, C2, k, trace):
+    """The survivor L with L.C = s and L^2 = L2, given C^2."""
+    ML = s - L2
     # No Hodge stage: on the signature-(1, r - 1) lattices that _slicer
     # accepts, L^2 > 0 and C^2 > 0 give (L.C)^2 >= L^2 C^2, with equality
     # only for C = (L.C / L^2) L. L^2 > 0 holds there, as L.C >= k >= 2.
@@ -192,7 +192,7 @@ def _decomposition(L, s, C2, k, values, trace):
                  f"{Fraction(s, L2)} L",)
     if ML < k:
         notes += (f"residual subscheme of length {k - ML}",)
-    return Decomposition(L, k - ML, ML, L2, deg_D, trace, notes)
+    return Decomposition(L, k - ML, ML, L2, s - k, trace, notes)
 
 
 def _setup(surface, C, k, mod4, walks):
@@ -213,12 +213,12 @@ def _setup(surface, C, k, mod4, walks):
 def _scan(surface, C, k, mod4, walks):
     """The windows of the search for C at k, set up by _setup, with the
     sign and mod4 tests: (kept, rejected, visited, C^2, apply_mod4,
-    trace), where kept lists, unsorted, (x, s, (L^2, M.L, deg D)) for
-    the coordinates x of each survivor L and s = L.C, rejected counts
-    the rejections per stage and visited the slice points walked. It
-    builds no class and renders nothing: enumerate_bogreider builds the
-    search's records from kept, and _replay grades the survivors' keys
-    from the walk's coordinates."""
+    trace), where kept lists, unsorted, (x, s, L^2) for the coordinates
+    x of each survivor L and s = L.C, rejected counts the rejections per
+    stage and visited the slice points walked. It builds no class and
+    renders nothing: enumerate_bogreider builds the search's records
+    from kept, and _replay grades the survivors' keys from the walk's
+    coordinates."""
     points, C2, apply_mod4, trace = _setup(surface, C, k, mod4, walks)
     negative, _ = _sign_stage(surface)
     kept = []
@@ -233,7 +233,7 @@ def _scan(surface, C, k, mod4, walks):
             elif apply_mod4 and _residual_parity(q, s) % 4:
                 rejected["mod4"] = rejected.get("mod4", 0) + 1
             else:
-                kept.append((x, s, (q, s - q, s - k)))
+                kept.append((x, s, q))
     return kept, rejected, visited, C2, apply_mod4, trace
 
 
@@ -265,13 +265,14 @@ def enumerate_bogreider(
     walk, and a survivor's values are (L^2, s - L^2, s - k). The
     explainer runs all seven stages and shares those two tests, so
     visited counts slice points and traces match explainer's. Only a
-    survivor is built as a DivClass.
+    survivor is built as a DivClass, from the walk's coordinates.
     """
     kept, rejected, visited, C2, apply_mod4, trace = _scan(
         surface, C, k, mod4, {})
     kept.sort()  # by coordinates, which no two survivors share
-    survivors = [_decomposition(DivClass(C.model, x), s, C2, k, got, trace)
-                 for x, s, got in kept]
+    walked, model = DivClass._walked, C.model
+    survivors = [_decomposition(walked(model, x), s, q, C2, k, trace)
+                 for x, s, q in kept]
     return EnumerationResult(surface.name, render(C), k, apply_mod4,
                              survivors, rejected, visited)
 
@@ -303,7 +304,7 @@ def _explainer(surface, C, k, mod4, walks):
         if stage is not None:
             return None, [*_PASSES[:_STAGES.index(stage)],
                           (stage, f"fail: {got}")]
-        return _decomposition(L, s, C2, k, got, trace), list(trace)
+        return _decomposition(L, s, got[0], C2, k, trace), list(trace)
 
     return explain
 
@@ -664,7 +665,7 @@ def _replay(case_id, curves, walks):
         C = curves[key]
         surf = C.model
         kept, rejected, *_ = _scan(surf, C, fx.k, fx.mod4, walks)
-        got = {_key(x, surf.labels, fx.k - ML) for x, _, (_, ML, _) in kept}
+        got = {_key(x, surf.labels, fx.k - s + q) for x, s, q in kept}
         want = set(fx.expected)
         status = "PASS" if got == want else "FAIL"
         missing = sorted(want - got)

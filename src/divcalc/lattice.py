@@ -3,8 +3,8 @@
 The lattice is the whole data model here: a symmetric integer gram matrix,
 a labeled basis, a canonical class, chi and the sign tests of the
 decomposition search. Divisor classes are integer coordinate vectors
-against that basis. Everything is immutable and every operation is a pure
-function, so concurrent use needs no locking.
+against that basis. Everything is immutable and every public operation
+is a pure function, so concurrent use needs no locking.
 
 All arithmetic is exact. Results are guarded against leaving the signed
 64-bit envelope; desk-scale inputs never get close, but the guard turns a
@@ -36,8 +36,6 @@ def _check_i64(value, what):
     return value
 
 
-_set = object.__setattr__  # fills a slot past the read-only __setattr__
-
 # a basis label is an identifier of divisor expressions (divexpr's token)
 _LABEL = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 
@@ -52,23 +50,31 @@ class _Record:
     declared once per class for trailing fields, in slot order. A missing
     field, an unknown keyword, a field given twice or too many
     positionals raise TypeError. A type that validates its fields
-    defines its own __init__ with the same parameters.
+    defines its own __init__ with the same parameters. Each class
+    collects once the setters of its fields' slot descriptors, found
+    through the MRO (_setters), and its defaults' values (_tail).
     """
 
     __slots__ = ()
     _defaults = {}
+    _setters = _tail = ()
+
+    def __init_subclass__(cls):
+        cls._setters = tuple(
+            next(vars(c)[f] for c in cls.__mro__ if f in vars(c)).__set__
+            for f in cls.__slots__)
+        cls._tail = tuple(cls._defaults.values())  # trailing, in slot order
 
     def __init__(self, *args, **kwargs):
-        fields = self.__slots__
-        missing = len(fields) - len(args)
+        setters = self._setters
+        missing = len(setters) - len(args)
         if kwargs or missing:
-            tail = tuple(self._defaults.values())  # trailing, in slot order
-            if kwargs or not 0 < missing <= len(tail):
+            if kwargs or not 0 < missing <= len(self._tail):
                 args = self._all_fields(args, kwargs)
             else:
-                args += tail[-missing:]
-        for f, v in zip(fields, args):
-            _set(self, f, v)
+                args += self._tail[-missing:]
+        for put, v in zip(setters, args):
+            put(self, v)
 
     def _all_fields(self, args, kwargs):
         """Every field value in slot order, from the positionals, then
@@ -372,8 +378,18 @@ class DivClass(_Record):
         if max(coords) > I64_MAX or min(coords) < -I64_MAX:
             for c in coords:
                 _check_i64(c, "coordinate")
-        _set(self, "model", model)
-        _set(self, "coords", coords)
+        _put_model(self, model)
+        _put_coords(self, coords)
+
+    @staticmethod
+    def _walked(model, coords):
+        """The class of coordinates that a walk made (_slicer's points),
+        ints inside the envelope that points checks once per window, with
+        no check repeated. Every other class goes through __init__."""
+        D = _new(DivClass)
+        _put_model(D, model)
+        _put_coords(D, coords)
+        return D
 
     def __eq__(self, other):
         if other.__class__ is not DivClass:
@@ -436,6 +452,10 @@ class DivClass(_Record):
             prim = tuple(-c for c in prim)
             sign = -1
         return DivClass(self.model, prim), sign * g
+
+
+_new = object.__new__
+_put_model, _put_coords = DivClass._setters
 
 
 def _same_model(a: LatticeModel, b: LatticeModel) -> bool:
@@ -635,39 +655,45 @@ def _walker(W, e, V, rows):
     |u_i| <= isqrt(rest // W[i]), a range found by floor division.
     Level 0 also keeps the lower bound, as W[0] u_0^2 >= rest - (hi - lo),
     and computes each point's coordinates there, so no z tuple is built.
+
+    The recursion and its scratch state (z, the list being filled and
+    the width hi - lo) are built once per form and reused by every call,
+    so a walk is not reentrant and is never shared across threads: each
+    call of a public function builds its own.
     """
     m = len(W)
+    z = [0] * m
+    out, width = [], 0
+    e0, W0 = (e[0], W[0]) if m else (0, 0)
+
+    def descend(i, rest):
+        b = sum(map(mul, V[i], z))
+        top = math.isqrt(rest // W[i])
+        if i:
+            ei, Wi = e[i], W[i]
+            for yi in range(-((b + top) // ei), (top - b) // ei + 1):
+                u = ei * yi + b
+                z[i] = yi
+                descend(i - 1, rest - Wi * u * u)
+            return
+        need = rest - width
+        low = math.isqrt((need - 1) // W0) + 1 if need > 0 else 0
+        for ulo, uhi in ((-top, -low), (low, top)) if low else ((-top, top),):
+            for y0 in range(-((b - ulo) // e0), (uhi - b) // e0 + 1):
+                z[0] = y0
+                u = e0 * y0 + b
+                out.append((tuple([sum(map(mul, row, z)) for row in rows]),
+                            rest - W0 * u * u))
 
     def walk(tail, lo, hi):
+        nonlocal out, width
         if hi < 0:
             return []
-        z = [0] * m + list(tail)
+        z[m:] = tail
         if m == 0:
             x = tuple([sum(map(mul, row, z)) for row in rows])
             return [(x, hi)] if lo <= 0 else []
-        out = []
-        width = hi - lo
-        e0, W0 = e[0], W[0]
-
-        def descend(i, rest):
-            b = sum(map(mul, V[i], z))
-            top = math.isqrt(rest // W[i])
-            if i:
-                ei, Wi = e[i], W[i]
-                for yi in range(-((b + top) // ei), (top - b) // ei + 1):
-                    u = ei * yi + b
-                    z[i] = yi
-                    descend(i - 1, rest - Wi * u * u)
-                return
-            need = rest - width
-            low = math.isqrt((need - 1) // W0) + 1 if need > 0 else 0
-            for ulo, uhi in ((-top, -low), (low, top)) if low else ((-top, top),):
-                for y0 in range(-((b - ulo) // e0), (uhi - b) // e0 + 1):
-                    z[0] = y0
-                    u = e0 * y0 + b
-                    out.append((tuple([sum(map(mul, row, z)) for row in rows]),
-                                rest - W0 * u * u))
-
+        out, width = [], hi - lo
         descend(m - 1, hi)
         return out
 
@@ -789,8 +815,8 @@ def _slicer(C: DivClass, image=None):
         found = walk((t,), -B * qhi - shift, -B * qlo - shift)
         if not found:
             return found
-        coords = [v for x, _ in found for v in x]
-        if min(coords) < -I64_MAX or max(coords) > I64_MAX:
+        xs = [x for x, _ in found]
+        if min(map(min, xs)) < -I64_MAX or max(map(max, xs)) > I64_MAX:
             for x, _ in found:
                 DivClass(model, x)  # raises, naming the coordinate
         return [(x, qlo + left // B) for x, left in found]
@@ -824,7 +850,8 @@ def slice_points(C: DivClass, s: int, qlo: int, qhi: int) -> list[DivClass]:
     a window with no even value is empty without a walk.
     """
     points, _ = _slicer(C)
-    return [DivClass(C.model, x) for x, _ in sorted(points(s, qlo, qhi))]
+    walked, model = DivClass._walked, C.model
+    return [walked(model, x) for x, _ in sorted(points(s, qlo, qhi))]
 
 
 # ---------------------------------------------------------------------------

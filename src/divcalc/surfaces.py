@@ -635,7 +635,8 @@ def phi(
             inside = [F for F in witnesses if max(map(abs, F)) <= b]
             witnesses = inside + [tuple(-x for x in F) for F in inside]
         if witnesses:
-            return PhiResult(t, DivClass(L.model, min(witnesses)), not boxed)
+            return PhiResult(t, DivClass._walked(L.model, min(witnesses)),
+                             not boxed)
     if boxed:
         raise PhiBoundError(
             f"no isotropic class in box {b} pairs to at most "

@@ -201,6 +201,55 @@ class TestReduceToChamber:
             reduce_to_chamber(L)
         assert steps > len(classes) and both > 20
 
+    # classes of 3,000 drawn by random.Random(31) with coordinates in
+    # [-30, 30] whose reduction meets a cusp step where the transvections
+    # along U1 and U2 lower the height equally: (phi, word length, the
+    # word's transvections as (e, v), witness), with U1 winning each tie
+    TIES = {
+        (-21, -20, 7, 3, 14, 12, -11, -16, -19, -10): (
+            5, 120, [(0, (0, 0, 1, 1, -1, -1, -1, -1)),
+                     (0, (0, 0, 0, -1, -1, -1, 0, 0))],
+            (-3, -3, 0, -1, 0, -1, -4, -4, -4, -2)),
+        (24, 24, 7, 9, 16, 14, -5, 4, -5, -17): (
+            9, 100, [(0, (0, 0, -1, -1, 0, 0, 0, 1)),
+                     (1, (0, 0, -1, -1, -1, 0, 0, 0))],
+            (2, 2, 1, 1, 2, 2, 0, 1, 0, -1)),
+        (-30, -29, -28, 2, -20, -18, -17, -15, 10, 4): (
+            4, 61, [(0, (-1, 0, -1, -1, -1, -1, 0, 0)),
+                    (1, (0, 0, 2, 3, 3, 3, 2, 1))],
+            (-1, -1, -1, 0, -1, -1, -1, -1, 0, 0)),
+    }
+
+    def test_cusp_step_tie_goes_to_u1(self, monkeypatch):
+        # U1 wins a tie, as _cusp_step says: each tie met on the way is
+        # checked against the heights of both images, and phi's word and
+        # witness on these classes are pinned
+        ties = []
+
+        def checked_cusp_step(x):
+            got = real_cusp_step(x)
+            changes = []
+            for e in (0, 1):
+                xe = x[1 - e]
+                v = tuple(-((2 * ri + xe) // (2 * xe)) for ri in x[2:])
+                if any(v):
+                    changes.append(height(act(x, ("t", e, v))) - height(x))
+            if len(changes) == 2 and changes[0] == changes[1] < 0:
+                ties.append(got[0])
+            return got
+
+        real_cusp_step = surfaces._cusp_step
+        monkeypatch.setattr(surfaces, "_cusp_step", checked_cusp_step)
+        for coords, (value, length, steps, witness) in self.TIES.items():
+            res = phi(E, E.klass(coords))
+            word = res.certificate.word
+            assert res.value == value, coords
+            assert len(word) == length, coords
+            assert [s[1:] for s in word if s[0] == "t"] == steps, coords
+            assert res.witness.coords == witness, coords
+            assert check_phi_certificate(E.klass(coords), res), coords
+        assert ties == [0] * len(self.TIES)
+
     def test_witness_starts_from_u1_coordinates(self, monkeypatch):
         # w^-1 U1 undoes the word's last step first; when that is a
         # transvection it acts on U1's coordinates (1, 0, ..., 0), with

@@ -686,15 +686,21 @@ def test_search_builds_one_class_per_slice_point(monkeypatch):
     # at most one: the walk yields coordinate tuples and the stages read
     # them, so only a survivor's L becomes a class (Decomposition stores
     # L, not the residual C - L) and the 738 points the sign stage
-    # rejects build none
+    # rejects build none. Both constructor paths count: __init__, which
+    # checks its coordinates, and DivClass._walked, for walk output.
     built = []
 
     def counting_init(self, model, coords):
         built.append(coords)
-        real(self, model, coords)
+        real_init(self, model, coords)
 
-    real = DivClass.__init__
+    def counting_walked(model, coords):
+        built.append(coords)
+        return real_walked(model, coords)
+
+    real_init, real_walked = DivClass.__init__, DivClass._walked
     monkeypatch.setattr(DivClass, "__init__", counting_init)
+    monkeypatch.setattr(DivClass, "_walked", staticmethod(counting_walked))
     surf = get_surface("sigma6")
     assert built == []
     C = resolve("-2K", surf)
@@ -703,6 +709,7 @@ def test_search_builds_one_class_per_slice_point(monkeypatch):
     res = enumerate_bogreider(surf, C, 8)
     assert (res.visited, len(res.survivors)) == (7191, 6453)
     assert len(built) == len(res.survivors) == 6453
+    assert built == [d.L.coords for d in res.survivors]
 
 
 # seeded searches that between them reject by sign and by parity on models

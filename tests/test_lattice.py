@@ -589,6 +589,56 @@ class TestRecords:
                      pickle.loads(pickle.dumps(rec))):
             assert type(twin) is cls and twin == rec
 
+    @pytest.mark.parametrize("cls", RECORD_TYPES,
+                             ids=lambda c: c.__name__)
+    def test_slots_are_filled_through_their_descriptors(self, cls):
+        # the setters collected once per class are the slot descriptors'
+        # of the fields, in slot order, and the defaults' tail is theirs;
+        # the record they fill keeps the read-only, value-type contract
+        fields = cls.__slots__
+        assert [put.__self__.__name__ for put in cls._setters] == list(fields)
+        assert all(put.__self__.__objclass__ in cls.__mro__
+                   for put in cls._setters)
+        assert cls._tail == tuple(cls._defaults.values())
+        rec = cls(*_record_sample(cls))
+        for f in fields:
+            with pytest.raises(AttributeError):
+                setattr(rec, f, None)
+            with pytest.raises(AttributeError):
+                delattr(rec, f)
+        hashable = not any(isinstance(v, dict) for v in rec._values())
+        for twin in (cls(*_record_sample(cls)), copy.copy(rec),
+                     copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
+            assert type(twin) is cls and twin == rec
+            assert twin._values() == rec._values()
+            assert not hashable or hash(twin) == hash(rec)
+
+    def test_a_subclass_without_slots_of_its_own_builds(self):
+        class Noted(lattice.HodgeResult):
+            pass
+
+        rec = Noted("pass", 4, 3)
+        assert Noted._setters == lattice.HodgeResult._setters
+        assert rec._values() == ("pass", 4, 3, None, "") and rec.keeps
+        assert rec == Noted(outcome="pass", lhs=4, rhs=3)
+        assert rec != lattice.HodgeResult("pass", 4, 3)
+        assert copy.copy(rec) == rec
+        with pytest.raises(AttributeError):
+            rec.outcome = "fail"
+        with pytest.raises(AttributeError):
+            rec.extra = 1
+
+    def test_walked_classes_are_the_checked_classes(self):
+        # DivClass._walked builds, without __init__'s checks, the class
+        # that __init__ builds from the same ints
+        m = sigma(3)
+        for coords in ((1, -1, 0, 0), (0, 0, 0, 0), (2**63 - 1, -3, 5, 0)):
+            walked, checked = DivClass._walked(m, coords), m.klass(coords)
+            assert type(walked) is DivClass and walked == checked
+            assert walked._values() == checked._values()
+            assert hash(walked) == hash(checked)
+            assert pickle.loads(pickle.dumps(walked)) == checked
+
     @pytest.mark.parametrize("cls", PLAIN_TYPES, ids=lambda c: c.__name__)
     def test_declared_defaults(self, cls):
         defaults = RECORD_DEFAULTS.get(cls.__name__, {})
@@ -1051,8 +1101,9 @@ class TestSlicePoints:
         C = _model([[1]]).klass((1,))
         with pytest.raises(OverflowGuardError):
             lattice._slicer(C)[0](2**64, 2**128, 2**128)
-        with pytest.raises(OverflowGuardError):
-            slice_points(C, 2**64, 2**128, 2**128)
+        for s in (2**64, -2**64):
+            with pytest.raises(OverflowGuardError):
+                slice_points(C, s, 2**128, 2**128)
         assert [x.coords for x in slice_points(C, 2**40, 0, 2**80)] == [
             (2**40,)]
 

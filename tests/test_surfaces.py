@@ -337,19 +337,25 @@ class TestPhi:
     def test_certified_phi_builds_only_its_witness(self, monkeypatch):
         # the slice walk yields coordinate tuples; the first non-empty
         # slice's smallest point is the one class phi builds, also when
-        # that slice holds three isotropic classes, as for 3H-G1-G2-G3
+        # that slice holds three isotropic classes, as for 3H-G1-G2-G3.
+        # Both constructor paths count: __init__ and DivClass._walked.
         built = []
 
         def counting_init(self, model, coords):
             built.append(coords)
-            real(self, model, coords)
+            real_init(self, model, coords)
 
-        real = DivClass.__init__
+        def counting_walked(model, coords):
+            built.append(coords)
+            return real_walked(model, coords)
+
+        real_init, real_walked = DivClass.__init__, DivClass._walked
         s3 = sigma(3)
         cases = [(resolve(expr, s3), want)
                  for expr, want in (("3H", 3), ("3H-G1-G2-G3", 2))]
         assert len(lattice.slice_points(cases[1][0], 2, 0, 0)) == 3
         monkeypatch.setattr(DivClass, "__init__", counting_init)
+        monkeypatch.setattr(DivClass, "_walked", staticmethod(counting_walked))
         for L, want in cases:
             del built[:]
             res = phi(s3, L)
