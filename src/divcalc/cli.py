@@ -13,6 +13,7 @@ import functools
 import re
 import sys
 import time
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import __version__
@@ -101,7 +102,9 @@ def _need(args, *names):
         )
 
 
-class _Outcome(_Record):
+class _Outcome(_Record, namedtuple(
+        "_Outcome", "payload surface lines no_conclusion failed",
+        defaults=(False, False))):
     """What a subcommand handler hands back to main(): payload, a function
     of no arguments giving the JSON payload; the surface name or None;
     lines, a function of no arguments giving the text lines; and the
@@ -110,8 +113,7 @@ class _Outcome(_Record):
     handler does its computation itself and leaves to these two
     functions only the work of one rendering."""
 
-    __slots__ = ("payload", "surface", "lines", "no_conclusion", "failed")
-    _defaults = {"no_conclusion": False, "failed": False}
+    __slots__ = ()
 
 
 def _cmd_pair(args):

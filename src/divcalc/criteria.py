@@ -13,6 +13,8 @@ formula, on the echoed inputs must pass (the test suite audits this).
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .errors import EvidenceError, RangeError
 from .lattice import _Record
 
@@ -62,7 +64,9 @@ def _check_class(L2, phi, least):
             raise RangeError(f"phi^2 = {phi * phi} exceeds L2 = {L2}")
 
 
-class GaussianInput(_Record):
+class GaussianInput(_Record, namedtuple(
+        "GaussianInput", "g L2 phi degM h1M h0_2K_minus_M h0_residual cliff "
+        "cork_mu aux_h0")):
     """Evidence bundle for the Gaussian-map checkers.
 
     g is the curve genus. Optional fields left as None count as missing
@@ -73,11 +77,10 @@ class GaussianInput(_Record):
     fresh empty dict.
     """
 
-    __slots__ = ("g", "L2", "phi", "degM", "h1M", "h0_2K_minus_M",
-                 "h0_residual", "cliff", "cork_mu", "aux_h0")
+    __slots__ = ()
 
-    def __init__(
-        self, g: int, L2: int | None = None, phi: int | None = None,
+    def __new__(
+        cls, g: int, L2: int | None = None, phi: int | None = None,
         degM: int | None = None, h1M: int | None = None,
         h0_2K_minus_M: int | None = None, h0_residual: int | None = None,
         cliff: int | None = None, cork_mu: int | None = None,
@@ -110,16 +113,15 @@ class GaussianInput(_Record):
                     f"degM = {degM} is implausibly large for genus "
                     f"{g} (cap {cap})"
                 )
-        _Record.__init__(self, g, L2, phi, degM, h1M, h0_2K_minus_M,
-                         h0_residual, cliff, cork_mu, aux_h0)
+        return tuple.__new__(cls, (g, L2, phi, degM, h1M, h0_2K_minus_M,
+                                   h0_residual, cliff, cork_mu, aux_h0))
 
     def echo(self, fields, aux=()) -> dict:
         """The inputs a rule read, for its verdict's inputs_echo: g, then
-        each field of fields that is set, in slot order, then the
+        each field of fields that is set, in _fields order, then the
         aux_h0 entries under the keys of aux that are set, sorted."""
         out = {"g": self.g}
-        for name in self.__slots__[1:-1]:
-            val = getattr(self, name)
+        for name, val in zip(self._fields[1:-1], self[1:-1]):
             if name in fields and val is not None:
                 out[name] = val
         read = sorted((k, v) for k, v in self.aux_h0.items() if k in aux)
@@ -128,15 +130,15 @@ class GaussianInput(_Record):
         return out
 
 
-class GaussianVerdict(_Record):
+class GaussianVerdict(_Record, namedtuple(
+        "GaussianVerdict", "status rule bound qualifiers notes inputs_echo")):
     """status is SURJECTIVE, CORANK_BOUND or NO_CONCLUSION; inputs_echo
     left as None is a fresh empty dict."""
 
-    __slots__ = ("status", "rule", "bound", "qualifiers", "notes",
-                 "inputs_echo")
+    __slots__ = ()
 
-    def __init__(
-        self, status: str, rule: str, bound: int | None = None,
+    def __new__(
+        cls, status: str, rule: str, bound: int | None = None,
         qualifiers: tuple = (), notes: tuple = (),
         inputs_echo: dict | None = None,
     ):
@@ -144,8 +146,9 @@ class GaussianVerdict(_Record):
             raise ValueError("a SURJECTIVE verdict must cite its rule")
         if status == "CORANK_BOUND" and bound is None:
             raise ValueError("a CORANK_BOUND verdict must carry the bound")
-        _Record.__init__(self, status, rule, bound, qualifiers, notes,
-                         {} if inputs_echo is None else inputs_echo)
+        echo = {} if inputs_echo is None else inputs_echo
+        return tuple.__new__(cls, (status, rule, bound, qualifiers, notes,
+                                   echo))
 
     @property
     def status_label(self) -> str:
@@ -622,11 +625,11 @@ def tetragonal_corank(
     )
 
 
-class B2Rule(_Record):
+class B2Rule(_Record, namedtuple("B2Rule", "status qualifiers notes",
+                                  defaults=((), ()))):
     """status is b2_at_least_1 or unknown."""
 
-    __slots__ = ("status", "qualifiers", "notes")
-    _defaults = {"qualifiers": (), "notes": ()}
+    __slots__ = ()
 
     to_json_dict = _Record._field_dict
 

@@ -12,6 +12,7 @@ OverflowGuardError before it is read.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 
 from .errors import ExprSyntaxError, LabelError, OverflowGuardError
 from .lattice import _LABEL, _MAX_DIGITS, DivClass, LatticeModel, _Record
@@ -20,10 +21,10 @@ _TERM = re.compile(r"\s*([+-])?\s*(?:([0-9]+)\s*\*?\s*)?"
                    f"({_LABEL.pattern})")
 
 
-class DivExpr(_Record):
+class DivExpr(_Record, namedtuple("DivExpr", "terms")):
     """A parsed expression: its (coefficient, label) terms."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
 
 def parse_divexpr(s: str) -> DivExpr:

@@ -21,6 +21,7 @@ verify_case replays any of them.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -49,14 +50,15 @@ def _key(coords, labels, z):
     return render_coords(coords, labels), z
 
 
-class Decomposition(_Record):
+class Decomposition(_Record, namedtuple(
+        "Decomposition", "L z ML L2 deg_D filter_trace notes",
+        defaults=((),))):
     """A survivor C = L + M of the search: the class L, the residual
     length z = k - M.L, ML = M.L, L2 = L^2, deg_D = L^2 + M.L - k, the
     (stage, detail) filter trace and string notes. The residual class M
     is C - L and is not stored."""
 
-    __slots__ = ("L", "z", "ML", "L2", "deg_D", "filter_trace", "notes")
-    _defaults = {"notes": ()}
+    __slots__ = ()
 
     @property
     def expr(self):
@@ -78,13 +80,14 @@ class Decomposition(_Record):
         }
 
 
-class EnumerationResult(_Record):
+class EnumerationResult(_Record, namedtuple(
+        "EnumerationResult",
+        "surface curve k mod4_applied survivors rejected visited")):
     """One search: surface name, rendered curve, k, the mod4 flag used,
     the survivor Decompositions, rejections per stage name and the
     number of slice points visited."""
 
-    __slots__ = ("surface", "curve", "k", "mod4_applied", "survivors",
-                 "rejected", "visited")
+    __slots__ = ()
 
     def to_json_dict(self):
         return {
@@ -318,19 +321,20 @@ def explain_candidate(surface, C, k, coords, mod4: bool | None = None):
 # destabilizing splittings on the ruled quadric model
 
 
-class DestabCandidate(_Record):
+class DestabCandidate(_Record, namedtuple(
+        "DestabCandidate", "a a1 A2 B2 AB lenW")):
     """A destabilizing A = a C0 + a1 f with its integer invariants."""
 
-    __slots__ = ("a", "a1", "A2", "B2", "AB", "lenW")
+    __slots__ = ()
 
     to_json_dict = _Record._field_dict
 
 
-class DestabResult(_Record):
+class DestabResult(_Record, namedtuple("DestabResult", "survivors grid")):
     """The surviving DestabCandidates and the grid of
     (a, a1, "pass" | first violation) cells."""
 
-    __slots__ = ("survivors", "grid")
+    __slots__ = ()
 
     to_json_dict = _Record._field_dict
 
@@ -376,7 +380,10 @@ def enumerate_destab() -> DestabResult:
 # fixture catalog
 
 
-class CaseFixture(_Record):
+class CaseFixture(_Record, namedtuple(
+        "CaseFixture", "case_id kind surface curve k mod4 expected killed "
+        "identities notes",
+        defaults=(None, None, None, None, None, (), (), ()))):
     """One frozen case: either a pencil search, the destabilization grid,
     or a batch of pairing identities on a configuration span (kind
     pencil, destab or identities).
@@ -389,11 +396,7 @@ class CaseFixture(_Record):
     reasons are recorded verbatim as annotations.
     """
 
-    __slots__ = ("case_id", "kind", "surface", "curve", "k", "mod4",
-                 "expected", "killed", "identities", "notes")
-    _defaults = {"surface": None, "curve": None, "k": None, "mod4": None,
-                 "expected": None, "killed": (), "identities": (),
-                 "notes": ()}
+    __slots__ = ()
 
 
 _KILL_H0_3 = "the restricted system has three sections (h0 = 3), not a pencil"
@@ -604,12 +607,12 @@ FIXTURES = {fx.case_id: fx for fx in (
 )}
 
 
-class CaseReport(_Record):
+class CaseReport(_Record, namedtuple(
+        "CaseReport", "case_id status survivors expected killed trace notes",
+        defaults=((),))):
     """The grade of one fixture replay: status is PASS or FAIL."""
 
-    __slots__ = ("case_id", "status", "survivors", "expected", "killed",
-                 "trace", "notes")
-    _defaults = {"notes": ()}
+    __slots__ = ()
 
     def to_json_dict(self):
         return {

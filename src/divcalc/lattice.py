@@ -3,8 +3,9 @@
 The lattice is the whole data model here: a symmetric integer gram matrix,
 a labeled basis, a canonical class, chi and the sign tests of the
 decomposition search. Divisor classes are integer coordinate vectors
-against that basis. Everything is immutable and every public operation
-is a pure function, so concurrent use needs no locking.
+against that basis. Models, classes and results are read-only named
+tuples (_Record), and every public operation is a pure function, so
+concurrent use needs no locking.
 
 All arithmetic is exact. Results are guarded against leaving the signed
 64-bit envelope; desk-scale inputs never get close, but the guard turns a
@@ -16,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import namedtuple
 from fractions import Fraction
 from operator import index, mul
 
@@ -40,69 +42,27 @@ def _check_i64(value, what):
 _LABEL = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 
 
-class _Record:
-    """Base of divcalc's value types. The fields are the __slots__, set
-    once by the constructor and read-only afterwards; equality, hash and
-    repr go over them in slot order, as for a frozen dataclass.
-
-    The constructor takes the fields in slot order, positionally or by
-    keyword; a field left out takes its value from the class's _defaults,
-    declared once per class for trailing fields, in slot order. A missing
+class _Record(tuple):
+    """Base of divcalc's value types, each of which also derives from a
+    collections.namedtuple base stating its fields and trailing defaults.
+    A record is the tuple of its fields: the tuple builds it (a missing
     field, an unknown keyword, a field given twice or too many
-    positionals raise TypeError. A type that validates its fields
-    defines its own __init__ with the same parameters. Each class
-    collects once the setters of its fields' slot descriptors, found
-    through the MRO (_setters), and its defaults' values (_tail).
+    positionals raise TypeError), indexes, orders, hashes and reprs it,
+    and copy, pickle and _replace rebuild it through __new__, which a
+    type that validates its fields defines. Added here: a record equals
+    only a record of its own type, never a plain tuple; its fields are
+    read-only; _make goes through __new__; and _field_dict.
     """
 
     __slots__ = ()
-    _defaults = {}
-    _setters = _tail = ()
 
-    def __init_subclass__(cls):
-        cls._setters = tuple(
-            next(vars(c)[f] for c in cls.__mro__ if f in vars(c)).__set__
-            for f in cls.__slots__)
-        cls._tail = tuple(cls._defaults.values())  # trailing, in slot order
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
 
-    def __init__(self, *args, **kwargs):
-        setters = self._setters
-        missing = len(setters) - len(args)
-        if kwargs or missing:
-            if kwargs or not 0 < missing <= len(self._tail):
-                args = self._all_fields(args, kwargs)
-            else:
-                args += self._tail[-missing:]
-        for put, v in zip(setters, args):
-            put(self, v)
+    def __ne__(self, other):
+        return not self.__eq__(other)
 
-    def _all_fields(self, args, kwargs):
-        """Every field value in slot order, from the positionals, then
-        the keywords, then the declared defaults."""
-        name, fields = type(self).__name__, self.__slots__
-        if len(args) > len(fields):
-            raise TypeError(f"{name} takes {len(fields)} fields, "
-                            f"got {len(args)}")
-        rest = []
-        for f in fields[len(args):]:
-            if f in kwargs:
-                rest.append(kwargs.pop(f))
-            elif f in self._defaults:
-                rest.append(self._defaults[f])
-            else:
-                raise TypeError(f"{name} needs field {f!r}")
-        for f in kwargs:
-            what = "given twice" if f in fields else "unknown"
-            raise TypeError(f"{name} field {f!r} {what}")
-        return args + tuple(rest)
-
-    def _values(self):
-        return tuple(getattr(self, f) for f in self.__slots__)
-
-    def _field_dict(self):
-        """The fields by name, in slot order, as JSON values (_json_value);
-        the to_json_dict of a record whose JSON is just its fields."""
-        return {f: _json_value(getattr(self, f)) for f in self.__slots__}
+    __hash__ = tuple.__hash__
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is read-only")
@@ -110,35 +70,33 @@ class _Record:
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is read-only")
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
+    @classmethod
+    def _make(cls, fields):
+        """The record of fields; namedtuple's _make, which _replace
+        calls, would skip a validating type's __new__."""
+        return cls(*fields)
 
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__name__}({args})"
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, whose positional
-        # parameters are the slots in order; the default path would assign
-        return type(self), self._values()
+    def _field_dict(self):
+        """The fields by name as JSON values (_json_value): the
+        to_json_dict of a record whose JSON is just its fields."""
+        return {f: _json_value(v) for f, v in zip(self._fields, self)}
 
 
 def _json_value(v):
     """v as JSON: a DivClass as its coordinate list, another record as its
     to_json_dict(), a tuple or list as the list of its items' values."""
-    if isinstance(v, (tuple, list)):
-        return [_json_value(x) for x in v]
     if isinstance(v, DivClass):
         return list(v.coords)
-    return v.to_json_dict() if isinstance(v, _Record) else v
+    if isinstance(v, _Record):
+        return v.to_json_dict()
+    if isinstance(v, (tuple, list)):
+        return [_json_value(x) for x in v]
+    return v
 
 
-class LatticeModel(_Record):
+class LatticeModel(_Record, namedtuple(
+        "LatticeModel", "name labels gram canonical chi effective_labels "
+        "sign_tests")):
     """An integral lattice: labeled basis, gram matrix, distinguished classes.
 
     Every label is an identifier [A-Za-z][A-Za-z0-9]*, so a divisor
@@ -152,11 +110,10 @@ class LatticeModel(_Record):
     must be ints (not bools) inside the 64-bit envelope.
     """
 
-    __slots__ = ("name", "labels", "gram", "canonical", "chi",
-                 "effective_labels", "sign_tests")
+    __slots__ = ()
 
-    def __init__(
-        self, name: str, labels: tuple[str, ...],
+    def __new__(
+        cls, name: str, labels: tuple[str, ...],
         gram: tuple[tuple[int, ...], ...], canonical: tuple[int, ...],
         chi: int, effective_labels: tuple[str, ...] = (),
         sign_tests: tuple[tuple[int, ...], ...] | None = None,
@@ -193,8 +150,8 @@ class LatticeModel(_Record):
             sign_tests = _unit_vectors(labels, effective_labels)
         else:
             sign_tests = _model_rows(sign_tests, "sign_tests", n)
-        _Record.__init__(self, name, labels, gram, canonical, chi,
-                         effective_labels, sign_tests)
+        return tuple.__new__(cls, (name, labels, gram, canonical, chi,
+                                   effective_labels, sign_tests))
 
     def __hash__(self):
         # equal models share these, whose strings cache their own hashes,
@@ -355,7 +312,7 @@ def load_model(path):
 _INT_ONLY = frozenset((int,))  # the type of a coordinate; bool is not int
 
 
-class DivClass(_Record):
+class DivClass(_Record, namedtuple("DivClass", "model coords")):
     """An integer divisor class in a fixed LatticeModel.
 
     Every coordinate must be an int (a bool, a float or a numpy integer
@@ -368,9 +325,9 @@ class DivClass(_Record):
     and the model name, which equal classes share.
     """
 
-    __slots__ = ("model", "coords")
+    __slots__ = ()
 
-    def __init__(self, model: LatticeModel, coords: tuple[int, ...]):
+    def __new__(cls, model: LatticeModel, coords: tuple[int, ...]):
         if len(coords) != len(model.labels):
             raise ModelError("coordinate length does not match model rank")
         if not _INT_ONLY.issuperset(map(type, coords)):
@@ -378,23 +335,18 @@ class DivClass(_Record):
         if max(coords) > I64_MAX or min(coords) < -I64_MAX:
             for c in coords:
                 _check_i64(c, "coordinate")
-        _put_model(self, model)
-        _put_coords(self, coords)
+        return tuple.__new__(cls, (model, coords))
 
     @staticmethod
     def _walked(model, coords):
         """The class of coordinates that a walk made (_slicer's points),
         ints inside the envelope that points checks once per window, with
-        no check repeated. Every other class goes through __init__."""
-        D = _new(DivClass)
-        _put_model(D, model)
-        _put_coords(D, coords)
-        return D
+        no check repeated. Every other class goes through __new__."""
+        return tuple.__new__(DivClass, (model, coords))
 
     def __eq__(self, other):
-        if other.__class__ is not DivClass:
-            return NotImplemented
-        return self.coords == other.coords and _same_model(self.model, other.model)
+        return (other.__class__ is DivClass and self.coords == other.coords
+                and _same_model(self.model, other.model))
 
     def __hash__(self):
         return hash((self.coords, self.model.name))
@@ -452,10 +404,6 @@ class DivClass(_Record):
             prim = tuple(-c for c in prim)
             sign = -1
         return DivClass(self.model, prim), sign * g
-
-
-_new = object.__new__
-_put_model, _put_coords = DivClass._setters
 
 
 def _same_model(a: LatticeModel, b: LatticeModel) -> bool:
@@ -581,13 +529,13 @@ def determinant(gram) -> int:
 # Hodge-index filter
 
 
-class HodgeResult(_Record):
+class HodgeResult(_Record, namedtuple(
+        "HodgeResult", "outcome lhs rhs lam note", defaults=(None, ""))):
     """outcome is pass, equality_case, fail or fail_by_integrality; lhs is
     (L.C)^2 and rhs is L^2 C^2; lam is the Fraction (L.C)/L^2 when they
     are equal, else None."""
 
-    __slots__ = ("outcome", "lhs", "rhs", "lam", "note")
-    _defaults = {"lam": None, "note": ""}
+    __slots__ = ()
 
     @property
     def keeps(self):

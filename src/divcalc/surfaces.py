@@ -27,6 +27,7 @@ import functools
 import math
 import os
 import re
+from collections import namedtuple
 from operator import mul
 
 from .criteria import _check_count
@@ -320,24 +321,26 @@ def mod4_condition(L: DivClass, M: DivClass) -> bool:
 # phi invariant
 
 
-class PhiCertificate(_Record):
+class PhiCertificate(_Record, namedtuple(
+        "PhiCertificate", "word pairings phi")):
     """A proof of phi(L) on the E10 gram: the word w that takes L into the
     closed chamber of E10_ROOTS (reduce_to_chamber's steps), the pairings
     L'.alpha_i >= 0 of L' = wL with the roots in that order, and
     phi = L'.U1. check_phi_certificate replays it."""
 
-    __slots__ = ("word", "pairings", "phi")
+    __slots__ = ()
 
     to_json_dict = _Record._field_dict
 
 
-class PhiResult(_Record):
+class PhiResult(_Record, namedtuple(
+        "PhiResult", "value witness certified certificate",
+        defaults=(None,))):
     """phi: the value |F.L|, the isotropic witness class F, whether the
     value is certified minimal, and the chamber certificate of an E10
     result (None for a slice-walk or boxed result)."""
 
-    __slots__ = ("value", "witness", "certified", "certificate")
-    _defaults = {"certificate": None}
+    __slots__ = ()
 
     to_json_dict = _Record._field_dict
 
@@ -608,7 +611,8 @@ def phi(
     such class by coordinates. That is the least |F.L| over the
     isotropic F in the box, never certified, since a class outside the
     box may pair lower. When no t up to isqrt(L^2) keeps a class it
-    raises PhiBoundError.
+    raises PhiBoundError. A box given in any other mode raises
+    ModelError, since only boxed mode reads it.
 
     An L from another model raises ModelMismatchError.
     """
@@ -617,6 +621,8 @@ def phi(
     L2 = _check_i64(image[1], "pairing")
     if L2 <= 0:
         raise RangeError(f"phi needs L^2 > 0, got {L2}")
+    if box is not None and mode != "boxed":
+        raise ModelError(f"phi reads box only in boxed mode, not {mode!r}")
     if mode == "sublattice" and surface.gram == _E10_GRAM:
         return _chamber_phi(L)
     boxed = mode == "boxed"
@@ -652,13 +658,14 @@ def phi(
 # quasi-nef grading
 
 
-class QuasiNefResult(_Record):
+class QuasiNefResult(_Record, namedtuple(
+        "QuasiNefResult", "status min_pairing witness notes",
+        defaults=((),))):
     """status is nef, quasi_nef or violated; min_pairing and witness are
     the lowest pairing with the test pool and the class that gives it
     (None when nothing was tested, witness None for nef)."""
 
-    __slots__ = ("status", "min_pairing", "witness", "notes")
-    _defaults = {"notes": ()}
+    __slots__ = ()
 
     to_json_dict = _Record._field_dict
 
@@ -715,9 +722,9 @@ def quasi_nef_test(L: DivClass, nodal_set) -> QuasiNefResult:
 # scroll invariants
 
 
-class ScrollInvariants(_Record):
-    __slots__ = ("g", "b1", "b2", "degV", "degY", "pa_hyperplane",
-                 "n2_holds")
+class ScrollInvariants(_Record, namedtuple(
+        "ScrollInvariants", "g b1 b2 degV degY pa_hyperplane n2_holds")):
+    __slots__ = ()
 
     to_json_dict = _Record._field_dict
 

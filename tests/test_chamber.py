@@ -422,7 +422,7 @@ class TestChamberPhi:
     def test_a_model_built_from_lists_is_the_tuple_model(self):
         # the model stores its rows as tuples, so a copy of the E10 gram
         # built from lists is the builtin model and takes the chamber path
-        fields = dict(zip(E.__slots__, E._values()))
+        fields = E._asdict()
         fields.update(gram=[list(row) for row in GRAM],
                       canonical=list(E.canonical))
         copy = LatticeModel(**fields)

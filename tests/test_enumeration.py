@@ -686,20 +686,20 @@ def test_search_builds_one_class_per_slice_point(monkeypatch):
     # at most one: the walk yields coordinate tuples and the stages read
     # them, so only a survivor's L becomes a class (Decomposition stores
     # L, not the residual C - L) and the 738 points the sign stage
-    # rejects build none. Both constructor paths count: __init__, which
+    # rejects build none. Both constructor paths count: __new__, which
     # checks its coordinates, and DivClass._walked, for walk output.
     built = []
 
-    def counting_init(self, model, coords):
+    def counting_new(cls, model, coords):
         built.append(coords)
-        real_init(self, model, coords)
+        return real_new(cls, model, coords)
 
     def counting_walked(model, coords):
         built.append(coords)
         return real_walked(model, coords)
 
-    real_init, real_walked = DivClass.__init__, DivClass._walked
-    monkeypatch.setattr(DivClass, "__init__", counting_init)
+    real_new, real_walked = DivClass.__new__, DivClass._walked
+    monkeypatch.setattr(DivClass, "__new__", counting_new)
     monkeypatch.setattr(DivClass, "_walked", staticmethod(counting_walked))
     surf = get_surface("sigma6")
     assert built == []

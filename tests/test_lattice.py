@@ -494,19 +494,19 @@ RECORD_DEFAULTS = {
 
 
 def _record_sample(cls):
-    """Field values, in slot order, that cls accepts."""
+    """Field values, in _fields order, that cls accepts."""
     m = sigma(2)
     return {
-        LatticeModel: m._values(),
+        LatticeModel: tuple(m),
         DivClass: (m, (1, -1, 0)),
         GaussianInput: (7, 12, 2, 8, 0, None, 1, None, None, {"4K-M": 3}),
         GaussianVerdict: ("SURJECTIVE", "rule", None, ("q",), ("n",),
                           {"g": 7}),
-    }.get(cls) or tuple(f"{f} value" for f in cls.__slots__)
+    }.get(cls) or tuple(f"{f} value" for f in cls._fields)
 
 
 class TestRecords:
-    """The value types are slotted, read-only records, not dataclasses."""
+    """The value types are read-only named tuples, not dataclasses."""
 
     def test_import_loads_neither_dataclasses_nor_inspect(self):
         env = dict(os.environ,
@@ -572,11 +572,11 @@ class TestRecords:
     @pytest.mark.parametrize("cls", RECORD_TYPES,
                              ids=lambda c: c.__name__)
     def test_constructor_contract(self, cls):
-        fields = cls.__slots__
+        fields = cls._fields
         vals = _record_sample(cls)
         rec = cls(*vals)
         assert rec == cls(**dict(zip(fields, vals)))
-        assert rec._values() == vals
+        assert tuple(rec) == vals
         with pytest.raises(TypeError):  # missing the first field
             cls(**dict(zip(fields[1:], vals[1:])))
         with pytest.raises(TypeError):
@@ -585,41 +585,56 @@ class TestRecords:
             cls(*vals, **{fields[0]: vals[0]})
         with pytest.raises(TypeError):
             cls(*vals, "one too many")
+        assert rec._replace() == rec and cls._make(vals) == rec
         for twin in (copy.copy(rec), copy.deepcopy(rec),
                      pickle.loads(pickle.dumps(rec))):
             assert type(twin) is cls and twin == rec
 
     @pytest.mark.parametrize("cls", RECORD_TYPES,
                              ids=lambda c: c.__name__)
-    def test_slots_are_filled_through_their_descriptors(self, cls):
-        # the setters collected once per class are the slot descriptors'
-        # of the fields, in slot order, and the defaults' tail is theirs;
-        # the record they fill keeps the read-only, value-type contract
-        fields = cls.__slots__
-        assert [put.__self__.__name__ for put in cls._setters] == list(fields)
-        assert all(put.__self__.__objclass__ in cls.__mro__
-                   for put in cls._setters)
-        assert cls._tail == tuple(cls._defaults.values())
+    def test_records_are_tuples_equal_only_to_their_own_type(self, cls):
+        # a record is the tuple of its fields, with no __dict__, but never
+        # equal to that plain tuple, from either side (a DivClass is not
+        # its (model, coords)); its fields are read-only, and the types
+        # that keep the tuple's hash hash as it
         rec = cls(*_record_sample(cls))
-        for f in fields:
+        plain = tuple(rec)
+        assert isinstance(rec, tuple) and not hasattr(rec, "__dict__")
+        assert rec != plain and plain != rec
+        assert not rec == plain and not plain == rec
+        for f in cls._fields:
             with pytest.raises(AttributeError):
                 setattr(rec, f, None)
             with pytest.raises(AttributeError):
                 delattr(rec, f)
-        hashable = not any(isinstance(v, dict) for v in rec._values())
+        hashable = not any(isinstance(v, dict) for v in rec)
+        own_hash = cls in (LatticeModel, DivClass)
+        assert not hashable or own_hash or hash(rec) == hash(plain)
+        assert not hashable or len({rec, plain}) == 2
         for twin in (cls(*_record_sample(cls)), copy.copy(rec),
                      copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
-            assert type(twin) is cls and twin == rec
-            assert twin._values() == rec._values()
+            assert type(twin) is cls and twin == rec and not twin != rec
+            assert tuple(twin) == plain
             assert not hashable or hash(twin) == hash(rec)
+
+    def test_make_and_replace_keep_the_checks(self):
+        # namedtuple's _make would build the tuple without __new__
+        m = sigma(2)
+        D = m.klass((1, -1, 0))
+        assert D._replace(coords=(0, 1, 0)) == m.klass((0, 1, 0))
+        with pytest.raises(ModelError):
+            D._replace(coords=(1.5, 0, 0))
+        with pytest.raises(ModelError):
+            m._replace(gram=((1, 2, 0), (0, -1, 0), (0, 0, -1)))
+        with pytest.raises(ModelError):
+            LatticeModel._make(("x", ("H",), 5, (0,), 1))
 
     def test_a_subclass_without_slots_of_its_own_builds(self):
         class Noted(lattice.HodgeResult):
             pass
 
         rec = Noted("pass", 4, 3)
-        assert Noted._setters == lattice.HodgeResult._setters
-        assert rec._values() == ("pass", 4, 3, None, "") and rec.keeps
+        assert tuple(rec) == ("pass", 4, 3, None, "") and rec.keeps
         assert rec == Noted(outcome="pass", lhs=4, rhs=3)
         assert rec != lattice.HodgeResult("pass", 4, 3)
         assert copy.copy(rec) == rec
@@ -629,24 +644,24 @@ class TestRecords:
             rec.extra = 1
 
     def test_walked_classes_are_the_checked_classes(self):
-        # DivClass._walked builds, without __init__'s checks, the class
-        # that __init__ builds from the same ints
+        # DivClass._walked builds, without __new__'s checks, the class
+        # that __new__ builds from the same ints
         m = sigma(3)
         for coords in ((1, -1, 0, 0), (0, 0, 0, 0), (2**63 - 1, -3, 5, 0)):
             walked, checked = DivClass._walked(m, coords), m.klass(coords)
             assert type(walked) is DivClass and walked == checked
-            assert walked._values() == checked._values()
+            assert tuple(walked) == tuple(checked)
             assert hash(walked) == hash(checked)
             assert pickle.loads(pickle.dumps(walked)) == checked
 
     @pytest.mark.parametrize("cls", PLAIN_TYPES, ids=lambda c: c.__name__)
     def test_declared_defaults(self, cls):
         defaults = RECORD_DEFAULTS.get(cls.__name__, {})
-        assert cls._defaults == defaults
-        n = len(cls.__slots__) - len(defaults)
-        assert cls.__slots__[n:] == tuple(defaults)  # trailing, in order
+        assert cls._field_defaults == defaults
+        n = len(cls._fields) - len(defaults)
+        assert cls._fields[n:] == tuple(defaults)  # trailing, in order
         rec = cls(*_record_sample(cls)[:n])
-        assert rec._values()[n:] == tuple(defaults.values())
+        assert rec[n:] == tuple(defaults.values())
 
     def test_defaults_pinned_by_example(self):
         from divcalc.cli import _Outcome
@@ -669,12 +684,12 @@ class TestRecords:
         assert got == {"value": 1, "witness": [1, 0, -1], "certified": True,
                        "certificate": {"word": [["t", 1, [2, 3]], ["s", 0]],
                                        "pairings": [0, 1], "phi": 1}}
-        assert list(got) == list(PhiResult.__slots__)
+        assert list(got) == list(PhiResult._fields)
 
-    def test_only_validating_types_define_init(self):
+    def test_only_validating_types_define_new(self):
         assert {c.__name__ for c in PLAIN_TYPES} == PLAIN_NAMES
         assert set(RECORD_DEFAULTS) <= PLAIN_NAMES
-        own = {c for c in RECORD_TYPES if "__init__" in vars(c)}
+        own = {c for c in RECORD_TYPES if "__new__" in vars(c)}
         assert own == set(VALIDATING_TYPES)
 
 

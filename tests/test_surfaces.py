@@ -94,13 +94,13 @@ class TestBuiltinModels:
 
     def test_builtins_are_built_once_and_shared(self, monkeypatch):
         built = []
-        init = lattice.LatticeModel.__init__
+        new = lattice.LatticeModel.__new__
 
-        def counting_init(self, name, *args, **kwargs):
+        def counting_new(cls, name, *args, **kwargs):
             built.append(name)
-            init(self, name, *args, **kwargs)
+            return new(cls, name, *args, **kwargs)
 
-        monkeypatch.setattr(lattice.LatticeModel, "__init__", counting_init)
+        monkeypatch.setattr(lattice.LatticeModel, "__new__", counting_new)
         names = list_surfaces()
         first = [get_surface(nm) for nm in names]
         for _ in range(3):
@@ -338,29 +338,43 @@ class TestPhi:
         # the slice walk yields coordinate tuples; the first non-empty
         # slice's smallest point is the one class phi builds, also when
         # that slice holds three isotropic classes, as for 3H-G1-G2-G3.
-        # Both constructor paths count: __init__ and DivClass._walked.
+        # Both constructor paths count: __new__ and DivClass._walked.
         built = []
 
-        def counting_init(self, model, coords):
+        def counting_new(cls, model, coords):
             built.append(coords)
-            real_init(self, model, coords)
+            return real_new(cls, model, coords)
 
         def counting_walked(model, coords):
             built.append(coords)
             return real_walked(model, coords)
 
-        real_init, real_walked = DivClass.__init__, DivClass._walked
+        real_new, real_walked = DivClass.__new__, DivClass._walked
         s3 = sigma(3)
         cases = [(resolve(expr, s3), want)
                  for expr, want in (("3H", 3), ("3H-G1-G2-G3", 2))]
         assert len(lattice.slice_points(cases[1][0], 2, 0, 0)) == 3
-        monkeypatch.setattr(DivClass, "__init__", counting_init)
+        monkeypatch.setattr(DivClass, "__new__", counting_new)
         monkeypatch.setattr(DivClass, "_walked", staticmethod(counting_walked))
         for L, want in cases:
             del built[:]
             res = phi(s3, L)
             assert res.value == want and res.certified
             assert built == [res.witness.coords]
+
+    def test_a_box_outside_boxed_mode_is_refused(self):
+        # only boxed mode reads box, so any other mode refuses one rather
+        # than answer as if none were given: on the E10 gram, whose
+        # sublattice mode takes the chamber path, and on a walked gram
+        s3, E = sigma(3), enriques()
+        for surf, L in ((E, resolve("U1+U2", E)), (s3, resolve("3H", s3))):
+            want = phi(surf, L)
+            for mode, box in (("sublattice", 1), ("sublattice", -5),
+                              ("nonsense", 2)):
+                with pytest.raises(ModelError, match="box only in boxed"):
+                    phi(surf, L, mode=mode, box=box)
+            assert phi(surf, L, box=None) == want
+            assert phi(surf, L, mode="boxed", box=1).value >= want.value
 
     def test_rejects_nonpositive_square(self):
         surf = get_config("pencil-pair-1")

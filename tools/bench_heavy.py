@@ -4,6 +4,7 @@
 Run from the root of a checkout:
 
     python3 tools/bench_heavy.py [--case NAME] [--runs 3] [--src DIR]
+                                 [--against DIR]
 
 Each case is one enumerate_bogreider call on a curve whose search keeps
 thousands of survivors, run in this process against the package in
@@ -14,11 +15,23 @@ its surface, curve and k, the slice points visited, the survivors, the
 rejections per stage, the number of runs and the median time of one run
 in seconds. The counts are deterministic and the same on every run; the
 times are a trajectory to compare trees by, not a gate.
+
+--against DIR loads a second divcalc package, from the directory DIR
+that holds it (another tree's src/), into this process under its own
+module set, and interleaves the two: each of the --runs rounds runs the
+search once per tree, the --src tree first in even rounds and the other
+tree first in odd ones, so a drift in the host's speed falls on both.
+Both trees must report the same counts. The line then also holds the
+other tree's median (against_median_s), the ratio of the medians
+(median_s / against_median_s) and the rounds in which the --src tree
+was faster (wins).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import importlib
 import json
 import os
 import statistics
@@ -36,24 +49,82 @@ CASES = (
 )
 
 
-def run_case(dc, surface, curve, k, runs):
-    """The counts of one search and its median time over runs runs."""
+def _package_modules():
+    """The divcalc modules in sys.modules, by name."""
+    return {n: m for n, m in sys.modules.items()
+            if n == "divcalc" or n.startswith("divcalc.")}
+
+
+def _take_package():
+    """_package_modules(), removed from sys.modules."""
+    modules = _package_modules()
+    for name in modules:
+        del sys.modules[name]
+    return modules
+
+
+def load(src):
+    """The divcalc package in the directory src, imported as a module
+    set of its own (name -> module); sys.modules and sys.path are left
+    as they were, so a second tree loads beside it."""
+    path = os.path.abspath(src)
+    if not os.path.isfile(os.path.join(path, "divcalc", "__init__.py")):
+        raise SystemExit(f"no divcalc package in {src}")
+    saved = _take_package()
+    sys.path.insert(0, path)
+    try:
+        importlib.import_module("divcalc")
+        return _package_modules()
+    finally:
+        sys.path.remove(path)
+        _take_package()
+        sys.modules.update(saved)
+
+
+@contextlib.contextmanager
+def installed(modules):
+    """The package of a module set from load(), with that set in
+    sys.modules meanwhile, for any import the package makes at call
+    time; a module of the package first imported meanwhile joins the
+    set."""
+    saved = _take_package()
+    sys.modules.update(modules)
+    try:
+        yield modules["divcalc"]
+    finally:
+        modules.update(_take_package())
+        sys.modules.update(saved)
+
+
+def search(dc, surface, curve, k):
+    """The counts of one search and its time in seconds."""
     surf = dc.get_surface(surface)
     C = dc.resolve(curve, surf)
-    times, counts = [], None
-    for _ in range(runs):
-        start = time.perf_counter()
-        res = dc.enumerate_bogreider(surf, C, k)
-        times.append(time.perf_counter() - start)
-        got = res.visited, len(res.survivors), dict(sorted(res.rejected.items()))
-        if counts not in (None, got):
-            raise SystemExit(f"{surface} {curve} k={k}: counts changed "
-                             f"between runs: {counts} then {got}")
-        counts = got
-        del res
+    start = time.perf_counter()
+    res = dc.enumerate_bogreider(surf, C, k)
+    elapsed = time.perf_counter() - start
+    return (res.visited, len(res.survivors),
+            dict(sorted(res.rejected.items()))), elapsed
+
+
+def run_case(trees, surface, curve, k, runs):
+    """The counts of one search and, per tree (module sets from load()),
+    its times over runs rounds; each round runs every tree once, in
+    order in even rounds and in reverse order in odd ones."""
+    times, counts = [[] for _ in trees], None
+    order = range(len(trees))
+    for r in range(runs):
+        for i in order if r % 2 == 0 else reversed(order):
+            with installed(trees[i]) as dc:
+                got, elapsed = search(dc, surface, curve, k)
+            if counts not in (None, got):
+                raise SystemExit(f"{surface} {curve} k={k}: counts differ "
+                                 f"between runs or trees: {counts} then {got}")
+            counts = got
+            times[i].append(elapsed)
     visited, survivors, rejected = counts
     return {"visited": visited, "survivors": survivors, "rejected": rejected,
-            "runs": runs, "median_s": statistics.median(times)}
+            "runs": runs}, times
 
 
 def main(argv=None):
@@ -62,17 +133,27 @@ def main(argv=None):
     ap.add_argument("--runs", type=int, default=3)
     ap.add_argument("--src", default=os.path.join(ROOT, "src"),
                     help="directory holding the divcalc package to run")
+    ap.add_argument("--against", metavar="DIR",
+                    help="directory holding a second divcalc package to "
+                         "interleave with --src's")
     args = ap.parse_args(argv)
     if args.runs < 1:
         ap.error("--runs must be at least 1")
-    sys.path.insert(0, os.path.abspath(args.src))
-    import divcalc as dc
+    trees = [load(args.src)]
+    if args.against:
+        trees.append(load(args.against))
 
     for name, surface, curve, k in CASES:
         if args.case and name not in args.case:
             continue
         line = {"case": name, "surface": surface, "curve": curve, "k": k}
-        line.update(run_case(dc, surface, curve, k, args.runs))
+        counts, times = run_case(trees, surface, curve, k, args.runs)
+        line.update(counts)
+        line["median_s"] = statistics.median(times[0])
+        if args.against:
+            line["against_median_s"] = statistics.median(times[1])
+            line["ratio"] = line["median_s"] / line["against_median_s"]
+            line["wins"] = sum(a < b for a, b in zip(*times))
         print(json.dumps(line), flush=True)
 
 
