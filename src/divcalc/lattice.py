@@ -237,62 +237,38 @@ def _model_seq(v, what):
         raise ModelError(f"{what} must be a sequence, got {v!r}") from None
 
 
-def _json_int(v):
-    """v when it is a JSON integer; a float, string or bool raises
-    TypeError, so no file value is rounded or converted into one."""
-    if isinstance(v, int) and not isinstance(v, bool):
-        return v
-    raise TypeError(f"expected an integer, got {v!r}")
-
-
-def _json_str(v):
-    """v when it is a JSON string; anything else raises TypeError, so no
-    number or null becomes a label by str()."""
-    if isinstance(v, str):
-        return v
-    raise TypeError(f"expected a string, got {v!r}")
-
-
-def _json_rows(v):
-    """The rows of a JSON list of integer lists, as tuples."""
-    if isinstance(v, list) and all(isinstance(r, list) for r in v):
-        return tuple(tuple(map(_json_int, r)) for r in v)
-    raise TypeError(f"expected a list of integer lists, got {v!r}")
-
-
-def _json_strs(v):
-    """The strings of a JSON list as a tuple; "HG" is not two labels."""
+def _json_list(v):
+    """The items of a JSON list as a tuple, for a field that a string
+    would pass as a sequence: "HG" is not two labels, nor "" no sign
+    tests."""
     if isinstance(v, list):
-        return tuple(_json_str(x) for x in v)
-    raise TypeError(f"expected a list of strings, got {v!r}")
+        return tuple(v)
+    raise TypeError(f"expected a list, got {v!r}")
 
 
 def model_from_json_dict(d, name=None):
-    """The model of a lattice document. Keys it does not read, such as
-    the reference ample class that earlier versions wrote, are ignored."""
+    """The model of a lattice document. LatticeModel checks its values,
+    so a refusal, "bad lattice definition: ...", names the field; an
+    integer beyond the 64-bit envelope raises OverflowGuardError. Keys
+    it does not read, such as the ample class that earlier versions
+    wrote, are ignored."""
     try:
-        name = name or _json_str(d.get("name", "unnamed"))
-        labels = _json_strs(d["basis"])
-        gram = _json_rows(d["gram"])
-        canonical = tuple(_json_int(v) for v in d["canonical"])
-        chi = _json_int(d["chi"])
         if "kind" in d:  # it chose the sign test, so it is not ignored
-            raise ModelError("bad lattice definition: 'kind' is no longer "
-                             "read; state the sign test as 'sign_tests'")
-        effective = _json_strs(d.get("effective", []))
+            raise ModelError("'kind' is no longer read; state the sign "
+                             "test as 'sign_tests'")
         tests = d.get("sign_tests")
-        tests = None if tests is None else _json_rows(tests)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        return LatticeModel(
+            name=name or d.get("name", "unnamed"),
+            labels=_json_list(d["basis"]),
+            gram=d["gram"],
+            canonical=d["canonical"],
+            chi=d["chi"],
+            effective_labels=_json_list(d.get("effective", [])),
+            sign_tests=None if tests is None else _json_list(tests),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError,
+            ModelError) as exc:
         raise ModelError(f"bad lattice definition: {exc}") from exc
-    return LatticeModel(
-        name=name,
-        labels=labels,
-        gram=gram,
-        canonical=canonical,
-        chi=chi,
-        effective_labels=effective,
-        sign_tests=tests,
-    )
 
 
 def _read_json(path):

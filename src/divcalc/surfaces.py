@@ -46,8 +46,8 @@ from .lattice import (
     LatticeModel,
     _check_i64,
     _gram_image,
-    _json_int,
-    _json_strs,
+    _json_list,
+    _model_int,
     _read_json,
     _Record,
     _require_model,
@@ -173,36 +173,36 @@ def blcn(n: int) -> LatticeModel:
     )
 
 
-_BUILTIN_NAMES = ["enriques", "blq", "blc6"] + [f"sigma{i}" for i in range(1, 10)]
+# the builtin surfaces by name, in the order list_surfaces gives them
+_BUILTINS = {
+    "enriques": enriques,
+    "blq": blq,
+    "blc6": functools.partial(blcn, 6),
+    **{f"sigma{i}": functools.partial(sigma, i) for i in range(1, 10)},
+}
 
 
 def list_surfaces():
-    return list(_BUILTIN_NAMES)
+    return list(_BUILTINS)
 
 
 @functools.cache
 def _builtin(name: str) -> LatticeModel:
-    """The model of one of _BUILTIN_NAMES, built on the first call."""
-    if name == "enriques":
-        return enriques()
-    if name == "blq":
-        return blq()
-    if name == "blc6":
-        return blcn(6)
-    return sigma(int(name[len("sigma"):]))
+    """The model of one of _BUILTINS, built on the first call."""
+    return _BUILTINS[name]()
 
 
 def get_surface(name: str) -> LatticeModel:
     """Resolve a surface by builtin name, file path, or DIVCALC_SURFACE_PATH.
 
-    Each builtin name is built once per process and the same read-only
-    model is returned afterwards. Every other name (blcN beyond blc6, a
-    file path, a DIVCALC_SURFACE_PATH entry) is built, or read from disk,
-    on every call, as are the models of enriques(), sigma(n), blq() and
-    blcn(n). An index of more digits than the 64-bit envelope allows
-    raises OverflowGuardError before it is read.
+    Each name of _BUILTINS is built once per process and the same
+    read-only model is returned afterwards. Every other name (blcN beyond
+    blc6, a file path or a DIVCALC_SURFACE_PATH entry, read by
+    load_model) is built on every call, as are the models of enriques(),
+    sigma(n), blq() and blcn(n). An index of more digits than the 64-bit
+    envelope allows raises OverflowGuardError before it is read.
     """
-    if name in _BUILTIN_NAMES:
+    if name in _BUILTINS:
         return _builtin(name)
     m = re.fullmatch(r"blc([0-9]+)", name)
     if m:
@@ -221,7 +221,7 @@ def get_surface(name: str) -> LatticeModel:
         if os.path.exists(cand):
             return load_model(cand)
     raise ModelError(
-        f"unknown surface {name!r}; builtins are {', '.join(_BUILTIN_NAMES)}"
+        f"unknown surface {name!r}; builtins are {', '.join(_BUILTINS)}"
     )
 
 
@@ -233,27 +233,34 @@ def config_from_json_dict(doc, name="config") -> LatticeModel:
     """The model of a configuration document: "labels", and "pairs"
     entries [i, j, value] with i != j giving the pairing of classes i and
     j, value >= 0 (the classes play the role of effective isotropic
-    decomposition pieces). Every other pairing, the diagonal included,
-    is 0."""
+    decomposition pieces), each pair {i, j} at most once. Every other
+    pairing, the diagonal included, is 0. A refusal reads "bad config
+    definition: ..." (LatticeModel checks the labels); an integer beyond
+    the 64-bit envelope raises OverflowGuardError."""
     try:
-        labels = _json_strs(doc["labels"])
+        labels = _json_list(doc["labels"])
         n = len(labels)
         gram = [[0] * n for _ in range(n)]
+        given = set()
         for entry in doc["pairs"]:
-            i, j, v = (_json_int(x) for x in entry)
+            i, j, v = (_model_int(x, "pair entry") for x in entry)
             if not (0 <= i < n and 0 <= j < n) or i == j or v < 0:
                 raise ModelError(f"bad pair entry {entry}")
+            if (i, j) in given:
+                raise ModelError(f"bad pair entry {entry}: the pair "
+                                 f"{{{i}, {j}}} is given twice")
+            given |= {(i, j), (j, i)}
             gram[i][j] = gram[j][i] = v
-    except (KeyError, TypeError, ValueError) as exc:
+        return LatticeModel(
+            name=name,
+            labels=labels,
+            gram=gram,
+            canonical=(0,) * n,
+            chi=1,
+            effective_labels=labels,
+        )
+    except (KeyError, TypeError, ValueError, ModelError) as exc:
         raise ModelError(f"bad config definition: {exc}") from exc
-    return LatticeModel(
-        name=name,
-        labels=labels,
-        gram=gram,
-        canonical=(0,) * n,
-        chi=1,
-        effective_labels=labels,
-    )
 
 
 _BUILTIN_CONFIGS = {

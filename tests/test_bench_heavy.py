@@ -3,8 +3,17 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location(
+        "bench_heavy", ROOT / "tools" / "bench_heavy.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 def test_the_smallest_heavy_case_prints_its_pinned_counts():
@@ -52,10 +61,7 @@ def test_an_against_run_of_one_tree_interleaves_two_loads():
 def test_each_load_is_a_module_set_of_its_own():
     # two loads of one tree are two packages, and neither load nor
     # installed leaves a trace in this process's own divcalc modules
-    spec = importlib.util.spec_from_file_location(
-        "bench_heavy", ROOT / "tools" / "bench_heavy.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = _tool()
     before = tool._package_modules()
     a, b = tool.load(ROOT / "src"), tool.load(ROOT / "src")
     assert tool._package_modules() == before
@@ -67,3 +73,22 @@ def test_each_load_is_a_module_set_of_its_own():
         importlib.import_module("divcalc.cli")
     assert tool._package_modules() == before
     assert "divcalc.cli" in b and "divcalc.cli" not in a
+
+
+def test_each_timed_search_starts_from_a_collection(monkeypatch):
+    # the garbage of one search is not collected inside the next one's
+    # time: gc.collect runs after the set-up and before the search
+    tool, calls = _tool(), []
+    monkeypatch.setattr(tool.gc, "collect", lambda: calls.append("collect"))
+
+    def step(name, result=None):
+        return lambda *args: calls.append(name) or result
+
+    dc = SimpleNamespace(
+        get_surface=step("get_surface"), resolve=step("resolve"),
+        enumerate_bogreider=step("search", SimpleNamespace(
+            visited=3, survivors=[1, 2], rejected={"sign": 1})))
+    for _ in range(2):
+        counts, elapsed = tool.search(dc, "sigma6", "-2K", 8)
+    assert counts == (3, 2, {"sign": 1}) and elapsed >= 0
+    assert calls == ["get_surface", "resolve", "collect", "search"] * 2

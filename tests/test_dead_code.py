@@ -1,0 +1,101 @@
+"""No dead code left behind in divcalc's source: every name a module
+imports is used in that module (the package's __init__.py, which imports
+to re-export, aside), and every private module-level name is referenced
+somewhere in the package besides its own definition."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "divcalc"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _unused_imports(tree):
+    """(line, name) for each name the module imports and never reads."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                imported.append((node.lineno, bound))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in imported if name not in read]
+
+
+def _private_definitions(tree):
+    """(statement, name) for each private name a top-level statement of
+    the module defines: a function, a class or an assignment target."""
+    found = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = getattr(stmt, "targets", None) or [stmt.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        found += [(stmt, name) for name in names
+                  if name.startswith("_") and not name.startswith("__")]
+    return found
+
+
+def _references(node):
+    """The names that node reads: as a name, an attribute or an import."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def _unreferenced(trees):
+    """(module, line, name) for each private top-level name of the
+    modules (name -> tree) that no other statement of them reads."""
+    statements = [(module, stmt, _references(stmt))
+                  for module, tree in trees.items() for stmt in tree.body]
+    return sorted(
+        (module, stmt.lineno, name)
+        for module, tree in trees.items()
+        for stmt, name in _private_definitions(tree)
+        if not any(name in refs for _, other, refs in statements
+                   if other is not stmt))
+
+
+def test_the_guard_sees_each_form():
+    a = ast.parse("import os\nimport x.y\nfrom m import b as c, d\n"
+                  "from __future__ import annotations\n"
+                  "_k = 1\n_used = 2\n\n"
+                  "def _f():\n    return _f() + _used\n\n"
+                  "class _C:\n    pass\n")
+    b = ast.parse("from .a import _C\nprint(d, _C)\n")
+    assert _unused_imports(a) == [(1, "os"), (2, "x"), (3, "c"), (3, "d")]
+    assert _unused_imports(b) == []
+    # _f reads only itself, and _C is read by b's import alone
+    assert _unreferenced({"a": a, "b": b}) == [("a", 5, "_k"), ("a", 8, "_f")]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    unused = _unused_imports(_tree(path))
+    assert not unused, [f"{path.name}:{line}: {name}" for line, name in unused]
+
+
+def test_every_private_name_is_referenced():
+    found = _unreferenced({p.name: _tree(p) for p in MODULES})
+    assert not found, [f"{m}:{line}: {name}" for m, line, name in found]

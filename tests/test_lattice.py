@@ -114,10 +114,28 @@ class TestModelValidation:
          # label lists must be JSON lists ("HG" is not two labels) and
          # the name a string
          ("basis", "HG"), ("basis", {"H": 0, "G": 1}), ("effective", "G"),
-         ("name", 5), ("name", None), ("name", ["sigma1"])])
+         ("name", 5), ("name", None), ("name", ["sigma1"]),
+         # a string is a sequence, but "" is not "no sign tests", nor a
+         # gram of no rows, and "10" is not the row (1, 0)
+         ("sign_tests", ""), ("sign_tests", ["10"]), ("gram", "")])
     def test_json_rejects_malformed_fields(self, field, value):
         doc = dict(sigma(1).model.to_json_dict(), **{field: value})
         with pytest.raises(ModelError, match="bad lattice definition"):
+            model_from_json_dict(doc)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("gram", [[1.5, 0], [0, -1]], "gram entry must be an integer"),
+         ("canonical", [0, "1"], "canonical entry must be an integer"),
+         ("chi", True, "chi must be an integer"),
+         ("sign_tests", [[1, None]], "sign_tests entry must be an integer"),
+         ("name", 5, "model name must be a string"),
+         ("basis", ["H", 1], "labels must be a tuple of strings"),
+         ("effective", [None], "effective_labels must be a tuple of strings")])
+    def test_a_refused_document_names_the_field(self, field, value, message):
+        doc = dict(sigma(1).model.to_json_dict(), **{field: value})
+        with pytest.raises(ModelError,
+                           match=f"^bad lattice definition: {message}"):
             model_from_json_dict(doc)
 
     @pytest.mark.parametrize(

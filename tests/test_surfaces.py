@@ -114,6 +114,18 @@ class TestBuiltinModels:
         assert blq() is not blq() and blcn(6) is not blcn(6)
         assert len(built) == 10
 
+    def test_builtin_names_keep_their_order(self):
+        # the listing, the unknown-name message and the constructors
+        # read one table
+        names = ["enriques", "blq", "blc6"] + [f"sigma{i}"
+                                               for i in range(1, 10)]
+        assert list_surfaces() == names
+        with pytest.raises(ModelError, match=f"builtins are "
+                                             f"{', '.join(names)}$"):
+            get_surface("nosuch")
+        assert [get_surface(nm) for nm in names] == [
+            enriques(), blq(), blcn(6)] + [sigma(i) for i in range(1, 10)]
+
     def test_rewritten_model_file_is_read_again(self, tmp_path):
         p = tmp_path / "custom.json"
         doc = sigma(2).model.to_json_dict()
@@ -165,6 +177,22 @@ class TestConfigs:
     def test_rejects_malformed_pair_entries(self, pairs):
         with pytest.raises(ModelError, match="bad config definition"):
             config_from_json_dict({"labels": ["E", "E1"], "pairs": pairs})
+
+    @pytest.mark.parametrize("pairs", [[[0, 1, 1], [1, 0, 2]],
+                                       [[0, 1, 1], [0, 1, 1]],
+                                       [[0, 2, 0], [1, 2, 1], [2, 0, 0]]])
+    def test_rejects_a_pair_given_twice(self, pairs):
+        # a second value for a pair is refused, not taken: [0, 1, 1],
+        # [1, 0, 2] would build the gram ((0, 2), (2, 0))
+        with pytest.raises(ModelError, match=r"bad pair entry .* given twice"):
+            config_from_json_dict({"labels": ["E", "E1", "E2"],
+                                   "pairs": pairs})
+
+    def test_a_pair_entry_beyond_the_envelope_is_an_overflow(self):
+        for entry in ([2**63, 1, 1], [0, 1, -(2**63)], [0, 1, 10**30]):
+            with pytest.raises(OverflowGuardError, match="pair entry"):
+                config_from_json_dict({"labels": ["E", "E1"],
+                                       "pairs": [entry]})
 
     def test_rejects_negative_pairing(self):
         with pytest.raises(ModelError):

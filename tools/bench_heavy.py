@@ -13,7 +13,7 @@ before side of a change). For each case, in catalogue order or only the
 ones named by --case (repeatable), it prints one JSON line: the case,
 its surface, curve and k, the slice points visited, the survivors, the
 rejections per stage, the number of runs and the median time of one run
-in seconds. The counts are deterministic and the same on every run; the
+in seconds, each run timed from a fresh garbage collection. The counts are deterministic and the same on every run; the
 times are a trajectory to compare trees by, not a gate.
 
 --against DIR loads a second divcalc package, from the directory DIR
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import importlib
 import json
 import os
@@ -97,9 +98,12 @@ def installed(modules):
 
 
 def search(dc, surface, curve, k):
-    """The counts of one search and its time in seconds."""
+    """The counts of one search and its time in seconds. The garbage of
+    earlier searches is collected before the clock starts, so that no
+    search pays for a collection of another's."""
     surf = dc.get_surface(surface)
     C = dc.resolve(curve, surf)
+    gc.collect()
     start = time.perf_counter()
     res = dc.enumerate_bogreider(surf, C, k)
     elapsed = time.perf_counter() - start
