@@ -59,7 +59,7 @@ from .surfaces import (
     scroll_invariants,
     sigma,
 )
-from .divexpr import DivExpr, parse_divexpr, render, resolve
+from .divexpr import parse_divexpr, render, resolve
 from .enumeration import (
     CaseFixture,
     CaseReport,

@@ -148,15 +148,13 @@ _cmd_chi = _class_value("chi", chi, "chi({}) = {}")
 def _cmd_phi(args):
     surf = _load_surface(args)
     D = _one_curve(args, surf)
-    mode = "boxed" if args.box is not None else "sublattice"
-    res = phi(surf, D, mode=mode, box=args.box)
+    res = phi(surf, D)
 
     def payload():
         return {"curve": render(D), **res.to_json_dict()}
 
     def lines():
-        rel = "=" if res.certified else "<="
-        out = [f"phi({render(D)}) {rel} {res.value}",
+        out = [f"phi({render(D)}) = {res.value}",
                f"witness: {render(res.witness)}"]
         cert = res.certificate
         if cert:
@@ -459,11 +457,7 @@ def build_parser() -> _Parser:
     add("chi", _cmd_chi, [common, surf_p, curve_p],
         "Euler characteristic of a class")
     add("phi", _cmd_phi, [common, surf_p, curve_p],
-        "pencil invariant (min |F.L| over isotropic F)",
-        lambda p: p.add_argument("--box", type=int,
-                                 help="coordinate box: the least |F.L| over "
-                                      "the isotropic F in the box, "
-                                      "uncertified"))
+        "pencil invariant (min |F.L| over isotropic F)")
     add("reflect", _cmd_reflect, [common, surf_p, curve_p],
         "reflect a class in a nodal (-2) class",
         lambda p: p.add_argument("--nodal", help="nodal class expression"))

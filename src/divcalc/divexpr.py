@@ -12,26 +12,15 @@ OverflowGuardError before it is read.
 from __future__ import annotations
 
 import re
-from collections import namedtuple
 
 from .errors import ExprSyntaxError, LabelError, OverflowGuardError
-from .lattice import _LABEL, _MAX_DIGITS, DivClass, LatticeModel, _Record
+from .lattice import _LABEL, _MAX_DIGITS, DivClass, LatticeModel
 
 _TERM = re.compile(r"\s*([+-])?\s*(?:([0-9]+)\s*\*?\s*)?"
                    f"({_LABEL.pattern})")
 
 
-class DivExpr(_Record, namedtuple("DivExpr", "terms")):
-    """A parsed expression: its (coefficient, label) terms."""
-
-    __slots__ = ()
-
-
-def parse_divexpr(s: str) -> DivExpr:
-    return DivExpr(_terms(s))
-
-
-def _terms(s):
+def parse_divexpr(s: str) -> tuple:
     """The (coefficient, label) terms of the expression s, as a tuple."""
     if not s or not s.strip():
         raise ExprSyntaxError("empty divisor expression")
@@ -74,17 +63,15 @@ def _terms(s):
     return tuple(terms)
 
 
-def resolve(expr: DivExpr | str, model: LatticeModel) -> DivClass:
+def resolve(expr: str, model: LatticeModel) -> DivClass:
     """Turn an expression into coordinates against a surface's basis.
 
-    A string is read term by term (_terms), with no DivExpr built; each
-    label is found by one search of the basis labels, and the result is
-    built once, as DivClass checks it (int coordinates inside the 64-bit
-    envelope)."""
-    terms = _terms(expr) if isinstance(expr, str) else expr.terms
+    The terms are read by parse_divexpr; each label is found by one
+    search of the basis labels, and the result is built once, as DivClass
+    checks it (int coordinates inside the 64-bit envelope)."""
     labels = model.labels
     coords = [0] * len(labels)
-    for coeff, label in terms:
+    for coeff, label in parse_divexpr(expr):
         if label == "K":
             for i, v in enumerate(model.canonical):
                 coords[i] += coeff * v

@@ -150,39 +150,6 @@ def _residual_parity(L2, s):
     return 2 * L2 + s
 
 
-def _stage_kernel(model, k, apply_mod4):
-    """The staged filters as stages(x, s), on the class L with coordinates
-    x and s = L.C: (stage, detail) for the first violated constraint,
-    else (None, (L^2, M.L, deg D)). The explainer runs all seven stages,
-    also the five that the search's windows decide, with the search's
-    sign and mod4 tests (_sign_stage, _residual_parity), so on a slice
-    point its trace is the search's."""
-    gram = model.gram
-    negative, sign = _sign_stage(model)
-
-    def stages(x, s):
-        if not any(x):
-            return "nonzero", "zero class"
-        SL = negative(x)
-        if SL:
-            return "sign", sign(SL)
-        L2 = sum(map(mul, [sum(map(mul, row, x)) for row in gram], x))
-        ML = s - L2
-        if L2 < 0:
-            return "L2_nonneg", f"L^2 = {L2}"
-        if ML < L2:
-            return "ML_ge_L2", f"M.L = {ML} < L^2 = {L2}"
-        if ML > k:
-            return "ML_le_k", f"M.L = {ML} > k = {k}"
-        if s < k:
-            return "degD_nonneg", f"deg D = {s - k}"
-        if apply_mod4 and _residual_parity(L2, s) % 4:
-            return "mod4", f"3 L^2 + M.L = {_residual_parity(L2, s)} not in 4Z"
-        return None, (L2, ML, s - k)
-
-    return stages
-
-
 def _decomposition(L, s, L2, C2, k, trace):
     """The survivor L with L.C = s and L^2 = L2, given C^2."""
     ML = s - L2
@@ -296,18 +263,32 @@ def explainer(surface, C, k, mod4: bool | None = None):
 
 
 def _explainer(surface, C, k, mod4, walks):
-    """explainer(surface, C, k, mod4), set up by _setup."""
+    """explainer(surface, C, k, mod4), set up by _setup. It runs all
+    seven stages, also the five that the search's windows decide, with
+    the search's sign and mod4 tests (_sign_stage, _residual_parity), so
+    on a slice point its trace is the search's."""
     _, C2, apply_mod4, trace = _setup(surface, C, k, mod4, walks)
-    stages = _stage_kernel(surface, k, apply_mod4)
+    gram = surface.gram
+    negative, sign = _sign_stage(surface)
 
     def explain(coords):
         L = surface.klass(coords)
-        s = pair(L, C)
-        stage, got = stages(L.coords, s)
-        if stage is not None:
-            return None, [*_PASSES[:_STAGES.index(stage)],
-                          (stage, f"fail: {got}")]
-        return _decomposition(L, s, got[0], C2, k, trace), list(trace)
+        x, s = L.coords, pair(L, C)
+        L2 = sum(map(mul, [sum(map(mul, row, x)) for row in gram], x))
+        ML, SL, parity = s - L2, negative(x), _residual_parity(L2, s)
+        # (failed, detail) of each stage of _STAGES, in order
+        chain = ((not any(x), "zero class"),
+                 (SL, SL and sign(SL)),
+                 (L2 < 0, f"L^2 = {L2}"),
+                 (ML < L2, f"M.L = {ML} < L^2 = {L2}"),
+                 (ML > k, f"M.L = {ML} > k = {k}"),
+                 (s < k, f"deg D = {s - k}"),
+                 (apply_mod4 and parity % 4,
+                  f"3 L^2 + M.L = {parity} not in 4Z"))
+        for i, (failed, detail) in enumerate(chain):
+            if failed:
+                return None, [*_PASSES[:i], (_STAGES[i], f"fail: {detail}")]
+        return _decomposition(L, s, L2, C2, k, trace), list(trace)
 
     return explain
 

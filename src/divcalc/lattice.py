@@ -246,6 +246,13 @@ def _json_list(v):
     raise TypeError(f"expected a list, got {v!r}")
 
 
+def _json_object(d, what):
+    """Refuse a document that is not a JSON object, naming its type."""
+    if not isinstance(d, dict):
+        raise ModelError(f"a {what} document is a JSON object, "
+                         f"got {type(d).__name__}")
+
+
 def model_from_json_dict(d, name=None):
     """The model of a lattice document. LatticeModel checks its values,
     so a refusal, "bad lattice definition: ...", names the field; an
@@ -253,6 +260,7 @@ def model_from_json_dict(d, name=None):
     it does not read, such as the ample class that earlier versions
     wrote, are ignored."""
     try:
+        _json_object(d, "lattice")
         if "kind" in d:  # it chose the sign test, so it is not ignored
             raise ModelError("'kind' is no longer read; state the sign "
                              "test as 'sign_tests'")
@@ -629,11 +637,12 @@ def vectors_of_norm(Q, N: int):
 
     The exact-norm call of the integer walk with no fixed coordinate,
     sorted. Includes both x and -x; N = 0 yields only the zero vector,
-    which is returned (callers filter). A Q that is not square and
-    symmetric raises ModelError.
+    which is returned (callers filter); the 0 x 0 form has only the
+    empty vector, of norm 0. A Q that is not square and symmetric raises
+    ModelError.
     """
     ldl = _ldl(_symmetric(Q, "vectors_of_norm"))
-    if ldl is None or ldl[0][-1] <= 0:
+    if ldl is None or ldl[0] and ldl[0][-1] <= 0:
         raise ModelError("vectors_of_norm needs a positive definite form")
     W, e, V, B = ldl
     n = len(W)

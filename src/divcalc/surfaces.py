@@ -47,6 +47,7 @@ from .lattice import (
     _check_i64,
     _gram_image,
     _json_list,
+    _json_object,
     _model_int,
     _read_json,
     _Record,
@@ -238,6 +239,7 @@ def config_from_json_dict(doc, name="config") -> LatticeModel:
     definition: ..." (LatticeModel checks the labels); an integer beyond
     the 64-bit envelope raises OverflowGuardError."""
     try:
+        _json_object(doc, "config")
         labels = _json_list(doc["labels"])
         n = len(labels)
         gram = [[0] * n for _ in range(n)]
@@ -613,13 +615,12 @@ def phi(
     sparse to be a genuine isotropic configuration.
 
     boxed mode keeps, of each slice and its negative, the classes with
-    coordinates in [-box, box] (box 2 at rank >= 8, else 6, by default)
-    and returns the first t that keeps one, witnessed by the smallest
-    such class by coordinates. That is the least |F.L| over the
-    isotropic F in the box, never certified, since a class outside the
-    box may pair lower. When no t up to isqrt(L^2) keeps a class it
-    raises PhiBoundError. A box given in any other mode raises
-    ModelError, since only boxed mode reads it.
+    coordinates in [-box, box] and returns the first t that keeps one,
+    witnessed by the smallest such class by coordinates. That is the
+    least |F.L| over the isotropic F in the box, never certified, since
+    a class outside the box may pair lower. When no t up to isqrt(L^2)
+    keeps a class it raises PhiBoundError. boxed mode without a box, and
+    a box given in any other mode, raise ModelError.
 
     An L from another model raises ModelMismatchError.
     """
@@ -634,8 +635,9 @@ def phi(
         return _chamber_phi(L)
     boxed = mode == "boxed"
     if boxed:
-        b = box if box is not None else (2 if surface.rank >= 8 else 6)
-        if b < 1:
+        if box is None:
+            raise ModelError("boxed mode needs a box")
+        if box < 1:
             raise ModelError("box_bound must be >= 1")
     elif mode != "sublattice":
         raise ModelError(f"unknown phi mode {mode!r}")
@@ -645,14 +647,14 @@ def phi(
     for t in range(1, cap + 1):
         witnesses = [F for F, _ in points(t, 0, 0)]
         if boxed:
-            inside = [F for F in witnesses if max(map(abs, F)) <= b]
+            inside = [F for F in witnesses if max(map(abs, F)) <= box]
             witnesses = inside + [tuple(-x for x in F) for F in inside]
         if witnesses:
             return PhiResult(t, DivClass._walked(L.model, min(witnesses)),
                              not boxed)
     if boxed:
         raise PhiBoundError(
-            f"no isotropic class in box {b} pairs to at most "
+            f"no isotropic class in box {box} pairs to at most "
             f"isqrt(L^2) = {cap} with L; a larger box may hold one"
         )
     raise PhiInvariantError(

@@ -95,14 +95,19 @@ class TestArithmeticCommands:
         rc, out = run(capsys, ["genus", "--surface", "blq", "--curve", "-2K"])
         assert rc == 0 and "9" in out
 
-    def test_phi_boxed_mode(self, capsys):
-        rc, doc = run_json(
-            capsys,
-            ["phi", "--surface", "enriques", "--curve", "U1+2U2",
-             "--box", "2", "--json"],
-        )
-        assert rc == 0
-        assert doc["result"]["certified"] is False
+    def test_phi_has_no_box_option(self, capsys):
+        # phi prints the certified value only: an uncertified bound would
+        # read like phi itself in gonality --phi
+        for argv in (["--box", "2"], ["--box=2"], ["--json", "--box", "2"]):
+            rc = cli.main(["phi", "--surface", "enriques", "--curve",
+                           "U1+2U2", *argv])
+            cap = capsys.readouterr()
+            assert rc == 1 and cap.out == ""
+            assert cap.err.startswith("usage: divcalc")
+            assert "unrecognized arguments: --box" in cap.err
+        rc, out = run(capsys, ["phi", "--surface", "enriques", "--curve",
+                               "U1+2U2"])
+        assert rc == 0 and out.splitlines()[0] == "phi(U1+2U2) = 1"
 
     def test_enumerate_text_output(self, capsys):
         rc, out = run(
@@ -193,10 +198,16 @@ class TestSurfaceLoading:
         (["surface", "--surface", "{path}"],
          {"name": 5, "basis": ["A", "B"], "gram": [[0, 1], [1, 0]],
           "canonical": [0, 0], "chi": 1}, "bad "),
+        (["phi", "--surface", "{path}", "--curve", "H"], [1, 2],
+         "bad lattice definition: a lattice document is a JSON object, "
+         "got list\n"),
+        (["phi", "--config", "{path}", "--curve", "E"], [1, 2],
+         "bad config definition: a config document is a JSON object, "
+         "got list\n"),
     ], ids=["short-pair", "non-integer-pair", "non-string-labels",
             "undecodable-config", "undecodable-model", "non-json-config",
             "string-labels", "string-basis", "string-effective",
-            "non-string-name"])
+            "non-string-name", "list-model", "list-config"])
     def test_malformed_file_is_a_usage_error(
             self, capsys, tmp_path, argv, content, err):
         p = tmp_path / "bad.json"
@@ -780,7 +791,7 @@ _MUTANTS = st.sampled_from([
 ])
 # options whose values can grow a search without bound while no work
 # budget refuses it; a mutation leaves their values as they are
-_GROWS = {"enumerate": {"--k", "--curve"}, "phi": {"--box", "--curve"}}
+_GROWS = {"enumerate": {"--k", "--curve"}, "phi": {"--curve"}}
 
 
 @st.composite

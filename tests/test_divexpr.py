@@ -9,10 +9,10 @@ from divcalc.surfaces import get_config, get_surface
 
 def test_basic_parse():
     e = parse_divexpr("6H-2G1-2G2")
-    assert e.terms == ((6, "H"), (-2, "G1"), (-2, "G2"))
+    assert e == ((6, "H"), (-2, "G1"), (-2, "G2"))
     # the expression is its terms: spellings of the same terms are equal
     assert e == parse_divexpr(" 6 H - 2*G1 -2G2 ")
-    assert parse_divexpr(" 0 ").terms == ()
+    assert parse_divexpr(" 0 ") == ()
 
 
 def test_canonical_resolution():
@@ -91,36 +91,26 @@ def test_oversize_coefficient_is_refused_before_conversion():
         with pytest.raises(OverflowGuardError, match="64-bit envelope"):
             parse_divexpr(text)
     # leading zeros do not count, and 19 digits are read
-    assert parse_divexpr("0" * 30 + "7H").terms == ((7, "H"),)
-    assert parse_divexpr("9" * 19 + "H").terms == ((int("9" * 19), "H"),)
+    assert parse_divexpr("0" * 30 + "7H") == ((7, "H"),)
+    assert parse_divexpr("9" * 19 + "H") == ((int("9" * 19), "H"),)
 
 
-def test_resolving_a_string_builds_no_expression_record(monkeypatch):
-    # resolve reads a string's terms with the parser's own term reader;
-    # only parse_divexpr wraps them in a DivExpr. The class is the one
-    # the parsed expression resolves to, refusals included
-    import divcalc.divexpr as divexpr
-
-    built = []
-
-    def counting_div_expr(*args):
-        built.append(args)
-        return real(*args)
-
-    real = divexpr.DivExpr
-    monkeypatch.setattr(divexpr, "DivExpr", counting_div_expr)
+def test_resolve_sums_the_parsed_terms():
+    # resolve adds each parsed term's coefficient times its label's basis
+    # vector (K: the canonical class); refusals name the label or the
+    # coordinate
     s3, cfg = get_surface("sigma3"), get_config("pencil-triple-1")
     for expr, model in [("-2K", s3), ("6H-2G1-2G2+K", s3), ("0", s3),
                         ("3E+2E1-E2", cfg), ("E+E+E1", cfg)]:
-        got = resolve(expr, model)
-        assert built == []
-        assert got == resolve(parse_divexpr(expr), model)
-        assert len(built) == 1
-        built.clear()
+        want = [0] * model.rank
+        for coeff, label in parse_divexpr(expr):
+            basis = (model.canonical if label == "K" else
+                     [int(lab == label) for lab in model.labels])
+            want = [w + coeff * v for w, v in zip(want, basis)]
+        assert resolve(expr, model).coords == tuple(want)
     for bad in ("E+X", "E-3K2"):
         with pytest.raises(LabelError, match="unknown label") as exc:
             resolve(bad, cfg)
         assert exc.value.__suppress_context__ or exc.value.__context__ is None
     with pytest.raises(OverflowGuardError, match="coordinate"):
         resolve("9223372036854775807E+E", cfg)
-    assert built == []

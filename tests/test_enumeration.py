@@ -354,6 +354,31 @@ def test_explain_candidate_sign_failure():
     assert trace[-1][0] == "sign"
 
 
+# one candidate per stage, each failing there: (model, curve, k, coords,
+# the failed stage's detail); every stage before it passes
+_STAGE_FAILURES = [
+    ("sigma3", "-2K", 5, (0, 0, 0, 0), "zero class"),
+    ("sigma3", "-2K", 5, (-2, -2, -2, -2), "negative pairing with ['H']"),
+    ("sigma3", "-2K", 5, (0, -2, -2, -2), "L^2 = -12"),
+    ("sigma3", "-2K", 5, (4, -1, -1, -1), "M.L = 5 < L^2 = 13"),
+    ("sigma3", "-2K", 5, (2, -2, 0, 0), "M.L = 8 > k = 5"),
+    ("sigma3", "-2K", 5, (1, -1, 0, 0), "deg D = -1"),
+    ("pencil-pair-1", "3E+3E1", 4, (1, 1), "3 L^2 + M.L = 10 not in 4Z"),
+]
+
+
+def test_explain_candidate_names_each_failed_stage():
+    stages = ["nonzero", "sign", "L2_nonneg", "ML_ge_L2", "ML_le_k",
+              "degD_nonneg", "mod4"]
+    for i, (name, curve, k, coords, detail) in enumerate(_STAGE_FAILURES):
+        m = get_config(name) if name in list_configs() else get_surface(name)
+        dec, trace = explain_candidate(m, resolve(curve, m), k, coords,
+                                       mod4=True)
+        assert dec is None
+        assert trace == [(stage, "pass") for stage in stages[:i]] + [
+            (stages[i], f"fail: {detail}")]
+
+
 def test_mod4_autodetect():
     blq_s = get_surface("blq")
     res = enumerate_bogreider(blq_s, resolve("-2K", blq_s), 4)

@@ -403,10 +403,15 @@ class TestModelDocuments:
         self._load_or_refuse(config_from_json_dict, doc)
 
     def test_a_document_that_is_not_an_object_is_refused(self):
-        for doc in (None, [], "gram", 3):
-            with pytest.raises(ModelError, match="bad lattice definition"):
+        for doc, got in ((None, "NoneType"), ([], "list"), ("gram", "str"),
+                         (3, "int")):
+            with pytest.raises(ModelError, match=(
+                    "^bad lattice definition: a lattice document is a "
+                    f"JSON object, got {got}$")):
                 model_from_json_dict(doc)
-            with pytest.raises(ModelError, match="bad config definition"):
+            with pytest.raises(ModelError, match=(
+                    "^bad config definition: a config document is a JSON "
+                    f"object, got {got}$")):
                 config_from_json_dict(doc)
 
 
@@ -494,7 +499,7 @@ PLAIN_TYPES = [c for c in RECORD_TYPES if c not in VALIDATING_TYPES]
 PLAIN_NAMES = {"HodgeResult", "PhiCertificate", "PhiResult", "QuasiNefResult",
                "ScrollInvariants", "Decomposition", "EnumerationResult",
                "DestabCandidate", "DestabResult", "CaseFixture",
-               "CaseReport", "B2Rule", "DivExpr", "_Outcome"}
+               "CaseReport", "B2Rule", "_Outcome"}
 
 # every declared default of the plain records, trailing fields in order
 RECORD_DEFAULTS = {
@@ -910,6 +915,14 @@ class TestVectorsOfNorm:
 
     def test_zero_norm_gives_origin(self):
         assert vectors_of_norm([[2]], 0) == [(0,)]
+
+    def test_the_empty_form_has_only_the_empty_vector(self):
+        # rank 0: the one vector () has norm 0, as in the walk's rank-0
+        # branch; no other norm is reached
+        for Q in ([], ()):
+            assert vectors_of_norm(Q, 0) == [()]
+            for N in (1, 2, -1):
+                assert vectors_of_norm(Q, N) == []
 
     def test_rejects_indefinite(self):
         with pytest.raises(ModelError):

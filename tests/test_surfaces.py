@@ -546,9 +546,14 @@ class TestPhi:
         # can be infinite; both modes refuse, where a box scan would answer
         m = LatticeModel("split", ("A", "B", "C"),
                          ((1, 0, 0), (0, 1, 0), (0, 0, -1)), (0, 0, 0), 1)
-        for mode, box in (("sublattice", None), ("boxed", 1), ("boxed", None)):
+        for mode, box in (("sublattice", None), ("boxed", 1)):
             with pytest.raises(ModelError, match="hyperbolic"):
                 phi(m, m.klass((1, 0, 0)), mode=mode, box=box)
+        # boxed mode has no default box: it is refused before any walk
+        for surf in (e, m):
+            L = surf.klass((1, 2) + (0,) * (surf.rank - 2))
+            with pytest.raises(ModelError, match="^boxed mode needs a box$"):
+                phi(surf, L, mode="boxed")
 
     def test_boxed_mode_takes_a_huge_box(self):
         # the box only filters slice points, so no bound on |F^2| over the

@@ -1,0 +1,154 @@
+#!/usr/bin/env python3
+"""Seeded bugs that the test suite must catch.
+
+Run from the root of a checkout:
+
+    python3 tools/mutants.py
+
+Each entry of CATALOGUE is (id, file, old text, new text, test files).
+For each entry the tool copies this checkout's files into a fresh
+temporary directory (bench_pairs.copy_working_tree), replaces the one
+occurrence of the old text in the file by the new text, and runs
+`python3 -m pytest -x -q` on the entry's test files there. A run with
+a failed test or a collection error kills the mutant, and so does one
+that takes longer than TIMEOUT_S; a run that passes lets it survive,
+and any other pytest exit (a usage error, no tests) is an error of the
+entry. The tool prints one line per entry, its status with the time
+the tests took, then the total time, and exits 1 unless every mutant
+is killed. An entry whose old text does not occur exactly once in its
+file is stale: the tool then refuses the whole catalogue (exit 2)
+before it runs any mutant. A change that edits a catalogued line
+updates its entry.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+import time
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+
+from bench_pairs import ROOT, copy_working_tree  # noqa: E402
+
+TIMEOUT_S = 600
+
+_LATTICE = "src/divcalc/lattice.py"
+_SURFACES = "src/divcalc/surfaces.py"
+_ENUMERATION = "src/divcalc/enumeration.py"
+
+CATALOGUE = [
+    # the walk: each level drops its last y
+    ("walk-last-y", _LATTICE,
+     "range(-((b + top) // ei), (top - b) // ei + 1)",
+     "range(-((b + top) // ei), (top - b) // ei)",
+     ["tests/test_lattice.py"]),
+    # the search's s window stops at 2k - 1
+    ("s-window", _ENUMERATION,
+     "for s in range(k, 2 * k + 1):\n        found",
+     "for s in range(k, 2 * k):\n        found",
+     ["tests/test_enumeration.py"]),
+    # an even lattice's q window is rounded outward, not inward
+    ("even-rounding", _LATTICE,
+     "qlo, qhi = qlo + qlo % 2, qhi - qhi % 2",
+     "qlo, qhi = qlo - qlo % 2, qhi + qhi % 2",
+     ["tests/test_lattice.py"]),
+    # the certificate check forgets that L' lies in the chamber
+    ("certificate-chamber", _SURFACES,
+     "return (tuple(cert.pairings) == pairings and min(pairings) >= 0",
+     "return (tuple(cert.pairings) == pairings",
+     ["tests/test_chamber.py"]),
+    # the cusp step rounds r / (x.e) half down instead of half up
+    ("cusp-rounding", _SURFACES,
+     "v = tuple(-((2 * ri + xe) // (2 * xe)) for ri in r)",
+     "v = tuple((xe - 2 * ri) // (2 * xe) for ri in r)",
+     ["tests/test_chamber.py"]),
+    # U2 wins a tie of the cusp step
+    ("cusp-tie", _SURFACES,
+     "if change < drop:",
+     "if change <= drop and change < 0:",
+     ["tests/test_chamber.py"]),
+    # the explainer's nonzero stage words its failure otherwise
+    ("zero-class-detail", _ENUMERATION,
+     '(not any(x), "zero class")',
+     '(not any(x), "zero vector")',
+     ["tests/test_enumeration.py"]),
+    # the explainer's mod4 stage names the wrong modulus
+    ("mod4-detail", _ENUMERATION,
+     'f"3 L^2 + M.L = {parity} not in 4Z"',
+     'f"3 L^2 + M.L = {parity} not in 2Z"',
+     ["tests/test_enumeration.py"]),
+    # a term's minus sign is read as plus
+    ("resolve-minus", "src/divcalc/divexpr.py",
+     "coeff = -coeff",
+     "coeff = +coeff",
+     ["tests/test_divexpr.py"]),
+    # boxed phi keeps only the classes strictly inside the box
+    ("boxed-filter", _SURFACES,
+     "max(map(abs, F)) <= box]",
+     "max(map(abs, F)) < box]",
+     ["tests/test_surfaces.py"]),
+]
+
+
+def stale_entries(root=ROOT):
+    """The ids of the entries whose old text does not occur exactly once
+    in their file under root, or that name a test file root lacks."""
+    stale = []
+    for mid, path, old, _, tests in CATALOGUE:
+        with open(os.path.join(root, path), encoding="utf-8") as fh:
+            text = fh.read()
+        if text.count(old) != 1 or not all(
+                os.path.isfile(os.path.join(root, t)) for t in tests):
+            stale.append(mid)
+    return stale
+
+
+def run_mutant(entry):
+    """(status, seconds) for one entry, run in a fresh copy of ROOT:
+    "killed", "SURVIVED" or "ERROR (pytest exit N)"."""
+    _, path, old, new, tests = entry
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tree:
+        copy_working_tree(ROOT, tree)
+        target = os.path.join(tree, path)
+        with open(target, encoding="utf-8") as fh:
+            text = fh.read()
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.write(text.replace(old, new))
+        env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+        t0 = time.perf_counter()
+        try:
+            rc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q",
+                 "-p", "no:cacheprovider", *tests],
+                cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL, timeout=TIMEOUT_S).returncode
+        except subprocess.TimeoutExpired:
+            rc = None
+        seconds = time.perf_counter() - t0
+    status = ("killed" if rc in (1, 2, None) else "SURVIVED" if rc == 0
+              else f"ERROR (pytest exit {rc})")
+    return status, seconds
+
+
+def main():
+    stale = stale_entries()
+    if stale:
+        print(f"stale catalogue entries: {', '.join(stale)}",
+              file=sys.stderr)
+        return 2
+    t0, killed = time.perf_counter(), 0
+    for entry in CATALOGUE:
+        status, seconds = run_mutant(entry)
+        killed += status == "killed"
+        print(f"{status:8}  {entry[0]:20} {seconds:6.1f} s  "
+              f"{' '.join(entry[4])}", flush=True)
+    print(f"{killed} of {len(CATALOGUE)} killed in "
+          f"{time.perf_counter() - t0:.1f} s")
+    return 0 if killed == len(CATALOGUE) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
