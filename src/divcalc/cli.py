@@ -2,8 +2,9 @@
 
 Every subcommand wraps one library operation, prints a short human
 report by default and a RunReport JSON document with --json. Exit codes:
-0 on success, 2 when a verdict is NO_CONCLUSION and --strict was given,
-1 on any error (usage errors included).
+0 on success, 1 on any error (a usage error shows its subcommand's
+usage), 2 when a verdict command (gaussian, corank, b2rule) decides
+nothing under --strict.
 """
 
 from __future__ import annotations
@@ -103,15 +104,14 @@ def _need(args, *names):
 
 
 class _Outcome(_Record, namedtuple(
-        "_Outcome", "payload surface lines no_conclusion failed",
-        defaults=(False, False))):
+        "_Outcome", "payload surface lines code", defaults=(0,))):
     """What a subcommand handler hands back to main(): payload, a function
     of no arguments giving the JSON payload; the surface name or None;
     lines, a function of no arguments giving the text lines; and the
-    flags that set the exit code. main() calls only the one of payload
-    and lines that it prints, inside the handler's try and timing, so a
-    handler does its computation itself and leaves to these two
-    functions only the work of one rendering."""
+    exit code, 0 unless the handler sets it. main() calls only the one of
+    payload and lines that it prints, inside the handler's try and
+    timing, so a handler does its computation itself and leaves to these
+    two functions only the work of one rendering."""
 
     __slots__ = ()
 
@@ -252,14 +252,16 @@ def _cmd_cliff(args):
     raise ModelError("cliff needs --d and --h0, or --g")
 
 
-def _verdict_outcome(verdict):
+def _verdict_outcome(args, verdict, head=None):
+    """A verdict's JSON, or its head line (default: status via rule),
+    qualifiers and notes; exit 2 under --strict when it decides nothing."""
     return _Outcome(
         verdict.to_json_dict, None, lambda: [
-            f"{verdict.status_label} via {verdict.rule}",
+            head or f"{verdict.status_label} via {verdict.rule}",
             *(f"qualifier: {q}" for q in verdict.qualifiers),
             *(f"note: {n}" for n in verdict.notes)],
-        no_conclusion=verdict.status == "NO_CONCLUSION",
-    )
+        2 if args.strict and verdict.status in ("NO_CONCLUSION", "unknown")
+        else 0)
 
 
 # per --rule: the options it requires, the other options it reads, and
@@ -305,7 +307,7 @@ def _cmd_gaussian(args):
         raise ModelError(f"--rule {args.rule} does not read "
                          + ", ".join(unread))
     _need(args, *required)
-    return _verdict_outcome(verdict(args))
+    return _verdict_outcome(args, verdict(args))
 
 
 def _cmd_corank(args):
@@ -338,7 +340,7 @@ def _cmd_corank(args):
         trigonal=args.trigonal,
         nontrigonal=args.nontrigonal,
     )
-    return _verdict_outcome(verdict)
+    return _verdict_outcome(args, verdict)
 
 
 def _cmd_scroll(args):
@@ -354,13 +356,7 @@ def _cmd_scroll(args):
 def _cmd_b2rule(args):
     _need(args, "l2", "phi")
     res = b2_rule_enriques(args.l2, args.phi)
-    return _Outcome(
-        res.to_json_dict, None, lambda: [
-            f"{res.status}",
-            *(f"qualifier: {q}" for q in res.qualifiers),
-            *(f"note: {n}" for n in res.notes)],
-        no_conclusion=res.status == "unknown",
-    )
+    return _verdict_outcome(args, res, res.status)
 
 
 def _cmd_verify(args):
@@ -381,7 +377,7 @@ def _cmd_verify(args):
         return out
 
     return _Outcome(payload, None, lines,
-                    failed=any(r.status != "PASS" for r in reports))
+                    1 if any(r.status != "PASS" for r in reports) else 0)
 
 
 def _cmd_surface(args):
@@ -416,21 +412,23 @@ def build_parser() -> _Parser:
     _parse_args can read well-formed arguments of a command from the
     subparser's own option map (_option_string_actions): its flags and its
     options of one value, each value converted by the option's type and
-    checked against its choices. Every other argv goes to this parser,
-    which stays the one declaration of the command line and the only code
-    that writes help, usage and error messages.
+    checked against its choices. Any other argv goes to the subparser it
+    names, or to this parser if it names none: the one declaration of the
+    command line and the only code that writes help, usage and errors.
     """
     parser = _Parser(prog="divcalc", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
+    sub = parser.add_subparsers(metavar="SUBCOMMAND")
     sub.required = True
     parser._commands = sub.choices
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit a RunReport JSON document")
-    common.add_argument("--strict", action="store_true",
-                        help="exit 2 when the verdict is NO_CONCLUSION")
+
+    verdict_p = argparse.ArgumentParser(add_help=False)
+    verdict_p.add_argument("--strict", action="store_true",
+                           help="exit 2 when the verdict is NO_CONCLUSION")
 
     surf_p = argparse.ArgumentParser(add_help=False)
     surf_p.add_argument("--surface", help="builtin surface name or JSON path")
@@ -515,7 +513,7 @@ def build_parser() -> _Parser:
         p.add_argument("--m-eq-special", action="store_true",
                        help="M equals the branch's excluded bundle")
 
-    add("gaussian", _cmd_gaussian, [common],
+    add("gaussian", _cmd_gaussian, [common, verdict_p],
         "Gaussian-map surjectivity verdicts", conf_gauss)
 
     def conf_corank(p):
@@ -530,7 +528,7 @@ def build_parser() -> _Parser:
         p.add_argument("--trigonal", action="store_true")
         p.add_argument("--nontrigonal", action="store_true")
 
-    add("corank", _cmd_corank, [common],
+    add("corank", _cmd_corank, [common, verdict_p],
         "corank bounds for low genus / quintic / trigonal curves",
         conf_corank)
 
@@ -545,7 +543,7 @@ def build_parser() -> _Parser:
         p.add_argument("--l2", type=int, help="class square")
         p.add_argument("--phi", type=int, help="pencil invariant")
 
-    add("b2rule", _cmd_b2rule, [common],
+    add("b2rule", _cmd_b2rule, [common, verdict_p],
         "second scrollar invariant bound on Enriques tetragonal curves",
         conf_b2)
 
@@ -583,27 +581,25 @@ def _fuse_expr_flags(argv):
 
 
 @functools.cache
-def _defaults(sub, name):
-    """What sub.parse_known_args sets with no arguments, as a dict: the
-    subcommand, every option's default and the handler."""
-    args, _ = sub.parse_known_args([], argparse.Namespace(subcommand=name))
-    return vars(args)
+def _defaults(sub):
+    """What sub.parse_known_args sets with no arguments, as a dict: every
+    option's default and the handler."""
+    return vars(sub.parse_known_args([])[0])
 
 
-def _read_options(sub, name, args):
-    """sub.parse_known_args(_fuse_expr_flags(args),
-    Namespace(subcommand=name))[0] when args are all exact option strings
-    of sub, each flag (nargs 0) alone and each other option with its value
-    after "=" or as the next string; None for any other args, which
-    argparse must read, refuse or explain: an unknown or abbreviated
-    option, -h, --, a positional, a value on a flag, a missing value, a
-    separate value starting with "-" after an option other than --curve
-    or --nodal, a value its type refuses and a value outside the choices.
-    build_parser declares no other kind of option, positional or group;
-    the differential test of _parse_args fails if one is added."""
+def _read_options(sub, args):
+    """sub.parse_args(_fuse_expr_flags(args)) when args are all exact
+    option strings of sub, each flag (nargs 0) alone and each other option
+    with its value after "=" or as the next string; None for any other
+    args, which argparse must read, refuse or explain: an unknown or
+    abbreviated option, -h, --, a positional, a value on a flag, a missing
+    value, a separate value starting with "-" after an option other than
+    --curve or --nodal, a value its type refuses and a value outside the
+    choices. build_parser declares no other kind of option, positional or
+    group; the differential test of _parse_args fails if one is added."""
     ns = argparse.Namespace()
     vals = vars(ns)  # the namespace's own attribute dict, filled in place
-    vals.update(_defaults(sub, name))
+    vals.update(_defaults(sub))
     options = sub._option_string_actions
     i, n = 0, len(args)
     while i < n:
@@ -636,18 +632,17 @@ def _read_options(sub, name, args):
 
 
 def _parse_args(argv):
-    """build_parser().parse_args(_fuse_expr_flags(argv)), read by
-    _read_options when argv starts with a subcommand and its arguments
-    are all options of that subcommand. Any other argv goes to the root
-    parser, which gives the same namespace or writes the same usage, help
-    or error message with the same exit code."""
+    """The namespace of argv. An argv that starts with a subcommand is
+    read by _read_options when its arguments are all options of that
+    subcommand, else by the subcommand's parser, which writes its own
+    usage, help or error message. Any other argv goes to the root parser:
+    --help, --version, and a missing or unknown subcommand."""
     parser = build_parser()
     sub = parser._commands.get(argv[0]) if argv else None
-    if sub is not None:
-        args = _read_options(sub, argv[0], argv[1:])
-        if args is not None:
-            return args
-    return parser.parse_args(_fuse_expr_flags(argv))
+    if sub is None:
+        return parser.parse_args(_fuse_expr_flags(argv))
+    return (_read_options(sub, argv[1:])  # a Namespace is never false
+            or sub.parse_args(_fuse_expr_flags(argv[1:])))
 
 
 def _dump_report(obj, pad="\n") -> str:
@@ -737,12 +732,7 @@ def main(argv=None) -> int:
     else:
         for line in shown:
             print(line)
-
-    if out.failed:
-        return 1
-    if out.no_conclusion and args.strict:
-        return 2
-    return 0
+    return out.code
 
 
 if __name__ == "__main__":

@@ -30,10 +30,11 @@ NONHYPERELLIPTIC = "C nonhyperelliptic"
 
 
 def _check_count(name, value, minimum=0):
-    """Refuse a value that is not None or an int (bool excluded), or one
-    below minimum unless minimum is None."""
+    """Refuse None with EvidenceError; a non-int (bool excluded), or an
+    int below minimum unless minimum is None, with RangeError."""
     if value is None:
-        return
+        raise EvidenceError(f"missing required evidence: {name}",
+                            missing=(name,))
     if not isinstance(value, int) or isinstance(value, bool):
         raise RangeError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
@@ -52,7 +53,8 @@ def _check_class(L2, phi, least):
     least, and a pencil invariant phi, unless None, that is not an int,
     below 1 or with phi^2 > L2 (bool is not an int here)."""
     _check_count("L2", L2, minimum=None)
-    _check_count("phi", phi, minimum=None)
+    if phi is not None:
+        _check_count("phi", phi, minimum=None)
     if L2 % 2 != 0:
         raise RangeError(f"L2 must be even on these lattices, got {L2}")
     if L2 < least:
@@ -89,15 +91,17 @@ class GaussianInput(_Record, namedtuple(
         if aux_h0 is None:
             aux_h0 = {}
         _check_count("g", g, minimum=2)
-        _check_count("degM", degM)
-        _check_count("h1M", h1M)
-        _check_count("h0_2K_minus_M", h0_2K_minus_M)
-        _check_count("h0_residual", h0_residual)
-        _check_count("cliff", cliff)
-        _check_count("cork_mu", cork_mu)
-        _check_count("phi", phi, minimum=1)
+        for name, value, least in (
+                ("degM", degM, 0), ("h1M", h1M, 0),
+                ("h0_2K_minus_M", h0_2K_minus_M, 0),
+                ("h0_residual", h0_residual, 0), ("cliff", cliff, 0),
+                ("cork_mu", cork_mu, 0), ("phi", phi, 1)):
+            if value is not None:  # optional evidence
+                _check_count(name, value, least)
         if L2 is not None:
             _check_class(L2, phi, 2)
+        if not isinstance(aux_h0, dict):
+            raise RangeError(f"aux_h0 must be a dict, got {aux_h0!r}")
         bad = set(aux_h0) - AUX_KEYS
         if bad:
             raise RangeError(
@@ -183,6 +187,7 @@ def gonality(L2: int, phi: int, not_2D_special: bool = True) -> int:
     """
     _check_flags(not_2D_special=not_2D_special)
     _check_class(L2, phi, 2)
+    _check_count("phi", phi)  # _check_class lets a missing phi through
     if L2 == phi * phi and phi >= 2 and phi % 2 == 0:
         return 2 * phi - 2
     if L2 == phi * phi + phi - 2 and phi >= 3 and not_2D_special:
@@ -639,6 +644,7 @@ def b2_rule_enriques(L2: int, phi: int) -> B2Rule:
     surface: square >= 12 with pencil invariant 2 forces b2 >= 1 for a
     general curve in the system."""
     _check_class(L2, phi, 4)
+    _check_count("phi", phi)  # _check_class lets a missing phi through
     if L2 >= 12 and phi == 2:
         return B2Rule("b2_at_least_1", qualifiers=("general member",))
     return B2Rule(

@@ -168,10 +168,13 @@ def _decomposition(L, s, L2, C2, k, trace):
 def _setup(surface, C, k, mod4, walks):
     """What a search of C at k and its explainer share: the slice walk,
     C^2 (from the walk's set-up), the mod4 flag used and a survivor's
-    trace. Refuses a C of another model, then k < 2, then (in _slicer) a
-    C it cannot walk. The walk comes from walks, keyed by C, and is added
-    there when it is new; one walk serves every k of C."""
+    trace. Refuses a C of another model, then a k that is not an int
+    (bool excluded) or is below 2, then (in _slicer) a C it cannot walk.
+    The walk comes from walks, keyed by C, and is added there when it is
+    new; one walk serves every k of C."""
     _require_model(surface, C)
+    if type(k) is not int:
+        raise RangeError(f"pencil degree k must be an integer, got {k!r}")
     if k < 2:
         raise RangeError(f"pencil degree k must be >= 2, got {k}")
     if C not in walks:

@@ -103,8 +103,10 @@ class TestArithmeticCommands:
                            "U1+2U2", *argv])
             cap = capsys.readouterr()
             assert rc == 1 and cap.out == ""
-            assert cap.err.startswith("usage: divcalc")
-            assert "unrecognized arguments: --box" in cap.err
+            assert cap.err.startswith("usage: divcalc phi ")
+            assert cap.err.endswith(
+                "divcalc phi: error: unrecognized arguments: --box"
+                f"{' ' if '--box' in argv else '='}2\n")
         rc, out = run(capsys, ["phi", "--surface", "enriques", "--curve",
                                "U1+2U2"])
         assert rc == 0 and out.splitlines()[0] == "phi(U1+2U2) = 1"
@@ -382,6 +384,60 @@ class TestExitCodes:
         assert cap.err == f"divcalc: error: {err}\n"
 
 
+class TestCommandContract:
+    """Each subcommand declares only the options it reads, and refuses
+    any other argv with its own usage line."""
+
+    @pytest.mark.parametrize("argv", [
+        ["pair", "--strict", "--surface", "sigma2", "--curve", "H",
+         "--curve", "G1"],
+        ["gonality", "--l2", "30", "--phi", "5", "--strict"],
+        ["verify", "--all", "--strict", "--json"],
+    ], ids=lambda a: a[0])
+    def test_strict_is_refused_with_the_subcommands_usage(self, capsys, argv):
+        # phi --box, test_phi_has_no_box_option, is refused the same way
+        rc = cli.main(argv)
+        cap = capsys.readouterr()
+        assert rc == 1 and cap.out == ""
+        assert cap.err.startswith(f"usage: divcalc {argv[0]} [-h]")
+        assert cap.err.endswith(f"divcalc {argv[0]}: error: unrecognized "
+                                "arguments: --strict\n")
+
+    def test_strict_belongs_to_the_verdict_commands(self):
+        parser = cli.build_parser()
+        assert {name for name, sub in parser._commands.items()
+                if "--strict" in sub._option_string_actions} == {
+                    "gaussian", "corank", "b2rule"}
+
+    def test_every_declared_option_is_read(self, capsys, monkeypatch):
+        """main reads, on some sample command, every option that its
+        subcommand declares: a namespace records each attribute read."""
+        parse = cli._parse_args
+        read = set()
+
+        def recording(argv):
+            name = argv[0]
+
+            class Recording(argparse.Namespace):
+                def __getattribute__(self, attr):
+                    read.add((name, attr))
+                    return super().__getattribute__(attr)
+
+            return Recording(**vars(parse(argv)))
+
+        monkeypatch.setattr(cli, "_parse_args", recording)
+        for argv in GOOD_JSON_COMMANDS:
+            for json_flag in ([], ["--json"]):
+                assert cli.main(argv + json_flag) == 0
+        capsys.readouterr()
+        declared = {(name, a.dest)
+                    for name, sub in cli.build_parser()._commands.items()
+                    for a in sub._actions
+                    if not isinstance(a, argparse._HelpAction)}
+        assert len(declared) == 79
+        assert declared - read == set()
+
+
 class TestGaussianCommand:
     def test_main_derives_genus_from_l2(self, capsys):
         rc, doc = run_json(
@@ -572,7 +628,7 @@ class TestParserReuse:
 
     def test_parser_is_built_once(self, capsys, monkeypatch):
         """Twenty calls construct one parser's worth of ArgumentParsers:
-        the root, three parent templates and 16 subparsers."""
+        the root, four parent templates and 16 subparsers."""
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -585,7 +641,7 @@ class TestParserReuse:
         for i in range(20):
             cli.main(GOOD_JSON_COMMANDS[i % len(GOOD_JSON_COMMANDS)])
         capsys.readouterr()
-        assert len(built) == 20
+        assert len(built) == 21
 
 
 def _stable(out):
@@ -597,6 +653,17 @@ def _stable(out):
         return out
     doc.pop("elapsed_ms", None)
     return doc
+
+
+def _argparse_reference(argv):
+    """The namespace argparse alone gives argv, with --curve and --nodal
+    values fused: the subcommand's parser reads the arguments of an argv
+    that starts with a subcommand, the root parser any other argv."""
+    parser = cli.build_parser()
+    fused = cli._fuse_expr_flags(argv)
+    sub = parser._commands.get(argv[0]) if argv else None
+    return parser.parse_args(fused) if sub is None else sub.parse_args(
+        fused[1:])
 
 
 def _main_through(parse, argv, capsys):
@@ -639,16 +706,14 @@ DISPATCH_CASES = (
 def test_direct_dispatch_matches_the_root_parser(capsys, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
     direct = _main_through(cli._parse_args, argv, capsys)
-    plain = _main_through(
-        lambda args: cli.build_parser().parse_args(cli._fuse_expr_flags(args)),
-        argv, capsys)
+    plain = _main_through(_argparse_reference, argv, capsys)
     assert direct == plain
 
 
 def test_only_malformed_argv_reach_argparse(capsys):
     """Every sample command, with and without --json, is read from its
-    subcommand's option map; the root parser reads only the malformed
-    argv, and hands those that start with a subcommand to its subparser."""
+    subcommand's option map. Of the malformed argv, those that start with
+    a subcommand go to its parser and the others to the root parser."""
     malformed = [
         ["gonality", "--l2", "30", "--phi", "5", "--bogus"],
         ["scroll", "--g", "abc"],
@@ -674,7 +739,7 @@ def test_only_malformed_argv_reach_argparse(capsys):
         for argv in malformed:
             cli.main(argv)
     capsys.readouterr()
-    assert root.call_count == 4
+    assert root.call_count == 2
     assert sum(s.call_count for s in spies) == 2
 
 
@@ -761,19 +826,18 @@ def _drawn_argv(draw):
 
 def test_option_tables_parse_as_argparse_does():
     """_parse_args on raw argv drawn from each subparser's options gives
-    the same namespace, stdout, stderr and exit code as the root parser
-    on the argv with --curve and --nodal values fused; the draws reach
-    both the option map and the root parser."""
+    the same namespace, stdout, stderr and exit code as the subparser on
+    the arguments with --curve and --nodal values fused; the draws reach
+    both the option map and the subparser."""
     fast = Counter()
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(_drawn_argv())
     def check(argv):
         sub = cli.build_parser()._commands[argv[0]]
-        fast[cli._read_options(sub, argv[0], argv[1:]) is not None] += 1
+        fast[cli._read_options(sub, argv[1:]) is not None] += 1
         assert (_parse_outcome(cli._parse_args, argv)
-                == _parse_outcome(cli.build_parser().parse_args,
-                                  cli._fuse_expr_flags(argv)))
+                == _parse_outcome(_argparse_reference, argv))
 
     check()
     assert fast[True] >= 40 and fast[False] >= 40, fast
@@ -926,9 +990,9 @@ class TestReportWriter:
 
         outcome = cli._Outcome
 
-        def counting_outcome(payload, surface, lines, **flags):
+        def counting_outcome(payload, surface, lines, code=0):
             return outcome(counted("payload", payload), surface,
-                           counted("lines", lines), **flags)
+                           counted("lines", lines), code)
 
         monkeypatch.setattr(cli, "_Outcome", counting_outcome)
         monkeypatch.setattr(cli, "_dump_report",

@@ -466,6 +466,34 @@ class TestCountAndFlagRefusals:
             call()
         assert str(exc.value) == msg
 
+    @pytest.mark.parametrize("call, name", [
+        (lambda: check_bel(7, None, 0, 0, 3), "degM"),
+        (lambda: check_cliff_criterion(None, 0), "cliff"),
+        (lambda: tetragonal_corank(None, 0), "h0_2K_minus_M"),
+        (lambda: check_degree_corollaries(7, None), "degM"),
+        (lambda: gonality(12, None), "phi"),
+        (lambda: clifford_of_series(None, 2), "degree"),
+        (lambda: cliff_upper_bound(None), "g"),
+        (lambda: scroll_invariants(None, 1), "g"),
+        (lambda: b2_rule_enriques(12, None), "phi"),
+        (lambda: GaussianInput(g=None), "g"),
+    ], ids=["bel", "cliff", "tetragonal", "degree", "gonality", "series",
+            "cliff-bound", "scroll", "b2rule", "input"])
+    def test_refuses_a_missing_count(self, call, name):
+        """A required count left None is missing evidence: it used to
+        raise TypeError, or answer (b2rule: unknown) or build anyway."""
+        with pytest.raises(EvidenceError) as exc:
+            call()
+        assert exc.value.missing == (name,)
+        assert str(exc.value) == f"missing required evidence: {name}"
+
+    @pytest.mark.parametrize("aux", [[], [("4K-M", 3)], "4K-M"],
+                             ids=["empty-list", "pairs", "str"])
+    def test_refuses_an_aux_h0_that_is_not_a_dict(self, aux):
+        with pytest.raises(RangeError) as exc:
+            GaussianInput(g=7, aux_h0=aux)
+        assert str(exc.value) == f"aux_h0 must be a dict, got {aux!r}"
+
     def test_int_refusals_keep_their_order(self):
         # the curve type is refused before the genus, the genus before
         # the degree

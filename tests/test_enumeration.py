@@ -4,6 +4,7 @@ import math
 import os
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -414,6 +415,18 @@ def test_preconditions():
         enumerate_bogreider(get_surface("sigma2"), neg, 1)
     with pytest.raises(RangeError):
         enumerate_bogreider(surf, neg, 1)
+
+
+@pytest.mark.parametrize("k", [4.0, True, "4", None, Fraction(4)],
+                         ids=["float", "bool", "str", "none", "fraction"])
+def test_search_and_explainer_refuse_a_k_that_is_not_an_int(k):
+    blq = get_surface("blq")
+    C = resolve("-2K", blq)
+    with pytest.raises(RangeError, match="pencil degree k must be an "
+                                         "integer, got "):
+        enumerate_bogreider(blq, C, k)
+    with pytest.raises(RangeError, match="must be an integer"):
+        explainer(blq, C, k)
 
 
 def test_explain_candidate_refuses_what_the_search_refuses():

@@ -512,7 +512,7 @@ RECORD_DEFAULTS = {
                     "identities": (), "notes": ()},
     "CaseReport": {"notes": ()},
     "B2Rule": {"qualifiers": (), "notes": ()},
-    "_Outcome": {"no_conclusion": False, "failed": False},
+    "_Outcome": {"code": 0},
 }
 
 
@@ -691,7 +691,7 @@ class TestRecords:
         from divcalc.enumeration import CaseFixture
 
         out = _Outcome({}, None, [])
-        assert out.failed is False and out.no_conclusion is False
+        assert out.code == 0
         assert CaseFixture("x", "pencil").killed == ()
 
     def test_records_whose_json_is_their_fields_share_one_rule(self):

@@ -38,13 +38,14 @@ TIMEOUT_S = 600
 _LATTICE = "src/divcalc/lattice.py"
 _SURFACES = "src/divcalc/surfaces.py"
 _ENUMERATION = "src/divcalc/enumeration.py"
+_CRITERIA = "src/divcalc/criteria.py"
 
 CATALOGUE = [
     # the walk: each level drops its last y
     ("walk-last-y", _LATTICE,
      "range(-((b + top) // ei), (top - b) // ei + 1)",
      "range(-((b + top) // ei), (top - b) // ei)",
-     ["tests/test_lattice.py"]),
+     ["tests/test_lattice.py", "tests/test_theta.py"]),
     # the search's s window stops at 2k - 1
     ("s-window", _ENUMERATION,
      "for s in range(k, 2 * k + 1):\n        found",
@@ -54,7 +55,7 @@ CATALOGUE = [
     ("even-rounding", _LATTICE,
      "qlo, qhi = qlo + qlo % 2, qhi - qhi % 2",
      "qlo, qhi = qlo - qlo % 2, qhi + qhi % 2",
-     ["tests/test_lattice.py"]),
+     ["tests/test_lattice.py", "tests/test_theta.py"]),
     # the certificate check forgets that L' lies in the chamber
     ("certificate-chamber", _SURFACES,
      "return (tuple(cert.pairings) == pairings and min(pairings) >= 0",
@@ -90,6 +91,56 @@ CATALOGUE = [
      "max(map(abs, F)) <= box]",
      "max(map(abs, F)) < box]",
      ["tests/test_surfaces.py"]),
+    # the replay grades a survivor's z with the wrong sign of q = L^2
+    ("replay-grading", _ENUMERATION,
+     "fx.k - s + q",
+     "fx.k - s - q",
+     ["tests/test_enumeration.py"]),
+    # the witness skips the inverse of a transvection step
+    ("chamber-witness", _SURFACES,
+     "tuple(-a for a in step[2])",
+     "tuple(step[2])",
+     ["tests/test_chamber.py"]),
+    # main branch (iv) starts at L^2 = 10
+    ("main-iv-threshold", _CRITERIA,
+     "L2 >= 12 and res == 1",
+     "L2 >= 10 and res == 1",
+     ["tests/test_criteria.py"]),
+    # cliff branch (ii) allows h0(2K - M) = 2
+    ("cliff-ii-threshold", _CRITERIA,
+     "if cliff >= 3 and h0_2K_minus_M <= 1:",
+     "if cliff >= 3 and h0_2K_minus_M <= 2:",
+     ["tests/test_criteria.py"]),
+    # the bel2 rule accepts degM = g
+    ("bel-degree", _CRITERIA,
+     "if degM < g + 1:",
+     "if degM < g:",
+     ["tests/test_criteria.py"]),
+    # the general degree corollary starts one below 4g - 4
+    ("degree-general-threshold", _CRITERIA,
+     "thresh = 4 * g - 4",
+     "thresh = 4 * g - 5",
+     ["tests/test_criteria.py"]),
+    # tetragonal branch (i) allows h0(2K - M) = 2
+    ("tetragonal-i-threshold", _CRITERIA,
+     "if h0_2K_minus_M <= 1 and h0_2K_minus_M_minus_b2A == 0:",
+     "if h0_2K_minus_M <= 2 and h0_2K_minus_M_minus_b2A == 0:",
+     ["tests/test_criteria.py"]),
+    # the b2 rule starts at L^2 = 10
+    ("b2-threshold", _CRITERIA,
+     "if L2 >= 12 and phi == 2:",
+     "if L2 >= 10 and phi == 2:",
+     ["tests/test_criteria.py"]),
+    # the main criterion's verdict stops echoing the Clifford index
+    ("main-echo-cliff", _CRITERIA,
+     '"h0_residual", "cliff"))',
+     '"h0_residual"))',
+     ["tests/test_criteria.py"]),
+    # an undecided verdict exits 2 without --strict
+    ("strict-exit", "src/divcalc/cli.py",
+     "args.strict and ",
+     "",
+     ["tests/test_cli.py"]),
 ]
 
 
@@ -143,7 +194,7 @@ def main():
     for entry in CATALOGUE:
         status, seconds = run_mutant(entry)
         killed += status == "killed"
-        print(f"{status:8}  {entry[0]:20} {seconds:6.1f} s  "
+        print(f"{status:8}  {entry[0]:24} {seconds:6.1f} s  "
               f"{' '.join(entry[4])}", flush=True)
     print(f"{killed} of {len(CATALOGUE)} killed in "
           f"{time.perf_counter() - t0:.1f} s")
