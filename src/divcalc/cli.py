@@ -19,6 +19,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import __version__
 from .criteria import (
+    _READS,
     GaussianInput,
     b2_rule_enriques,
     check_bel,
@@ -264,50 +265,47 @@ def _verdict_outcome(args, verdict, head=None):
         else 0)
 
 
-# per --rule: the options it requires, the other options it reads, and
-# its verdict on the parsed arguments. _cmd_gaussian refuses any option
-# of the command that the chosen rule does not read.
+# per --rule: its verdict on the parsed arguments. The rule's row in
+# criteria._READS names the inputs it reads, and _cmd_gaussian refuses any
+# option of the command that does not give one of them.
 _GAUSSIAN_RULES = {
-    "main": (
-        ("l2",), ("g", "phi", "deg_m", "h1_m", "h0_residual", "cliff"),
-        lambda a: check_main_theorem(GaussianInput(
-            g=a.l2 // 2 + 1 if a.g is None else a.g, L2=a.l2, phi=a.phi,
-            degM=a.deg_m, h1M=a.h1_m, h0_residual=a.h0_residual,
-            cliff=a.cliff))),
-    "cliff": (
-        ("cliff", "h0_2k_minus_m"), (),
-        lambda a: check_cliff_criterion(a.cliff, a.h0_2k_minus_m)),
-    "bel": (
-        ("g", "deg_m", "h1_m", "h0_2k_minus_m", "cliff"), (),
-        lambda a: check_bel(a.g, a.deg_m, a.h1_m, a.h0_2k_minus_m, a.cliff)),
-    "degree": (
-        ("g", "deg_m"), ("plane_quintic", "trigonal", "m_eq_special"),
-        lambda a: check_degree_corollaries(
-            a.g, a.deg_m, plane_quintic=a.plane_quintic,
-            trigonal=a.trigonal, M_eq_special=a.m_eq_special)),
-    "tetragonal": (
-        ("h0_2k_minus_m", "h0_2k_minus_m_b2a"), ("h1_m", "mu_surjective"),
-        lambda a: tetragonal_corank(
-            a.h0_2k_minus_m, a.h0_2k_minus_m_b2a, h1M_zero=(a.h1_m == 0),
-            mu_surjective=a.mu_surjective)),
+    "main": lambda a: check_main_theorem(GaussianInput(
+        g=a.l2 // 2 + 1 if a.g is None else a.g, L2=a.l2, phi=a.phi,
+        degM=a.deg_m, h1M=a.h1_m, h0_residual=a.h0_residual,
+        cliff=a.cliff)),
+    "cliff": lambda a: check_cliff_criterion(a.cliff, a.h0_2k_minus_m),
+    "bel": lambda a: check_bel(a.g, a.deg_m, a.h1_m, a.h0_2k_minus_m,
+                               a.cliff),
+    "degree": lambda a: check_degree_corollaries(
+        a.g, a.deg_m, plane_quintic=a.plane_quintic, trigonal=a.trigonal,
+        M_eq_special=a.m_eq_special),
+    "tetragonal": lambda a: tetragonal_corank(
+        a.h0_2k_minus_m, a.h0_2k_minus_m_b2a, h1M_zero=(a.h1_m == 0),
+        mu_surjective=a.mu_surjective),
 }
-_GAUSSIAN_OPTIONS = tuple(dict.fromkeys(
-    n for required, reads, _ in _GAUSSIAN_RULES.values()
-    for n in required + reads))
+# the option each input of a rule comes from, in the order in which a
+# refusal names the options
+_GAUSSIAN_DESTS = dict(
+    L2="l2", g="g", phi="phi", degM="deg_m", h1M="h1_m", h1M_zero="h1_m",
+    h0_residual="h0_residual", cliff="cliff", h0_2K_minus_M="h0_2k_minus_m",
+    plane_quintic="plane_quintic", trigonal="trigonal",
+    M_eq_special="m_eq_special", h0_2K_minus_M_minus_b2A="h0_2k_minus_m_b2a",
+    mu_surjective="mu_surjective")
 
 
 def _cmd_gaussian(args):
-    required, optional, verdict = _GAUSSIAN_RULES[args.rule]
-    reads = required + optional
+    inputs = _READS[args.rule][0]
+    reads = {_GAUSSIAN_DESTS[n] for n, _ in inputs}
     # a flag is given when True, a valued option (0 too) when not None
-    unread = ["--" + n.replace("_", "-") for n in _GAUSSIAN_OPTIONS
+    unread = ["--" + n.replace("_", "-")
+              for n in dict.fromkeys(_GAUSSIAN_DESTS.values())
               if n not in reads
               and (v := getattr(args, n)) is not None and v is not False]
     if unread:
         raise ModelError(f"--rule {args.rule} does not read "
                          + ", ".join(unread))
-    _need(args, *required)
-    return _verdict_outcome(args, verdict(args))
+    _need(args, *(_GAUSSIAN_DESTS[n] for n, required in inputs if required))
+    return _verdict_outcome(args, _GAUSSIAN_RULES[args.rule](args))
 
 
 def _cmd_corank(args):

@@ -66,6 +66,59 @@ def _check_class(L2, phi, least):
             raise RangeError(f"phi^2 = {phi * phi} exceeds L2 = {L2}")
 
 
+def _row(text):
+    """A row of _READS as two tuples of (name, required) pairs: its
+    inputs, then its aux_h0 keys."""
+    return tuple(tuple((n.rstrip("*"), n[-1] == "*") for n in part.split())
+                 for part in text.partition("|")[::2])
+
+
+# Per rule: the inputs it reads, in the order its verdict echoes them,
+# then after "|" the aux_h0 keys it reads, sorted; a trailing * marks one
+# the rule cannot do without. _read and the command line's gaussian read
+# these rows, each parsed once, here.
+_READS = {rule: _row(text) for rule, text in {
+    "main": "g L2* phi degM h1M h0_residual cliff",
+    "cliff": "cliff* h0_2K_minus_M*",
+    "bel": "g* degM* h1M* h0_2K_minus_M* cliff*",
+    "degree": "g* degM* plane_quintic trigonal M_eq_special",
+    "tetragonal": "h0_2K_minus_M* h0_2K_minus_M_minus_b2A* h1M_zero "
+                  "mu_surjective",
+    "low-(a)": "g h1M* cork_mu* | -M 4K-M*",
+    "low-(b)": "g h1M* h0_2K_minus_M* cork_mu* | -M 3K-M*",
+    "low-(c)": "g h1M* h0_2K_minus_M* cork_mu* | -M",
+    "low-(d)": "g h1M cork_mu | 4A-M 5A-M*",
+    "low-(e)": "g h1M h0_2K_minus_M cork_mu | 3K-(g-4)A-M*",
+}.items()}
+
+
+def _read(rule, values):
+    """The inputs_echo of rule on values, a dict of its inputs by name
+    (and of aux_h0 when its row reads aux_h0 keys): every input of the
+    row that is not None, in row order, then under aux_h0 the row's keys
+    that aux_h0 holds. Every required input that is None or absent from
+    aux_h0 is refused instead, all in one EvidenceError."""
+    inputs, keys = _READS[rule]
+    echo, missing = {}, []
+    for name, required in inputs:
+        if (value := values[name]) is not None:
+            echo[name] = value
+        elif required:
+            missing.append(name)
+    aux, read = values.get("aux_h0", {}), {}
+    for key, required in keys:
+        if key in aux:
+            read[key] = aux[key]
+        elif required:
+            missing.append(f"aux_h0[{key}]")
+    if read:
+        echo["aux_h0"] = read
+    if missing:
+        raise EvidenceError("missing required evidence: " + ", ".join(missing),
+                            missing=tuple(missing))
+    return echo
+
+
 class GaussianInput(_Record, namedtuple(
         "GaussianInput", "g L2 phi degM h1M h0_2K_minus_M h0_residual cliff "
         "cork_mu aux_h0")):
@@ -119,19 +172,6 @@ class GaussianInput(_Record, namedtuple(
                 )
         return tuple.__new__(cls, (g, L2, phi, degM, h1M, h0_2K_minus_M,
                                    h0_residual, cliff, cork_mu, aux_h0))
-
-    def echo(self, fields, aux=()) -> dict:
-        """The inputs a rule read, for its verdict's inputs_echo: g, then
-        each field of fields that is set, in _fields order, then the
-        aux_h0 entries under the keys of aux that are set, sorted."""
-        out = {"g": self.g}
-        for name, val in zip(self._fields[1:-1], self[1:-1]):
-            if name in fields and val is not None:
-                out[name] = val
-        read = sorted((k, v) for k, v in self.aux_h0.items() if k in aux)
-        if read:
-            out["aux_h0"] = dict(read)
-        return out
 
 
 class GaussianVerdict(_Record, namedtuple(
@@ -235,14 +275,10 @@ def check_main_theorem(inp: GaussianInput) -> GaussianVerdict:
     branch unevaluable, never satisfied; if no branch is evaluable the
     checker refuses with the list of missing fields. A genus g other
     than L2 / 2 + 1, the one adjunction gives on an Enriques surface
-    (2g - 2 = L2), raises RangeError. The verdict echoes the fields the
-    branches read (g, L2, phi, degM, h1M, h0_residual, cliff), never
-    cork_mu, h0_2K_minus_M or aux_h0.
+    (2g - 2 = L2), raises RangeError. L2 is required, and the verdict
+    echoes what the branches read: the row "main" of _READS.
     """
-    if inp.L2 is None:
-        raise EvidenceError(
-            "the criterion needs the curve class square", missing=("L2",)
-        )
+    echo = _read("main", inp._asdict())
     L2 = inp.L2
     _check_class(L2, inp.phi, 4)
     if inp.g != L2 // 2 + 1:
@@ -298,7 +334,6 @@ def check_main_theorem(inp: GaussianInput) -> GaussianVerdict:
         )
 
     satisfied = [bid for bid, ev, sat, _ in branches if ev and sat]
-    echo = inp.echo(("L2", "phi", "degM", "h1M", "h0_residual", "cliff"))
     if satisfied:
         first = satisfied[0]
         notes = [f"residual twist read as h0({_BRANCH_TWISTS[first]})"]
@@ -341,9 +376,9 @@ def check_main_theorem(inp: GaussianInput) -> GaussianVerdict:
 def check_cliff_criterion(cliff: int, h0_2K_minus_M: int) -> GaussianVerdict:
     """Surjectivity from the Clifford index alone: index exactly 2 with
     h0(2K - M) = 0, or index >= 3 with h0(2K - M) <= 1."""
+    echo = _read("cliff", locals())
     _check_count("cliff", cliff, 2)
     _check_count("h0_2K_minus_M", h0_2K_minus_M)
-    echo = {"cliff": cliff, "h0_2K_minus_M": h0_2K_minus_M}
     if cliff == 2 and h0_2K_minus_M == 0:
         return GaussianVerdict("SURJECTIVE", "cliff-(i)", inputs_echo=echo)
     if cliff >= 3 and h0_2K_minus_M <= 1:
@@ -363,14 +398,11 @@ def check_bel(
 ) -> GaussianVerdict:
     """Surjectivity for degM >= g + 1: needs h1(M) = 0 and
     h0(2K - M) <= cliff - 2 (so in particular cliff >= 2)."""
+    echo = _read("bel", locals())
     _check_count("g", g, 4)
     for name, v in (("degM", degM), ("h1M", h1M),
                     ("h0_2K_minus_M", h0_2K_minus_M), ("cliff", cliff)):
         _check_count(name, v)
-    echo = {
-        "g": g, "degM": degM, "h1M": h1M,
-        "h0_2K_minus_M": h0_2K_minus_M, "cliff": cliff,
-    }
     fails = []
     if h1M != 0:
         fails.append(f"h1(M) = {h1M} != 0")
@@ -385,14 +417,6 @@ def check_bel(
     return GaussianVerdict(
         "NO_CONCLUSION", "bel2", notes=tuple(fails), inputs_echo=echo
     )
-
-
-def _need_aux(inp: GaussianInput, key: str) -> int:
-    if key not in inp.aux_h0:
-        raise EvidenceError(
-            f"this branch needs aux_h0[{key!r}]", missing=(f"aux_h0[{key}]",)
-        )
-    return inp.aux_h0[key]
 
 
 def _check_curve_type(g, plane_quintic, trigonal, nontrigonal=False):
@@ -437,29 +461,40 @@ def corank_low_genus(
     aux_h0["-M"] is supplied as 0. The quintic and trigonal branches turn
     a vanishing residual count into outright surjectivity; their corank
     bounds additionally need h1(M) = 0 and a surjective multiplication
-    map (cork_mu = 0). A verdict echoes g and the fields and aux_h0 keys
-    its branch reads, so no option another branch would read.
+    map (cork_mu = 0). The flags and g choose the branch, and its rule's
+    row in _READS the inputs its verdict requires and echoes.
     """
-    g = inp.g
+    g, aux = inp.g, inp.aux_h0
     _check_curve_type(g, plane_quintic, trigonal, nontrigonal)
+    if plane_quintic:
+        rule = "low-(d)"
+    elif trigonal:
+        if g < 5:
+            raise RangeError(f"the trigonal branch needs g >= 5, got {g}")
+        rule = "low-(e)"
+    elif g in (3, 4) or (g == 5 and nontrigonal):
+        rule = ("low-(a)", "low-(b)", "low-(c)")[g - 3]
+    elif g == 5:
+        raise EvidenceError("genus 5 needs the trigonal or nontrigonal flag",
+                            missing=("trigonal|nontrigonal",))
+    else:
+        raise RangeError(
+            f"no low-genus branch applies to g = {g} without a curve-type "
+            "flag")
+    echo = _read(rule, inp._asdict())
     quals = (NONHYPERELLIPTIC,)
 
     if plane_quintic or trigonal:
         if plane_quintic:
-            rule, x, y = "low-(d)", "5A - M", "4A - M"
-            hx, hy = _need_aux(inp, "5A-M"), inp.aux_h0.get("4A-M")
+            x, y = "5A - M", "4A - M"
+            hx, hy = aux["5A-M"], aux.get("4A-M")
             surjective = hx == 0
             why = "h0(5A - M) = 0 forces surjectivity"
-            echo = inp.echo(("h1M", "cork_mu"), ("5A-M", "4A-M"))
         else:
-            if g < 5:
-                raise RangeError(f"the trigonal branch needs g >= 5, got {g}")
-            rule, x, y = "low-(e)", "3K - (g-4)A - M", "2K - M"
-            hx, hy = _need_aux(inp, "3K-(g-4)A-M"), inp.h0_2K_minus_M
+            x, y = "3K - (g-4)A - M", "2K - M"
+            hx, hy = aux["3K-(g-4)A-M"], inp.h0_2K_minus_M
             surjective = hx == 0 and hy is not None and hy <= 1
             why = f"h0(2K - M) = {hy} <= 1 and h0(3K - (g-4)A - M) = 0"
-            echo = inp.echo(("h1M", "h0_2K_minus_M", "cork_mu"),
-                            ("3K-(g-4)A-M",))
         if surjective:
             return GaussianVerdict(
                 "SURJECTIVE", rule, qualifiers=quals, notes=(why,),
@@ -476,53 +511,27 @@ def corank_low_genus(
             inputs_echo=echo,
         )
 
-    if g in (3, 4) or (g == 5 and nontrigonal):
-        need = ("h1M", "cork_mu") + (("h0_2K_minus_M",) if g > 3 else ())
-        missing = [n for n in need if getattr(inp, n) is None]
-        if missing:
-            raise EvidenceError(
-                f"genus-{g} branch needs {', '.join(missing)}",
-                missing=tuple(missing),
-            )
-        if g == 3:
-            raw = _need_aux(inp, "4K-M") - inp.cork_mu - 3 * inp.h1M
-            rule = "low-(a)"
-            formula = "h0(4K - M) - cork mu - 3 h1(M)"
-            aux = ("4K-M",)
-        elif g == 4:
-            raw = (
-                inp.h0_2K_minus_M + _need_aux(inp, "3K-M")
-                - inp.cork_mu - 4 * inp.h1M
-            )
-            rule = "low-(b)"
-            formula = "h0(2K - M) + h0(3K - M) - cork mu - 4 h1(M)"
-            aux = ("3K-M",)
-        else:
-            raw = 3 * inp.h0_2K_minus_M - inp.cork_mu - 5 * inp.h1M
-            rule = "low-(c)"
-            formula = "3 h0(2K - M) - cork mu - 5 h1(M)"
-            aux = ()
-        bound = max(raw, 0)
-        notes = [f"{formula} = {raw}"]
-        if raw < 0:
-            notes.append("negative formula value clamped to 0")
-        hm = inp.aux_h0.get("-M")
-        if hm == 0:
-            notes.append("equality holds: h0(-M) = 0")
-        elif hm is None:
-            notes.append("equality condition h0(-M) = 0 untested")
-        return GaussianVerdict(
-            "CORANK_BOUND", rule, bound=bound, qualifiers=quals,
-            notes=tuple(notes), inputs_echo=inp.echo(need, aux + ("-M",)),
-        )
-
-    if g == 5:
-        raise EvidenceError(
-            "genus 5 needs the trigonal or nontrigonal flag",
-            missing=("trigonal|nontrigonal",),
-        )
-    raise RangeError(
-        f"no low-genus branch applies to g = {g} without a curve-type flag"
+    if g == 3:
+        raw = aux["4K-M"] - inp.cork_mu - 3 * inp.h1M
+        formula = "h0(4K - M) - cork mu - 3 h1(M)"
+    elif g == 4:
+        raw = inp.h0_2K_minus_M + aux["3K-M"] - inp.cork_mu - 4 * inp.h1M
+        formula = "h0(2K - M) + h0(3K - M) - cork mu - 4 h1(M)"
+    else:
+        raw = 3 * inp.h0_2K_minus_M - inp.cork_mu - 5 * inp.h1M
+        formula = "3 h0(2K - M) - cork mu - 5 h1(M)"
+    bound = max(raw, 0)
+    notes = [f"{formula} = {raw}"]
+    if raw < 0:
+        notes.append("negative formula value clamped to 0")
+    hm = aux.get("-M")
+    if hm == 0:
+        notes.append("equality holds: h0(-M) = 0")
+    elif hm is None:
+        notes.append("equality condition h0(-M) = 0 untested")
+    return GaussianVerdict(
+        "CORANK_BOUND", rule, bound=bound, qualifiers=quals,
+        notes=tuple(notes), inputs_echo=echo,
     )
 
 
@@ -560,15 +569,12 @@ def check_degree_corollaries(
     curves of genus >= 5 need degM >= 4g - 4 (excluding M = 2K at
     equality). M_eq_special says M equals the branch's excluded bundle.
     """
+    echo = _read("degree", locals())
     _check_curve_type(g, plane_quintic, trigonal)
     _check_flags(M_eq_special=M_eq_special)
     _check_count("g", g, 5)
     _check_count("degM", degM)
 
-    echo = {
-        "g": g, "degM": degM, "plane_quintic": plane_quintic,
-        "trigonal": trigonal, "M_eq_special": M_eq_special,
-    }
     if plane_quintic:
         return _degree_rule("degree-quintic", echo, 25, "25",
                             "5A at the degree-25 boundary")
@@ -603,15 +609,10 @@ def tetragonal_corank(
     scrollar invariant, h0(2K - M) <= 1 and h0(2K - M - b2 A) = 0 force
     surjectivity; with h1(M) = 0 and mu surjective the corank is at least
     h0(2K - M - b2 A), with equality when additionally h0(2K - M) <= 1."""
+    echo = _read("tetragonal", locals())
     _check_flags(h1M_zero=h1M_zero, mu_surjective=mu_surjective)
     _check_count("h0_2K_minus_M", h0_2K_minus_M)
     _check_count("h0_2K_minus_M_minus_b2A", h0_2K_minus_M_minus_b2A)
-    echo = {
-        "h0_2K_minus_M": h0_2K_minus_M,
-        "h0_2K_minus_M_minus_b2A": h0_2K_minus_M_minus_b2A,
-        "h1M_zero": h1M_zero,
-        "mu_surjective": mu_surjective,
-    }
     if h0_2K_minus_M <= 1 and h0_2K_minus_M_minus_b2A == 0:
         return GaussianVerdict(
             "SURJECTIVE", "tetragonal-(i)", inputs_echo=echo

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import validate
 
-from divcalc import cli
+from divcalc import cli, criteria
 from divcalc.enumeration import FIXTURES, CaseFixture
 from divcalc.surfaces import (
     get_config,
@@ -372,12 +372,15 @@ class TestExitCodes:
          "pass either --d and --h0, or --g, not both"),
         (["cliff", "--h0", "2", "--g", "7", "--json"],
          "pass either --d and --h0, or --g, not both"),
+        (["corank", "--g", "3"],
+         "missing required evidence: h1M, cork_mu, aux_h0[4K-M]"),
     ], ids=["int-item", "bytes-item", "none-item", "aux-key-twice",
-            "cliff-mixed", "cliff-h0-and-g"])
+            "cliff-mixed", "cliff-h0-and-g", "corank-missing"])
     def test_input_refusals(self, capsys, argv, err):
         """A non-str argv item, a repeated --aux key (the last value would
-        win and change the verdict) and cliff's two modes at once (--g
-        would be ignored) exit 1 with one error line and no output."""
+        win and change the verdict), cliff's two modes at once (--g
+        would be ignored) and a corank branch's missing inputs, all named
+        at once, exit 1 with one error line and no output."""
         rc = cli.main(argv)
         cap = capsys.readouterr()
         assert rc == 1 and cap.out == ""
@@ -511,14 +514,16 @@ class TestGaussianCommand:
             assert cap.err == (f"divcalc: error: --rule {argv[0]} does not "
                                f"read {unread}\n")
 
-    def test_every_gaussian_option_is_read_by_some_rule(self):
-        # so the refusal covers every option the command declares
+    def test_gaussian_options_are_those_its_rules_read(self):
+        # so the refusal covers every option the command declares, and
+        # every input the rows of its rules name has an option
         sub = cli.build_parser()._commands["gaussian"]
+        choices = set(sub._option_string_actions["--rule"].choices)
+        assert choices == set(cli._GAUSSIAN_RULES) <= set(criteria._READS)
         dests = {a.dest for a in sub._actions} - {"help", "json", "strict",
                                                   "rule"}
-        assert dests == set(cli._GAUSSIAN_OPTIONS)
-        assert set(cli._GAUSSIAN_RULES) == set(
-            sub._option_string_actions["--rule"].choices)
+        assert dests == {cli._GAUSSIAN_DESTS[n] for rule in choices
+                         for n, _ in criteria._READS[rule][0]}
 
 
 class TestVerifyCommand:

@@ -178,10 +178,12 @@ class TestInputValidation:
         v, w = (GaussianVerdict("NO_CONCLUSION", "main") for _ in range(2))
         assert v.inputs_echo == {} and v.inputs_echo is not w.inputs_echo
 
-    def test_echo_round_trip(self):
-        inp = _inp(h0_residual=1)
-        echo = inp.echo(("L2", "h0_residual", "cliff"))
-        assert echo == {"g": 7, "L2": 12, "h0_residual": 1}
+    def test_echo_keeps_its_order_and_leaves_out_what_is_missing(self):
+        # the order is that of the --json report; cliff is read but None
+        echo = check_main_theorem(_inp(h0_residual=1)).inputs_echo
+        assert list(echo.items()) == [("g", 7), ("L2", 12), ("phi", 2),
+                                      ("degM", 8), ("h1M", 0),
+                                      ("h0_residual", 1)]
 
     @settings(max_examples=120)
     @given(
@@ -298,6 +300,22 @@ class TestCorankLowGenus:
     def test_conflicting_flags(self):
         with pytest.raises(RangeError):
             corank_low_genus(_inp(), trigonal=True, nontrigonal=True)
+
+    @pytest.mark.parametrize("g, flags, missing", [
+        (3, {}, ("h1M", "cork_mu", "aux_h0[4K-M]")),
+        (4, {}, ("h1M", "h0_2K_minus_M", "cork_mu", "aux_h0[3K-M]")),
+        (5, {"nontrigonal": True}, ("h1M", "h0_2K_minus_M", "cork_mu")),
+        (6, {"plane_quintic": True}, ("aux_h0[5A-M]",)),
+        (7, {"trigonal": True}, ("aux_h0[3K-(g-4)A-M]",)),
+    ])
+    def test_every_missing_input_is_named_at_once(self, g, flags, missing):
+        # one refusal names every missing input, aux_h0 keys among them,
+        # in the order of the branch's echo
+        with pytest.raises(EvidenceError) as exc:
+            corank_low_genus(GaussianInput(g=g), **flags)
+        assert exc.value.missing == missing
+        assert str(exc.value) == ("missing required evidence: "
+                                  + ", ".join(missing))
 
 
 class TestDegreeCorollaries:
@@ -471,14 +489,18 @@ class TestCountAndFlagRefusals:
         (lambda: check_cliff_criterion(None, 0), "cliff"),
         (lambda: tetragonal_corank(None, 0), "h0_2K_minus_M"),
         (lambda: check_degree_corollaries(7, None), "degM"),
+        (lambda: check_degree_corollaries(None, 20, plane_quintic=True),
+         "g"),
+        (lambda: check_main_theorem(GaussianInput(g=7)), "L2"),
         (lambda: gonality(12, None), "phi"),
         (lambda: clifford_of_series(None, 2), "degree"),
         (lambda: cliff_upper_bound(None), "g"),
         (lambda: scroll_invariants(None, 1), "g"),
         (lambda: b2_rule_enriques(12, None), "phi"),
         (lambda: GaussianInput(g=None), "g"),
-    ], ids=["bel", "cliff", "tetragonal", "degree", "gonality", "series",
-            "cliff-bound", "scroll", "b2rule", "input"])
+    ], ids=["bel", "cliff", "tetragonal", "degree", "degree-quintic",
+            "main", "gonality", "series", "cliff-bound", "scroll", "b2rule",
+            "input"])
     def test_refuses_a_missing_count(self, call, name):
         """A required count left None is missing evidence: it used to
         raise TypeError, or answer (b2rule: unknown) or build anyway."""
@@ -683,6 +705,26 @@ class TestInputsEcho:
         assert v.rule == "low-(a)" and v.bound == 8
         assert v.inputs_echo == {"g": 3, "h1M": 0, "cork_mu": 0,
                                  "aux_h0": {"4K-M": 8}}
+
+    @pytest.mark.parametrize("verdict, echo", [
+        (lambda: check_cliff_criterion(3, 1),
+         [("cliff", 3), ("h0_2K_minus_M", 1)]),
+        (lambda: check_bel(7, 8, 0, 0, 3),
+         [("g", 7), ("degM", 8), ("h1M", 0), ("h0_2K_minus_M", 0),
+          ("cliff", 3)]),
+        (lambda: check_degree_corollaries(6, 25, plane_quintic=True,
+                                          M_eq_special=True),
+         [("g", 6), ("degM", 25), ("plane_quintic", True),
+          ("trigonal", False), ("M_eq_special", True)]),
+        (lambda: tetragonal_corank(1, 0, h1M_zero=True, mu_surjective=True),
+         [("h0_2K_minus_M", 1), ("h0_2K_minus_M_minus_b2A", 0),
+          ("h1M_zero", True), ("mu_surjective", True)]),
+    ], ids=["cliff", "bel", "degree", "tetragonal"])
+    def test_each_plain_checker_echoes_exactly_its_arguments(self, verdict,
+                                                             echo):
+        # written out here, not read from criteria, so that the test stays
+        # a reference of its own; the self-audit misses an extra key
+        assert list(verdict().inputs_echo.items()) == echo
 
     def test_every_rule_echoes_what_it_read_of_a_full_input(self):
         # every field and aux_h0 key set, so an unread one would show

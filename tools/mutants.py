@@ -131,10 +131,16 @@ CATALOGUE = [
      "if L2 >= 12 and phi == 2:",
      "if L2 >= 10 and phi == 2:",
      ["tests/test_criteria.py"]),
-    # the main criterion's verdict stops echoing the Clifford index
+    # the main criterion's row stops reading the Clifford index, so its
+    # verdict stops echoing it
     ("main-echo-cliff", _CRITERIA,
-     '"h0_residual", "cliff"))',
-     '"h0_residual"))',
+     '"main": "g L2* phi degM h1M h0_residual cliff",',
+     '"main": "g L2* phi degM h1M h0_residual",',
+     ["tests/test_criteria.py"]),
+    # the rows' required inputs are no longer refused when missing
+    ("read-required", _CRITERIA,
+     "    if missing:\n        raise EvidenceError(\"missing required",
+     "    if missing and False:\n        raise EvidenceError(\"missing required",
      ["tests/test_criteria.py"]),
     # an undecided verdict exits 2 without --strict
     ("strict-exit", "src/divcalc/cli.py",
