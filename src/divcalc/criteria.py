@@ -76,9 +76,11 @@ def _row(text):
 # Per rule: the inputs it reads, in the order its verdict echoes them,
 # then after "|" the aux_h0 keys it reads, sorted; a trailing * marks one
 # the rule cannot do without. _read and the command line's gaussian read
-# these rows, each parsed once, here.
+# these rows, each parsed once, here. The last three give no verdict; their
+# functions (gonality and b2_rule_enriques, clifford_of_series,
+# surfaces.scroll_invariants) read them to refuse a missing input first.
 _READS = {rule: _row(text) for rule, text in {
-    "main": "g L2* phi degM h1M h0_residual cliff",
+    "main": "g L2* phi degM h1M h0_residual* cliff",
     "cliff": "cliff* h0_2K_minus_M*",
     "bel": "g* degM* h1M* h0_2K_minus_M* cliff*",
     "degree": "g* degM* plane_quintic trigonal M_eq_special",
@@ -89,6 +91,9 @@ _READS = {rule: _row(text) for rule, text in {
     "low-(c)": "g h1M* h0_2K_minus_M* cork_mu* | -M",
     "low-(d)": "g h1M cork_mu | 4A-M 5A-M*",
     "low-(e)": "g h1M h0_2K_minus_M cork_mu | 3K-(g-4)A-M*",
+    "class": "L2* phi*",
+    "series": "degree* h0*",
+    "scroll": "g* b1*",
 }.items()}
 
 
@@ -225,9 +230,9 @@ def gonality(L2: int, phi: int, not_2D_special: bool = True) -> int:
     square-10 class of pencil invariant 3) that the two numbers alone
     cannot detect; it defaults to the generic (excluded) situation.
     """
+    _read("class", locals())
     _check_flags(not_2D_special=not_2D_special)
     _check_class(L2, phi, 2)
-    _check_count("phi", phi)  # _check_class lets a missing phi through
     if L2 == phi * phi and phi >= 2 and phi % 2 == 0:
         return 2 * phi - 2
     if L2 == phi * phi + phi - 2 and phi >= 3 and not_2D_special:
@@ -242,6 +247,7 @@ def gonality(L2: int, phi: int, not_2D_special: bool = True) -> int:
 def clifford_of_series(d: int, h0: int) -> int:
     """Clifford contribution deg A - 2(h0(A) - 1) of a series of degree d
     with h0 sections."""
+    _read("series", {"degree": d, "h0": h0})
     _check_count("h0", h0, 1)
     _check_count("degree", d)
     return d - 2 * (h0 - 1)
@@ -256,13 +262,15 @@ def cliff_upper_bound(g: int) -> int:
 # ---------------------------------------------------------------------------
 # the main surjectivity criterion
 
-_BRANCH_TWISTS = {
-    "i": "4L|C - M",
-    "ii": "(3L+K)|C - M",
-    "iii": "2L|C - M",
-    "iv": "2L|C - M",
-    "v": "2L|C - M",
-}
+# Branches (i)-(iv) of the main criterion: the branch, the L2 it needs
+# (L2 = n or L2 >= n), the h0 it needs of its residual twist, and that
+# twist. Branch (v) also reads h1M, degM and cliff, and is stated in code.
+_MAIN_BRANCHES = (
+    ("i", "=", 4, 0, "4L|C - M"),
+    ("ii", "=", 6, 0, "(3L+K)|C - M"),
+    ("iii", ">=", 8, 0, "2L|C - M"),
+    ("iv", ">=", 12, 1, "2L|C - M"),
+)
 
 
 def check_main_theorem(inp: GaussianInput) -> GaussianVerdict:
@@ -271,12 +279,12 @@ def check_main_theorem(inp: GaussianInput) -> GaussianVerdict:
     the rule and any other satisfied branches land in the notes.
 
     Branches (i)-(iv) read (L2, h0_residual); branch (v) reads
-    (h1M, degM, L2, cliff, h0_residual). Evidence left None makes a
-    branch unevaluable, never satisfied; if no branch is evaluable the
-    checker refuses with the list of missing fields. A genus g other
-    than L2 / 2 + 1, the one adjunction gives on an Enriques surface
-    (2g - 2 = L2), raises RangeError. L2 is required, and the verdict
-    echoes what the branches read: the row "main" of _READS.
+    (h1M, degM, L2, cliff, h0_residual). L2 and h0_residual are required,
+    so only branch (v) can be unevaluable, when any of h1M, degM or cliff
+    is None; its note then says which. A genus g other than L2 / 2 + 1,
+    the one adjunction gives on an Enriques surface (2g - 2 = L2), raises
+    RangeError. The verdict echoes what the branches read: the row "main"
+    of _READS.
     """
     echo = _read("main", inp._asdict())
     L2 = inp.L2
@@ -287,64 +295,37 @@ def check_main_theorem(inp: GaussianInput) -> GaussianVerdict:
                          f"{L2 // 2 + 1}")
 
     res = inp.h0_residual
-    half_plus_2 = L2 // 2 + 2
-
-    branches = []  # (id, evaluable, satisfied, miss_note)
-    if res is None:
-        for bid in ("i", "ii", "iii", "iv"):
-            branches.append((bid, False, False, "h0_residual missing"))
-    else:
-        branches.append(("i", True, L2 == 4 and res == 0,
-                         f"needs L2 = 4 and h0 = 0 (have {L2}, {res})"))
-        branches.append(("ii", True, L2 == 6 and res == 0,
-                         f"needs L2 = 6 and h0 = 0 (have {L2}, {res})"))
-        branches.append(("iii", True, L2 >= 8 and res == 0,
-                         f"needs L2 >= 8 and h0 = 0 (have {L2}, {res})"))
-        branches.append(("iv", True, L2 >= 12 and res == 1,
-                         f"needs L2 >= 12 and h0 = 1 (have {L2}, {res})"))
-
-    v_missing = [
-        n for n, v in (
-            ("h1M", inp.h1M), ("degM", inp.degM),
-            ("cliff", inp.cliff), ("h0_residual", res),
-        ) if v is None
-    ]
+    branches = [  # (id, satisfied, note when not, residual twist)
+        (bid, (L2 == n if op == "=" else L2 >= n) and res == h0,
+         f"needs L2 {op} {n} and h0 = {h0} (have {L2}, {res})", twist)
+        for bid, op, n, h0, twist in _MAIN_BRANCHES]
+    skipped = ()
+    v_missing = [n for n in ("h1M", "degM", "cliff")
+                 if getattr(inp, n) is None]
     if v_missing:
-        branches.append(("v", False, False, f"missing {', '.join(v_missing)}"))
+        skipped = (f"(v) not evaluable: missing {', '.join(v_missing)}",)
     else:
-        sat = (
-            inp.h1M == 0
-            and inp.degM >= half_plus_2
-            and half_plus_2 >= 6
-            and res <= inp.cliff - 2
-        )
+        half_plus_2 = L2 // 2 + 2
         branches.append((
-            "v", True, sat,
+            "v", inp.h1M == 0 and inp.degM >= half_plus_2 >= 6
+            and res <= inp.cliff - 2,
             f"needs h1(M) = 0, degM >= {half_plus_2} >= 6 and "
             f"h0 <= cliff - 2 = {inp.cliff - 2} "
             f"(have h1M = {inp.h1M}, degM = {inp.degM}, h0 = {res})",
-        ))
+            "2L|C - M"))
 
-    if not any(ev for _, ev, _, _ in branches):
-        missing = sorted({m for _, ev, _, m in branches if not ev})
-        raise EvidenceError(
-            "no branch of the criterion is evaluable with the given "
-            "evidence: " + "; ".join(missing),
-            missing=tuple(missing),
-        )
-
-    satisfied = [bid for bid, ev, sat, _ in branches if ev and sat]
+    satisfied = [(bid, twist) for bid, sat, _, twist in branches if sat]
     if satisfied:
-        first = satisfied[0]
-        notes = [f"residual twist read as h0({_BRANCH_TWISTS[first]})"]
+        (first, twist), *others = satisfied
+        notes = [f"residual twist read as h0({twist})"]
         if first == "ii":
             notes.append(
                 "the twist differs from 3L|C by the torsion class only; "
                 "numerically identical, recorded as an annotation"
             )
-        if len(satisfied) > 1:
+        if others:
             notes.append(
-                "also satisfied: " + ", ".join(f"({b})" for b in satisfied[1:])
+                "also satisfied: " + ", ".join(f"({b})" for b, _ in others)
             )
         return GaussianVerdict(
             status="SURJECTIVE",
@@ -353,18 +334,11 @@ def check_main_theorem(inp: GaussianInput) -> GaussianVerdict:
             notes=tuple(notes),
             inputs_echo=echo,
         )
-
-    near = [
-        f"({bid}) {miss}" for bid, ev, sat, miss in branches if ev and not sat
-    ]
-    skipped = [
-        f"({bid}) not evaluable: {miss}"
-        for bid, ev, sat, miss in branches if not ev
-    ]
     return GaussianVerdict(
         status="NO_CONCLUSION",
         rule="main",
-        notes=tuple(near + skipped),
+        notes=tuple(f"({bid}) {miss}" for bid, _, miss, _ in branches)
+        + skipped,
         inputs_echo=echo,
     )
 
@@ -644,8 +618,8 @@ def b2_rule_enriques(L2: int, phi: int) -> B2Rule:
     """Second scrollar invariant of tetragonal curves on an Enriques
     surface: square >= 12 with pencil invariant 2 forces b2 >= 1 for a
     general curve in the system."""
+    _read("class", locals())
     _check_class(L2, phi, 4)
-    _check_count("phi", phi)  # _check_class lets a missing phi through
     if L2 >= 12 and phi == 2:
         return B2Rule("b2_at_least_1", qualifiers=("general member",))
     return B2Rule(

@@ -58,8 +58,6 @@ def parse_divexpr(s: str) -> tuple:
         terms.append((coeff, label))
         pos = m.end()
         first = False
-    if not terms:
-        raise ExprSyntaxError("no terms in divisor expression")
     return tuple(terms)
 
 

@@ -30,7 +30,7 @@ import re
 from collections import namedtuple
 from operator import mul
 
-from .criteria import _check_count
+from .criteria import _check_count, _read
 from .errors import (
     ModelError,
     NodalClassError,
@@ -745,6 +745,7 @@ def scroll_invariants(g: int, b1: int) -> ScrollInvariants:
     degY >= 2 pa + 3 (the quadratic-normality threshold) simplifies to
     b1 >= 1, which is asserted as an equivalence in tests.
     """
+    _read("scroll", locals())
     _check_count("g", g, 6)
     _check_count("b1", b1, None)
     b2 = g - 5 - b1

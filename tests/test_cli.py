@@ -120,6 +120,23 @@ class TestArithmeticCommands:
         assert "2 candidates visited" in out
         assert out.splitlines()[-1] == "rejected: none"
 
+    @pytest.mark.parametrize("argv, out", [
+        (["enumerate", "--surface", "sigma1", "--curve", "2H", "--k", "3"],
+         "curve 2H, k = 3, parity filter off, 0 candidates visited\n"
+         "  no survivors\nrejected: none\n"),
+        (["cliff", "--g", "7"], "Cliff(C) <= 3\n"),
+        (["surface"],
+         "surfaces: " + ", ".join(list_surfaces()) + "\n"
+         "configs:  " + ", ".join(list_configs()) + "\n"),
+    ], ids=["enumerate-no-survivors", "cliff-upper-bound", "surface-list"])
+    def test_text_output(self, capsys, argv, out):
+        assert run(capsys, argv) == (0, out)
+
+    def test_cliff_upper_bound_json(self, capsys):
+        rc, doc = run_json(capsys, ["cliff", "--g", "7", "--json"])
+        assert rc == 0
+        assert doc["result"] == {"mode": "upper_bound", "g": 7, "value": 3}
+
     def test_reflect_swaps_the_hyperbolic_pair(self, capsys):
         rc, doc = run_json(
             capsys,
@@ -374,13 +391,22 @@ class TestExitCodes:
          "pass either --d and --h0, or --g, not both"),
         (["corank", "--g", "3"],
          "missing required evidence: h1M, cork_mu, aux_h0[4K-M]"),
+        (["phi", "--curve", "U1"],
+         "this subcommand needs --surface or --config"),
+        (["reflect", "--surface", "enriques", "--curve", "U1"],
+         "reflect needs --nodal <divexpr>"),
+        (["enumerate", "--surface", "sigma3", "--curve", "H"],
+         "enumerate needs --k <int>"),
+        (["cliff"], "cliff needs --d and --h0, or --g"),
     ], ids=["int-item", "bytes-item", "none-item", "aux-key-twice",
-            "cliff-mixed", "cliff-h0-and-g", "corank-missing"])
+            "cliff-mixed", "cliff-h0-and-g", "corank-missing", "no-model",
+            "reflect-no-nodal", "enumerate-no-k", "cliff-bare"])
     def test_input_refusals(self, capsys, argv, err):
         """A non-str argv item, a repeated --aux key (the last value would
         win and change the verdict), cliff's two modes at once (--g
-        would be ignored) and a corank branch's missing inputs, all named
-        at once, exit 1 with one error line and no output."""
+        would be ignored), a corank branch's missing inputs, all named
+        at once, and an option a subcommand cannot do without exit 1 with
+        one error line and no output."""
         rc = cli.main(argv)
         cap = capsys.readouterr()
         assert rc == 1 and cap.out == ""
@@ -472,6 +498,17 @@ class TestGaussianCommand:
         )
         assert rc == 0 and doc["result"]["status"] == "SURJECTIVE"
 
+    def test_bel_rule(self, capsys):
+        rc, doc = run_json(
+            capsys,
+            ["gaussian", "--rule", "bel", "--g", "7", "--deg-m", "9",
+             "--h1-m", "0", "--h0-2k-minus-m", "0", "--cliff", "3",
+             "--json"],
+        )
+        assert rc == 0 and doc["result"]["rule"] == "bel2"
+        assert doc["result"]["inputs_echo"] == {
+            "g": 7, "degM": 9, "h1M": 0, "h0_2K_minus_M": 0, "cliff": 3}
+
     def test_degree_rule(self, capsys):
         rc, doc = run_json(
             capsys,
@@ -486,7 +523,8 @@ class TestGaussianCommand:
              "--deg-m", "8"])
         cap = capsys.readouterr()
         assert rc == 1
-        assert "h0_residual" in cap.err
+        assert cap.err == ("divcalc: error: missing required evidence: "
+                           "--h0-residual\n")
 
     @pytest.mark.parametrize("argv, unread", [
         # these two printed SURJECTIVE with exit 0, the genus or class

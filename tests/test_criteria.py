@@ -122,11 +122,6 @@ class TestMainTheorem:
         assert v.status == "NO_CONCLUSION"
         assert v.notes
 
-    def test_evidence_error_when_nothing_evaluable(self):
-        with pytest.raises(EvidenceError) as exc:
-            check_main_theorem(_inp(g=6, L2=10))
-        assert "h0_residual" in str(exc.value)
-
     @pytest.mark.parametrize("l2", [4, 6, 8, 10, 12, 14, 16])
     @pytest.mark.parametrize("res", [0, 1])
     @pytest.mark.parametrize("degm", [5, 6, 10])
@@ -171,6 +166,14 @@ class TestInputValidation:
     def test_l2_must_be_an_integer(self, l2):
         with pytest.raises(RangeError, match="L2 must be an integer"):
             GaussianInput(g=3, L2=l2, phi=2, h0_residual=0)
+
+    def test_verdict_invariants(self):
+        with pytest.raises(ValueError,
+                           match="^a SURJECTIVE verdict must cite its rule$"):
+            GaussianVerdict("SURJECTIVE", "")
+        with pytest.raises(ValueError, match="^a CORANK_BOUND verdict must "
+                           "carry the bound$"):
+            GaussianVerdict("CORANK_BOUND", "low-(a)")
 
     def test_dict_defaults_are_fresh(self):
         a, b = GaussianInput(g=3), GaussianInput(g=3)
@@ -394,18 +397,19 @@ class TestClassRefusals:
     """Every entry point that reads (L2, phi) refuses an odd L2, an L2
     below its least value, phi < 1 and phi^2 > L2."""
 
-    @pytest.mark.parametrize("call, least", [
-        (lambda l2, phi: gonality(l2, phi), 2),
-        (lambda l2, phi: b2_rule_enriques(l2, phi), 4),
-        (lambda l2, phi: GaussianInput(g=3, L2=l2, phi=phi), 2),
+    @pytest.mark.parametrize("call, least, low_phi", [
+        (lambda l2, phi: gonality(l2, phi), 2, 1),
+        (lambda l2, phi: b2_rule_enriques(l2, phi), 4, 1),
+        (lambda l2, phi: GaussianInput(g=3, L2=l2, phi=phi), 2, None),
         (lambda l2, phi: check_main_theorem(
-            GaussianInput(g=3, L2=l2, phi=phi, h0_residual=0)), 4),
+            GaussianInput(g=3, L2=l2, phi=phi, h0_residual=0)), 4, None),
     ], ids=["gonality", "b2rule", "input", "main"])
-    def test_one_message_per_condition(self, call, least):
+    def test_one_message_per_condition(self, call, least, low_phi):
+        # gonality and b2rule require phi, so their low L2 comes with one
         for l2, phi, msg in [
             (least + 1, 1,
              f"L2 must be even on these lattices, got {least + 1}"),
-            (least - 2, None, f"L2 must be >= {least}, got {least - 2}"),
+            (least - 2, low_phi, f"L2 must be >= {least}, got {least - 2}"),
             (16, 0, "phi must be >= 1, got 0"),
             (16, -1, "phi must be >= 1, got -1"),
             (16, 5, "phi^2 = 25 exceeds L2 = 16"),
@@ -491,22 +495,30 @@ class TestCountAndFlagRefusals:
         (lambda: check_degree_corollaries(7, None), "degM"),
         (lambda: check_degree_corollaries(None, 20, plane_quintic=True),
          "g"),
-        (lambda: check_main_theorem(GaussianInput(g=7)), "L2"),
+        (lambda: check_main_theorem(GaussianInput(g=7)), "L2, h0_residual"),
+        (lambda: check_main_theorem(_inp(g=6, L2=10)), "h0_residual"),
         (lambda: gonality(12, None), "phi"),
         (lambda: clifford_of_series(None, 2), "degree"),
         (lambda: cliff_upper_bound(None), "g"),
         (lambda: scroll_invariants(None, 1), "g"),
         (lambda: b2_rule_enriques(12, None), "phi"),
         (lambda: GaussianInput(g=None), "g"),
+        # presence is checked before consistency: an odd L2, a genus or
+        # an h0 below its least value used to be refused first
+        (lambda: gonality(13, None), "phi"),
+        (lambda: b2_rule_enriques(13, None), "phi"),
+        (lambda: scroll_invariants(3, None), "b1"),
+        (lambda: clifford_of_series(None, 0), "degree"),
     ], ids=["bel", "cliff", "tetragonal", "degree", "degree-quintic",
-            "main", "gonality", "series", "cliff-bound", "scroll", "b2rule",
-            "input"])
+            "main", "main-residual", "gonality", "series", "cliff-bound",
+            "scroll", "b2rule", "input", "gonality-odd-l2", "b2rule-odd-l2",
+            "scroll-low-g", "series-low-h0"])
     def test_refuses_a_missing_count(self, call, name):
         """A required count left None is missing evidence: it used to
         raise TypeError, or answer (b2rule: unknown) or build anyway."""
         with pytest.raises(EvidenceError) as exc:
             call()
-        assert exc.value.missing == (name,)
+        assert exc.value.missing == tuple(name.split(", "))
         assert str(exc.value) == f"missing required evidence: {name}"
 
     @pytest.mark.parametrize("aux", [[], [("4K-M", 3)], "4K-M"],

@@ -933,6 +933,15 @@ class TestFixtureCatalog:
         with pytest.raises(FixtureError):
             verify_case("nope")
 
+    def test_unknown_identity_check_rejected(self, monkeypatch):
+        fx = CaseFixture(case_id="odd-check", kind="identities",
+                         identities=(("pencil-pair-1", (
+                             ("square", "E", 0), ("cube", "E", 0))),))
+        monkeypatch.setitem(FIXTURES, fx.case_id, fx)
+        with pytest.raises(FixtureError,
+                           match="^unknown identity check 'cube'$"):
+            verify_case(fx.case_id)
+
     def test_identity_fixture_traces(self):
         rep = verify_case("lemmag8")
         assert rep.status == "PASS"

@@ -94,6 +94,11 @@ class TestModelValidation:
         with pytest.raises(OverflowGuardError):
             _model([[2**63, 0], [0, 2]])
 
+    def test_basis_class_of_an_unknown_label(self):
+        with pytest.raises(ModelError,
+                           match="^no basis label 'Z' in model sigma1$"):
+            sigma(1).model.basis_class("Z")
+
     def test_json_round_trip(self):
         m = sigma(2).model
         doc = m.to_json_dict()
@@ -131,7 +136,9 @@ class TestModelValidation:
          ("sign_tests", [[1, None]], "sign_tests entry must be an integer"),
          ("name", 5, "model name must be a string"),
          ("basis", ["H", 1], "labels must be a tuple of strings"),
-         ("effective", [None], "effective_labels must be a tuple of strings")])
+         ("effective", [None], "effective_labels must be a tuple of strings"),
+         ("basis", [], "model needs at least one basis label"),
+         ("effective", ["H", "X"], r"effective_labels not in basis: \['X'\]")])
     def test_a_refused_document_names_the_field(self, field, value, message):
         doc = dict(sigma(1).model.to_json_dict(), **{field: value})
         with pytest.raises(ModelError,
@@ -437,6 +444,19 @@ class TestDivClassAlgebra:
         with pytest.raises(ModelError, match="must be ints"):
             DivClass(m, coords)
 
+    def test_divclass_of_the_wrong_length(self):
+        with pytest.raises(ModelError, match="^coordinate length does not "
+                           "match model rank$"):
+            DivClass(sigma(1).model, (1,))
+
+    def test_only_an_int_scales(self):
+        D = sigma(1).model.klass((1, 2))
+        for n in (2.5, Fraction(1, 2), "2"):
+            with pytest.raises(TypeError):
+                n * D
+            with pytest.raises(TypeError):
+                D * n
+
     def test_add_sub_neg_scale(self):
         m = sigma(2).model
         a = m.klass((1, 2, 3))
@@ -462,6 +482,8 @@ class TestDivClassAlgebra:
         # sign convention: first nonzero coordinate of the primitive
         # class is positive
         assert prim.coords == (1, 2) and mult == -2
+        zero = m.zero()
+        assert zero.primitive_part() == (zero, 0)
 
     def test_overflow_guard(self):
         m = _model([[1]])

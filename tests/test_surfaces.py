@@ -245,6 +245,24 @@ class TestNumericalInvariants:
         with pytest.raises(NonCurveClassError):
             genus(q, resolve("2C0", q))
 
+    def test_parity_refusals(self):
+        # a canonical class that is not characteristic makes C^2 + C.K
+        # odd, which no built-in model does
+        odd = LatticeModel(name="odd", labels=("A",), gram=((1,),),
+                           canonical=(0,), chi=1)
+        A = odd.klass((1,))
+        with pytest.raises(NonCurveClassError,
+                           match=r"^C\^2 \+ C\.K = 1 is odd, not a curve "
+                           "class$"):
+            genus(odd, A)
+        with pytest.raises(NonCurveClassError,
+                           match=r"^L\.\(L - K\) = 1 is odd; chi undefined$"):
+            chi(odd, A)
+
+    def test_blcn_needs_a_positive_n(self):
+        with pytest.raises(ModelError, match=r"^blcn\(n\) needs n >= 1$"):
+            blcn(0)
+
     def test_chi_riemann_roch(self):
         e = enriques()
         L = e.model.klass((1, 1, 0, 0, 0, 0, 0, 0, 0, 0))
@@ -361,6 +379,8 @@ class TestPhi:
             phi(surf, surf.klass((1, 0)), mode="nonsense")
         with pytest.raises(OverflowGuardError):
             phi(surf, surf.klass((3 * 10**9, 3 * 10**9)), mode="nonsense")
+        with pytest.raises(ModelError, match="^unknown phi mode 'nonsense'$"):
+            phi(surf, L, mode="nonsense")
 
     def test_certified_phi_builds_only_its_witness(self, monkeypatch):
         # the slice walk yields coordinate tuples; the first non-empty
@@ -591,6 +611,24 @@ class TestQuasiNef:
         r = quasi_nef_test(L, [delta])
         assert r.status == "violated"
         assert r.min_pairing == -2
+
+    @pytest.mark.parametrize("expr, note", [
+        ("E2-E1", "L^2 = -2 < 0; cannot be quasi-nef geometrically"),
+        ("2E", "L is 2 times a primitive isotropic class; h1 may be "
+         "nonzero in the classification"),
+        ("E", "h1 expected zero by the classification"),
+    ], ids=["negative-square", "isotropic-multiple", "isotropic-primitive"])
+    def test_notes_on_the_square(self, expr, note):
+        r = quasi_nef_test(resolve(expr, self._surf()), [])
+        assert r.notes == (note,)
+
+    def test_empty_pool_is_nef_by_absence_of_evidence(self):
+        e = enriques()  # declares no effective classes
+        r = quasi_nef_test(resolve("U1-U2", e), [])
+        assert (r.status, r.min_pairing, r.witness, r.notes) == (
+            "nef", None, None,
+            ("L^2 = -2 < 0; cannot be quasi-nef geometrically",
+             "empty test pool; nef by absence of evidence"))
 
     def test_rejects_non_nodal_pool_entry(self):
         surf = self._surf()

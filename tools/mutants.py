@@ -103,8 +103,8 @@ CATALOGUE = [
      ["tests/test_chamber.py"]),
     # main branch (iv) starts at L^2 = 10
     ("main-iv-threshold", _CRITERIA,
-     "L2 >= 12 and res == 1",
-     "L2 >= 10 and res == 1",
+     '("iv", ">=", 12, 1,',
+     '("iv", ">=", 10, 1,',
      ["tests/test_criteria.py"]),
     # cliff branch (ii) allows h0(2K - M) = 2
     ("cliff-ii-threshold", _CRITERIA,
@@ -134,8 +134,20 @@ CATALOGUE = [
     # the main criterion's row stops reading the Clifford index, so its
     # verdict stops echoing it
     ("main-echo-cliff", _CRITERIA,
-     '"main": "g L2* phi degM h1M h0_residual cliff",',
-     '"main": "g L2* phi degM h1M h0_residual",',
+     '"main": "g L2* phi degM h1M h0_residual* cliff",',
+     '"main": "g L2* phi degM h1M h0_residual*",',
+     ["tests/test_criteria.py"]),
+    # the main criterion no longer requires the residual count, which
+    # every one of its branches reads
+    ("main-h0-required", _CRITERIA,
+     "h1M h0_residual* cliff",
+     "h1M h0_residual cliff",
+     ["tests/test_criteria.py"]),
+    # gonality and the b2 rule let a missing phi through to their
+    # consistency checks
+    ("class-phi-required", _CRITERIA,
+     '"class": "L2* phi*",',
+     '"class": "L2* phi",',
      ["tests/test_criteria.py"]),
     # the rows' required inputs are no longer refused when missing
     ("read-required", _CRITERIA,
