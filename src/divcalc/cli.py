@@ -20,6 +20,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from . import __version__
 from .criteria import (
     _READS,
+    _read,
     GaussianInput,
     b2_rule_enriques,
     check_bel,
@@ -40,7 +41,7 @@ from .enumeration import (
     verify_all,
     verify_case,
 )
-from .errors import DivcalcError, EvidenceError, ModelError
+from .errors import DivcalcError, ModelError
 from .lattice import _Record, pair, reflect_nodal
 from .surfaces import (
     chi,
@@ -91,17 +92,6 @@ def _one_curve(args, surf):
     if len(curves) != 1:
         raise ModelError("expected exactly one --curve expression")
     return resolve(curves[0], surf)
-
-
-def _need(args, *names):
-    missing = [
-        "--" + n.replace("_", "-") for n in names if getattr(args, n) is None
-    ]
-    if missing:
-        raise EvidenceError(
-            "missing required evidence: " + ", ".join(missing),
-            missing=tuple(missing),
-        )
 
 
 class _Outcome(_Record, namedtuple(
@@ -223,7 +213,6 @@ def _cmd_destab(args):
 
 
 def _cmd_gonality(args):
-    _need(args, "l2", "phi")
     val = gonality(args.l2, args.phi, not args.two_d_special)
     return _Outcome(
         lambda: {
@@ -239,7 +228,6 @@ def _cmd_cliff(args):
     if args.d is not None or args.h0 is not None:
         if args.g is not None:
             raise ModelError("pass either --d and --h0, or --g, not both")
-        _need(args, "d", "h0")
         val = clifford_of_series(args.d, args.h0)
         return _Outcome(
             lambda: {"mode": "series", "d": args.d, "h0": args.h0,
@@ -266,8 +254,8 @@ def _verdict_outcome(args, verdict, head=None):
 
 
 # per --rule: its verdict on the parsed arguments. The rule's row in
-# criteria._READS names the inputs it reads, and _cmd_gaussian refuses any
-# option of the command that does not give one of them.
+# criteria._READS names the inputs it reads; _cmd_gaussian refuses any
+# option that gives none of them, then any required one that is missing.
 _GAUSSIAN_RULES = {
     "main": lambda a: check_main_theorem(GaussianInput(
         g=a.l2 // 2 + 1 if a.g is None else a.g, L2=a.l2, phi=a.phi,
@@ -283,33 +271,33 @@ _GAUSSIAN_RULES = {
         a.h0_2k_minus_m, a.h0_2k_minus_m_b2a, h1M_zero=(a.h1_m == 0),
         mu_surjective=a.mu_surjective),
 }
-# the option each input of a rule comes from, in the order in which a
-# refusal names the options
-_GAUSSIAN_DESTS = dict(
+# the option dest each input of a criterion comes from, on every command
+# that has the option, in the order in which gaussian's refusal names them
+_INPUT_DESTS = dict(
     L2="l2", g="g", phi="phi", degM="deg_m", h1M="h1_m", h1M_zero="h1_m",
     h0_residual="h0_residual", cliff="cliff", h0_2K_minus_M="h0_2k_minus_m",
-    plane_quintic="plane_quintic", trigonal="trigonal",
+    plane_quintic="plane_quintic", trigonal="trigonal", degree="d", h0="h0",
     M_eq_special="m_eq_special", h0_2K_minus_M_minus_b2A="h0_2k_minus_m_b2a",
-    mu_surjective="mu_surjective")
+    mu_surjective="mu_surjective", cork_mu="cork_mu", b1="b1")
 
 
 def _cmd_gaussian(args):
-    inputs = _READS[args.rule][0]
-    reads = {_GAUSSIAN_DESTS[n] for n, _ in inputs}
+    values = {n: getattr(args, _INPUT_DESTS[n])
+              for n, _ in _READS[args.rule][0]}
+    reads = {_INPUT_DESTS[n] for n in values}
     # a flag is given when True, a valued option (0 too) when not None
     unread = ["--" + n.replace("_", "-")
-              for n in dict.fromkeys(_GAUSSIAN_DESTS.values())
-              if n not in reads
-              and (v := getattr(args, n)) is not None and v is not False]
+              for n in dict.fromkeys(_INPUT_DESTS.values())
+              if n not in reads and (v := getattr(args, n, None)) is not None
+              and v is not False]
     if unread:
         raise ModelError(f"--rule {args.rule} does not read "
                          + ", ".join(unread))
-    _need(args, *(_GAUSSIAN_DESTS[n] for n, required in inputs if required))
+    _read(args.rule, values)
     return _verdict_outcome(args, _GAUSSIAN_RULES[args.rule](args))
 
 
 def _cmd_corank(args):
-    _need(args, "g")
     aux = {}
     for item in args.aux or []:
         key, sep, val = item.partition("=")
@@ -342,7 +330,6 @@ def _cmd_corank(args):
 
 
 def _cmd_scroll(args):
-    _need(args, "g", "b1")
     inv = scroll_invariants(args.g, args.b1)
     return _Outcome(inv.to_json_dict, None, lambda: [
         f"b2 = {inv.b2}, bundle degree {inv.degV}, scroll degree "
@@ -352,7 +339,6 @@ def _cmd_scroll(args):
 
 
 def _cmd_b2rule(args):
-    _need(args, "l2", "phi")
     res = b2_rule_enriques(args.l2, args.phi)
     return _verdict_outcome(args, res, res.status)
 
@@ -489,9 +475,7 @@ def build_parser() -> _Parser:
         conf_cliff)
 
     def conf_gauss(p):
-        p.add_argument("--rule",
-                       choices=["main", "cliff", "bel", "degree",
-                                "tetragonal"],
+        p.add_argument("--rule", choices=list(_GAUSSIAN_RULES),
                        default="main", help="criterion family")
         p.add_argument("--g", type=int, help="curve genus")
         p.add_argument("--l2", type=int, help="curve class square")
@@ -559,12 +543,12 @@ def build_parser() -> _Parser:
     return parser
 
 
-_EXPR_FLAGS = ("--curve", "--nodal")
+_EXPR_FLAGS = ("--curve", "--nodal", "--aux")
 
 
 def _fuse_expr_flags(argv):
-    """Join --curve -2K into --curve=-2K so argparse does not mistake a
-    leading-minus expression for an option string."""
+    """Join --curve -2K into --curve=-2K, and --aux -M=0 into --aux=-M=0,
+    so argparse does not mistake a leading-minus value for an option."""
     out = []
     i = 0
     while i < len(argv):
@@ -591,8 +575,8 @@ def _read_options(sub, args):
     with its value after "=" or as the next string; None for any other
     args, which argparse must read, refuse or explain: an unknown or
     abbreviated option, -h, --, a positional, a value on a flag, a missing
-    value, a separate value starting with "-" after an option other than
-    --curve or --nodal, a value its type refuses and a value outside the
+    value, a separate value starting with "-" after an option not in
+    _EXPR_FLAGS, a value its type refuses and a value outside the
     choices. build_parser declares no other kind of option, positional or
     group; the differential test of _parse_args fails if one is added."""
     ns = argparse.Namespace()
@@ -721,6 +705,14 @@ def main(argv=None) -> int:
         out = args.handler(args)
         shown = out.payload() if args.json else out.lines()
     except (DivcalcError, OSError) as exc:
+        # an EvidenceError's missing inputs, when options give them all,
+        # are named by those options
+        names = getattr(exc, "missing", ())
+        options = [f"--aux {n[7:-1]}=INT" if n.startswith("aux_h0[")
+                   else "--" + _INPUT_DESTS[n].replace("_", "-")
+                   if n in _INPUT_DESTS else None for n in names]
+        if names and None not in options:
+            exc = "missing required evidence: " + ", ".join(options)
         print(f"divcalc: error: {exc}", file=sys.stderr)
         return 1
     elapsed_ms = (time.perf_counter_ns() - t0) // 1_000_000

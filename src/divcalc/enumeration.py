@@ -168,15 +168,17 @@ def _decomposition(L, s, L2, C2, k, trace):
 def _setup(surface, C, k, mod4, walks):
     """What a search of C at k and its explainer share: the slice walk,
     C^2 (from the walk's set-up), the mod4 flag used and a survivor's
-    trace. Refuses a C of another model, then a k that is not an int
-    (bool excluded) or is below 2, then (in _slicer) a C it cannot walk.
-    The walk comes from walks, keyed by C, and is added there when it is
-    new; one walk serves every k of C."""
+    trace. Refuses a C of another model, a k that is not an int (bool
+    excluded) or is below 2, a mod4 that is not None or a bool, then (in
+    _slicer) a C it cannot walk. The walk comes from walks, keyed by C,
+    and is added there when it is new; one walk serves every k of C."""
     _require_model(surface, C)
     if type(k) is not int:
         raise RangeError(f"pencil degree k must be an integer, got {k!r}")
     if k < 2:
         raise RangeError(f"pencil degree k must be >= 2, got {k}")
+    if mod4 is not None and type(mod4) is not bool:  # 0 == False
+        raise RangeError(f"mod4 must be None or a bool, got {mod4!r}")
     if C not in walks:
         walks[C] = _slicer(C)
     apply_mod4 = _auto_mod4(surface, C) if mod4 is None else mod4
@@ -229,8 +231,9 @@ def enumerate_bogreider(
     q >= 0 and L != 0 hold too), so the classes that can pass them are
     the union of those slices {L : L.C = s, L^2 = q}, each finite when
     C^2 > 0 on a hyperbolic lattice (slice_points). Other inputs raise
-    ModelError, k < 2 raises RangeError, and a C from another model
-    raises ModelMismatchError. The slice walk is set up once per search.
+    ModelError, k < 2 or a mod4 that is neither None nor a bool raises
+    RangeError, and a C from another model raises ModelMismatchError.
+    The slice walk is set up once per search.
     The windows decide five of the seven stages for every slice point:
     nonzero, L2_nonneg, ML_ge_L2, ML_le_k and degD_nonneg all pass there.
     So a slice point is tested only for sign (S x >= 0, _sign_stage) and
@@ -256,11 +259,11 @@ def explainer(surface, C, k, mod4: bool | None = None):
     survivor, else (None, trace ending in the failed stage).
 
     Refuses up front what enumerate_bogreider refuses (RangeError for
-    k < 2, ModelError when C^2 <= 0 or the slices of C can be infinite,
-    ModelMismatchError for a C from another model), so no trace describes
-    a search that could never run. It shares the search's set-up
-    (_setup), done once, so explaining many candidates costs what the
-    search spends on each.
+    k < 2 or a mod4 that is not None or a bool, ModelError when C^2 <= 0
+    or the slices of C can be infinite, ModelMismatchError for a C from
+    another model), so no trace describes a search that could never run.
+    It shares the search's set-up (_setup), done once, so explaining many
+    candidates costs what the search spends on each.
     """
     return _explainer(surface, C, k, mod4, {})
 

@@ -339,16 +339,19 @@ class TestExitCodes:
          "divcalc: error: cannot parse divisor expression"),
         (["corank", "--g", "3", "--aux=--"],
          "divcalc: error: --aux expects KEY=INT, got '--'"),
+        (["corank", "--g", "3", "--aux", "--"],
+         "divcalc: error: --aux expects KEY=INT, got '--'"),
         (["gonality", "--l2=--", "--phi", "5"],
          "argument --l2: invalid int value: '--'"),
         (["enumerate", "--surface", "blq", "--curve", "-2K", "--k=--"],
          "argument --k: invalid int value: '--'"),
         (["verify", "--case=--"], "divcalc: error: unknown case '--'"),
-    ], ids=["curve", "curve-eq", "aux", "int", "k", "case"])
+    ], ids=["curve", "curve-eq", "aux", "aux-sep", "int", "k", "case"])
     def test_double_dash_value_is_a_string(self, capsys, argv, err):
-        """--opt=-- gives the option the string "--", as does --curve --,
-        which main() joins into --curve=--; argparse alone stores an empty
-        list there, which no handler expects."""
+        """--opt=-- gives the option the string "--", as do --curve -- and
+        --aux --, which main() joins into --curve=-- and --aux=--;
+        argparse alone stores an empty list there, which no handler
+        expects."""
         rc = cli.main(argv)
         cap = capsys.readouterr()
         assert rc == 1
@@ -366,6 +369,15 @@ class TestExitCodes:
         assert rc == 1
         assert cap.err == ("divcalc: error: --aux value of 5000 digits is "
                            "too long\n")
+
+    def test_aux_key_may_start_with_a_minus(self, capsys):
+        # -M is a key that low-(a) to low-(c) read for their equality note
+        argv = ["corank", "--g", "4", "--h1-m", "0", "--cork-mu", "0",
+                "--h0-2k-minus-m", "0", "--aux", "3K-M=0"]
+        for aux in (["--aux", "-M=0"], ["--aux=-M=0"]):
+            rc, out = run(capsys, argv + aux)
+            assert rc == 0
+            assert out.endswith("note: equality holds: h0(-M) = 0\n")
 
     def test_bad_aux_syntax(self, capsys):
         # The value must be ASCII -?[0-9]+: a doubled sign, a superscript,
@@ -390,7 +402,7 @@ class TestExitCodes:
         (["cliff", "--h0", "2", "--g", "7", "--json"],
          "pass either --d and --h0, or --g, not both"),
         (["corank", "--g", "3"],
-         "missing required evidence: h1M, cork_mu, aux_h0[4K-M]"),
+         "missing required evidence: --h1-m, --cork-mu, --aux 4K-M=INT"),
         (["phi", "--curve", "U1"],
          "this subcommand needs --surface or --config"),
         (["reflect", "--surface", "enriques", "--curve", "U1"],
@@ -398,15 +410,54 @@ class TestExitCodes:
         (["enumerate", "--surface", "sigma3", "--curve", "H"],
          "enumerate needs --k <int>"),
         (["cliff"], "cliff needs --d and --h0, or --g"),
+        (["gonality"], "missing required evidence: --l2, --phi"),
+        (["b2rule"], "missing required evidence: --l2, --phi"),
+        (["scroll"], "missing required evidence: --g, --b1"),
+        (["cliff", "--d", "3"], "missing required evidence: --h0"),
+        (["cliff", "--h0", "2"], "missing required evidence: --d"),
+        (["corank"], "missing required evidence: --g"),
+        (["corank", "--g", "4"], "missing required evidence: --h1-m, "
+         "--h0-2k-minus-m, --cork-mu, --aux 3K-M=INT"),
+        (["corank", "--g", "5"],
+         "genus 5 needs the trigonal or nontrigonal flag"),
+        (["corank", "--g", "5", "--nontrigonal"],
+         "missing required evidence: --h1-m, --h0-2k-minus-m, --cork-mu"),
+        (["corank", "--g", "6", "--trigonal"],
+         "missing required evidence: --aux 3K-(g-4)A-M=INT"),
+        (["corank", "--g", "6", "--plane-quintic"],
+         "missing required evidence: --aux 5A-M=INT"),
+        (["corank", "--aux", "4K-M"],
+         "--aux expects KEY=INT, got '4K-M' (e.g. --aux 4K-M=5)"),
+        (["corank", "--aux", "--json"],
+         "--aux expects KEY=INT, got '--json' (e.g. --aux 4K-M=5)"),
+        (["gaussian"], "missing required evidence: --l2, --h0-residual"),
+        (["gaussian", "--rule", "main", "--h0-residual", "0"],
+         "missing required evidence: --l2"),
+        (["gaussian", "--rule", "cliff"],
+         "missing required evidence: --cliff, --h0-2k-minus-m"),
+        (["gaussian", "--rule", "bel"], "missing required evidence: --g, "
+         "--deg-m, --h1-m, --h0-2k-minus-m, --cliff"),
+        (["gaussian", "--rule", "degree"],
+         "missing required evidence: --g, --deg-m"),
+        (["gaussian", "--rule", "tetragonal"], "missing required evidence: "
+         "--h0-2k-minus-m, --h0-2k-minus-m-b2a"),
     ], ids=["int-item", "bytes-item", "none-item", "aux-key-twice",
             "cliff-mixed", "cliff-h0-and-g", "corank-missing", "no-model",
-            "reflect-no-nodal", "enumerate-no-k", "cliff-bare"])
+            "reflect-no-nodal", "enumerate-no-k", "cliff-bare",
+            "gonality-bare", "b2rule-bare", "scroll-bare", "cliff-no-h0",
+            "cliff-no-d", "corank-bare", "corank-g4", "corank-g5",
+            "corank-g5-nontrigonal", "corank-g6-trigonal",
+            "corank-g6-quintic", "corank-bad-aux-before-g",
+            "corank-aux-json", "gaussian-main", "gaussian-main-no-l2",
+            "gaussian-cliff", "gaussian-bel", "gaussian-degree",
+            "gaussian-tetragonal"])
     def test_input_refusals(self, capsys, argv, err):
         """A non-str argv item, a repeated --aux key (the last value would
         win and change the verdict), cliff's two modes at once (--g
-        would be ignored), a corank branch's missing inputs, all named
-        at once, and an option a subcommand cannot do without exit 1 with
-        one error line and no output."""
+        would be ignored), and an option a subcommand cannot do without
+        exit 1 with one error line and no output. Every input a rule
+        requires and lacks is named at once, by its option; a malformed
+        --aux is refused before a missing --g."""
         rc = cli.main(argv)
         cap = capsys.readouterr()
         assert rc == 1 and cap.out == ""
@@ -560,7 +611,7 @@ class TestGaussianCommand:
         assert choices == set(cli._GAUSSIAN_RULES) <= set(criteria._READS)
         dests = {a.dest for a in sub._actions} - {"help", "json", "strict",
                                                   "rule"}
-        assert dests == {cli._GAUSSIAN_DESTS[n] for rule in choices
+        assert dests == {cli._INPUT_DESTS[n] for rule in choices
                          for n, _ in criteria._READS[rule][0]}
 
 
@@ -699,9 +750,10 @@ def _stable(out):
 
 
 def _argparse_reference(argv):
-    """The namespace argparse alone gives argv, with --curve and --nodal
-    values fused: the subcommand's parser reads the arguments of an argv
-    that starts with a subcommand, the root parser any other argv."""
+    """The namespace argparse alone gives argv, with the values of
+    cli._EXPR_FLAGS fused: the subcommand's parser reads the arguments
+    of an argv that starts with a subcommand, the root parser any other
+    argv."""
     parser = cli.build_parser()
     fused = cli._fuse_expr_flags(argv)
     sub = parser._commands.get(argv[0]) if argv else None
@@ -804,7 +856,8 @@ def _parse_outcome(parse, argv):
 _INT_VALUES = ["0", "7", "-3", "12", str(2**70), "-" + str(2**70)]
 _STR_VALUES = ["H", "-2K", "U1+U2", "E+2E1", "4K-M=8", "sigma3",
                "pencil-pair-1", "g1kondelp-b", "a b", "\u00e9", ""]
-# --curve and --nodal take the next string even when it starts with "-"
+# --curve, --nodal and --aux take the next string even when it starts
+# with "-"
 _EXPR_VALUES = ["H", "U1+U2", "-2K", "-H+E", "--", "-h", "--json", "--=x"]
 _ARG_VALUES = st.sampled_from(
     _INT_VALUES + _STR_VALUES + [

@@ -429,6 +429,24 @@ def test_search_and_explainer_refuse_a_k_that_is_not_an_int(k):
         explainer(blq, C, k)
 
 
+@pytest.mark.parametrize("mod4", ["on", 2, 1.0, 0, 1],
+                         ids=["str", "two", "float", "zero", "one"])
+def test_search_and_explainer_refuse_a_mod4_that_is_not_a_bool(mod4):
+    # 0, 1 and 1.0 compare equal to a bool, so only a type test refuses
+    # them
+    blq = get_surface("blq")
+    C = resolve("-2K", blq)
+    with pytest.raises(RangeError, match="mod4 must be None or a bool, "
+                                         "got "):
+        enumerate_bogreider(blq, C, 4, mod4=mod4)
+    with pytest.raises(RangeError, match="mod4 must be None or a bool"):
+        explainer(blq, C, 4, mod4=mod4)
+    with pytest.raises(RangeError, match="pencil degree"):  # k first
+        enumerate_bogreider(blq, C, 1, mod4=mod4)
+    with pytest.raises(RangeError, match="mod4"):  # C^2 = 0, walked after
+        enumerate_bogreider(blq, resolve("f", blq), 4, mod4=mod4)
+
+
 def test_explain_candidate_refuses_what_the_search_refuses():
     surf = get_surface("sigma1")
     with pytest.raises(RangeError):

@@ -39,6 +39,7 @@ _LATTICE = "src/divcalc/lattice.py"
 _SURFACES = "src/divcalc/surfaces.py"
 _ENUMERATION = "src/divcalc/enumeration.py"
 _CRITERIA = "src/divcalc/criteria.py"
+_CLI = "src/divcalc/cli.py"
 
 CATALOGUE = [
     # the walk: each level drops its last y
@@ -155,9 +156,21 @@ CATALOGUE = [
      "    if missing and False:\n        raise EvidenceError(\"missing required",
      ["tests/test_criteria.py"]),
     # an undecided verdict exits 2 without --strict
-    ("strict-exit", "src/divcalc/cli.py",
+    ("strict-exit", _CLI,
      "args.strict and ",
      "",
+     ["tests/test_cli.py"]),
+    # gaussian runs its rule before refusing a missing input, so main's
+    # genus from a missing --l2 raises TypeError
+    ("gaussian-reads-first", _CLI,
+     "    _read(args.rule, values)\n",
+     "",
+     ["tests/test_cli.py"]),
+    # a missing aux_h0 key is printed by its name in the library, not as
+    # the option that gives it
+    ("aux-option-name", _CLI,
+     'f"--aux {n[7:-1]}=INT"',
+     "n",
      ["tests/test_cli.py"]),
 ]
 
