@@ -77,7 +77,6 @@ from .enumeration import (
 )
 from .criteria import (
     B2Rule,
-    GaussianInput,
     GaussianVerdict,
     b2_rule_enriques,
     check_bel,

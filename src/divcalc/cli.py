@@ -20,8 +20,6 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from . import __version__
 from .criteria import (
     _READS,
-    _read,
-    GaussianInput,
     b2_rule_enriques,
     check_bel,
     check_cliff_criterion,
@@ -253,23 +251,17 @@ def _verdict_outcome(args, verdict, head=None):
         else 0)
 
 
-# per --rule: its verdict on the parsed arguments. The rule's row in
-# criteria._READS names the inputs it reads; _cmd_gaussian refuses any
-# option that gives none of them, then any required one that is missing.
+# per --rule: its checker, called with the inputs that the rule's row in
+# criteria._READS names, each by that name. _cmd_gaussian refuses any
+# option that gives none of them; the checker refuses a missing one.
 _GAUSSIAN_RULES = {
-    "main": lambda a: check_main_theorem(GaussianInput(
-        g=a.l2 // 2 + 1 if a.g is None else a.g, L2=a.l2, phi=a.phi,
-        degM=a.deg_m, h1M=a.h1_m, h0_residual=a.h0_residual,
-        cliff=a.cliff)),
-    "cliff": lambda a: check_cliff_criterion(a.cliff, a.h0_2k_minus_m),
-    "bel": lambda a: check_bel(a.g, a.deg_m, a.h1_m, a.h0_2k_minus_m,
-                               a.cliff),
-    "degree": lambda a: check_degree_corollaries(
-        a.g, a.deg_m, plane_quintic=a.plane_quintic, trigonal=a.trigonal,
-        M_eq_special=a.m_eq_special),
-    "tetragonal": lambda a: tetragonal_corank(
-        a.h0_2k_minus_m, a.h0_2k_minus_m_b2a, h1M_zero=(a.h1_m == 0),
-        mu_surjective=a.mu_surjective),
+    "main": check_main_theorem,
+    "cliff": check_cliff_criterion,
+    "bel": check_bel,
+    "degree": check_degree_corollaries,
+    # --h1-m gives h1M_zero as h1(M) = 0
+    "tetragonal": lambda h1M_zero, **inputs: tetragonal_corank(
+        h1M_zero=h1M_zero == 0, **inputs),
 }
 # the option dest each input of a criterion comes from, on every command
 # that has the option, in the order in which gaussian's refusal names them
@@ -279,6 +271,15 @@ _INPUT_DESTS = dict(
     plane_quintic="plane_quintic", trigonal="trigonal", degree="d", h0="h0",
     M_eq_special="m_eq_special", h0_2K_minus_M_minus_b2A="h0_2k_minus_m_b2a",
     mu_surjective="mu_surjective", cork_mu="cork_mu", b1="b1")
+
+
+def _option(name):
+    """The option that gives the criteria input name (--aux KEY=INT for
+    aux_h0[KEY]), or None if no option does."""
+    if name.startswith("aux_h0["):
+        return f"--aux {name[7:-1]}=INT"
+    dest = _INPUT_DESTS.get(name)
+    return dest and "--" + dest.replace("_", "-")
 
 
 def _cmd_gaussian(args):
@@ -293,8 +294,7 @@ def _cmd_gaussian(args):
     if unread:
         raise ModelError(f"--rule {args.rule} does not read "
                          + ", ".join(unread))
-    _read(args.rule, values)
-    return _verdict_outcome(args, _GAUSSIAN_RULES[args.rule](args))
+    return _verdict_outcome(args, _GAUSSIAN_RULES[args.rule](**values))
 
 
 def _cmd_corank(args):
@@ -313,15 +313,12 @@ def _cmd_corank(args):
         except ValueError:  # more digits than int() reads
             raise ModelError(
                 f"--aux value of {len(val)} digits is too long") from None
-    inp = GaussianInput(
-        g=args.g,
+    verdict = corank_low_genus(
+        args.g,
         h1M=args.h1_m,
         h0_2K_minus_M=args.h0_2k_minus_m,
         cork_mu=args.cork_mu,
         aux_h0=aux,
-    )
-    verdict = corank_low_genus(
-        inp,
         plane_quintic=args.plane_quintic,
         trigonal=args.trigonal,
         nontrigonal=args.nontrigonal,
@@ -705,14 +702,15 @@ def main(argv=None) -> int:
         out = args.handler(args)
         shown = out.payload() if args.json else out.lines()
     except (DivcalcError, OSError) as exc:
-        # an EvidenceError's missing inputs, when options give them all,
-        # are named by those options
-        names = getattr(exc, "missing", ())
-        options = [f"--aux {n[7:-1]}=INT" if n.startswith("aux_h0[")
-                   else "--" + _INPUT_DESTS[n].replace("_", "-")
-                   if n in _INPUT_DESTS else None for n in names]
-        if names and None not in options:
+        # name the inputs an error refuses by their options: an
+        # EvidenceError's missing ones when options give them all, and a
+        # RangeError's one when an option gives it
+        missing = getattr(exc, "missing", ())
+        named = getattr(exc, "name", None)
+        if missing and None not in (options := list(map(_option, missing))):
             exc = "missing required evidence: " + ", ".join(options)
+        elif named and (option := _option(named)):
+            exc = option + str(exc)[len(named):]
         print(f"divcalc: error: {exc}", file=sys.stderr)
         return 1
     elapsed_ms = (time.perf_counter_ns() - t0) // 1_000_000

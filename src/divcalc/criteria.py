@@ -36,16 +36,16 @@ def _check_count(name, value, minimum=0):
         raise EvidenceError(f"missing required evidence: {name}",
                             missing=(name,))
     if not isinstance(value, int) or isinstance(value, bool):
-        raise RangeError(f"{name} must be an integer, got {value!r}")
+        raise RangeError(f"{name} must be an integer, got {value!r}", name)
     if minimum is not None and value < minimum:
-        raise RangeError(f"{name} must be >= {minimum}, got {value}")
+        raise RangeError(f"{name} must be >= {minimum}, got {value}", name)
 
 
 def _check_flags(**flags):
     """Refuse a flag that is not exactly a bool."""
     for name, value in flags.items():
         if not isinstance(value, bool):
-            raise RangeError(f"{name} must be a bool, got {value!r}")
+            raise RangeError(f"{name} must be a bool, got {value!r}", name)
 
 
 def _check_class(L2, phi, least):
@@ -56,12 +56,12 @@ def _check_class(L2, phi, least):
     if phi is not None:
         _check_count("phi", phi, minimum=None)
     if L2 % 2 != 0:
-        raise RangeError(f"L2 must be even on these lattices, got {L2}")
+        raise RangeError(f"L2 must be even on these lattices, got {L2}", "L2")
     if L2 < least:
-        raise RangeError(f"L2 must be >= {least}, got {L2}")
+        raise RangeError(f"L2 must be >= {least}, got {L2}", "L2")
     if phi is not None:
         if phi < 1:
-            raise RangeError(f"phi must be >= 1, got {phi}")
+            raise RangeError(f"phi must be >= 1, got {phi}", "phi")
         if phi * phi > L2:
             raise RangeError(f"phi^2 = {phi * phi} exceeds L2 = {L2}")
 
@@ -122,61 +122,6 @@ def _read(rule, values):
         raise EvidenceError("missing required evidence: " + ", ".join(missing),
                             missing=tuple(missing))
     return echo
-
-
-class GaussianInput(_Record, namedtuple(
-        "GaussianInput", "g L2 phi degM h1M h0_2K_minus_M h0_residual cliff "
-        "cork_mu aux_h0")):
-    """Evidence bundle for the Gaussian-map checkers.
-
-    g is the curve genus. Optional fields left as None count as missing
-    evidence, never as zero. h0_residual is the section count of the
-    branch-dependent residual twist (the checker's notes say which twist
-    it read it as). aux_h0 carries the low-genus inputs under the keys
-    3K-M, 4K-M, 5A-M, 4A-M, 3K-(g-4)A-M and -M; left as None it is a
-    fresh empty dict.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls, g: int, L2: int | None = None, phi: int | None = None,
-        degM: int | None = None, h1M: int | None = None,
-        h0_2K_minus_M: int | None = None, h0_residual: int | None = None,
-        cliff: int | None = None, cork_mu: int | None = None,
-        aux_h0: dict | None = None,
-    ):
-        if aux_h0 is None:
-            aux_h0 = {}
-        _check_count("g", g, minimum=2)
-        for name, value, least in (
-                ("degM", degM, 0), ("h1M", h1M, 0),
-                ("h0_2K_minus_M", h0_2K_minus_M, 0),
-                ("h0_residual", h0_residual, 0), ("cliff", cliff, 0),
-                ("cork_mu", cork_mu, 0), ("phi", phi, 1)):
-            if value is not None:  # optional evidence
-                _check_count(name, value, least)
-        if L2 is not None:
-            _check_class(L2, phi, 2)
-        if not isinstance(aux_h0, dict):
-            raise RangeError(f"aux_h0 must be a dict, got {aux_h0!r}")
-        bad = set(aux_h0) - AUX_KEYS
-        if bad:
-            raise RangeError(
-                f"unknown aux_h0 keys {sorted(bad)}; "
-                f"known: {sorted(AUX_KEYS)}"
-            )
-        for key, val in aux_h0.items():
-            _check_count(f"aux_h0[{key}]", val)
-        if degM is not None:
-            cap = 4 * g - 4 + DEG_SANITY_SLACK
-            if degM > cap:
-                raise RangeError(
-                    f"degM = {degM} is implausibly large for genus "
-                    f"{g} (cap {cap})"
-                )
-        return tuple.__new__(cls, (g, L2, phi, degM, h1M, h0_2K_minus_M,
-                                   h0_residual, cliff, cork_mu, aux_h0))
 
 
 class GaussianVerdict(_Record, namedtuple(
@@ -273,45 +218,59 @@ _MAIN_BRANCHES = (
 )
 
 
-def check_main_theorem(inp: GaussianInput) -> GaussianVerdict:
+def check_main_theorem(
+    *, g: int | None = None, L2: int | None = None, phi: int | None = None,
+    degM: int | None = None, h1M: int | None = None,
+    h0_residual: int | None = None, cliff: int | None = None,
+) -> GaussianVerdict:
     """The five-branch surjectivity criterion for curves on an Enriques
     surface, tried in order (i)..(v); the first satisfied branch names
     the rule and any other satisfied branches land in the notes.
 
-    Branches (i)-(iv) read (L2, h0_residual); branch (v) reads
-    (h1M, degM, L2, cliff, h0_residual). L2 and h0_residual are required,
-    so only branch (v) can be unevaluable, when any of h1M, degM or cliff
-    is None; its note then says which. A genus g other than L2 / 2 + 1,
-    the one adjunction gives on an Enriques surface (2g - 2 = L2), raises
+    Branches (i)-(iv) read L2 and h0_residual, the h0 of the branch's
+    residual twist (a note names it); branch (v) also reads h1M, degM and
+    cliff, and is unevaluable, its note saying why, when any is None. The
+    genus g, derived when None, is L2 / 2 + 1 by adjunction (2g - 2 = L2);
+    another g, or a degM above 4g - 4 + DEG_SANITY_SLACK, raises
     RangeError. The verdict echoes what the branches read: the row "main"
-    of _READS.
+    of _READS, g first.
     """
-    echo = _read("main", inp._asdict())
-    L2 = inp.L2
-    _check_class(L2, inp.phi, 4)
-    if inp.g != L2 // 2 + 1:
-        raise RangeError(f"g = {inp.g} does not match L2 = {L2}: on an "
+    echo = _read("main", locals())
+    for name, value, least in (
+            ("g", g, 2), ("degM", degM, 0), ("h1M", h1M, 0),
+            ("h0_residual", h0_residual, 0), ("cliff", cliff, 0)):
+        if value is not None:  # optional evidence
+            _check_count(name, value, least)
+    _check_class(L2, phi, 4)
+    if g is None:
+        g = L2 // 2 + 1
+        echo = {"g": g, **echo}
+    elif g != L2 // 2 + 1:
+        raise RangeError(f"g = {g} does not match L2 = {L2}: on an "
                          f"Enriques surface 2g - 2 = L2 gives g = "
                          f"{L2 // 2 + 1}")
+    cap = 4 * g - 4 + DEG_SANITY_SLACK
+    if degM is not None and degM > cap:
+        raise RangeError(f"degM = {degM} is implausibly large for genus "
+                         f"{g} (cap {cap})")
 
-    res = inp.h0_residual
+    res = h0_residual
     branches = [  # (id, satisfied, note when not, residual twist)
         (bid, (L2 == n if op == "=" else L2 >= n) and res == h0,
          f"needs L2 {op} {n} and h0 = {h0} (have {L2}, {res})", twist)
         for bid, op, n, h0, twist in _MAIN_BRANCHES]
     skipped = ()
-    v_missing = [n for n in ("h1M", "degM", "cliff")
-                 if getattr(inp, n) is None]
+    v_missing = [n for n in ("h1M", "degM", "cliff") if n not in echo]
     if v_missing:
         skipped = (f"(v) not evaluable: missing {', '.join(v_missing)}",)
     else:
         half_plus_2 = L2 // 2 + 2
         branches.append((
-            "v", inp.h1M == 0 and inp.degM >= half_plus_2 >= 6
-            and res <= inp.cliff - 2,
+            "v", h1M == 0 and degM >= half_plus_2 >= 6
+            and res <= cliff - 2,
             f"needs h1(M) = 0, degM >= {half_plus_2} >= 6 and "
-            f"h0 <= cliff - 2 = {inp.cliff - 2} "
-            f"(have h1M = {inp.h1M}, degM = {inp.degM}, h0 = {res})",
+            f"h0 <= cliff - 2 = {cliff - 2} "
+            f"(have h1M = {h1M}, degM = {degM}, h0 = {res})",
             "2L|C - M"))
 
     satisfied = [(bid, twist) for bid, sat, _, twist in branches if sat]
@@ -421,7 +380,11 @@ def _cork_bound(rule, x, hx, y, hy, echo, qualifiers=()):
 
 
 def corank_low_genus(
-    inp: GaussianInput,
+    g: int,
+    h1M: int | None = None,
+    h0_2K_minus_M: int | None = None,
+    cork_mu: int | None = None,
+    aux_h0: dict | None = None,
     plane_quintic: bool = False,
     trigonal: bool = False,
     nontrigonal: bool = False,
@@ -436,9 +399,17 @@ def corank_low_genus(
     a vanishing residual count into outright surjectivity; their corank
     bounds additionally need h1(M) = 0 and a surjective multiplication
     map (cork_mu = 0). The flags and g choose the branch, and its rule's
-    row in _READS the inputs its verdict requires and echoes.
+    row in _READS the inputs its verdict requires and echoes; aux_h0
+    (None: empty) holds counts under AUX_KEYS, and another key is refused
+    before a missing input.
     """
-    g, aux = inp.g, inp.aux_h0
+    _check_count("g", g, 2)
+    aux_h0 = {} if aux_h0 is None else aux_h0
+    if not isinstance(aux_h0, dict):
+        raise RangeError(f"aux_h0 must be a dict, got {aux_h0!r}", "aux_h0")
+    if bad := set(aux_h0) - AUX_KEYS:
+        raise RangeError(f"unknown aux_h0 keys {sorted(bad)}; "
+                         f"known: {sorted(AUX_KEYS)}")
     _check_curve_type(g, plane_quintic, trigonal, nontrigonal)
     if plane_quintic:
         rule = "low-(d)"
@@ -455,18 +426,24 @@ def corank_low_genus(
         raise RangeError(
             f"no low-genus branch applies to g = {g} without a curve-type "
             "flag")
-    echo = _read(rule, inp._asdict())
+    echo = _read(rule, locals())
+    for name, value in (("h1M", h1M), ("h0_2K_minus_M", h0_2K_minus_M),
+                        ("cork_mu", cork_mu)):
+        if value is not None:  # optional evidence
+            _check_count(name, value)
+    for key, value in aux_h0.items():
+        _check_count(f"aux_h0[{key}]", value)
     quals = (NONHYPERELLIPTIC,)
 
     if plane_quintic or trigonal:
         if plane_quintic:
             x, y = "5A - M", "4A - M"
-            hx, hy = aux["5A-M"], aux.get("4A-M")
+            hx, hy = aux_h0["5A-M"], aux_h0.get("4A-M")
             surjective = hx == 0
             why = "h0(5A - M) = 0 forces surjectivity"
         else:
             x, y = "3K - (g-4)A - M", "2K - M"
-            hx, hy = aux["3K-(g-4)A-M"], inp.h0_2K_minus_M
+            hx, hy = aux_h0["3K-(g-4)A-M"], h0_2K_minus_M
             surjective = hx == 0 and hy is not None and hy <= 1
             why = f"h0(2K - M) = {hy} <= 1 and h0(3K - (g-4)A - M) = 0"
         if surjective:
@@ -474,31 +451,31 @@ def corank_low_genus(
                 "SURJECTIVE", rule, qualifiers=quals, notes=(why,),
                 inputs_echo=echo,
             )
-        if inp.h1M == 0 and inp.cork_mu == 0:
+        if h1M == 0 and cork_mu == 0:
             return _cork_bound(rule, x, hx, y, hy, echo, quals)
         return GaussianVerdict(
             "NO_CONCLUSION", rule,
             notes=(
                 "the bound needs h1(M) = 0 and cork mu = 0 "
-                f"(have h1M = {inp.h1M}, cork_mu = {inp.cork_mu})",
+                f"(have h1M = {h1M}, cork_mu = {cork_mu})",
             ),
             inputs_echo=echo,
         )
 
     if g == 3:
-        raw = aux["4K-M"] - inp.cork_mu - 3 * inp.h1M
+        raw = aux_h0["4K-M"] - cork_mu - 3 * h1M
         formula = "h0(4K - M) - cork mu - 3 h1(M)"
     elif g == 4:
-        raw = inp.h0_2K_minus_M + aux["3K-M"] - inp.cork_mu - 4 * inp.h1M
+        raw = h0_2K_minus_M + aux_h0["3K-M"] - cork_mu - 4 * h1M
         formula = "h0(2K - M) + h0(3K - M) - cork mu - 4 h1(M)"
     else:
-        raw = 3 * inp.h0_2K_minus_M - inp.cork_mu - 5 * inp.h1M
+        raw = 3 * h0_2K_minus_M - cork_mu - 5 * h1M
         formula = "3 h0(2K - M) - cork mu - 5 h1(M)"
     bound = max(raw, 0)
     notes = [f"{formula} = {raw}"]
     if raw < 0:
         notes.append("negative formula value clamped to 0")
-    hm = aux.get("-M")
+    hm = aux_h0.get("-M")
     if hm == 0:
         notes.append("equality holds: h0(-M) = 0")
     elif hm is None:

@@ -72,4 +72,9 @@ class FixtureError(DivcalcError):
 
 
 class RangeError(DivcalcError):
-    """A numeric input fell outside the range a formula is stated for."""
+    """A numeric input fell outside the range a formula is stated for;
+    name, if set, is the one input refused and starts the message."""
+
+    def __init__(self, message, name=None):
+        super().__init__(message)
+        self.name = name

@@ -6,7 +6,6 @@ import random
 from divcalc.criteria import (
     b2_rule_enriques,
     check_main_theorem,
-    GaussianInput,
     gonality,
     tetragonal_corank,
 )
@@ -210,9 +209,8 @@ _TRUTH_ROWS = [
 def test_acceptance_7_main_theorem_truth_table():
     assert len(_TRUTH_ROWS) == 32
     for l2, res, degm, h1, cl, want in _TRUTH_ROWS:
-        inp = GaussianInput(g=l2 // 2 + 1, L2=l2, phi=2, degM=degm, h1M=h1,
-                            cliff=cl, h0_2K_minus_M=0, h0_residual=res)
-        v = check_main_theorem(inp)
+        v = check_main_theorem(g=l2 // 2 + 1, L2=l2, phi=2, degM=degm,
+                               h1M=h1, cliff=cl, h0_residual=res)
         row = (l2, res, degm, h1, cl)
         if want is None:
             assert v.status == "NO_CONCLUSION", row
@@ -222,8 +220,8 @@ def test_acceptance_7_main_theorem_truth_table():
         assert brute_main_criterion(l2, res, degm, h1 == 0, cl) == want, row
 
     for l2 in (12, 14, 16):
-        main = check_main_theorem(GaussianInput(
-            g=l2 // 2 + 1, L2=l2, phi=2, degM=8, h1M=0, h0_residual=1))
+        main = check_main_theorem(g=l2 // 2 + 1, L2=l2, phi=2, degM=8,
+                                  h1M=0, h0_residual=1)
         assert main.rule == "main-(iv)"
         assert b2_rule_enriques(l2, 2).status == "b2_at_least_1"
         assert tetragonal_corank(1, 0).status == "SURJECTIVE"

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import sys
 from collections import Counter
 from fractions import Fraction
 from importlib import resources
@@ -288,7 +289,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, err", [
         (["gonality", "--l2", "7", "--phi", "2"],
-         "L2 must be even on these lattices, got 7"),
+         "--l2 must be even on these lattices, got 7"),
         (["b2rule", "--l2", "4", "--phi", "3"],
          "phi^2 = 9 exceeds L2 = 4"),
     ], ids=["gonality-odd-l2", "b2rule-phi-square"])
@@ -441,6 +442,13 @@ class TestExitCodes:
          "missing required evidence: --g, --deg-m"),
         (["gaussian", "--rule", "tetragonal"], "missing required evidence: "
          "--h0-2k-minus-m, --h0-2k-minus-m-b2a"),
+        (["cliff", "--d", "-1", "--h0", "2"], "--d must be >= 0, got -1"),
+        (["corank", "--g", "3", "--h1-m", "-1", "--cork-mu", "0",
+          "--aux", "4K-M=1"], "--h1-m must be >= 0, got -1"),
+        (["corank", "--g", "3", "--h1-m", "0", "--cork-mu", "0",
+          "--aux", "4K-M=-1"], "--aux 4K-M=INT must be >= 0, got -1"),
+        (["gaussian", "--rule", "cliff", "--cliff", "1",
+          "--h0-2k-minus-m", "0"], "--cliff must be >= 2, got 1"),
     ], ids=["int-item", "bytes-item", "none-item", "aux-key-twice",
             "cliff-mixed", "cliff-h0-and-g", "corank-missing", "no-model",
             "reflect-no-nodal", "enumerate-no-k", "cliff-bare",
@@ -450,14 +458,16 @@ class TestExitCodes:
             "corank-g6-quintic", "corank-bad-aux-before-g",
             "corank-aux-json", "gaussian-main", "gaussian-main-no-l2",
             "gaussian-cliff", "gaussian-bel", "gaussian-degree",
-            "gaussian-tetragonal"])
+            "gaussian-tetragonal", "cliff-negative-d", "corank-negative-h1m",
+            "corank-negative-aux", "gaussian-low-cliff"])
     def test_input_refusals(self, capsys, argv, err):
         """A non-str argv item, a repeated --aux key (the last value would
         win and change the verdict), cliff's two modes at once (--g
         would be ignored), and an option a subcommand cannot do without
         exit 1 with one error line and no output. Every input a rule
-        requires and lacks is named at once, by its option; a malformed
-        --aux is refused before a missing --g."""
+        requires and lacks is named at once, by its option, and so is an
+        input out of range; a malformed --aux is refused before a missing
+        --g."""
         rc = cli.main(argv)
         cap = capsys.readouterr()
         assert rc == 1 and cap.out == ""
@@ -602,6 +612,34 @@ class TestGaussianCommand:
             assert rc == 1 and cap.out == ""
             assert cap.err == (f"divcalc: error: --rule {argv[0]} does not "
                                f"read {unread}\n")
+
+    @pytest.mark.parametrize("rule, inputs", [
+        ("main", ["--l2", "12", "--h0-residual", "1"]),
+        ("cliff", ["--cliff", "2", "--h0-2k-minus-m", "0"]),
+        ("bel", ["--g", "7", "--deg-m", "9", "--h1-m", "0",
+                 "--h0-2k-minus-m", "0", "--cliff", "3"]),
+        ("degree", ["--g", "6", "--deg-m", "20"]),
+        ("tetragonal", ["--h0-2k-minus-m", "1", "--h0-2k-minus-m-b2a", "0"]),
+    ])
+    def test_each_call_reads_its_inputs_once(self, capsys, rule, inputs):
+        # once when the rule answers, and once when it refuses a missing
+        # input; a profile hook sees every call of _read, by any name
+        calls = []
+        code = criteria._read.__code__
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                calls.append(frame.f_locals["rule"])
+
+        for argv, rc in ((inputs, 0), ([], 1)):
+            calls.clear()
+            sys.setprofile(profile)
+            try:
+                got = cli.main(["gaussian", "--rule", rule, *argv])
+            finally:
+                sys.setprofile(None)
+            assert got == rc and calls == [rule]
+        capsys.readouterr()
 
     def test_gaussian_options_are_those_its_rules_read(self):
         # so the refusal covers every option the command declares, and

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from divcalc.criteria import (
     AUX_KEYS,
-    GaussianInput,
     GaussianVerdict,
+    _READS,
     b2_rule_enriques,
     check_bel,
     check_cliff_criterion,
@@ -25,10 +25,11 @@ from divcalc.surfaces import scroll_invariants
 from oracle_bruteforce import brute_gonality, brute_main_criterion
 
 
-def _inp(**kw):
-    base = dict(g=7, L2=12, phi=2, degM=8, h1M=0)
-    base.update(kw)
-    return GaussianInput(**base)
+def _main(**kw):
+    """check_main_theorem on g = 7, L2 = 12, phi = 2, degM = 8, h1M = 0,
+    each overridden by kw."""
+    return check_main_theorem(**{**dict(g=7, L2=12, phi=2, degM=8, h1M=0),
+                                 **kw})
 
 
 class TestGonality:
@@ -82,43 +83,38 @@ class TestSeriesHelpers:
 
 class TestMainTheorem:
     def test_branch_i(self):
-        v = check_main_theorem(_inp(g=3, L2=4, degM=4, h0_residual=0))
+        v = _main(g=3, L2=4, degM=4, h0_residual=0)
         assert v.status == "SURJECTIVE" and v.rule == "main-(i)"
         assert any("4L" in n for n in v.notes)
 
     def test_branch_ii_mentions_torsion(self):
-        v = check_main_theorem(_inp(g=4, L2=6, degM=5, h0_residual=0))
+        v = _main(g=4, L2=6, degM=5, h0_residual=0)
         assert v.rule == "main-(ii)"
         assert any("torsion" in n.lower() for n in v.notes)
 
     def test_branch_iii(self):
-        v = check_main_theorem(_inp(g=5, L2=8, degM=6, h0_residual=0))
+        v = _main(g=5, L2=8, degM=6, h0_residual=0)
         assert v.rule == "main-(iii)"
 
     def test_branch_iv(self):
-        v = check_main_theorem(_inp(L2=12, degM=8, h0_residual=1))
+        v = _main(L2=12, degM=8, h0_residual=1)
         assert v.rule == "main-(iv)"
         assert "general member of |L|" in v.qualifiers
 
     def test_branch_v_needs_l2_at_least_8(self):
-        v = check_main_theorem(
-            _inp(g=5, L2=8, degM=6, h1M=0, cliff=4, h0_2K_minus_M=0,
-                 h0_residual=2))
+        v = _main(g=5, L2=8, degM=6, h1M=0, cliff=4, h0_residual=2)
         assert v.rule == "main-(v)"
-        small = check_main_theorem(
-            _inp(g=3, L2=4, phi=2, degM=6, h1M=0, cliff=4,
-                 h0_2K_minus_M=0, h0_residual=2))
+        small = _main(g=3, L2=4, phi=2, degM=6, h1M=0, cliff=4,
+                      h0_residual=2)
         assert small.status == "NO_CONCLUSION"
 
     def test_first_match_wins_and_others_noted(self):
-        v = check_main_theorem(
-            _inp(g=5, L2=8, degM=6, h1M=0, cliff=4, h0_2K_minus_M=0,
-                 h0_residual=0))
+        v = _main(g=5, L2=8, degM=6, h1M=0, cliff=4, h0_residual=0)
         assert v.rule == "main-(iii)"
         assert any("also satisfied" in n and "(v)" in n for n in v.notes)
 
     def test_no_conclusion_lists_near_misses(self):
-        v = check_main_theorem(_inp(g=6, L2=10, degM=8, h0_residual=1))
+        v = _main(g=6, L2=10, degM=8, h0_residual=1)
         assert v.status == "NO_CONCLUSION"
         assert v.notes
 
@@ -127,9 +123,8 @@ class TestMainTheorem:
     @pytest.mark.parametrize("degm", [5, 6, 10])
     def test_truth_table_against_oracle(self, l2, res, degm):
         want = brute_main_criterion(l2, res, degm, True, 4)
-        inp = _inp(g=l2 // 2 + 1, L2=l2, degM=degm, h1M=0, cliff=4,
-                   h0_2K_minus_M=0, h0_residual=res)
-        v = check_main_theorem(inp)
+        v = _main(g=l2 // 2 + 1, L2=l2, degM=degm, h1M=0, cliff=4,
+                  h0_residual=res)
         if want is None:
             assert v.status == "NO_CONCLUSION"
         else:
@@ -137,8 +132,7 @@ class TestMainTheorem:
 
     def test_chaining_with_b2_and_tetragonal(self):
         for l2 in (12, 14, 16):
-            main = check_main_theorem(_inp(g=l2 // 2 + 1, L2=l2, degM=8,
-                                           h0_residual=1))
+            main = _main(g=l2 // 2 + 1, L2=l2, degM=8, h0_residual=1)
             assert main.status == "SURJECTIVE"
             assert b2_rule_enriques(l2, 2).status == "b2_at_least_1"
             tet = tetragonal_corank(1, 0)
@@ -147,25 +141,32 @@ class TestMainTheorem:
 
 class TestInputValidation:
     def test_aux_key_typo(self):
-        with pytest.raises(RangeError):
-            _inp(aux_h0={"3K+M": 1})
+        # refused by its name before the missing counts and the branch
+        with pytest.raises(RangeError) as exc:
+            corank_low_genus(7, aux_h0={"3K+M": 1})
+        assert str(exc.value) == (f"unknown aux_h0 keys ['3K+M']; known: "
+                                  f"{sorted(AUX_KEYS)}")
 
     def test_deg_cap(self):
-        with pytest.raises(RangeError):
-            _inp(degM=4 * 7 - 4 + 17)
+        assert _main(degM=4 * 7 - 4 + 16, h0_residual=1).rule == "main-(iv)"
+        with pytest.raises(RangeError, match="^degM = 41 is implausibly "
+                           "large for genus 7 \\(cap 40\\)$"):
+            _main(degM=4 * 7 - 4 + 17, h0_residual=1)
+        with pytest.raises(RangeError, match="cap 40"):  # g derived
+            _main(g=None, degM=41, h0_residual=1)
 
     def test_odd_l2(self):
         with pytest.raises(RangeError):
-            _inp(L2=11)
+            _main(L2=11, h0_residual=1)
 
     def test_phi_square_bound(self):
         with pytest.raises(RangeError):
-            _inp(phi=4, L2=12)
+            _main(phi=4, L2=12, h0_residual=1)
 
     @pytest.mark.parametrize("l2", [4.0, True, "4"])
     def test_l2_must_be_an_integer(self, l2):
         with pytest.raises(RangeError, match="L2 must be an integer"):
-            GaussianInput(g=3, L2=l2, phi=2, h0_residual=0)
+            check_main_theorem(L2=l2, phi=2, h0_residual=0)
 
     def test_verdict_invariants(self):
         with pytest.raises(ValueError,
@@ -176,37 +177,39 @@ class TestInputValidation:
             GaussianVerdict("CORANK_BOUND", "low-(a)")
 
     def test_dict_defaults_are_fresh(self):
-        a, b = GaussianInput(g=3), GaussianInput(g=3)
-        assert a.aux_h0 == {} and a.aux_h0 is not b.aux_h0
         v, w = (GaussianVerdict("NO_CONCLUSION", "main") for _ in range(2))
         assert v.inputs_echo == {} and v.inputs_echo is not w.inputs_echo
 
     def test_echo_keeps_its_order_and_leaves_out_what_is_missing(self):
         # the order is that of the --json report; cliff is read but None
-        echo = check_main_theorem(_inp(h0_residual=1)).inputs_echo
+        echo = _main(h0_residual=1).inputs_echo
         assert list(echo.items()) == [("g", 7), ("L2", 12), ("phi", 2),
                                       ("degM", 8), ("h1M", 0),
                                       ("h0_residual", 1)]
+        # a genus left out is derived from L2 and still echoed first
+        assert _main(g=None, h0_residual=1).inputs_echo == echo
+        assert list(_main(g=None, h0_residual=1).inputs_echo) == list(echo)
 
     @settings(max_examples=120)
     @given(
         degm=st.integers(5, 20),
         res=st.none() | st.integers(0, 3),
-        h0=st.none() | st.integers(0, 3),
+        phi=st.none() | st.integers(1, 3),
         cl=st.none() | st.integers(2, 6),
     )
     def test_more_evidence_never_flips_surjective_off(
-            self, degm, res, h0, cl):
-        base_kw = dict(g=7, L2=12, degM=degm, h1M=0, h0_residual=1)
-        base = check_main_theorem(_inp(**base_kw))
+            self, degm, res, phi, cl):
+        base_kw = dict(g=7, L2=12, phi=None, degM=degm, h1M=0,
+                       h0_residual=1)
+        base = _main(**base_kw)
         rich_kw = dict(base_kw)
         if res is not None:
             rich_kw["h0_residual"] = 1  # keep the decisive field fixed
-        if h0 is not None:
-            rich_kw["h0_2K_minus_M"] = h0
+        if phi is not None:
+            rich_kw["phi"] = phi
         if cl is not None:
             rich_kw["cliff"] = cl
-        rich = check_main_theorem(_inp(**rich_kw))
+        rich = _main(**rich_kw)
         if base.status == "SURJECTIVE":
             assert rich.status == "SURJECTIVE"
 
@@ -229,70 +232,59 @@ class TestCliffAndBel:
 
 class TestCorankLowGenus:
     def test_genus3(self):
-        inp = GaussianInput(g=3, L2=4, phi=2, degM=4, h1M=0, cork_mu=0,
-                            aux_h0={"4K-M": 8, "-M": 0})
-        v = corank_low_genus(inp)
+        v = corank_low_genus(3, h1M=0, cork_mu=0,
+                             aux_h0={"4K-M": 8, "-M": 0})
         assert v.status == "CORANK_BOUND" and v.bound == 8
         assert v.rule == "low-(a)"
         assert any("equality holds" in n for n in v.notes)
 
     def test_genus4_needs_the_second_count(self):
-        inp = GaussianInput(g=4, L2=6, phi=2, degM=5, h1M=0, cork_mu=0,
-                            h0_2K_minus_M=2)
         with pytest.raises(EvidenceError):
-            corank_low_genus(inp)
-        full = GaussianInput(g=4, L2=6, phi=2, degM=5, h1M=0, cork_mu=1,
-                             h0_2K_minus_M=2, aux_h0={"3K-M": 3})
-        v = corank_low_genus(full)
+            corank_low_genus(4, h1M=0, cork_mu=0, h0_2K_minus_M=2)
+        v = corank_low_genus(4, h1M=0, cork_mu=1, h0_2K_minus_M=2,
+                             aux_h0={"3K-M": 3})
         assert v.rule == "low-(b)" and v.bound == 2 + 3 - 1
 
     def test_genus5_requires_a_flag(self):
-        inp = GaussianInput(g=5, L2=8, phi=2, degM=6, h1M=0, cork_mu=0,
-                            h0_2K_minus_M=1)
+        inp = dict(g=5, h1M=0, cork_mu=0, h0_2K_minus_M=1)
         with pytest.raises(EvidenceError):
-            corank_low_genus(inp)
-        v = corank_low_genus(inp, nontrigonal=True)
+            corank_low_genus(**inp)
+        v = corank_low_genus(**inp, nontrigonal=True)
         assert v.rule == "low-(c)" and v.bound == 3
 
     def test_clamp_note(self):
-        inp = GaussianInput(g=3, L2=4, phi=2, degM=4, h1M=2, cork_mu=0,
-                            aux_h0={"4K-M": 1})
-        v = corank_low_genus(inp)
+        v = corank_low_genus(3, h1M=2, cork_mu=0, aux_h0={"4K-M": 1})
         assert v.bound == 0
         assert any("clamp" in n.lower() for n in v.notes)
 
     def test_plane_quintic(self):
-        inp = GaussianInput(g=6, L2=10, phi=2, degM=10, h1M=0, cork_mu=0,
-                            aux_h0={"5A-M": 0, "4A-M": 1})
-        v = corank_low_genus(inp, plane_quintic=True)
+        v = corank_low_genus(6, h1M=0, cork_mu=0,
+                             aux_h0={"5A-M": 0, "4A-M": 1},
+                             plane_quintic=True)
         assert v.status == "SURJECTIVE" and v.rule == "low-(d)"
         with pytest.raises(RangeError):
-            corank_low_genus(_inp(g=7, L2=12), plane_quintic=True)
+            corank_low_genus(7, h1M=0, plane_quintic=True)
 
     def test_quintic_bound_needs_hypotheses(self):
-        inp = GaussianInput(g=6, L2=10, phi=2, degM=10, h1M=1, cork_mu=0,
-                            aux_h0={"5A-M": 2, "4A-M": 1})
-        v = corank_low_genus(inp, plane_quintic=True)
+        v = corank_low_genus(6, h1M=1, cork_mu=0,
+                             aux_h0={"5A-M": 2, "4A-M": 1},
+                             plane_quintic=True)
         assert v.status == "NO_CONCLUSION"
 
     def test_trigonal(self):
-        inp = GaussianInput(g=7, L2=12, phi=2, degM=9, h1M=0, cork_mu=0,
-                            h0_2K_minus_M=1, aux_h0={"3K-(g-4)A-M": 0})
-        v = corank_low_genus(inp, trigonal=True)
+        v = corank_low_genus(7, h1M=0, cork_mu=0, h0_2K_minus_M=1,
+                             aux_h0={"3K-(g-4)A-M": 0}, trigonal=True)
         assert v.status == "SURJECTIVE" and v.rule == "low-(e)"
         with pytest.raises(RangeError):
-            corank_low_genus(
-                GaussianInput(g=4, L2=6, phi=2, degM=5), trigonal=True)
+            corank_low_genus(4, trigonal=True)
 
     def test_trigonal_equality_note_reads_the_supplied_count(self):
         # the bound holds with or without h0(2K - M); the equality
         # condition is untested only when that count was not supplied
         notes = {}
         for h2k in (None, 1, 3):
-            inp = GaussianInput(g=7, L2=12, phi=2, degM=9, h1M=0,
-                                cork_mu=0, h0_2K_minus_M=h2k,
-                                aux_h0={"3K-(g-4)A-M": 2})
-            v = corank_low_genus(inp, trigonal=True)
+            v = corank_low_genus(7, h1M=0, cork_mu=0, h0_2K_minus_M=h2k,
+                                 aux_h0={"3K-(g-4)A-M": 2}, trigonal=True)
             assert (v.status, v.rule, v.bound) == ("CORANK_BOUND",
                                                    "low-(e)", 2)
             notes[h2k] = v.notes
@@ -302,7 +294,7 @@ class TestCorankLowGenus:
 
     def test_conflicting_flags(self):
         with pytest.raises(RangeError):
-            corank_low_genus(_inp(), trigonal=True, nontrigonal=True)
+            corank_low_genus(7, trigonal=True, nontrigonal=True)
 
     @pytest.mark.parametrize("g, flags, missing", [
         (3, {}, ("h1M", "cork_mu", "aux_h0[4K-M]")),
@@ -315,7 +307,7 @@ class TestCorankLowGenus:
         # one refusal names every missing input, aux_h0 keys among them,
         # in the order of the branch's echo
         with pytest.raises(EvidenceError) as exc:
-            corank_low_genus(GaussianInput(g=g), **flags)
+            corank_low_genus(g, **flags)
         assert exc.value.missing == missing
         assert str(exc.value) == ("missing required evidence: "
                                   + ", ".join(missing))
@@ -400,10 +392,9 @@ class TestClassRefusals:
     @pytest.mark.parametrize("call, least, low_phi", [
         (lambda l2, phi: gonality(l2, phi), 2, 1),
         (lambda l2, phi: b2_rule_enriques(l2, phi), 4, 1),
-        (lambda l2, phi: GaussianInput(g=3, L2=l2, phi=phi), 2, None),
-        (lambda l2, phi: check_main_theorem(
-            GaussianInput(g=3, L2=l2, phi=phi, h0_residual=0)), 4, None),
-    ], ids=["gonality", "b2rule", "input", "main"])
+        (lambda l2, phi: check_main_theorem(L2=l2, phi=phi, h0_residual=0),
+         4, None),
+    ], ids=["gonality", "b2rule", "main"])
     def test_one_message_per_condition(self, call, least, low_phi):
         # gonality and b2rule require phi, so their low L2 comes with one
         for l2, phi, msg in [
@@ -417,6 +408,7 @@ class TestClassRefusals:
             with pytest.raises(RangeError) as exc:
                 call(l2, phi)
             assert str(exc.value) == msg
+            assert exc.value.name == (None if "^" in msg else msg.split()[0])
 
     @pytest.mark.parametrize("l2, phi, msg", [
         (12.0, 2, "L2 must be an integer, got 12.0"),
@@ -433,14 +425,16 @@ class TestClassRefusals:
     def test_main_refuses_a_genus_that_l2_does_not_give(self):
         for g, l2 in [(3, 12), (8, 12), (6, 12), (7, 10)]:
             with pytest.raises(RangeError) as exc:
-                check_main_theorem(_inp(g=g, L2=l2, h0_residual=1))
+                _main(g=g, L2=l2, h0_residual=1)
             assert str(exc.value) == (
                 f"g = {g} does not match L2 = {l2}: on an Enriques surface "
                 f"2g - 2 = L2 gives g = {l2 // 2 + 1}")
 
     def test_phi_below_one_without_l2(self):
-        with pytest.raises(RangeError, match="phi must be >= 1, got -1"):
-            GaussianInput(g=3, phi=-1)
+        # the missing L2 is refused first
+        with pytest.raises(EvidenceError) as exc:
+            check_main_theorem(phi=-1, h0_residual=0)
+        assert exc.value.missing == ("L2",)
 
 
 class TestCountAndFlagRefusals:
@@ -474,7 +468,7 @@ class TestCountAndFlagRefusals:
          "mu_surjective must be a bool, got 1"),
         (lambda: gonality(12, 2, "x"), "not_2D_special must be a bool, "
          "got 'x'"),
-        (lambda: corank_low_genus(_inp(g=6, L2=None), trigonal=None),
+        (lambda: corank_low_genus(6, trigonal=None),
          "trigonal must be a bool, got None"),
     ], ids=["cliff-bound-float", "cliff-bound-low", "series-float-degree",
             "series-bool-h0", "scroll-float-g", "scroll-float-b1",
@@ -487,6 +481,7 @@ class TestCountAndFlagRefusals:
         with pytest.raises(RangeError) as exc:
             call()
         assert str(exc.value) == msg
+        assert exc.value.name == msg.split()[0]  # the refused input
 
     @pytest.mark.parametrize("call, name", [
         (lambda: check_bel(7, None, 0, 0, 3), "degM"),
@@ -495,14 +490,14 @@ class TestCountAndFlagRefusals:
         (lambda: check_degree_corollaries(7, None), "degM"),
         (lambda: check_degree_corollaries(None, 20, plane_quintic=True),
          "g"),
-        (lambda: check_main_theorem(GaussianInput(g=7)), "L2, h0_residual"),
-        (lambda: check_main_theorem(_inp(g=6, L2=10)), "h0_residual"),
+        (lambda: check_main_theorem(g=7), "L2, h0_residual"),
+        (lambda: _main(g=6, L2=10), "h0_residual"),
         (lambda: gonality(12, None), "phi"),
         (lambda: clifford_of_series(None, 2), "degree"),
         (lambda: cliff_upper_bound(None), "g"),
         (lambda: scroll_invariants(None, 1), "g"),
         (lambda: b2_rule_enriques(12, None), "phi"),
-        (lambda: GaussianInput(g=None), "g"),
+        (lambda: corank_low_genus(None), "g"),
         # presence is checked before consistency: an odd L2, a genus or
         # an h0 below its least value used to be refused first
         (lambda: gonality(13, None), "phi"),
@@ -511,7 +506,7 @@ class TestCountAndFlagRefusals:
         (lambda: clifford_of_series(None, 0), "degree"),
     ], ids=["bel", "cliff", "tetragonal", "degree", "degree-quintic",
             "main", "main-residual", "gonality", "series", "cliff-bound",
-            "scroll", "b2rule", "input", "gonality-odd-l2", "b2rule-odd-l2",
+            "scroll", "b2rule", "corank", "gonality-odd-l2", "b2rule-odd-l2",
             "scroll-low-g", "series-low-h0"])
     def test_refuses_a_missing_count(self, call, name):
         """A required count left None is missing evidence: it used to
@@ -525,7 +520,7 @@ class TestCountAndFlagRefusals:
                              ids=["empty-list", "pairs", "str"])
     def test_refuses_an_aux_h0_that_is_not_a_dict(self, aux):
         with pytest.raises(RangeError) as exc:
-            GaussianInput(g=7, aux_h0=aux)
+            corank_low_genus(7, aux_h0=aux)
         assert str(exc.value) == f"aux_h0 must be a dict, got {aux!r}"
 
     def test_int_refusals_keep_their_order(self):
@@ -541,6 +536,42 @@ class TestCountAndFlagRefusals:
             clifford_of_series(-1, 0)
 
 
+@pytest.mark.parametrize("rule, call", [
+    ("main", lambda: check_main_theorem(g=1, phi=0, degM=-1, h1M=-1,
+                                        cliff=-1)),
+    ("cliff", lambda: check_cliff_criterion(None, None)),
+    ("bel", lambda: check_bel(None, None, None, None, None)),
+    ("degree", lambda: check_degree_corollaries(
+        None, None, plane_quintic=1, trigonal=1, M_eq_special=1)),
+    ("tetragonal", lambda: tetragonal_corank(None, None, h1M_zero=1,
+                                             mu_surjective=1)),
+    ("low-(a)", lambda: corank_low_genus(3, h0_2K_minus_M=-1,
+                                         aux_h0={"-M": -1})),
+    ("low-(b)", lambda: corank_low_genus(4, aux_h0={"-M": -1})),
+    ("low-(c)", lambda: corank_low_genus(5, aux_h0={"-M": -1},
+                                         nontrigonal=True)),
+    ("low-(d)", lambda: corank_low_genus(6, h1M=-1, h0_2K_minus_M=-1,
+                                         cork_mu=-1, aux_h0={"4A-M": -1},
+                                         plane_quintic=True)),
+    ("low-(e)", lambda: corank_low_genus(7, h1M=-1, h0_2K_minus_M=-1,
+                                         cork_mu=-1, trigonal=True)),
+    ("class", lambda: gonality(None, None, not_2D_special=1)),
+    ("class", lambda: b2_rule_enriques(None, None)),
+    ("series", lambda: clifford_of_series(None, None)),
+    ("scroll", lambda: scroll_invariants(None, None)),
+], ids=["main", "cliff", "bel", "degree", "tetragonal", "low-a", "low-b",
+        "low-c", "low-d", "low-e", "gonality", "b2rule", "series", "scroll"])
+def test_presence_is_checked_before_range(rule, call):
+    """With every required input of its row missing and every other
+    input out of range, each checker names exactly the missing ones."""
+    inputs, keys = _READS[rule]
+    with pytest.raises(EvidenceError) as exc:
+        call()
+    assert exc.value.missing == (
+        tuple(n for n, required in inputs if required)
+        + tuple(f"aux_h0[{k}]" for k, required in keys if required))
+
+
 _AUX = [{"4K-M": 8, "-M": 0}, {"4K-M": 1}, {"3K-M": 3, "-M": 1},
         {"5A-M": 0}, {"5A-M": 2, "4A-M": 1}, {"5A-M": 2},
         {"3K-(g-4)A-M": 0}, {"3K-(g-4)A-M": 2, "-M": 0}]
@@ -552,10 +583,10 @@ def _low_genus_verdicts():
     for g, h1m, cork, h2k, aux, flags in itertools.product(
             range(3, 9), range(3), range(3), (None, *range(4)), _AUX,
             _FLAGS):
-        inp = GaussianInput(g=g, h1M=h1m, cork_mu=cork, h0_2K_minus_M=h2k,
-                            aux_h0=dict(aux))
         try:
-            yield corank_low_genus(inp, **flags)
+            yield corank_low_genus(g, h1M=h1m, cork_mu=cork,
+                                   h0_2K_minus_M=h2k, aux_h0=dict(aux),
+                                   **flags)
         except (EvidenceError, RangeError):
             pass
 
@@ -563,8 +594,8 @@ def _low_genus_verdicts():
 def _grid_verdicts():
     """Every verdict of each checker over a fixed grid of inputs that it
     accepts."""
-    yield from (check_main_theorem(_inp(g=l2 // 2 + 1, L2=l2, degM=degm,
-                                        h1M=h1m, cliff=cl, h0_residual=res))
+    yield from (_main(g=l2 // 2 + 1, L2=l2, degM=degm, h1M=h1m, cliff=cl,
+                      h0_residual=res)
                 for l2, degm, h1m, cl, res in itertools.product(
                     range(4, 18, 2), (5, 6, 10), range(2), range(2, 6),
                     range(4)))
@@ -664,15 +695,14 @@ class TestVerdictSelfAudit:
 
     def test_each_surjective_verdict_is_backed(self):
         cases = [
-            _inp(g=3, L2=4, degM=4, h0_residual=0),
-            _inp(g=4, L2=6, degM=5, h0_residual=0),
-            _inp(g=5, L2=8, degM=6, h0_residual=0),
-            _inp(L2=12, degM=8, h0_residual=1),
-            _inp(g=5, L2=8, degM=6, h1M=0, cliff=4, h0_2K_minus_M=0,
-                 h0_residual=2),
+            dict(g=3, L2=4, degM=4, h0_residual=0),
+            dict(g=4, L2=6, degM=5, h0_residual=0),
+            dict(g=5, L2=8, degM=6, h0_residual=0),
+            dict(L2=12, degM=8, h0_residual=1),
+            dict(g=5, L2=8, degM=6, h1M=0, cliff=4, h0_residual=2),
         ]
         for inp in cases:
-            v = check_main_theorem(inp)
+            v = _main(**inp)
             assert v.status == "SURJECTIVE"
             self._audit(v)
 
@@ -692,8 +722,8 @@ class TestVerdictSelfAudit:
                         | {("CORANK_BOUND", r) for r in bounds})
 
 
-# the GaussianInput fields and aux_h0 keys each rule of corank_low_genus
-# reads; g is read by every rule
+# the inputs and aux_h0 keys each rule of corank_low_genus reads; g is
+# read by every rule
 _LOW_GENUS_READS = {
     "low-(a)": ({"h1M", "cork_mu"}, {"4K-M", "-M"}),
     "low-(b)": ({"h1M", "cork_mu", "h0_2K_minus_M"}, {"3K-M", "-M"}),
@@ -707,13 +737,11 @@ class TestInputsEcho:
     """A verdict echoes exactly the inputs its rule read."""
 
     def test_unread_inputs_are_not_echoed(self):
-        v = check_main_theorem(GaussianInput(
-            g=7, L2=12, h0_residual=0, cork_mu=5, aux_h0={"4K-M": 3}))
+        v = check_main_theorem(g=7, L2=12, h0_residual=0)
         assert v.rule == "main-(iii)"
         assert v.inputs_echo == {"g": 7, "L2": 12, "h0_residual": 0}
-        v = corank_low_genus(GaussianInput(
-            g=3, h1M=0, cork_mu=0, h0_2K_minus_M=99,
-            aux_h0={"4K-M": 8, "5A-M": 7}))
+        v = corank_low_genus(3, h1M=0, cork_mu=0, h0_2K_minus_M=99,
+                             aux_h0={"4K-M": 8, "5A-M": 7})
         assert v.rule == "low-(a)" and v.bound == 8
         assert v.inputs_echo == {"g": 3, "h1M": 0, "cork_mu": 0,
                                  "aux_h0": {"4K-M": 8}}
@@ -739,20 +767,17 @@ class TestInputsEcho:
         assert list(verdict().inputs_echo.items()) == echo
 
     def test_every_rule_echoes_what_it_read_of_a_full_input(self):
-        # every field and aux_h0 key set, so an unread one would show
-        def full(g):
-            return GaussianInput(
-                g=g, L2=2 * g - 2, phi=2, degM=8, h1M=0, h0_2K_minus_M=1,
-                h0_residual=0, cliff=3, cork_mu=0,
-                aux_h0=dict.fromkeys(AUX_KEYS, 1))
-
-        echo = check_main_theorem(full(7)).inputs_echo
+        # every input and aux_h0 key set, so an unread one would show
+        echo = check_main_theorem(g=7, L2=12, phi=2, degM=8, h1M=0,
+                                  h0_residual=0, cliff=3).inputs_echo
         assert echo == {"g": 7, "L2": 12, "phi": 2, "degM": 8, "h1M": 0,
                         "h0_residual": 0, "cliff": 3}
         rules = set()
         for g, flags in itertools.product(range(3, 9), _FLAGS):
             try:
-                v = corank_low_genus(full(g), **flags)
+                v = corank_low_genus(g, h1M=0, h0_2K_minus_M=1, cork_mu=0,
+                                     aux_h0=dict.fromkeys(AUX_KEYS, 1),
+                                     **flags)
             except (EvidenceError, RangeError):
                 continue
             fields, aux = _LOW_GENUS_READS[v.rule]

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import divcalc
 import divcalc.cli  # noqa: F401 (defines the _Outcome record)
 from divcalc import lattice
-from divcalc.criteria import GaussianInput, GaussianVerdict, check_main_theorem
+from divcalc.criteria import GaussianVerdict, check_main_theorem
 from divcalc.enumeration import enumerate_bogreider
 from divcalc.errors import (
     ModelError,
@@ -516,7 +516,7 @@ def _record_types():
 
 
 RECORD_TYPES = _record_types()
-VALIDATING_TYPES = (LatticeModel, DivClass, GaussianInput, GaussianVerdict)
+VALIDATING_TYPES = (LatticeModel, DivClass, GaussianVerdict)
 PLAIN_TYPES = [c for c in RECORD_TYPES if c not in VALIDATING_TYPES]
 PLAIN_NAMES = {"HodgeResult", "PhiCertificate", "PhiResult", "QuasiNefResult",
                "ScrollInvariants", "Decomposition", "EnumerationResult",
@@ -544,7 +544,6 @@ def _record_sample(cls):
     return {
         LatticeModel: tuple(m),
         DivClass: (m, (1, -1, 0)),
-        GaussianInput: (7, 12, 2, 8, 0, None, 1, None, None, {"4K-M": 3}),
         GaussianVerdict: ("SURJECTIVE", "rule", None, ("q",), ("n",),
                           {"g": 7}),
     }.get(cls) or tuple(f"{f} value" for f in cls._fields)
@@ -606,8 +605,8 @@ class TestRecords:
 
     def test_copy_and_pickle_rebuild_equal_records(self):
         m = sigma(2)
-        verdict = check_main_theorem(
-            GaussianInput(g=7, L2=12, phi=2, degM=8, h1M=0, h0_residual=1))
+        verdict = check_main_theorem(g=7, L2=12, phi=2, degM=8, h1M=0,
+                                     h0_residual=1)
         cfg = get_config("pencil-pair-1")
         for obj in (m, m.klass((1, -1, 0)), verdict, cfg):
             for twin in (copy.copy(obj), copy.deepcopy(obj),

@@ -160,17 +160,30 @@ CATALOGUE = [
      "args.strict and ",
      "",
      ["tests/test_cli.py"]),
-    # gaussian runs its rule before refusing a missing input, so main's
-    # genus from a missing --l2 raises TypeError
-    ("gaussian-reads-first", _CLI,
-     "    _read(args.rule, values)\n",
-     "",
-     ["tests/test_cli.py"]),
+    # the main criterion derives its genus before the presence check, so
+    # a missing L2 raises TypeError
+    ("main-genus-first", _CRITERIA,
+     '    echo = _read("main", locals())\n',
+     '    g = L2 // 2 + 1 if g is None else g\n'
+     '    echo = _read("main", locals())\n',
+     ["tests/test_criteria.py", "tests/test_cli.py"]),
     # a missing aux_h0 key is printed by its name in the library, not as
     # the option that gives it
     ("aux-option-name", _CLI,
-     'f"--aux {n[7:-1]}=INT"',
-     "n",
+     'return f"--aux {name[7:-1]}=INT"',
+     "return name",
+     ["tests/test_cli.py"]),
+    # corank accepts an aux_h0 key it does not know, so a misspelt one is
+    # ignored or reported as missing
+    ("corank-unknown-aux", _CRITERIA,
+     "if bad := set(aux_h0) - AUX_KEYS:",
+     "if bad := set():",
+     ["tests/test_criteria.py"]),
+    # a range refusal is printed by the input's name in the library, not
+    # as the option that gives it
+    ("range-option-name", _CLI,
+     "exc = option + str(exc)[len(named):]",
+     "exc = named + str(exc)[len(named):]",
      ["tests/test_cli.py"]),
 ]
 
