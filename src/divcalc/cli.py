@@ -74,14 +74,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_surface(args):
-    cfg_name = getattr(args, "config", None)
-    surf_name = getattr(args, "surface", None)
-    if cfg_name and surf_name:
+    # an empty name is given, and refused as unknown
+    if args.config is not None and args.surface is not None:
         raise ModelError("pass either --surface or --config, not both")
-    if cfg_name:
-        return get_config(cfg_name)
-    if surf_name:
-        return get_surface(surf_name)
+    if args.config is not None:
+        return get_config(args.config)
+    if args.surface is not None:
+        return get_surface(args.surface)
     raise ModelError("this subcommand needs --surface or --config")
 
 
@@ -161,7 +160,7 @@ def _cmd_phi(args):
 def _cmd_reflect(args):
     surf = _load_surface(args)
     D = _one_curve(args, surf)
-    if not args.nodal:
+    if args.nodal is None:
         raise ModelError("reflect needs --nodal <divexpr>")
     delta = resolve(args.nodal, surf)
     img = reflect_nodal(D, delta)
@@ -264,7 +263,7 @@ _GAUSSIAN_RULES = {
         h1M_zero=h1M_zero == 0, **inputs),
 }
 # the option dest each input of a criterion comes from, on every command
-# that has the option, in the order in which gaussian's refusal names them
+# that has the option
 _INPUT_DESTS = dict(
     L2="l2", g="g", phi="phi", degM="deg_m", h1M="h1_m", h1M_zero="h1_m",
     h0_residual="h0_residual", cliff="cliff", h0_2K_minus_M="h0_2k_minus_m",
@@ -287,9 +286,8 @@ def _cmd_gaussian(args):
               for n, _ in _READS[args.rule][0]}
     reads = {_INPUT_DESTS[n] for n in values}
     # a flag is given when True, a valued option (0 too) when not None
-    unread = ["--" + n.replace("_", "-")
-              for n in dict.fromkeys(_INPUT_DESTS.values())
-              if n not in reads and (v := getattr(args, n, None)) is not None
+    unread = ["--" + n.replace("_", "-") for n in _GAUSSIAN_DESTS
+              if n not in reads and (v := getattr(args, n)) is not None
               and v is not False]
     if unread:
         raise ModelError(f"--rule {args.rule} does not read "
@@ -341,7 +339,7 @@ def _cmd_b2rule(args):
 
 
 def _cmd_verify(args):
-    if args.all == bool(args.case):
+    if args.all == (args.case is not None):
         raise ModelError("verify needs exactly one of --case <id> or --all")
     reports = verify_all() if args.all else [verify_case(args.case)]
 
@@ -362,7 +360,7 @@ def _cmd_verify(args):
 
 
 def _cmd_surface(args):
-    if args.surface or args.config:
+    if args.surface is not None or args.config is not None:
         model = _load_surface(args)
         return _Outcome(model.to_json_dict, model.name, lambda: [
             f"{model.name}: rank {model.rank}, basis "
@@ -374,6 +372,99 @@ def _cmd_surface(args):
         lambda: {"surfaces": surfaces, "configs": configs}, None,
         lambda: ["surfaces: " + ", ".join(surfaces),
                  "configs:  " + ", ".join(configs)])
+
+
+# every option of the command line: its dest, which gives the option
+# string --dest with "-" for "_", and its add_argument keywords. gaussian
+# and corank declare theirs in this order, so it is their usage order.
+_OPTIONS = {
+    "json": dict(action="store_true", help="emit a RunReport JSON document"),
+    "strict": dict(action="store_true",
+                   help="exit 2 when the verdict is NO_CONCLUSION"),
+    "surface": dict(help="builtin surface name or JSON path"),
+    "config": dict(help="builtin configuration name or JSON path"),
+    "curve": dict(action="append",
+                  help="divisor expression, e.g. 6H-2G1-2G2 or -2K"),
+    "nodal": dict(help="nodal class expression"),
+    "k": dict(type=int, help="pencil degree"),
+    "mod4": dict(choices=["auto", "on", "off"], default="auto",
+                 help="residual parity filter"),
+    "rule": dict(choices=list(_GAUSSIAN_RULES), default="main",
+                 help="criterion family"),
+    "d": dict(type=int, help="series degree"),
+    "h0": dict(type=int, help="series section count"),
+    "g": dict(type=int, help="curve genus"),
+    "l2": dict(type=int, help="curve class square"),
+    "phi": dict(type=int, help="pencil invariant"),
+    "two_d_special": dict(action="store_true",
+                          help="the class IS twice a square-10 invariant-3 "
+                               "class (pattern-(b) exclusion)"),
+    "deg_m": dict(type=int, help="deg M"),
+    "h1_m": dict(type=int, help="h1(M)"),
+    "h0_residual": dict(type=int, help="h0 of the branch residual twist"),
+    "cliff": dict(type=int, help="Clifford index"),
+    "cork_mu": dict(type=int, help="corank of the multiplication map"),
+    "h0_2k_minus_m": dict(type=int, help="h0(2K - M)"),
+    "h0_2k_minus_m_b2a": dict(
+        type=int, help="h0(2K - M - b2 A) for the tetragonal rule"),
+    "mu_surjective": dict(action="store_true",
+                          help="the multiplication map is surjective"),
+    "aux": dict(action="append", metavar="KEY=INT",
+                help="extra section count, e.g. --aux 4K-M=5"),
+    "plane_quintic": dict(action="store_true"),
+    "trigonal": dict(action="store_true"),
+    "nontrigonal": dict(action="store_true"),
+    "m_eq_special": dict(action="store_true",
+                         help="M equals the branch's excluded bundle"),
+    "b1": dict(type=int, help="first scrollar invariant"),
+    "case": dict(help="fixture id, e.g. g1kondelp-d"),
+    "all": dict(action="store_true", help="replay the whole catalog"),
+}
+
+
+def _reading(rules):
+    """The dests, in _OPTIONS order, of the inputs that the _READS rows
+    of rules read."""
+    read = {_INPUT_DESTS[n] for rule in rules for n, _ in _READS[rule][0]}
+    return tuple(d for d in _OPTIONS if d in read)
+
+
+_GAUSSIAN_DESTS = _reading(_GAUSSIAN_RULES)
+_MODEL = ("json", "surface", "config", "curve")
+# per subcommand, in the order of the root's help: its handler, the dests
+# of its options in usage order, and its help line
+_COMMANDS = [
+    ("pair", _cmd_pair, _MODEL,
+     "intersection pairing of two classes (pass --curve twice)"),
+    ("self", _cmd_self, _MODEL, "self-intersection of a class"),
+    ("genus", _cmd_genus, _MODEL, "arithmetic genus of a class"),
+    ("chi", _cmd_chi, _MODEL, "Euler characteristic of a class"),
+    ("phi", _cmd_phi, _MODEL, "pencil invariant (min |F.L| over isotropic F)"),
+    ("reflect", _cmd_reflect, (*_MODEL, "nodal"),
+     "reflect a class in a nodal (-2) class"),
+    ("enumerate", _cmd_enumerate, (*_MODEL, "k", "mod4"),
+     "search decompositions C = L + M passing the pencil filters"),
+    ("destab", _cmd_destab, ("json",),
+     "grade the 16 candidate destabilizing splittings on blq"),
+    ("gonality", _cmd_gonality, ("json", "l2", "phi", "two_d_special"),
+     "gonality of a general curve from (L2, phi)"),
+    ("cliff", _cmd_cliff, ("json", "d", "h0", "g"),
+     "Clifford contribution of a series, or the genus upper bound"),
+    ("gaussian", _cmd_gaussian, ("json", "strict", "rule", *_GAUSSIAN_DESTS),
+     "Gaussian-map surjectivity verdicts"),
+    ("corank", _cmd_corank,
+     ("json", "strict", *_reading(r for r in _READS if r.startswith("low-")),
+      "aux", "plane_quintic", "trigonal", "nontrigonal"),
+     "corank bounds for low genus / quintic / trigonal curves"),
+    ("scroll", _cmd_scroll, ("json", "g", "b1"),
+     "scroll invariants of a tetragonal canonical curve"),
+    ("b2rule", _cmd_b2rule, ("json", "strict", "l2", "phi"),
+     "second scrollar invariant bound on Enriques tetragonal curves"),
+    ("verify", _cmd_verify, ("json", "case", "all"),
+     f"replay frozen case fixtures ({len(FIXTURES)} shipped)"),
+    ("surface", _cmd_surface, ("json", "surface", "config"),
+     "list shipped surfaces/configs, or show one model"),
+]
 
 
 @functools.cache
@@ -402,141 +493,11 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(metavar="SUBCOMMAND")
     sub.required = True
     parser._commands = sub.choices
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        help="emit a RunReport JSON document")
-
-    verdict_p = argparse.ArgumentParser(add_help=False)
-    verdict_p.add_argument("--strict", action="store_true",
-                           help="exit 2 when the verdict is NO_CONCLUSION")
-
-    surf_p = argparse.ArgumentParser(add_help=False)
-    surf_p.add_argument("--surface", help="builtin surface name or JSON path")
-    surf_p.add_argument("--config",
-                        help="builtin configuration name or JSON path")
-
-    curve_p = argparse.ArgumentParser(add_help=False)
-    curve_p.add_argument("--curve", action="append",
-                         help="divisor expression, e.g. 6H-2G1-2G2 or -2K")
-
-    def add(name, handler, parents, help_text, configure=None):
-        p = sub.add_parser(name, parents=parents, help=help_text)
-        if configure:
-            configure(p)
+    for name, handler, dests, help_text in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for dest in dests:
+            p.add_argument("--" + dest.replace("_", "-"), **_OPTIONS[dest])
         p.set_defaults(handler=handler)
-        return p
-
-    add("pair", _cmd_pair, [common, surf_p, curve_p],
-        "intersection pairing of two classes (pass --curve twice)")
-    add("self", _cmd_self, [common, surf_p, curve_p],
-        "self-intersection of a class")
-    add("genus", _cmd_genus, [common, surf_p, curve_p],
-        "arithmetic genus of a class")
-    add("chi", _cmd_chi, [common, surf_p, curve_p],
-        "Euler characteristic of a class")
-    add("phi", _cmd_phi, [common, surf_p, curve_p],
-        "pencil invariant (min |F.L| over isotropic F)")
-    add("reflect", _cmd_reflect, [common, surf_p, curve_p],
-        "reflect a class in a nodal (-2) class",
-        lambda p: p.add_argument("--nodal", help="nodal class expression"))
-
-    def conf_enum(p):
-        p.add_argument("--k", type=int, help="pencil degree")
-        p.add_argument("--mod4", choices=["auto", "on", "off"],
-                       default="auto", help="residual parity filter")
-
-    add("enumerate", _cmd_enumerate, [common, surf_p, curve_p],
-        "search decompositions C = L + M passing the pencil filters",
-        conf_enum)
-    add("destab", _cmd_destab, [common],
-        "grade the 16 candidate destabilizing splittings on blq")
-
-    def conf_gon(p):
-        p.add_argument("--l2", type=int, help="class square")
-        p.add_argument("--phi", type=int, help="pencil invariant")
-        p.add_argument("--two-d-special", action="store_true",
-                       help="the class IS twice a square-10 invariant-3 "
-                            "class (pattern-(b) exclusion)")
-
-    add("gonality", _cmd_gonality, [common],
-        "gonality of a general curve from (L2, phi)", conf_gon)
-
-    def conf_cliff(p):
-        p.add_argument("--d", type=int, help="series degree")
-        p.add_argument("--h0", type=int, help="series section count")
-        p.add_argument("--g", type=int, help="genus (upper-bound mode)")
-
-    add("cliff", _cmd_cliff, [common],
-        "Clifford contribution of a series, or the genus upper bound",
-        conf_cliff)
-
-    def conf_gauss(p):
-        p.add_argument("--rule", choices=list(_GAUSSIAN_RULES),
-                       default="main", help="criterion family")
-        p.add_argument("--g", type=int, help="curve genus")
-        p.add_argument("--l2", type=int, help="curve class square")
-        p.add_argument("--phi", type=int, help="pencil invariant")
-        p.add_argument("--deg-m", type=int, help="deg M")
-        p.add_argument("--h1-m", type=int, help="h1(M)")
-        p.add_argument("--h0-residual", type=int,
-                       help="h0 of the branch residual twist")
-        p.add_argument("--cliff", type=int, help="Clifford index")
-        p.add_argument("--h0-2k-minus-m", type=int, help="h0(2K - M)")
-        p.add_argument("--h0-2k-minus-m-b2a", type=int,
-                       help="h0(2K - M - b2 A) for the tetragonal rule")
-        p.add_argument("--mu-surjective", action="store_true",
-                       help="the multiplication map is surjective")
-        p.add_argument("--plane-quintic", action="store_true")
-        p.add_argument("--trigonal", action="store_true")
-        p.add_argument("--m-eq-special", action="store_true",
-                       help="M equals the branch's excluded bundle")
-
-    add("gaussian", _cmd_gaussian, [common, verdict_p],
-        "Gaussian-map surjectivity verdicts", conf_gauss)
-
-    def conf_corank(p):
-        p.add_argument("--g", type=int, help="curve genus")
-        p.add_argument("--h1-m", type=int, help="h1(M)")
-        p.add_argument("--cork-mu", type=int,
-                       help="corank of the multiplication map")
-        p.add_argument("--h0-2k-minus-m", type=int, help="h0(2K - M)")
-        p.add_argument("--aux", action="append", metavar="KEY=INT",
-                       help="extra section count, e.g. --aux 4K-M=5")
-        p.add_argument("--plane-quintic", action="store_true")
-        p.add_argument("--trigonal", action="store_true")
-        p.add_argument("--nontrigonal", action="store_true")
-
-    add("corank", _cmd_corank, [common, verdict_p],
-        "corank bounds for low genus / quintic / trigonal curves",
-        conf_corank)
-
-    def conf_scroll(p):
-        p.add_argument("--g", type=int, help="curve genus")
-        p.add_argument("--b1", type=int, help="first scrollar invariant")
-
-    add("scroll", _cmd_scroll, [common],
-        "scroll invariants of a tetragonal canonical curve", conf_scroll)
-
-    def conf_b2(p):
-        p.add_argument("--l2", type=int, help="class square")
-        p.add_argument("--phi", type=int, help="pencil invariant")
-
-    add("b2rule", _cmd_b2rule, [common, verdict_p],
-        "second scrollar invariant bound on Enriques tetragonal curves",
-        conf_b2)
-
-    def conf_verify(p):
-        p.add_argument("--case", help="fixture id, e.g. g1kondelp-d")
-        p.add_argument("--all", action="store_true",
-                       help="replay the whole catalog")
-
-    add("verify", _cmd_verify, [common],
-        f"replay frozen case fixtures ({len(FIXTURES)} shipped)",
-        conf_verify)
-    add("surface", _cmd_surface, [common, surf_p],
-        "list shipped surfaces/configs, or show one model")
-
     return parser
 
 

@@ -565,11 +565,11 @@ def check_phi_certificate(L: DivClass, result: PhiResult) -> bool:
     F.L = phi. Why that proves phi: for L' in the chamber and v in
     W(E10), L'.vU1 >= L'.U1, and every primitive isotropic class in the
     positive cone is v U1 for some v. A result without a certificate
-    (the slice walk's), a model of another gram or a malformed word
-    gives False.
+    (the slice walk's), a model of another gram or a malformed
+    certificate or witness gives False, and nothing raises.
     """
     cert = result.certificate
-    if cert is None or L.model.gram != _E10_GRAM:
+    if not isinstance(cert, PhiCertificate) or L.model.gram != _E10_GRAM:
         return False
     x = list(L.coords)
     try:
@@ -578,13 +578,13 @@ def check_phi_certificate(L: DivClass, result: PhiResult) -> bool:
         F = [1] + [0] * 9
         for step in reversed(cert.word):
             F = _e10_step(F, step, -1)
-    except (TypeError, ValueError):
+        pairings = tuple(sum(map(mul, x, g)) for g in _E10_ROOT_ROWS)
+        return (tuple(cert.pairings) == pairings and min(pairings) >= 0
+                and cert.phi == result.value == _e10_dot(x, E10_WEIGHTS[0])
+                and tuple(F) == result.witness.coords and _e10_dot(F, F) == 0
+                and _e10_dot(F, L.coords) == result.value)
+    except (AttributeError, TypeError, ValueError):
         return False
-    pairings = tuple(sum(map(mul, x, g)) for g in _E10_ROOT_ROWS)
-    return (tuple(cert.pairings) == pairings and min(pairings) >= 0
-            and cert.phi == result.value == _e10_dot(x, E10_WEIGHTS[0])
-            and tuple(F) == result.witness.coords and _e10_dot(F, F) == 0
-            and _e10_dot(F, L.coords) == result.value)
 
 
 def phi(

@@ -496,6 +496,20 @@ class TestCheckPhiCertificate:
                           PhiCertificate(word, pairings, 2))
         assert not check_phi_certificate(L, short)
 
+    def test_malformed_certificates_are_refused_not_raised(self):
+        L, res = self._case()
+        cert = res.certificate
+        malformed = {
+            "pairings None": res._replace(
+                certificate=cert._replace(pairings=None)),
+            "word None": res._replace(certificate=cert._replace(word=None)),
+            "witness None": res._replace(witness=None),
+            "plain tuple": res._replace(certificate=tuple(cert)),
+            "dict": res._replace(certificate=cert.to_json_dict()),
+        }
+        for name, mutant in malformed.items():
+            assert check_phi_certificate(L, mutant) is False, name
+
     def test_rejects_walk_results_and_other_grams(self):
         s = get_config("pencil-pair-1")
         L = resolve("3E+2E1", s)

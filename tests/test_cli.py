@@ -170,6 +170,23 @@ class TestSurfaceLoading:
         assert rc == 1
         assert cap.err.startswith("divcalc: error: ") and err in cap.err
 
+    @pytest.mark.parametrize("argv, err", [
+        (["surface", "--surface="], "unknown surface ''"),
+        (["surface", "--config="], "unknown config ''"),
+        (["phi", "--surface", "sigma3", "--config=", "--curve", "H"],
+         "pass either --surface or --config, not both"),
+        (["self", "--surface=", "--curve", "H"], "unknown surface ''"),
+        (["reflect", "--surface", "enriques", "--curve", "U1", "--nodal="],
+         "empty divisor expression"),
+        (["verify", "--case="], "unknown case ''"),
+    ], ids=["surface", "config", "phi-both", "self", "reflect", "verify"])
+    def test_an_empty_value_is_given(self, capsys, argv, err):
+        # an empty name is refused like any unknown one, not read as absent
+        rc = cli.main(argv)
+        cap = capsys.readouterr()
+        assert rc == 1 and cap.out == ""
+        assert cap.err.startswith(f"divcalc: error: {err}")
+
     def test_surface_and_config_conflict(self, capsys):
         rc, _ = run(
             capsys,
@@ -603,6 +620,10 @@ class TestGaussianCommand:
           "--h0-2k-minus-m", "0", "--cliff", "2", "--l2", "12"], "--l2"),
         (["degree", "--g", "6", "--deg-m", "20", "--h1-m", "0",
           "--h0-2k-minus-m-b2a", "1"], "--h1-m, --h0-2k-minus-m-b2a"),
+        # named in the command's usage order, whatever the argv order
+        (["tetragonal", "--h0-2k-minus-m", "1", "--h0-2k-minus-m-b2a", "0",
+          "--plane-quintic", "--l2", "12", "--mu-surjective", "--g", "7"],
+         "--g, --l2, --plane-quintic"),
     ])
     def test_options_the_rule_does_not_read_are_refused(self, capsys, argv,
                                                          unread):
@@ -651,6 +672,19 @@ class TestGaussianCommand:
                                                   "rule"}
         assert dests == {cli._INPUT_DESTS[n] for rule in choices
                          for n, _ in criteria._READS[rule][0]}
+
+    def test_corank_options_are_those_its_rows_read(self):
+        # the inputs of the low-genus rows, then the aux_h0 keys and the
+        # curve-type flags that pick a row
+        sub = cli.build_parser()._commands["corank"]
+        rows = [r for r in criteria._READS if r.startswith("low-")]
+        assert rows == [f"low-({c})" for c in "abcde"]
+        dests = [a.dest for a in sub._actions]
+        assert dests[:3] == ["help", "json", "strict"]
+        assert dests[-4:] == ["aux", "plane_quintic", "trigonal",
+                              "nontrigonal"]
+        assert set(dests[3:-4]) == {cli._INPUT_DESTS[n] for r in rows
+                                    for n, _ in criteria._READS[r][0]}
 
 
 class TestVerifyCommand:
@@ -760,7 +794,7 @@ class TestParserReuse:
 
     def test_parser_is_built_once(self, capsys, monkeypatch):
         """Twenty calls construct one parser's worth of ArgumentParsers:
-        the root, four parent templates and 16 subparsers."""
+        the root and 16 subparsers."""
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -773,7 +807,7 @@ class TestParserReuse:
         for i in range(20):
             cli.main(GOOD_JSON_COMMANDS[i % len(GOOD_JSON_COMMANDS)])
         capsys.readouterr()
-        assert len(built) == 21
+        assert len(built) == 17
 
 
 def _stable(out):

@@ -14,17 +14,25 @@ a finite sum since a(s - na) falls below q/2 for large |a|; for odd q
 the slice is empty. An isometry keeps the count, so the same sum holds
 for every image of C under a word of reflections in E10_ROOTS.
 
+On sigma_n, of gram diag(1, -1, .., -1) in the basis H, G1..Gn, the
+class x = aH + b1 G1 + .. + bn Gn has x.H = a and x^2 = a^2 - sum b_i^2.
+So for C = H the slice x.H = s, x^2 = q has r_n(s^2 - q) points, where
+r_n(m), the number of ways to write m as a sum of n squares, is the
+coefficient of q^m in theta_3^n (r_n(m) = 0 for m < 0).
+
 A slice whose points are valid (checked here with the gram alone) and
 distinct, and whose size is that sum, is complete. The counts come
 from the closed form and gram arithmetic, never from divcalc's search.
 """
 
+import math
 import random
 
 import pytest
 
+from divcalc.enumeration import enumerate_bogreider
 from divcalc.lattice import pair, reflect_nodal, slice_points
-from divcalc.surfaces import E10_ROOTS, enriques
+from divcalc.surfaces import E10_ROOTS, enriques, sigma
 
 MAX_POINTS = 5000  # the largest window a test walks
 S_VALUES = (1, 2)
@@ -102,3 +110,64 @@ def test_theta_count_matches_known_values():
     assert theta_count(1, 0, -2) == 240 + 2
     assert theta_count(1, 8, 4) == 2402880
     assert theta_count(1, 1, 3) == 0
+
+
+def test_visited_is_the_sum_of_the_window_counts():
+    # the search walks the slices k <= s <= 2k, s - k <= q <= s // 2 and
+    # no other class; at k = 2 the s = 2k window holds the 240 roots of
+    # E8 shifted by 2U2 (an even k, since the s = 2k window of an odd k
+    # has odd q only, and is empty)
+    E, k = enriques(), 2
+    res = enumerate_bogreider(E, E.klass((1, 2) + (0,) * 8), k)
+    windows = {s: sum(theta_count(2, s, q) for q in range(s - k, s // 2 + 1))
+               for s in range(k, 2 * k + 1)}
+    assert windows[2 * k] == 240
+    assert res.visited == sum(windows.values()) == 242
+
+
+SIGMA_MAX_POINTS = 1000  # the largest sigma_n window walked, about 1 s in all
+
+
+def sums_of_squares(n, top):
+    """[r_n(0), .., r_n(top)], the coefficients of theta_3^n, by
+    convolving theta_3 = 1 + 2 q + 2 q^4 + 2 q^9 + .. n times."""
+    theta = [0] * (top + 1)
+    for j in range(math.isqrt(top) + 1):
+        theta[j * j] = 2 if j else 1
+    r = [1] + [0] * top
+    for _ in range(n):
+        r = [sum(r[i] * theta[m - i] for i in range(m + 1))
+             for m in range(top + 1)]
+    return r
+
+
+def test_sums_of_squares_match_known_values():
+    # Jacobi: r_4(m) = 8 times the sum of the divisors of m not divisible
+    # by 4; and r_2(25) = 12 from 25 = 0 + 25 = 9 + 16
+    r4 = sums_of_squares(4, 30)
+    assert r4[1:] == [8 * sum(d for d in range(1, m + 1)
+                              if m % d == 0 and d % 4) for m in range(1, 31)]
+    assert sums_of_squares(2, 25)[25] == 12
+    assert sums_of_squares(9, 3) == [1, 18, 144, 672]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_sigma_slices_of_h_match_the_theta_series(n):
+    S = sigma(n)
+    H, gram = S.klass((1,) + (0,) * n), S.gram
+    r = sums_of_squares(n, 15)
+    walked = 0
+    for s in range(4):
+        for q in range(-6, s * s + 2):  # q = s^2 + 1 gives an empty slice
+            count = r[s * s - q] if q <= s * s else 0
+            if count > SIGMA_MAX_POINTS:
+                continue
+            points = [x.coords for x in slice_points(H, s, q, q)]
+            assert len(points) == count, (s, q)
+            assert len(set(points)) == len(points), (s, q)
+            for x in points:
+                gx = [sum(map(int.__mul__, row, x)) for row in gram]
+                assert gx[0] == s, (s, q, x)
+                assert sum(map(int.__mul__, gx, x)) == q, (s, q, x)
+            walked += count
+    assert walked > 0

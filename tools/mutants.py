@@ -51,7 +51,7 @@ CATALOGUE = [
     ("s-window", _ENUMERATION,
      "for s in range(k, 2 * k + 1):\n        found",
      "for s in range(k, 2 * k):\n        found",
-     ["tests/test_enumeration.py"]),
+     ["tests/test_enumeration.py", "tests/test_theta.py"]),
     # an even lattice's q window is rounded outward, not inward
     ("even-rounding", _LATTICE,
      "qlo, qhi = qlo + qlo % 2, qhi - qhi % 2",
@@ -184,6 +184,18 @@ CATALOGUE = [
     ("range-option-name", _CLI,
      "exc = option + str(exc)[len(named):]",
      "exc = named + str(exc)[len(named):]",
+     ["tests/test_cli.py"]),
+    # enumerate's --k is read as a str, so the search refuses it
+    ("k-type", _CLI,
+     '"k": dict(type=int, help="pencil degree"),',
+     '"k": dict(help="pencil degree"),',
+     ["tests/test_cli.py"]),
+    # gaussian's options stop reading the tetragonal row, so
+    # --h0-2k-minus-m-b2a and --mu-surjective vanish
+    ("gaussian-tetragonal", _CLI,
+     "_GAUSSIAN_DESTS = _reading(_GAUSSIAN_RULES)",
+     "_GAUSSIAN_DESTS = _reading(r for r in _GAUSSIAN_RULES\n"
+     "                           if r != \"tetragonal\")",
      ["tests/test_cli.py"]),
 ]
 
