@@ -258,14 +258,12 @@ _GAUSSIAN_RULES = {
     "cliff": check_cliff_criterion,
     "bel": check_bel,
     "degree": check_degree_corollaries,
-    # --h1-m gives h1M_zero as h1(M) = 0
-    "tetragonal": lambda h1M_zero, **inputs: tetragonal_corank(
-        h1M_zero=h1M_zero == 0, **inputs),
+    "tetragonal": tetragonal_corank,
 }
-# the option dest each input of a criterion comes from, on every command
-# that has the option
+# the option dest each input of a criterion or a search comes from, on
+# every command that has the option
 _INPUT_DESTS = dict(
-    L2="l2", g="g", phi="phi", degM="deg_m", h1M="h1_m", h1M_zero="h1_m",
+    L2="l2", g="g", phi="phi", degM="deg_m", h1M="h1_m", k="k",
     h0_residual="h0_residual", cliff="cliff", h0_2K_minus_M="h0_2k_minus_m",
     plane_quintic="plane_quintic", trigonal="trigonal", degree="d", h0="h0",
     M_eq_special="m_eq_special", h0_2K_minus_M_minus_b2A="h0_2k_minus_m_b2a",
@@ -273,8 +271,8 @@ _INPUT_DESTS = dict(
 
 
 def _option(name):
-    """The option that gives the criteria input name (--aux KEY=INT for
-    aux_h0[KEY]), or None if no option does."""
+    """The option that gives the input name of a criterion or search
+    (--aux KEY=INT for aux_h0[KEY]), or None if no option does."""
     if name.startswith("aux_h0["):
         return f"--aux {name[7:-1]}=INT"
     dest = _INPUT_DESTS.get(name)

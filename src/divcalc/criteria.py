@@ -29,41 +29,18 @@ GENERAL_MEMBER = "general member of |L|"
 NONHYPERELLIPTIC = "C nonhyperelliptic"
 
 
-def _check_count(name, value, minimum=0):
-    """Refuse None with EvidenceError; a non-int (bool excluded), or an
-    int below minimum unless minimum is None, with RangeError."""
-    if value is None:
-        raise EvidenceError(f"missing required evidence: {name}",
-                            missing=(name,))
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise RangeError(f"{name} must be an integer, got {value!r}", name)
-    if minimum is not None and value < minimum:
-        raise RangeError(f"{name} must be >= {minimum}, got {value}", name)
+def _check_class(L2, phi):
+    """Refuse a pencil invariant phi, unless None, with phi^2 > L2."""
+    if phi is not None and phi * phi > L2:
+        raise RangeError(f"phi^2 = {phi * phi} exceeds L2 = {L2}")
 
 
-def _check_flags(**flags):
-    """Refuse a flag that is not exactly a bool."""
-    for name, value in flags.items():
-        if not isinstance(value, bool):
-            raise RangeError(f"{name} must be a bool, got {value!r}", name)
-
-
-def _check_class(L2, phi, least):
-    """Refuse a curve class square L2 that is not an int, odd or below
-    least, and a pencil invariant phi, unless None, that is not an int,
-    below 1 or with phi^2 > L2 (bool is not an int here)."""
-    _check_count("L2", L2, minimum=None)
-    if phi is not None:
-        _check_count("phi", phi, minimum=None)
-    if L2 % 2 != 0:
-        raise RangeError(f"L2 must be even on these lattices, got {L2}", "L2")
-    if L2 < least:
-        raise RangeError(f"L2 must be >= {least}, got {L2}", "L2")
-    if phi is not None:
-        if phi < 1:
-            raise RangeError(f"phi must be >= 1, got {phi}", "phi")
-        if phi * phi > L2:
-            raise RangeError(f"phi^2 = {phi * phi} exceeds L2 = {L2}")
+def _check_degM(g, degM):
+    """Refuse a degM, unless None, above 4g - 4 + DEG_SANITY_SLACK."""
+    cap = 4 * g - 4 + DEG_SANITY_SLACK
+    if degM is not None and degM > cap:
+        raise RangeError(f"degM = {degM} is implausibly large for genus "
+                         f"{g} (cap {cap})")
 
 
 def _row(text):
@@ -76,25 +53,57 @@ def _row(text):
 # Per rule: the inputs it reads, in the order its verdict echoes them,
 # then after "|" the aux_h0 keys it reads, sorted; a trailing * marks one
 # the rule cannot do without. _read and the command line's gaussian read
-# these rows, each parsed once, here. The last three give no verdict; their
-# functions (gonality and b2_rule_enriques, clifford_of_series,
-# surfaces.scroll_invariants) read them to refuse a missing input first.
+# these rows, each parsed once, here. corank_low_genus reads "curve-type"
+# to pick its rule; the last five give no verdict, and their functions
+# (b2_rule_enriques, gonality, clifford_of_series, cliff_upper_bound,
+# surfaces.scroll_invariants) read them to check their inputs.
 _READS = {rule: _row(text) for rule, text in {
     "main": "g L2* phi degM h1M h0_residual* cliff",
     "cliff": "cliff* h0_2K_minus_M*",
     "bel": "g* degM* h1M* h0_2K_minus_M* cliff*",
     "degree": "g* degM* plane_quintic trigonal M_eq_special",
-    "tetragonal": "h0_2K_minus_M* h0_2K_minus_M_minus_b2A* h1M_zero "
+    "tetragonal": "h0_2K_minus_M* h0_2K_minus_M_minus_b2A* h1M "
                   "mu_surjective",
     "low-(a)": "g h1M* cork_mu* | -M 4K-M*",
     "low-(b)": "g h1M* h0_2K_minus_M* cork_mu* | -M 3K-M*",
     "low-(c)": "g h1M* h0_2K_minus_M* cork_mu* | -M",
     "low-(d)": "g h1M cork_mu | 4A-M 5A-M*",
     "low-(e)": "g h1M h0_2K_minus_M cork_mu | 3K-(g-4)A-M*",
+    "curve-type": "g* plane_quintic trigonal nontrigonal",
     "class": "L2* phi*",
+    "gonality": "L2* phi* not_2D_special",
     "series": "degree* h0*",
+    "cliff-bound": "g*",
     "scroll": "g* b1*",
 }.items()}
+
+# Per input of the rows, its domain: bool for a flag, which must be True
+# or False, else the least value of an int (bool is not an int here);
+# L2 must also be even, and every aux_h0 value is a count, an int >= 0.
+# A rule whose own hypothesis asks more (bel's g >= 4, say) answers
+# NO_CONCLUSION outside it, with a note that cites it.
+_DOMAINS = {
+    "g": 2, "L2": 2, "phi": 1, "h0": 1, "degree": 0, "degM": 0, "h1M": 0,
+    "h0_residual": 0, "cliff": 0, "h0_2K_minus_M": 0,
+    "h0_2K_minus_M_minus_b2A": 0, "cork_mu": 0, "b1": 0, "aux_h0": 0,
+    "plane_quintic": bool, "trigonal": bool, "nontrigonal": bool,
+    "M_eq_special": bool, "mu_surjective": bool, "not_2D_special": bool,
+}
+
+
+def _check_domain(name, least, value):
+    """Refuse value, given for the input name, outside the domain least
+    from _DOMAINS, with a RangeError that names the input."""
+    if least is bool:
+        if not isinstance(value, bool):
+            raise RangeError(f"{name} must be a bool, got {value!r}", name)
+    elif not isinstance(value, int) or isinstance(value, bool):
+        raise RangeError(f"{name} must be an integer, got {value!r}", name)
+    elif name == "L2" and value % 2 != 0:
+        raise RangeError(f"L2 must be even on these lattices, got {value}",
+                         name)
+    elif value < least:
+        raise RangeError(f"{name} must be >= {least}, got {value}", name)
 
 
 def _read(rule, values):
@@ -102,25 +111,32 @@ def _read(rule, values):
     (and of aux_h0 when its row reads aux_h0 keys): every input of the
     row that is not None, in row order, then under aux_h0 the row's keys
     that aux_h0 holds. Every required input that is None or absent from
-    aux_h0 is refused instead, all in one EvidenceError."""
+    aux_h0 is refused first, all in one EvidenceError. Then the first
+    input outside its domain, in row order and then every aux_h0 value
+    when the row reads aux_h0 keys, is refused with a RangeError that
+    names it; a flag is never absent, so a None flag is refused too."""
     inputs, keys = _READS[rule]
     echo, missing = {}, []
     for name, required in inputs:
-        if (value := values[name]) is not None:
+        if (value := values[name]) is not None or _DOMAINS[name] is bool:
             echo[name] = value
         elif required:
             missing.append(name)
-    aux, read = values.get("aux_h0", {}), {}
+    aux, read = values["aux_h0"] if keys else {}, {}
     for key, required in keys:
         if key in aux:
             read[key] = aux[key]
         elif required:
             missing.append(f"aux_h0[{key}]")
-    if read:
-        echo["aux_h0"] = read
     if missing:
         raise EvidenceError("missing required evidence: " + ", ".join(missing),
                             missing=tuple(missing))
+    for name, value in echo.items():
+        _check_domain(name, _DOMAINS[name], value)
+    for key, value in aux.items():
+        _check_domain(f"aux_h0[{key}]", _DOMAINS["aux_h0"], value)
+    if read:
+        echo["aux_h0"] = read
     return echo
 
 
@@ -175,9 +191,8 @@ def gonality(L2: int, phi: int, not_2D_special: bool = True) -> int:
     square-10 class of pencil invariant 3) that the two numbers alone
     cannot detect; it defaults to the generic (excluded) situation.
     """
-    _read("class", locals())
-    _check_flags(not_2D_special=not_2D_special)
-    _check_class(L2, phi, 2)
+    _read("gonality", locals())
+    _check_class(L2, phi)
     if L2 == phi * phi and phi >= 2 and phi % 2 == 0:
         return 2 * phi - 2
     if L2 == phi * phi + phi - 2 and phi >= 3 and not_2D_special:
@@ -193,14 +208,16 @@ def clifford_of_series(d: int, h0: int) -> int:
     """Clifford contribution deg A - 2(h0(A) - 1) of a series of degree d
     with h0 sections."""
     _read("series", {"degree": d, "h0": h0})
-    _check_count("h0", h0, 1)
-    _check_count("degree", d)
     return d - 2 * (h0 - 1)
 
 
 def cliff_upper_bound(g: int) -> int:
-    """The general upper bound floor((g - 1) / 2) on the Clifford index."""
-    _check_count("g", g, 4)
+    """The general upper bound floor((g - 1) / 2) on the Clifford index,
+    stated for g >= 4: a smaller g in the domain raises RangeError, as
+    the bound gives no verdict to answer with."""
+    _read("cliff-bound", locals())
+    if g < 4:
+        raise RangeError(f"g must be >= 4, got {g}", "g")
     return (g - 1) // 2
 
 
@@ -232,16 +249,11 @@ def check_main_theorem(
     cliff, and is unevaluable, its note saying why, when any is None. The
     genus g, derived when None, is L2 / 2 + 1 by adjunction (2g - 2 = L2);
     another g, or a degM above 4g - 4 + DEG_SANITY_SLACK, raises
-    RangeError. The verdict echoes what the branches read: the row "main"
-    of _READS, g first.
+    RangeError. No branch holds below L2 = 4. The verdict echoes what the
+    branches read: the row "main" of _READS, g first.
     """
     echo = _read("main", locals())
-    for name, value, least in (
-            ("g", g, 2), ("degM", degM, 0), ("h1M", h1M, 0),
-            ("h0_residual", h0_residual, 0), ("cliff", cliff, 0)):
-        if value is not None:  # optional evidence
-            _check_count(name, value, least)
-    _check_class(L2, phi, 4)
+    _check_class(L2, phi)
     if g is None:
         g = L2 // 2 + 1
         echo = {"g": g, **echo}
@@ -249,10 +261,7 @@ def check_main_theorem(
         raise RangeError(f"g = {g} does not match L2 = {L2}: on an "
                          f"Enriques surface 2g - 2 = L2 gives g = "
                          f"{L2 // 2 + 1}")
-    cap = 4 * g - 4 + DEG_SANITY_SLACK
-    if degM is not None and degM > cap:
-        raise RangeError(f"degM = {degM} is implausibly large for genus "
-                         f"{g} (cap {cap})")
+    _check_degM(g, degM)
 
     res = h0_residual
     branches = [  # (id, satisfied, note when not, residual twist)
@@ -308,10 +317,9 @@ def check_main_theorem(
 
 def check_cliff_criterion(cliff: int, h0_2K_minus_M: int) -> GaussianVerdict:
     """Surjectivity from the Clifford index alone: index exactly 2 with
-    h0(2K - M) = 0, or index >= 3 with h0(2K - M) <= 1."""
+    h0(2K - M) = 0, or index >= 3 with h0(2K - M) <= 1. The criterion is
+    stated for index >= 2."""
     echo = _read("cliff", locals())
-    _check_count("cliff", cliff, 2)
-    _check_count("h0_2K_minus_M", h0_2K_minus_M)
     if cliff == 2 and h0_2K_minus_M == 0:
         return GaussianVerdict("SURJECTIVE", "cliff-(i)", inputs_echo=echo)
     if cliff >= 3 and h0_2K_minus_M <= 1:
@@ -319,6 +327,7 @@ def check_cliff_criterion(cliff: int, h0_2K_minus_M: int) -> GaussianVerdict:
     return GaussianVerdict(
         "NO_CONCLUSION", "cliff",
         notes=(
+            f"needs cliff >= 2, have cliff = {cliff}" if cliff < 2 else
             f"falls between the branches: cliff = {cliff}, "
             f"h0(2K - M) = {h0_2K_minus_M}",
         ),
@@ -329,14 +338,14 @@ def check_cliff_criterion(cliff: int, h0_2K_minus_M: int) -> GaussianVerdict:
 def check_bel(
     g: int, degM: int, h1M: int, h0_2K_minus_M: int, cliff: int
 ) -> GaussianVerdict:
-    """Surjectivity for degM >= g + 1: needs h1(M) = 0 and
-    h0(2K - M) <= cliff - 2 (so in particular cliff >= 2)."""
+    """Surjectivity for g >= 4 and degM >= g + 1: needs h1(M) = 0 and
+    h0(2K - M) <= cliff - 2 (so in particular cliff >= 2). A degM above
+    4g - 4 + DEG_SANITY_SLACK raises RangeError."""
     echo = _read("bel", locals())
-    _check_count("g", g, 4)
-    for name, v in (("degM", degM), ("h1M", h1M),
-                    ("h0_2K_minus_M", h0_2K_minus_M), ("cliff", cliff)):
-        _check_count(name, v)
+    _check_degM(g, degM)
     fails = []
+    if g < 4:
+        fails.append(f"needs g >= 4, have g = {g}")
     if h1M != 0:
         fails.append(f"h1(M) = {h1M} != 0")
     if degM < g + 1:
@@ -353,11 +362,8 @@ def check_bel(
 
 
 def _check_curve_type(g, plane_quintic, trigonal, nontrigonal=False):
-    """Refuse a curve-type flag that is not a bool, the trigonal flag
-    with either other curve-type flag, and a plane quintic of genus
-    other than 6."""
-    _check_flags(plane_quintic=plane_quintic, trigonal=trigonal,
-                 nontrigonal=nontrigonal)
+    """Refuse the trigonal flag with either other curve-type flag, and a
+    plane quintic of genus other than 6."""
     if trigonal and (plane_quintic or nontrigonal):
         other = "plane quintic" if plane_quintic else "nontrigonal"
         raise RangeError(f"conflicting curve-type flags: trigonal and {other}")
@@ -401,9 +407,9 @@ def corank_low_genus(
     map (cork_mu = 0). The flags and g choose the branch, and its rule's
     row in _READS the inputs its verdict requires and echoes; aux_h0
     (None: empty) holds counts under AUX_KEYS, and another key is refused
-    before a missing input.
+    before a missing input of the rule.
     """
-    _check_count("g", g, 2)
+    _read("curve-type", locals())
     aux_h0 = {} if aux_h0 is None else aux_h0
     if not isinstance(aux_h0, dict):
         raise RangeError(f"aux_h0 must be a dict, got {aux_h0!r}", "aux_h0")
@@ -427,12 +433,6 @@ def corank_low_genus(
             f"no low-genus branch applies to g = {g} without a curve-type "
             "flag")
     echo = _read(rule, locals())
-    for name, value in (("h1M", h1M), ("h0_2K_minus_M", h0_2K_minus_M),
-                        ("cork_mu", cork_mu)):
-        if value is not None:  # optional evidence
-            _check_count(name, value)
-    for key, value in aux_h0.items():
-        _check_count(f"aux_h0[{key}]", value)
     quals = (NONHYPERELLIPTIC,)
 
     if plane_quintic or trigonal:
@@ -487,12 +487,14 @@ def corank_low_genus(
 
 
 def _degree_rule(rule, echo, thresh, below, excluded, qualifiers=()):
-    """SURJECTIVE under rule when degM > thresh, or degM = thresh and M is
-    not the excluded bundle. below names thresh in the note of a smaller
-    degM; excluded names the bundle and its boundary, or is None when no
-    bundle is excluded at equality."""
-    degM = echo["degM"]
-    if degM < thresh:
+    """SURJECTIVE under rule when g >= 5 and degM > thresh, or degM =
+    thresh and M is not the excluded bundle. below names thresh in the
+    note of a smaller degM; excluded names the bundle and its boundary,
+    or is None when no bundle is excluded at equality."""
+    g, degM = echo["g"], echo["degM"]
+    if g < 5:
+        note = f"needs g >= 5, have g = {g}"
+    elif degM < thresh:
         note = f"degM = {degM} < {below}"
     elif degM == thresh and excluded and echo["M_eq_special"]:
         note = f"M = {excluded} is excluded"
@@ -519,12 +521,12 @@ def check_degree_corollaries(
     M = 3K - (g-4)A when g <= 12 meets the 3g + 6 boundary); all other
     curves of genus >= 5 need degM >= 4g - 4 (excluding M = 2K at
     equality). M_eq_special says M equals the branch's excluded bundle.
+    Every branch is stated for g >= 5, and a degM above 4g - 4 +
+    DEG_SANITY_SLACK raises RangeError.
     """
     echo = _read("degree", locals())
     _check_curve_type(g, plane_quintic, trigonal)
-    _check_flags(M_eq_special=M_eq_special)
-    _check_count("g", g, 5)
-    _check_count("degM", degM)
+    _check_degM(g, degM)
 
     if plane_quintic:
         return _degree_rule("degree-quintic", echo, 25, "25",
@@ -553,22 +555,20 @@ def check_degree_corollaries(
 def tetragonal_corank(
     h0_2K_minus_M: int,
     h0_2K_minus_M_minus_b2A: int,
-    h1M_zero: bool = False,
+    h1M: int | None = None,
     mu_surjective: bool = False,
 ) -> GaussianVerdict:
     """Tetragonal criterion: with A a degree-4 pencil and b2 the second
     scrollar invariant, h0(2K - M) <= 1 and h0(2K - M - b2 A) = 0 force
-    surjectivity; with h1(M) = 0 and mu surjective the corank is at least
-    h0(2K - M - b2 A), with equality when additionally h0(2K - M) <= 1."""
+    surjectivity; with h1(M) = h1M = 0 (None: unknown) and mu surjective
+    the corank is at least h0(2K - M - b2 A), with equality when
+    additionally h0(2K - M) <= 1."""
     echo = _read("tetragonal", locals())
-    _check_flags(h1M_zero=h1M_zero, mu_surjective=mu_surjective)
-    _check_count("h0_2K_minus_M", h0_2K_minus_M)
-    _check_count("h0_2K_minus_M_minus_b2A", h0_2K_minus_M_minus_b2A)
     if h0_2K_minus_M <= 1 and h0_2K_minus_M_minus_b2A == 0:
         return GaussianVerdict(
             "SURJECTIVE", "tetragonal-(i)", inputs_echo=echo
         )
-    if h1M_zero and mu_surjective:
+    if h1M == 0 and mu_surjective:
         return _cork_bound("tetragonal-(ii)", "2K - M - b2 A",
                            h0_2K_minus_M_minus_b2A, "2K - M",
                            h0_2K_minus_M, echo)
@@ -596,7 +596,7 @@ def b2_rule_enriques(L2: int, phi: int) -> B2Rule:
     surface: square >= 12 with pencil invariant 2 forces b2 >= 1 for a
     general curve in the system."""
     _read("class", locals())
-    _check_class(L2, phi, 4)
+    _check_class(L2, phi)
     if L2 >= 12 and phi == 2:
         return B2Rule("b2_at_least_1", qualifiers=("general member",))
     return B2Rule(

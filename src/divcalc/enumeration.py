@@ -174,9 +174,9 @@ def _setup(surface, C, k, mod4, walks):
     and is added there when it is new; one walk serves every k of C."""
     _require_model(surface, C)
     if type(k) is not int:
-        raise RangeError(f"pencil degree k must be an integer, got {k!r}")
+        raise RangeError(f"k must be an integer, got {k!r}", "k")
     if k < 2:
-        raise RangeError(f"pencil degree k must be >= 2, got {k}")
+        raise RangeError(f"k must be >= 2, got {k}", "k")
     if mod4 is not None and type(mod4) is not bool:  # 0 == False
         raise RangeError(f"mod4 must be None or a bool, got {mod4!r}")
     if C not in walks:

@@ -30,7 +30,7 @@ import re
 from collections import namedtuple
 from operator import mul
 
-from .criteria import _check_count, _read
+from .criteria import _read
 from .errors import (
     ModelError,
     NodalClassError,
@@ -743,16 +743,17 @@ def scroll_invariants(g: int, b1: int) -> ScrollInvariants:
     of genus g, splitting type (b1, b2) with b1 + b2 = g - 5.
 
     degY >= 2 pa + 3 (the quadratic-normality threshold) simplifies to
-    b1 >= 1, which is asserted as an equivalence in tests.
+    b1 >= 1, which is asserted as an equivalence in tests. A g below 6,
+    or a b1 without b1 >= b2 >= 0, raises RangeError: the invariants
+    give no verdict to answer with.
     """
     _read("scroll", locals())
-    _check_count("g", g, 6)
-    _check_count("b1", b1, None)
+    if g < 6:
+        raise RangeError(f"g must be >= 6, got {g}", "g")
     b2 = g - 5 - b1
     if not (b1 >= b2 >= 0):
-        raise RangeError(
-            f"need b1 >= b2 >= 0; got b1 = {b1}, b2 = {b2} at g = {g}"
-        )
+        raise RangeError(f"b1 must satisfy b1 >= b2 >= 0; got b1 = {b1}, "
+                         f"b2 = {b2} at g = {g}", "b1")
     degY = g - 1 + b2
     pa = g - 4 - b1
     return ScrollInvariants(

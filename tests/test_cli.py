@@ -464,8 +464,19 @@ class TestExitCodes:
           "--aux", "4K-M=1"], "--h1-m must be >= 0, got -1"),
         (["corank", "--g", "3", "--h1-m", "0", "--cork-mu", "0",
           "--aux", "4K-M=-1"], "--aux 4K-M=INT must be >= 0, got -1"),
-        (["gaussian", "--rule", "cliff", "--cliff", "1",
-          "--h0-2k-minus-m", "0"], "--cliff must be >= 2, got 1"),
+        (["gaussian", "--rule", "cliff", "--cliff", "-1",
+          "--h0-2k-minus-m", "0"], "--cliff must be >= 0, got -1"),
+        # each of these four exited 0, or named the library's input
+        (["gaussian", "--rule", "tetragonal", "--h0-2k-minus-m", "1",
+          "--h0-2k-minus-m-b2a", "0", "--h1-m", "-5"],
+         "--h1-m must be >= 0, got -5"),
+        (["enumerate", "--surface", "sigma3", "--curve", "H", "--k", "1"],
+         "--k must be >= 2, got 1"),
+        (["scroll", "--g", "7", "--b1", "-1"], "--b1 must be >= 0, got -1"),
+        (["scroll", "--g", "7", "--b1", "0"],
+         "--b1 must satisfy b1 >= b2 >= 0; got b1 = 0, b2 = 2 at g = 7"),
+        (["scroll", "--g", "5", "--b1", "0"], "--g must be >= 6, got 5"),
+        (["cliff", "--g", "3"], "--g must be >= 4, got 3"),
     ], ids=["int-item", "bytes-item", "none-item", "aux-key-twice",
             "cliff-mixed", "cliff-h0-and-g", "corank-missing", "no-model",
             "reflect-no-nodal", "enumerate-no-k", "cliff-bare",
@@ -476,7 +487,10 @@ class TestExitCodes:
             "corank-aux-json", "gaussian-main", "gaussian-main-no-l2",
             "gaussian-cliff", "gaussian-bel", "gaussian-degree",
             "gaussian-tetragonal", "cliff-negative-d", "corank-negative-h1m",
-            "corank-negative-aux", "gaussian-low-cliff"])
+            "corank-negative-aux", "gaussian-negative-cliff",
+            "tetragonal-negative-h1m", "enumerate-low-k",
+            "scroll-negative-b1", "scroll-low-b1", "scroll-low-g",
+            "cliff-bound-low-g"])
     def test_input_refusals(self, capsys, argv, err):
         """A non-str argv item, a repeated --aux key (the last value would
         win and change the verdict), cliff's two modes at once (--g
@@ -672,6 +686,10 @@ class TestGaussianCommand:
                                                   "rule"}
         assert dests == {cli._INPUT_DESTS[n] for rule in choices
                          for n, _ in criteria._READS[rule][0]}
+        # and each rule is its checker, called with the row's inputs as
+        # the options give them
+        assert all(getattr(criteria, f.__name__) is f
+                   for f in cli._GAUSSIAN_RULES.values())
 
     def test_corank_options_are_those_its_rows_read(self):
         # the inputs of the low-genus rows, then the aux_h0 keys and the
@@ -685,6 +703,99 @@ class TestGaussianCommand:
                               "nontrigonal"]
         assert set(dests[3:-4]) == {cli._INPUT_DESTS[n] for r in rows
                                     for n, _ in criteria._READS[r][0]}
+
+
+    def test_tetragonal_echoes_h1m_as_given(self, capsys):
+        # the bound reads h1(M) = 0; the echo holds h1M only when given
+        base = ["gaussian", "--rule", "tetragonal", "--h0-2k-minus-m", "3",
+                "--h0-2k-minus-m-b2a", "2", "--mu-surjective", "--json"]
+        rc, doc = run_json(capsys, base + ["--h1-m", "0"])
+        assert rc == 0 and doc["result"]["status"] == "CORANK_BOUND(2)"
+        assert doc["result"]["inputs_echo"] == {
+            "h0_2K_minus_M": 3, "h0_2K_minus_M_minus_b2A": 2, "h1M": 0,
+            "mu_surjective": True}
+        for extra in (["--h1-m", "1"], []):
+            rc, doc = run_json(capsys, base + extra)
+            assert rc == 0 and doc["result"]["status"] == "NO_CONCLUSION"
+            assert ("h1M" in doc["result"]["inputs_echo"]) == bool(extra)
+
+    @pytest.mark.parametrize("argv, lines", [
+        (["--rule", "cliff", "--cliff", "1", "--h0-2k-minus-m", "0"],
+         ["NO_CONCLUSION via cliff",
+          "note: needs cliff >= 2, have cliff = 1"]),
+        (["--rule", "bel", "--g", "3", "--deg-m", "10", "--h1-m", "0",
+          "--h0-2k-minus-m", "0", "--cliff", "3"],
+         ["NO_CONCLUSION via bel2", "note: needs g >= 4, have g = 3"]),
+        (["--rule", "degree", "--g", "4", "--deg-m", "20"],
+         ["NO_CONCLUSION via degree-general",
+          "note: needs g >= 5, have g = 4"]),
+    ], ids=["cliff", "bel", "degree"])
+    def test_a_failed_hypothesis_is_no_conclusion(self, capsys, argv, lines):
+        # each of these was refused with exit 1; --strict exits 2
+        for strict, code in (([], 0), (["--strict"], 2)):
+            rc, out = run(capsys, ["gaussian", *argv, *strict])
+            assert rc == code and out.splitlines() == lines
+
+
+# Per command, and per rule of gaussian: an argv that it answers, every
+# value in its input's domain
+_IN_DOMAIN = [
+    ["gonality", "--l2", "12", "--phi", "2"],
+    ["cliff", "--g", "7"],
+    ["gaussian", "--rule", "main", "--g", "7", "--l2", "12", "--phi", "2",
+     "--deg-m", "8", "--h1-m", "0", "--h0-residual", "1", "--cliff", "3"],
+    ["gaussian", "--rule", "cliff", "--cliff", "3", "--h0-2k-minus-m", "1"],
+    ["gaussian", "--rule", "bel", "--g", "7", "--deg-m", "8", "--h1-m", "0",
+     "--h0-2k-minus-m", "0", "--cliff", "3"],
+    ["gaussian", "--rule", "degree", "--g", "6", "--deg-m", "20"],
+    ["gaussian", "--rule", "tetragonal", "--h0-2k-minus-m", "1",
+     "--h0-2k-minus-m-b2a", "0", "--h1-m", "0", "--mu-surjective"],
+    ["corank", "--g", "4", "--h1-m", "0", "--cork-mu", "0",
+     "--h0-2k-minus-m", "2", "--aux", "3K-M=3"],
+    ["scroll", "--g", "7", "--b1", "1"],
+    ["b2rule", "--l2", "12", "--phi", "2"],
+]
+# per option: values outside its input's domain, each with the one line
+# that refuses it
+_OUT_OF_DOMAIN = [
+    ("g", "-1", "--g must be >= 2, got -1"),
+    ("g", "1", "--g must be >= 2, got 1"),
+    ("l2", "-1", "--l2 must be even on these lattices, got -1"),
+    ("l2", "7", "--l2 must be even on these lattices, got 7"),
+    ("l2", "0", "--l2 must be >= 2, got 0"),
+    ("phi", "-1", "--phi must be >= 1, got -1"),
+    ("phi", "0", "--phi must be >= 1, got 0"),
+    *((dest, "-1", f"--{dest.replace('_', '-')} must be >= 0, got -1")
+      for dest in ("cliff", "h1_m", "h0_2k_minus_m", "deg_m")),
+]
+
+
+@pytest.mark.parametrize("argv", _IN_DOMAIN, ids=lambda a: "-".join(a[:3]))
+def test_each_in_domain_argv_is_answered(capsys, argv):
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("dest, value, line", _OUT_OF_DOMAIN,
+                         ids=[f"{d}={v}" for d, v, _ in _OUT_OF_DOMAIN])
+def test_one_refusal_per_option_and_value_across_commands(
+        capsys, dest, value, line):
+    """Every command that declares the option, under every gaussian rule
+    that reads it, refuses the value with the same line. --g -1 used to
+    be refused as below 2, 4, 5 or 6, by the command."""
+    assert cli._OPTIONS[dest]["type"] is int
+    option = "--" + dest.replace("_", "-")
+    seen = set()
+    for argv in _IN_DOMAIN:
+        if option in argv:
+            i = argv.index(option) + 1
+            rc = cli.main([*argv[:i], value, *argv[i + 1:]])
+            cap = capsys.readouterr()
+            assert (rc, cap.out, cap.err) == (
+                1, "", f"divcalc: error: {line}\n"), argv
+            seen.add(argv[0])
+    assert seen == {name for name, _, dests, _ in cli._COMMANDS
+                    if dest in dests}
 
 
 class TestVerifyCommand:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from divcalc.criteria import (
     AUX_KEYS,
+    DEG_SANITY_SLACK,
     GaussianVerdict,
     _READS,
     b2_rule_enriques,
@@ -219,8 +220,6 @@ class TestCliffAndBel:
         assert check_cliff_criterion(2, 0).rule == "cliff-(i)"
         assert check_cliff_criterion(3, 1).rule == "cliff-(ii)"
         assert check_cliff_criterion(2, 1).status == "NO_CONCLUSION"
-        with pytest.raises(RangeError):
-            check_cliff_criterion(1, 0)
 
     def test_bel(self):
         ok = check_bel(g=7, degM=8, h1M=0, h0_2K_minus_M=0, cliff=3)
@@ -349,20 +348,21 @@ class TestDegreeCorollaries:
         assert check_degree_corollaries(
             6, 21, M_eq_special=True).status == "SURJECTIVE"
 
-    def test_precondition(self):
-        with pytest.raises(RangeError):
-            check_degree_corollaries(4, 12)
 
 
 class TestTetragonal:
     def test_rows(self):
         assert tetragonal_corank(1, 0).status == "SURJECTIVE"
-        v = tetragonal_corank(3, 2, h1M_zero=True, mu_surjective=True)
+        v = tetragonal_corank(3, 2, h1M=0, mu_surjective=True)
         assert v.status == "CORANK_BOUND" and v.bound == 2
         assert tetragonal_corank(3, 2).status == "NO_CONCLUSION"
+        # the bound reads h1(M) = 0; an unknown or positive h1M misses it
+        for h1m in (None, 1):
+            assert tetragonal_corank(3, 2, h1M=h1m, mu_surjective=True
+                                     ).status == "NO_CONCLUSION"
 
     def test_equality_note_in_bound_mode(self):
-        v = tetragonal_corank(1, 1, h1M_zero=True, mu_surjective=True)
+        v = tetragonal_corank(1, 1, h1M=0, mu_surjective=True)
         assert v.status == "CORANK_BOUND"
         assert any("equality" in n for n in v.notes)
 
@@ -387,20 +387,19 @@ class TestB2Rule:
 
 class TestClassRefusals:
     """Every entry point that reads (L2, phi) refuses an odd L2, an L2
-    below its least value, phi < 1 and phi^2 > L2."""
+    below 2, phi < 1 and phi^2 > L2."""
 
-    @pytest.mark.parametrize("call, least, low_phi", [
-        (lambda l2, phi: gonality(l2, phi), 2, 1),
-        (lambda l2, phi: b2_rule_enriques(l2, phi), 4, 1),
+    @pytest.mark.parametrize("call, low_phi", [
+        (lambda l2, phi: gonality(l2, phi), 1),
+        (lambda l2, phi: b2_rule_enriques(l2, phi), 1),
         (lambda l2, phi: check_main_theorem(L2=l2, phi=phi, h0_residual=0),
-         4, None),
+         None),
     ], ids=["gonality", "b2rule", "main"])
-    def test_one_message_per_condition(self, call, least, low_phi):
+    def test_one_message_per_condition(self, call, low_phi):
         # gonality and b2rule require phi, so their low L2 comes with one
         for l2, phi, msg in [
-            (least + 1, 1,
-             f"L2 must be even on these lattices, got {least + 1}"),
-            (least - 2, low_phi, f"L2 must be >= {least}, got {least - 2}"),
+            (3, 1, "L2 must be even on these lattices, got 3"),
+            (0, low_phi, "L2 must be >= 2, got 0"),
             (16, 0, "phi must be >= 1, got 0"),
             (16, -1, "phi must be >= 1, got -1"),
             (16, 5, "phi^2 = 25 exceeds L2 = 16"),
@@ -456,15 +455,13 @@ class TestCountAndFlagRefusals:
         (lambda: check_bel("7", 9, 0, 0, 3), "g must be an integer, got '7'"),
         (lambda: check_cliff_criterion(2.0, 0),
          "cliff must be an integer, got 2.0"),
-        (lambda: check_cliff_criterion(1, 0), "cliff must be >= 2, got 1"),
         (lambda: check_degree_corollaries(6.0, 20),
          "g must be an integer, got 6.0"),
-        (lambda: check_degree_corollaries(4, 20), "g must be >= 5, got 4"),
         (lambda: check_degree_corollaries(6, 20, M_eq_special=1),
          "M_eq_special must be a bool, got 1"),
-        (lambda: tetragonal_corank(0, 0, h1M_zero="no", mu_surjective=True),
-         "h1M_zero must be a bool, got 'no'"),
-        (lambda: tetragonal_corank(0, 0, h1M_zero=True, mu_surjective=1),
+        (lambda: tetragonal_corank(0, 0, h1M="no", mu_surjective=True),
+         "h1M must be an integer, got 'no'"),
+        (lambda: tetragonal_corank(0, 0, h1M=0, mu_surjective=1),
          "mu_surjective must be a bool, got 1"),
         (lambda: gonality(12, 2, "x"), "not_2D_special must be a bool, "
          "got 'x'"),
@@ -473,8 +470,7 @@ class TestCountAndFlagRefusals:
     ], ids=["cliff-bound-float", "cliff-bound-low", "series-float-degree",
             "series-bool-h0", "scroll-float-g", "scroll-float-b1",
             "scroll-low-g", "bel-float-g", "bel-string-g", "cliff-float",
-            "cliff-low", "degree-float-g", "degree-low-g",
-            "degree-int-flag", "tetragonal-string-flag",
+            "degree-float-g", "degree-int-flag", "tetragonal-string-h1m",
             "tetragonal-int-flag", "gonality-string-flag",
             "low-genus-none-flag"])
     def test_refuses_a_count_or_flag_of_another_type(self, call, msg):
@@ -524,16 +520,179 @@ class TestCountAndFlagRefusals:
         assert str(exc.value) == f"aux_h0 must be a dict, got {aux!r}"
 
     def test_int_refusals_keep_their_order(self):
-        # the curve type is refused before the genus, the genus before
-        # the degree
-        with pytest.raises(RangeError, match="plane quintic has genus 6"):
+        # the domain is refused in row order, before the curve type, the
+        # degree cap and any hypothesis
+        with pytest.raises(RangeError, match="^degM must be >= 0, got -1$"):
             check_degree_corollaries(4, -1, plane_quintic=True)
-        with pytest.raises(RangeError, match="g must be >= 5"):
-            check_degree_corollaries(4, -1)
-        with pytest.raises(RangeError, match="cliff must be >= 2"):
+        with pytest.raises(RangeError, match="plane quintic has genus 6"):
+            check_degree_corollaries(4, 99, plane_quintic=True)
+        with pytest.raises(RangeError, match="^h0_2K_minus_M must be >= 0"):
             check_cliff_criterion(1, -1)
-        with pytest.raises(RangeError, match="h0 must be >= 1"):
+        with pytest.raises(RangeError, match="^degree must be >= 0"):
             clifford_of_series(-1, 0)
+        with pytest.raises(RangeError, match="^h0 must be >= 1, got 0$"):
+            clifford_of_series(1, 0)
+        with pytest.raises(RangeError, match="^b1 must be >= 0, got -1$"):
+            scroll_invariants(5, -1)
+        with pytest.raises(RangeError, match="^g must be >= 6, got 5$"):
+            scroll_invariants(5, 0)
+
+
+class TestHypotheses:
+    """A rule whose own hypothesis fails on inputs in their domains
+    answers NO_CONCLUSION with a note that cites the hypothesis; these
+    used to raise RangeError."""
+
+    @pytest.mark.parametrize("verdict, rule, note", [
+        (lambda: check_bel(3, 10, 0, 0, 3), "bel2",
+         "needs g >= 4, have g = 3"),
+        (lambda: check_bel(2, 1, 1, 0, 3), "bel2",
+         "needs g >= 4, have g = 2"),
+        (lambda: check_degree_corollaries(4, 20), "degree-general",
+         "needs g >= 5, have g = 4"),
+        (lambda: check_degree_corollaries(2, 20, trigonal=True),
+         "degree-trigonal", "needs g >= 5, have g = 2"),
+        (lambda: check_cliff_criterion(1, 0), "cliff",
+         "needs cliff >= 2, have cliff = 1"),
+        (lambda: check_cliff_criterion(0, 5), "cliff",
+         "needs cliff >= 2, have cliff = 0"),
+        (lambda: check_main_theorem(L2=2, phi=1, h0_residual=0), "main",
+         "(i) needs L2 = 4 and h0 = 0 (have 2, 0)"),
+    ], ids=["bel-g3", "bel-g2", "degree-g4", "degree-trigonal-g2",
+            "cliff-1", "cliff-0", "main-l2-2"])
+    def test_a_failed_hypothesis_is_no_conclusion(self, verdict, rule, note):
+        v = verdict()
+        assert (v.status, v.rule) == ("NO_CONCLUSION", rule)
+        assert v.notes[0] == note
+
+    def test_b2_rule_at_the_least_square_is_unknown(self):
+        r = b2_rule_enriques(2, 1)
+        assert (r.status, r.notes) == (
+            "unknown", ("needs L2 >= 12 and phi = 2, have (2, 1)",))
+
+    @pytest.mark.parametrize("call, g", [
+        (lambda degm: check_bel(5, degm, 0, 0, 3), 5),
+        (lambda degm: check_degree_corollaries(5, degm), 5),
+        (lambda degm: check_degree_corollaries(5, degm, trigonal=True), 5),
+        (lambda degm: check_degree_corollaries(6, degm, plane_quintic=True),
+         6),
+        (lambda degm: _main(g=5, L2=8, degM=degm, h0_residual=0), 5),
+    ], ids=["bel", "degree-general", "degree-trigonal", "degree-quintic",
+            "main"])
+    def test_the_degm_cap_binds_every_rule_that_reads_degm(self, call, g):
+        # check_bel(5, 1000, 0, 0, 3) used to answer SURJECTIVE via bel2
+        cap = 4 * g - 4 + DEG_SANITY_SLACK
+        assert call(cap).status == "SURJECTIVE"
+        for degm in (cap + 1, 1000):
+            with pytest.raises(RangeError) as exc:
+                call(degm)
+            assert str(exc.value) == (f"degM = {degm} is implausibly large "
+                                      f"for genus {g} (cap {cap})")
+
+
+# Per row of _READS: the function that reads it, and inputs by the row's
+# names that it accepts; aux_h0 holds every key the row reads
+_ROW_CALLS = {
+    "main": (check_main_theorem, dict(g=7, L2=12, phi=2, degM=8, h1M=0,
+                                      h0_residual=1, cliff=3)),
+    "cliff": (check_cliff_criterion, dict(cliff=3, h0_2K_minus_M=1)),
+    "bel": (check_bel, dict(g=7, degM=8, h1M=0, h0_2K_minus_M=0, cliff=3)),
+    "degree": (check_degree_corollaries, dict(
+        g=6, degM=20, plane_quintic=False, trigonal=False,
+        M_eq_special=False)),
+    "tetragonal": (tetragonal_corank, dict(
+        h0_2K_minus_M=1, h0_2K_minus_M_minus_b2A=0, h1M=0,
+        mu_surjective=True)),
+    "low-(a)": (corank_low_genus, dict(g=3, h1M=0, cork_mu=0,
+                                       aux_h0={"-M": 0, "4K-M": 8})),
+    "low-(b)": (corank_low_genus, dict(g=4, h1M=0, h0_2K_minus_M=2,
+                                       cork_mu=0,
+                                       aux_h0={"-M": 0, "3K-M": 3})),
+    "low-(c)": (corank_low_genus, dict(g=5, h1M=0, h0_2K_minus_M=1,
+                                       cork_mu=0, aux_h0={"-M": 0},
+                                       nontrigonal=True)),
+    "low-(d)": (corank_low_genus, dict(g=6, h1M=0, cork_mu=0,
+                                       aux_h0={"4A-M": 1, "5A-M": 0},
+                                       plane_quintic=True)),
+    "low-(e)": (corank_low_genus, dict(g=7, h1M=0, h0_2K_minus_M=1,
+                                       cork_mu=0,
+                                       aux_h0={"3K-(g-4)A-M": 0},
+                                       trigonal=True)),
+    "curve-type": (corank_low_genus, dict(
+        g=3, plane_quintic=False, trigonal=False, nontrigonal=False, h1M=0,
+        cork_mu=0, aux_h0={"4K-M": 8})),
+    "class": (b2_rule_enriques, dict(L2=12, phi=2)),
+    "gonality": (gonality, dict(L2=12, phi=2, not_2D_special=True)),
+    "series": (lambda degree, h0: clifford_of_series(degree, h0),
+               dict(degree=5, h0=2)),
+    "cliff-bound": (cliff_upper_bound, dict(g=7)),
+    "scroll": (scroll_invariants, dict(g=7, b1=1)),
+}
+# the domains, restated here so that the test is a reference of its own:
+# the least value of each int input not at 0, and the flags
+_LEAST = {"g": 2, "L2": 2, "phi": 1, "h0": 1}
+_FLAG_INPUTS = {"plane_quintic", "trigonal", "nontrigonal", "M_eq_special",
+                "mu_surjective", "not_2D_special"}
+
+
+def _out_of_domain():
+    """(input, value, message) for values outside each input's domain;
+    aux_h0 values under the name aux_h0[-M]."""
+    names = {n for inputs, _ in _READS.values() for n, _ in inputs}
+    for name in sorted(names | {"aux_h0[-M]"}):
+        if name in _FLAG_INPUTS:
+            for v in (None, 0, 1, "yes"):
+                yield name, v, f"{name} must be a bool, got {v!r}"
+            continue
+        least = _LEAST.get(name, 0)
+        for v in (1.0 * least, True, str(least), [least]):
+            yield name, v, f"{name} must be an integer, got {v!r}"
+        for v in {least - 1, least - 2, -1} - {least}:
+            if name == "L2" and v % 2:
+                yield name, v, f"L2 must be even on these lattices, got {v}"
+            else:
+                yield name, v, f"{name} must be >= {least}, got {v}"
+        if name == "L2":
+            yield name, 7, "L2 must be even on these lattices, got 7"
+
+
+def _readers(name):
+    """The rows that read the input name (aux_h0[KEY] for the rows that
+    read aux_h0 key KEY)."""
+    return [row for row, (inputs, keys) in _READS.items()
+            if name in {n for n, _ in inputs}
+            | {f"aux_h0[{k}]" for k, _ in keys}]
+
+
+def test_every_row_has_a_reader_that_accepts_its_inputs():
+    assert set(_ROW_CALLS) == set(_READS)
+    for row, (call, kwargs) in _ROW_CALLS.items():
+        inputs, keys = _READS[row]
+        assert {n for n, _ in inputs} <= set(kwargs), row
+        assert {k for k, _ in keys} <= set(kwargs.get("aux_h0", {})), row
+        call(**kwargs)  # accepted
+
+
+_OUT_OF_DOMAIN = list(_out_of_domain())
+
+
+@pytest.mark.parametrize("name, value, msg", _OUT_OF_DOMAIN,
+                         ids=[f"{n}={v!r}" for n, v, _ in _OUT_OF_DOMAIN])
+def test_one_message_per_input_and_value_across_rules(name, value, msg):
+    """Every row that reads an input refuses the same value outside its
+    domain with the same RangeError, which names the input."""
+    rows = _readers(name)
+    assert rows
+    for row in rows:
+        call, kwargs = _ROW_CALLS[row]
+        if name.startswith("aux_h0["):
+            kwargs = {**kwargs, "aux_h0": {**kwargs["aux_h0"],
+                                           name[7:-1]: value}}
+        else:
+            kwargs = {**kwargs, name: value}
+        with pytest.raises(RangeError) as exc:
+            call(**kwargs)
+        assert (str(exc.value), exc.value.name) == (msg, name), row
 
 
 @pytest.mark.parametrize("rule, call", [
@@ -543,7 +702,7 @@ class TestCountAndFlagRefusals:
     ("bel", lambda: check_bel(None, None, None, None, None)),
     ("degree", lambda: check_degree_corollaries(
         None, None, plane_quintic=1, trigonal=1, M_eq_special=1)),
-    ("tetragonal", lambda: tetragonal_corank(None, None, h1M_zero=1,
+    ("tetragonal", lambda: tetragonal_corank(None, None, h1M=-1,
                                              mu_surjective=1)),
     ("low-(a)", lambda: corank_low_genus(3, h0_2K_minus_M=-1,
                                          aux_h0={"-M": -1})),
@@ -555,15 +714,20 @@ class TestCountAndFlagRefusals:
                                          plane_quintic=True)),
     ("low-(e)", lambda: corank_low_genus(7, h1M=-1, h0_2K_minus_M=-1,
                                          cork_mu=-1, trigonal=True)),
-    ("class", lambda: gonality(None, None, not_2D_special=1)),
+    ("curve-type", lambda: corank_low_genus(None, aux_h0={"4K-M": -1},
+                                            plane_quintic=1, trigonal=1)),
+    ("gonality", lambda: gonality(None, None, not_2D_special=1)),
     ("class", lambda: b2_rule_enriques(None, None)),
     ("series", lambda: clifford_of_series(None, None)),
+    ("cliff-bound", lambda: cliff_upper_bound(None)),
     ("scroll", lambda: scroll_invariants(None, None)),
 ], ids=["main", "cliff", "bel", "degree", "tetragonal", "low-a", "low-b",
-        "low-c", "low-d", "low-e", "gonality", "b2rule", "series", "scroll"])
+        "low-c", "low-d", "low-e", "curve-type", "gonality", "b2rule",
+        "series", "cliff-bound", "scroll"])
 def test_presence_is_checked_before_range(rule, call):
     """With every required input of its row missing and every other
-    input out of range, each checker names exactly the missing ones."""
+    input out of its domain or hypothesis, each checker names exactly
+    the missing ones."""
     inputs, keys = _READS[rule]
     with pytest.raises(EvidenceError) as exc:
         call()
@@ -603,15 +767,17 @@ def _grid_verdicts():
                 for cl, h in itertools.product(range(2, 6), range(4)))
     yield from (check_bel(g, d, h1m, h, cl)
                 for g, d, h1m, h, cl in itertools.product(
-                    range(4, 9), range(13), range(2), range(4), range(6)))
+                    range(2, 9), range(13), range(2), range(4), range(6)))
     yield from _low_genus_verdicts()
+    # degM up to the sanity cap 4g - 4 + DEG_SANITY_SLACK
     yield from (check_degree_corollaries(g, d, pq, tri, sp)
                 for g, d, pq, tri, sp in itertools.product(
-                    range(5, 15), range(10, 61), *[(False, True)] * 3)
-                if not (pq and (tri or g != 6)))
-    yield from (tetragonal_corank(a, b, z, m)
-                for a, b, z, m in itertools.product(
-                    range(4), range(4), *[(False, True)] * 2))
+                    range(2, 15), range(10, 61), *[(False, True)] * 3)
+                if not (pq and (tri or g != 6))
+                and d <= 4 * g - 4 + DEG_SANITY_SLACK)
+    yield from (tetragonal_corank(a, b, h1m, m)
+                for a, b, h1m, m in itertools.product(
+                    range(4), range(4), (None, 0, 1), (False, True)))
 
 
 class TestVerdictSelfAudit:
@@ -641,6 +807,7 @@ class TestVerdictSelfAudit:
         elif rule == "cliff-(ii)":
             assert e["cliff"] >= 3 and e["h0_2K_minus_M"] <= 1
         elif rule == "bel2":
+            assert e["g"] >= 4
             assert e["h1M"] == 0 and e["degM"] >= e["g"] + 1
             assert e["h0_2K_minus_M"] <= e["cliff"] - 2
         elif rule == "low-(d)":
@@ -688,7 +855,7 @@ class TestVerdictSelfAudit:
             assert e["g"] >= 5 and e["h1M"] == 0 and e["cork_mu"] == 0
             assert bound == aux["3K-(g-4)A-M"]
         elif rule == "tetragonal-(ii)":
-            assert e["h1M_zero"] and e["mu_surjective"]
+            assert e["h1M"] == 0 and e["mu_surjective"]
             assert bound == e["h0_2K_minus_M_minus_b2A"]
         else:
             pytest.fail(f"unexpected corank rule {rule}")
@@ -756,9 +923,9 @@ class TestInputsEcho:
                                           M_eq_special=True),
          [("g", 6), ("degM", 25), ("plane_quintic", True),
           ("trigonal", False), ("M_eq_special", True)]),
-        (lambda: tetragonal_corank(1, 0, h1M_zero=True, mu_surjective=True),
+        (lambda: tetragonal_corank(1, 0, h1M=0, mu_surjective=True),
          [("h0_2K_minus_M", 1), ("h0_2K_minus_M_minus_b2A", 0),
-          ("h1M_zero", True), ("mu_surjective", True)]),
+          ("h1M", 0), ("mu_surjective", True)]),
     ], ids=["cliff", "bel", "degree", "tetragonal"])
     def test_each_plain_checker_echoes_exactly_its_arguments(self, verdict,
                                                              echo):

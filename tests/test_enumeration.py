@@ -422,9 +422,9 @@ def test_preconditions():
 def test_search_and_explainer_refuse_a_k_that_is_not_an_int(k):
     blq = get_surface("blq")
     C = resolve("-2K", blq)
-    with pytest.raises(RangeError, match="pencil degree k must be an "
-                                         "integer, got "):
+    with pytest.raises(RangeError, match="^k must be an integer, got ") as exc:
         enumerate_bogreider(blq, C, k)
+    assert exc.value.name == "k"
     with pytest.raises(RangeError, match="must be an integer"):
         explainer(blq, C, k)
 
@@ -441,8 +441,8 @@ def test_search_and_explainer_refuse_a_mod4_that_is_not_a_bool(mod4):
         enumerate_bogreider(blq, C, 4, mod4=mod4)
     with pytest.raises(RangeError, match="mod4 must be None or a bool"):
         explainer(blq, C, 4, mod4=mod4)
-    with pytest.raises(RangeError, match="pencil degree"):  # k first
-        enumerate_bogreider(blq, C, 1, mod4=mod4)
+    with pytest.raises(RangeError, match="^k must be >= 2, got 1$"):
+        enumerate_bogreider(blq, C, 1, mod4=mod4)  # k first
     with pytest.raises(RangeError, match="mod4"):  # C^2 = 0, walked after
         enumerate_bogreider(blq, resolve("f", blq), 4, mod4=mod4)
 

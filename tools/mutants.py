@@ -197,6 +197,31 @@ CATALOGUE = [
      "_GAUSSIAN_DESTS = _reading(r for r in _GAUSSIAN_RULES\n"
      "                           if r != \"tetragonal\")",
      ["tests/test_cli.py"]),
+    # counts accept -1: h1M's domain starts one lower
+    ("count-domain", _CRITERIA,
+     '"degM": 0, "h1M": 0,',
+     '"degM": 0, "h1M": -1,',
+     ["tests/test_criteria.py"]),
+    # bel2 rules on g = 3, below its hypothesis g >= 4
+    ("bel-hypothesis", _CRITERIA,
+     "    if g < 4:\n        fails.append",
+     "    if g < 3:\n        fails.append",
+     ["tests/test_criteria.py"]),
+    # the degree corollaries rule on g = 4, below their hypothesis g >= 5
+    ("degree-hypothesis", _CRITERIA,
+     "    if g < 5:\n        note",
+     "    if g < 4:\n        note",
+     ["tests/test_criteria.py"]),
+    # bel2 lets an implausibly large degM through
+    ("degm-cap-bel", _CRITERIA,
+     "    _check_degM(g, degM)\n    fails = []",
+     "    fails = []",
+     ["tests/test_criteria.py"]),
+    # the tetragonal bound reads a given h1M as h1(M) = 0
+    ("tetragonal-h1m", _CRITERIA,
+     "if h1M == 0 and mu_surjective:",
+     "if h1M is not None and mu_surjective:",
+     ["tests/test_criteria.py"]),
 ]
 
 
