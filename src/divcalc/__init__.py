@@ -34,16 +34,19 @@ from .lattice import (
     slice_points,
     vectors_of_norm,
 )
-from .surfaces import (
+from .chamber import (
     E10_ROOTS,
     E10_WEIGHTS,
     PhiCertificate,
+    check_phi_certificate,
+    reduce_to_chamber,
+)
+from .surfaces import (
     PhiResult,
     QuasiNefResult,
     ScrollInvariants,
     blcn,
     blq,
-    check_phi_certificate,
     chi,
     config_from_json_dict,
     enriques,
@@ -55,7 +58,6 @@ from .surfaces import (
     mod4_condition,
     phi,
     quasi_nef_test,
-    reduce_to_chamber,
     scroll_invariants,
     sigma,
 )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import re
 import sys
 import time
@@ -144,14 +145,8 @@ def _cmd_phi(args):
     def lines():
         out = [f"phi({render(D)}) = {res.value}",
                f"witness: {render(res.witness)}"]
-        cert = res.certificate
-        if cert:
-            steps = [f"t({surf.labels[s[1]]}; {' '.join(map(str, s[2]))})"
-                     if s[0] == "t" else f"s({s[1]})" if s[0] == "s"
-                     else "neg" for s in cert.word]
-            out.append(f"certificate: w = {' '.join(steps) or 'id'}; "
-                       f"L'.alpha = {' '.join(map(str, cert.pairings))}; "
-                       f"phi = L'.{surf.labels[0]} = {cert.phi}")
+        if res.certificate:
+            out.append("certificate: " + res.certificate.text(surf.labels))
         return out
 
     return _Outcome(payload, surf.name, lines)
@@ -267,7 +262,7 @@ _INPUT_DESTS = dict(
     h0_residual="h0_residual", cliff="cliff", h0_2K_minus_M="h0_2k_minus_m",
     plane_quintic="plane_quintic", trigonal="trigonal", degree="d", h0="h0",
     M_eq_special="m_eq_special", h0_2K_minus_M_minus_b2A="h0_2k_minus_m_b2a",
-    mu_surjective="mu_surjective", cork_mu="cork_mu", b1="b1")
+    mu_surjective="mu_surjective", cork_mu="cork_mu", b1="b1", aux_h0="aux")
 
 
 def _option(name):
@@ -674,11 +669,12 @@ def main(argv=None) -> int:
         return 1
     elapsed_ms = (time.perf_counter_ns() - t0) // 1_000_000
 
-    if args.json:
-        print(_report_text(raw, out.surface, shown, elapsed_ms))
-    else:
-        for line in shown:
-            print(line)
+    try:
+        print(_report_text(raw, out.surface, shown, elapsed_ms) if args.json
+              else "\n".join(shown), flush=True)
+    except BrokenPipeError:  # the reader went away: drop the rest
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return out.code
 
 

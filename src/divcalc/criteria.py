@@ -32,7 +32,8 @@ NONHYPERELLIPTIC = "C nonhyperelliptic"
 def _check_class(L2, phi):
     """Refuse a pencil invariant phi, unless None, with phi^2 > L2."""
     if phi is not None and phi * phi > L2:
-        raise RangeError(f"phi^2 = {phi * phi} exceeds L2 = {L2}")
+        raise RangeError(f"phi must satisfy phi^2 <= L2 = {L2}, got {phi}",
+                         "phi")
 
 
 def _check_degM(g, degM):
@@ -40,7 +41,7 @@ def _check_degM(g, degM):
     cap = 4 * g - 4 + DEG_SANITY_SLACK
     if degM is not None and degM > cap:
         raise RangeError(f"degM = {degM} is implausibly large for genus "
-                         f"{g} (cap {cap})")
+                         f"{g} (cap {cap})", "degM")
 
 
 def _row(text):
@@ -100,8 +101,8 @@ def _check_domain(name, least, value):
     elif not isinstance(value, int) or isinstance(value, bool):
         raise RangeError(f"{name} must be an integer, got {value!r}", name)
     elif name == "L2" and value % 2 != 0:
-        raise RangeError(f"L2 must be even on these lattices, got {value}",
-                         name)
+        raise RangeError(f"{name} must be even on these lattices, got "
+                         f"{value}", name)
     elif value < least:
         raise RangeError(f"{name} must be >= {least}, got {value}", name)
 
@@ -260,7 +261,7 @@ def check_main_theorem(
     elif g != L2 // 2 + 1:
         raise RangeError(f"g = {g} does not match L2 = {L2}: on an "
                          f"Enriques surface 2g - 2 = L2 gives g = "
-                         f"{L2 // 2 + 1}")
+                         f"{L2 // 2 + 1}", "g")
     _check_degM(g, degM)
 
     res = h0_residual
@@ -414,8 +415,8 @@ def corank_low_genus(
     if not isinstance(aux_h0, dict):
         raise RangeError(f"aux_h0 must be a dict, got {aux_h0!r}", "aux_h0")
     if bad := set(aux_h0) - AUX_KEYS:
-        raise RangeError(f"unknown aux_h0 keys {sorted(bad)}; "
-                         f"known: {sorted(AUX_KEYS)}")
+        raise RangeError(f"aux_h0 has unknown keys {sorted(bad)}; "
+                         f"known: {sorted(AUX_KEYS)}", "aux_h0")
     _check_curve_type(g, plane_quintic, trigonal, nontrigonal)
     if plane_quintic:
         rule = "low-(d)"

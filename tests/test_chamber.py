@@ -5,25 +5,28 @@ check_phi_certificate replays."""
 import json
 import math
 import random
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from divcalc import check_phi_certificate, cli, lattice, surfaces
-from divcalc.divexpr import resolve
-from divcalc.errors import ModelError, OverflowGuardError, RangeError
-from divcalc.lattice import LatticeModel, model_from_json_dict, pair
-from divcalc.surfaces import (
+from divcalc import chamber, check_phi_certificate, cli, lattice
+from divcalc.chamber import (
     E10_ROOTS,
     E10_WEIGHTS,
     PhiCertificate,
-    PhiResult,
-    enriques,
-    get_config,
-    phi,
     reduce_to_chamber,
 )
+from divcalc.divexpr import resolve
+from divcalc.errors import ModelError, OverflowGuardError, RangeError
+from divcalc.lattice import LatticeModel, model_from_json_dict, pair
+from divcalc.surfaces import PhiResult, enriques, get_config, phi
 from oracle_bruteforce import brute_phi
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+
+import cli_diff  # noqa: E402
 
 E = enriques()
 GRAM = E.gram
@@ -154,10 +157,10 @@ class TestReduceToChamber:
         # taken only when it lowers L.h, which is what ends the loop
         h = [sum(w[k] for w in E10_WEIGHTS) for k in range(10)]
         for x in E10_WEIGHTS[1:] + (tuple(h),):
-            assert surfaces._cusp_step(list(x)) is None, x
+            assert chamber._cusp_step(list(x)) is None, x
         taken = 0
         for L in sample(random.Random(1211), 100, 8):
-            step = surfaces._cusp_step(list(L.coords))
+            step = chamber._cusp_step(list(L.coords))
             if step:
                 taken += 1
                 assert height(step[2]) < height(L.coords), L.coords
@@ -191,10 +194,10 @@ class TestReduceToChamber:
             both += live == 2
             return got
 
-        real_transvection = surfaces._transvection
-        real_cusp_step = surfaces._cusp_step
-        monkeypatch.setattr(surfaces, "_transvection", counting_transvection)
-        monkeypatch.setattr(surfaces, "_cusp_step", checked_cusp_step)
+        real_transvection = chamber._transvection
+        real_cusp_step = chamber._cusp_step
+        monkeypatch.setattr(chamber, "_transvection", counting_transvection)
+        monkeypatch.setattr(chamber, "_cusp_step", checked_cusp_step)
         classes = sample(random.Random(1221), 200, 40)
         classes += [cusp(m) for m in (3, 10**4)] + [-cusp(7)]
         for L in classes:
@@ -238,8 +241,8 @@ class TestReduceToChamber:
                 ties.append(got[0])
             return got
 
-        real_cusp_step = surfaces._cusp_step
-        monkeypatch.setattr(surfaces, "_cusp_step", checked_cusp_step)
+        real_cusp_step = chamber._cusp_step
+        monkeypatch.setattr(chamber, "_cusp_step", checked_cusp_step)
         for coords, (value, length, steps, witness) in self.TIES.items():
             res = phi(E, E.klass(coords))
             word = res.certificate.word
@@ -266,8 +269,8 @@ class TestReduceToChamber:
                 products.append(1)
                 return super().__iter__()
 
-        monkeypatch.setattr(surfaces, "_E10_WEIGHT_COLUMNS",
-                            CountingColumns(surfaces._E10_WEIGHT_COLUMNS))
+        monkeypatch.setattr(chamber, "_E10_WEIGHT_COLUMNS",
+                            CountingColumns(chamber._E10_WEIGHT_COLUMNS))
         ends = Counter()
         for word in words:
             F = [1] + [0] * 9
@@ -279,14 +282,15 @@ class TestReduceToChamber:
                                                              kinds[1:]))
             needed += bool(kinds) and kinds[-1] != "t"
             products.clear()
-            assert surfaces._chamber_witness(word) == tuple(F), word
+            assert chamber._unword(word, E10_WEIGHTS[0]) == tuple(F), word
             assert len(products) == needed, word
             ends[kinds[0] if kinds else None] += 1
         assert ends["t"] >= 3 and ends["s"] > 20
 
     def test_replays_into_the_chamber(self):
-        rng = random.Random(1201)
-        classes = sample(rng, 600, 8)
+        # the classes of cli_diff's phi corpus, and cusp classes; w^-1
+        # (_unword, on any coordinates) takes each L' = wL back to L
+        classes = [E.klass(x) for x in cli_diff.phi_classes()]
         classes += [cusp(m) for m in (1, 2, 3, 10, 100, 10**4, 10**6, 10**9)]
         classes += [-cusp(m) for m in (5, 10**9)]
         kinds = set()
@@ -297,6 +301,7 @@ class TestReduceToChamber:
                 x = act(x, step)
                 kinds.add(step[0])
             assert tuple(x) == Lc.coords, L.coords
+            assert chamber._unword(word, Lc.coords) == L.coords
             assert min(dot(x, a) for a in E10_ROOTS) >= 0, L.coords
             assert dot(x, x) == pair(L, L)
             assert len(word) <= abs(height(L.coords)), L.coords

@@ -2,6 +2,8 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import validate
 
+import divcalc
 from divcalc import cli, criteria
 from divcalc.enumeration import FIXTURES, CaseFixture
 from divcalc.surfaces import (
@@ -308,13 +311,33 @@ class TestExitCodes:
         (["gonality", "--l2", "7", "--phi", "2"],
          "--l2 must be even on these lattices, got 7"),
         (["b2rule", "--l2", "4", "--phi", "3"],
-         "phi^2 = 9 exceeds L2 = 4"),
+         "--phi must satisfy phi^2 <= L2 = 4, got 3"),
     ], ids=["gonality-odd-l2", "b2rule-phi-square"])
     def test_class_refusals(self, capsys, argv, err):
         rc = cli.main(argv)
         cap = capsys.readouterr()
         assert rc == 1 and cap.out == ""
         assert cap.err == f"divcalc: error: {err}\n"
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_a_closed_stdout_exits_1_without_a_traceback(self, flags):
+        # the reader takes the first line and goes, as `| head -1` does;
+        # the report (0.7 MB of text, 9 MB of JSON) cannot fit in the pipe
+        src = os.path.dirname(os.path.dirname(divcalc.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        argv = [sys.executable, "-m", "divcalc.cli", "enumerate", "--surface",
+                "enriques", "--curve", "U1+U2", "--k", "2", *flags]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert first == (b"{\n" if flags else
+                         b"curve U1+U2, k = 2, parity filter off, 11282 "
+                         b"candidates visited\n")
+        assert err == b""
 
     @pytest.mark.parametrize("expr", ["\u0663H", "\uff13H-G1", "H+\u0662G1"])
     def test_coefficients_are_ascii_digits(self, capsys, expr):
@@ -477,6 +500,19 @@ class TestExitCodes:
          "--b1 must satisfy b1 >= b2 >= 0; got b1 = 0, b2 = 2 at g = 7"),
         (["scroll", "--g", "5", "--b1", "0"], "--g must be >= 6, got 5"),
         (["cliff", "--g", "3"], "--g must be >= 4, got 3"),
+        # these four named the library's input
+        (["gaussian", "--rule", "bel", "--g", "7", "--deg-m", "1000",
+          "--h1-m", "0", "--h0-2k-minus-m", "0", "--cliff", "3"],
+         "--deg-m = 1000 is implausibly large for genus 7 (cap 40)"),
+        (["gaussian", "--rule", "main", "--l2", "2", "--phi", "2",
+          "--h0-residual", "1"],
+         "--phi must satisfy phi^2 <= L2 = 2, got 2"),
+        (["gaussian", "--rule", "main", "--l2", "12", "--g", "3",
+          "--h0-residual", "1"], "--g = 3 does not match L2 = 12: on an "
+         "Enriques surface 2g - 2 = L2 gives g = 7"),
+        (["corank", "--g", "3", "--aux", "foo=1"],
+         "--aux has unknown keys ['foo']; known: ['-M', '3K-(g-4)A-M', "
+         "'3K-M', '4A-M', '4K-M', '5A-M']"),
     ], ids=["int-item", "bytes-item", "none-item", "aux-key-twice",
             "cliff-mixed", "cliff-h0-and-g", "corank-missing", "no-model",
             "reflect-no-nodal", "enumerate-no-k", "cliff-bare",
@@ -490,7 +526,8 @@ class TestExitCodes:
             "corank-negative-aux", "gaussian-negative-cliff",
             "tetragonal-negative-h1m", "enumerate-low-k",
             "scroll-negative-b1", "scroll-low-b1", "scroll-low-g",
-            "cliff-bound-low-g"])
+            "cliff-bound-low-g", "bel-degm-cap", "main-phi-square",
+            "main-genus", "corank-unknown-aux"])
     def test_input_refusals(self, capsys, argv, err):
         """A non-str argv item, a repeated --aux key (the last value would
         win and change the verdict), cliff's two modes at once (--g
@@ -575,8 +612,8 @@ class TestGaussianCommand:
                        "--h0-residual", "1"])
         cap = capsys.readouterr()
         assert rc == 1 and cap.out == ""
-        assert cap.err == ("divcalc: error: g = 3 does not match L2 = 12: on "
-                           "an Enriques surface 2g - 2 = L2 gives g = 7\n")
+        assert cap.err == ("divcalc: error: --g = 3 does not match L2 = 12: "
+                           "on an Enriques surface 2g - 2 = L2 gives g = 7\n")
         rc, doc = run_json(capsys, ["gaussian", "--rule", "main", "--l2", "12",
                                     "--g", "7", "--h0-residual", "1",
                                     "--json"])

@@ -25,23 +25,24 @@ def _planted(tmp_path):
 
 
 def test_a_tree_against_itself_differs_nowhere(capsys):
-    # two loads of one tree: no argv of either corpus differs, though
-    # each --json report has its own elapsed_ms
+    # two loads of one tree: no argv of any corpus differs, though each
+    # --json report has its own elapsed_ms
     assert cli_diff.main(["--against", str(ROOT / "src")]) == 0
-    n = len(cli_diff.queries_corpus()) + 2
+    n = len(cli_diff.queries_corpus()) + 2 + 1200
+    assert len(cli_diff.corpus()) == n
     assert capsys.readouterr().out == f"0 of {n} argv differ\n"
 
 
 def test_a_planted_message_change_is_reported(tmp_path, capsys):
     # the text report of verify --all changes; its --json report and
-    # every queries argv do not
+    # every queries and phi argv do not
     rc = cli_diff.main(["--against", str(_planted(tmp_path))])
     out = capsys.readouterr().out.splitlines()
     assert rc == 1
     assert out[:3] == ["divcalc verify --all", "  --- against stdout",
                        "  +++ src stdout"]
     assert "  -PASS g1kondelp-a" in out and "  +PASS  g1kondelp-a" in out
-    assert out[-1] == f"1 of {len(cli_diff.queries_corpus()) + 2} argv differ"
+    assert out[-1] == f"1 of {len(cli_diff.corpus())} argv differ"
 
 
 def test_a_changed_refusal_is_reported(tmp_path):
@@ -76,3 +77,19 @@ def test_the_queries_corpus_is_perfbench_s_with_and_without_json():
     assert corpus[0::2] == [op["argv"] for op in ops]
     assert all("--json" in a and "--json" not in b
                for a, b in zip(corpus[0::2], corpus[1::2]))
+
+
+def test_the_phi_corpus_is_each_seeded_class_with_and_without_json():
+    from divcalc.divexpr import resolve
+    from divcalc.lattice import pair
+    from divcalc.surfaces import enriques
+
+    classes, corpus = cli_diff.phi_classes(), cli_diff.phi_corpus()
+    assert len(classes) == cli_diff.PHI_CLASSES and len(corpus) == 1200
+    assert corpus[0::2] == [argv + ["--json"] for argv in corpus[1::2]]
+    E = enriques()
+    for x, argv in zip(classes, corpus[1::2]):
+        assert argv[:4] == ["phi", "--surface", "enriques", "--curve"]
+        L = resolve(argv[4], E)
+        assert L.coords == x and pair(L, L) > 0
+        assert max(map(abs, x)) <= cli_diff.PHI_BOUND

@@ -1,4 +1,6 @@
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -145,8 +147,9 @@ class TestInputValidation:
         # refused by its name before the missing counts and the branch
         with pytest.raises(RangeError) as exc:
             corank_low_genus(7, aux_h0={"3K+M": 1})
-        assert str(exc.value) == (f"unknown aux_h0 keys ['3K+M']; known: "
-                                  f"{sorted(AUX_KEYS)}")
+        assert str(exc.value) == (f"aux_h0 has unknown keys ['3K+M']; "
+                                  f"known: {sorted(AUX_KEYS)}")
+        assert exc.value.name == "aux_h0"
 
     def test_deg_cap(self):
         assert _main(degM=4 * 7 - 4 + 16, h0_residual=1).rule == "main-(iv)"
@@ -402,12 +405,12 @@ class TestClassRefusals:
             (0, low_phi, "L2 must be >= 2, got 0"),
             (16, 0, "phi must be >= 1, got 0"),
             (16, -1, "phi must be >= 1, got -1"),
-            (16, 5, "phi^2 = 25 exceeds L2 = 16"),
+            (16, 5, "phi must satisfy phi^2 <= L2 = 16, got 5"),
         ]:
             with pytest.raises(RangeError) as exc:
                 call(l2, phi)
             assert str(exc.value) == msg
-            assert exc.value.name == (None if "^" in msg else msg.split()[0])
+            assert exc.value.name == msg.split()[0]
 
     @pytest.mark.parametrize("l2, phi, msg", [
         (12.0, 2, "L2 must be an integer, got 12.0"),
@@ -428,6 +431,7 @@ class TestClassRefusals:
             assert str(exc.value) == (
                 f"g = {g} does not match L2 = {l2}: on an Enriques surface "
                 f"2g - 2 = L2 gives g = {l2 // 2 + 1}")
+            assert exc.value.name == "g"
 
     def test_phi_below_one_without_l2(self):
         # the missing L2 is refused first
@@ -588,6 +592,7 @@ class TestHypotheses:
                 call(degm)
             assert str(exc.value) == (f"degM = {degm} is implausibly large "
                                       f"for genus {g} (cap {cap})")
+            assert exc.value.name == "degM"
 
 
 # Per row of _READS: the function that reads it, and inputs by the row's
@@ -693,6 +698,37 @@ def test_one_message_per_input_and_value_across_rules(name, value, msg):
         with pytest.raises(RangeError) as exc:
             call(**kwargs)
         assert (str(exc.value), exc.value.name) == (msg, name), row
+
+
+def _named_range_errors():
+    """(module, line, message, name) for each RangeError that a module of
+    src/divcalc builds with a name, as the nodes of those arguments."""
+    src = Path(__file__).resolve().parents[1] / "src" / "divcalc"
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and \
+                    getattr(node.func, "id", None) == "RangeError":
+                args = node.args + [k.value for k in node.keywords]
+                if len(args) == 2:
+                    yield path.name, node.lineno, args[0], args[1]
+
+
+def test_a_named_range_error_starts_with_its_name():
+    """cli.main prints a named RangeError as the option that gives the
+    input, followed by the message with exactly the name cut off its
+    front; so every such message starts with its name and a space."""
+    found = list(_named_range_errors())
+    assert len(found) >= 13
+    for module, line, msg, name in found:
+        parts = msg.values if isinstance(msg, ast.JoinedStr) else [msg]
+        if isinstance(name, ast.Constant):
+            ok = (isinstance(parts[0], ast.Constant)
+                  and parts[0].value.startswith(name.value + " "))
+        else:  # f"{name} ...", RangeError(..., name)
+            ok = (isinstance(parts[0], ast.FormattedValue)
+                  and ast.dump(parts[0].value) == ast.dump(name)
+                  and parts[1].value.startswith(" "))
+        assert ok, f"{module}:{line}"
 
 
 @pytest.mark.parametrize("rule, call", [

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import divcalc
 import divcalc.cli  # noqa: F401 (defines the _Outcome record)
 from divcalc import lattice
+from divcalc.chamber import PhiCertificate
 from divcalc.criteria import GaussianVerdict, check_main_theorem
 from divcalc.enumeration import enumerate_bogreider
 from divcalc.errors import (
@@ -42,7 +43,6 @@ from divcalc.lattice import (
     vectors_of_norm,
 )
 from divcalc.surfaces import (
-    PhiCertificate,
     PhiResult,
     config_from_json_dict,
     enriques,

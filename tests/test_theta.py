@@ -32,7 +32,8 @@ import pytest
 
 from divcalc.enumeration import enumerate_bogreider
 from divcalc.lattice import pair, reflect_nodal, slice_points
-from divcalc.surfaces import E10_ROOTS, enriques, sigma
+from divcalc.chamber import E10_ROOTS
+from divcalc.surfaces import enriques, sigma
 
 MAX_POINTS = 5000  # the largest window a test walks
 S_VALUES = (1, 2)

@@ -21,6 +21,9 @@ Corpora:
            the generator is read from perfbench/workloads.py and not
            changed
   verify   verify --all, with and without --json
+  phi      phi on each Enriques class of phi_classes(), with and
+           without --json, so that every chamber certificate is
+           compared byte for byte
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import difflib
 import importlib.util
 import io
 import os
+import random
 import re
 import sys
 from unittest import mock
@@ -40,6 +44,10 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from bench_heavy import ROOT, installed, load  # noqa: E402
 
 QUERY_SEEDS = (7, 2701, 2702)
+PHI_SEED, PHI_CLASSES, PHI_BOUND = 1201, 600, 8
+_ENRIQUES_LABELS = ("U1", "U2") + tuple(f"R{i}" for i in range(1, 9))
+# the edges of the E8 diagram on R1..R8 (Bourbaki order)
+_E8_EDGES = ((0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7))
 _ELAPSED = re.compile(r'^  "elapsed_ms": \d+,\n', re.M)
 
 
@@ -66,6 +74,46 @@ def queries_corpus():
 
 def verify_corpus():
     return [["verify", "--all"], ["verify", "--all", "--json"]]
+
+
+def _enriques_square(x):
+    """x^2 on U + E8(-1) in the basis U1, U2, R1..R8, from the E8 diagram
+    alone, so that the corpus depends on neither tree."""
+    r = x[2:]
+    return (2 * x[0] * x[1] - 2 * sum(a * a for a in r)
+            + 2 * sum(r[i] * r[j] for i, j in _E8_EDGES))
+
+
+def phi_classes():
+    """PHI_CLASSES seeded coordinate tuples of Enriques classes with
+    L^2 > 0 and coordinates in [-PHI_BOUND, PHI_BOUND]. The E8 part is
+    drawn from a box [-k, k] with k random, since a uniform draw from the
+    whole box has L^2 > 0 about once in a thousand."""
+    rng, out = random.Random(PHI_SEED), []
+    while len(out) < PHI_CLASSES:
+        k = rng.randint(1, PHI_BOUND)
+        x = ([rng.randint(-PHI_BOUND, PHI_BOUND) for _ in range(2)]
+             + [rng.randint(-k, k) for _ in range(8)])
+        if _enriques_square(x) > 0:
+            out.append(tuple(x))
+    return out
+
+
+def phi_corpus():
+    """phi --surface enriques on each class of phi_classes(), written as
+    a divisor expression, each with --json and without."""
+    out = []
+    for x in phi_classes():
+        curve = "".join(f"{c:+d}{label}"
+                        for c, label in zip(x, _ENRIQUES_LABELS) if c)
+        argv = ["phi", "--surface", "enriques", "--curve", curve]
+        out += [argv + ["--json"], argv]
+    return out
+
+
+def corpus():
+    """Every argv the tool runs: the queries, verify and phi corpora."""
+    return queries_corpus() + verify_corpus() + phi_corpus()
 
 
 def run(modules, argv):
@@ -105,15 +153,15 @@ def main(argv=None):
                     help="directory holding the divcalc package to "
                          "compare with")
     args = ap.parse_args(argv)
-    corpus = queries_corpus() + verify_corpus()
+    argvs = corpus()
     with mock.patch.dict(os.environ, COLUMNS="80"):
         found = differences(load(os.path.join(ROOT, "src")),
-                            load(args.against), corpus)
+                            load(args.against), argvs)
     for cmd, lines in found:
         print("divcalc " + " ".join(cmd))
         for line in lines:
             print("  " + line)
-    print(f"{len(found)} of {len(corpus)} argv differ")
+    print(f"{len(found)} of {len(argvs)} argv differ")
     return 1 if found else 0
 
 

@@ -37,6 +37,7 @@ TIMEOUT_S = 600
 
 _LATTICE = "src/divcalc/lattice.py"
 _SURFACES = "src/divcalc/surfaces.py"
+_CHAMBER = "src/divcalc/chamber.py"
 _ENUMERATION = "src/divcalc/enumeration.py"
 _CRITERIA = "src/divcalc/criteria.py"
 _CLI = "src/divcalc/cli.py"
@@ -58,17 +59,17 @@ CATALOGUE = [
      "qlo, qhi = qlo - qlo % 2, qhi + qhi % 2",
      ["tests/test_lattice.py", "tests/test_theta.py"]),
     # the certificate check forgets that L' lies in the chamber
-    ("certificate-chamber", _SURFACES,
+    ("certificate-chamber", _CHAMBER,
      "return (tuple(cert.pairings) == pairings and min(pairings) >= 0",
      "return (tuple(cert.pairings) == pairings",
      ["tests/test_chamber.py"]),
     # the cusp step rounds r / (x.e) half down instead of half up
-    ("cusp-rounding", _SURFACES,
+    ("cusp-rounding", _CHAMBER,
      "v = tuple(-((2 * ri + xe) // (2 * xe)) for ri in r)",
      "v = tuple((xe - 2 * ri) // (2 * xe) for ri in r)",
      ["tests/test_chamber.py"]),
     # U2 wins a tie of the cusp step
-    ("cusp-tie", _SURFACES,
+    ("cusp-tie", _CHAMBER,
      "if change < drop:",
      "if change <= drop and change < 0:",
      ["tests/test_chamber.py"]),
@@ -98,9 +99,14 @@ CATALOGUE = [
      "fx.k - s - q",
      ["tests/test_enumeration.py"]),
     # the witness skips the inverse of a transvection step
-    ("chamber-witness", _SURFACES,
+    ("chamber-witness", _CHAMBER,
      "tuple(-a for a in step[2])",
      "tuple(step[2])",
+     ["tests/test_chamber.py"]),
+    # w^-1 starts from U1 whatever coordinates it is given
+    ("unword-start", _CHAMBER,
+     "d, F = None, list(x)",
+     "d, F = None, [1] + [0] * 9",
      ["tests/test_chamber.py"]),
     # main branch (iv) starts at L^2 = 10
     ("main-iv-threshold", _CRITERIA,
