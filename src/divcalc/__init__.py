@@ -44,7 +44,6 @@ from .chamber import (
 from .surfaces import (
     PhiResult,
     QuasiNefResult,
-    ScrollInvariants,
     blcn,
     blq,
     chi,
@@ -58,7 +57,6 @@ from .surfaces import (
     mod4_condition,
     phi,
     quasi_nef_test,
-    scroll_invariants,
     sigma,
 )
 from .divexpr import parse_divexpr, render, resolve
@@ -80,6 +78,7 @@ from .enumeration import (
 from .criteria import (
     B2Rule,
     GaussianVerdict,
+    ScrollInvariants,
     b2_rule_enriques,
     check_bel,
     check_cliff_criterion,
@@ -89,6 +88,7 @@ from .criteria import (
     clifford_of_series,
     corank_low_genus,
     gonality,
+    scroll_invariants,
     tetragonal_corank,
 )
 

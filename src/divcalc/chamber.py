@@ -210,14 +210,16 @@ def reduce_to_chamber(L: DivClass):
     return DivClass(L.model, tuple(x)), tuple(word)
 
 
-def _unword(word, x):
+def _unword(word, x, d=None):
     """w^-1 x for the chamber word w and the coordinates x of an E10
     class: the steps undone in reverse order, reflections and the sign on
     the pairings d_j = x.alpha_j and transvections on the coordinates F,
-    each kept until a step needs the other. It starts from the
-    coordinates, so a word whose last step is a transvection needs no
-    product with the weight columns to begin."""
-    d, F = None, list(x)
+    each kept until a step needs the other. It starts from x and, when
+    given, d = x's pairings with E10_ROOTS, a list it may change: so
+    undoing a closing transvection needs no product with the weight
+    columns, nor, given d, a closing reflection or sign one with the
+    root rows."""
+    F = list(x)
     for step in reversed(word):
         if step[0] == "t":
             if F is None:
@@ -242,11 +244,12 @@ def _unword(word, x):
 
 def _chamber_phi(L: DivClass):
     """(phi = L'.U1, F = w^-1 U1, certificate) of L' = wL, the chamber
-    reduction of a class L with L^2 > 0 on the E10 gram."""
+    reduction of a class L with L^2 > 0 on the E10 gram; U1 = omega_-1
+    pairs 1 with alpha_-1, 0 with the other roots."""
     x, c, word = _reduce(list(L.coords))
     word = tuple(word)
-    return (x[1], DivClass(L.model, _unword(word, E10_WEIGHTS[0])),
-            PhiCertificate(word, tuple(c), x[1]))
+    F = _unword(word, E10_WEIGHTS[0], [1] + [0] * 9)
+    return (x[1], DivClass(L.model, F), PhiCertificate(word, tuple(c), x[1]))
 
 
 # check_phi_certificate's own arithmetic: products with the gram, and each

@@ -30,6 +30,7 @@ from .criteria import (
     clifford_of_series,
     corank_low_genus,
     gonality,
+    scroll_invariants,
     tetragonal_corank,
 )
 from .divexpr import render, resolve
@@ -50,7 +51,6 @@ from .surfaces import (
     list_configs,
     list_surfaces,
     phi,
-    scroll_invariants,
 )
 
 
@@ -260,7 +260,8 @@ _GAUSSIAN_RULES = {
 _INPUT_DESTS = dict(
     L2="l2", g="g", phi="phi", degM="deg_m", h1M="h1_m", k="k",
     h0_residual="h0_residual", cliff="cliff", h0_2K_minus_M="h0_2k_minus_m",
-    plane_quintic="plane_quintic", trigonal="trigonal", degree="d", h0="h0",
+    plane_quintic="plane_quintic", trigonal="trigonal",
+    nontrigonal="nontrigonal", degree="d", h0="h0",
     M_eq_special="m_eq_special", h0_2K_minus_M_minus_b2A="h0_2k_minus_m_b2a",
     mu_surjective="mu_surjective", cork_mu="cork_mu", b1="b1", aux_h0="aux")
 

@@ -9,6 +9,8 @@ NO_CONCLUSION and the notes say which inequality fell short.
 The checkers never guess: a SURJECTIVE verdict always names its rule, and
 re-evaluating that rule's literal inequalities, or a CORANK_BOUND's
 formula, on the echoed inputs must pass (the test suite audits this).
+Every rule on curves lives here with its row of _READS, those that give
+no verdict too; it reads only errors and lattice, and no geometry it.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from .lattice import _Record
 # the slack leaves room for the large-degree corollaries (4g - 4 plus a
 # couple of twists).
 DEG_SANITY_SLACK = 16
-
-AUX_KEYS = frozenset({"3K-M", "4K-M", "5A-M", "4A-M", "3K-(g-4)A-M", "-M"})
 
 GENERAL_MEMBER = "general member of |L|"
 NONHYPERELLIPTIC = "C nonhyperelliptic"
@@ -57,7 +57,7 @@ def _row(text):
 # these rows, each parsed once, here. corank_low_genus reads "curve-type"
 # to pick its rule; the last five give no verdict, and their functions
 # (b2_rule_enriques, gonality, clifford_of_series, cliff_upper_bound,
-# surfaces.scroll_invariants) read them to check their inputs.
+# scroll_invariants) read them to check their inputs.
 _READS = {rule: _row(text) for rule, text in {
     "main": "g L2* phi degM h1M h0_residual* cliff",
     "cliff": "cliff* h0_2K_minus_M*",
@@ -77,6 +77,9 @@ _READS = {rule: _row(text) for rule, text in {
     "cliff-bound": "g*",
     "scroll": "g* b1*",
 }.items()}
+
+# the aux_h0 keys that corank_low_genus knows: those its rows read
+AUX_KEYS = frozenset(key for _, keys in _READS.values() for key, _ in keys)
 
 # Per input of the rows, its domain: bool for a flag, which must be True
 # or False, else the least value of an int (bool is not an int here);
@@ -363,13 +366,18 @@ def check_bel(
 
 
 def _check_curve_type(g, plane_quintic, trigonal, nontrigonal=False):
-    """Refuse the trigonal flag with either other curve-type flag, and a
-    plane quintic of genus other than 6."""
+    """Refuse the trigonal flag with either other curve-type flag, a
+    plane quintic of genus other than 6, and a nontrigonal curve below
+    genus 5: every nonhyperelliptic curve of genus 3 or 4 is trigonal."""
     if trigonal and (plane_quintic or nontrigonal):
         other = "plane quintic" if plane_quintic else "nontrigonal"
         raise RangeError(f"conflicting curve-type flags: trigonal and {other}")
     if plane_quintic and g != 6:
         raise RangeError(f"a smooth plane quintic has genus 6, got {g}")
+    if nontrigonal and g < 5:
+        raise RangeError(f"nontrigonal needs g >= 5, got {g}: every "
+                         "nonhyperelliptic curve of genus 3 or 4 is trigonal",
+                         "nontrigonal")
 
 
 def _cork_bound(rule, x, hx, y, hy, echo, qualifiers=()):
@@ -431,8 +439,8 @@ def corank_low_genus(
                             missing=("trigonal|nontrigonal",))
     else:
         raise RangeError(
-            f"no low-genus branch applies to g = {g} without a curve-type "
-            "flag")
+            f"no low-genus branch applies to g = {g}; from genus 6 on, only "
+            "the trigonal and plane quintic branches do")
     echo = _read(rule, locals())
     quals = (NONHYPERELLIPTIC,)
 
@@ -550,7 +558,34 @@ def check_degree_corollaries(
 
 
 # ---------------------------------------------------------------------------
-# tetragonal curves and the Enriques second-scrollar rule
+# tetragonal curves: scroll invariants and the Enriques second-scrollar rule
+
+
+class ScrollInvariants(_Record, namedtuple(
+        "ScrollInvariants", "g b1 b2 degV degY pa_hyperplane n2_holds")):
+    __slots__ = ()
+
+    to_json_dict = _Record._field_dict
+
+
+def scroll_invariants(g: int, b1: int) -> ScrollInvariants:
+    """Invariants of the scroll swept by a pencil of degree 4 on a curve
+    of genus g, splitting type (b1, b2) with b1 + b2 = g - 5.
+
+    degY >= 2 pa + 3 (the quadratic-normality threshold) simplifies to
+    b1 >= 1, which is asserted as an equivalence in tests. A g below 6,
+    or a b1 without b1 >= b2 >= 0, raises RangeError: the invariants
+    give no verdict to answer with.
+    """
+    _read("scroll", locals())
+    if g < 6:
+        raise RangeError(f"g must be >= 6, got {g}", "g")
+    b2 = g - 5 - b1
+    if not (b1 >= b2 >= 0):
+        raise RangeError(f"b1 must satisfy b1 >= b2 >= 0; got b1 = {b1}, "
+                         f"b2 = {b2} at g = {g}", "b1")
+    degY, pa = g - 1 + b2, g - 4 - b1
+    return ScrollInvariants(g, b1, b2, g - 3, degY, pa, degY >= 2 * pa + 3)
 
 
 def tetragonal_corank(

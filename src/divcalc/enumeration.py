@@ -37,6 +37,7 @@ from .lattice import (
     pair,
 )
 from .surfaces import (
+    _residual_parity,
     get_config,
     get_surface,
     phi,
@@ -142,12 +143,6 @@ def _sign_stage(model):
         return f"negative pairing with {negs}"
 
     return negative, sign
-
-
-def _residual_parity(L2, s):
-    """3 L^2 + M.L for the class L with L^2 = L2 and L.C = s, so that
-    M.L = s - L2; the mod4 stage keeps L when it lies in 4Z."""
-    return 2 * L2 + s
 
 
 def _decomposition(L, s, L2, C2, k, trace):
@@ -262,18 +257,12 @@ def explainer(surface, C, k, mod4: bool | None = None):
     k < 2 or a mod4 that is not None or a bool, ModelError when C^2 <= 0
     or the slices of C can be infinite, ModelMismatchError for a C from
     another model), so no trace describes a search that could never run.
-    It shares the search's set-up (_setup), done once, so explaining many
-    candidates costs what the search spends on each.
+    It runs the search's set-up (_setup) once, then all seven stages,
+    also the five that the search's windows decide, with the search's
+    sign and mod4 tests (_sign_stage, _residual_parity): on a slice
+    point its trace is the search's.
     """
-    return _explainer(surface, C, k, mod4, {})
-
-
-def _explainer(surface, C, k, mod4, walks):
-    """explainer(surface, C, k, mod4), set up by _setup. It runs all
-    seven stages, also the five that the search's windows decide, with
-    the search's sign and mod4 tests (_sign_stage, _residual_parity), so
-    on a slice point its trace is the search's."""
-    _, C2, apply_mod4, trace = _setup(surface, C, k, mod4, walks)
+    _, C2, apply_mod4, trace = _setup(surface, C, k, mod4, {})
     gram = surface.gram
     negative, sign = _sign_stage(surface)
 
@@ -641,10 +630,10 @@ def _replay(case_id, curves, walks):
     """verify_case(case_id), taking the class C of a pencil curve from
     curves, keyed by (surface, curve) names, and its slice walk from
     walks, keyed by C, and adding them there when they are new. The
-    scan (_scan) and, on a mismatch, its explainer share that walk. The
     survivors are graded by their keys (L, z), rendered from the
-    coordinates the scan keeps, with z = k - M.L; the count of rejected
-    candidates is the scan's."""
+    coordinates the scan (_scan) keeps, with z = k - M.L; the count of
+    rejected candidates is the scan's. On a mismatch, explainer traces
+    each missing survivor, with a set-up of its own."""
     fx = FIXTURES[case_id]
     trace = []
 
@@ -660,7 +649,7 @@ def _replay(case_id, curves, walks):
         status = "PASS" if got == want else "FAIL"
         missing = sorted(want - got)
         if missing:
-            explain = _explainer(surf, C, fx.k, fx.mod4, walks)
+            explain = explainer(surf, C, fx.k, fx.mod4)
         for expr, z in missing:
             _, t = explain(resolve(expr, surf).coords)
             trace.append(f"missing ({expr}, z={z}): {t}")

@@ -11,13 +11,14 @@ canonical class and chi(O) = 1, every class effective; the structure
 lemmas work entirely inside these.
 
 On top of the models: adjunction genus, Riemann-Roch chi, the residual
-parity test, the minimal-pencil-degree invariant phi, the quasi-nef
-grading against finite nodal sets, and scroll invariants of tetragonal
-curves. phi is certified two ways. On the E10 gram of the Enriques
-lattice it is read off the reduction of the class into the chamber of
-E10's simple roots, with the certificate of divcalc.chamber. On every
-other hyperbolic lattice it comes from slice enumeration, and on request
-from the slice points inside a box, uncertified.
+parity (the search's mod4 stage reads it too), the minimal-pencil-degree
+invariant phi and the quasi-nef grading against finite nodal sets, and
+no rule of divcalc.criteria. phi is certified two ways. On the E10 gram
+of the Enriques lattice it is read off the reduction of the class into
+the chamber of E10's simple roots, with the certificate of
+divcalc.chamber. On every other hyperbolic lattice it comes from slice
+enumeration, and on request from the slice points inside a box,
+uncertified.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import re
 from collections import namedtuple
 
 from .chamber import _E10_GRAM, _chamber_phi
-from .criteria import _read
 from .errors import (
     ModelError,
     NodalClassError,
@@ -269,9 +269,16 @@ def chi(surface: LatticeModel, L: DivClass) -> int:
     return surface.chi + s // 2
 
 
+def _residual_parity(L2, s):
+    """3 L^2 + M.L = 2 L2 + s for C = L + M, L^2 = L2 and L.C = s: the
+    residual parity of mod4_condition and of the search's mod4 stage."""
+    return 2 * L2 + s
+
+
 def mod4_condition(L: DivClass, M: DivClass) -> bool:
     """Residual parity: 3 L^2 + M.L must be divisible by 4."""
-    return (3 * pair(L, L) + pair(M, L)) % 4 == 0
+    L2 = pair(L, L)
+    return _residual_parity(L2, L2 + pair(M, L)) % 4 == 0
 
 
 # ---------------------------------------------------------------------------
@@ -429,43 +436,3 @@ def quasi_nef_test(L: DivClass, nodal_set) -> QuasiNefResult:
     elif status in ("nef", "quasi_nef") and L2 > 0:
         notes.append("h1 expected zero by the classification")
     return QuasiNefResult(status, mp, witness, tuple(notes))
-
-
-# ---------------------------------------------------------------------------
-# scroll invariants
-
-
-class ScrollInvariants(_Record, namedtuple(
-        "ScrollInvariants", "g b1 b2 degV degY pa_hyperplane n2_holds")):
-    __slots__ = ()
-
-    to_json_dict = _Record._field_dict
-
-
-def scroll_invariants(g: int, b1: int) -> ScrollInvariants:
-    """Invariants of the scroll swept by a pencil of degree 4 on a curve
-    of genus g, splitting type (b1, b2) with b1 + b2 = g - 5.
-
-    degY >= 2 pa + 3 (the quadratic-normality threshold) simplifies to
-    b1 >= 1, which is asserted as an equivalence in tests. A g below 6,
-    or a b1 without b1 >= b2 >= 0, raises RangeError: the invariants
-    give no verdict to answer with.
-    """
-    _read("scroll", locals())
-    if g < 6:
-        raise RangeError(f"g must be >= 6, got {g}", "g")
-    b2 = g - 5 - b1
-    if not (b1 >= b2 >= 0):
-        raise RangeError(f"b1 must satisfy b1 >= b2 >= 0; got b1 = {b1}, "
-                         f"b2 = {b2} at g = {g}", "b1")
-    degY = g - 1 + b2
-    pa = g - 4 - b1
-    return ScrollInvariants(
-        g=g,
-        b1=b1,
-        b2=b2,
-        degV=g - 3,
-        degY=degY,
-        pa_hyperplane=pa,
-        n2_holds=degY >= 2 * pa + 3,
-    )

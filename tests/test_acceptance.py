@@ -7,6 +7,7 @@ from divcalc.criteria import (
     b2_rule_enriques,
     check_main_theorem,
     gonality,
+    scroll_invariants,
     tetragonal_corank,
 )
 from divcalc.divexpr import resolve
@@ -22,7 +23,6 @@ from divcalc.surfaces import (
     get_config,
     get_surface,
     phi,
-    scroll_invariants,
 )
 
 from oracle_bruteforce import (

@@ -287,6 +287,34 @@ class TestReduceToChamber:
             ends[kinds[0] if kinds else None] += 1
         assert ends["t"] >= 3 and ends["s"] > 20
 
+    def test_witness_starts_from_u1_pairings(self, monkeypatch):
+        # phi hands _unword U1's pairings with the roots, (1, 0, ..., 0):
+        # its witness is _unword(word, U1) without them, and it makes no
+        # product with the root rows to undo a closing reflection or sign
+        products = []
+
+        class CountingRows(tuple):
+            def __iter__(self):
+                products.append(1)
+                return super().__iter__()
+
+        monkeypatch.setattr(chamber, "_E10_ROOT_ROWS",
+                            CountingRows(chamber._E10_ROOT_ROWS))
+        U1, ends = E10_WEIGHTS[0], Counter()
+        for L in ([cusp(m) for m in (10, 10**4, 10**9)]
+                  + sample(random.Random(1232), 200, 40)):
+            res = phi(E, L)
+            word = res.certificate.word
+            counts = []
+            for d in (None, [1] + [0] * 9):
+                products.clear()
+                assert chamber._unword(word, U1, d) == res.witness.coords
+                counts.append(len(products))
+            last = word[-1][0] if word else None
+            assert counts[0] - counts[1] == (last in ("s", "neg")), word
+            ends[last] += 1
+        assert ends["s"] > 20 and ends["t"] >= 3, ends
+
     def test_replays_into_the_chamber(self):
         # the classes of cli_diff's phi corpus, and cusp classes; w^-1
         # (_unword, on any coordinates) takes each L' = wL back to L

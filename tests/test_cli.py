@@ -513,6 +513,20 @@ class TestExitCodes:
         (["corank", "--g", "3", "--aux", "foo=1"],
          "--aux has unknown keys ['foo']; known: ['-M', '3K-(g-4)A-M', "
          "'3K-M', '4A-M', '4K-M', '5A-M']"),
+        # the first two exited 0 with low-(b) and low-(a); the third
+        # said no curve-type flag was given
+        (["corank", "--g", "4", "--h1-m", "0", "--cork-mu", "0",
+          "--h0-2k-minus-m", "1", "--aux", "3K-M=2", "--nontrigonal"],
+         "--nontrigonal needs g >= 5, got 4: every nonhyperelliptic curve "
+         "of genus 3 or 4 is trigonal"),
+        (["corank", "--g", "3", "--h1-m", "0", "--cork-mu", "0",
+          "--aux", "4K-M=2", "--nontrigonal"],
+         "--nontrigonal needs g >= 5, got 3: every nonhyperelliptic curve "
+         "of genus 3 or 4 is trigonal"),
+        (["corank", "--g", "7", "--h1-m", "0", "--cork-mu", "0",
+          "--nontrigonal"],
+         "no low-genus branch applies to g = 7; from genus 6 on, only the "
+         "trigonal and plane quintic branches do"),
     ], ids=["int-item", "bytes-item", "none-item", "aux-key-twice",
             "cliff-mixed", "cliff-h0-and-g", "corank-missing", "no-model",
             "reflect-no-nodal", "enumerate-no-k", "cliff-bare",
@@ -527,7 +541,8 @@ class TestExitCodes:
             "tetragonal-negative-h1m", "enumerate-low-k",
             "scroll-negative-b1", "scroll-low-b1", "scroll-low-g",
             "cliff-bound-low-g", "bel-degm-cap", "main-phi-square",
-            "main-genus", "corank-unknown-aux"])
+            "main-genus", "corank-unknown-aux", "corank-g4-nontrigonal",
+            "corank-g3-nontrigonal", "corank-g7-nontrigonal"])
     def test_input_refusals(self, capsys, argv, err):
         """A non-str argv item, a repeated --aux key (the last value would
         win and change the verdict), cliff's two modes at once (--g

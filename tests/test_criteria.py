@@ -20,10 +20,10 @@ from divcalc.criteria import (
     clifford_of_series,
     corank_low_genus,
     gonality,
+    scroll_invariants,
     tetragonal_corank,
 )
 from divcalc.errors import EvidenceError, RangeError
-from divcalc.surfaces import scroll_invariants
 
 from oracle_bruteforce import brute_gonality, brute_main_criterion
 
@@ -298,6 +298,25 @@ class TestCorankLowGenus:
         with pytest.raises(RangeError):
             corank_low_genus(7, trigonal=True, nontrigonal=True)
 
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_nontrigonal_needs_genus_5(self, g):
+        # every nonhyperelliptic curve of genus 3 or 4 is trigonal, so the
+        # flag is refused there even with the low-(a) and low-(b) inputs
+        with pytest.raises(RangeError) as exc:
+            corank_low_genus(g, h1M=0, cork_mu=0, h0_2K_minus_M=1,
+                             aux_h0={"4K-M": 2, "3K-M": 2}, nontrigonal=True)
+        assert exc.value.name == "nontrigonal"
+        assert str(exc.value) == (
+            f"nontrigonal needs g >= 5, got {g}: every nonhyperelliptic "
+            "curve of genus 3 or 4 is trigonal")
+
+    @pytest.mark.parametrize("flags", [{}, {"nontrigonal": True}])
+    def test_genus_6_on_names_the_branches_that_reach_it(self, flags):
+        with pytest.raises(RangeError, match=(
+                "^no low-genus branch applies to g = 7; from genus 6 on, "
+                "only the trigonal and plane quintic branches do$")):
+            corank_low_genus(7, h1M=0, cork_mu=0, **flags)
+
     @pytest.mark.parametrize("g, flags, missing", [
         (3, {}, ("h1M", "cork_mu", "aux_h0[4K-M]")),
         (4, {}, ("h1M", "h0_2K_minus_M", "cork_mu", "aux_h0[3K-M]")),
@@ -386,6 +405,43 @@ class TestB2Rule:
             b2_rule_enriques(7, 2)
         with pytest.raises(RangeError):
             b2_rule_enriques(2, 0)
+
+
+class TestScroll:
+    def test_pinned_rows(self):
+        inv = scroll_invariants(7, 2)
+        assert (inv.b2, inv.degV, inv.degY, inv.pa_hyperplane) == (0, 4, 6, 1)
+        assert inv.n2_holds
+        inv = scroll_invariants(6, 1)
+        assert (inv.b2, inv.degY) == (0, 5)
+        assert inv.n2_holds
+        # b1 = 0 would need b2 = g - 5 > b1: outside the ordered domain,
+        # so within scope the quadric-generation bound always holds
+        with pytest.raises(RangeError):
+            scroll_invariants(6, 0)
+
+    def test_preconditions(self):
+        with pytest.raises(RangeError):
+            scroll_invariants(5, 1)
+        with pytest.raises(RangeError):
+            scroll_invariants(8, 0)  # b2 = 3 > b1
+        with pytest.raises(RangeError):
+            scroll_invariants(8, 4)  # b2 = -1
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=st.integers(6, 24), b1=st.integers(0, 24))
+def test_scroll_identities(g, b1):
+    b2 = g - 5 - b1
+    if not 0 <= b2 <= b1:
+        with pytest.raises(RangeError):
+            scroll_invariants(g, b1)
+        return
+    inv = scroll_invariants(g, b1)
+    assert inv.degY == g - 1 + inv.b2
+    assert inv.degY == 2 * g - 6 - b1
+    assert inv.pa_hyperplane == g - 4 - b1
+    assert inv.n2_holds == (b1 >= 1)
 
 
 class TestClassRefusals:

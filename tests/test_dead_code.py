@@ -1,7 +1,9 @@
 """No dead code left behind in divcalc's source: every name a module
 imports is used in that module (the package's __init__.py, which imports
 to re-export, aside), and every private module-level name is referenced
-somewhere in the package besides its own definition."""
+somewhere in the package besides its own definition. And each rule has
+one layer: no geometry module imports the rules or the command line,
+and the rules import only errors and lattice."""
 
 import ast
 from pathlib import Path
@@ -28,6 +30,19 @@ def _unused_imports(tree):
                 imported.append((node.lineno, bound))
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [(line, name) for line, name in imported if name not in read]
+
+
+def _package_imports(tree):
+    """The modules of divcalc that a module imports from, by name, the
+    package itself as __init__."""
+    full = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            full.append("divcalc." * (node.level > 0) + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            full += [alias.name for alias in node.names]
+    return {name or "__init__" for package, _, name in
+            (f.partition(".") for f in full) if package == "divcalc"}
 
 
 def _private_definitions(tree):
@@ -86,6 +101,10 @@ def test_the_guard_sees_each_form():
     assert _unused_imports(b) == []
     # _f reads only itself, and _C is read by b's import alone
     assert _unreferenced({"a": a, "b": b}) == [("a", 5, "_k"), ("a", 8, "_f")]
+    c = ast.parse("from . import __version__\nfrom .errors import E\n"
+                  "import divcalc.cli\nfrom divcalc.lattice import pair\n"
+                  "import os.path\nfrom json import dumps\n")
+    assert _package_imports(c) == {"__init__", "errors", "cli", "lattice"}
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES
@@ -99,3 +118,15 @@ def test_every_import_is_used(path):
 def test_every_private_name_is_referenced():
     found = _unreferenced({p.name: _tree(p) for p in MODULES})
     assert not found, [f"{m}:{line}: {name}" for m, line, name in found]
+
+
+# the modules below the rules: the lattice, the E10 chamber, expressions,
+# the surfaces and the searches
+GEOMETRY = ("lattice", "chamber", "divexpr", "surfaces", "enumeration")
+
+
+def test_each_rule_has_one_layer():
+    imports = {p.stem: _package_imports(_tree(p)) for p in MODULES}
+    above = {m: sorted(imports[m] & {"criteria", "cli"}) for m in GEOMETRY}
+    assert above == dict.fromkeys(GEOMETRY, [])
+    assert imports["criteria"] <= {"errors", "lattice"}, imports["criteria"]

@@ -994,8 +994,8 @@ class TestFixtureCatalog:
     def test_report_sets_up_one_explainer_per_mismatching_case(
             self, monkeypatch):
         # the search sets up its slice walk once; a mismatch adds one
-        # explainer for all its missing survivors, on the same walk, and
-        # a match adds none
+        # explainer, with one set-up of its own, for all its missing
+        # survivors, and a match adds none
         calls = []
 
         def counting_kernel_basis(w, gram):
@@ -1016,4 +1016,4 @@ class TestFixtureCatalog:
         rep = verify_case("g1kondelp-b")
         assert rep.status == "FAIL"
         assert sum(t.startswith("missing") for t in rep.trace) == 3
-        assert len(calls) == 1 + 1
+        assert len(calls) == 1 + 2

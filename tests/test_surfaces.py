@@ -38,7 +38,6 @@ from divcalc.surfaces import (
     mod4_condition,
     phi,
     quasi_nef_test,
-    scroll_invariants,
     sigma,
 )
 from oracle_bruteforce import brute_isotropic, brute_phi
@@ -634,40 +633,3 @@ class TestQuasiNef:
         surf = self._surf()
         with pytest.raises(NodalClassError):
             quasi_nef_test(resolve("E", surf), [resolve("E1", surf)])
-
-
-class TestScroll:
-    def test_pinned_rows(self):
-        inv = scroll_invariants(7, 2)
-        assert (inv.b2, inv.degV, inv.degY, inv.pa_hyperplane) == (0, 4, 6, 1)
-        assert inv.n2_holds
-        inv = scroll_invariants(6, 1)
-        assert (inv.b2, inv.degY) == (0, 5)
-        assert inv.n2_holds
-        # b1 = 0 would need b2 = g - 5 > b1: outside the ordered domain,
-        # so within scope the quadric-generation bound always holds
-        with pytest.raises(RangeError):
-            scroll_invariants(6, 0)
-
-    def test_preconditions(self):
-        with pytest.raises(RangeError):
-            scroll_invariants(5, 1)
-        with pytest.raises(RangeError):
-            scroll_invariants(8, 0)  # b2 = 3 > b1
-        with pytest.raises(RangeError):
-            scroll_invariants(8, 4)  # b2 = -1
-
-
-@settings(max_examples=60, deadline=None)
-@given(g=st.integers(6, 24), b1=st.integers(0, 24))
-def test_scroll_identities(g, b1):
-    b2 = g - 5 - b1
-    if not 0 <= b2 <= b1:
-        with pytest.raises(RangeError):
-            scroll_invariants(g, b1)
-        return
-    inv = scroll_invariants(g, b1)
-    assert inv.degY == g - 1 + inv.b2
-    assert inv.degY == 2 * g - 6 - b1
-    assert inv.pa_hyperplane == g - 4 - b1
-    assert inv.n2_holds == (b1 >= 1)

@@ -22,10 +22,10 @@ coefficient of q^m in theta_3^n (r_n(m) = 0 for m < 0).
 
 A slice whose points are valid (checked here with the gram alone) and
 distinct, and whose size is that sum, is complete. The counts come
-from the closed form and gram arithmetic, never from divcalc's search.
+from the closed forms, in oracle_theta, and gram arithmetic, never from
+divcalc's search.
 """
 
-import math
 import random
 
 import pytest
@@ -33,28 +33,12 @@ import pytest
 from divcalc.enumeration import enumerate_bogreider
 from divcalc.lattice import pair, reflect_nodal, slice_points
 from divcalc.chamber import E10_ROOTS
-from divcalc.surfaces import enriques, sigma
+from divcalc.surfaces import enriques, phi, sigma
+from oracle_theta import _r, sums_of_squares, theta_count
 
 MAX_POINTS = 5000  # the largest window a test walks
 S_VALUES = (1, 2)
 Q_VALUES = range(-8, 14)  # odd values included: their slices are empty
-
-
-def _r(m):
-    """The number of vectors of norm 2m in E8."""
-    if m < 0:
-        return 0
-    return 1 if m == 0 else 240 * sum(d ** 3 for d in range(1, m + 1)
-                                      if m % d == 0)
-
-
-def theta_count(n, s, q):
-    """|{x : x.C = s, x^2 = q}| for C = U1 + nU2, n >= 1."""
-    if q % 2:
-        return 0
-    bound = abs(s) + abs(q) + 1  # a(s - na) < q/2 beyond it
-    return sum(_r(a * (s - n * a) - q // 2)
-               for a in range(-bound, bound + 1))
 
 
 def _windows(n):
@@ -84,23 +68,47 @@ def _curves():
     return out
 
 
+def _check_slice(C, s, q, count):
+    """The number of points of the slice x.C = s, x^2 = q, after
+    checking that it is count, that they are distinct and that each lies
+    in the slice by gram arithmetic."""
+    gram = C.model.gram
+    c = [sum(map(int.__mul__, row, C.coords)) for row in gram]
+    points = [x.coords for x in slice_points(C, s, q, q)]
+    assert len(points) == count, (s, q)
+    assert len(set(points)) == len(points), (s, q)
+    for x in points:
+        assert sum(map(int.__mul__, c, x)) == s, (s, q, x)
+        gx = [sum(map(int.__mul__, row, x)) for row in gram]
+        assert sum(map(int.__mul__, gx, x)) == q, (s, q, x)
+    return len(points)
+
+
 @pytest.mark.parametrize("n, C", _curves(),
                          ids=["U1+U2", "U1+U2-moved", "U1+2U2",
                               "U1+2U2-moved"])
 def test_slice_sizes_match_the_e8_theta_series(n, C):
-    gram = C.model.gram
-    c = [sum(g * v for g, v in zip(row, C.coords)) for row in gram]
-    walked = 0
-    for s, q in _windows(n):
-        points = [x.coords for x in slice_points(C, s, q, q)]
-        assert len(points) == theta_count(n, s, q), (s, q)
-        assert len(set(points)) == len(points), (s, q)
-        for x in points:
-            assert sum(map(int.__mul__, c, x)) == s, (s, q, x)
-            gx = [sum(map(int.__mul__, row, x)) for row in gram]
-            assert sum(map(int.__mul__, gx, x)) == q, (s, q, x)
-        walked += len(points)
+    walked = sum(_check_slice(C, s, q, theta_count(n, s, q))
+                 for s, q in _windows(n))
     assert walked > MAX_POINTS  # more than any one window holds
+
+
+SKEW_MAX_POINTS = 2000  # the largest window of a skewed curve walked
+
+
+@pytest.mark.parametrize("n, length", [(1, 30), (2, 40), (3, 50), (4, 60)])
+def test_skewed_phi_1_curves_match_the_e8_theta_series(n, length):
+    # every class with phi = 1 is isometric to U1 + nU2, n = C^2 / 2
+    # (Conway-Sloane, SPLAG, ch. 4 section 8), so the count holds however
+    # skewed the coordinates are; the seeded word of reflections makes
+    # them so, up to |61| here
+    E = enriques()
+    C = _moved(E.klass((1, n) + (0,) * 8), 4300 + n, length)
+    assert max(map(abs, C.coords)) >= 14 and phi(E, C).value == 1
+    walked = sum(_check_slice(C, s, q, count)
+                 for s in range(1, 7) for q in range(-12, 13)
+                 if (count := theta_count(n, s, q)) <= SKEW_MAX_POINTS)
+    assert walked > SKEW_MAX_POINTS // 2
 
 
 def test_theta_count_matches_known_values():
@@ -129,19 +137,6 @@ def test_visited_is_the_sum_of_the_window_counts():
 SIGMA_MAX_POINTS = 1000  # the largest sigma_n window walked, about 1 s in all
 
 
-def sums_of_squares(n, top):
-    """[r_n(0), .., r_n(top)], the coefficients of theta_3^n, by
-    convolving theta_3 = 1 + 2 q + 2 q^4 + 2 q^9 + .. n times."""
-    theta = [0] * (top + 1)
-    for j in range(math.isqrt(top) + 1):
-        theta[j * j] = 2 if j else 1
-    r = [1] + [0] * top
-    for _ in range(n):
-        r = [sum(r[i] * theta[m - i] for i in range(m + 1))
-             for m in range(top + 1)]
-    return r
-
-
 def test_sums_of_squares_match_known_values():
     # Jacobi: r_4(m) = 8 times the sum of the divisors of m not divisible
     # by 4; and r_2(25) = 12 from 25 = 0 + 25 = 9 + 16
@@ -155,20 +150,12 @@ def test_sums_of_squares_match_known_values():
 @pytest.mark.parametrize("n", range(1, 10))
 def test_sigma_slices_of_h_match_the_theta_series(n):
     S = sigma(n)
-    H, gram = S.klass((1,) + (0,) * n), S.gram
+    H = S.klass((1,) + (0,) * n)
     r = sums_of_squares(n, 15)
     walked = 0
     for s in range(4):
         for q in range(-6, s * s + 2):  # q = s^2 + 1 gives an empty slice
             count = r[s * s - q] if q <= s * s else 0
-            if count > SIGMA_MAX_POINTS:
-                continue
-            points = [x.coords for x in slice_points(H, s, q, q)]
-            assert len(points) == count, (s, q)
-            assert len(set(points)) == len(points), (s, q)
-            for x in points:
-                gx = [sum(map(int.__mul__, row, x)) for row in gram]
-                assert gx[0] == s, (s, q, x)
-                assert sum(map(int.__mul__, gx, x)) == q, (s, q, x)
-            walked += count
+            if count <= SIGMA_MAX_POINTS:
+                walked += _check_slice(H, s, q, count)
     assert walked > 0
