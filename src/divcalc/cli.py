@@ -205,6 +205,8 @@ def _cmd_destab(args):
 
 
 def _cmd_gonality(args):
+    # the one rule command that names its inputs itself: its flag
+    # --two-d-special is the negation of its input not_2D_special
     val = gonality(args.l2, args.phi, not args.two_d_special)
     return _Outcome(
         lambda: {
@@ -220,13 +222,13 @@ def _cmd_cliff(args):
     if args.d is not None or args.h0 is not None:
         if args.g is not None:
             raise ModelError("pass either --d and --h0, or --g, not both")
-        val = clifford_of_series(args.d, args.h0)
+        val = clifford_of_series(**_inputs(args, "series"))
         return _Outcome(
             lambda: {"mode": "series", "d": args.d, "h0": args.h0,
                      "cliff": val},
             None, lambda: [f"Cliff = {val}"])
     if args.g is not None:
-        val = cliff_upper_bound(args.g)
+        val = cliff_upper_bound(**_inputs(args, "cliff-bound"))
         return _Outcome(
             lambda: {"mode": "upper_bound", "g": args.g, "value": val},
             None, lambda: [f"Cliff(C) <= {val}"])
@@ -255,6 +257,8 @@ _GAUSSIAN_RULES = {
     "degree": check_degree_corollaries,
     "tetragonal": tetragonal_corank,
 }
+# corank's rows: the curve-type flags, which pick one of the low-* rows
+_CORANK_ROWS = ("curve-type", *(r for r in _READS if r.startswith("low-")))
 # the option dest each input of a criterion or a search comes from, on
 # every command that has the option
 _INPUT_DESTS = dict(
@@ -264,6 +268,7 @@ _INPUT_DESTS = dict(
     nontrigonal="nontrigonal", degree="d", h0="h0",
     M_eq_special="m_eq_special", h0_2K_minus_M_minus_b2A="h0_2k_minus_m_b2a",
     mu_surjective="mu_surjective", cork_mu="cork_mu", b1="b1", aux_h0="aux")
+_INPUT_NAMES = {dest: name for name, dest in _INPUT_DESTS.items()}
 
 
 def _option(name):
@@ -275,29 +280,29 @@ def _option(name):
     return dest and "--" + dest.replace("_", "-")
 
 
-def _cmd_gaussian(args):
-    values = {n: getattr(args, _INPUT_DESTS[n])
-              for n, _ in _READS[args.rule][0]}
-    reads = {_INPUT_DESTS[n] for n in values}
-    # a flag is given when True, a valued option (0 too) when not None
-    unread = ["--" + n.replace("_", "-") for n in _GAUSSIAN_DESTS
-              if n not in reads and (v := getattr(args, n)) is not None
-              and v is not False]
-    if unread:
-        raise ModelError(f"--rule {args.rule} does not read "
-                         + ", ".join(unread))
-    return _verdict_outcome(args, _GAUSSIAN_RULES[args.rule](**values))
+@functools.cache
+def _reading(*rows):
+    """The dests, in _OPTIONS order, of the inputs that the _READS rows
+    read (aux when one reads aux_h0 keys), worked out once per rows."""
+    read = {_INPUT_DESTS[n] for row in rows for n, _ in _READS[row][0]}
+    if any(_READS[row][1] for row in rows):
+        read.add("aux")
+    return tuple(d for d in _OPTIONS if d in read)
 
 
-def _cmd_corank(args):
-    aux = {}
+def _inputs(args, *rows):
+    """The keyword arguments of the function of the _READS rows: each
+    input that the rows read, by its name, as its option gives it, and
+    aux_h0 read from the --aux KEY=INT items when a row reads its keys."""
+    values = {_INPUT_NAMES[d]: getattr(args, d) for d in _reading(*rows)}
+    if "aux_h0" not in values:
+        return values
+    aux = values["aux_h0"] = {}
     for item in args.aux or []:
         key, sep, val = item.partition("=")
         if not sep or not re.fullmatch(r"-?[0-9]+", val):
-            raise ModelError(
-                f"--aux expects KEY=INT, got {item!r} "
-                "(e.g. --aux 4K-M=5)"
-            )
+            raise ModelError(f"--aux expects KEY=INT, got {item!r} "
+                             "(e.g. --aux 4K-M=5)")
         if key in aux:
             raise ModelError(f"--aux key {key!r} given twice")
         try:
@@ -305,21 +310,29 @@ def _cmd_corank(args):
         except ValueError:  # more digits than int() reads
             raise ModelError(
                 f"--aux value of {len(val)} digits is too long") from None
-    verdict = corank_low_genus(
-        args.g,
-        h1M=args.h1_m,
-        h0_2K_minus_M=args.h0_2k_minus_m,
-        cork_mu=args.cork_mu,
-        aux_h0=aux,
-        plane_quintic=args.plane_quintic,
-        trigonal=args.trigonal,
-        nontrigonal=args.nontrigonal,
-    )
-    return _verdict_outcome(args, verdict)
+    return values
+
+
+def _cmd_gaussian(args):
+    reads = _reading(args.rule)
+    # a flag is given when True, a valued option (0 too) when not None
+    unread = ["--" + n.replace("_", "-") for n in _GAUSSIAN_DESTS
+              if n not in reads and (v := getattr(args, n)) is not None
+              and v is not False]
+    if unread:
+        raise ModelError(f"--rule {args.rule} does not read "
+                         + ", ".join(unread))
+    rule = _GAUSSIAN_RULES[args.rule]
+    return _verdict_outcome(args, rule(**_inputs(args, args.rule)))
+
+
+def _cmd_corank(args):
+    return _verdict_outcome(
+        args, corank_low_genus(**_inputs(args, *_CORANK_ROWS)))
 
 
 def _cmd_scroll(args):
-    inv = scroll_invariants(args.g, args.b1)
+    inv = scroll_invariants(**_inputs(args, "scroll"))
     return _Outcome(inv.to_json_dict, None, lambda: [
         f"b2 = {inv.b2}, bundle degree {inv.degV}, scroll degree "
         f"{inv.degY}, hyperplane-section genus {inv.pa_hyperplane}, "
@@ -328,7 +341,7 @@ def _cmd_scroll(args):
 
 
 def _cmd_b2rule(args):
-    res = b2_rule_enriques(args.l2, args.phi)
+    res = b2_rule_enriques(**_inputs(args, "class"))
     return _verdict_outcome(args, res, res.status)
 
 
@@ -369,8 +382,8 @@ def _cmd_surface(args):
 
 
 # every option of the command line: its dest, which gives the option
-# string --dest with "-" for "_", and its add_argument keywords. gaussian
-# and corank declare theirs in this order, so it is their usage order.
+# string --dest with "-" for "_", and its add_argument keywords. The rule
+# commands declare theirs in this order, so it is their usage order.
 _OPTIONS = {
     "json": dict(action="store_true", help="emit a RunReport JSON document"),
     "strict": dict(action="store_true",
@@ -416,14 +429,7 @@ _OPTIONS = {
 }
 
 
-def _reading(rules):
-    """The dests, in _OPTIONS order, of the inputs that the _READS rows
-    of rules read."""
-    read = {_INPUT_DESTS[n] for rule in rules for n, _ in _READS[rule][0]}
-    return tuple(d for d in _OPTIONS if d in read)
-
-
-_GAUSSIAN_DESTS = _reading(_GAUSSIAN_RULES)
+_GAUSSIAN_DESTS = _reading(*_GAUSSIAN_RULES)
 _MODEL = ("json", "surface", "config", "curve")
 # per subcommand, in the order of the root's help: its handler, the dests
 # of its options in usage order, and its help line
@@ -442,17 +448,15 @@ _COMMANDS = [
      "grade the 16 candidate destabilizing splittings on blq"),
     ("gonality", _cmd_gonality, ("json", "l2", "phi", "two_d_special"),
      "gonality of a general curve from (L2, phi)"),
-    ("cliff", _cmd_cliff, ("json", "d", "h0", "g"),
+    ("cliff", _cmd_cliff, ("json", *_reading("series", "cliff-bound")),
      "Clifford contribution of a series, or the genus upper bound"),
     ("gaussian", _cmd_gaussian, ("json", "strict", "rule", *_GAUSSIAN_DESTS),
      "Gaussian-map surjectivity verdicts"),
-    ("corank", _cmd_corank,
-     ("json", "strict", *_reading(r for r in _READS if r.startswith("low-")),
-      "aux", "plane_quintic", "trigonal", "nontrigonal"),
+    ("corank", _cmd_corank, ("json", "strict", *_reading(*_CORANK_ROWS)),
      "corank bounds for low genus / quintic / trigonal curves"),
-    ("scroll", _cmd_scroll, ("json", "g", "b1"),
+    ("scroll", _cmd_scroll, ("json", *_reading("scroll")),
      "scroll invariants of a tetragonal canonical curve"),
-    ("b2rule", _cmd_b2rule, ("json", "strict", "l2", "phi"),
+    ("b2rule", _cmd_b2rule, ("json", "strict", *_reading("class")),
      "second scrollar invariant bound on Enriques tetragonal curves"),
     ("verify", _cmd_verify, ("json", "case", "all"),
      f"replay frozen case fixtures ({len(FIXTURES)} shipped)"),

@@ -53,11 +53,11 @@ def _row(text):
 
 # Per rule: the inputs it reads, in the order its verdict echoes them,
 # then after "|" the aux_h0 keys it reads, sorted; a trailing * marks one
-# the rule cannot do without. _read and the command line's gaussian read
-# these rows, each parsed once, here. corank_low_genus reads "curve-type"
-# to pick its rule; the last five give no verdict, and their functions
-# (b2_rule_enriques, gonality, clifford_of_series, cliff_upper_bound,
-# scroll_invariants) read them to check their inputs.
+# the rule cannot do without. _read and the command line's rule commands
+# read these rows, each parsed once, here. corank_low_genus reads
+# "curve-type" to pick its rule; the last five give no verdict, and their
+# functions (b2_rule_enriques, gonality, clifford_of_series,
+# cliff_upper_bound, scroll_invariants) read them to check their inputs.
 _READS = {rule: _row(text) for rule, text in {
     "main": "g L2* phi degM h1M h0_residual* cliff",
     "cliff": "cliff* h0_2K_minus_M*",
@@ -208,11 +208,11 @@ def gonality(L2: int, phi: int, not_2D_special: bool = True) -> int:
     return 2 * phi
 
 
-def clifford_of_series(d: int, h0: int) -> int:
-    """Clifford contribution deg A - 2(h0(A) - 1) of a series of degree d
-    with h0 sections."""
-    _read("series", {"degree": d, "h0": h0})
-    return d - 2 * (h0 - 1)
+def clifford_of_series(degree: int, h0: int) -> int:
+    """Clifford contribution deg A - 2(h0(A) - 1) of a series of the given
+    degree with h0 sections."""
+    _read("series", locals())
+    return degree - 2 * (h0 - 1)
 
 
 def cliff_upper_bound(g: int) -> int:
@@ -432,6 +432,10 @@ def corank_low_genus(
         if g < 5:
             raise RangeError(f"the trigonal branch needs g >= 5, got {g}")
         rule = "low-(e)"
+    elif g == 2:
+        raise RangeError("g = 2: every curve of genus 2 is hyperelliptic, and "
+                         "the low-genus rules are stated for nonhyperelliptic "
+                         "curves", "g")
     elif g in (3, 4) or (g == 5 and nontrigonal):
         rule = ("low-(a)", "low-(b)", "low-(c)")[g - 3]
     elif g == 5:

@@ -45,12 +45,6 @@ from .surfaces import (
 )
 
 
-def _key(coords, labels, z):
-    """The (L, z) key of a survivor that fixtures list: the class with
-    these coordinates, rendered against the basis labels, and z."""
-    return render_coords(coords, labels), z
-
-
 class Decomposition(_Record, namedtuple(
         "Decomposition", "L z ML L2 deg_D filter_trace notes",
         defaults=((),))):
@@ -64,9 +58,6 @@ class Decomposition(_Record, namedtuple(
     @property
     def expr(self):
         return render(self.L)
-
-    def key(self):
-        return _key(self.L.coords, self.L.model.labels, self.z)
 
     def to_json_dict(self):
         return {
@@ -644,7 +635,8 @@ def _replay(case_id, curves, walks):
         C = curves[key]
         surf = C.model
         kept, rejected, *_ = _scan(surf, C, fx.k, fx.mod4, walks)
-        got = {_key(x, surf.labels, fx.k - s + q) for x, s, q in kept}
+        got = {(render_coords(x, surf.labels), fx.k - s + q)
+               for x, s, q in kept}
         want = set(fx.expected)
         status = "PASS" if got == want else "FAIL"
         missing = sorted(want - got)

@@ -37,7 +37,7 @@ def _net_survivors(fx):
     surf = get_surface(fx.surface)
     C = resolve(fx.curve, surf)
     res = enumerate_bogreider(surf, C, fx.k, mod4=fx.mod4)
-    keys = {d.key() for d in res.survivors}
+    keys = {(d.expr, d.z) for d in res.survivors}
     killed = {(expr, z) for expr, z, _ in fx.killed}
     assert killed <= keys, f"{fx.case_id}: killed entries must be survivors"
     return keys, keys - killed

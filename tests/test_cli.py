@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -527,6 +528,10 @@ class TestExitCodes:
           "--nontrigonal"],
          "no low-genus branch applies to g = 7; from genus 6 on, only the "
          "trigonal and plane quintic branches do"),
+        # said no low-genus branch applies, as from genus 6 on
+        (["corank", "--g", "2", "--h1-m", "0", "--cork-mu", "0"],
+         "--g = 2: every curve of genus 2 is hyperelliptic, and the "
+         "low-genus rules are stated for nonhyperelliptic curves"),
     ], ids=["int-item", "bytes-item", "none-item", "aux-key-twice",
             "cliff-mixed", "cliff-h0-and-g", "corank-missing", "no-model",
             "reflect-no-nodal", "enumerate-no-k", "cliff-bare",
@@ -542,7 +547,7 @@ class TestExitCodes:
             "scroll-negative-b1", "scroll-low-b1", "scroll-low-g",
             "cliff-bound-low-g", "bel-degm-cap", "main-phi-square",
             "main-genus", "corank-unknown-aux", "corank-g4-nontrigonal",
-            "corank-g3-nontrigonal", "corank-g7-nontrigonal"])
+            "corank-g3-nontrigonal", "corank-g7-nontrigonal", "corank-g2"])
     def test_input_refusals(self, capsys, argv, err):
         """A non-str argv item, a repeated --aux key (the last value would
         win and change the verdict), cliff's two modes at once (--g
@@ -609,6 +614,120 @@ class TestCommandContract:
                     if not isinstance(a, argparse._HelpAction)}
         assert len(declared) == 79
         assert declared - read == set()
+
+
+def _row_inputs(rows):
+    """The names of the inputs that the _READS rows read, aux_h0 among
+    them when a row reads aux_h0 keys."""
+    names = {n for r in rows for n, _ in criteria._READS[r][0]}
+    return names | ({"aux_h0"} if any(criteria._READS[r][1] for r in rows)
+                    else set())
+
+
+_LOW = tuple(f"low-({c})" for c in "abcde")
+# per rule command, and per --rule of gaussian: an argv that reaches its
+# call, the rows of criteria._READS that declare its options, the rows
+# its call reads, and the function it calls, as cli names it (for
+# gaussian, its key in cli._GAUSSIAN_RULES)
+_RULE_COMMANDS = {
+    **{f"gaussian-{r}": (["gaussian", "--rule", r],
+                         ("main", "cliff", "bel", "degree", "tetragonal"),
+                         (r,), r)
+       for r in ("main", "cliff", "bel", "degree", "tetragonal")},
+    "corank": (["corank"], ("curve-type", *_LOW), ("curve-type", *_LOW),
+               "corank_low_genus"),
+    "b2rule": (["b2rule"], ("class",), ("class",), "b2_rule_enriques"),
+    "scroll": (["scroll"], ("scroll",), ("scroll",), "scroll_invariants"),
+    "cliff-series": (["cliff", "--d", "8", "--h0", "3"],
+                     ("series", "cliff-bound"), ("series",),
+                     "clifford_of_series"),
+    "cliff-bound": (["cliff", "--g", "7"], ("series", "cliff-bound"),
+                    ("cliff-bound",), "cliff_upper_bound"),
+}
+
+
+class TestRuleCommands:
+    """Each rule command declares the options of the inputs its rows of
+    criteria._READS read, and calls its function with those inputs."""
+
+    @pytest.mark.parametrize("argv, declared, rows, name",
+                             _RULE_COMMANDS.values(), ids=list(_RULE_COMMANDS))
+    def test_options_and_call_are_those_its_rows_read(
+            self, monkeypatch, argv, declared, rows, name):
+        sub = cli.build_parser()._commands[argv[0]]
+        # json, strict on a verdict command and gaussian's rule, then
+        # the rows' inputs in _OPTIONS order: the usage order
+        head = ["help", "json"]
+        if argv[0] in ("gaussian", "corank", "b2rule"):
+            head.append("strict")
+        if argv[0] == "gaussian":
+            head.append("rule")
+        dests = [a.dest for a in sub._actions]
+        assert dests == head + list(cli._reading(*declared))
+        # so the refusal covers every option the command declares, and
+        # every input the rows name has an option
+        assert set(dests[len(head):]) == {
+            cli._INPUT_DESTS[n] for n in _row_inputs(declared)}
+        assert cli._reading(*rows) == tuple(
+            d for d in dests if d in {cli._INPUT_DESTS[n]
+                                      for n in _row_inputs(rows)})
+        if argv[0] == "gaussian":
+            choices = sub._option_string_actions["--rule"].choices
+            assert set(choices) == set(cli._GAUSSIAN_RULES) == set(
+                declared) <= set(criteria._READS)
+            real = cli._GAUSSIAN_RULES[name]
+        else:
+            real = getattr(cli, name)
+        # the function is criteria's, and takes its rows' inputs by name
+        assert getattr(criteria, real.__name__) is real
+
+        class Called(Exception):
+            pass
+
+        calls = []
+
+        def fake(*args, **kwargs):
+            calls.append((args, kwargs))
+            raise Called
+
+        if argv[0] == "gaussian":
+            monkeypatch.setitem(cli._GAUSSIAN_RULES, name, fake)
+        else:
+            monkeypatch.setattr(cli, name, fake)
+        args = cli._parse_args(argv)
+        with pytest.raises(Called):
+            args.handler(args)
+        [(positional, keywords)] = calls
+        assert positional == () and set(keywords) == _row_inputs(rows)
+        inspect.signature(real).bind(**keywords)
+
+    def test_corank_declares_its_rows_in_usage_order(self):
+        # the inputs of the low-genus rows, then the aux_h0 keys and the
+        # curve-type flags that pick a row
+        dests = [a.dest for a in
+                 cli.build_parser()._commands["corank"]._actions]
+        assert dests == ["help", "json", "strict", "g", "h1_m", "cork_mu",
+                         "h0_2k_minus_m", "aux", "plane_quintic", "trigonal",
+                         "nontrigonal"]
+        assert [r for r in criteria._READS if r.startswith("low-")] == list(
+            _LOW)
+
+    def test_gonality_is_the_one_exception(self):
+        # its flag --two-d-special is the negation of its row's input
+        # not_2D_special, which no option gives by name
+        dests = [a.dest for a in
+                 cli.build_parser()._commands["gonality"]._actions]
+        assert dests == ["help", "json", "l2", "phi", "two_d_special"]
+        assert [n for n, _ in criteria._READS["gonality"][0]] == [
+            "L2", "phi", "not_2D_special"]
+        assert "not_2D_special" not in cli._INPUT_DESTS
+        # every other function cli calls from criteria is covered above
+        called = {v for v in vars(cli).values() if inspect.isfunction(v)
+                  and v.__module__ == criteria.__name__}
+        covered = {getattr(cli, name) for argv, _, _, name in
+                   _RULE_COMMANDS.values() if argv[0] != "gaussian"}
+        assert called == covered | set(cli._GAUSSIAN_RULES.values()) | {
+            criteria.gonality}
 
 
 class TestGaussianCommand:
@@ -727,35 +846,6 @@ class TestGaussianCommand:
                 sys.setprofile(None)
             assert got == rc and calls == [rule]
         capsys.readouterr()
-
-    def test_gaussian_options_are_those_its_rules_read(self):
-        # so the refusal covers every option the command declares, and
-        # every input the rows of its rules name has an option
-        sub = cli.build_parser()._commands["gaussian"]
-        choices = set(sub._option_string_actions["--rule"].choices)
-        assert choices == set(cli._GAUSSIAN_RULES) <= set(criteria._READS)
-        dests = {a.dest for a in sub._actions} - {"help", "json", "strict",
-                                                  "rule"}
-        assert dests == {cli._INPUT_DESTS[n] for rule in choices
-                         for n, _ in criteria._READS[rule][0]}
-        # and each rule is its checker, called with the row's inputs as
-        # the options give them
-        assert all(getattr(criteria, f.__name__) is f
-                   for f in cli._GAUSSIAN_RULES.values())
-
-    def test_corank_options_are_those_its_rows_read(self):
-        # the inputs of the low-genus rows, then the aux_h0 keys and the
-        # curve-type flags that pick a row
-        sub = cli.build_parser()._commands["corank"]
-        rows = [r for r in criteria._READS if r.startswith("low-")]
-        assert rows == [f"low-({c})" for c in "abcde"]
-        dests = [a.dest for a in sub._actions]
-        assert dests[:3] == ["help", "json", "strict"]
-        assert dests[-4:] == ["aux", "plane_quintic", "trigonal",
-                              "nontrigonal"]
-        assert set(dests[3:-4]) == {cli._INPUT_DESTS[n] for r in rows
-                                    for n, _ in criteria._READS[r][0]}
-
 
     def test_tetragonal_echoes_h1m_as_given(self, capsys):
         # the bound reads h1(M) = 0; the echo holds h1M only when given

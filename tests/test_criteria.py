@@ -317,6 +317,16 @@ class TestCorankLowGenus:
                 "only the trigonal and plane quintic branches do$")):
             corank_low_genus(7, h1M=0, cork_mu=0, **flags)
 
+    def test_genus_2_is_hyperelliptic(self):
+        # in the genus domain, but below every rule, each of which is
+        # stated for nonhyperelliptic curves
+        with pytest.raises(RangeError) as exc:
+            corank_low_genus(2, h1M=0, cork_mu=0)
+        assert exc.value.name == "g"
+        assert str(exc.value) == (
+            "g = 2: every curve of genus 2 is hyperelliptic, and the "
+            "low-genus rules are stated for nonhyperelliptic curves")
+
     @pytest.mark.parametrize("g, flags, missing", [
         (3, {}, ("h1M", "cork_mu", "aux_h0[4K-M]")),
         (4, {}, ("h1M", "h0_2K_minus_M", "cork_mu", "aux_h0[3K-M]")),

@@ -267,7 +267,7 @@ def test_inline_expected_sets():
         surf = get_surface(fx.surface)
         C = resolve(fx.curve, surf)
         res = enumerate_bogreider(surf, C, fx.k, mod4=fx.mod4)
-        assert {d.key() for d in res.survivors} == expect, cid
+        assert {(d.expr, d.z) for d in res.survivors} == expect, cid
 
 
 def test_case_a_killed_means_net_empty():
@@ -277,7 +277,7 @@ def test_case_a_killed_means_net_empty():
     C = resolve(fx.curve, surf)
     res = enumerate_bogreider(surf, C, fx.k, mod4=fx.mod4)
     # everything numeric dies later
-    assert {d.key() for d in res.survivors} == killed
+    assert {(d.expr, d.z) for d in res.survivors} == killed
 
 
 def test_survivor_ordering_and_payload():

@@ -202,9 +202,15 @@ CATALOGUE = [
     # gaussian's options stop reading the tetragonal row, so
     # --h0-2k-minus-m-b2a and --mu-surjective vanish
     ("gaussian-tetragonal", _CLI,
-     "_GAUSSIAN_DESTS = _reading(_GAUSSIAN_RULES)",
-     "_GAUSSIAN_DESTS = _reading(r for r in _GAUSSIAN_RULES\n"
-     "                           if r != \"tetragonal\")",
+     "_GAUSSIAN_DESTS = _reading(*_GAUSSIAN_RULES)",
+     "_GAUSSIAN_DESTS = _reading(*(r for r in _GAUSSIAN_RULES\n"
+     "                             if r != \"tetragonal\"))",
+     ["tests/test_cli.py"]),
+    # corank stops reading the curve-type row, so --plane-quintic,
+    # --trigonal and --nontrigonal vanish
+    ("corank-curve-type-row", _CLI,
+     '_CORANK_ROWS = ("curve-type", *(',
+     "_CORANK_ROWS = tuple((",
      ["tests/test_cli.py"]),
     # counts accept -1: h1M's domain starts one lower
     ("count-domain", _CRITERIA,
