@@ -70,7 +70,6 @@ from .enumeration import (
     FIXTURES,
     enumerate_bogreider,
     enumerate_destab,
-    explain_candidate,
     explainer,
     verify_all,
     verify_case,

@@ -371,9 +371,10 @@ def _check_curve_type(g, plane_quintic, trigonal, nontrigonal=False):
     genus 5: every nonhyperelliptic curve of genus 3 or 4 is trigonal."""
     if trigonal and (plane_quintic or nontrigonal):
         other = "plane quintic" if plane_quintic else "nontrigonal"
-        raise RangeError(f"conflicting curve-type flags: trigonal and {other}")
+        raise RangeError(f"trigonal conflicts with the {other} flag",
+                         "trigonal")
     if plane_quintic and g != 6:
-        raise RangeError(f"a smooth plane quintic has genus 6, got {g}")
+        raise RangeError(f"g = {g}: a smooth plane quintic has genus 6", "g")
     if nontrigonal and g < 5:
         raise RangeError(f"nontrigonal needs g >= 5, got {g}: every "
                          "nonhyperelliptic curve of genus 3 or 4 is trigonal",
@@ -430,7 +431,8 @@ def corank_low_genus(
         rule = "low-(d)"
     elif trigonal:
         if g < 5:
-            raise RangeError(f"the trigonal branch needs g >= 5, got {g}")
+            raise RangeError(f"g must be >= 5 for the trigonal branch, "
+                             f"got {g}", "g")
         rule = "low-(e)"
     elif g == 2:
         raise RangeError("g = 2: every curve of genus 2 is hyperelliptic, and "
@@ -443,8 +445,8 @@ def corank_low_genus(
                             missing=("trigonal|nontrigonal",))
     else:
         raise RangeError(
-            f"no low-genus branch applies to g = {g}; from genus 6 on, only "
-            "the trigonal and plane quintic branches do")
+            f"g = {g}: no low-genus branch applies; from genus 6 on, only "
+            "the trigonal and plane quintic branches do", "g")
     echo = _read(rule, locals())
     quals = (NONHYPERELLIPTIC,)
 

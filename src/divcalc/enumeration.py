@@ -46,12 +46,11 @@ from .surfaces import (
 
 
 class Decomposition(_Record, namedtuple(
-        "Decomposition", "L z ML L2 deg_D filter_trace notes",
-        defaults=((),))):
+        "Decomposition", "L z ML L2 deg_D notes", defaults=((),))):
     """A survivor C = L + M of the search: the class L, the residual
-    length z = k - M.L, ML = M.L, L2 = L^2, deg_D = L^2 + M.L - k, the
-    (stage, detail) filter trace and string notes. The residual class M
-    is C - L and is not stored."""
+    length z = k - M.L, ML = M.L, L2 = L^2, deg_D = L^2 + M.L - k and
+    string notes. The residual class M is C - L and is not stored, nor
+    is the trace, which the search's mod4 flag fixes (_SURVIVOR_TRACE)."""
 
     __slots__ = ()
 
@@ -68,7 +67,6 @@ class Decomposition(_Record, namedtuple(
             "L2": self.L2,
             "deg_D": self.deg_D,
             "notes": list(self.notes),
-            "trace": [list(t) for t in self.filter_trace],
         }
 
 
@@ -77,17 +75,20 @@ class EnumerationResult(_Record, namedtuple(
         "surface curve k mod4_applied survivors rejected visited")):
     """One search: surface name, rendered curve, k, the mod4 flag used,
     the survivor Decompositions, rejections per stage name and the
-    number of slice points visited."""
+    number of slice points visited. Its JSON gives each survivor the
+    search's trace."""
 
     __slots__ = ()
 
     def to_json_dict(self):
+        trace = [list(t) for t in _SURVIVOR_TRACE[self.mod4_applied]]
         return {
             "surface": self.surface,
             "curve": self.curve,
             "k": self.k,
             "mod4": self.mod4_applied,
-            "survivors": [d.to_json_dict() for d in self.survivors],
+            "survivors": [{**d.to_json_dict(), "trace": trace}
+                          for d in self.survivors],
             "rejected": dict(sorted(self.rejected.items())),
             "visited": self.visited,
         }
@@ -136,7 +137,7 @@ def _sign_stage(model):
     return negative, sign
 
 
-def _decomposition(L, s, L2, C2, k, trace):
+def _decomposition(L, s, L2, C2, k):
     """The survivor L with L.C = s and L^2 = L2, given C^2."""
     ML = s - L2
     # No Hodge stage: on the signature-(1, r - 1) lattices that _slicer
@@ -148,16 +149,16 @@ def _decomposition(L, s, L2, C2, k, trace):
                  f"{Fraction(s, L2)} L",)
     if ML < k:
         notes += (f"residual subscheme of length {k - ML}",)
-    return Decomposition(L, k - ML, ML, L2, s - k, trace, notes)
+    return Decomposition(L, k - ML, ML, L2, s - k, notes)
 
 
 def _setup(surface, C, k, mod4, walks):
     """What a search of C at k and its explainer share: the slice walk,
-    C^2 (from the walk's set-up), the mod4 flag used and a survivor's
-    trace. Refuses a C of another model, a k that is not an int (bool
-    excluded) or is below 2, a mod4 that is not None or a bool, then (in
-    _slicer) a C it cannot walk. The walk comes from walks, keyed by C,
-    and is added there when it is new; one walk serves every k of C."""
+    C^2 (from the walk's set-up) and the mod4 flag used. Refuses a C of
+    another model, a k that is not an int (bool excluded) or is below 2,
+    a mod4 that is not None or a bool, then (in _slicer) a C it cannot
+    walk. The walk comes from walks, keyed by C, and is added there when
+    it is new; one walk serves every k of C."""
     _require_model(surface, C)
     if type(k) is not int:
         raise RangeError(f"k must be an integer, got {k!r}", "k")
@@ -168,19 +169,19 @@ def _setup(surface, C, k, mod4, walks):
     if C not in walks:
         walks[C] = _slicer(C)
     apply_mod4 = _auto_mod4(surface, C) if mod4 is None else mod4
-    return (*walks[C], apply_mod4, _SURVIVOR_TRACE[apply_mod4])
+    return (*walks[C], apply_mod4)
 
 
 def _scan(surface, C, k, mod4, walks):
     """The windows of the search for C at k, set up by _setup, with the
-    sign and mod4 tests: (kept, rejected, visited, C^2, apply_mod4,
-    trace), where kept lists, unsorted, (x, s, L^2) for the coordinates
-    x of each survivor L and s = L.C, rejected counts the rejections per
+    sign and mod4 tests: (kept, rejected, visited, C^2, apply_mod4),
+    where kept lists, unsorted, (x, s, L^2) for the coordinates x of
+    each survivor L and s = L.C, rejected counts the rejections per
     stage and visited the slice points walked. It builds no class and
     renders nothing: enumerate_bogreider builds the search's records
     from kept, and _replay grades the survivors' keys from the walk's
     coordinates."""
-    points, C2, apply_mod4, trace = _setup(surface, C, k, mod4, walks)
+    points, C2, apply_mod4 = _setup(surface, C, k, mod4, walks)
     negative, _ = _sign_stage(surface)
     kept = []
     rejected = {}
@@ -195,7 +196,7 @@ def _scan(surface, C, k, mod4, walks):
                 rejected["mod4"] = rejected.get("mod4", 0) + 1
             else:
                 kept.append((x, s, q))
-    return kept, rejected, visited, C2, apply_mod4, trace
+    return kept, rejected, visited, C2, apply_mod4
 
 
 def enumerate_bogreider(
@@ -229,11 +230,10 @@ def enumerate_bogreider(
     visited counts slice points and traces match explainer's. Only a
     survivor is built as a DivClass, from the walk's coordinates.
     """
-    kept, rejected, visited, C2, apply_mod4, trace = _scan(
-        surface, C, k, mod4, {})
+    kept, rejected, visited, C2, apply_mod4 = _scan(surface, C, k, mod4, {})
     kept.sort()  # by coordinates, which no two survivors share
     walked, model = DivClass._walked, C.model
-    survivors = [_decomposition(walked(model, x), s, q, C2, k, trace)
+    survivors = [_decomposition(walked(model, x), s, q, C2, k)
                  for x, s, q in kept]
     return EnumerationResult(surface.name, render(C), k, apply_mod4,
                              survivors, rejected, visited)
@@ -253,7 +253,7 @@ def explainer(surface, C, k, mod4: bool | None = None):
     sign and mod4 tests (_sign_stage, _residual_parity): on a slice
     point its trace is the search's.
     """
-    _, C2, apply_mod4, trace = _setup(surface, C, k, mod4, {})
+    _, C2, apply_mod4 = _setup(surface, C, k, mod4, {})
     gram = surface.gram
     negative, sign = _sign_stage(surface)
 
@@ -274,14 +274,10 @@ def explainer(surface, C, k, mod4: bool | None = None):
         for i, (failed, detail) in enumerate(chain):
             if failed:
                 return None, [*_PASSES[:i], (_STAGES[i], f"fail: {detail}")]
-        return _decomposition(L, s, L2, C2, k, trace), list(trace)
+        return (_decomposition(L, s, L2, C2, k),
+                list(_SURVIVOR_TRACE[apply_mod4]))
 
     return explain
-
-
-def explain_candidate(surface, C, k, coords, mod4: bool | None = None):
-    """explainer(surface, C, k, mod4)(coords): one candidate's trace."""
-    return explainer(surface, C, k, mod4)(coords)
 
 
 # ---------------------------------------------------------------------------

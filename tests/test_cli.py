@@ -526,12 +526,23 @@ class TestExitCodes:
          "of genus 3 or 4 is trigonal"),
         (["corank", "--g", "7", "--h1-m", "0", "--cork-mu", "0",
           "--nontrigonal"],
-         "no low-genus branch applies to g = 7; from genus 6 on, only the "
+         "--g = 7: no low-genus branch applies; from genus 6 on, only the "
          "trigonal and plane quintic branches do"),
         # said no low-genus branch applies, as from genus 6 on
         (["corank", "--g", "2", "--h1-m", "0", "--cork-mu", "0"],
          "--g = 2: every curve of genus 2 is hyperelliptic, and the "
          "low-genus rules are stated for nonhyperelliptic curves"),
+        # these four named no input, so the library's wording was printed
+        (["corank", "--g", "4", "--trigonal", "--h1-m", "0", "--cork-mu",
+          "0"], "--g must be >= 5 for the trigonal branch, got 4"),
+        (["gaussian", "--rule", "degree", "--g", "7", "--deg-m", "30",
+          "--plane-quintic"], "--g = 7: a smooth plane quintic has genus 6"),
+        (["gaussian", "--rule", "degree", "--g", "6", "--deg-m", "30",
+          "--plane-quintic", "--trigonal"],
+         "--trigonal conflicts with the plane quintic flag"),
+        (["corank", "--g", "6", "--h1-m", "0", "--cork-mu", "0"],
+         "--g = 6: no low-genus branch applies; from genus 6 on, only the "
+         "trigonal and plane quintic branches do"),
     ], ids=["int-item", "bytes-item", "none-item", "aux-key-twice",
             "cliff-mixed", "cliff-h0-and-g", "corank-missing", "no-model",
             "reflect-no-nodal", "enumerate-no-k", "cliff-bare",
@@ -547,7 +558,9 @@ class TestExitCodes:
             "scroll-negative-b1", "scroll-low-b1", "scroll-low-g",
             "cliff-bound-low-g", "bel-degm-cap", "main-phi-square",
             "main-genus", "corank-unknown-aux", "corank-g4-nontrigonal",
-            "corank-g3-nontrigonal", "corank-g7-nontrigonal", "corank-g2"])
+            "corank-g3-nontrigonal", "corank-g7-nontrigonal", "corank-g2",
+            "corank-g4-trigonal", "degree-g7-quintic",
+            "degree-trigonal-quintic", "corank-g6-no-flag"])
     def test_input_refusals(self, capsys, argv, err):
         """A non-str argv item, a repeated --aux key (the last value would
         win and change the verdict), cliff's two modes at once (--g

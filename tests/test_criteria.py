@@ -264,8 +264,10 @@ class TestCorankLowGenus:
                              aux_h0={"5A-M": 0, "4A-M": 1},
                              plane_quintic=True)
         assert v.status == "SURJECTIVE" and v.rule == "low-(d)"
-        with pytest.raises(RangeError):
+        with pytest.raises(RangeError) as exc:
             corank_low_genus(7, h1M=0, plane_quintic=True)
+        assert (str(exc.value), exc.value.name) == (
+            "g = 7: a smooth plane quintic has genus 6", "g")
 
     def test_quintic_bound_needs_hypotheses(self):
         v = corank_low_genus(6, h1M=1, cork_mu=0,
@@ -277,8 +279,10 @@ class TestCorankLowGenus:
         v = corank_low_genus(7, h1M=0, cork_mu=0, h0_2K_minus_M=1,
                              aux_h0={"3K-(g-4)A-M": 0}, trigonal=True)
         assert v.status == "SURJECTIVE" and v.rule == "low-(e)"
-        with pytest.raises(RangeError):
+        with pytest.raises(RangeError) as exc:
             corank_low_genus(4, trigonal=True)
+        assert (str(exc.value), exc.value.name) == (
+            "g must be >= 5 for the trigonal branch, got 4", "g")
 
     def test_trigonal_equality_note_reads_the_supplied_count(self):
         # the bound holds with or without h0(2K - M); the equality
@@ -294,9 +298,13 @@ class TestCorankLowGenus:
         assert notes[1][1] == "equality holds: h0(2K - M) = 1 <= 1"
         assert notes[3] == ("cork >= h0(3K - (g-4)A - M) = 2",)
 
-    def test_conflicting_flags(self):
-        with pytest.raises(RangeError):
-            corank_low_genus(7, trigonal=True, nontrigonal=True)
+    @pytest.mark.parametrize("flag, other", [
+        ("nontrigonal", "nontrigonal"), ("plane_quintic", "plane quintic")])
+    def test_conflicting_flags(self, flag, other):
+        with pytest.raises(RangeError) as exc:
+            corank_low_genus(7, trigonal=True, **{flag: True})
+        assert (str(exc.value), exc.value.name) == (
+            f"trigonal conflicts with the {other} flag", "trigonal")
 
     @pytest.mark.parametrize("g", [2, 3, 4])
     def test_nontrigonal_needs_genus_5(self, g):
@@ -313,9 +321,10 @@ class TestCorankLowGenus:
     @pytest.mark.parametrize("flags", [{}, {"nontrigonal": True}])
     def test_genus_6_on_names_the_branches_that_reach_it(self, flags):
         with pytest.raises(RangeError, match=(
-                "^no low-genus branch applies to g = 7; from genus 6 on, "
-                "only the trigonal and plane quintic branches do$")):
+                "^g = 7: no low-genus branch applies; from genus 6 on, "
+                "only the trigonal and plane quintic branches do$")) as exc:
             corank_low_genus(7, h1M=0, cork_mu=0, **flags)
+        assert exc.value.name == "g"
 
     def test_genus_2_is_hyperelliptic(self):
         # in the genus domain, but below every rule, each of which is
@@ -594,7 +603,8 @@ class TestCountAndFlagRefusals:
         # degree cap and any hypothesis
         with pytest.raises(RangeError, match="^degM must be >= 0, got -1$"):
             check_degree_corollaries(4, -1, plane_quintic=True)
-        with pytest.raises(RangeError, match="plane quintic has genus 6"):
+        with pytest.raises(RangeError, match=(
+                "^g = 4: a smooth plane quintic has genus 6$")):
             check_degree_corollaries(4, 99, plane_quintic=True)
         with pytest.raises(RangeError, match="^h0_2K_minus_M must be >= 0"):
             check_cliff_criterion(1, -1)
@@ -766,17 +776,32 @@ def test_one_message_per_input_and_value_across_rules(name, value, msg):
         assert (str(exc.value), exc.value.name) == (msg, name), row
 
 
-def _named_range_errors():
-    """(module, line, message, name) for each RangeError that a module of
-    src/divcalc builds with a name, as the nodes of those arguments."""
+def _range_errors(pattern="*.py"):
+    """(module, line, argument nodes) for each RangeError that a module
+    of src/divcalc matching pattern builds."""
     src = Path(__file__).resolve().parents[1] / "src" / "divcalc"
-    for path in sorted(src.glob("*.py")):
+    for path in sorted(src.glob(pattern)):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call) and \
                     getattr(node.func, "id", None) == "RangeError":
-                args = node.args + [k.value for k in node.keywords]
-                if len(args) == 2:
-                    yield path.name, node.lineno, args[0], args[1]
+                yield (path.name, node.lineno,
+                       node.args + [k.value for k in node.keywords])
+
+
+def _named_range_errors():
+    """(module, line, message, name) for each RangeError that a module of
+    src/divcalc builds with a name, as the nodes of those arguments."""
+    for module, line, args in _range_errors():
+        if len(args) == 2:
+            yield module, line, *args
+
+
+def test_every_range_error_of_criteria_is_named():
+    """A criterion refuses an input by its name, so that cli.main prints
+    the option that gives it and not the library's wording."""
+    found = list(_range_errors("criteria.py"))
+    assert len(found) >= 17
+    assert [line for _, line, args in found if len(args) != 2] == []
 
 
 def test_a_named_range_error_starts_with_its_name():

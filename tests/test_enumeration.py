@@ -15,7 +15,6 @@ from divcalc.enumeration import (
     CaseFixture,
     enumerate_bogreider,
     enumerate_destab,
-    explain_candidate,
     explainer,
     verify_all,
     verify_case,
@@ -286,11 +285,11 @@ def test_survivor_ordering_and_payload():
     res = enumerate_bogreider(surf, C, 6, mod4=True)
     coords = [d.L.coords for d in res.survivors]
     assert coords == sorted(coords)
-    for d in res.survivors:
+    docs = res.to_json_dict()["survivors"]
+    for d, doc in zip(res.survivors, docs, strict=True):
         assert d.z == 6 - d.ML
         assert d.deg_D == d.L2 + d.ML - 6
-        assert d.filter_trace[-1][0] == "mod4"
-        doc = d.to_json_dict()
+        assert doc["trace"][-1][0] == "mod4"
         assert doc["L"] == render(d.L)
 
 
@@ -301,18 +300,18 @@ def test_rejected_histogram_accounts_for_everything():
     assert sum(res.rejected.values()) + len(res.survivors) == res.visited
 
 
-def test_explain_candidate_out_of_box():
+def test_explainer_out_of_box():
     surf = get_surface("sigma1")
     C = resolve("-2K", surf)
-    dec, trace = explain_candidate(surf, C, 6, (40, -1), mod4=True)
+    dec, trace = explainer(surf, C, 6, mod4=True)((40, -1))
     assert dec is None
     assert trace[-1][0] == "ML_ge_L2" or trace[-1][1].startswith("fail")
 
 
-def test_explain_candidate_survivor_trace():
+def test_explainer_survivor_trace():
     surf = get_surface("blq")
     C = resolve("-2K", surf)
-    dec, trace = explain_candidate(surf, C, 4, (0, 1), mod4=True)
+    dec, trace = explainer(surf, C, 4, mod4=True)((0, 1))
     assert dec is not None
     names = [n for n, _ in trace]
     assert names == [
@@ -336,9 +335,7 @@ def test_search_finds_survivor_outside_envelope():
 def test_envelope_miss_passes_every_stage():
     skey, curve, k, coords = _ENVELOPE_MISS
     surf = get_surface(skey)
-    dec, trace = explain_candidate(
-        surf, resolve(curve, surf), k, coords, mod4=False
-    )
+    dec, trace = explainer(surf, resolve(curve, surf), k, mod4=False)(coords)
     assert dec is not None and dec.z == 0
     assert [n for n, _ in trace] == [
         "nonzero", "sign", "L2_nonneg", "ML_ge_L2", "ML_le_k",
@@ -347,10 +344,10 @@ def test_envelope_miss_passes_every_stage():
     assert not any(d.startswith("fail") for _, d in trace)
 
 
-def test_explain_candidate_sign_failure():
+def test_explainer_sign_failure():
     surf = get_surface("sigma2")
     C = resolve("-2K", surf)
-    dec, trace = explain_candidate(surf, C, 4, (1, 1, 0), mod4=True)
+    dec, trace = explainer(surf, C, 4, mod4=True)((1, 1, 0))
     assert dec is None
     assert trace[-1][0] == "sign"
 
@@ -368,13 +365,12 @@ _STAGE_FAILURES = [
 ]
 
 
-def test_explain_candidate_names_each_failed_stage():
+def test_explainer_names_each_failed_stage():
     stages = ["nonzero", "sign", "L2_nonneg", "ML_ge_L2", "ML_le_k",
               "degD_nonneg", "mod4"]
     for i, (name, curve, k, coords, detail) in enumerate(_STAGE_FAILURES):
         m = get_config(name) if name in list_configs() else get_surface(name)
-        dec, trace = explain_candidate(m, resolve(curve, m), k, coords,
-                                       mod4=True)
+        dec, trace = explainer(m, resolve(curve, m), k, mod4=True)(coords)
         assert dec is None
         assert trace == [(stage, "pass") for stage in stages[:i]] + [
             (stages[i], f"fail: {detail}")]
@@ -447,15 +443,15 @@ def test_search_and_explainer_refuse_a_mod4_that_is_not_a_bool(mod4):
         enumerate_bogreider(blq, resolve("f", blq), 4, mod4=mod4)
 
 
-def test_explain_candidate_refuses_what_the_search_refuses():
+def test_explainer_refuses_what_the_search_refuses():
     surf = get_surface("sigma1")
     with pytest.raises(RangeError):
-        explain_candidate(surf, resolve("-2K", surf), 1, (1, 0))
+        explainer(surf, resolve("-2K", surf), 1)((1, 0))
     with pytest.raises(ModelError):  # C^2 = -1
-        explain_candidate(surf, resolve("G1", surf), 4, (1, 0))
+        explainer(surf, resolve("G1", surf), 4)((1, 0))
     blq = get_surface("blq")
     with pytest.raises(ModelError):  # C^2 = 0
-        explain_candidate(blq, resolve("f", blq), 4, (0, 1))
+        explainer(blq, resolve("f", blq), 4)((0, 1))
 
 
 def _raised(call, *args):
@@ -467,7 +463,7 @@ def _raised(call, *args):
     return None
 
 
-def test_explain_candidate_refuses_in_the_search_order():
+def test_explainer_refuses_in_the_search_order():
     # where refusals meet (another model, k < 2, C^2 <= 0) both raise the
     # same type, and both accept the same inputs
     s1, s2, blq = (get_surface(n) for n in ("sigma1", "sigma2", "blq"))
@@ -478,8 +474,9 @@ def test_explain_candidate_refuses_in_the_search_order():
         for C in curves:
             for k in (0, 1, 2, 4):
                 got = _raised(enumerate_bogreider, surf, C, k)
-                assert got == _raised(explain_candidate, surf, C, k,
-                                      (0,) * surf.rank), (surf.name, C, k)
+                assert got == _raised(
+                    lambda: explainer(surf, C, k)((0,) * surf.rank)), (
+                    surf.name, C, k)
                 seen.add(got)
     assert seen == {None, ModelMismatchError, RangeError, ModelError}
 
@@ -493,10 +490,10 @@ def test_search_refuses_a_curve_from_another_model():
         enumerate_bogreider(s2, resolve("-2K", blq), 4)
 
 
-def test_explain_candidate_refuses_a_curve_from_another_model():
+def test_explainer_refuses_a_curve_from_another_model():
     s2, s3 = get_surface("sigma2"), get_surface("sigma3")
     with pytest.raises(ModelMismatchError):
-        explain_candidate(s3, resolve("-2K", s2), 4, (1, 1, 0, 0))
+        explainer(s3, resolve("-2K", s2), 4)((1, 1, 0, 0))
 
 
 def test_sigma_model_with_h_not_first_keeps_its_survivors():
@@ -547,7 +544,7 @@ def test_a_model_reusing_a_builtin_name_is_a_different_model():
     with pytest.raises(ModelMismatchError):
         enumerate_bogreider(impostor, C, 4)
     with pytest.raises(ModelMismatchError):
-        explain_candidate(impostor, C, 4, (0, 1, -1, 0))
+        explainer(impostor, C, 4)((0, 1, -1, 0))
     with pytest.raises(ModelMismatchError):
         phi(impostor, resolve("-K", surf))
 
@@ -564,7 +561,7 @@ def test_separately_built_copies_of_a_builtin_work_together():
         assert pair(C, resolve("H", shared)) == 6
         got = enumerate_bogreider(shared, C, 4)
         assert got.to_json_dict() == want.to_json_dict()
-        dec, _ = explain_candidate(shared, C, 4, (1, -1, 0, 0))
+        dec, _ = explainer(shared, C, 4)((1, -1, 0, 0))
         assert dec is not None
         assert phi(shared, resolve("-K", other)).value == 2
 
@@ -633,8 +630,8 @@ def test_explaining_a_whole_search_sets_up_the_slice_walk_once(monkeypatch):
     explain = explainer(e, C, 3, mod4=True)
     traces = [explain(x) for x in points]
     assert len(calls) == 1
-    assert traces == [explain_candidate(e, C, 3, x, mod4=True) for x in points]
-    assert len(calls) == 1 + len(points)  # explain_candidate: one per call
+    assert traces == [explainer(e, C, 3, mod4=True)(x) for x in points]
+    assert len(calls) == 1 + len(points)  # a fresh explainer: one per call
 
 
 def test_enriques_survivors_are_u1_2u2_and_the_e8_roots():
@@ -871,11 +868,13 @@ def test_search_and_explain_share_one_stage_kernel():
     for m, C, k, mod4 in _kernel_searches():
         res, explained = _explained(m, C, k, mod4)
         kept = {d.L.coords: d for d in res.survivors}
+        traces = {tuple(doc["coords"]): doc["trace"]
+                  for doc in res.to_json_dict()["survivors"]}
         seen = Counter()
         for x, (dec, trace) in explained.items():
             if x in kept:
                 assert dec == kept[x]
-                assert list(kept[x].filter_trace) == trace
+                assert traces[x] == [list(t) for t in trace]
                 continue
             assert dec is None
             seen[trace[-1][0]] += 1

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import divcalc
 from divcalc import cli
-from divcalc.enumeration import explain_candidate, explainer
+from divcalc.enumeration import explainer
 from divcalc.lattice import slice_points
 from divcalc.surfaces import enriques, get_config, list_configs, phi
 
@@ -50,7 +50,7 @@ def test_traced_stages_cover_the_search():
     tracing = _tracing()
     surf = divcalc.get_surface("blq")
     C = divcalc.resolve("-2K", surf)
-    _, trace = explain_candidate(surf, C, 4, (0, 1), mod4=True)
+    _, trace = explainer(surf, C, 4, mod4=True)((0, 1))
     assert {name for name, _ in trace} <= set(tracing.STAGES)
     models = set()
     for m, C, k, mod4 in _kernel_searches(seeded=False):

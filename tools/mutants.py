@@ -96,6 +96,12 @@ CATALOGUE = [
      "max(map(abs, F)) <= box]",
      "max(map(abs, F)) < box]",
      ["tests/test_surfaces.py"]),
+    # a search's JSON gives its survivors the mod4-on trace whatever the
+    # flag it used
+    ("survivor-trace", _ENUMERATION,
+     "trace = [list(t) for t in _SURVIVOR_TRACE[self.mod4_applied]]",
+     "trace = [list(t) for t in _SURVIVOR_TRACE[True]]",
+     ["tests/test_enumeration.py"]),
     # the replay grades a survivor's z with the wrong sign of q = L^2
     ("replay-grading", _ENUMERATION,
      "fx.k - s + q",
@@ -222,6 +228,12 @@ CATALOGUE = [
      "    if g < 4:\n        fails.append",
      "    if g < 3:\n        fails.append",
      ["tests/test_criteria.py"]),
+    # the trigonal branch's genus refusal names no input, so the command
+    # line prints the library's wording and not --g
+    ("refusal-name", _CRITERIA,
+     'f"got {g}", "g")',
+     'f"got {g}")',
+     ["tests/test_cli.py"]),
     # the degree corollaries rule on g = 4, below their hypothesis g >= 5
     ("degree-hypothesis", _CRITERIA,
      "    if g < 5:\n        note",
