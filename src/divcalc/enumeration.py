@@ -304,22 +304,40 @@ class DestabResult(_Record, namedtuple("DestabResult", "survivors grid")):
 
 def enumerate_destab() -> DestabResult:
     """Grade the 16-cell grid of splittings A = a C0 + a1 f of the rank-2
-    bundle with c1 = 4C0 + 7f and c2 = 4 on the ruled quadric model.
+    bundle with c1 = 4C0 + 7f and c2 = 4 on the ruled quadric model blq.
 
-    A destabilizing A must satisfy, with B = c1 - A and lenW = 4 - A.B:
-    A^2 + B^2 >= 16, A^2 > B^2, A^2 >= 10, a(a1 - a) >= 5, and B > 0
-    (numeric proxy: B nonzero with no negative coordinate). The bundle is
-    fixed here, so the grid takes no surface, curve or c2 as input.
+    A destabilizing A must satisfy, with B = c1 - A, lenW = c2 - A.B and
+    every pairing read off blq's gram:
+      ab    A^2 + B^2 >= 16;
+      ab2   A^2 > B^2;
+      ab3   A^2 >= 10;
+      ab4   a(a1 - a) >= 5;
+      Bpos  B > 0 (numeric proxy: B nonzero with no negative coordinate,
+            so A != c1, a <= 4 and a1 <= 7);
+      lenW >= 0.
+    A^2 + B^2 = c1^2 - 2A.B = 24 - 2A.B, so ab holds exactly when
+    lenW >= 0; and A^2 = 2a(a1 - a), so ab4 holds exactly when ab3 does.
+    So neither ab4 nor lenW >= 0 can be the first condition a cell fails,
+    and a cell's verdict is the first of ab, ab2, ab3 and Bpos it fails.
+
+    The box 1 <= a <= 4, 4 <= a1 <= 7 holds every A that passes:
+    B >= 0 gives a <= 4 and a1 <= 7; for a <= 0, A^2 >= 10 forces
+    a1 < a, and then B^2 - A^2 = 24 + 2a - 8a1 > 0, which fails ab2; for
+    1 <= a <= 4, a(a1 - a) >= 5 forces a1 >= 5. The bundle is fixed
+    here, so the grid takes no surface, curve or c2 as input.
     """
+    (n0, n1), c2 = (4, 7), 4  # c1 = n0 C0 + n1 f
+    (g00, g01), (_, g11) = get_surface("blq").gram
+    # G c1, so that c1.A = u0 a + u1 a1
+    u0, u1 = g00 * n0 + g01 * n1, g01 * n0 + g11 * n1
+    c1c1 = u0 * n0 + u1 * n1
     survivors = []
     grid = []
-    for a in range(1, 5):
-        for a1 in range(4, 8):
-            A2 = 2 * a * (a1 - a)
-            B2 = 2 * (4 - a) * (3 + a - a1)
-            AB = 2 * a * a - a - 2 * a * a1 + 4 * a1
-            lenW = 4 - AB
-            b0, b1 = 4 - a, 7 - a1
+    for a in range(1, n0 + 1):
+        for a1 in range(4, n1 + 1):
+            A2 = (g00 * a + 2 * g01 * a1) * a + g11 * a1 * a1
+            c1A = u0 * a + u1 * a1
+            B2 = c1c1 - 2 * c1A + A2
             verdict = "pass"
             if A2 + B2 < 16:
                 verdict = "ab: A^2 + B^2 < 16"
@@ -327,15 +345,12 @@ def enumerate_destab() -> DestabResult:
                 verdict = "ab2: A^2 <= B^2"
             elif A2 < 10:
                 verdict = "ab3: A^2 < 10"
-            elif a * (a1 - a) < 5:
-                verdict = "ab4: a(a1 - a) < 5"
-            elif (b0, b1) == (0, 0) or b0 < 0 or b1 < 0:
+            elif (a, a1) == (n0, n1) or a > n0 or a1 > n1:
                 verdict = "Bpos: B = 0 or negative coordinate"
-            elif lenW < 0:
-                verdict = "lenW_nonneg: A.B > 4"
             grid.append((a, a1, verdict))
             if verdict == "pass":
-                survivors.append(DestabCandidate(a, a1, A2, B2, AB, lenW))
+                AB = c1A - A2
+                survivors.append(DestabCandidate(a, a1, A2, B2, AB, c2 - AB))
     return DestabResult(survivors, grid)
 
 

@@ -45,6 +45,7 @@ from divcalc.surfaces import (
 from oracle_bruteforce import (
     ORACLE_CASES,
     ORACLE_SURFACES,
+    brute_destab,
     brute_survivors,
     slice_box,
     survivor_box,
@@ -938,6 +939,36 @@ class TestDestab:
         assert grid[(1, 4)].startswith("ab:")
         assert grid[(4, 7)].startswith("Bpos")
         assert grid[(3, 6)] == "pass"
+
+    def test_survivors_match_oracle(self):
+        # the oracle's hand-expanded formulas against the grid's gram
+        got = {(c.a, c.a1): (c.A2, c.B2, c.AB, c.lenW)
+               for c in enumerate_destab().survivors}
+        assert got == brute_destab()
+
+    def test_box_is_complete(self):
+        # every condition of the docstring, ab4 and lenW >= 0 included,
+        # on a box far wider than the grid's, with plain gram arithmetic
+        G = ((-2, 1), (1, 0))
+
+        def dot(x, y):
+            return sum(x[i] * G[i][j] * y[j]
+                       for i in range(2) for j in range(2))
+
+        c1, c2 = (4, 7), 4
+        passing = {}
+        for a in range(-60, 61):
+            for a1 in range(-60, 61):
+                A, B = (a, a1), (c1[0] - a, c1[1] - a1)
+                A2, B2, AB = dot(A, A), dot(B, B), dot(A, B)
+                if (A2 + B2 >= 16 and A2 > B2 and A2 >= 10
+                        and a * (a1 - a) >= 5
+                        and B != (0, 0) and min(B) >= 0
+                        and c2 - AB >= 0):
+                    passing[A] = c2 - AB
+        assert passing == {(3, 6): 1, (3, 7): 3, (4, 6): 0}
+        assert passing == {(c.a, c.a1): c.lenW
+                           for c in enumerate_destab().survivors}
 
     def test_fixture_j_expectations(self):
         rep = verify_case("g1kondelp-j")

@@ -254,6 +254,16 @@ CATALOGUE = [
      "if h1M == 0 and mu_surjective:",
      "if h1M is not None and mu_surjective:",
      ["tests/test_criteria.py"]),
+    # the destab grid lets B = 0 pass, so A = c1 = 4C0 + 7f survives
+    ("destab-bpos-zero", _ENUMERATION,
+     "elif (a, a1) == (n0, n1) or a > n0",
+     "elif a > n0",
+     ["tests/test_enumeration.py"]),
+    # the destab grid's lenW reads c2 = 5
+    ("destab-c2", _ENUMERATION,
+     "(n0, n1), c2 = (4, 7), 4",
+     "(n0, n1), c2 = (4, 7), 5",
+     ["tests/test_enumeration.py"]),
 ]
 
 
