@@ -161,6 +161,8 @@ def _reduce(x):
                 step = _cusp_step(x)
             c = [sum(map(mul, row, x)) for row in _E10_ROOT_ROWS]
         m = min(c)
+        if m >= 0:  # x is in the chamber, and c its pairings
+            return x, c, word
         while m < 0:
             j = c.index(m)
             c[j] = -m

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import os
 import re
 import sys
 import time
 from collections import namedtuple
-from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import __version__
 from .criteria import (
@@ -583,67 +583,6 @@ def _parse_args(argv):
             or sub.parse_args(_fuse_expr_flags(argv[1:])))
 
 
-def _dump_report(obj, pad="\n") -> str:
-    """json.dumps(obj, indent=2), byte for byte, for dicts with str keys,
-    lists, tuples, str, int, bool and None; any other type of value or key
-    raises TypeError. pad is a newline and the indent of the line obj
-    starts on: every line after the first is indented by it, as when obj
-    is a value nested inside a larger document (_report_text writes the
-    RunReport's payload at pad "\n  "). The stdlib indents only in
-    pure-Python generators; this fills one list and joins it once,
-    escaping strings in C."""
-    parts = []
-    put = parts.append
-
-    def emit(o, pad):  # pad: a newline and the indent of o's own line
-        t = type(o)
-        if t is str:
-            put(_encode_str(o))
-        elif t is int:
-            put(int.__repr__(o))
-        elif t is dict:
-            inner, sep = pad + "  ", "{"
-            for k, v in o.items():  # a key that is not a str raises here
-                put(sep + inner + _encode_str(k) + ": ")
-                emit(v, inner)
-                sep = ","
-            put(pad + "}" if o else "{}")
-        elif t is list or t is tuple:
-            inner, sep = pad + "  ", "["
-            for v in o:
-                put(sep + inner)
-                emit(v, inner)
-                sep = ","
-            put(pad + "]" if o else "[]")
-        elif o is None or t is bool:
-            put("null" if o is None else "true" if o else "false")
-        else:
-            raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
-
-    emit(obj, pad)
-    return "".join(parts)
-
-
-_VERSION = _encode_str(__version__)
-_RESULT_PAD = "\n  "  # the indent of the RunReport's "result" line
-
-
-def _report_text(raw, surface, payload, elapsed_ms) -> str:
-    """json.dumps(report, indent=2), byte for byte, of the RunReport
-    {"command": ["divcalc", *raw], "surface": surface, "result": payload,
-    "elapsed_ms": elapsed_ms, "version": __version__}, for str items of
-    raw, a str or None surface and an int elapsed_ms. The fixed envelope
-    is written here, one escape per string; only the payload goes through
-    _dump_report, at the indent of the "result" line."""
-    command = "".join([',\n    ' + _encode_str(a) for a in raw])
-    surface = "null" if surface is None else _encode_str(surface)
-    return (f'{{\n  "command": [\n    "divcalc"{command}\n  ],\n'
-            f'  "surface": {surface},\n'
-            f'  "result": {_dump_report(payload, _RESULT_PAD)},\n'
-            f'  "elapsed_ms": {elapsed_ms},\n'
-            f'  "version": {_VERSION}\n}}')
-
-
 def main(argv=None) -> int:
     raw = list(sys.argv[1:]) if argv is None else list(argv)
     for i, item in enumerate(raw):
@@ -675,8 +614,10 @@ def main(argv=None) -> int:
     elapsed_ms = (time.perf_counter_ns() - t0) // 1_000_000
 
     try:
-        print(_report_text(raw, out.surface, shown, elapsed_ms) if args.json
-              else "\n".join(shown), flush=True)
+        print(json.dumps({"command": ["divcalc", *raw], "surface": out.surface,
+                          "result": shown, "elapsed_ms": elapsed_ms,
+                          "version": __version__})
+              if args.json else "\n".join(shown), flush=True)
     except BrokenPipeError:  # the reader went away: drop the rest
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1

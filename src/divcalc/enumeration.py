@@ -596,8 +596,8 @@ class CaseReport(_Record, namedtuple(
         return {
             "case": self.case_id,
             "status": self.status,
-            "survivors": self.survivors,
-            "expected": self.expected,
+            "survivors": [list(x) for x in self.survivors],
+            "expected": [list(x) for x in self.expected],
             "killed": [list(x) for x in self.killed],
             "trace": self.trace,
             "notes": list(self.notes),

@@ -335,6 +335,36 @@ class TestReduceToChamber:
             assert len(word) <= abs(height(L.coords)), L.coords
         assert kinds == {"neg", "s", "t"}
 
+    def test_reduction_rebuilds_x_only_after_a_reflection(self, monkeypatch):
+        # the reduction keeps x when its pairings, taken after the cusp
+        # steps, are all >= 0, so x is rebuilt from the weight columns
+        # only where the reflections stop: at each alpha_-1 or alpha_0
+        # step that leaves L outside the chamber, and after the last step
+        # when it is a reflection; the cusp classes' one transvection
+        # makes none
+        classes = [cusp(m) for m in (10, 10**4, 10**9)]
+        classes += sample(random.Random(1231), 200, 40)
+        products = []
+
+        class CountingColumns(tuple):
+            def __iter__(self):
+                products.append(1)
+                return super().__iter__()
+
+        monkeypatch.setattr(chamber, "_E10_WEIGHT_COLUMNS",
+                            CountingColumns(chamber._E10_WEIGHT_COLUMNS))
+        ends = Counter()
+        for L in classes:
+            products.clear()
+            x, c, word = chamber._reduce(list(L.coords))
+            end = word[-1][0] if word else None
+            breaks = sum(s[0] == "s" and s[1] < 2 for s in word[:-1])
+            assert len(products) == breaks + (end == "s"), L.coords
+            assert c == [dot(x, a) for a in E10_ROOTS] and min(c) >= 0
+            assert tuple(x) == reduce_to_chamber(L)[0].coords
+            ends[end] += 1
+        assert ends["t"] >= 3 and ends["s"] > 20
+
     def test_cusp_classes_take_one_transvection(self):
         for m in (10, 10**4, 10**9):
             Lc, word = reduce_to_chamber(cusp(m))

@@ -170,6 +170,16 @@ CATALOGUE = [
      "    if missing:\n        raise EvidenceError(\"missing required",
      "    if missing and False:\n        raise EvidenceError(\"missing required",
      ["tests/test_criteria.py"]),
+    # a --json report writes non-ASCII text as it is, not \u-escaped
+    ("report-ascii", _CLI,
+     '"version": __version__})',
+     '"version": __version__}, ensure_ascii=False)',
+     ["tests/test_cli.py"]),
+    # a --json report writes a value JSON cannot hold as its str()
+    ("report-default", _CLI,
+     '"version": __version__})',
+     '"version": __version__}, default=str)',
+     ["tests/test_cli.py"]),
     # an undecided verdict exits 2 without --strict
     ("strict-exit", _CLI,
      "args.strict and ",
