@@ -649,7 +649,7 @@ def _replay(case_id, curves, walks):
         got = {(render_coords(x, surf.labels), fx.k - s + q)
                for x, s, q in kept}
         want = set(fx.expected)
-        status = "PASS" if got == want else "FAIL"
+        ok = got == want
         missing = sorted(want - got)
         if missing:
             explain = explainer(surf, C, fx.k, fx.mod4)
@@ -658,17 +658,13 @@ def _replay(case_id, curves, walks):
             trace.append(f"missing ({expr}, z={z}): {t}")
         for expr, z in sorted(got - want):
             trace.append(f"unexpected survivor ({expr}, z={z})")
-        if status == "PASS":
+        if ok:
             trace.append(
                 f"{len(got)} survivor(s) match; "
                 f"{sum(rejected.values())} candidates rejected"
             )
-        return CaseReport(
-            case_id, status, sorted(got), sorted(want), list(fx.killed),
-            trace, fx.notes,
-        )
-
-    if fx.kind == "destab":
+        got, want = sorted(got), sorted(want)
+    elif fx.kind == "destab":
         res = enumerate_destab()
         got = sorted([c.a, c.a1, c.lenW] for c in res.survivors)
         want = sorted([a, a1, w] for (a, a1), w in fx.expected)
@@ -681,48 +677,43 @@ def _replay(case_id, curves, walks):
                 f"({c.a},{c.a1}): A2={c.A2} B2={c.B2} A.B={c.AB} "
                 f"lenW={c.lenW} identities={'ok' if id1 and id2 else 'BAD'}"
             )
-        status = "PASS" if ok else "FAIL"
-        return CaseReport(case_id, status, got, want, list(fx.killed), trace,
-                          fx.notes)
+    else:  # identities: each check writes one line of the trace
+        got, want, ok = [], [], True
+        for config_name, checks in fx.identities:
+            surf = get_config(config_name)
+            classes = {}  # one parse per expression of the group
 
-    # identities
-    all_ok = True
-    for config_name, checks in fx.identities:
-        surf = get_config(config_name)
-        classes = {}  # one parse per expression of the group
+            def klass(expr):
+                if expr not in classes:
+                    classes[expr] = resolve(expr, surf)
+                return classes[expr]
 
-        def klass(expr):
-            if expr not in classes:
-                classes[expr] = resolve(expr, surf)
-            return classes[expr]
+            for chk in checks:
+                tag = chk[0]
+                if tag == "square":
+                    _, expr, expect = chk
+                    value = pair(klass(expr), klass(expr))
+                    left = f"({expr})^2"
+                elif tag == "pair":
+                    _, ea, eb, expect = chk
+                    value = pair(klass(ea), klass(eb))
+                    left = f"({ea}).({eb})"
+                elif tag == "phi":
+                    _, expr, expect = chk
+                    value = phi(surf, klass(expr)).value
+                    left = f"phi({expr})"
+                elif tag == "qnef":
+                    _, expr, nodal, expect = chk
+                    value = quasi_nef_test(
+                        klass(expr), [klass(nd) for nd in nodal]
+                    ).status
+                    left = f"quasi-nef({expr} vs {list(nodal)})"
+                else:
+                    raise FixtureError(f"unknown identity check {tag!r}")
+                agrees = value == expect
+                ok = ok and agrees
+                trace.append(f"[{config_name}] {left} = {value}, expected "
+                             f"{expect}{'' if agrees else '  <= MISMATCH'}")
 
-        for chk in checks:
-            tag = chk[0]
-            if tag == "square":
-                _, expr, want = chk
-                got = pair(klass(expr), klass(expr))
-                line = f"[{config_name}] ({expr})^2 = {got}, expected {want}"
-            elif tag == "pair":
-                _, ea, eb, want = chk
-                got = pair(klass(ea), klass(eb))
-                line = f"[{config_name}] ({ea}).({eb}) = {got}, expected {want}"
-            elif tag == "phi":
-                _, expr, want = chk
-                got = phi(surf, klass(expr)).value
-                line = f"[{config_name}] phi({expr}) = {got}, expected {want}"
-            elif tag == "qnef":
-                _, expr, nodal, want = chk
-                got = quasi_nef_test(
-                    klass(expr), [klass(nd) for nd in nodal]
-                ).status
-                line = (
-                    f"[{config_name}] quasi-nef({expr} vs {list(nodal)}) = "
-                    f"{got}, expected {want}"
-                )
-            else:
-                raise FixtureError(f"unknown identity check {tag!r}")
-            ok = got == want
-            all_ok = all_ok and ok
-            trace.append(line + ("" if ok else "  <= MISMATCH"))
-    status = "PASS" if all_ok else "FAIL"
-    return CaseReport(case_id, status, [], [], list(fx.killed), trace, fx.notes)
+    return CaseReport(case_id, "PASS" if ok else "FAIL", got, want,
+                      list(fx.killed), trace, fx.notes)

@@ -85,13 +85,13 @@ class _Record(tuple):
 def _json_value(v):
     """v as JSON: a DivClass as its coordinate list, another record as its
     to_json_dict(), a tuple or list as the list of its items' values."""
+    if not isinstance(v, (tuple, list)):
+        return v
     if isinstance(v, DivClass):
         return list(v.coords)
     if isinstance(v, _Record):
         return v.to_json_dict()
-    if isinstance(v, (tuple, list)):
-        return [_json_value(x) for x in v]
-    return v
+    return [_json_value(x) for x in v]
 
 
 class LatticeModel(_Record, namedtuple(

@@ -425,8 +425,8 @@ def quasi_nef_test(L: DivClass, nodal_set) -> QuasiNefResult:
         status, witness = "violated", worst
 
     if status in ("nef", "quasi_nef") and L2 == 0:
-        prim, mult = L.primitive_part()
-        if mult >= 2 and pair(prim, prim) == 0:
+        _, mult = L.primitive_part()
+        if mult >= 2:
             notes.append(
                 f"L is {mult} times a primitive isotropic class; "
                 "h1 may be nonzero in the classification"

@@ -3,12 +3,16 @@
 perfbench/tracing.py rebinds divcalc functions by name and the worker
 runs one boxed phi op, so a rename or removal there would only show up
 in a traced benchmark run. These tests load the tracer from its file,
-unchanged, and check every name and call it depends on.
+unchanged, and check every name and call it depends on. The last one
+runs every workload's operations as the worker does and grades them
+with perfbench/refs.py, so an output the benchmark would count as
+wrong (a drifted identity trace line, say) fails here first.
 """
 
 import importlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import divcalc
@@ -19,7 +23,11 @@ from divcalc.surfaces import enriques, get_config, list_configs, phi
 
 from test_enumeration import _KERNEL_SEARCHES, _kernel_searches
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+sys.path.insert(0, str(ROOT / "tools"))
+
+from cli_diff import QUERY_SEEDS  # noqa: E402
 
 
 def _tracing():
@@ -83,3 +91,26 @@ def test_worker_phi_op_runs():
     assert not res.certified and res.value == 1
     # the least of the 180 box-1 hits by (value, coordinates) is -U2
     assert res.witness == surf.klass((0, -1) + (0,) * 8)
+
+
+def test_every_workload_passes_the_benchmarks_own_checks(monkeypatch):
+    # each operation of each workload, on the seeds of the queries corpus,
+    # made as the worker makes it, sent through JSON as the worker sends
+    # it and graded by perfbench/refs.py against its own references
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    refs = importlib.import_module("refs")
+    worker = importlib.import_module("worker")
+    workloads = importlib.import_module("workloads")
+    oracle, fixed = refs.load_oracle(str(ROOT)), refs.load_fixed()
+    check = refs.make_checker(str(ROOT))
+    wrong = []
+    for seed in QUERY_SEEDS:
+        for w in workloads.WORKLOADS:
+            ops = workloads.generate(w, seed)
+            for op, ref in zip(ops, refs.references(oracle, w, ops, fixed)):
+                call, to_plain = worker._prepare(divcalc, op)
+                out = json.loads(json.dumps(to_plain(call())))
+                status, detail = check(w, op, out, ref)
+                if status != "ok":
+                    wrong.append((seed, w, op, status, detail))
+    assert wrong == []
