@@ -1,8 +1,9 @@
 """Divisor expressions: "6H-2G1-2G2", "3E+2E1", "-2K".
 
 A tiny signed linear-combination grammar over identifiers. "K" always
-resolves to the surface's canonical class; every other identifier must be
-a basis label of the chosen model. The literal "0" is the zero class.
+resolves to the surface's canonical class, so no model has a basis label
+K (LatticeModel refuses it); every other identifier must be a basis label
+of the chosen model. The literal "0" is the zero class.
 Whitespace is ignored everywhere, an optional "*" may separate the
 coefficient from the label. A coefficient is written in ASCII digits;
 one of more digits than the 64-bit envelope allows raises

@@ -100,7 +100,8 @@ class LatticeModel(_Record, namedtuple(
     """An integral lattice: labeled basis, gram matrix, distinguished classes.
 
     Every label is an identifier [A-Za-z][A-Za-z0-9]*, so a divisor
-    expression can name it. effective_labels lists the basis classes
+    expression can name it, other than K, which an expression reads as
+    the canonical class. effective_labels lists the basis classes
     known to be effective divisors. sign_tests holds the coordinates of
     the classes t a decomposition piece L must meet with L.t >= 0; left
     out (None), they are the basis vectors of effective_labels. The gram
@@ -135,6 +136,9 @@ class LatticeModel(_Record, namedtuple(
             if not _LABEL.fullmatch(lab):
                 raise ModelError(f"basis label {lab!r} is not an identifier "
                                  f"{_LABEL.pattern}")
+        if "K" in labels:
+            raise ModelError("basis label 'K' is reserved: a divisor "
+                             "expression reads K as the canonical class")
         gram = _model_rows(gram, "gram", n, n)
         if list(zip(*gram)) != list(gram):
             raise ModelError("gram must be symmetric")
@@ -302,11 +306,11 @@ class DivClass(_Record, namedtuple("DivClass", "model coords")):
     Every coordinate must be an int (a bool, a float or a numpy integer
     raises ModelError; klass converts values with __index__) and is
     checked against the 64-bit envelope on construction, so arithmetic
-    results need no guard of their own. Two classes are equal when their
-    coordinates are and their models are one model by _same_model, the
-    rule under which classes combine, so classes of separately built
-    copies of one model compare equal. The hash goes over the coordinates
-    and the model name, which equal classes share.
+    results need no guard of their own. A class is a record like any
+    other: it equals a class whose model and coordinates are equal, and
+    hashes as the tuple of its fields. Classes combine under the same
+    rule (_require_model), so classes of separately built copies of one
+    model compare equal and work together.
     """
 
     __slots__ = ()
@@ -327,13 +331,6 @@ class DivClass(_Record, namedtuple("DivClass", "model coords")):
         ints inside the envelope that points checks once per window, with
         no check repeated. Every other class goes through __new__."""
         return tuple.__new__(DivClass, (model, coords))
-
-    def __eq__(self, other):
-        return (other.__class__ is DivClass and self.coords == other.coords
-                and _same_model(self.model, other.model))
-
-    def __hash__(self):
-        return hash((self.coords, self.model.name))
 
     def __add__(self, other):
         _require_model(self.model, other)
@@ -390,25 +387,21 @@ class DivClass(_Record, namedtuple("DivClass", "model coords")):
         return DivClass(self.model, prim), sign * g
 
 
-def _same_model(a: LatticeModel, b: LatticeModel) -> bool:
-    """Whether a and b are one model: the same object, or models with the
-    same name, basis labels and gram, such as separately built copies. A
-    user model that reuses a builtin's name with another basis is a
-    different model."""
-    return a is b or (
-        a.name == b.name and a.labels == b.labels and a.gram == b.gram
-    )
-
-
 def _require_model(model: LatticeModel, D: DivClass):
-    """Raise ModelMismatchError unless D lives in model by _same_model."""
+    """Raise ModelMismatchError unless D's model is model or equals it,
+    as a separately built copy does; a model that shares model's name
+    but differs in any field is another model, and the error names the
+    fields that differ."""
     other = D.model
-    if not _same_model(model, other):
-        detail = (
-            f"{model.name} vs {other.name}" if model.name != other.name
-            else f"two models named {model.name} with different bases or grams"
-        )
-        raise ModelMismatchError(f"classes live in different models ({detail})")
+    if other is model or other == model:
+        return
+    if model.name != other.name:
+        detail = f"{model.name} vs {other.name}"
+    else:
+        fields = [f for f, a, b in zip(model._fields, model, other) if a != b]
+        detail = (f"two models named {model.name} with different "
+                  f"{', '.join(fields)}")
+    raise ModelMismatchError(f"classes live in different models ({detail})")
 
 
 def pair(a: DivClass, b: DivClass) -> int:

@@ -1,14 +1,10 @@
 import json
 import shutil
 import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-
-from bench_pairs import (  # noqa: E402
+from bench_pairs import (
     _run, copy_working_tree, document, failed_shares, parse_args, quartiles,
     summarize, table, working_files)
 

@@ -5,9 +5,7 @@ check_phi_certificate replays."""
 import json
 import math
 import random
-import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -22,11 +20,8 @@ from divcalc.divexpr import resolve
 from divcalc.errors import ModelError, OverflowGuardError, RangeError
 from divcalc.lattice import LatticeModel, model_from_json_dict, pair
 from divcalc.surfaces import PhiResult, enriques, get_config, phi
+import cli_diff
 from oracle_bruteforce import brute_phi
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-
-import cli_diff  # noqa: E402
 
 E = enriques()
 GRAM = E.gram

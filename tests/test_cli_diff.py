@@ -1,11 +1,9 @@
 import shutil
-import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "tools"))
+import cli_diff
 
-import cli_diff  # noqa: E402
+ROOT = Path(__file__).resolve().parents[1]
 
 _VERIFY_LINE = 'out.append(f"{r.status}  {r.case_id}")'
 

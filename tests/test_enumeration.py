@@ -1,7 +1,9 @@
 import builtins
+import copy
 import io
 import math
 import os
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -35,6 +37,7 @@ from divcalc.lattice import (
 from divcalc.surfaces import (
     enriques,
     get_config,
+    genus,
     get_surface,
     list_configs,
     list_surfaces,
@@ -540,7 +543,9 @@ def test_a_model_reusing_a_builtin_name_is_a_different_model():
     H, G1 = resolve("H", surf), impostor.klass((1, 0, 0, 0))
     assert H != G1 and G1 != H and len({H, G1}) == 2
     C = resolve("-2K", surf)
-    with pytest.raises(ModelMismatchError, match="two models named sigma3"):
+    with pytest.raises(ModelMismatchError, match=(
+            r"two models named sigma3 with different labels, gram, "
+            r"canonical, sign_tests\)$")):
         pair(G1, C)
     with pytest.raises(ModelMismatchError):
         enumerate_bogreider(impostor, C, 4)
@@ -548,6 +553,38 @@ def test_a_model_reusing_a_builtin_name_is_a_different_model():
         explainer(impostor, C, 4)((0, 1, -1, 0))
     with pytest.raises(ModelMismatchError):
         phi(impostor, resolve("-K", surf))
+
+
+def _sigma3_without_effective(doc):
+    del doc["effective"]
+    doc["sign_tests"] = [list(t) for t in get_surface("sigma3").sign_tests]
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda doc: doc.update(canonical=[3, -1, -1, -1]), "canonical"),
+    (_sigma3_without_effective, "effective_labels"),
+], ids=["canonical", "effective"])
+def test_a_model_differing_from_a_builtin_in_one_field_is_another_model(
+        edit, field):
+    # one field of the builtin's document changed: a class of the builtin
+    # taken by this model would be read against another canonical class
+    # or sign test (genus 19 of the builtin's -2K, not 7)
+    surf = get_surface("sigma3")
+    doc = surf.to_json_dict()
+    edit(doc)
+    other = model_from_json_dict(doc)
+    assert other.name == surf.name and other != surf
+    H, H_other = resolve("H", surf), resolve("H", other)
+    assert H != H_other and H_other != H and len({H, H_other}) == 2
+    C = resolve("-2K", surf)
+    message = (r"^classes live in different models \(two models named "
+               rf"sigma3 with different {field}\)$")
+    for call in (lambda: pair(H_other, C), lambda: genus(other, C),
+                 lambda: enumerate_bogreider(other, C, 4),
+                 lambda: phi(other, resolve("-K", surf))):
+        with pytest.raises(ModelMismatchError, match=message):
+            call()
+    assert genus(surf, C) == 7
 
 
 def test_separately_built_copies_of_a_builtin_work_together():
@@ -565,6 +602,11 @@ def test_separately_built_copies_of_a_builtin_work_together():
         dec, _ = explainer(shared, C, 4)((1, -1, 0, 0))
         assert dec is not None
         assert phi(shared, resolve("-K", other)).value == 2
+    # a copied class holds a copy of its model, which equals the original
+    for twin in (copy.deepcopy(K2), pickle.loads(pickle.dumps(K2))):
+        assert twin.model is not shared and twin.model == shared
+        assert twin == K2 and hash(twin) == hash(K2)
+        assert pair(twin, resolve("H", shared)) == 6
 
 
 def test_survivors_match_oracle_on_random_hyperbolic_models():

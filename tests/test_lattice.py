@@ -21,6 +21,7 @@ import divcalc.cli  # noqa: F401 (defines the _Outcome record)
 from divcalc import lattice
 from divcalc.chamber import PhiCertificate
 from divcalc.criteria import GaussianVerdict, check_main_theorem
+from divcalc.divexpr import render, resolve
 from divcalc.enumeration import enumerate_bogreider
 from divcalc.errors import (
     ModelError,
@@ -138,12 +139,24 @@ class TestModelValidation:
          ("basis", ["H", 1], "labels must be a tuple of strings"),
          ("effective", [None], "effective_labels must be a tuple of strings"),
          ("basis", [], "model needs at least one basis label"),
-         ("effective", ["H", "X"], r"effective_labels not in basis: \['X'\]")])
+         ("effective", ["H", "X"], r"effective_labels not in basis: \['X'\]"),
+         ("canonical", [-3], "canonical class has wrong length"),
+         ("canonical", [-3, 1, 0], "canonical class has wrong length"),
+         # an expression reads K as the canonical class, so a basis class
+         # labeled K would render as K and read back as another class
+         ("basis", ["H", "K"], "basis label 'K' is reserved")])
     def test_a_refused_document_names_the_field(self, field, value, message):
+        # the constructor, given the same value, refuses it alike
         doc = dict(sigma(1).model.to_json_dict(), **{field: value})
         with pytest.raises(ModelError,
                            match=f"^bad lattice definition: {message}"):
             model_from_json_dict(doc)
+        field = {"basis": "labels", "effective": "effective_labels"}.get(
+            field, field)
+        if isinstance(value, list):
+            value = tuple(value)
+        with pytest.raises(ModelError, match=f"^{message}"):
+            sigma(1)._replace(**{field: value})
 
     @pytest.mark.parametrize(
         "field, value",
@@ -171,6 +184,16 @@ class TestModelValidation:
             model_from_json_dict(doc)
         with pytest.raises(ModelError, match="not an identifier"):
             _model([[1, 0], [0, -1]], labels=["H", label])
+
+    def test_a_config_refuses_the_label_K(self):
+        # as a lattice document does; a label that only starts with K is
+        # an identifier like any other
+        with pytest.raises(ModelError, match=(
+                "^bad config definition: basis label 'K' is reserved")):
+            config_from_json_dict({"labels": ["E", "K"],
+                                   "pairs": [[0, 1, 1]]})
+        m = _model([[1, 0], [0, -1]], labels=["K1", "Ka"])
+        assert render(resolve("K1-Ka", m)) == "K1-Ka"
 
     @pytest.mark.parametrize("kind", ["sigma", "ruled", "generic",
                                       "nonsense", None])
@@ -652,7 +675,7 @@ class TestRecords:
             with pytest.raises(AttributeError):
                 delattr(rec, f)
         hashable = not any(isinstance(v, dict) for v in rec)
-        own_hash = cls in (LatticeModel, DivClass)
+        own_hash = cls is LatticeModel
         assert not hashable or own_hash or hash(rec) == hash(plain)
         assert not hashable or len({rec, plain}) == 2
         for twin in (cls(*_record_sample(cls)), copy.copy(rec),

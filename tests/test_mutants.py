@@ -1,10 +1,7 @@
 import os
-import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-
-from mutants import CATALOGUE, stale_entries  # noqa: E402
+from mutants import CATALOGUE, stale_entries
 
 ROOT = Path(__file__).resolve().parents[1]
 

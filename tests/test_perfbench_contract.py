@@ -12,7 +12,6 @@ wrong (a drifted identity trace line, say) fails here first.
 import importlib
 import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import divcalc
@@ -21,13 +20,11 @@ from divcalc.enumeration import explainer
 from divcalc.lattice import slice_points
 from divcalc.surfaces import enriques, get_config, list_configs, phi
 
+from cli_diff import QUERY_SEEDS
 from test_enumeration import _KERNEL_SEARCHES, _kernel_searches
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
-sys.path.insert(0, str(ROOT / "tools"))
-
-from cli_diff import QUERY_SEEDS  # noqa: E402
 
 
 def _tracing():

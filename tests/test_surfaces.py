@@ -225,7 +225,8 @@ class TestConfigs:
         assert impostor.gram == ((0, 2), (2, 0))
         E = impostor.basis_class("E")
         assert E != builtin.basis_class("E")
-        with pytest.raises(ModelMismatchError, match="different bases or grams"):
+        with pytest.raises(ModelMismatchError, match=(
+                r"two models named pencil-pair-1 with different gram\)$")):
             pair(E, builtin.basis_class("E1"))
 
 

@@ -118,6 +118,18 @@ CATALOGUE = [
      "    if isinstance(v, DivClass):\n        return list(v.coords)\n",
      "",
      ["tests/test_lattice.py"]),
+    # classes combine whenever their models' grams agree, though the
+    # canonical classes or effective labels differ
+    ("same-model-gram", _LATTICE,
+     "if other is model or other == model:",
+     "if other is model or other.gram == model.gram:",
+     ["tests/test_enumeration.py"]),
+    # a basis label K is accepted, and an expression reads it back as
+    # the canonical class
+    ("label-k", _LATTICE,
+     '        if "K" in labels:\n            raise ModelError(',
+     '        if False:\n            raise ModelError(',
+     ["tests/test_lattice.py"]),
     # twice a primitive isotropic class loses its h1 note
     ("qnef-multiple", _SURFACES,
      "if mult >= 2:",
