@@ -203,9 +203,9 @@ def reduce_to_chamber(L: DivClass):
     by |L.alpha_j|, a transvection because it is taken only when it does.
     So the word has at most |L.h| steps, the sign step included.
     """
+    L2 = pair(L, L)
     if L.model.gram != _E10_GRAM:
         raise ModelError("chamber reduction needs the E10 gram")
-    L2 = pair(L, L)
     if L2 <= 0:
         raise RangeError(f"chamber reduction needs L^2 > 0, got {L2}")
     x, _, word = _reduce(list(L.coords))
@@ -293,11 +293,13 @@ def check_phi_certificate(L: DivClass, result) -> bool:
     F.L = phi. Why that proves phi: for L' in the chamber and v in
     W(E10), L'.vU1 >= L'.U1, and every primitive isotropic class in the
     positive cone is v U1 for some v. A result without a certificate
-    (the slice walk's), a model of another gram or a malformed
-    certificate or witness gives False, and nothing raises.
+    (the slice walk's) or no result at all, an L that is no DivClass, a
+    model of another gram or a malformed certificate or witness gives
+    False, and nothing raises.
     """
-    cert = result.certificate
-    if not isinstance(cert, PhiCertificate) or L.model.gram != _E10_GRAM:
+    cert = getattr(result, "certificate", None)
+    if (not isinstance(cert, PhiCertificate) or type(L) is not DivClass
+            or L.model.gram != _E10_GRAM):
         return False
     x = list(L.coords)
     try:

@@ -15,7 +15,13 @@ from __future__ import annotations
 import re
 
 from .errors import ExprSyntaxError, LabelError, OverflowGuardError
-from .lattice import _LABEL, _MAX_DIGITS, DivClass, LatticeModel
+from .lattice import (
+    _LABEL,
+    _MAX_DIGITS,
+    DivClass,
+    LatticeModel,
+    _require_class,
+)
 
 _TERM = re.compile(r"\s*([+-])?\s*(?:([0-9]+)\s*\*?\s*)?"
                    f"({_LABEL.pattern})")
@@ -37,15 +43,11 @@ def parse_divexpr(s: str) -> tuple:
                 break
             raise ExprSyntaxError(
                 f"cannot parse divisor expression at position {pos}: "
-                f"{s[pos:]!r}",
-                position=pos,
-            )
+                f"{s[pos:]!r}")
         sign, num, label = m.groups()
         if sign is None and not first:
             raise ExprSyntaxError(
-                f"missing +/- before term at position {m.start(3)}",
-                position=m.start(3),
-            )
+                f"missing +/- before term at position {m.start(3)}")
         if num is not None:
             num = num.lstrip("0") or "0"
             if len(num) > _MAX_DIGITS:  # refused before int() reads it
@@ -88,6 +90,7 @@ def resolve(expr: str, model: LatticeModel) -> DivClass:
 def render(klass: DivClass) -> str:
     """Inverse of resolve: coefficients against the basis labels, zero
     terms skipped, the zero class printed as "0"."""
+    _require_class(klass)
     return render_coords(klass.coords, klass.model.labels)
 
 

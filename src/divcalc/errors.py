@@ -22,11 +22,7 @@ class LabelError(DivcalcError):
 
 
 class ExprSyntaxError(DivcalcError):
-    """Divisor expression failed to parse; carries the offending position."""
-
-    def __init__(self, message, position=None):
-        super().__init__(message)
-        self.position = position
+    """Divisor expression failed to parse; the message names the position."""
 
 
 class OverflowGuardError(DivcalcError):

@@ -171,16 +171,6 @@ class LatticeModel(_Record, namedtuple(
         """The model itself, as DivClass.model names a class's lattice."""
         return self
 
-    def zero(self):
-        return DivClass(self, (0,) * self.rank)
-
-    def basis_class(self, label):
-        if label not in self.labels:
-            raise ModelError(f"no basis label {label!r} in model {self.name}")
-        i = self.labels.index(label)
-        coords = tuple(1 if j == i else 0 for j in range(self.rank))
-        return DivClass(self, coords)
-
     def klass(self, coords):
         """Build a DivClass from integer coordinates: ints, or values with
         __index__ such as numpy integers. Others raise ModelError."""
@@ -356,16 +346,6 @@ class DivClass(_Record, namedtuple("DivClass", "model coords")):
 
     __mul__ = __rmul__
 
-    def dot(self, other):
-        return pair(self, other)
-
-    @property
-    def square(self):
-        return pair(self, self)
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coords)
-
     def primitive_part(self):
         """The class divided by the gcd of its coordinates, and that gcd.
 
@@ -387,11 +367,20 @@ class DivClass(_Record, namedtuple("DivClass", "model coords")):
         return DivClass(self.model, prim), sign * g
 
 
+def _require_class(D):
+    """Raise TypeError unless D is a DivClass: an int, a tuple or a
+    model given as a class is refused before anything reads it."""
+    if type(D) is not DivClass:
+        raise TypeError(f"expected a DivClass, got {type(D).__name__}")
+
+
 def _require_model(model: LatticeModel, D: DivClass):
-    """Raise ModelMismatchError unless D's model is model or equals it,
-    as a separately built copy does; a model that shares model's name
-    but differs in any field is another model, and the error names the
+    """Raise TypeError unless D is a DivClass (_require_class), and
+    ModelMismatchError unless D's model is model or equals it, as a
+    separately built copy does; a model that shares model's name but
+    differs in any field is another model, and the error names the
     fields that differ."""
+    _require_class(D)
     other = D.model
     if other is model or other == model:
         return
@@ -406,6 +395,7 @@ def _require_model(model: LatticeModel, D: DivClass):
 
 def pair(a: DivClass, b: DivClass) -> int:
     """Intersection pairing a . b, exact."""
+    _require_class(a)
     _require_model(a.model, b)
     y = b.coords
     total = sum(map(mul, a.coords, [sum(map(mul, row, y))
@@ -775,6 +765,7 @@ def slice_points(C: DivClass, s: int, qlo: int, qhi: int) -> list[DivClass]:
     x^2 is even, the window is first rounded inward to even values, and
     a window with no even value is empty without a walk.
     """
+    _require_class(C)
     points, _ = _slicer(C)
     walked, model = DivClass._walked, C.model
     return [walked(model, x) for x, _ in sorted(points(s, qlo, qhi))]

@@ -52,6 +52,7 @@ from .lattice import (
     _Record,
     _require_model,
     _slicer,
+    _unit_vectors,
     load_model,
     pair,
 )
@@ -397,6 +398,7 @@ def quasi_nef_test(L: DivClass, nodal_set) -> QuasiNefResult:
     The verdict is relative to this finite pool; nef here means no
     negative pairing was found, not cone membership.
     """
+    L2 = pair(L, L)
     model = L.model
     pool = []
     for d in nodal_set:
@@ -405,10 +407,10 @@ def quasi_nef_test(L: DivClass, nodal_set) -> QuasiNefResult:
                 f"nodal class {d.coords} has square {pair(d, d)}, expected -2"
             )
         pool.append(d)
-    pool.extend(model.basis_class(lab) for lab in model.effective_labels)
+    pool.extend(DivClass(model, x) for x in
+                _unit_vectors(model.labels, model.effective_labels))
 
     notes = []
-    L2 = pair(L, L)
     if L2 < 0:
         notes.append(f"L^2 = {L2} < 0; cannot be quasi-nef geometrically")
     if not pool:

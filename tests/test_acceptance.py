@@ -16,7 +16,7 @@ from divcalc.enumeration import (
     enumerate_bogreider,
     enumerate_destab,
 )
-from divcalc.lattice import reflect_nodal
+from divcalc.lattice import pair, reflect_nodal
 from divcalc.surfaces import (
     config_from_json_dict,
     enriques,
@@ -112,16 +112,17 @@ def test_acceptance_4_decomposition_identities():
             by_tag.setdefault(chk[0], []).append(chk)
         L_expr = by_tag["square"][0][1]
         L = resolve(L_expr, surf)
-        squares.add(L.square)
+        squares.add(pair(L, L))
         for _, expr, want in by_tag["square"]:
-            assert resolve(expr, surf).square == want
+            X = resolve(expr, surf)
+            assert pair(X, X) == want
         for _, a_expr, b_expr, want in by_tag["pair"]:
-            assert resolve(a_expr, surf).dot(resolve(b_expr, surf)) == want
+            assert pair(resolve(a_expr, surf), resolve(b_expr, surf)) == want
         E = resolve("E", surf)
-        assert E.dot(L) == 2, config_name
+        assert pair(E, L) == 2, config_name
         if config_name == "pencil-triple-1":
-            assert resolve("E+E1", surf).dot(L) == 6
-            assert resolve("2E+E2", surf).dot(L) == 8
+            assert pair(resolve("E+E1", surf), L) == 6
+            assert pair(resolve("2E+E2", surf), L) == 8
     assert squares == {12, 14, 16}
     print("[ACCEPTANCE 4] PASS — lemma decomposition identities, "
           "L2 in {12, 14, 16}")
@@ -158,13 +159,13 @@ def test_acceptance_6_phi_certificates():
             coords = tuple(rng.randint(0, 9) for _ in range(3))
         surf = config_from_json_dict(doc, f"rand-{checked}")
         L = surf.model.klass(coords)
-        if L.square <= 0:
+        if pair(L, L) <= 0:
             continue
         res = phi(surf, L)
         assert res.certified
-        assert res.value * res.value <= L.square
+        assert res.value * res.value <= pair(L, L)
         F = res.witness
-        assert F.square == 0 and abs(F.dot(L)) == res.value
+        assert pair(F, F) == 0 and abs(pair(F, L)) == res.value
         checked += 1
     print("[ACCEPTANCE 6] PASS — 100 random phi certificates hold")
 
@@ -254,16 +255,16 @@ def test_acceptance_9_reflection_properties():
         (0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
     )]
     for d in simple:
-        assert d.square == -2
+        assert pair(d, d) == -2
     rng = random.Random(90125)
     for _ in range(1000):
         delta = rng.choice(simple)
         for _ in range(rng.randint(0, 4)):
             delta = reflect_nodal(delta, rng.choice(simple))
-        assert delta.square == -2
+        assert pair(delta, delta) == -2
         L = model.klass(tuple(rng.randint(-30, 30) for _ in range(10)))
         image = reflect_nodal(L, delta)
-        assert image.square == L.square
+        assert pair(image, image) == pair(L, L)
         assert reflect_nodal(image, delta) == L
     print("[ACCEPTANCE 9] PASS — 1000 reflections preserve squares and "
           "involute")

@@ -100,12 +100,12 @@ class TestE10Data:
     def test_roots_are_the_stated_classes(self):
         theta = resolve("2R1+3R2+4R3+6R4+5R5+4R6+3R7+2R8", E)
         stated = [resolve("U2-U1", E), resolve("U1", E) - theta]
-        stated += [E.basis_class(f"R{i}") for i in range(1, 9)]
+        stated += [resolve(f"R{i}", E) for i in range(1, 9)]
         assert [a.coords for a in stated] == list(E10_ROOTS)
         # theta is the highest root of E8: square -2, pairing -1 with R8
         # and 0 with the other R_i
         assert pair(theta, theta) == -2
-        assert [pair(theta, E.basis_class(f"R{i}")) for i in range(1, 9)] \
+        assert [pair(theta, resolve(f"R{i}", E)) for i in range(1, 9)] \
             == [0] * 7 + [-1]
 
     def test_roots_form_t_2_3_7(self):

@@ -875,7 +875,7 @@ def test_seeded_searches_cover_new_shapes():
         odd = any(m.gram[i][i] % 2 for i in range(m.rank))
         if odd and any(s // 2 * c2 > s * s for s in range(k, 2 * k + 1)):
             seen["odd, past the centre"] += 1
-        if math.gcd(*(pair(C, m.basis_class(lab)) for lab in m.labels)) > 1:
+        if math.gcd(*(pair(C, resolve(lab, m)) for lab in m.labels)) > 1:
             seen["g > 1"] += 1
         res = enumerate_bogreider(m, C, k, mod4)
         if res.mod4_applied and m.name.startswith("pencil"):
@@ -886,7 +886,7 @@ def test_seeded_searches_cover_new_shapes():
 
 
 def _sign_shape(m):
-    rows = tuple(tuple(pair(m.basis_class(lab), m.klass(t))
+    rows = tuple(tuple(pair(resolve(lab, m), m.klass(t))
                        for lab in m.labels) for t in m.sign_tests)
     if not rows:
         return "no rows"

@@ -19,10 +19,14 @@ from hypothesis import strategies as st
 import divcalc
 import divcalc.cli  # noqa: F401 (defines the _Outcome record)
 from divcalc import lattice
-from divcalc.chamber import PhiCertificate
+from divcalc.chamber import (
+    PhiCertificate,
+    check_phi_certificate,
+    reduce_to_chamber,
+)
 from divcalc.criteria import GaussianVerdict, check_main_theorem
 from divcalc.divexpr import render, resolve
-from divcalc.enumeration import enumerate_bogreider
+from divcalc.enumeration import enumerate_bogreider, explainer
 from divcalc.errors import (
     ModelError,
     ModelMismatchError,
@@ -45,12 +49,17 @@ from divcalc.lattice import (
 )
 from divcalc.surfaces import (
     PhiResult,
+    chi,
     config_from_json_dict,
     enriques,
+    genus,
     get_config,
     get_surface,
     list_configs,
     list_surfaces,
+    mod4_condition,
+    phi,
+    quasi_nef_test,
     sigma,
 )
 from oracle_bruteforce import (
@@ -94,11 +103,6 @@ class TestModelValidation:
     def test_rejects_oversized_entries(self):
         with pytest.raises(OverflowGuardError):
             _model([[2**63, 0], [0, 2]])
-
-    def test_basis_class_of_an_unknown_label(self):
-        with pytest.raises(ModelError,
-                           match="^no basis label 'Z' in model sigma1$"):
-            sigma(1).model.basis_class("Z")
 
     def test_json_round_trip(self):
         m = sigma(2).model
@@ -166,8 +170,8 @@ class TestModelValidation:
          ("effective_labels", (None,))])
     def test_constructor_refuses_non_string_names_and_labels(self, field,
                                                              value):
-        # "HG" is not the labels ("H", "G"): basis_class would match by
-        # substring and the file writer would split it
+        # "HG" is not the labels ("H", "G"): a label lookup would match
+        # by substring and the file writer would split it
         fields = dict(name="t", labels=("H", "G"), gram=((1, 0), (0, -1)),
                       canonical=(0, 0), chi=1)
         fields[field] = value
@@ -497,6 +501,49 @@ class TestDivClassAlgebra:
         with pytest.raises(ModelMismatchError):
             pair(a, b)
 
+    @pytest.mark.parametrize("call, got", [
+        pytest.param(lambda s, H: H + 3, "int", id="add"),
+        pytest.param(lambda s, H: H - (1, 0, 0, 0), "tuple", id="sub"),
+        pytest.param(lambda s, H: pair(H, 3), "int", id="pair-right"),
+        pytest.param(lambda s, H: pair(3, H), "int", id="pair-left"),
+        pytest.param(lambda s, H: pair(H, s), "LatticeModel", id="pair-model"),
+        pytest.param(lambda s, H: genus(s, 5), "int", id="genus"),
+        pytest.param(lambda s, H: chi(s, 5), "int", id="chi"),
+        pytest.param(lambda s, H: reflect_nodal(H, 1),
+                     "int", id="reflect_nodal"),
+        pytest.param(lambda s, H: mod4_condition(H, 2),
+                     "int", id="mod4_condition"),
+        pytest.param(lambda s, H: hodge_filter(H, 2),
+                     "int", id="hodge_filter"),
+        pytest.param(lambda s, H: quasi_nef_test(3, []),
+                     "int", id="quasi_nef_test"),
+        pytest.param(lambda s, H: phi(s, (1, 0, 0, 0)), "tuple", id="phi"),
+        pytest.param(lambda s, H: enumerate_bogreider(s, (6, -2, -2, -2), 4),
+                     "tuple", id="enumerate_bogreider"),
+        pytest.param(lambda s, H: explainer(s, (6, -2, -2, -2), 4),
+                     "tuple", id="explainer"),
+        pytest.param(lambda s, H: slice_points((6, -2, -2, -2), 4, 0, 0),
+                     "tuple", id="slice_points"),
+        pytest.param(lambda s, H: isotropic_search(s, 3, 1),
+                     "int", id="isotropic_search"),
+        pytest.param(lambda s, H: reduce_to_chamber(E10),
+                     "LatticeModel", id="reduce_to_chamber"),
+        pytest.param(lambda s, H: render((1, 0, 0, 0)), "tuple", id="render"),
+    ])
+    def test_a_non_class_operand_raises_type_error(self, call, got):
+        s = get_surface("sigma3")
+        with pytest.raises(TypeError,
+                           match=f"^expected a DivClass, got {got}$"):
+            call(s, resolve("H", s))
+
+    def test_a_certificate_of_a_non_class_is_false(self):
+        L = resolve("3U1+2U2", E10)
+        res = phi(E10, L)
+        assert check_phi_certificate(L, res)
+        assert not check_phi_certificate(L.coords, res)
+        assert not check_phi_certificate(E10, res)
+        assert not check_phi_certificate(L, None)
+
     def test_primitive_part(self):
         m = sigma(1).model
         prim, mult = m.klass((4, 6)).primitive_part()
@@ -505,7 +552,7 @@ class TestDivClassAlgebra:
         # sign convention: first nonzero coordinate of the primitive
         # class is positive
         assert prim.coords == (1, 2) and mult == -2
-        zero = m.zero()
+        zero = resolve("0", m)
         assert zero.primitive_part() == (zero, 0)
 
     def test_overflow_guard(self):
@@ -1355,11 +1402,11 @@ class TestIsotropicSearch:
         for gram in ([[2**62, 2**62], [2**62, 2**62]], [[0, 2**62], [2**62, 0]]):
             m = _model(gram)
             with pytest.raises(OverflowGuardError):
-                isotropic_search(m, m.zero(), 1)
+                isotropic_search(m, resolve("0", m), 1)
 
     def test_rejects_bad_box(self):
         with pytest.raises(ModelError):
-            isotropic_search(E10, E10.zero(), 0)
+            isotropic_search(E10, resolve("0", E10), 0)
 
 
 class TestHodge:
@@ -1417,7 +1464,7 @@ class TestReflection:
     def test_simple_root_reflection(self):
         m = E10
         L = m.klass((3, 1, 2, 0, 0, 0, 0, 0, 0, 0))
-        delta = m.basis_class("R1")
+        delta = resolve("R1", m)
         img = reflect_nodal(L, delta)
         assert pair(img, img) == pair(L, L)
         assert reflect_nodal(img, delta).coords == L.coords
@@ -1425,7 +1472,7 @@ class TestReflection:
     def test_rejects_non_nodal(self):
         m = E10
         with pytest.raises(NodalClassError):
-            reflect_nodal(m.zero(), m.klass((1, 0, 0, 0, 0, 0, 0, 0, 0, 0)))
+            reflect_nodal(resolve("0", m), m.klass((1, 0, 0, 0, 0, 0, 0, 0, 0, 0)))
 
 
 _SIMPLE_NODALS = [

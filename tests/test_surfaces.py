@@ -223,11 +223,11 @@ class TestConfigs:
         assert impostor.name == "pencil-pair-1"
         assert impostor.effective_labels == impostor.labels
         assert impostor.gram == ((0, 2), (2, 0))
-        E = impostor.basis_class("E")
-        assert E != builtin.basis_class("E")
+        E = resolve("E", impostor)
+        assert E != resolve("E", builtin)
         with pytest.raises(ModelMismatchError, match=(
                 r"two models named pencil-pair-1 with different gram\)$")):
-            pair(E, builtin.basis_class("E1"))
+            pair(E, resolve("E1", builtin))
 
 
 class TestNumericalInvariants:

@@ -302,6 +302,18 @@ CATALOGUE = [
      "(n0, n1), c2 = (4, 7), 4",
      "(n0, n1), c2 = (4, 7), 5",
      ["tests/test_enumeration.py"]),
+    # an operand that is no class passes the model check, and reading
+    # .model or .coords off it raises AttributeError, not TypeError
+    ("class-operand", _LATTICE,
+     "    if type(D) is not DivClass:\n        raise TypeError(",
+     "    if False:\n        raise TypeError(",
+     ["tests/test_lattice.py"]),
+    # low-(a) charges h1(M) twice, not three times, so the Fermat
+    # quartic's O(1) gets the bound 8 over its corank 7
+    ("low-a-h1", _CRITERIA,
+     'raw = aux_h0["4K-M"] - cork_mu - 3 * h1M',
+     'raw = aux_h0["4K-M"] - cork_mu - 2 * h1M',
+     ["tests/test_oracle_gaussian.py", "tests/test_criteria.py"]),
 ]
 
 
