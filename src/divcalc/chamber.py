@@ -64,8 +64,6 @@ class PhiCertificate(_Record, namedtuple(
 
     __slots__ = ()
 
-    to_json_dict = _Record._field_dict
-
     def text(self, labels):
         """The certificate as the phi command prints it, in the labels
         of the model's basis; the empty word is id."""

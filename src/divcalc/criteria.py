@@ -571,8 +571,6 @@ class ScrollInvariants(_Record, namedtuple(
         "ScrollInvariants", "g b1 b2 degV degY pa_hyperplane n2_holds")):
     __slots__ = ()
 
-    to_json_dict = _Record._field_dict
-
 
 def scroll_invariants(g: int, b1: int) -> ScrollInvariants:
     """Invariants of the scroll swept by a pencil of degree 4 on a curve
@@ -629,8 +627,6 @@ class B2Rule(_Record, namedtuple("B2Rule", "status qualifiers notes",
     """status is b2_at_least_1 or unknown."""
 
     __slots__ = ()
-
-    to_json_dict = _Record._field_dict
 
 
 def b2_rule_enriques(L2: int, phi: int) -> B2Rule:

@@ -290,16 +290,12 @@ class DestabCandidate(_Record, namedtuple(
 
     __slots__ = ()
 
-    to_json_dict = _Record._field_dict
-
 
 class DestabResult(_Record, namedtuple("DestabResult", "survivors grid")):
     """The surviving DestabCandidates and the grid of
     (a, a1, "pass" | first violation) cells."""
 
     __slots__ = ()
-
-    to_json_dict = _Record._field_dict
 
 
 def enumerate_destab() -> DestabResult:

@@ -39,7 +39,8 @@ class NonCurveClassError(DivcalcError):
 
 class PhiBoundError(DivcalcError):
     """Boxed phi found no isotropic class with coordinates in its box
-    that pairs to at most isqrt(L^2) with L.
+    that pairs with L to at most the walk's stop: isqrt(L^2), or on a
+    K != 0 model the least |F0.L| of a short isotropic F0 (surfaces.phi).
 
     The box was too small; a larger box may succeed. Distinct from
     PhiInvariantError, which is final.
@@ -47,11 +48,14 @@ class PhiBoundError(DivcalcError):
 
 
 class PhiInvariantError(DivcalcError):
-    """Certified search exhausted every slice and found no witness small
-    enough for the invariant phi^2 <= L^2.
+    """Certified search exhausted every slice up to its stop and found no
+    witness (surfaces.phi).
 
-    This means the supplied isotropic span is too sparse to represent the
-    ambient geometry, so no larger search would help.
+    On a K = 0 model the stop is isqrt(L^2), from the invariant
+    phi^2 <= L^2, so this means the supplied isotropic span is too sparse
+    to represent the ambient geometry and no larger search would help. A
+    K != 0 model raises it only when no short isotropic class bounds the
+    walk.
     """
 
 

@@ -51,7 +51,7 @@ class _Record(tuple):
     and copy, pickle and _replace rebuild it through __new__, which a
     type that validates its fields defines. Added here: a record equals
     only a record of its own type, never a plain tuple; its fields are
-    read-only; _make goes through __new__; and _field_dict.
+    read-only; _make goes through __new__; and to_json_dict.
     """
 
     __slots__ = ()
@@ -76,9 +76,9 @@ class _Record(tuple):
         calls, would skip a validating type's __new__."""
         return cls(*fields)
 
-    def _field_dict(self):
-        """The fields by name as JSON values (_json_value): the
-        to_json_dict of a record whose JSON is just its fields."""
+    def to_json_dict(self):
+        """The fields by name as JSON values (_json_value); a type whose
+        JSON is more than its fields writes its own."""
         return {f: _json_value(v) for f, v in zip(self._fields, self)}
 
 

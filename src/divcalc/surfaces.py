@@ -295,8 +295,6 @@ class PhiResult(_Record, namedtuple(
 
     __slots__ = ()
 
-    to_json_dict = _Record._field_dict
-
 
 def phi(
     surface: LatticeModel, L: DivClass, mode: str = "sublattice",
@@ -313,23 +311,31 @@ def phi(
     search.
 
     On every other gram, and in boxed mode, phi walks, for t = 1, 2, ...,
-    isqrt(L^2), the slice {F : F.L = t, F^2 = 0} (slice_points, set up
-    once per call). The walk needs a lattice of signature (1, rank - 1)
-    and raises ModelError otherwise. On such a lattice no nonzero
-    isotropic class pairs to 0 with L.
+    the slice {F : F.L = t, F^2 = 0} (slice_points, set up once per
+    call). The walk needs a lattice of signature (1, rank - 1) and raises
+    ModelError otherwise. On such a lattice no nonzero isotropic class
+    pairs to 0 with L. Where the walk stops depends on the model:
+    - with K = 0 (the Enriques lattice and every configuration) at
+      isqrt(L^2), since phi^2 <= L^2 there;
+    - with K != 0 (sigma_n, blq, blcN), where that bound fails, at
+      isqrt(L^2) and then, when nothing was found, at |F0.L|: F0 is the
+      isotropic class among the basis vectors and the sums and
+      differences of two of them that pairs least with L, and the slice
+      at |F0.L| holds +-F0, so the walk always ends with a witness. A
+      model with no such F0 stops at isqrt(L^2).
 
     sublattice mode returns the first non-empty slice. The slices below
     it are empty, so the result is certified, with no certificate to
     replay; its witness is the smallest class of that slice by
-    coordinates, the only class it builds. Exhausting the walk violates
-    phi^2 <= L^2 and raises PhiInvariantError, which signals a span too
-    sparse to be a genuine isotropic configuration.
+    coordinates, the only class it builds. Exhausting the walk raises
+    PhiInvariantError: on a K = 0 model it violates phi^2 <= L^2, which
+    signals a span too sparse to be a genuine isotropic configuration.
 
     boxed mode keeps, of each slice and its negative, the classes with
     coordinates in [-box, box] and returns the first t that keeps one,
     witnessed by the smallest such class by coordinates. That is the
     least |F.L| over the isotropic F in the box, never certified, since
-    a class outside the box may pair lower. When no t up to isqrt(L^2)
+    a class outside the box may pair lower. When no t up to the stop
     keeps a class it raises PhiBoundError. boxed mode without a box, and
     a box given in any other mode, raise ModelError.
 
@@ -354,9 +360,11 @@ def phi(
     elif mode != "sublattice":
         raise ModelError(f"unknown phi mode {mode!r}")
 
-    cap = math.isqrt(L2)
+    cap = stop = math.isqrt(L2)
     points, _ = _slicer(L, image)
-    for t in range(1, cap + 1):
+    t = 0
+    while t < stop:
+        t += 1
         witnesses = [F for F, _ in points(t, 0, 0)]
         if boxed:
             inside = [F for F in witnesses if max(map(abs, F)) <= box]
@@ -364,6 +372,9 @@ def phi(
         if witnesses:
             return PhiResult(t, DivClass._walked(L.model, min(witnesses)),
                              not boxed)
+        if t == cap and any(surface.canonical):
+            # phi^2 <= L^2 fails off K = 0 (-K on sigma8: L^2 = 1, phi = 2)
+            stop = _short_isotropic_pairing(surface.gram, image[0])
     if boxed:
         raise PhiBoundError(
             f"no isotropic class in box {box} pairs to at most "
@@ -373,6 +384,18 @@ def phi(
         f"no isotropic class in the span pairs to at most isqrt(L^2) = {cap}; "
         "the configuration is too sparse to certify the invariant"
     )
+
+
+def _short_isotropic_pairing(gram, image):
+    """The least |F0.L| over the isotropic F0 among the basis vectors and
+    the sums and differences of two of them, where image = G L; 0 when
+    none of them is isotropic."""
+    n = len(gram)
+    values = [abs(image[i]) for i in range(n) if gram[i][i] == 0]
+    values += [abs(image[i] + s * image[j])
+               for i in range(n) for j in range(i + 1, n) for s in (1, -1)
+               if gram[i][i] + gram[j][j] + 2 * s * gram[i][j] == 0]
+    return min(values, default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +410,6 @@ class QuasiNefResult(_Record, namedtuple(
     (None when nothing was tested, witness None for nef)."""
 
     __slots__ = ()
-
-    to_json_dict = _Record._field_dict
 
 
 def quasi_nef_test(L: DivClass, nodal_set) -> QuasiNefResult:

@@ -1,4 +1,5 @@
 import ast
+import functools
 import itertools
 from pathlib import Path
 
@@ -23,9 +24,57 @@ from divcalc.criteria import (
     scroll_invariants,
     tetragonal_corank,
 )
-from divcalc.errors import EvidenceError, RangeError
+from divcalc.chamber import E10_WEIGHTS
+from divcalc.errors import DivcalcError, EvidenceError, RangeError
+from divcalc.lattice import pair, slice_points
+from divcalc.surfaces import enriques, phi as phi_of
 
 from oracle_bruteforce import brute_gonality, brute_main_criterion
+
+
+@functools.lru_cache(maxsize=None)
+def _chamber_classes(top):
+    """Every class L = sum c_i omega_i of the closed E10 chamber (c_i >= 0,
+    omega_i the E10 weights) with 0 < L^2 <= top, as (L, c, L^2, phi).
+
+    Each positive class is +-wL' for one such L' and a word w of simple
+    reflections, and phi and the square are invariants, so these classes
+    realise every (L^2, phi) of the Enriques lattice. The scan is finite
+    because every omega_i.omega_j >= 0: raising c_k by one adds
+    2 L.omega_k + omega_k^2 >= 0 to the square. For omega_k^2 > 0 that is
+    at least omega_k^2 > 0. omega_-1 = U1 is the one isotropic weight;
+    it is scanned last, and omega_-1.omega_j >= 1 for every other j, so
+    once some other c_j > 0 it adds at least 2 c_j >= 2. Either way c_k
+    stops at the first value that takes the square past top, and c U1
+    alone has square 0.
+    """
+    e = enriques()
+    w = [e.klass(x) for x in E10_WEIGHTS]
+    G = [[pair(a, b) for b in w] for a in w]
+    assert min(map(min, G)) >= 0
+    assert G[0][0] == 0 and min(G[0][1:]) >= 1
+    found = []
+
+    def scan(ks, c, q):
+        if not ks:
+            if q > 0:
+                L = sum((ci * wi for ci, wi in zip(c, w)), e.klass((0,) * 10))
+                assert pair(L, L) == q
+                found.append((L, tuple(c), q, phi_of(e, L).value))
+            return
+        k, rest = ks[0], ks[1:]
+        lin = sum(cj * g for cj, g in zip(c, G[k]))  # L.omega_k, c_k = 0
+        if lin == 0 and G[k][k] == 0:  # U1 alone
+            scan(rest, c, q)
+            return
+        while q <= top:
+            scan(rest, c, q)
+            q += 2 * (lin + c[k] * G[k][k]) + G[k][k]
+            c[k] += 1
+        c[k] = 0
+
+    scan(tuple(range(1, 10)) + (0,), [0] * 10, 0)
+    return found
 
 
 def _main(**kw):
@@ -70,6 +119,49 @@ class TestGonality:
         got = gonality(l2, phi)
         assert got == brute_gonality(l2, phi)
         assert 2 * phi - 2 <= got <= 2 * phi
+
+    def test_table_agrees_with_the_chamber_classes(self):
+        # gonality(L^2, phi, flag) against min(2 phi, mu, L^2 // 4 + 2) on
+        # every chamber class of square at most 100, the flag read off
+        # the class: L = 2D with D^2 = 10 and phi(D) = 3, so every c_i is
+        # even, L^2 = 40 and phi = 6. mu is the least B.L - 2 over the B
+        # with B^2 = 4 and certified phi(B) = 2 (B = L allowed); it only
+        # counts below 2 phi, so the slices B.L = t <= 2 phi + 1 suffice.
+        # An identity observed with the table, not a quoted theorem.
+        e = enriques()
+        classes = _chamber_classes(100)
+        mu_lowest, special = 0, []
+        for L, c, L2, phi in classes:
+            mu = next((t - 2 for t in range(1, 2 * phi + 2)
+                       for B in slice_points(L, t, 4, 4)
+                       if phi_of(e, B).value == 2), None)
+            flag = not (L2 == 40 and phi == 6 and all(x % 2 == 0 for x in c))
+            rest = min(2 * phi, L2 // 4 + 2)
+            want = rest if mu is None else min(mu, rest)
+            assert gonality(L2, phi, not_2D_special=flag) == want, c
+            mu_lowest += mu is not None and mu < rest
+            if not flag:
+                special.append((L2, phi, want))
+        assert len(classes) == 684
+        assert mu_lowest == 8
+        assert special == [(40, 6, 12)]
+
+    def test_realised_pairs_of_the_chamber_classes(self):
+        # the (L^2, phi) of the chamber classes are every pair a class
+        # has; the criteria accept nine more at L^2 <= 100
+        realised = {(L2, phi) for _, _, L2, phi in _chamber_classes(100)}
+        accepted = set()
+        for L2, phi in itertools.product(range(1, 101), range(1, 11)):
+            try:
+                gonality(L2, phi)
+            except DivcalcError:
+                continue
+            accepted.add((L2, phi))
+        assert len(realised) == 306 and len(accepted) == 315
+        assert realised < accepted
+        assert sorted(accepted - realised) == [
+            (26, 5), (38, 6), (50, 7), (52, 7), (66, 8), (68, 8), (82, 9),
+            (84, 9), (86, 9)]
 
 
 class TestSeriesHelpers:

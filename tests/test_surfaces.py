@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -448,15 +449,26 @@ class TestPhi:
     def test_certified_never_above_boxed_on_shipped_models(self):
         # Boxed phi is the least |F.L| over the isotropic F in a box, so
         # it can only be at or above the certified minimum, and equal to
-        # it when the certified witness lies in the box. A span too sparse
-        # to certify has no witness in any box either.
+        # it when the certified witness lies in the box. On a K = 0 model
+        # a span too sparse to certify (phi^2 > L^2) has no witness pairing
+        # to at most isqrt(L^2) in any box either. A shipped K != 0 model
+        # reaches neither refusal: both walks go on to a short isotropic
+        # class F0, and F0 lies in every box. The seeded draws reach the
+        # two outcomes with a witness; two fixed K = 0 cases reach the two
+        # refusals.
         rng = random.Random(11)
         models = [get_surface(n) for n in list_surfaces()]
         models += [get_config(n) for n in list_configs()]
         assert len(models) == 15
-        seen = set()
+        sparse = config_from_json_dict({
+            "labels": ["E", "E1", "E2"],
+            "pairs": [[0, 1, 2], [0, 2, 2], [1, 2, 2]],
+        }, "sparse")
+        e = enriques()
+        # phi = 1 with a witness of coordinate 2; no box-1 class pairs 1
+        cases = [(sparse, sparse.klass((1, 1, 1))),
+                 (e, resolve("2U1+2U2-R1-R3+R6-R8", e))]
         for m in models:
-            box = 1 if m.rank >= 8 else 2
             count = 0
             while count < 12:
                 wide = m.rank if m.rank <= 3 else 1  # coordinates in [-8, 8]
@@ -465,24 +477,31 @@ class TestPhi:
                 if not 0 < pair(L, L) <= 60:
                     continue
                 count += 1
-                try:
-                    cert = phi(m, L)
-                except PhiInvariantError:
-                    with pytest.raises(PhiBoundError):
-                        phi(m, L, mode="boxed", box=box)
-                    seen.add("neither certifies")
-                    continue
+                cases.append((m, L))
+        seen = set()
+        for m, L in cases:
+            box = 1 if m.rank >= 8 else 2
+            try:
+                cert = phi(m, L)
+            except PhiInvariantError:
+                with pytest.raises(PhiBoundError):
+                    phi(m, L, mode="boxed", box=box)
+                outcome = "neither certifies"
+            else:
                 in_box = max(map(abs, cert.witness.coords)) <= box
                 try:
                     boxed = phi(m, L, mode="boxed", box=box)
                 except PhiBoundError:
                     assert not in_box, (m.name, L.coords)
-                    seen.add("box too small")
-                    continue
-                assert cert.value <= boxed.value, (m.name, L.coords)
-                if in_box:
-                    assert cert.value == boxed.value, (m.name, L.coords)
-                seen.add("witness in box" if in_box else "witness outside")
+                    outcome = "box too small"
+                else:
+                    assert cert.value <= boxed.value, (m.name, L.coords)
+                    if in_box:
+                        assert cert.value == boxed.value, (m.name, L.coords)
+                    outcome = "witness in box" if in_box else "witness outside"
+            if any(m.canonical):
+                assert outcome.startswith("witness"), (m.name, L.coords)
+            seen.add(outcome)
         assert seen == {"neither certifies", "box too small", "witness in box",
                         "witness outside"}
 
@@ -505,7 +524,9 @@ class TestPhi:
                 count += 1
                 hits = brute_isotropic(m.gram, L.coords, box)
                 positive = [(F, v) for F, v in hits if v > 0]
-                if not positive or positive[0][1] ** 2 > L2:
+                # past isqrt(L^2) only where K != 0 (phi's walk)
+                if not positive or (positive[0][1] ** 2 > L2
+                                    and not any(m.canonical)):
                     with pytest.raises(PhiBoundError):
                         phi(m, L, mode="boxed", box=box)
                     seen.add((m.name, "bound"))
@@ -583,6 +604,63 @@ class TestPhi:
         for box in (1, 3, 10**30):
             res = phi(e, L, mode="boxed", box=box)
             assert (res.value, res.witness) == (1, resolve("-U2", e))
+
+    @pytest.mark.parametrize("name, expr, L2, want", [
+        ("sigma7", "-K", 2, 2),
+        ("sigma8", "-K", 1, 2),
+        ("sigma9", "4H-G1-G2-G3-G4-G5-G6-G7-G8-G9", 7, 3),
+    ])
+    def test_walk_goes_past_isqrt_on_a_model_with_k(self, name, expr, L2,
+                                                    want):
+        # phi^2 > L^2 here, so a walk held to isqrt(L^2) finds nothing;
+        # it goes on to |(H-G1).L|, which no isotropic class undercuts
+        s = get_surface(name)
+        L = resolve(expr, s)
+        assert pair(L, L) == L2 and want * want > L2
+        res = phi(s, L)
+        assert res == surfaces.PhiResult(want, resolve("H-G1", s), True)
+        for box in (1, 3, 10):
+            boxed = phi(s, L, mode="boxed", box=box)
+            assert boxed.value == want and not boxed.certified
+            assert abs(pair(boxed.witness, L)) == want
+        assert brute_phi(s.gram, L.coords, 1) == want
+
+    def test_no_refusal_on_the_sigma_models(self):
+        # 300 seeded classes of L^2 > 0 per sigma_n, coordinates in
+        # [-6, 6]: every one certifies, and on sigma6-9 some only past
+        # isqrt(L^2), where the walk used to refuse. Against brute_phi in
+        # a box of at most 10^5 vectors phi is never above the oracle,
+        # and equal to it when its witness lies in the box.
+        def draw(rng, n):
+            # a != 0, then the G coefficients in a shuffled order, each
+            # within what a^2 - 1 leaves, so that L^2 > 0
+            a = rng.choice([x for x in range(-6, 7) if x])
+            left, b = a * a - 1, [0] * n
+            for i in rng.sample(range(n), n):
+                top = min(6, math.isqrt(left))
+                b[i] = rng.randint(-top, top)
+                left -= b[i] ** 2
+            return [a] + b
+
+        past = {}
+        for n in range(1, 10):
+            s = sigma(n)
+            box = max(b for b in range(1, 200) if (2 * b + 1) ** s.rank <= 10**5)
+            rng = random.Random(29)
+            past[n] = 0
+            for k in range(300):
+                L = s.klass(draw(rng, n))
+                res = phi(s, L)
+                assert res.certified and pair(res.witness, res.witness) == 0
+                assert abs(pair(res.witness, L)) == res.value
+                beyond = res.value > math.isqrt(pair(L, L))
+                past[n] += beyond
+                if k < 15 or beyond:
+                    brute = brute_phi(s.gram, L.coords, box)
+                    assert brute is None or res.value <= brute, L
+                    if max(map(abs, res.witness.coords)) <= box:
+                        assert res.value == brute, L
+        assert past == {1: 0, 2: 0, 3: 0, 4: 0, 5: 0, 6: 2, 7: 3, 8: 10, 9: 15}
 
 
 class TestQuasiNef:

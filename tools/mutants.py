@@ -308,6 +308,24 @@ CATALOGUE = [
      "    if type(D) is not DivClass:\n        raise TypeError(",
      "    if False:\n        raise TypeError(",
      ["tests/test_lattice.py"]),
+    # phi's walk stops at isqrt(L^2) on a model with K != 0 too, so -K
+    # on sigma8 is refused again
+    ("phi-past-isqrt", _SURFACES,
+     "if t == cap and any(surface.canonical):",
+     "if False:",
+     ["tests/test_surfaces.py"]),
+    # a record's default JSON keeps its fields' values as they are, so a
+    # DivClass field is no coordinate list
+    ("json-rule-raw", _LATTICE,
+     "return {f: _json_value(v) for f, v in zip(self._fields, self)}",
+     "return dict(zip(self._fields, self))",
+     ["tests/test_lattice.py"]),
+    # (14, 3) leaves the sporadic table, so its chamber classes get
+    # 2 phi = 6 over L^2 // 4 + 2 = 5
+    ("gon-sporadic-14", _CRITERIA,
+     "(14, 3), (12, 3)",
+     "(12, 3)",
+     ["tests/test_criteria.py"]),
     # low-(a) charges h1(M) twice, not three times, so the Fermat
     # quartic's O(1) gets the bound 8 over its corank 7
     ("low-a-h1", _CRITERIA,
