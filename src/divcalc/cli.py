@@ -117,19 +117,19 @@ def _cmd_pair(args):
 
 
 def _class_value(key, value, text):
-    """The handler of a subcommand that prints value(surface, D) of its
-    one --curve class D: JSON {"curve": D, key: value} and the line
+    """The handler of a subcommand that prints value(D) of its one
+    --curve class D: JSON {"curve": D, key: value} and the line
     text.format(D, value)."""
     def handler(args):
         surf = _load_surface(args)
         D = _one_curve(args, surf)
-        val = value(surf, D)
+        val = value(D)
         return _Outcome(lambda: {"curve": render(D), key: val}, surf.name,
                         lambda: [text.format(render(D), val)])
     return handler
 
 
-_cmd_self = _class_value("square", lambda surf, D: pair(D, D), "({})^2 = {}")
+_cmd_self = _class_value("square", lambda D: pair(D, D), "({})^2 = {}")
 _cmd_genus = _class_value("genus", genus, "genus({}) = {}")
 _cmd_chi = _class_value("chi", chi, "chi({}) = {}")
 

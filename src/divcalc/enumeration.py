@@ -94,15 +94,15 @@ class EnumerationResult(_Record, namedtuple(
         }
 
 
-def _auto_mod4(model, C: DivClass) -> bool:
+def _auto_mod4(C: DivClass) -> bool:
     """The residual parity constraint is tied to curves that are twice the
     anticanonical class linearly; numerically we can only see the class,
     so the default keys on coordinates and disables itself on models with
     chi = 0, such as the elliptic ruled blcN. Explicit flags override
     this guess."""
-    if model.chi == 0:
+    if C.model.chi == 0:
         return False
-    minus2k = tuple(-2 * v for v in model.canonical)
+    minus2k = tuple(-2 * v for v in C.model.canonical)
     return C.coords == minus2k
 
 
@@ -152,14 +152,13 @@ def _decomposition(L, s, L2, C2, k):
     return Decomposition(L, k - ML, ML, L2, s - k, notes)
 
 
-def _setup(surface, C, k, mod4, walks):
+def _setup(C, k, mod4, walks):
     """What a search of C at k and its explainer share: the slice walk,
-    C^2 (from the walk's set-up) and the mod4 flag used. Refuses a C of
-    another model, a k that is not an int (bool excluded) or is below 2,
-    a mod4 that is not None or a bool, then (in _slicer) a C it cannot
-    walk. The walk comes from walks, keyed by C, and is added there when
-    it is new; one walk serves every k of C."""
-    _require_model(surface, C)
+    C^2 (from the walk's set-up) and the mod4 flag used. Refuses a k that
+    is not an int (bool excluded) or is below 2, a mod4 that is not None
+    or a bool, then (in _slicer) a C it cannot walk. The walk comes from
+    walks, keyed by C, and is added there when it is new; one walk serves
+    every k of C."""
     if type(k) is not int:
         raise RangeError(f"k must be an integer, got {k!r}", "k")
     if k < 2:
@@ -168,11 +167,11 @@ def _setup(surface, C, k, mod4, walks):
         raise RangeError(f"mod4 must be None or a bool, got {mod4!r}")
     if C not in walks:
         walks[C] = _slicer(C)
-    apply_mod4 = _auto_mod4(surface, C) if mod4 is None else mod4
+    apply_mod4 = _auto_mod4(C) if mod4 is None else mod4
     return (*walks[C], apply_mod4)
 
 
-def _scan(surface, C, k, mod4, walks):
+def _scan(C, k, mod4, walks):
     """The windows of the search for C at k, set up by _setup, with the
     sign and mod4 tests: (kept, rejected, visited, C^2, apply_mod4),
     where kept lists, unsorted, (x, s, L^2) for the coordinates x of
@@ -181,8 +180,8 @@ def _scan(surface, C, k, mod4, walks):
     renders nothing: enumerate_bogreider builds the search's records
     from kept, and _replay grades the survivors' keys from the walk's
     coordinates."""
-    points, C2, apply_mod4 = _setup(surface, C, k, mod4, walks)
-    negative, _ = _sign_stage(surface)
+    points, C2, apply_mod4 = _setup(C, k, mod4, walks)
+    negative, _ = _sign_stage(C.model)
     kept = []
     rejected = {}
     visited = 0
@@ -230,7 +229,8 @@ def enumerate_bogreider(
     visited counts slice points and traces match explainer's. Only a
     survivor is built as a DivClass, from the walk's coordinates.
     """
-    kept, rejected, visited, C2, apply_mod4 = _scan(surface, C, k, mod4, {})
+    _require_model(surface, C)
+    kept, rejected, visited, C2, apply_mod4 = _scan(C, k, mod4, {})
     kept.sort()  # by coordinates, which no two survivors share
     walked, model = DivClass._walked, C.model
     survivors = [_decomposition(walked(model, x), s, q, C2, k)
@@ -239,7 +239,8 @@ def enumerate_bogreider(
                              survivors, rejected, visited)
 
 
-def explainer(surface, C, k, mod4: bool | None = None):
+def explainer(surface: LatticeModel, C: DivClass, k: int,
+              mod4: bool | None = None):
     """explain(coords), the full filter trace of one candidate of the
     search for C at k, visited by it or not: (Decomposition, trace) for a
     survivor, else (None, trace ending in the failed stage).
@@ -253,12 +254,13 @@ def explainer(surface, C, k, mod4: bool | None = None):
     sign and mod4 tests (_sign_stage, _residual_parity): on a slice
     point its trace is the search's.
     """
-    _, C2, apply_mod4 = _setup(surface, C, k, mod4, {})
-    gram = surface.gram
-    negative, sign = _sign_stage(surface)
+    _require_model(surface, C)
+    _, C2, apply_mod4 = _setup(C, k, mod4, {})
+    gram = C.model.gram
+    negative, sign = _sign_stage(C.model)
 
     def explain(coords):
-        L = surface.klass(coords)
+        L = C.model.klass(coords)
         x, s = L.coords, pair(L, C)
         L2 = sum(map(mul, [sum(map(mul, row, x)) for row in gram], x))
         ML, SL, parity = s - L2, negative(x), _residual_parity(L2, s)
@@ -641,7 +643,7 @@ def _replay(case_id, curves, walks):
             curves[key] = resolve(fx.curve, get_surface(fx.surface))
         C = curves[key]
         surf = C.model
-        kept, rejected, *_ = _scan(surf, C, fx.k, fx.mod4, walks)
+        kept, rejected, *_ = _scan(C, fx.k, fx.mod4, walks)
         got = {(render_coords(x, surf.labels), fx.k - s + q)
                for x, s, q in kept}
         want = set(fx.expected)

@@ -168,7 +168,9 @@ class LatticeModel(_Record, namedtuple(
 
     @property
     def model(self):
-        """The model itself, as DivClass.model names a class's lattice."""
+        """The model itself, as DivClass.model names a class's lattice.
+        Nothing in divcalc or its tests reads it; the benchmark's worker
+        (perfbench/worker.py) builds its phi class through it."""
         return self
 
     def klass(self, coords):

@@ -249,11 +249,11 @@ def get_config(name_or_path: str) -> LatticeModel:
 # genus / chi / parity
 
 
-def genus(surface: LatticeModel, C: DivClass) -> int:
-    """Adjunction genus g = (C^2 + C.K)/2 + 1. Parity failure means the
-    class cannot be a curve class and is an error."""
-    K = surface.canonical_class
-    s = pair(C, C) + pair(C, K)
+def genus(C: DivClass) -> int:
+    """Adjunction genus g = (C^2 + C.K)/2 + 1, with K the canonical class
+    of C's model. Parity failure means the class cannot be a curve class
+    and is an error."""
+    s = pair(C, C) + pair(C, C.model.canonical_class)
     if s % 2 != 0:
         raise NonCurveClassError(f"C^2 + C.K = {s} is odd, not a curve class")
     if s < -2:
@@ -261,13 +261,13 @@ def genus(surface: LatticeModel, C: DivClass) -> int:
     return s // 2 + 1
 
 
-def chi(surface: LatticeModel, L: DivClass) -> int:
-    """Euler characteristic chi(L) = chi(O) + L.(L - K)/2."""
-    K = surface.canonical_class
-    s = pair(L, L) - pair(L, K)
+def chi(L: DivClass) -> int:
+    """Euler characteristic chi(L) = chi(O) + L.(L - K)/2, with chi(O)
+    and K those of L's model."""
+    s = pair(L, L) - pair(L, L.model.canonical_class)
     if s % 2 != 0:
         raise NonCurveClassError(f"L.(L - K) = {s} is odd; chi undefined")
-    return surface.chi + s // 2
+    return L.model.chi + s // 2
 
 
 def _residual_parity(L2, s):

@@ -133,7 +133,7 @@ def test_acceptance_5_oracle_equivalence():
         surf = get_surface(skey)
         budget = 8 * k
         bound = budget // 3 if skey.startswith("sigma") else budget
-        res = enumerate_bogreider(surf, surf.model.klass(C), k, mod4=mod4)
+        res = enumerate_bogreider(surf, surf.klass(C), k, mod4=mod4)
         got = {(d.L.coords, d.z) for d in res.survivors}
         want = brute_survivors(skey, C, k, box=2 * bound, mod4=mod4)
         assert got == want, cid
@@ -158,7 +158,7 @@ def test_acceptance_6_phi_certificates():
             }
             coords = tuple(rng.randint(0, 9) for _ in range(3))
         surf = config_from_json_dict(doc, f"rand-{checked}")
-        L = surf.model.klass(coords)
+        L = surf.klass(coords)
         if pair(L, L) <= 0:
             continue
         res = phi(surf, L)
@@ -242,7 +242,7 @@ def test_acceptance_8_scroll_invariants():
 
 
 def test_acceptance_9_reflection_properties():
-    model = enriques().model
+    model = enriques()
     simple = [model.klass(c) for c in (
         (1, -1, 0, 0, 0, 0, 0, 0, 0, 0),
         (0, 0, 1, 0, 0, 0, 0, 0, 0, 0),

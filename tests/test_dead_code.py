@@ -1,16 +1,22 @@
 """No dead code left behind in divcalc's source: every name a module
 imports is used in that module (the package's __init__.py, which imports
-to re-export, aside), and every private module-level name is referenced
-somewhere in the package besides its own definition. And each rule has
+to re-export, aside; the tests and tools are held to the same rule), and
+every private module-level name is referenced somewhere in the package
+besides its own definition. And each rule has
 one layer: no geometry module imports the rules or the command line,
-and the rules import only errors and lattice."""
+and the rules import only errors and lattice. A class carries its model,
+so only the exports pinned below take a model beside a class."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "divcalc"
+import divcalc
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "divcalc"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -107,9 +113,11 @@ def test_the_guard_sees_each_form():
     assert _package_imports(c) == {"__init__", "errors", "cli", "lattice"}
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES
-                                  if p.name != "__init__.py"],
-                         ids=lambda p: p.name)
+# no two of these share a file name, so the name is the id
+@pytest.mark.parametrize("path", [
+    p for p in MODULES + sorted((ROOT / "tests").glob("*.py"))
+    + sorted((ROOT / "tools").glob("*.py")) if p.name != "__init__.py"],
+    ids=lambda p: p.name)
 def test_every_import_is_used(path):
     unused = _unused_imports(_tree(path))
     assert not unused, [f"{path.name}:{line}: {name}" for line, name in unused]
@@ -130,3 +138,26 @@ def test_each_rule_has_one_layer():
     above = {m: sorted(imports[m] & {"criteria", "cli"}) for m in GEOMETRY}
     assert above == dict.fromkeys(GEOMETRY, [])
     assert imports["criteria"] <= {"errors", "lattice"}, imports["criteria"]
+
+
+def test_only_four_exports_take_a_model_beside_a_class():
+    # a model is a parameter annotated LatticeModel or named surface or
+    # model, a class one annotated DivClass; a function that takes both
+    # restates the model its class carries
+    def restates(f):
+        params = inspect.signature(f).parameters.values()
+        return (any(p.annotation == "LatticeModel"
+                    or p.name in ("surface", "model") for p in params)
+                and any(p.annotation == "DivClass" for p in params))
+
+    assert sorted(name for name, f in vars(divcalc).items()
+                  if inspect.isfunction(f) and restates(f)) == [
+        # perfbench/worker.py calls enumerate_bogreider(surf, C, k, ...)
+        "enumerate_bogreider",
+        # takes enumerate_bogreider's arguments, and changes with it
+        "explainer",
+        # perfbench/tracing.py binds it by name; it goes with boxed phi
+        "isotropic_search",
+        # perfbench/worker.py calls phi(surf, L, ...)
+        "phi",
+    ]

@@ -71,7 +71,7 @@ def test_render_conventions():
 @given(coords=st.tuples(*[st.integers(-99, 99)] * 4))
 def test_render_parse_round_trip(coords):
     s3 = get_surface("sigma3")
-    D = s3.model.klass(coords)
+    D = s3.klass(coords)
     assert resolve(render(D), s3).coords == coords
 
 

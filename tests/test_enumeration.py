@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from divcalc import enumeration, lattice
+from divcalc.criteria import b2_rule_enriques, gonality
 from divcalc.divexpr import render, resolve
 from divcalc.enumeration import (
     FIXTURES,
@@ -53,6 +54,7 @@ from oracle_bruteforce import (
     slice_box,
     survivor_box,
 )
+from test_criteria import _chamber_classes
 from test_lattice import _hyperbolic_gram, _model
 
 
@@ -247,7 +249,7 @@ def test_survivors_match_oracle_at_production_box(cid):
     # survivor set is the complete brute-force set
     skey, C, k, mod4 = ORACLE_CASES[cid]
     surf = get_surface(skey)
-    res = enumerate_bogreider(surf, surf.model.klass(C), k, mod4=mod4)
+    res = enumerate_bogreider(surf, surf.klass(C), k, mod4=mod4)
     got = {(d.L.coords, d.z) for d in res.survivors}
     want = brute_survivors(skey, C, k, mod4=mod4)
     assert got == want
@@ -568,7 +570,7 @@ def test_a_model_differing_from_a_builtin_in_one_field_is_another_model(
         edit, field):
     # one field of the builtin's document changed: a class of the builtin
     # taken by this model would be read against another canonical class
-    # or sign test (genus 19 of the builtin's -2K, not 7)
+    # or sign test
     surf = get_surface("sigma3")
     doc = surf.to_json_dict()
     edit(doc)
@@ -579,12 +581,12 @@ def test_a_model_differing_from_a_builtin_in_one_field_is_another_model(
     C = resolve("-2K", surf)
     message = (r"^classes live in different models \(two models named "
                rf"sigma3 with different {field}\)$")
-    for call in (lambda: pair(H_other, C), lambda: genus(other, C),
+    for call in (lambda: pair(H_other, C),
                  lambda: enumerate_bogreider(other, C, 4),
                  lambda: phi(other, resolve("-K", surf))):
         with pytest.raises(ModelMismatchError, match=message):
             call()
-    assert genus(surf, C) == 7
+    assert genus(C) == 7
 
 
 def test_separately_built_copies_of_a_builtin_work_together():
@@ -694,6 +696,45 @@ def test_enriques_survivors_are_u1_2u2_and_the_e8_roots():
     for coords in found - special:
         r = e.klass(coords) - C
         assert r.coords[:2] == (0, 0) and pair(r, r) == -2
+
+
+# The paper's tetragonal regime: the chamber classes C with certified
+# phi = 2 and C^2 >= 12, so of genus C^2/2 + 1 >= 7, up to C^2 = 100.
+# Each k = 4 search keeps L = 2E, E the witness of phi; the others, by
+# (C^2, L^2, M.L, z), sit at genus 7, 8 and 9 only, and are kept, since
+# the lattice cannot exclude them.
+_TETRAGONAL_OTHERS = {
+    (12, 0, 4, 0): 16, (12, 2, 3, 1): 1, (12, 2, 4, 0): 16,
+    (12, 4, 4, 0): 18,
+    (14, 0, 4, 0): 2, (14, 2, 4, 0): 2, (14, 4, 4, 0): 2,
+    (16, 0, 4, 0): 1, (16, 2, 4, 0): 1, (16, 4, 4, 0): 1,
+}
+
+
+def test_tetragonal_regime_on_the_chamber_classes():
+    e = enriques()
+    rows = [(C, C2) for C, _, C2, phi_C in _chamber_classes(100)
+            if phi_C == 2 and C2 >= 12]
+    # two classes at each C^2 = 0 mod 4 and one at each C^2 = 2 mod 4
+    assert Counter(C2 for _, C2 in rows) == {
+        q: 2 - q % 4 // 2 for q in range(12, 101, 2)}
+    others, per_class, total = Counter(), [], 0
+    for C, C2 in rows:
+        assert gonality(C2, 2) == 4
+        assert b2_rule_enriques(C2, 2).status == "b2_at_least_1"
+        res = enumerate_bogreider(e, C, 4, mod4=False)
+        assert enumerate_bogreider(e, C, 4) == res  # auto-detection: off
+        twoE = 2 * phi(e, C).witness
+        assert [(d.L2, d.ML, d.z) for d in res.survivors
+                if d.L == twoE] == [(0, 4, 0)]
+        rest = [(C2, d.L2, d.ML, d.z) for d in res.survivors if d.L != twoE]
+        others.update(rest)
+        if rest:
+            per_class.append((C2, len(rest)))
+        total += len(res.survivors)
+    assert len(rows) == 68 and total == 128
+    assert sorted(per_class) == [(12, 2), (12, 49), (14, 6), (16, 3)]
+    assert others == _TETRAGONAL_OTHERS
 
 
 def _skewed_curves(seed, count):

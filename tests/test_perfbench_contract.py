@@ -83,7 +83,7 @@ def test_queries_phi_route_runs_on_every_builtin_config(capsys):
 
 def test_worker_phi_op_runs():
     surf = enriques()
-    L = surf.model.klass((1, 2, 0, 0, 0, 0, 0, 0, 0, 0))
+    L = surf.klass((1, 2, 0, 0, 0, 0, 0, 0, 0, 0))
     res = phi(surf, L, mode="boxed", box=1)
     assert not res.certified and res.value == 1
     # the least of the 180 box-1 hits by (value, coordinates) is -U2

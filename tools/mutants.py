@@ -332,6 +332,17 @@ CATALOGUE = [
      'raw = aux_h0["4K-M"] - cork_mu - 3 * h1M',
      'raw = aux_h0["4K-M"] - cork_mu - 2 * h1M',
      ["tests/test_oracle_gaussian.py", "tests/test_criteria.py"]),
+    # the parity filter's default turns on for every class of a model
+    # with K = 0, so the Enriques tetragonal searches run with it
+    ("auto-mod4-k-zero", _ENUMERATION,
+     "    return C.coords == minus2k\n",
+     "    return C.coords == minus2k or not any(C.model.canonical)\n",
+     ["tests/test_enumeration.py"]),
+    # chi reads chi(O) = 1 whatever the model, one too many on blc6
+    ("chi-of-o", _SURFACES,
+     "return L.model.chi + s // 2",
+     "return 1 + s // 2",
+     ["tests/test_surfaces.py"]),
 ]
 
 
