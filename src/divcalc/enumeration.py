@@ -152,26 +152,24 @@ def _decomposition(L, s, L2, C2, k):
     return Decomposition(L, k - ML, ML, L2, s - k, notes)
 
 
-def _setup(C, k, mod4, walks):
+def _setup(C, k, mod4, walk=None):
     """What a search of C at k and its explainer share: the slice walk,
     C^2 (from the walk's set-up) and the mod4 flag used. Refuses a k that
     is not an int (bool excluded) or is below 2, a mod4 that is not None
-    or a bool, then (in _slicer) a C it cannot walk. The walk comes from
-    walks, keyed by C, and is added there when it is new; one walk serves
-    every k of C."""
+    or a bool, then (in _slicer) a C it cannot walk. walk is _slicer(C)'s
+    (points, C^2) when the caller holds it, else it is built here; one
+    walk serves every k of C."""
     if type(k) is not int:
         raise RangeError(f"k must be an integer, got {k!r}", "k")
     if k < 2:
         raise RangeError(f"k must be >= 2, got {k}", "k")
     if mod4 is not None and type(mod4) is not bool:  # 0 == False
         raise RangeError(f"mod4 must be None or a bool, got {mod4!r}")
-    if C not in walks:
-        walks[C] = _slicer(C)
-    apply_mod4 = _auto_mod4(C) if mod4 is None else mod4
-    return (*walks[C], apply_mod4)
+    points, C2 = walk or _slicer(C)
+    return points, C2, _auto_mod4(C) if mod4 is None else mod4
 
 
-def _scan(C, k, mod4, walks):
+def _scan(C, k, mod4, walk=None):
     """The windows of the search for C at k, set up by _setup, with the
     sign and mod4 tests: (kept, rejected, visited, C^2, apply_mod4),
     where kept lists, unsorted, (x, s, L^2) for the coordinates x of
@@ -180,7 +178,7 @@ def _scan(C, k, mod4, walks):
     renders nothing: enumerate_bogreider builds the search's records
     from kept, and _replay grades the survivors' keys from the walk's
     coordinates."""
-    points, C2, apply_mod4 = _setup(C, k, mod4, walks)
+    points, C2, apply_mod4 = _setup(C, k, mod4, walk)
     negative, _ = _sign_stage(C.model)
     kept = []
     rejected = {}
@@ -230,7 +228,7 @@ def enumerate_bogreider(
     survivor is built as a DivClass, from the walk's coordinates.
     """
     _require_model(surface, C)
-    kept, rejected, visited, C2, apply_mod4 = _scan(C, k, mod4, {})
+    kept, rejected, visited, C2, apply_mod4 = _scan(C, k, mod4)
     kept.sort()  # by coordinates, which no two survivors share
     walked, model = DivClass._walked, C.model
     survivors = [_decomposition(walked(model, x), s, q, C2, k)
@@ -255,14 +253,12 @@ def explainer(surface: LatticeModel, C: DivClass, k: int,
     point its trace is the search's.
     """
     _require_model(surface, C)
-    _, C2, apply_mod4 = _setup(C, k, mod4, {})
-    gram = C.model.gram
+    _, C2, apply_mod4 = _setup(C, k, mod4)
     negative, sign = _sign_stage(C.model)
 
     def explain(coords):
         L = C.model.klass(coords)
-        x, s = L.coords, pair(L, C)
-        L2 = sum(map(mul, [sum(map(mul, row, x)) for row in gram], x))
+        x, s, L2 = L.coords, pair(L, C), pair(L, L)
         ML, SL, parity = s - L2, negative(x), _residual_parity(L2, s)
         # (failed, detail) of each stage of _STAGES, in order
         chain = ((not any(x), "zero class"),
@@ -612,7 +608,7 @@ def verify_case(case_id: str) -> CaseReport:
         raise FixtureError(
             f"unknown case {case_id!r}; shipped: {', '.join(sorted(FIXTURES))}"
         )
-    return _replay(case_id, {}, {})
+    return _replay(case_id, {})
 
 
 def verify_all():
@@ -622,28 +618,29 @@ def verify_all():
     distinct expression once. A pencil case is graded from the
     coordinates its scan keeps: no search record is built and no curve
     is rendered."""
-    curves, walks = {}, {}
-    return [_replay(case_id, curves, walks) for case_id in FIXTURES]
+    walks = {}
+    return [_replay(case_id, walks) for case_id in FIXTURES]
 
 
-def _replay(case_id, curves, walks):
-    """verify_case(case_id), taking the class C of a pencil curve from
-    curves, keyed by (surface, curve) names, and its slice walk from
-    walks, keyed by C, and adding them there when they are new. The
-    survivors are graded by their keys (L, z), rendered from the
-    coordinates the scan (_scan) keeps, with z = k - M.L; the count of
-    rejected candidates is the scan's. On a mismatch, explainer traces
-    each missing survivor, with a set-up of its own."""
+def _replay(case_id, walks):
+    """verify_case(case_id), taking the class C of a pencil curve and its
+    slice walk from walks, keyed by the fixture's (surface, curve) names,
+    and adding them there when they are new. The survivors are graded by
+    their keys (L, z), rendered from the coordinates the scan (_scan)
+    keeps, with z = k - M.L; the count of rejected candidates is the
+    scan's. On a mismatch, explainer traces each missing survivor, with a
+    set-up of its own."""
     fx = FIXTURES[case_id]
     trace = []
 
     if fx.kind == "pencil":
         key = fx.surface, fx.curve
-        if key not in curves:
-            curves[key] = resolve(fx.curve, get_surface(fx.surface))
-        C = curves[key]
+        if key not in walks:
+            C = resolve(fx.curve, get_surface(fx.surface))
+            walks[key] = C, _slicer(C)
+        C, walk = walks[key]
         surf = C.model
-        kept, rejected, *_ = _scan(C, fx.k, fx.mod4, walks)
+        kept, rejected, *_ = _scan(C, fx.k, fx.mod4, walk)
         got = {(render_coords(x, surf.labels), fx.k - s + q)
                for x, s, q in kept}
         want = set(fx.expected)

@@ -146,22 +146,46 @@ class TestGonality:
         assert mu_lowest == 8
         assert special == [(40, 6, 12)]
 
-    def test_realised_pairs_of_the_chamber_classes(self):
+    # the pairs gonality accepts at L^2 <= 200 that no class has, and those
+    # of them that the rule of the test below admits
+    _UNREALISED = [
+        (26, 5), (38, 6), (50, 7), (52, 7), (66, 8), (68, 8), (82, 9),
+        (84, 9), (86, 9), (102, 10), (104, 10), (106, 10), (110, 10),
+        (122, 11), (124, 11), (126, 11), (128, 11), (132, 11), (134, 11),
+        (146, 12), (148, 12), (150, 12), (152, 12), (156, 12), (158, 12),
+        (170, 13), (172, 13), (174, 13), (176, 13), (178, 13), (182, 13),
+        (184, 13), (186, 13), (198, 14), (200, 14)]
+    _RULE_EXCESS = [(110, 10), (132, 11), (134, 11), (156, 12), (158, 12),
+                    (182, 13), (184, 13), (186, 13)]
+    # per top: (realised pairs, accepted pairs)
+    _COUNTS = {100: (306, 315), 200: (868, 903)}
+
+    @pytest.mark.parametrize("top", [100, 200])
+    def test_realised_pairs_of_the_chamber_classes(self, top):
         # the (L^2, phi) of the chamber classes are every pair a class
-        # has; the criteria accept nine more at L^2 <= 100
-        realised = {(L2, phi) for _, _, L2, phi in _chamber_classes(100)}
+        # has, read off one scan to L^2 <= 200 (phi runs to 14 there);
+        # the criteria accept more, all listed. The rule "L^2 = phi^2 with
+        # phi even, or L^2 >= phi^2 + phi - 2" on the accepted pairs is
+        # the realised set to 100 and admits eight more pairs to 200.
+        realised = {(L2, phi) for _, _, L2, phi in _chamber_classes(200)
+                    if L2 <= top}
         accepted = set()
-        for L2, phi in itertools.product(range(1, 101), range(1, 11)):
+        for L2, phi in itertools.product(range(1, top + 1), range(1, 15)):
             try:
                 gonality(L2, phi)
             except DivcalcError:
                 continue
             accepted.add((L2, phi))
-        assert len(realised) == 306 and len(accepted) == 315
+        assert (len(realised), len(accepted)) == self._COUNTS[top]
         assert realised < accepted
         assert sorted(accepted - realised) == [
-            (26, 5), (38, 6), (50, 7), (52, 7), (66, 8), (68, 8), (82, 9),
-            (84, 9), (86, 9)]
+            p for p in self._UNREALISED if p[0] <= top]
+        rule = {(L2, phi) for L2, phi in accepted
+                if L2 == phi * phi and phi % 2 == 0
+                or L2 >= phi * phi + phi - 2}
+        assert realised <= rule
+        assert sorted(rule - realised) == [
+            p for p in self._RULE_EXCESS if p[0] <= top]
 
 
 class TestSeriesHelpers:

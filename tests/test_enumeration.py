@@ -26,6 +26,7 @@ from divcalc.errors import (
     FixtureError,
     ModelError,
     ModelMismatchError,
+    OverflowGuardError,
     RangeError,
 )
 from divcalc.lattice import (
@@ -458,6 +459,18 @@ def test_explainer_refuses_what_the_search_refuses():
     blq = get_surface("blq")
     with pytest.raises(ModelError):  # C^2 = 0
         explainer(blq, resolve("f", blq), 4)((0, 1))
+
+
+@pytest.mark.parametrize("coords", [(2**32, 0), (0, 2**62)],
+                         ids=["L2", "LC"])
+def test_explainer_refuses_a_pairing_outside_the_envelope(coords):
+    # on blq, L = a C0 + b f has L^2 = 2a(b - a) and L.(-2K) = 4b: the
+    # first candidate has L^2 = -2^65 with L.C = 0, the second L.C = 2^64
+    # with L^2 = 0, and each is refused as the pairing refuses it
+    blq = get_surface("blq")
+    explain = explainer(blq, resolve("-2K", blq), 4, mod4=True)
+    with pytest.raises(OverflowGuardError, match="64-bit envelope"):
+        explain(coords)
 
 
 def _raised(call, *args):

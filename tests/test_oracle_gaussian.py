@@ -1,17 +1,44 @@
-"""The low-genus rules graded by Gaussian-map ranks computed on explicit
-curves (tests/oracle_gaussian.py): the Fermat quartic (genus 3) and
-quintic (genus 6) in P^2, and the Fermat-type complete intersection of
-a quadric and a cubic in P^3 (genus 4), M = O(a). Each is smooth by the
-Jacobian criterion (oracle_gaussian.fermat). The oracle's section counts
-h1(M), cork mu and the auxiliary h0 go into corank_low_genus, and its
+"""The low-genus, degree and Clifford rules graded by Gaussian-map ranks
+computed on explicit curves (tests/oracle_gaussian.py), M = O(a): the
+Fermat quartic (genus 3), quintic (genus 6), sextic (genus 10) and
+septic (genus 15) in P^2, the Fermat-type complete intersection of a
+quadric and a cubic in P^3 (genus 4), and a complete intersection of
+three diagonal quadrics in P^4 (genus 5, _three_quadrics). Each is
+smooth by the Jacobian criterion (oracle_gaussian.fermat and
+_three_quadrics). The oracle's section counts h1(M), cork mu and the
+auxiliary h0 go into corank_low_genus, the degree of M into
+check_degree_corollaries and Cliff into check_cliff_criterion, and each
 verdict must hold for the computed corank: SURJECTIVE has corank 0,
 CORANK_BOUND(b) has corank >= b, and corank = b where the verdict notes
 equality."""
 
 import pytest
 
-from divcalc.criteria import corank_low_genus
+from divcalc.criteria import (
+    check_cliff_criterion,
+    check_degree_corollaries,
+    corank_low_genus,
+)
 from oracle_gaussian import CompleteIntersection, fermat
+
+
+def _three_quadrics():
+    """The curve sum x_i^2 = sum i x_i^2 = sum i^2 x_i^2 = 0 (i = 0..4) in
+    P^4: degree 8, K = O(1), genus 5.
+
+    It is smooth mod p. Its coefficient rows (1, i, i^2) are Vandermonde,
+    so every 3 x 3 minor of the coefficient matrix A is a product of
+    differences of 0..4, nonzero mod p. The Jacobian is 2 A diag(x): at a
+    point with three nonzero x_i it has rank 3, and a point with at most
+    two nonzero x_i has A x^2 = 0 on two independent columns of A, so
+    those x_i^2 are 0 too and x = 0, which is no point. It is not
+    trigonal: it is its own canonical model (K = O(1), projectively
+    normal), its ideal is generated by quadrics, and by Petri's theorem
+    the ideal of a trigonal canonical curve is not."""
+    return CompleteIntersection(*(
+        {tuple(2 * (i == k) for i in range(5)): k ** r for k in range(5)
+         if k ** r}
+        for r in range(3)))
 
 # (curve, a) -> (corank of Phi_{K,O(a)}, verdict); a plane curve is keyed
 # by its degree
@@ -25,20 +52,36 @@ ROWS = {
     ("ci23", 1): (9, "CORANK_BOUND"), ("ci23", 2): (5, "CORANK_BOUND"),
     ("ci23", 3): (1, "CORANK_BOUND"), ("ci23", 4): (0, "CORANK_BOUND"),
     ("ci23", 5): (0, "CORANK_BOUND"),
+    ("ci222", 1): (10, "CORANK_BOUND"), ("ci222", 2): (3, "CORANK_BOUND"),
+    ("ci222", 3): (0, "CORANK_BOUND"), ("ci222", 4): (0, "CORANK_BOUND"),
+    ("ci222", 5): (0, "CORANK_BOUND"),
+}
+
+# (plane curve degree d, a) -> (corank, degree-general status, cliff rule);
+# a = 2e is M = 2K, the bundle the degree rule excludes at equality
+PLANE_ROWS = {
+    (6, 6): (1, "NO_CONCLUSION", "cliff"),
+    (6, 7): (0, "SURJECTIVE", "cliff-(i)"),
+    (6, 8): (0, "SURJECTIVE", "cliff-(i)"),
+    (7, 8): (0, "NO_CONCLUSION", "cliff-(ii)"),
+    (7, 9): (0, "SURJECTIVE", "cliff-(ii)"),
 }
 
 CURVES = {
     4: CompleteIntersection(fermat(4)),
     5: CompleteIntersection(fermat(5)),
+    6: CompleteIntersection(fermat(6)),
+    7: CompleteIntersection(fermat(7)),
     "ci23": CompleteIntersection(fermat(2, 4), fermat(3, 4)),
+    "ci222": _three_quadrics(),
 }
 
-RULES = {3: "low-(a)", 4: "low-(b)", 6: "low-(d)"}
+RULES = {3: "low-(a)", 4: "low-(b)", 5: "low-(c)", 6: "low-(d)"}
 
 
 def _verdict(curve, a):
     """The low-genus verdict on M = O(a), from the oracle's counts. K is
-    O(1) on the quartic and on the complete intersection; on the quintic
+    O(1) on the quartic and on the complete intersections; on the quintic
     K = O(2) and A = O(1)."""
     h0 = curve.h0
     e = curve.e  # K = O(e)
@@ -52,6 +95,10 @@ def _verdict(curve, a):
         return corank_low_genus(
             4, h1M=h1M, h0_2K_minus_M=h0(2 * e - a), cork_mu=cork_mu,
             aux_h0={"3K-M": h0(3 * e - a), "-M": h0(-a)})
+    if curve.genus == 5:
+        return corank_low_genus(
+            5, h1M=h1M, h0_2K_minus_M=h0(2 * e - a), cork_mu=cork_mu,
+            aux_h0={"-M": h0(-a)}, nontrigonal=True)
     return corank_low_genus(
         6, h1M=h1M, cork_mu=cork_mu, plane_quintic=True,
         aux_h0={"5A-M": h0(5 - a), "4A-M": h0(4 - a)})
@@ -70,6 +117,21 @@ def test_low_genus_verdicts_hold_on_fermat_curves(d, a):
         assert corank >= verdict.bound
         if any(n.startswith("equality holds") for n in verdict.notes):
             assert corank == verdict.bound
+
+
+@pytest.mark.parametrize("d, a", list(PLANE_ROWS))
+def test_degree_and_clifford_rules_hold_on_fermat_plane_curves(d, a):
+    # a smooth plane curve of degree d >= 5 has Cliff = d - 4, computed by
+    # its g^2_d, and is neither trigonal nor a plane quintic here
+    curve = CURVES[d]
+    g, e = curve.genus, curve.e
+    corank, _ = curve.gaussian_corank(a)
+    degree = check_degree_corollaries(g, d * a, M_eq_special=a == 2 * e)
+    cliff = check_cliff_criterion(d - 4, curve.h0(2 * e - a))
+    assert degree.rule == "degree-general"
+    assert (corank, degree.status, cliff.rule) == PLANE_ROWS[d, a]
+    for verdict in (degree, cliff):
+        assert verdict.status != "SURJECTIVE" or corank == 0
 
 
 @pytest.mark.parametrize("d", list(CURVES))

@@ -107,6 +107,12 @@ CATALOGUE = [
      "fx.k - s + q",
      "fx.k - s - q",
      ["tests/test_enumeration.py"]),
+    # the replay's scan sets up its own walk, one per pencil case and not
+    # one per curve
+    ("replay-walk", _ENUMERATION,
+     "_scan(C, fx.k, fx.mod4, walk)",
+     "_scan(C, fx.k, fx.mod4)",
+     ["tests/test_enumeration.py"]),
     # the replay's identity trace line reads "; expected", which the
     # benchmark's fixture check cannot parse
     ("identity-line", _ENUMERATION,
@@ -160,11 +166,12 @@ CATALOGUE = [
      "if degM < g + 1:",
      "if degM < g:",
      ["tests/test_criteria.py"]),
-    # the general degree corollary starts one below 4g - 4
+    # the general degree corollary starts one below 4g - 4, so the Fermat
+    # sextic's O(6) = 2K is ruled surjective at its corank 1
     ("degree-general-threshold", _CRITERIA,
      "thresh = 4 * g - 4",
      "thresh = 4 * g - 5",
-     ["tests/test_criteria.py"]),
+     ["tests/test_criteria.py", "tests/test_oracle_gaussian.py"]),
     # tetragonal branch (i) allows h0(2K - M) = 2
     ("tetragonal-i-threshold", _CRITERIA,
      "if h0_2K_minus_M <= 1 and h0_2K_minus_M_minus_b2A == 0:",
@@ -331,6 +338,12 @@ CATALOGUE = [
     ("low-a-h1", _CRITERIA,
      'raw = aux_h0["4K-M"] - cork_mu - 3 * h1M',
      'raw = aux_h0["4K-M"] - cork_mu - 2 * h1M',
+     ["tests/test_oracle_gaussian.py", "tests/test_criteria.py"]),
+    # low-(c) charges h1(M) four times, not five, so the three quadrics'
+    # O(1) gets the bound 11 over its corank 10
+    ("low-c-h1", _CRITERIA,
+     "raw = 3 * h0_2K_minus_M - cork_mu - 5 * h1M",
+     "raw = 3 * h0_2K_minus_M - cork_mu - 4 * h1M",
      ["tests/test_oracle_gaussian.py", "tests/test_criteria.py"]),
     # the parity filter's default turns on for every class of a model
     # with K = 0, so the Enriques tetragonal searches run with it
