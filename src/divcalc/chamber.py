@@ -2,15 +2,26 @@
 U + E8(-1): reduce_to_chamber makes it, _unword inverts it,
 check_phi_certificate replays it by its own gram arithmetic, and
 PhiCertificate.text prints it. Its steps are ("neg",), ("s", j) and
-("t", e, v), as reduce_to_chamber states."""
+("t", e, v), as reduce_to_chamber states.
+
+The chamber path multiplies by four fixed matrices: the E8(-1) block in
+each transvection's shift, the root rows for the pairings x.alpha_j,
+the weight columns to rebuild x from its pairings, and the gram for
+phi's image G L. Each product is a straight-line kernel (_linear),
+written once per process from the matrix's nonzero entries on first
+use (_kernels). check_phi_certificate calls none of them: it replays
+the word by plain gram products, so it stays a check independent of
+the kernels."""
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cache
 from operator import mul
+from types import SimpleNamespace
 
 from .errors import ModelError, RangeError
-from .lattice import DivClass, _Record, pair
+from .lattice import _INT_ONLY, DivClass, _Record, pair
 
 # U + E8(-1) in the basis U1, U2, R1..R8: R_i^2 = -2, and R_i.R_j = 1
 # on the edges of the E8 diagram (Bourbaki order)
@@ -94,11 +105,48 @@ _E8_HEIGHT_ROW = _E10_HEIGHT_ROW[2:]
 _E8_ROWS = tuple(g[2:] for g in _E10_GRAM[2:])
 
 
+def _linear(rows):
+    """The product x -> [row . x for row in rows] as one straight-line
+    function, written from the rows' nonzero entries: a zero entry adds
+    no term, and an entry +-1 no multiply. It returns a list, and x must
+    have one coordinate per column."""
+    names = [f"x{j}" for j in range(len(rows[0]))]
+    sums = []
+    for row in rows:
+        terms = " ".join(("- " if a < 0 else "+ ")
+                         + (n if abs(a) == 1 else f"{abs(a)} * {n}")
+                         for a, n in zip(row, names) if a)
+        sums.append(terms.removeprefix("+ ") or "0")
+    namespace = {}
+    exec(f"def product(x):\n    {', '.join(names)}, = x\n"
+         f"    return [{', '.join(sums)}]\n", namespace)
+    return namespace["product"]
+
+
+@cache
+def _kernels():
+    """The chamber path's products with the fixed E10 matrices, each a
+    _linear kernel, built once on first use: e8, the E8(-1) block
+    (_shift's N v); roots, the pairings x.alpha_j; weights,
+    x = sum_j c_j omega_j from the pairings c; and gram, G x (phi's
+    image of L)."""
+    return SimpleNamespace(
+        e8=_linear(_E8_ROWS), roots=_linear(_E10_ROOT_ROWS),
+        weights=_linear(_E10_WEIGHT_COLUMNS), gram=_linear(_E10_GRAM))
+
+
+def _e10_image(L):
+    """_gram_image(L), (G L, L^2), for a class L on the E10 gram, by the
+    gram kernel."""
+    w = _kernels().gram(L.coords)
+    return w, sum(map(mul, w, L.coords))
+
+
 def _shift(r, xe, v):
     """x.v + (v^2 / 2)(x.e) for a class x with E8(-1) part r and
     x.e = xe: the multiple of e that the transvection along e and v takes
     off x."""
-    Nv = [sum(map(mul, row, v)) for row in _E8_ROWS]
+    Nv = _kernels().e8(v)
     return sum(map(mul, r, Nv)) + sum(map(mul, v, Nv)) // 2 * xe
 
 
@@ -146,7 +194,7 @@ def _cusp_step(x):
 def _reduce(x):
     """reduce_to_chamber on the coordinates x of a class with L^2 > 0:
     (x', the pairings x'.alpha_j, the word as a list)."""
-    word, c = [], None
+    kernels, word, c = _kernels(), [], None
     if sum(map(mul, _E10_HEIGHT_ROW, x)) < 0:
         x = [-a for a in x]
         word.append(("neg",))
@@ -157,7 +205,7 @@ def _reduce(x):
                 e, v, x = step
                 word.append(("t", e, v))
                 step = _cusp_step(x)
-            c = [sum(map(mul, row, x)) for row in _E10_ROOT_ROWS]
+            c = kernels.roots(x)
         m = min(c)
         if m >= 0:  # x is in the chamber, and c its pairings
             return x, c, word
@@ -170,7 +218,7 @@ def _reduce(x):
             m = min(c)
             if j < 2 and m < 0:  # alpha_-1, alpha_0 move U1, U2
                 break
-        x = [sum(map(mul, c, col)) for col in _E10_WEIGHT_COLUMNS]
+        x = kernels.weights(c)
         if m >= 0:
             return x, c, word
 
@@ -219,15 +267,16 @@ def _unword(word, x, d=None):
     undoing a closing transvection needs no product with the weight
     columns, nor, given d, a closing reflection or sign one with the
     root rows."""
+    kernels = _kernels()
     F = list(x)
     for step in reversed(word):
         if step[0] == "t":
             if F is None:
-                F = [sum(map(mul, d, col)) for col in _E10_WEIGHT_COLUMNS]
+                F = kernels.weights(d)
             F, d = _transvection(F, step[1], tuple(-a for a in step[2])), None
             continue
         if d is None:
-            d = [sum(map(mul, row, F)) for row in _E10_ROOT_ROWS]
+            d = kernels.roots(F)
         F = None
         if step[0] == "s":
             j = step[1]
@@ -238,7 +287,7 @@ def _unword(word, x, d=None):
         else:
             d = [-a for a in d]
     if F is None:
-        F = [sum(map(mul, d, col)) for col in _E10_WEIGHT_COLUMNS]
+        F = kernels.weights(d)
     return tuple(F)
 
 
@@ -256,6 +305,12 @@ def _chamber_phi(L: DivClass):
 # step applied from its definition
 
 
+def _ints(values):
+    """Whether every entry of values is an int; a bool or a float is
+    not, though it may compare equal to one."""
+    return _INT_ONLY.issuperset(map(type, values))
+
+
 def _e10_dot(x, y):
     return sum(map(mul, x, [sum(map(mul, g, y)) for g in _E10_GRAM]))
 
@@ -263,15 +318,16 @@ def _e10_dot(x, y):
 def _e10_step(x, step, sign=1):
     """The coordinates x of an E10 class moved by one step of a chamber
     word, or by its inverse when sign is -1, by plain gram arithmetic. A
-    step of another shape raises ValueError."""
+    step of another shape, or with an entry that is not an int, raises
+    ValueError."""
     kind, args = step[0], step[1:]
     if kind == "neg" and not args:
         return [-a for a in x]
-    if kind == "s" and len(args) == 1 and args[0] in range(10):
+    if kind == "s" and len(args) == 1 and _ints(args) and args[0] in range(10):
         c = sum(map(mul, x, _E10_ROOT_ROWS[args[0]]))
         return [xi + c * ai for xi, ai in zip(x, E10_ROOTS[args[0]])]
-    if kind == "t" and len(args) == 2 and args[0] in (0, 1) \
-            and len(args[1]) == 8:
+    if kind == "t" and len(args) == 2 and _ints(args[:1]) \
+            and args[0] in (0, 1) and len(args[1]) == 8 and _ints(args[1]):
         e, V = args[0], (0, 0) + tuple(sign * t for t in args[1])
         GV = [sum(map(mul, g, V)) for g in _E10_GRAM]
         xe = sum(map(mul, x, _E10_GRAM[e]))
@@ -293,7 +349,12 @@ def check_phi_certificate(L: DivClass, result) -> bool:
     positive cone is v U1 for some v. A result without a certificate
     (the slice walk's) or no result at all, an L that is no DivClass, a
     model of another gram or a malformed certificate or witness gives
-    False, and nothing raises.
+    False, and nothing raises. Every number of the certificate, the
+    value and the witness must be an int: a float or a bool that
+    compares equal to the right one is refused.
+
+    It uses none of the chamber path's kernels (_kernels), so a fault in
+    one of them shows as a result that fails this check.
     """
     cert = getattr(result, "certificate", None)
     if (not isinstance(cert, PhiCertificate) or type(L) is not DivClass
@@ -308,6 +369,8 @@ def check_phi_certificate(L: DivClass, result) -> bool:
             F = _e10_step(F, step, -1)
         pairings = tuple(sum(map(mul, x, g)) for g in _E10_ROOT_ROWS)
         return (tuple(cert.pairings) == pairings and min(pairings) >= 0
+                and _ints((cert.phi, result.value, *cert.pairings,
+                           *result.witness.coords))
                 and cert.phi == result.value == _e10_dot(x, E10_WEIGHTS[0])
                 and tuple(F) == result.witness.coords and _e10_dot(F, F) == 0
                 and _e10_dot(F, L.coords) == result.value)

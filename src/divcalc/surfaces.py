@@ -29,7 +29,7 @@ import os
 import re
 from collections import namedtuple
 
-from .chamber import _E10_GRAM, _chamber_phi
+from .chamber import _E10_GRAM, _chamber_phi, _e10_image
 from .errors import (
     ModelError,
     NodalClassError,
@@ -342,13 +342,15 @@ def phi(
     An L from another model raises ModelMismatchError.
     """
     _require_model(surface, L)
-    image = _gram_image(L)  # G L and L^2, reused by the walk's set-up
+    e10 = surface.gram == _E10_GRAM
+    # G L and L^2, reused by the walk's set-up
+    image = _e10_image(L) if e10 else _gram_image(L)
     L2 = _check_i64(image[1], "pairing")
     if L2 <= 0:
         raise RangeError(f"phi needs L^2 > 0, got {L2}")
     if box is not None and mode != "boxed":
         raise ModelError(f"phi reads box only in boxed mode, not {mode!r}")
-    if mode == "sublattice" and surface.gram == _E10_GRAM:
+    if mode == "sublattice" and e10:
         value, F, cert = _chamber_phi(L)
         return PhiResult(value, F, True, cert)
     boxed = mode == "boxed"

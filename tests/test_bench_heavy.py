@@ -92,3 +92,33 @@ def test_each_timed_search_starts_from_a_collection(monkeypatch):
         counts, elapsed = tool.search(dc, "sigma6", "-2K", 8)
     assert counts == (3, 2, {"sign": 1}) and elapsed >= 0
     assert calls == ["get_surface", "resolve", "collect", "search"] * 2
+
+
+def test_the_phi_case_prints_its_pinned_counts():
+    # certified phi on 200 seeded Enriques classes, run once: the total
+    # chamber word length and the sum of phi are pinned, so --against
+    # times the chamber path on both trees with the same work
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "bench_heavy.py"),
+         "--case", "enriques-phi-200", "--runs", "1"],
+        capture_output=True, text=True, timeout=120, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stdout.splitlines()
+    got = json.loads(line)
+    assert list(got) == ["case", "surface", "seed", "classes", "bound",
+                         "word_length", "phi_sum", "runs", "median_s"]
+    assert got.pop("median_s") > 0
+    assert got == {"case": "enriques-phi-200", "surface": "enriques",
+                   "seed": 7, "classes": 200, "bound": 30,
+                   "word_length": 12157, "phi_sum": 2547, "runs": 1}
+
+
+def test_the_phi_case_draws_positive_classes_in_its_box():
+    tool = _tool()
+    with tool.installed(tool.load(ROOT / "src")) as dc:
+        surf, classes = tool.enriques_classes(dc, 7, 200, 30)
+        assert surf.name == "enriques" and len(set(classes)) == 200
+        assert all(dc.pair(L, L) > 0 and max(map(abs, L.coords)) <= 30
+                   for L in classes)
+        assert max(max(map(abs, L.coords)) for L in classes) == 30
+        assert all(dc.phi(surf, L).certificate for L in classes[:20])

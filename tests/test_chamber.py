@@ -4,12 +4,18 @@ check_phi_certificate replays."""
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from operator import mul
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from divcalc import chamber, check_phi_certificate, cli, lattice
+from divcalc import chamber, check_phi_certificate, cli, lattice, surfaces
 from divcalc.chamber import (
     E10_ROOTS,
     E10_WEIGHTS,
@@ -18,7 +24,13 @@ from divcalc.chamber import (
 )
 from divcalc.divexpr import resolve
 from divcalc.errors import ModelError, OverflowGuardError, RangeError
-from divcalc.lattice import LatticeModel, model_from_json_dict, pair
+from divcalc.lattice import (
+    I64_MAX,
+    DivClass,
+    LatticeModel,
+    model_from_json_dict,
+    pair,
+)
 from divcalc.surfaces import PhiResult, enriques, get_config, phi
 import cli_diff
 from oracle_bruteforce import brute_phi
@@ -86,6 +98,23 @@ def phi_enriques_shaped(rng, n):
     return out
 
 
+def count_kernel_calls(monkeypatch, name):
+    """A list that grows by one at each call of the chamber kernel name
+    (an attribute of chamber._kernels()), counted from here to the end
+    of the test."""
+    calls, kernels = [], vars(chamber._kernels()).copy()
+    real = kernels[name]
+
+    def counting(x):
+        calls.append(1)
+        return real(x)
+
+    kernels[name] = counting
+    patched = SimpleNamespace(**kernels)
+    monkeypatch.setattr(chamber, "_kernels", lambda: patched)
+    return calls
+
+
 def walk_phi(L):
     """The slice walk's phi and witness, through lattice._slicer."""
     points, _ = lattice._slicer(L)
@@ -143,6 +172,105 @@ class TestE10Data:
         h = [sum(w[k] for w in E10_WEIGHTS) for k in range(10)]
         assert dot(h, h) == 1240
         assert [dot(h, a) for a in E10_ROOTS] == [1] * 10
+
+
+# each kernel of the chamber path, by its name in chamber._kernels(), and
+# the fixed matrix it multiplies by
+KERNELS = {"e8": chamber._E8_ROWS, "roots": chamber._E10_ROOT_ROWS,
+           "weights": chamber._E10_WEIGHT_COLUMNS, "gram": GRAM}
+
+
+class TestKernels:
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_each_kernel_is_its_matrix_product(self, name):
+        # seeded vectors, small and with coordinates near +-I64_MAX, where
+        # the sums leave 64 bits: the kernel is exact as the plain product
+        rows, rng = KERNELS[name], random.Random(1601)
+        kernel = getattr(chamber._kernels(), name)
+        n = len(rows[0])
+        for i in range(300):
+            if i % 3:
+                x = [rng.randint(-60, 60) for _ in range(n)]
+            else:
+                x = [rng.choice((1, -1)) * (I64_MAX - rng.randint(0, 9))
+                     if rng.random() < 0.7 else rng.randint(-9, 9)
+                     for _ in range(n)]
+            want = [sum(map(mul, row, x)) for row in rows]
+            assert kernel(x) == want and kernel(tuple(x)) == want, x
+
+    def test_kernels_are_built_once_on_first_use(self):
+        # a process that reduces no E10 class builds no kernel: importing
+        # divcalc and walking phi on another gram leave the cache empty,
+        # and phi on the Enriques lattice fills it once
+        code = (
+            "from divcalc import chamber, get_config, resolve, phi, "
+            "enriques\n"
+            "s = get_config('pencil-pair-1')\n"
+            "phi(s, resolve('3E+2E1', s))\n"
+            "print(chamber._kernels.cache_info().currsize)\n"
+            "E = enriques()\n"
+            "for e in ('U1+4U2+R1+R5', 'U1+U2', '3U1+5U2-R1'):\n"
+            "    phi(E, resolve(e, E))\n"
+            "info = chamber._kernels.cache_info()\n"
+            "print(info.currsize, info.misses)\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(chamber.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "1", "1"]
+        assert chamber._kernels() is chamber._kernels()
+
+    def test_phi_images_l_by_the_gram_kernel(self, monkeypatch):
+        # phi's (G L, L^2) on the E10 gram is _gram_image's, and the boxed
+        # walk's set-up is handed that pair
+        images = []
+
+        def recording_slicer(L, image=None):
+            images.append((L, image))
+            return real_slicer(L, image)
+
+        real_slicer = lattice._slicer
+        monkeypatch.setattr(surfaces, "_slicer", recording_slicer)
+        classes = sample(random.Random(1611), 100, 30)
+        for L in classes:
+            assert chamber._e10_image(L) == lattice._gram_image(L), L.coords
+        boxed = phi_enriques_shaped(random.Random(1612), 6)
+        for L in boxed:
+            phi(E, L, mode="boxed", box=2)
+        assert images == [(L, lattice._gram_image(L)) for L in boxed]
+        U = resolve("U1+2U2", E)
+        phi(E, U, mode="boxed", box=1)
+        assert images[-1] == (U, ([2, 1] + [0] * 8, 4))
+
+    def test_the_certificate_check_calls_no_kernel(self, monkeypatch):
+        # results saved first; with every kernel raising, each still
+        # checks, so check_phi_certificate is independent of them
+        classes = sample(random.Random(1621), 60, 30)
+        classes += [cusp(m) for m in (10, 10**9)] + [-cusp(3)]
+        classes += [E.klass(x) for x in TestReduceToChamber.TIES]
+        saved = [(L, phi(E, L)) for L in classes]
+
+        def refuse(x):
+            raise AssertionError("a kernel was called")
+
+        raising = SimpleNamespace(**{name: refuse for name in KERNELS})
+        monkeypatch.setattr(chamber, "_kernels", lambda: raising)
+        for L, res in saved:
+            assert check_phi_certificate(L, res), L.coords
+        with pytest.raises(AssertionError, match="kernel was called"):
+            phi(E, classes[0])
+
+    def test_a_wrong_kernel_fails_the_check(self, monkeypatch):
+        # the root rows' kernel with one entry off: phi still returns,
+        # and no result it gives passes the check
+        rows = [list(row) for row in chamber._E10_ROOT_ROWS]
+        rows[3][0] += 1
+        wrong = SimpleNamespace(**vars(chamber._kernels()))
+        wrong.roots = chamber._linear(rows)
+        monkeypatch.setattr(chamber, "_kernels", lambda: wrong)
+        for L in sample(random.Random(1631), 40, 30) + [cusp(10)]:
+            assert not check_phi_certificate(L, phi(E, L)), L.coords
 
 
 class TestReduceToChamber:
@@ -251,21 +379,13 @@ class TestReduceToChamber:
     def test_witness_starts_from_u1_coordinates(self, monkeypatch):
         # w^-1 U1 undoes the word's last step first; when that is a
         # transvection it acts on U1's coordinates (1, 0, ..., 0), with
-        # no product with the weight columns. A product is made only
-        # where a transvection is undone right after a reflection or the
-        # sign, or at the end after one
+        # no product with the weight columns (their kernel). A product is
+        # made only where a transvection is undone right after a
+        # reflection or the sign, or at the end after one
         words = [reduce_to_chamber(L)[1] for L in
                  [cusp(m) for m in (10, 10**4, 10**9)]
                  + sample(random.Random(1231), 200, 40)]
-        products = []
-
-        class CountingColumns(tuple):
-            def __iter__(self):
-                products.append(1)
-                return super().__iter__()
-
-        monkeypatch.setattr(chamber, "_E10_WEIGHT_COLUMNS",
-                            CountingColumns(chamber._E10_WEIGHT_COLUMNS))
+        products = count_kernel_calls(monkeypatch, "weights")
         ends = Counter()
         for word in words:
             F = [1] + [0] * 9
@@ -285,16 +405,9 @@ class TestReduceToChamber:
     def test_witness_starts_from_u1_pairings(self, monkeypatch):
         # phi hands _unword U1's pairings with the roots, (1, 0, ..., 0):
         # its witness is _unword(word, U1) without them, and it makes no
-        # product with the root rows to undo a closing reflection or sign
-        products = []
-
-        class CountingRows(tuple):
-            def __iter__(self):
-                products.append(1)
-                return super().__iter__()
-
-        monkeypatch.setattr(chamber, "_E10_ROOT_ROWS",
-                            CountingRows(chamber._E10_ROOT_ROWS))
+        # product with the root rows (their kernel) to undo a closing
+        # reflection or sign
+        products = count_kernel_calls(monkeypatch, "roots")
         U1, ends = E10_WEIGHTS[0], Counter()
         for L in ([cusp(m) for m in (10, 10**4, 10**9)]
                   + sample(random.Random(1232), 200, 40)):
@@ -333,21 +446,13 @@ class TestReduceToChamber:
     def test_reduction_rebuilds_x_only_after_a_reflection(self, monkeypatch):
         # the reduction keeps x when its pairings, taken after the cusp
         # steps, are all >= 0, so x is rebuilt from the weight columns
-        # only where the reflections stop: at each alpha_-1 or alpha_0
-        # step that leaves L outside the chamber, and after the last step
-        # when it is a reflection; the cusp classes' one transvection
-        # makes none
+        # (their kernel) only where the reflections stop: at each
+        # alpha_-1 or alpha_0 step that leaves L outside the chamber, and
+        # after the last step when it is a reflection; the cusp classes'
+        # one transvection makes none
         classes = [cusp(m) for m in (10, 10**4, 10**9)]
         classes += sample(random.Random(1231), 200, 40)
-        products = []
-
-        class CountingColumns(tuple):
-            def __iter__(self):
-                products.append(1)
-                return super().__iter__()
-
-        monkeypatch.setattr(chamber, "_E10_WEIGHT_COLUMNS",
-                            CountingColumns(chamber._E10_WEIGHT_COLUMNS))
+        products = count_kernel_calls(monkeypatch, "weights")
         ends = Counter()
         for L in classes:
             products.clear()
@@ -566,6 +671,31 @@ class TestCheckPhiCertificate:
             "dict": res._replace(certificate=cert.to_json_dict()),
         }
         for name, mutant in malformed.items():
+            assert check_phi_certificate(L, mutant) is False, name
+
+    def test_refuses_numbers_that_are_not_ints(self):
+        # each mutant equals the honest result number for number, as a
+        # float or a bool may, and each is refused
+        L = resolve("U1+7U2+R1-R2+R4+R5+R6-R7-R8", E)
+        res = phi(E, L)
+        cert = res.certificate
+        assert check_phi_certificate(L, res)
+        mutants = {
+            "float phi and value": res._replace(
+                value=float(res.value),
+                certificate=cert._replace(phi=float(cert.phi))),
+            "float pairings": res._replace(certificate=cert._replace(
+                pairings=tuple(map(float, cert.pairings)))),
+            "float zero transvection": res._replace(certificate=cert._replace(
+                word=cert.word + (("t", 0, (0.0,) * 8),))),
+            "bool root index": res._replace(certificate=cert._replace(
+                word=(("s", True), ("s", True)) + cert.word)),
+            "bool cusp": res._replace(certificate=cert._replace(
+                word=(("t", False, (0,) * 8),) + cert.word)),
+            "float witness": res._replace(witness=DivClass._walked(
+                E, tuple(map(float, res.witness.coords)))),
+        }
+        for name, mutant in mutants.items():
             assert check_phi_certificate(L, mutant) is False, name
 
     def test_rejects_walk_results_and_other_grams(self):

@@ -1,20 +1,26 @@
 #!/usr/bin/env python3
-"""The heavy stratum: decomposition searches whose cost is their output.
+"""The heavy stratum: decomposition searches whose cost is their output,
+and certified phi on many seeded Enriques classes.
 
 Run from the root of a checkout:
 
     python3 tools/bench_heavy.py [--case NAME] [--runs 3] [--src DIR]
                                  [--against DIR]
 
-Each case is one enumerate_bogreider call on a curve whose search keeps
-thousands of survivors, run in this process against the package in
---src (the checkout's src/ by default, so another tree's src/ gives the
-before side of a change). For each case, in catalogue order or only the
-ones named by --case (repeatable), it prints one JSON line: the case,
-its surface, curve and k, the slice points visited, the survivors, the
-rejections per stage, the number of runs and the median time of one run
-in seconds, each run timed from a fresh garbage collection. The counts are deterministic and the same on every run; the
-times are a trajectory to compare trees by, not a gate.
+Each search case is one enumerate_bogreider call on a curve whose search
+keeps thousands of survivors; the phi case certifies phi, by the chamber
+path, on seeded classes of the Enriques lattice. Every case runs in this
+process against the package in --src (the checkout's src/ by default, so
+another tree's src/ gives the before side of a change). For each case,
+in catalogue order or only the ones named by --case (repeatable), it
+prints one JSON line: the case and its inputs (a search's surface, curve
+and k; the phi case's surface, seed, classes and coordinate bound), its
+counts (a search's slice points visited, survivors and rejections per
+stage; the phi case's total chamber word length and sum of phi), the
+number of runs and the median time of one run in seconds, each run timed
+from a fresh garbage collection. The counts are deterministic and the
+same on every run; the times are a trajectory to compare trees by, not a
+gate.
 
 --against DIR loads a second divcalc package, from the directory DIR
 that holds it (another tree's src/), into this process under its own
@@ -35,6 +41,7 @@ import gc
 import importlib
 import json
 import os
+import random
 import statistics
 import sys
 import time
@@ -47,6 +54,11 @@ CASES = (
     ("sigma7-2K-k6", "sigma7", "-2K", 6),
     ("sigma3-2K-k100", "sigma3", "-2K", 100),
     ("enriques-U1+U2-k3", "enriques", "U1+U2", 3),
+)
+# (name, seed, classes, bound): certified phi on that many classes of the
+# Enriques lattice with coordinates in [-bound, bound]
+PHI_CASES = (
+    ("enriques-phi-200", 7, 200, 30),
 )
 
 
@@ -111,29 +123,57 @@ def search(dc, surface, curve, k):
             dict(sorted(res.rejected.items()))), elapsed
 
 
-def run_case(trees, surface, curve, k, runs):
-    """The counts of one search and, per tree (module sets from load()),
-    its times over runs rounds; each round runs every tree once, in
-    order in even rounds and in reverse order in odd ones."""
+def enriques_classes(dc, seed, count, bound):
+    """count classes of the Enriques lattice with L^2 > 0, drawn by
+    random.Random(seed) with coordinates in [-bound, bound]; the E8 part
+    is drawn from a box [-b, b] with b random, since a uniform draw from
+    the whole box has L^2 > 0 about once in a thousand."""
+    surf, rng, out = dc.get_surface("enriques"), random.Random(seed), []
+    while len(out) < count:
+        b = rng.randint(1, bound)
+        L = surf.klass([rng.randint(-bound, bound) for _ in range(2)]
+                       + [rng.randint(-b, b) for _ in range(8)])
+        if dc.pair(L, L) > 0:
+            out.append(L)
+    return surf, out
+
+
+def certify(dc, seed, count, bound):
+    """The counts of certified phi on enriques_classes(dc, seed, count,
+    bound), the total length of the chamber words and the sum of phi, and
+    its time in seconds, started from a fresh garbage collection."""
+    surf, classes = enriques_classes(dc, seed, count, bound)
+    gc.collect()
+    start = time.perf_counter()
+    results = [dc.phi(surf, L) for L in classes]
+    elapsed = time.perf_counter() - start
+    return (sum(len(r.certificate.word) for r in results),
+            sum(r.value for r in results)), elapsed
+
+
+def run_case(trees, name, measure, runs):
+    """The counts of measure(dc) (counts, seconds) and, per tree (module
+    sets from load()), its times over runs rounds; each round runs every
+    tree once, in order in even rounds and in reverse order in odd
+    ones."""
     times, counts = [[] for _ in trees], None
     order = range(len(trees))
     for r in range(runs):
         for i in order if r % 2 == 0 else reversed(order):
             with installed(trees[i]) as dc:
-                got, elapsed = search(dc, surface, curve, k)
+                got, elapsed = measure(dc)
             if counts not in (None, got):
-                raise SystemExit(f"{surface} {curve} k={k}: counts differ "
-                                 f"between runs or trees: {counts} then {got}")
+                raise SystemExit(f"{name}: counts differ between runs or "
+                                 f"trees: {counts} then {got}")
             counts = got
             times[i].append(elapsed)
-    visited, survivors, rejected = counts
-    return {"visited": visited, "survivors": survivors, "rejected": rejected,
-            "runs": runs}, times
+    return counts, times
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--case", action="append", choices=[c[0] for c in CASES])
+    ap.add_argument("--case", action="append",
+                    choices=[c[0] for c in CASES + PHI_CASES])
     ap.add_argument("--runs", type=int, default=3)
     ap.add_argument("--src", default=os.path.join(ROOT, "src"),
                     help="directory holding the divcalc package to run")
@@ -147,18 +187,33 @@ def main(argv=None):
     if args.against:
         trees.append(load(args.against))
 
-    for name, surface, curve, k in CASES:
-        if args.case and name not in args.case:
-            continue
-        line = {"case": name, "surface": surface, "curve": curve, "k": k}
-        counts, times = run_case(trees, surface, curve, k, args.runs)
-        line.update(counts)
+    def report(line, times):
+        line["runs"] = args.runs
         line["median_s"] = statistics.median(times[0])
         if args.against:
             line["against_median_s"] = statistics.median(times[1])
             line["ratio"] = line["median_s"] / line["against_median_s"]
             line["wins"] = sum(a < b for a, b in zip(*times))
         print(json.dumps(line), flush=True)
+
+    for name, surface, curve, k in CASES:
+        if args.case and name not in args.case:
+            continue
+        counts, times = run_case(
+            trees, name, lambda dc: search(dc, surface, curve, k), args.runs)
+        visited, survivors, rejected = counts
+        report({"case": name, "surface": surface, "curve": curve, "k": k,
+                "visited": visited, "survivors": survivors,
+                "rejected": rejected}, times)
+    for name, seed, count, bound in PHI_CASES:
+        if args.case and name not in args.case:
+            continue
+        counts, times = run_case(
+            trees, name, lambda dc: certify(dc, seed, count, bound),
+            args.runs)
+        report({"case": name, "surface": "enriques", "seed": seed,
+                "classes": count, "bound": bound, "word_length": counts[0],
+                "phi_sum": counts[1]}, times)
 
 
 if __name__ == "__main__":

@@ -66,6 +66,16 @@ CATALOGUE = [
      "return (tuple(cert.pairings) == pairings and min(pairings) >= 0",
      "return (tuple(cert.pairings) == pairings",
      ["tests/test_chamber.py"]),
+    # the kernel builder writes a -1 entry of a fixed matrix as +1
+    ("kernel-sign", _CHAMBER,
+     '("- " if a < 0 else "+ ")',
+     '("- " if a < -1 else "+ ")',
+     ["tests/test_chamber.py"]),
+    # the certificate check takes a float or a bool for the int it equals
+    ("certificate-ints", _CHAMBER,
+     "return _INT_ONLY.issuperset(map(type, values))",
+     "return True",
+     ["tests/test_chamber.py"]),
     # the cusp step rounds r / (x.e) half down instead of half up
     ("cusp-rounding", _CHAMBER,
      "v = tuple(-((2 * ri + xe) // (2 * xe)) for ri in r)",
