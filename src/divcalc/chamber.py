@@ -4,12 +4,14 @@ check_phi_certificate replays it by its own gram arithmetic, and
 PhiCertificate.text prints it. Its steps are ("neg",), ("s", j) and
 ("t", e, v), as reduce_to_chamber states.
 
-The chamber path multiplies by four fixed matrices: the E8(-1) block in
-each transvection's shift, the root rows for the pairings x.alpha_j,
-the weight columns to rebuild x from its pairings, and the gram for
-phi's image G L. Each product is a straight-line kernel (_linear),
-written once per process from the matrix's nonzero entries on first
-use (_kernels). check_phi_certificate calls none of them: it replays
+The chamber path's arithmetic with E10's fixed data runs through
+straight-line kernels, written once per process from the data's nonzero
+entries on first use (_kernels): the products with the root rows (the
+pairings x.alpha_j), the weight columns (x rebuilt from its pairings)
+and the gram (phi's image G L), each by _linear; cusp, _cusp_step's
+rounding, shift (through the E8(-1) block) and height change for U1 and
+U2; and transvection, the image of a step, shift included when the
+caller has none. check_phi_certificate calls none of them: it replays
 the word by plain gram products, so it stays a check independent of
 the kernels."""
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cache
-from operator import mul
+from operator import mul, neg
 from types import SimpleNamespace
 
 from .errors import ModelError, RangeError
@@ -105,34 +107,105 @@ _E8_HEIGHT_ROW = _E10_HEIGHT_ROW[2:]
 _E8_ROWS = tuple(g[2:] for g in _E10_GRAM[2:])
 
 
+def _terms(row, names):
+    """The sum row . names as source text, written from the row's nonzero
+    entries: a zero entry adds no term, and an entry +-1 no multiply."""
+    terms = " ".join(("- " if a < 0 else "+ ")
+                     + (n if abs(a) == 1 else f"{abs(a)} * {n}")
+                     for a, n in zip(row, names) if a)
+    return terms.removeprefix("+ ") or "0"
+
+
+def _compile(name, lines):
+    """The function name that the source lines define."""
+    namespace = {}
+    exec("\n".join(lines) + "\n", namespace)
+    return namespace[name]
+
+
 def _linear(rows):
     """The product x -> [row . x for row in rows] as one straight-line
-    function, written from the rows' nonzero entries: a zero entry adds
-    no term, and an entry +-1 no multiply. It returns a list, and x must
-    have one coordinate per column."""
+    function, written from the rows' nonzero entries (_terms). It returns
+    a list, and x must have one coordinate per column."""
     names = [f"x{j}" for j in range(len(rows[0]))]
-    sums = []
-    for row in rows:
-        terms = " ".join(("- " if a < 0 else "+ ")
-                         + (n if abs(a) == 1 else f"{abs(a)} * {n}")
-                         for a, n in zip(row, names) if a)
-        sums.append(terms.removeprefix("+ ") or "0")
-    namespace = {}
-    exec(f"def product(x):\n    {', '.join(names)}, = x\n"
-         f"    return [{', '.join(sums)}]\n", namespace)
-    return namespace["product"]
+    sums = ", ".join(_terms(row, names) for row in rows)
+    return _compile("product", ["def product(x):",
+                                f"    {', '.join(names)}, = x",
+                                f"    return [{sums}]"])
+
+
+# The names of the cusp and transvection kernels' source: x's coordinates,
+# its E8(-1) part, v's coordinates and those of N v
+_X = [f"x{j}" for j in range(10)]
+_R, _V, _N = _X[2:], [f"v{j}" for j in range(8)], [f"n{j}" for j in range(8)]
+
+
+def _shift_lines(xe):
+    """Source lines, indented for an if block, that set
+    shift = x.v + (v^2 / 2)(x.e), the multiple of e that the
+    transvection along e and v takes off x, from x's E8(-1) part and v
+    unpacked, with x.e named xe: first N v, by the E8(-1) rows."""
+    dot = " + ".join
+    lines = [f"{n} = {_terms(row, _V)}" for n, row in zip(_N, _E8_ROWS)]
+    lines.append(f"shift = {dot(map('{} * {}'.format, _R, _N))} + "
+                 f"({dot(map('{} * {}'.format, _V, _N))}) // 2 * {xe}")
+    return [" " * 8 + line for line in lines]
+
+
+def _write_cusp():
+    """_cusp_step's choice as one straight-line function of x: for U1 and
+    then U2, the rounding v, the shift and the height change, returning
+    (e, v, shift) for the transvection that lowers x.h the most, U1
+    winning a tie, or None when neither lowers it. The rounding
+    -((2 r_i + xe) // (2 xe)) is written as (xe - 1 - 2 r_i) // (2 xe),
+    its equal for xe = x.e > 0, with each 2 r_i taken once for both."""
+    twice = [f"t{j}" for j in range(8)]
+    lines = ["def cusp(x):", f"    {', '.join(_X)} = x",
+             f"    {', '.join(twice)} = {', '.join(f'2 * {r}' for r in _R)}",
+             "    best, drop = None, 0"]
+    for e in (0, 1):
+        xe = _X[1 - e]
+        lines += [f"    d, h = 2 * {xe}, {xe} - 1"]
+        lines += [f"    {v} = (h - {t}) // d" for v, t in zip(_V, twice)]
+        lines.append(f"    if {' or '.join(_V)}:")
+        lines += _shift_lines(xe)
+        lines += [f"        change = {xe} * ({_terms(_E8_HEIGHT_ROW, _V)})"
+                  f" - {_E10_HEIGHT_ROW[e]} * shift",
+                  "        if change < drop:",
+                  f"            best, drop = ({e}, ({', '.join(_V)}), shift)"
+                  ", change"]
+    return _compile("cusp", lines + ["    return best"])
+
+
+def _write_transvection():
+    """The Eichler transvection E(x) = x + (x.e) v - (x.v) e
+    - (v^2 / 2)(x.e) e of the E10 coordinates x, along e = U1 (e = 0) or
+    U2 (e = 1), with v in the E8(-1) block given by its 8 coordinates, as
+    one straight-line function of (x, e, v, shift), x and v unpacked
+    once. E is an isometry fixing e, and E along -v undoes it. shift is
+    the multiple x.v + (v^2 / 2)(x.e) of e that E takes off x when the
+    caller has it (the cusp kernel's), and None to have it computed."""
+    lines = ["def transvection(x, e, v, shift):", f"    {', '.join(_X)} = x",
+             f"    {', '.join(_V)} = v", "    xe = x0 if e else x1",
+             "    if shift is None:"]
+    lines += _shift_lines("xe")
+    image = ", ".join(_X[:2] + [f"{r} + xe * {v}" for r, v in zip(_R, _V)])
+    lines += [f"    y = [{image}]", "    y[e] -= shift", "    return y"]
+    return _compile("transvection", lines)
 
 
 @cache
 def _kernels():
-    """The chamber path's products with the fixed E10 matrices, each a
-    _linear kernel, built once on first use: e8, the E8(-1) block
-    (_shift's N v); roots, the pairings x.alpha_j; weights,
-    x = sum_j c_j omega_j from the pairings c; and gram, G x (phi's
-    image of L)."""
+    """The chamber path's straight-line kernels over the fixed E10 data,
+    built once on first use. Products (_linear): roots, the pairings
+    x.alpha_j; weights, x = sum_j c_j omega_j from the pairings c; and
+    gram, G x (phi's image of L). And cusp, _cusp_step's choice of
+    (e, v, shift) or None (_write_cusp), and transvection, the image of
+    an Eichler transvection (_write_transvection)."""
     return SimpleNamespace(
-        e8=_linear(_E8_ROWS), roots=_linear(_E10_ROOT_ROWS),
-        weights=_linear(_E10_WEIGHT_COLUMNS), gram=_linear(_E10_GRAM))
+        roots=_linear(_E10_ROOT_ROWS), weights=_linear(_E10_WEIGHT_COLUMNS),
+        gram=_linear(_E10_GRAM), cusp=_write_cusp(),
+        transvection=_write_transvection())
 
 
 def _e10_image(L):
@@ -140,28 +213,6 @@ def _e10_image(L):
     gram kernel."""
     w = _kernels().gram(L.coords)
     return w, sum(map(mul, w, L.coords))
-
-
-def _shift(r, xe, v):
-    """x.v + (v^2 / 2)(x.e) for a class x with E8(-1) part r and
-    x.e = xe: the multiple of e that the transvection along e and v takes
-    off x."""
-    Nv = _kernels().e8(v)
-    return sum(map(mul, r, Nv)) + sum(map(mul, v, Nv)) // 2 * xe
-
-
-def _transvection(x, e, v, shift=None):
-    """The Eichler transvection E(x) = x + (x.e) v - (x.v) e
-    - (v^2 / 2)(x.e) e of the E10 coordinates x, along e = U1 (e = 0) or
-    U2 (e = 1), with v in the E8(-1) block given by its 8 coordinates. It
-    is an isometry fixing e, and E along -v undoes it. shift is
-    _shift(x[2:], x.e, v) when the caller has it."""
-    xe, r = x[1 - e], x[2:]
-    if shift is None:
-        shift = _shift(r, xe, v)
-    y = x[:2] + [ri + xe * vi for ri, vi in zip(r, v)]
-    y[e] -= shift
-    return y
 
 
 def _cusp_step(x):
@@ -174,21 +225,14 @@ def _cusp_step(x):
 
     The two are compared by their height change, read off E's formula:
     h.(E x - x) = (x.e)(h.v) - (x.v + (v^2 / 2)(x.e))(h.e), with U1
-    winning a tie. Only the image of the one taken is built."""
-    r, best, drop = x[2:], None, 0
-    for e in (0, 1):
-        xe = x[1 - e]
-        v = tuple(-((2 * ri + xe) // (2 * xe)) for ri in r)
-        if any(v):
-            shift = _shift(r, xe, v)
-            change = (xe * sum(map(mul, _E8_HEIGHT_ROW, v))
-                      - shift * _E10_HEIGHT_ROW[e])
-            if change < drop:
-                best, drop = (e, v, shift), change
-    if best is None:
+    winning a tie. The cusp kernel makes that choice; only the image of
+    the one taken is built, by the transvection kernel."""
+    kernels = _kernels()
+    step = kernels.cusp(x)
+    if step is None:
         return None
-    e, v, shift = best
-    return e, v, _transvection(x, e, v, shift)
+    e, v, shift = step
+    return e, v, kernels.transvection(x, e, v, shift)
 
 
 def _reduce(x):
@@ -273,7 +317,9 @@ def _unword(word, x, d=None):
         if step[0] == "t":
             if F is None:
                 F = kernels.weights(d)
-            F, d = _transvection(F, step[1], tuple(-a for a in step[2])), None
+            F = kernels.transvection(F, step[1], tuple(map(neg, step[2])),
+                                     None)
+            d = None
             continue
         if d is None:
             d = kernels.roots(F)

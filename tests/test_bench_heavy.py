@@ -122,3 +122,36 @@ def test_the_phi_case_draws_positive_classes_in_its_box():
                    for L in classes)
         assert max(max(map(abs, L.coords)) for L in classes) == 30
         assert all(dc.phi(surf, L).certificate for L in classes[:20])
+
+
+def test_the_cusp_phi_case_prints_its_pinned_counts():
+    # certified phi on 200 classes shaped like phi_enriques's, run once:
+    # each has phi = 1, and the 274 steps of their words hold 200 cusp
+    # steps, so the case times mostly the cusp kernel
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "bench_heavy.py"),
+         "--case", "enriques-phi-cusp-200", "--runs", "1"],
+        capture_output=True, text=True, timeout=120, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stdout.splitlines()
+    got = json.loads(line)
+    assert got.pop("median_s") > 0
+    assert got == {"case": "enriques-phi-cusp-200", "surface": "enriques",
+                   "seed": 7, "classes": 200, "bound": 1,
+                   "word_length": 274, "phi_sum": 200, "runs": 1}
+
+
+def test_the_cusp_phi_case_draws_phi_enriques_shapes():
+    # U1 + b U2 + r or b U1 + U2 + r, r in [-1, 1]^8, L^2 in {2, 4, 6, 8}
+    tool = _tool()
+    with tool.installed(tool.load(ROOT / "src")) as dc:
+        surf, classes = tool.cusp_classes(dc, 7, 200, 1)
+        assert surf.name == "enriques" and len(classes) == 200
+        assert {dc.pair(L, L) for L in classes} == {2, 4, 6, 8}
+        assert all(1 in L.coords[:2] and max(map(abs, L.coords[2:])) <= 1
+                   for L in classes)
+        swapped = sum(L.coords[1] != 1 for L in classes)
+        assert 60 < swapped < 140
+        steps = [s[0] for L in classes
+                 for s in dc.phi(surf, L).certificate.word]
+        assert steps.count("t") == 200 and len(steps) == 274

@@ -2,6 +2,7 @@
 certified phi on the Enriques lattice with a certificate that
 check_phi_certificate replays."""
 
+import itertools
 import json
 import math
 import os
@@ -105,9 +106,9 @@ def count_kernel_calls(monkeypatch, name):
     calls, kernels = [], vars(chamber._kernels()).copy()
     real = kernels[name]
 
-    def counting(x):
+    def counting(*args):
         calls.append(1)
-        return real(x)
+        return real(*args)
 
     kernels[name] = counting
     patched = SimpleNamespace(**kernels)
@@ -174,29 +175,104 @@ class TestE10Data:
         assert [dot(h, a) for a in E10_ROOTS] == [1] * 10
 
 
-# each kernel of the chamber path, by its name in chamber._kernels(), and
-# the fixed matrix it multiplies by
-KERNELS = {"e8": chamber._E8_ROWS, "roots": chamber._E10_ROOT_ROWS,
+# the product kernels of the chamber path, by their names in
+# chamber._kernels(), and the fixed matrix each multiplies by
+KERNELS = {"roots": chamber._E10_ROOT_ROWS,
            "weights": chamber._E10_WEIGHT_COLUMNS, "gram": GRAM}
+
+
+def wide_vectors(seed, n, count=300):
+    """count seeded vectors of n coordinates: two in three small, and one
+    in three with most coordinates near +-I64_MAX, where the kernels'
+    sums leave 64 bits."""
+    rng = random.Random(seed)
+    for i in range(count):
+        if i % 3:
+            yield [rng.randint(-60, 60) for _ in range(n)]
+        else:
+            yield [rng.choice((1, -1)) * (I64_MAX - rng.randint(0, 9))
+                   if rng.random() < 0.7 else rng.randint(-9, 9)
+                   for _ in range(n)]
+
+
+def plain_shift(x, xe, v):
+    """x.v + (v^2 / 2)(x.e) for x's E8(-1) part and v, by plain
+    products with the E8(-1) rows."""
+    Nv = [sum(map(mul, row, v)) for row in chamber._E8_ROWS]
+    return sum(map(mul, x[2:], Nv)) + sum(map(mul, v, Nv)) // 2 * xe
+
+
+def plain_cusp(x):
+    """_cusp_step's choice, (e, v, shift) or None, from its docstring:
+    the rounding v = -round(r / (x.e)), the shift and the height change
+    (x.e)(h.v) - shift (h.e), U1 winning a tie."""
+    best, drop = None, 0
+    for e in (0, 1):
+        xe = x[1 - e]
+        v = tuple(-((2 * ri + xe) // (2 * xe)) for ri in x[2:])
+        if any(v):
+            shift = plain_shift(x, xe, v)
+            change = (xe * sum(map(mul, chamber._E8_HEIGHT_ROW, v))
+                      - shift * chamber._E10_HEIGHT_ROW[e])
+            if change < drop:
+                best, drop = (e, v, shift), change
+    return best
 
 
 class TestKernels:
     @pytest.mark.parametrize("name", KERNELS)
     def test_each_kernel_is_its_matrix_product(self, name):
-        # seeded vectors, small and with coordinates near +-I64_MAX, where
-        # the sums leave 64 bits: the kernel is exact as the plain product
-        rows, rng = KERNELS[name], random.Random(1601)
+        # the kernel is exact as the plain product, within 64 bits and
+        # past them
+        rows = KERNELS[name]
         kernel = getattr(chamber._kernels(), name)
-        n = len(rows[0])
-        for i in range(300):
-            if i % 3:
-                x = [rng.randint(-60, 60) for _ in range(n)]
-            else:
-                x = [rng.choice((1, -1)) * (I64_MAX - rng.randint(0, 9))
-                     if rng.random() < 0.7 else rng.randint(-9, 9)
-                     for _ in range(n)]
+        for x in wide_vectors(1601, len(rows[0])):
             want = [sum(map(mul, row, x)) for row in rows]
             assert kernel(x) == want and kernel(tuple(x)) == want, x
+
+    def test_the_cusp_kernel_is_the_plain_formula(self):
+        # x.U2 and x.U1 > 0, as on the chamber path, and then classes of
+        # the closed chamber, where v is nonzero but no transvection
+        # lowers the height (the reduction runs only after the wide
+        # vectors, so a faulty kernel fails here before it can stall
+        # it): the kernel's choice is the formula's, and every choice,
+        # none, U1 and U2, is met
+        cusp_kernel, taken = chamber._kernels().cusp, Counter()
+        wide = list(wide_vectors(1602, 10))
+        for x in wide:
+            x[:2] = [abs(a) or 1 for a in x[:2]]
+        chambered = (reduce_to_chamber(L)[0].coords
+                     for L in sample(random.Random(1604), 100, 30))
+        for x in itertools.chain(wide, chambered):
+            want = plain_cusp(x)
+            assert cusp_kernel(x) == want and cusp_kernel(tuple(x)) == want, x
+            taken[want and want[0]] += 1
+        assert min(taken[None], taken[0], taken[1]) > 50, taken
+
+    def test_the_transvection_kernel_is_the_plain_formula(self):
+        # E(x) = x + (x.e) v - shift e along U1 and U2, with the shift
+        # computed by the kernel or handed to it, against act's gram
+        # products; v is drawn wide too
+        transvection = chamber._kernels().transvection
+        vectors = wide_vectors(1603, 18)
+        for i, xv in enumerate(vectors):
+            x, v, e = xv[:10], tuple(xv[10:]), i % 2
+            want = act(x, ("t", e, v))
+            assert transvection(x, e, v, None) == want, xv
+            shift = plain_shift(x, x[1 - e], v)
+            assert transvection(tuple(x), e, v, shift) == want, xv
+
+    def test_cusp_kernel_calls_on_the_heavy_draw(self, monkeypatch):
+        # the draw of bench_heavy's enriques-phi-200 case (seed 7,
+        # coordinates in [-30, 30]), with its pinned word length and sum
+        # of phi: the reduction asks the cusp kernel once per cusp step,
+        # 633 times, a work count that no timing noise moves
+        classes = sample(random.Random(7), 200, 30)
+        calls = count_kernel_calls(monkeypatch, "cusp")
+        results = [phi(E, L) for L in classes]
+        assert sum(len(r.certificate.word) for r in results) == 12157
+        assert sum(r.value for r in results) == 2547
+        assert len(calls) == 633
 
     def test_kernels_are_built_once_on_first_use(self):
         # a process that reduces no E10 class builds no kernel: importing
@@ -251,10 +327,11 @@ class TestKernels:
         classes += [E.klass(x) for x in TestReduceToChamber.TIES]
         saved = [(L, phi(E, L)) for L in classes]
 
-        def refuse(x):
+        def refuse(*args):
             raise AssertionError("a kernel was called")
 
-        raising = SimpleNamespace(**{name: refuse for name in KERNELS})
+        raising = SimpleNamespace(
+            **{name: refuse for name in vars(chamber._kernels())})
         monkeypatch.setattr(chamber, "_kernels", lambda: raising)
         for L, res in saved:
             assert check_phi_certificate(L, res), L.coords
@@ -293,11 +370,7 @@ class TestReduceToChamber:
         # the two transvections are compared by their height change, so a
         # step builds at most one image, and it takes the step that
         # building both images and comparing their heights would take
-        images, steps, both = [], 0, 0
-
-        def counting_transvection(x, e, v, *rest):
-            images.append(e)
-            return real_transvection(x, e, v, *rest)
+        steps, both = 0, 0
 
         def checked_cusp_step(x):
             nonlocal steps, both
@@ -317,9 +390,8 @@ class TestReduceToChamber:
             both += live == 2
             return got
 
-        real_transvection = chamber._transvection
+        images = count_kernel_calls(monkeypatch, "transvection")
         real_cusp_step = chamber._cusp_step
-        monkeypatch.setattr(chamber, "_transvection", counting_transvection)
         monkeypatch.setattr(chamber, "_cusp_step", checked_cusp_step)
         classes = sample(random.Random(1221), 200, 40)
         classes += [cusp(m) for m in (3, 10**4)] + [-cusp(7)]

@@ -8,15 +8,18 @@ Run from the root of a checkout:
                                  [--against DIR]
 
 Each search case is one enumerate_bogreider call on a curve whose search
-keeps thousands of survivors; the phi case certifies phi, by the chamber
-path, on seeded classes of the Enriques lattice. Every case runs in this
+keeps thousands of survivors; a phi case certifies phi, by the chamber
+path, on seeded classes of the Enriques lattice: enriques-phi-200 on
+classes drawn from a box, whose chamber words are long, and
+enriques-phi-cusp-200 on classes shaped like perfbench's phi_enriques
+ones, whose short words are mostly cusp steps. Every case runs in this
 process against the package in --src (the checkout's src/ by default, so
 another tree's src/ gives the before side of a change). For each case,
 in catalogue order or only the ones named by --case (repeatable), it
 prints one JSON line: the case and its inputs (a search's surface, curve
-and k; the phi case's surface, seed, classes and coordinate bound), its
+and k; a phi case's surface, seed, classes and coordinate bound), its
 counts (a search's slice points visited, survivors and rejections per
-stage; the phi case's total chamber word length and sum of phi), the
+stage; a phi case's total chamber word length and sum of phi), the
 number of runs and the median time of one run in seconds, each run timed
 from a fresh garbage collection. The counts are deterministic and the
 same on every run; the times are a trajectory to compare trees by, not a
@@ -54,11 +57,6 @@ CASES = (
     ("sigma7-2K-k6", "sigma7", "-2K", 6),
     ("sigma3-2K-k100", "sigma3", "-2K", 100),
     ("enriques-U1+U2-k3", "enriques", "U1+U2", 3),
-)
-# (name, seed, classes, bound): certified phi on that many classes of the
-# Enriques lattice with coordinates in [-bound, bound]
-PHI_CASES = (
-    ("enriques-phi-200", 7, 200, 30),
 )
 
 
@@ -138,11 +136,35 @@ def enriques_classes(dc, seed, count, bound):
     return surf, out
 
 
-def certify(dc, seed, count, bound):
-    """The counts of certified phi on enriques_classes(dc, seed, count,
-    bound), the total length of the chamber words and the sum of phi, and
-    its time in seconds, started from a fresh garbage collection."""
-    surf, classes = enriques_classes(dc, seed, count, bound)
+def cusp_classes(dc, seed, count, bound):
+    """count classes U1 + b U2 + r of the Enriques lattice shaped like
+    perfbench's phi_enriques ones, drawn by random.Random(seed): r in the
+    E8(-1) block with coordinates in [-bound, bound], b fixed by L^2 drawn
+    from {2, 4, 6, 8}, and U1, U2 swapped in about half of them. Each has
+    phi = 1, and its chamber word is short, mostly cusp steps."""
+    surf, rng, out = dc.get_surface("enriques"), random.Random(seed), []
+    for _ in range(count):
+        r = [rng.randint(-bound, bound) for _ in range(8)]
+        R = surf.klass([0, 0] + r)
+        b = (rng.choice((2, 4, 6, 8)) - dc.pair(R, R)) // 2
+        out.append(surf.klass(([b, 1] if rng.random() < 0.5 else [1, b])
+                              + r))
+    return surf, out
+
+
+# (name, draw, seed, classes, bound): certified phi on the classes that
+# draw(dc, seed, classes, bound) gives
+PHI_CASES = (
+    ("enriques-phi-200", enriques_classes, 7, 200, 30),
+    ("enriques-phi-cusp-200", cusp_classes, 7, 200, 1),
+)
+
+
+def certify(dc, draw, seed, count, bound):
+    """The counts of certified phi on draw(dc, seed, count, bound), the
+    total length of the chamber words and the sum of phi, and its time in
+    seconds, started from a fresh garbage collection."""
+    surf, classes = draw(dc, seed, count, bound)
     gc.collect()
     start = time.perf_counter()
     results = [dc.phi(surf, L) for L in classes]
@@ -205,11 +227,11 @@ def main(argv=None):
         report({"case": name, "surface": surface, "curve": curve, "k": k,
                 "visited": visited, "survivors": survivors,
                 "rejected": rejected}, times)
-    for name, seed, count, bound in PHI_CASES:
+    for name, draw, seed, count, bound in PHI_CASES:
         if args.case and name not in args.case:
             continue
         counts, times = run_case(
-            trees, name, lambda dc: certify(dc, seed, count, bound),
+            trees, name, lambda dc: certify(dc, draw, seed, count, bound),
             args.runs)
         report({"case": name, "surface": "enriques", "seed": seed,
                 "classes": count, "bound": bound, "word_length": counts[0],

@@ -76,15 +76,20 @@ CATALOGUE = [
      "return _INT_ONLY.issuperset(map(type, values))",
      "return True",
      ["tests/test_chamber.py"]),
-    # the cusp step rounds r / (x.e) half down instead of half up
+    # the cusp kernel rounds r / (x.e) half down instead of half up
     ("cusp-rounding", _CHAMBER,
-     "v = tuple(-((2 * ri + xe) // (2 * xe)) for ri in r)",
-     "v = tuple((xe - 2 * ri) // (2 * xe) for ri in r)",
+     "{v} = (h - {t}) // d",
+     "{v} = (h + 1 - {t}) // d",
      ["tests/test_chamber.py"]),
-    # U2 wins a tie of the cusp step
+    # U2 wins a tie of the cusp kernel
     ("cusp-tie", _CHAMBER,
      "if change < drop:",
      "if change <= drop and change < 0:",
+     ["tests/test_chamber.py"]),
+    # the kernels' shift takes v^2 for (v^2 / 2)(x.e)
+    ("cusp-shift", _CHAMBER,
+     "_V, _N))}) // 2 * {xe}\")",
+     "_V, _N))})\")",
      ["tests/test_chamber.py"]),
     # the explainer's nonzero stage words its failure otherwise
     ("zero-class-detail", _ENUMERATION,
@@ -153,7 +158,7 @@ CATALOGUE = [
      ["tests/test_surfaces.py"]),
     # the witness skips the inverse of a transvection step
     ("chamber-witness", _CHAMBER,
-     "tuple(-a for a in step[2])",
+     "tuple(map(neg, step[2]))",
      "tuple(step[2])",
      ["tests/test_chamber.py"]),
     # w^-1 starts from U1 whatever coordinates it is given
